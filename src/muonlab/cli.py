@@ -90,8 +90,19 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     suite = harness.SUITES[args.suite]
+    kwargs = {}
+    if args.trials is not None:
+        if args.suite not in harness.TRIAL_ARGS:
+            print(f"error: suite {args.suite!r} has no trial count; "
+                  f"--trials applies to {', '.join(sorted(harness.TRIAL_ARGS))}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
+        if args.trials < 1:
+            print("error: --trials must be at least 1", file=sys.stderr)
+            return EXIT_CONFIG
+        kwargs[harness.TRIAL_ARGS[args.suite]] = args.trials
     try:
-        results = suite(args.trials) if args.trials else suite()
+        results = suite(**kwargs)
     except linalg.NumericalError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

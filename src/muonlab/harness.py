@@ -88,8 +88,17 @@ def build_schedule(spec: dict):
     raise ConfigError(f"unknown schedule kind {kind!r}")
 
 
+CONFIG_KEYS = frozenset((
+    "method", "beta", "c", "style", "schedule", "T", "init", "m", "n", "seed",
+    "polar", "track_average", "bound",
+))
+
+
 def resolve_config(raw: dict) -> dict:
     """Fill defaults and resolve 'auto' fields into a fully explicit config."""
+    unknown = sorted(set(raw) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}")
     cfg = dict(raw)
     for key, default in (("beta", 0.0), ("c", "auto"), ("style", "cex1"),
                          ("m", 2), ("n", 2), ("seed", 0), ("polar", "exact"),
@@ -100,6 +109,12 @@ def resolve_config(raw: dict) -> dict:
             raise ConfigError(f"config is missing {key!r}")
     if cfg["method"] not in optim.STEP_FUNCTIONS and cfg["method"] != "efm":
         raise ConfigError(f"unknown method {cfg['method']!r}")
+    for key in ("m", "n", "seed", "T"):
+        if isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, np.integer)):
+            raise ConfigError(f"{key} must be an integer")
+        cfg[key] = int(cfg[key])
+    if not isinstance(cfg["track_average"], bool):
+        raise ConfigError("track_average must be true or false")
     beta = float(cfg["beta"])
     if not 0.0 <= beta < 1.0:
         raise ConfigError("beta must lie in [0, 1)")
@@ -112,11 +127,13 @@ def resolve_config(raw: dict) -> dict:
     cfg["c"] = float(cfg["c"])
     if not 0.0 < cfg["c"] < 1.0:
         raise ConfigError("c must lie in (0, 1)")
-    cfg["T"] = int(cfg["T"])
     if cfg["T"] < 0:
         raise ConfigError("T must be nonnegative")
     if cfg["polar"] not in ("exact", "ns"):
         raise ConfigError("polar must be 'exact' or 'ns'")
+    if cfg["method"] == "efmuon" and cfg["polar"] == "ns":
+        raise ConfigError("efmuon needs the exact polar factor for its "
+                          "compressor contraction; use polar 'exact'")
     build_schedule(cfg["schedule"])  # validate early
     return cfg
 
@@ -475,6 +492,15 @@ def suite_ef_bound(T: int = 5000) -> list:
         CheckResult("averaged suboptimality under the bound", gap <= 0.0, gap, 0.0),
     ]
 
+
+# The keyword that sets each suite's trial count; the other suites have none.
+TRIAL_ARGS = {
+    "polar": "trials",
+    "reduction": "trials",
+    "compressor": "trials",
+    "lmo": "trials",
+    "cex2": "n_inits",
+}
 
 SUITES = {
     "polar": suite_polar,

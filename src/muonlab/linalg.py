@@ -49,12 +49,16 @@ def _offdiag_is_zero(A: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Truncated factors A ~= U @ diag(sigma) @ Vt with rank retained columns."""
+    """Truncated factors A ~= U @ diag(sigma) @ Vt with rank retained columns.
+
+    ``nuclear`` is the sum of all singular values, before truncation.
+    """
 
     U: np.ndarray
     sigma: np.ndarray
     Vt: np.ndarray
     rank: int
+    nuclear: float
 
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.sigma) @ self.Vt
@@ -82,6 +86,7 @@ def reduced_svd(A, tol: float = SVD_TRUNCATION_RTOL) -> SvdFactors:
         sigma=s[:rank].copy(),
         Vt=np.ascontiguousarray(Vt[:rank]),
         rank=rank,
+        nuclear=float(s.sum()),
     )
 
 
@@ -96,7 +101,23 @@ def polar_exact(A, tol: float = SVD_TRUNCATION_RTOL) -> np.ndarray:
     A = as_matrix(A)
     if _offdiag_is_zero(A):
         return np.sign(A)
+    return _polar_of(reduced_svd(A, tol), A)
+
+
+def polar_and_nuclear(A, tol: float = SVD_TRUNCATION_RTOL) -> tuple:
+    """``(polar_exact(A), norm(A, "nuc"))`` from a single SVD.
+
+    Diagonal inputs take the same exact fast path as both functions:
+    ``sign(A)`` and the sum of the absolute diagonal entries.
+    """
+    A = as_matrix(A)
+    if _offdiag_is_zero(A):
+        return np.sign(A), float(np.abs(np.diagonal(A)).sum())
     f = reduced_svd(A, tol)
+    return _polar_of(f, A), f.nuclear
+
+
+def _polar_of(f: SvdFactors, A: np.ndarray) -> np.ndarray:
     if f.rank == 0:
         return np.zeros_like(A)
     return f.U @ f.Vt

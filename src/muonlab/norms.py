@@ -279,13 +279,29 @@ def _lmo_lp(w: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _lmo_nuclear_ball(W: np.ndarray) -> np.ndarray:
+def _nuclear_ball(W: np.ndarray) -> tuple:
+    # (||W||_op, lmo over the nuclear ball) from one SVD.
     f = linalg.reduced_svd(W)
     if f.rank == 0:
-        return np.zeros_like(np.asarray(W, float))
+        return 0.0, np.zeros_like(W)
     top = np.nonzero(f.sigma >= f.sigma[0] * (1.0 - TIE_RTOL))[0]
     k = len(top)
-    return (f.U[:, top] @ f.Vt[top]) / k
+    return float(f.sigma[0]), (f.U[:, top] @ f.Vt[top]) / k
+
+
+def _product_dual_and_lmo(W, spec: ProductNormSpec) -> tuple:
+    # One SVD per layer gives both ||W^l||_nuc (for the dual norm) and
+    # polar(W^l) (for the LMO).
+    W = _require_product_point(W, spec)
+    parts = [linalg.polar_and_nuclear(M) for M in W.matrices]
+    y = sum(nuc / math.sqrt(d) for (_, nuc), d in zip(parts, spec.d))
+    l1 = linalg.norm(W.theta, "l1")
+    dn = math.sqrt(spec.s * y**2 + l1**2 / spec.k)
+    if dn == 0.0:
+        return dn, W.zeros_like()
+    mats = [(spec.s * y / (math.sqrt(d) * dn)) * P for (P, _), d in zip(parts, spec.d)]
+    theta = (l1 / (spec.k * dn)) * np.sign(W.theta)
+    return dn, ParamPoint(mats, theta)
 
 
 def lmo_min(W, spec):
@@ -307,21 +323,27 @@ def lmo_min(W, spec):
     if isinstance(spec, OperatorNorm):
         return linalg.polar_exact(W)
     if isinstance(spec, NuclearNorm):
-        return _lmo_nuclear_ball(linalg.as_matrix(W))
+        return _nuclear_ball(linalg.as_matrix(W))[1]
     if isinstance(spec, ProductNormSpec):
-        W = _require_product_point(W, spec)
-        dn = dual_norm(W, spec)
-        if dn == 0.0:
-            return W.zeros_like()
-        y = _product_y(W, spec)
-        mats = [
-            (spec.s * y / (math.sqrt(d) * dn)) * linalg.polar_exact(M)
-            for M, d in zip(W.matrices, spec.d)
-        ]
-        l1 = linalg.norm(W.theta, "l1")
-        theta = (l1 / (spec.k * dn)) * np.sign(W.theta)
-        return ParamPoint(mats, theta)
+        return _product_dual_and_lmo(W, spec)[1]
     raise ValueError(f"unknown norm spec {spec!r}")
+
+
+def dual_norm_and_lmo(W, spec) -> tuple:
+    """``(dual_norm(W, spec), lmo_min(W, spec))``, the two factors of the
+    scaled sharp operator ||W||_* lmo_min(W).
+
+    The matrix specs take one SVD per matrix block for both; the vector
+    specs evaluate the two separately.
+    """
+    if isinstance(spec, OperatorNorm):
+        X, nuc = linalg.polar_and_nuclear(W)
+        return nuc, X
+    if isinstance(spec, NuclearNorm):
+        return _nuclear_ball(linalg.as_matrix(W))
+    if isinstance(spec, ProductNormSpec):
+        return _product_dual_and_lmo(W, spec)
+    return dual_norm(W, spec), lmo_min(W, spec)
 
 
 @functools.lru_cache(maxsize=None)
@@ -409,10 +431,10 @@ def compress(W, spec):
     """The scaled sharp operator C(W) = alpha^2 ||W||_* lmo_min(W).
 
     C is a delta-compressor: ||W - C(W)||_F^2 <= (1 - delta) ||W||_F^2.
-    compress(0) = 0.
+    compress(0) = 0.  Matrix specs take one SVD per matrix block.
     """
     alpha = _alpha_for(W, spec)
-    dn = dual_norm(W, spec)
+    dn, X = dual_norm_and_lmo(W, spec)
     if dn == 0.0:
         return zeros_like(W)
-    return (alpha**2 * dn) * lmo_min(W, spec)
+    return (alpha**2 * dn) * X

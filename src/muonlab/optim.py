@@ -255,12 +255,26 @@ def step_efm(state, oracle, compressor):
 
 
 def _operator_compressor(P):
+    """(1/r) ||P||_nuc polar(P), from one SVD of P.
+
+    The polar factor is always the exact one, whatever ``state.polar``
+    says: the delta-compressor contraction
+    ||P - C(P)||_F^2 <= (1 - 1/r) ||P||_F^2 needs it, and the Newton-Schulz
+    iteration can leave singular values near 0.
+    """
+    X, nuc = linalg.polar_and_nuclear(P)
+    # nuc / r, not norms.compress's alpha**2 * nuc: for r = 2,
+    # (1/sqrt(2))**2 = 0.4999999999999999, which changes the efm-appendixE
+    # preset CSV.
     r = min(np.shape(P))
-    return (linalg.norm(P, "nuc") / r) * linalg.polar_exact(P)
+    return (nuc / r) * X
 
 
 def step_efmuon(state, oracle):
-    """EF-M with the operator-norm compressor (1/r) ||P||_nuc polar(P)."""
+    """EF-M with the operator-norm compressor (1/r) ||P||_nuc polar(P).
+
+    Always uses the exact polar factor; see ``_operator_compressor``.
+    """
     return step_efm(state, oracle, _operator_compressor)
 
 
@@ -271,8 +285,8 @@ def step_muonmax(state, oracle):
     value, G = oracle.evaluate(state.W)
     M = _momentum(state, G)
     lam = _lam(state, M)
-    dn = norms.dual_norm(M, state.spec)
-    W = state.W - (lam * dn) * norms.lmo_min(M, state.spec)
+    dn, X = norms.dual_norm_and_lmo(M, state.spec)
+    W = state.W - (lam * dn) * X
     return _advance(state, W=W, M=M, t=state.t + 1), StepInfo(value, G, lam)
 
 

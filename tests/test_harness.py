@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,38 @@ class TestConfig:
         with pytest.raises(harness.ConfigError):
             harness.resolve_config({"method": "muon", "schedule": {"kind": "bogus"},
                                     "T": 1, "init": {"kind": "cex1"}})
+
+    BASE = {"method": "muon", "schedule": {"kind": "invt"}, "T": 1,
+            "init": {"kind": "cex1"}}
+
+    def test_rejects_efmuon_with_newton_schulz(self):
+        with pytest.raises(harness.ConfigError, match="exact polar"):
+            harness.resolve_config({**self.BASE, "method": "efmuon", "polar": "ns"})
+        harness.resolve_config({**self.BASE, "method": "muon", "polar": "ns"})
+
+    def test_rejects_unknown_key(self):
+        with pytest.raises(harness.ConfigError, match="unknown config keys"):
+            harness.resolve_config({**self.BASE, "betta": 0.5})
+
+    def test_rejects_string_track_average(self):
+        with pytest.raises(harness.ConfigError, match="track_average"):
+            harness.resolve_config({**self.BASE, "track_average": "false"})
+
+    @pytest.mark.parametrize("key", ["m", "n", "seed", "T"])
+    @pytest.mark.parametrize("value", [True, 2.0, "2"])
+    def test_rejects_non_integer_sizes_and_seed(self, key, value):
+        with pytest.raises(harness.ConfigError, match=key):
+            harness.resolve_config({**self.BASE, key: value})
+
+    def test_accepts_every_preset_key(self):
+        keys = set()
+        for preset in harness.PRESETS.values():
+            keys |= set(preset())
+        assert keys <= harness.CONFIG_KEYS
+        cfg = harness.resolve_config({**self.BASE, "m": np.int64(3), "seed": 4,
+                                      "track_average": False})
+        assert cfg["m"] == 3 and type(cfg["m"]) is int
+        assert cfg["track_average"] is False
 
     def test_presets_resolve(self):
         for name, preset in harness.PRESETS.items():
@@ -133,12 +166,43 @@ class TestCli:
         assert rc == 0
         assert "PASS" in out
 
+    @pytest.mark.parametrize("suite", ["cex1", "ef-bound"])
+    def test_verify_trials_rejected_without_trial_count(self, suite, capsys):
+        # --trials used to reach these suites as the horizon T.
+        rc = cli.main(["verify", suite, "--trials", "10"])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG
+        assert "no trial count" in captured.err
+        assert captured.out == ""
+
+    def test_verify_trials_must_be_positive(self, capsys):
+        assert cli.main(["verify", "polar", "--trials", "0"]) == cli.EXIT_CONFIG
+
+    def test_verify_trials_sets_cex2_starts(self, capsys):
+        rc = cli.main(["verify", "cex2", "--trials", "1"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "in 1/1 runs" in out
+
     def test_verify_unknown_suite(self):
         with pytest.raises(SystemExit):
             cli.main(["verify", "nonsense"])
 
 
 class TestDeterminism:
+    def test_preset_csv_digests(self, tmp_path):
+        # The benchmark's record of the preset CSVs is the single source of
+        # truth for their bytes.
+        import hashlib
+        expected = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                               / "expected.json").read_text())["preset_csv_sha256"]
+        assert set(expected) == set(harness.PRESETS)
+        for name, preset in harness.PRESETS.items():
+            trace, bound, _ = harness.run_experiment(preset())
+            out = tmp_path / f"{name}.csv"
+            harness.write_csv(str(out), trace, bound)
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == expected[name], name
+
     def test_identical_runs_byte_identical(self, tmp_path):
         import hashlib
         digests = []

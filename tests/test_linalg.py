@@ -90,6 +90,46 @@ class TestPolarExact:
             assert abs(np.linalg.norm(P) ** 2 - rank) <= 1e-8
 
 
+class TestPolarAndNuclear:
+    def reference(self, A):
+        return linalg.polar_exact(A), linalg.norm(A, "nuc")
+
+    def test_diagonal_and_zero_exact(self):
+        rng = np.random.default_rng(5)
+        cases = [np.diag([3.0, -4.0]), np.zeros((2, 2)), np.zeros((3, 2)),
+                 np.diag([2.0, -3.0, 0.0])]
+        for _ in range(20):
+            m, n = rng.integers(2, 7, 2)
+            D = np.zeros((m, n))
+            d = min(m, n)
+            D[np.arange(d), np.arange(d)] = rng.standard_normal(d)
+            cases.append(D)
+        for A in cases:
+            X, nuc = linalg.polar_and_nuclear(A)
+            P, ref = self.reference(A)
+            np.testing.assert_array_equal(X, P)
+            assert nuc == ref
+
+    def test_dense_rank_deficient_rectangular(self):
+        rng = np.random.default_rng(6)
+        cases = [rand_matrix(rng) for _ in range(20)]
+        cases += [rng.standard_normal((m, 2)) @ rng.standard_normal((2, n))
+                  for m, n in ((5, 5), (6, 3), (3, 7))]
+        cases += [rng.standard_normal((9, 4)), rng.standard_normal((4, 9))]
+        for A in cases:
+            X, nuc = linalg.polar_and_nuclear(A)
+            P, ref = self.reference(A)
+            assert np.linalg.norm(X - P) <= 1e-12 * max(1.0, np.linalg.norm(P))
+            assert abs(nuc - ref) <= 1e-12 * ref
+
+    def test_factors_carry_untruncated_nuclear_norm(self):
+        A = np.diag([1.0, 1e-14]) @ np.array([[1.0, 1.0], [1.0, -1.0]])
+        f = linalg.reduced_svd(A)
+        assert f.rank == 1
+        assert f.nuclear > float(f.sigma.sum())
+        assert abs(f.nuclear - linalg.norm(A, "nuc")) <= 1e-12 * f.nuclear
+
+
 class TestPolarNewtonSchulz:
     def test_identity_fixed_point(self):
         np.testing.assert_allclose(linalg.polar_newton_schulz(np.eye(2)), np.eye(2), atol=5e-12)

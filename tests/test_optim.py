@@ -146,6 +146,23 @@ class TestErrorFeedback:
             C = optim._operator_compressor(P)
             np.testing.assert_allclose(st.E + C, P, atol=1e-14)
 
+    def test_efmuon_always_uses_exact_polar(self):
+        # The compressor contraction needs the exact polar factor, so the
+        # polar backend of the state does not reach the EF-Muon step.
+        rng = np.random.default_rng(16)
+        target = rng.standard_normal((5, 4))
+        oracle = optim.FunctionOracle(lambda W: 0.0, lambda W: np.sign(W - target))
+        W0 = rng.standard_normal((5, 4))
+        a = state(W0.copy(), beta=0.9, schedule=optim.InvSqrtT())
+        b = state(W0.copy(), beta=0.9, schedule=optim.InvSqrtT(),
+                  polar=optim.linalg.polar_newton_schulz)
+        for _ in range(5):
+            a, _ = optim.step_efmuon(a, oracle)
+            b, _ = optim.step_efmuon(b, oracle)
+            np.testing.assert_array_equal(a.W, b.W)
+            np.testing.assert_array_equal(a.M, b.M)
+            np.testing.assert_array_equal(a.E, b.E)
+
     def test_efmuon_matches_generic_efm(self):
         oracle = cex.KinkyFunction(c=0.3, m=3, n=2).oracle()
         rng = np.random.default_rng(13)
