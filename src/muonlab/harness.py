@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -67,6 +68,13 @@ _AUTO_C = {
 }
 
 
+def _real(value, what: str) -> float:
+    """A config number: any real but a bool; strings such as "0.5" are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def build_schedule(spec: dict):
     try:
         kind = spec["kind"]
@@ -74,15 +82,15 @@ def build_schedule(spec: dict):
         raise ConfigError("schedule needs a 'kind' field") from None
     try:
         if kind == "constant":
-            return optim.Constant(float(spec["lam"]))
+            return optim.Constant(_real(spec["lam"], "lam"))
         if kind == "invt":
             return optim.InvT()
         if kind == "invsqrt":
             return optim.InvSqrtT()
         if kind == "table":
-            return optim.Table(tuple(spec["values"]))
+            return optim.Table(tuple(_real(v, "table value") for v in spec["values"]))
         if kind == "adaptive_nuclear":
-            return optim.AdaptiveNuclear(float(spec["base"]))
+            return optim.AdaptiveNuclear(_real(spec["base"], "base"))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad schedule spec: {exc}") from exc
     raise ConfigError(f"unknown schedule kind {kind!r}")
@@ -115,7 +123,7 @@ def resolve_config(raw: dict) -> dict:
         cfg[key] = int(cfg[key])
     if not isinstance(cfg["track_average"], bool):
         raise ConfigError("track_average must be true or false")
-    beta = float(cfg["beta"])
+    beta = _real(cfg["beta"], "beta")
     if not 0.0 <= beta < 1.0:
         raise ConfigError("beta must lie in [0, 1)")
     cfg["beta"] = beta
@@ -124,7 +132,7 @@ def resolve_config(raw: dict) -> dict:
             cfg["c"] = _AUTO_C[cfg["style"]](beta)
         except KeyError:
             raise ConfigError(f"unknown style {cfg['style']!r}") from None
-    cfg["c"] = float(cfg["c"])
+    cfg["c"] = _real(cfg["c"], "c")
     if not 0.0 < cfg["c"] < 1.0:
         raise ConfigError("c must lie in (0, 1)")
     if cfg["T"] < 0:

@@ -28,9 +28,14 @@ def as_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a 2-d array, got shape {A.shape}")
     if A.shape[0] < 1 or A.shape[1] < 1:
         raise ValueError("matrix dimensions must be positive")
-    if not np.all(np.isfinite(A)):
+    if not _all_finite(A):
         raise ValueError("matrix entries must be finite")
     return A
+
+
+def _all_finite(A: np.ndarray) -> bool:
+    """``np.all(np.isfinite(A))``, without the cost of the np.all wrapper."""
+    return np.count_nonzero(np.isfinite(A)) == A.size
 
 
 def _as_vector(a) -> np.ndarray:
@@ -44,7 +49,14 @@ def _as_vector(a) -> np.ndarray:
 
 
 def _offdiag_is_zero(A: np.ndarray) -> bool:
-    return np.count_nonzero(A) == np.count_nonzero(np.diagonal(A))
+    return np.count_nonzero(A) == np.count_nonzero(A.diagonal())
+
+
+def _fro(arr: np.ndarray) -> float:
+    # The expression np.linalg.norm(arr) evaluates for a real array, without
+    # its argument handling; the result is bit-identical.
+    x = arr.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 @dataclass(frozen=True)
@@ -112,7 +124,7 @@ def polar_and_nuclear(A, tol: float = SVD_TRUNCATION_RTOL) -> tuple:
     """
     A = as_matrix(A)
     if _offdiag_is_zero(A):
-        return np.sign(A), float(np.abs(np.diagonal(A)).sum())
+        return np.sign(A), float(np.abs(A.diagonal()).sum())
     f = reduced_svd(A, tol)
     return _polar_of(f, A), f.nuclear
 
@@ -135,14 +147,14 @@ def polar_newton_schulz(A, iters: int = NEWTON_SCHULZ_DEFAULT_ITERS) -> np.ndarr
     A = as_matrix(A)
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    fro = float(np.linalg.norm(A))
+    fro = _fro(A)
     if fro == 0.0:
         return np.zeros_like(A)
     X = A / fro
     limit = NEWTON_SCHULZ_GROWTH_LIMIT * math.sqrt(min(A.shape))
     for _ in range(iters):
         X = 1.5 * X - 0.5 * (X @ X.T @ X)
-        if not np.all(np.isfinite(X)) or np.linalg.norm(X) > limit:
+        if not _all_finite(X) or _fro(X) > limit:
             raise NumericalError("Newton-Schulz iteration diverged")
     return X
 
@@ -160,12 +172,12 @@ def norm(A, kind: str, p: float | None = None) -> float:
     """
     arr = np.asarray(A, dtype=float)
     if kind == "fro":
-        return float(np.linalg.norm(arr))
+        return _fro(arr)
     if kind in ("op", "nuc"):
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {arr.shape}")
         if _offdiag_is_zero(arr):
-            d = np.abs(np.diagonal(arr))
+            d = np.abs(arr.diagonal())
             return float(d.max()) if kind == "op" else float(d.sum())
         s = np.linalg.svd(arr, compute_uv=False)
         return float(s[0]) if kind == "op" else float(s.sum())
@@ -173,7 +185,7 @@ def norm(A, kind: str, p: float | None = None) -> float:
     if kind == "l1":
         return float(np.abs(v).sum())
     if kind == "l2":
-        return float(np.linalg.norm(v))
+        return _fro(v)
     if kind == "linf":
         return float(np.abs(v).max()) if v.size else 0.0
     if kind == "lp":

@@ -107,7 +107,7 @@ class ParamPoint:
         th = np.asarray(self.theta, dtype=float)
         if th.ndim != 1:
             raise ValueError("theta must be a 1-d vector")
-        if not np.all(np.isfinite(th)):
+        if not linalg._all_finite(th):
             raise ValueError("theta entries must be finite")
         self.theta = th
 
@@ -175,7 +175,7 @@ def inner(a, b) -> float:
 def fro(a) -> float:
     if isinstance(a, ParamPoint):
         return a.fro()
-    return float(np.linalg.norm(np.asarray(a, float)))
+    return linalg.norm(a, "fro")
 
 
 def zeros_like(a):

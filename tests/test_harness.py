@@ -50,6 +50,39 @@ class TestConfig:
         with pytest.raises(harness.ConfigError, match=key):
             harness.resolve_config({**self.BASE, key: value})
 
+    @pytest.mark.parametrize("value", ["0.5", True, None, [0.5]])
+    def test_rejects_non_number_beta(self, value):
+        with pytest.raises(harness.ConfigError, match="beta must be a number"):
+            harness.resolve_config({**self.BASE, "beta": value})
+
+    @pytest.mark.parametrize("value", ["0.1", False, "AUTO"])
+    def test_rejects_non_number_c(self, value):
+        with pytest.raises(harness.ConfigError, match="c must be a number"):
+            harness.resolve_config({**self.BASE, "c": value})
+
+    @pytest.mark.parametrize("value", ["0.2", True])
+    def test_rejects_non_number_lam(self, value):
+        with pytest.raises(harness.ConfigError, match="lam must be a number"):
+            harness.resolve_config({**self.BASE, "schedule": {"kind": "constant", "lam": value}})
+
+    @pytest.mark.parametrize("value", ["0.05", True])
+    def test_rejects_non_number_base(self, value):
+        with pytest.raises(harness.ConfigError, match="base must be a number"):
+            harness.resolve_config(
+                {**self.BASE, "schedule": {"kind": "adaptive_nuclear", "base": value}})
+
+    @pytest.mark.parametrize("values", [["0.5", 0.25], [0.5, True], "0.5"])
+    def test_rejects_non_number_table_values(self, values):
+        with pytest.raises(harness.ConfigError, match="table value must be a number"):
+            harness.resolve_config({**self.BASE, "schedule": {"kind": "table", "values": values}})
+
+    def test_accepts_real_numbers(self):
+        cfg = harness.resolve_config({**self.BASE, "beta": np.float64(0.5), "c": 0.25,
+                                      "schedule": {"kind": "table", "values": [1, 0.5]}})
+        assert cfg["beta"] == 0.5 and type(cfg["beta"]) is float
+        assert cfg["c"] == 0.25
+        assert harness.resolve_config({**self.BASE, "beta": 0})["beta"] == 0.0
+
     def test_accepts_every_preset_key(self):
         keys = set()
         for preset in harness.PRESETS.values():
@@ -152,6 +185,15 @@ class TestCli:
         assert cli.main(["run", "--config", str(bad)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "line" in err
+
+    def test_run_string_number_exits_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"beta": "0.5"}))
+        rc = cli.main(["run", "--preset", "cex1-appendixE", "--config", str(cfg),
+                       "--out", str(tmp_path / "tr.csv")])
+        assert rc == cli.EXIT_CONFIG
+        assert "beta must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "tr.csv").exists()
 
     def test_run_bad_config_values(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

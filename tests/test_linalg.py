@@ -204,3 +204,75 @@ class TestNorm:
     def test_vector_norm_accepts_row_or_column(self):
         assert linalg.norm(np.array([[2.0], [0.0], [-1.0]]), "l1") == 3.0
         assert linalg.norm(np.array([[2.0, 0.0, -1.0]]), "linf") == 2.0
+
+
+def layouts(rng):
+    """The same kinds of values in every memory layout the kernels may see."""
+    A = rng.standard_normal((6, 9)) * np.logspace(-8, 8, 9)
+    return {
+        "c-order": A,
+        "fortran": np.asfortranarray(A),
+        "transposed": A.T,
+        "strided": A[::2, ::3],
+        "vector": A[1],
+        "strided-vector": A[:, 2],
+    }
+
+
+class TestFastKernels:
+    """The cheap finiteness, diagonal and Frobenius kernels keep numpy's answers."""
+
+    def test_fro_bit_equal_to_numpy(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            for name, X in layouts(rng).items():
+                assert linalg.norm(X, "fro") == float(np.linalg.norm(X)), name
+                if X.ndim == 1:
+                    assert linalg.norm(X, "l2") == float(np.linalg.norm(X)), name
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("pos", [(0, 0), (1, 1), (0, 1), (1, 0)])
+    def test_as_matrix_rejects_non_finite(self, bad, pos):
+        A = np.eye(2)
+        A[pos] = bad
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            linalg.as_matrix(A)
+
+    def test_as_matrix_accepts_largest_finite_entries(self):
+        # A sum- or dot-based finiteness shortcut would overflow to inf here.
+        A = np.array([[1e308, 1e308], [-1e308, 1e308]])
+        np.testing.assert_array_equal(linalg.as_matrix(A), A)
+        np.testing.assert_array_equal(linalg.as_matrix(np.full((3, 2), 1e308)), 1e308)
+
+    def test_all_finite_matches_numpy(self):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            A = rng.standard_normal((5, 7))
+            for _ in range(int(rng.integers(0, 3))):
+                A[rng.integers(0, 5), rng.integers(0, 7)] = rng.choice([np.nan, np.inf, -np.inf])
+            for X in (A, A.T, A[::2, ::3], np.asfortranarray(A)):
+                assert linalg._all_finite(X) == bool(np.all(np.isfinite(X)))
+
+    def test_offdiag_is_zero_matches_reference(self):
+        def reference(A):
+            D = np.zeros(A.shape)
+            k = min(A.shape)
+            D[:k, :k] = np.diag(np.diagonal(A))
+            return np.array_equal(A, D)
+
+        rng = np.random.default_rng(10)
+        cases = []
+        for m, n in ((2, 2), (2, 5), (5, 2), (4, 4)):
+            D = np.zeros((m, n))
+            k = min(m, n)
+            D[np.arange(k), np.arange(k)] = rng.standard_normal(k)
+            cases.append(D)
+            E = D.copy()
+            E[m - 1, 0] = 1.0
+            cases.append(E)
+            cases.append(rng.standard_normal((m, n)))
+        big = np.zeros((8, 12))
+        big[::2, ::3][np.arange(4), np.arange(4)] = rng.standard_normal(4)
+        cases += [big, big[::2, ::3], big.T[::3, ::2], np.asfortranarray(big)]
+        for A in cases + [A.T for A in cases]:
+            assert linalg._offdiag_is_zero(A) == reference(A)

@@ -185,3 +185,22 @@ class TestProductNormAxioms:
             assert na > 0
         Z = norms.ParamPoint([np.zeros(d) for d in spec.layer_dims], np.zeros(2))
         assert norms.primal_norm(Z, spec) == 0.0
+
+
+class TestFastKernels:
+    def test_fro_bit_equal_to_numpy(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            A = rng.standard_normal((6, 9)) * np.logspace(-8, 8, 9)
+            for X in (A, np.asfortranarray(A), A.T, A[::2, ::3], A[1], A[:, 2]):
+                assert norms.fro(X) == float(np.linalg.norm(X))
+                assert norms.fro(X) == linalg.norm(X, "fro")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_param_point_rejects_non_finite_theta(self, bad):
+        with pytest.raises(ValueError, match="theta entries must be finite"):
+            norms.ParamPoint([np.eye(2)], np.array([1.0, bad]))
+
+    def test_param_point_accepts_largest_finite_theta(self):
+        p = norms.ParamPoint([np.eye(2)], np.array([1e308, -1e308]))
+        np.testing.assert_array_equal(p.theta, [1e308, -1e308])
