@@ -8,7 +8,9 @@ from .linalg import (
     NumericalError,
     SvdFactors,
     norm,
+    nuclear_norm_stack,
     polar_exact,
+    polar_exact_stack,
     polar_newton_schulz,
     reduced_svd,
     sign_elementwise,
@@ -42,6 +44,7 @@ from .optim import (
     efm_bound,
     efm_bound_schedule,
     run,
+    run_batch,
     step_efm,
     step_efmuon,
     step_efmuonmax,
@@ -56,6 +59,7 @@ from .counterexample import (
     Cex1Init,
     Cex2Guard,
     KinkyFunction,
+    KinkyStack,
     cex1_build,
     cex1_predicted_iterate,
     cex1_predicted_sequence,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import optim
+from . import norms, optim
 
 DEFAULT_TAIL_TOL = 1e-12
 
@@ -87,6 +87,66 @@ class KinkyFunction:
             lambda w: self.diag_value(w[0], w[1]),
             lambda w: self.diag_subgradient(w, selection),
         )
+
+
+def _signs(x: np.ndarray) -> np.ndarray:
+    """``_sign(x, "zero")`` elementwise, as integers; NaN maps to 0."""
+    return np.subtract(x > 0, x < 0, dtype=np.intp)
+
+
+class KinkyStack:
+    """B KinkyFunctions of one shape, evaluated together on a (B, m, n) stack.
+
+    For member b, ``value(W)[b]`` is ``fns[b].value(W[b])``, and
+    ``evaluate(W)`` also returns ``fns[b].subgradient(W[b])`` (selection
+    "zero") and its ``norms.fro``, bit for bit.  On non-finite entries numpy
+    may warn where the scalar's float arithmetic does not.
+    """
+
+    def __init__(self, fns):
+        fns = list(fns)
+        if not fns:
+            raise ValueError("need at least one function")
+        if any(type(fn) is not KinkyFunction for fn in fns):
+            raise ValueError("KinkyStack takes KinkyFunction objects only")
+        shapes = {(fn.m, fn.n) for fn in fns}
+        if len(shapes) != 1:
+            raise ValueError(f"functions of different shapes {sorted(shapes)}")
+        (self.m, self.n), = shapes
+        self.size = len(fns)
+        self.c = np.array([fn.c for fn in fns])
+        # The subgradient depends on W only through the signs of w1 + w2 and
+        # w1 - w2, so each function has nine.  Take them, and their Frobenius
+        # norms, from the function itself at one W per sign pair.
+        table = {}
+        for fn in set(fns):
+            rows = []
+            for s1 in (-1.0, 0.0, 1.0):
+                for s2 in (-1.0, 0.0, 1.0):
+                    W = np.zeros((self.m, self.n))
+                    W[0, 0], W[1, 1] = s1 + s2, s1 - s2
+                    G = fn.subgradient(W)
+                    rows.append((G[0, 0], G[1, 1], norms.fro(G)))
+            table[fn] = rows
+        g11, g22, fro = np.array([table[fn] for fn in fns]).transpose(2, 0, 1)
+        self._g11, self._g22, self._fro = g11.ravel(), g22.ravel(), fro.ravel()
+        # Row 3 * (s1 + 1) + (s2 + 1) of member b's nine.
+        self._row0 = 9 * np.arange(self.size) + 4
+
+    def value(self, W) -> np.ndarray:
+        """Objective values, shape (B,)."""
+        w1, w2 = W[:, 0, 0], W[:, 1, 1]
+        return self.c * np.abs(w1 + w2) + np.abs(w1 - w2)
+
+    def evaluate(self, W):
+        """(values (B,), subgradients (B, m, n), their Frobenius norms (B,))."""
+        w1, w2 = W[:, 0, 0], W[:, 1, 1]
+        s, d = w1 + w2, w1 - w2
+        k = self._row0 + 3 * _signs(s) + _signs(d)
+        G = np.zeros((self.size, self.m, self.n))
+        G[:, 0, 0] = self._g11.take(k)
+        G[:, 1, 1] = self._g22.take(k)
+        return self.c * np.abs(s) + np.abs(d), G, self._fro.take(k)
 
 
 def lipschitz_bound(c: float) -> float:

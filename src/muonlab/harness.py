@@ -148,29 +148,35 @@ def resolve_config(raw: dict) -> dict:
 
 def _build_init(cfg: dict, schedule):
     init = cfg["init"]
+    if not isinstance(init, dict):
+        raise ConfigError(f"init must be an object with a 'kind', got {init!r}")
     m, n = cfg["m"], cfg["n"]
     kind = init.get("kind")
     if kind == "cex1":
         _, W0, _ = cex.cex1_build(
             cfg["beta"], schedule,
-            r=float(init.get("r", 1.0)), delta=float(init.get("delta", 0.0)),
+            r=_real(init.get("r", 1.0), "r"), delta=_real(init.get("delta", 0.0), "delta"),
             c=cfg["c"], m=m, n=n, horizon=cfg["T"],
         )
         return W0
     if kind == "random":
         rng = np.random.default_rng(cfg["seed"])
-        return float(init.get("scale", 1.0)) * rng.standard_normal((m, n))
+        return _real(init.get("scale", 1.0), "scale") * rng.standard_normal((m, n))
     if kind == "explicit":
         if "matrix" in init:
+            if np.asarray(init["matrix"]).dtype.kind not in "iuf":
+                raise ConfigError("matrix entries must be numbers")
             W0 = linalg.as_matrix(init["matrix"])
             if W0.shape != (m, n):
                 raise ConfigError("explicit matrix shape mismatch")
             return W0
         if "diag" in init:
-            d1, d2 = init["diag"]
+            diag = init["diag"]
+            if not isinstance(diag, (list, tuple)) or len(diag) != 2:
+                raise ConfigError(f"diag must be a list of two numbers, got {diag!r}")
             W0 = np.zeros((m, n))
-            W0[0, 0] = float(d1)
-            W0[1, 1] = float(d2)
+            W0[0, 0] = _real(diag[0], "diag entry")
+            W0[1, 1] = _real(diag[1], "diag entry")
             return W0
         raise ConfigError("explicit init needs 'matrix' or 'diag'")
     raise ConfigError(f"unknown init kind {kind!r}")
@@ -427,24 +433,28 @@ def suite_cex1(T: int = 5000) -> list:
     results = []
     rng = np.random.default_rng(19)
     table = optim.Table(tuple(np.sort(rng.uniform(0.05, 0.4, 64))[::-1]))
+    cases, fns, states = [], [], []
     for beta in (0.0, 0.5, 0.9):
         for label, schedule in (("Constant(0.2)", optim.Constant(0.2)),
                                 ("InvT", optim.InvT()),
                                 ("Table", table)):
             fn, W0, init = cex.cex1_build(beta, schedule, horizon=T)
-            state = optim.OptimizerState(W=W0, beta=beta, schedule=schedule)
-            tr = optim.run("muon", fn.oracle(), state, T, track_average=False)
-            pred = cex.cex1_predicted_sequence(init, T)
-            dev = max(float(np.max(np.abs(tr.w11 - pred[:, 0]))),
-                      float(np.max(np.abs(tr.w22 - pred[:, 1]))))
-            floor = (1.0 - beta) * init.r
-            fmin = float(np.min(tr.f))
-            results.append(CheckResult(
-                f"oscillation matches closed form [beta={beta}, {label}]",
-                dev <= 1e-10, dev, 1e-10))
-            results.append(CheckResult(
-                f"suboptimality floor {floor:.3g} [beta={beta}, {label}]",
-                fmin >= floor - 1e-12, floor - fmin, 1e-12))
+            cases.append((beta, label, init))
+            fns.append(fn)
+            states.append(optim.OptimizerState(W=W0, beta=beta, schedule=schedule))
+    traces = optim.run_batch("muon", fns, states, T, track_average=False)
+    for (beta, label, init), tr in zip(cases, traces):
+        pred = cex.cex1_predicted_sequence(init, T)
+        dev = max(float(np.max(np.abs(tr.w11 - pred[:, 0]))),
+                  float(np.max(np.abs(tr.w22 - pred[:, 1]))))
+        floor = (1.0 - beta) * init.r
+        fmin = float(np.min(tr.f))
+        results.append(CheckResult(
+            f"oscillation matches closed form [beta={beta}, {label}]",
+            dev <= 1e-10, dev, 1e-10))
+        results.append(CheckResult(
+            f"suboptimality floor {floor:.3g} [beta={beta}, {label}]",
+            fmin >= floor - 1e-12, floor - fmin, 1e-12))
     return results
 
 
@@ -454,7 +464,6 @@ def suite_cex2(n_inits: int = 100, T: int = 2000) -> list:
     for beta in (0.0, 0.2, 0.4):
         c = 0.5 - beta
         fn = cex.KinkyFunction(c=c)
-        oracle = fn.oracle()
         table = optim.Table(tuple(rng.uniform(0.01, 0.3, T)))
         for label, method, schedule in (
                 ("regmuon+adaptive", "regmuon", optim.AdaptiveNuclear(0.05)),
@@ -463,11 +472,12 @@ def suite_cex2(n_inits: int = 100, T: int = 2000) -> list:
             q_ok = True
             worst_floor = np.inf
             passes = 0
-            for _ in range(n_inits):
-                W0 = rng.standard_normal((2, 2))
+            starts = [rng.standard_normal((2, 2)) for _ in range(n_inits)]
+            states = [optim.OptimizerState(W=W0, beta=beta, schedule=schedule)
+                      for W0 in starts]
+            traces = optim.run_batch(method, [fn] * n_inits, states, T, track_average=False)
+            for W0, tr in zip(starts, traces):
                 p0 = W0[0, 0] + W0[1, 1]
-                state = optim.OptimizerState(W=W0, beta=beta, schedule=schedule)
-                tr = optim.run(method, oracle, state, T, track_average=False)
                 p, q = cex.cex2_track(tr)
                 dp = float(np.max(np.abs(p - p0)))
                 worst_p = max(worst_p, dp)

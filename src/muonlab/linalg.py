@@ -135,6 +135,51 @@ def _polar_of(f: SvdFactors, A: np.ndarray) -> np.ndarray:
     return f.U @ f.Vt
 
 
+def _as_stack(a) -> np.ndarray:
+    A = np.asarray(a, dtype=float)
+    if A.ndim != 3:
+        raise ValueError(f"expected a (B, m, n) stack, got shape {A.shape}")
+    return A
+
+
+def _diagonal_members(A: np.ndarray) -> np.ndarray:
+    """``_offdiag_is_zero`` of each member of a stack: NaN counts as nonzero."""
+    nz = A != 0
+    return (np.count_nonzero(nz, axis=(1, 2))
+            == np.count_nonzero(nz.diagonal(axis1=1, axis2=2), axis=1))
+
+
+def _stack_is_diagonal(A: np.ndarray) -> bool:
+    """Whether every member of a stack is diagonal, from two counts."""
+    return np.count_nonzero(A) == np.count_nonzero(A.diagonal(axis1=1, axis2=2))
+
+
+def polar_exact_stack(A) -> np.ndarray:
+    """``polar_exact`` of each member of a (B, m, n) stack, bit for bit.
+
+    Finite diagonal members take the fast path ``sign``; every other member
+    goes through ``polar_exact`` itself, so non-finite entries raise the
+    same error and non-diagonal members get the same SVD.
+    """
+    A = _as_stack(A)
+    X = np.sign(A)
+    if not (_all_finite(A) and _stack_is_diagonal(A)):
+        fast = np.isfinite(A).all(axis=(1, 2)) & _diagonal_members(A)
+        for b in np.flatnonzero(~fast):
+            X[b] = polar_exact(A[b])
+    return X
+
+
+def nuclear_norm_stack(A) -> np.ndarray:
+    """``norm(A[b], "nuc")`` of each member of a (B, m, n) stack, bit for bit."""
+    A = _as_stack(A)
+    out = np.abs(A.diagonal(axis1=1, axis2=2)).sum(axis=1)
+    if not _stack_is_diagonal(A):
+        for b in np.flatnonzero(~_diagonal_members(A)):
+            out[b] = norm(A[b], "nuc")
+    return out
+
+
 def polar_newton_schulz(A, iters: int = NEWTON_SCHULZ_DEFAULT_ITERS) -> np.ndarray:
     """Approximate the polar factor with the cubic iteration X <- 1.5X - 0.5 X X^T X.
 

@@ -118,6 +118,9 @@ class FunctionOracle:
     def evaluate(self, W):
         return float(self.fn(W)), self.subgrad(W)
 
+    def value(self, W) -> float:
+        return float(self.fn(W))
+
 
 class NoisyOracle:
     """Wraps a base oracle with seeded additive Gaussian noise on the subgradient."""
@@ -140,6 +143,20 @@ class NoisyOracle:
             )
             return value, noisy
         return value, G + self.noise_std * self.rng.standard_normal(np.shape(G))
+
+    def value(self, W) -> float:
+        """The base objective; draws no noise."""
+        return _value(self.base, W)
+
+
+def _value(oracle, W) -> float:
+    """The objective at W, from the oracle's ``value`` when it has one.
+
+    ``value`` computes no subgradient and draws no noise; an oracle with
+    only ``evaluate`` is asked for both and the subgradient is dropped.
+    """
+    value = getattr(oracle, "value", None)
+    return value(W) if value is not None else oracle.evaluate(W)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +377,11 @@ class Trace:
 def run(method, oracle, state0, T: int, compressor=None, track_average: bool = True) -> Trace:
     """Run ``T`` steps of a named method (or a step callable) from state0.
 
-    Records T + 1 rows.  ``compressor`` is only consulted by "efm".  With
-    ``track_average`` off the favg column is NaN, which skips one oracle
-    evaluation per step.
+    Records T + 1 rows.  ``compressor`` is only consulted by "efm".  The
+    favg and final-value rows read the objective through the oracle's
+    ``value`` (see ``_value``), so a noisy oracle's subgradients do not
+    depend on ``track_average``.  With ``track_average`` off the favg column
+    is NaN.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -392,9 +411,9 @@ def run(method, oracle, state0, T: int, compressor=None, track_average: bool = T
     for i in range(n):
         tr.w11[i], tr.w22[i] = _readout(state.W)
         if track_average:
-            tr.favg[i] = oracle.evaluate(mean)[0]
+            tr.favg[i] = _value(oracle, mean)
         if i == T:
-            tr.f[i] = oracle.evaluate(state.W)[0]
+            tr.f[i] = _value(oracle, state.W)
             break
         try:
             state, info = step(state, oracle)
@@ -406,6 +425,108 @@ def run(method, oracle, state0, T: int, compressor=None, track_average: bool = T
         if track_average:
             mean = mean + (1.0 / (i + 2)) * (state.W - mean)
     return tr
+
+
+BATCH_METHODS = ("muon", "regmuon")
+_BATCH_SCHEDULES = (Constant, InvT, InvSqrtT, Table, AdaptiveNuclear)
+
+
+def _uses_exact_polar(state: OptimizerState) -> bool:
+    # A state built with the default keeps the function linalg defined, even
+    # after linalg.polar_exact has been rebound (to a tracing wrapper, say).
+    return state.polar is linalg.polar_exact or state.polar is OptimizerState.polar
+
+
+def run_batch(method, fns, states, T: int, track_average: bool = False) -> list:
+    """Run B independent trajectories in lock-step; returns one Trace each.
+
+    Member b runs ``method`` ("muon" or "regmuon") on the KinkyFunction
+    ``fns[b]`` from ``states[b]``, and its Trace is bit-identical, NaN
+    positions included, to
+    ``run(method, fns[b].oracle(), states[b], T, track_average=track_average)``.
+    A member whose scalar run raises makes the batch raise the same error.
+
+    The iterates are stacked as one (B, m, n) array, so each step costs a
+    fixed number of numpy calls for the whole batch.  Each member keeps its
+    own W0, M, t, beta and schedule: one of Constant, InvT, InvSqrtT, Table
+    or AdaptiveNuclear, with the exact polar factor.  Any other method,
+    schedule, polar backend or function raises ValueError.
+    """
+    from .counterexample import KinkyStack  # counterexample imports optim
+
+    if method not in BATCH_METHODS:
+        raise ValueError(f"run_batch supports {BATCH_METHODS}, not {method!r}")
+    if T < 0:
+        raise ValueError("T must be nonnegative")
+    fstack = KinkyStack(fns)
+    states = list(states)
+    if len(states) != fstack.size:
+        raise ValueError(f"{fstack.size} functions but {len(states)} states")
+    for st in states:
+        if not _uses_exact_polar(st):
+            raise ValueError("run_batch needs the exact polar factor")
+        # Exact types: a subclass may make value() read the momentum, which
+        # the precomputed offline stepsizes below do not pass.
+        if type(st.schedule) not in _BATCH_SCHEDULES:
+            raise ValueError(f"run_batch does not support schedule {st.schedule!r}")
+    W = np.stack([np.asarray(st.W, float) for st in states])
+    M = np.stack([np.asarray(st.M, float) for st in states])
+    if W.shape[1:] != (fstack.m, fstack.n) or M.shape != W.shape:
+        raise ValueError(f"W and M must be {fstack.m} x {fstack.n} matrices")
+
+    B, n = fstack.size, T + 1
+    beta = np.array([st.beta for st in states])[:, None, None]
+    one_minus_beta = 1.0 - beta
+    # With beta = 0, _momentum returns G itself and M is never read.  Zeroed,
+    # it makes beta * M + (1 - beta) * G equal G bit for bit: 0 * M is a
+    # zero, and a zero added to an entry of G (never -0.0) leaves it as is.
+    M[beta.ravel() == 0.0] = 0.0
+    # coef[i, b]: member b's stepsize at step i before any nuclear-norm
+    # factor, i.e. AdaptiveNuclear's base or an offline schedule's value at
+    # the member's own t.  Members sharing a schedule and t share the values.
+    coef = np.empty((T, B))
+    offline = {}
+    for b, st in enumerate(states):
+        sched = st.schedule
+        if isinstance(sched, AdaptiveNuclear):
+            coef[:, b] = sched.base
+        else:
+            key = (id(sched), st.t)
+            if key not in offline:
+                offline[key] = [sched.value(st.t + i) for i in range(T)]
+            coef[:, b] = offline[key]
+    # Members whose stepsize is multiplied by ||M||_nuc: every regmuon
+    # member, and muon members with AdaptiveNuclear.
+    scaled = np.array([method == "regmuon" or isinstance(st.schedule, AdaptiveNuclear)
+                       for st in states])
+    any_scaled = bool(scaled.any())
+
+    cols = {k: np.full((B, n), np.nan) for k in ("lam", "f", "w11", "w22", "grad_fro", "favg")}
+    mean = W
+    for i in range(n):
+        cols["w11"][:, i] = W[:, 0, 0]
+        cols["w22"][:, i] = W[:, 1, 1]
+        if track_average:
+            cols["favg"][:, i] = fstack.value(mean)
+        if i == T:
+            cols["f"][:, i] = fstack.value(W)
+            break
+        cols["f"][:, i], G, cols["grad_fro"][:, i] = fstack.evaluate(W)
+        M = beta * M + one_minus_beta * G
+        lam = coef[i]
+        if any_scaled:
+            lam = lam.copy()
+            lam[scaled] *= linalg.nuclear_norm_stack(M[scaled])
+        try:
+            X = linalg.polar_exact_stack(M)
+        except linalg.NumericalError as exc:
+            raise linalg.NumericalError(f"step t={i} failed: {exc}") from exc
+        W = W - lam[:, None, None] * X
+        cols["lam"][:, i] = lam
+        if track_average:
+            mean = mean + (1.0 / (i + 2)) * (W - mean)
+    t = np.arange(n, dtype=float)
+    return [Trace(t=t.copy(), **{k: v[b] for k, v in cols.items()}) for b in range(B)]
 
 
 # ---------------------------------------------------------------------------

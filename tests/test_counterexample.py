@@ -80,6 +80,36 @@ class TestKinkyFunction:
         assert cex.lipschitz_bound(1 - 1e-12) <= 2.0
 
 
+class TestKinkyStack:
+    def test_members_match_function(self):
+        rng = np.random.default_rng(21)
+        fns = [cex.KinkyFunction(c=c, m=3, n=4) for c in (0.2, 0.5, 0.2, 0.9, 0.5, 0.7)]
+        W = rng.standard_normal((len(fns), 3, 4))
+        # Kinks (w1 = w2, w1 = -w2) and non-finite diagonals, which the
+        # scalar subgradient maps through sign(NaN) = 0.
+        W[1, 0, 0], W[1, 1, 1] = 0.5, 0.5
+        W[2, 0, 0], W[2, 1, 1] = 0.5, -0.5
+        W[3, 0, 0], W[3, 1, 1] = np.nan, 1.0
+        W[4, 0, 0], W[4, 1, 1] = np.inf, -np.inf
+        W[5, 0, 0], W[5, 1, 1] = 0.0, 0.0
+        stack = cex.KinkyStack(fns)
+        with np.errstate(invalid="ignore"):
+            values, G, fro = stack.evaluate(W)
+            np.testing.assert_array_equal(stack.value(W), values)
+        for b, fn in enumerate(fns):
+            np.testing.assert_array_equal(values[b], fn.value(W[b]))
+            np.testing.assert_array_equal(G[b], fn.subgradient(W[b]))
+            assert fro[b] == optim.norms.fro(fn.subgradient(W[b]))
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            cex.KinkyStack([])
+        with pytest.raises(ValueError):
+            cex.KinkyStack([cex.KinkyFunction(c=0.3), cex.KinkyFunction(c=0.3, m=3)])
+        with pytest.raises(ValueError):
+            cex.KinkyStack([cex.KinkyFunction(c=0.3).oracle()])
+
+
 class TestComputeR:
     def test_constant_schedule(self):
         for t in (0, 3, 17):

@@ -93,6 +93,27 @@ class TestConfig:
         assert cfg["m"] == 3 and type(cfg["m"]) is int
         assert cfg["track_average"] is False
 
+    @pytest.mark.parametrize("init, match", [
+        ("cex1", "init must be an object"),
+        ({"kind": "cex1", "r": "2.0"}, "r must be a number"),
+        ({"kind": "cex1", "delta": True}, "delta must be a number"),
+        ({"kind": "explicit", "diag": [1, 2, 3]}, "diag must be a list of two numbers"),
+        ({"kind": "explicit", "diag": [1, "2"]}, "diag entry must be a number"),
+        ({"kind": "random", "scale": True}, "scale must be a number"),
+        ({"kind": "explicit", "matrix": [["1", "0"], ["0", "1"]]}, "matrix entries"),
+    ])
+    def test_rejects_bad_init(self, init, match):
+        with pytest.raises(harness.ConfigError, match=match):
+            harness.run_experiment({**self.BASE, "init": init})
+
+    def test_accepts_numeric_init(self):
+        for init in ({"kind": "cex1", "r": 2, "delta": 0.0},
+                     {"kind": "explicit", "diag": [1, -0.5]},
+                     {"kind": "explicit", "matrix": [[1, 0], [0, 2.5]]},
+                     {"kind": "random", "scale": 0.5}):
+            trace, _, _ = harness.run_experiment({**self.BASE, "init": init})
+            assert len(trace) == 2
+
     def test_presets_resolve(self):
         for name, preset in harness.PRESETS.items():
             cfg = harness.resolve_config(preset())
@@ -194,6 +215,21 @@ class TestCli:
         assert rc == cli.EXIT_CONFIG
         assert "beta must be a number" in capsys.readouterr().err
         assert not (tmp_path / "tr.csv").exists()
+
+    @pytest.mark.parametrize("init", [
+        "cex1",
+        {"kind": "cex1", "r": "2.0"},
+        {"kind": "explicit", "diag": [1, 2, 3]},
+        {"kind": "random", "scale": True},
+    ])
+    def test_run_bad_init_exits_config_error(self, init, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"init": init}))
+        rc = cli.main(["run", "--preset", "cex1-appendixE", "--config", str(cfg),
+                       "--out", str(tmp_path / "tr.csv")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "tr.config.json").exists()
 
     def test_run_bad_config_values(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -130,6 +130,49 @@ class TestPolarAndNuclear:
         assert abs(f.nuclear - linalg.norm(A, "nuc")) <= 1e-12 * f.nuclear
 
 
+class TestStacks:
+    """The stack kernels equal their per-matrix counterparts bit for bit."""
+
+    def stack(self, rng, m, n):
+        members = [np.zeros((m, n)), rng.standard_normal((m, n))]
+        for zeros in (0, 1):
+            D = np.zeros((m, n))
+            d = min(m, n)
+            D[np.arange(d), np.arange(d)] = rng.standard_normal(d)
+            D[0, 0] *= 1 - zeros
+            members.append(D)
+        return np.stack(members)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (6, 4), (20, 20)])
+    def test_members_match(self, shape):
+        A = self.stack(np.random.default_rng(8), *shape)
+        X, nuc = linalg.polar_exact_stack(A), linalg.nuclear_norm_stack(A)
+        for b in range(len(A)):
+            np.testing.assert_array_equal(X[b], linalg.polar_exact(A[b]))
+            assert nuc[b] == linalg.norm(A[b], "nuc")
+
+    @pytest.mark.parametrize("bad", [(0, 0, np.inf), (1, 1, np.nan), (0, 1, np.nan)])
+    def test_non_finite_member_raises_as_polar_exact(self, bad):
+        A = self.stack(np.random.default_rng(9), 2, 2)
+        A[(2,) + bad[:2]] = bad[2]
+        with pytest.raises(ValueError, match="finite"):
+            linalg.polar_exact(A[2])
+        with pytest.raises(ValueError, match="finite"):
+            linalg.polar_exact_stack(A)
+
+    def test_non_finite_diagonal_nuclear_norm(self):
+        A = np.stack([np.diag([np.inf, 1.0]), np.diag([np.nan, 1.0])])
+        nuc = linalg.nuclear_norm_stack(A)
+        assert nuc[0] == linalg.norm(A[0], "nuc") == np.inf
+        assert np.isnan(nuc[1]) and np.isnan(linalg.norm(A[1], "nuc"))
+
+    def test_rejects_non_stack(self):
+        with pytest.raises(ValueError):
+            linalg.polar_exact_stack(np.eye(2))
+        with pytest.raises(ValueError):
+            linalg.nuclear_norm_stack(np.eye(2))
+
+
 class TestPolarNewtonSchulz:
     def test_identity_fixed_point(self):
         np.testing.assert_allclose(linalg.polar_newton_schulz(np.eye(2)), np.eye(2), atol=5e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from muonlab import counterexample as cex
-from muonlab import norms, optim
+from muonlab import linalg, norms, optim
 
 
 def kinky_oracle(c=0.5):
@@ -271,6 +271,145 @@ class TestRun:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             optim.run("nope", kinky_oracle(), state(np.eye(2)), 1)
+
+    def test_noisy_iterates_do_not_depend_on_track_average(self):
+        def noisy_run(track_average):
+            oracle = optim.NoisyOracle(kinky_oracle(0.3), noise_std=0.5, seed=4)
+            st = state(np.diag([1.0, -0.5]), beta=0.5, schedule=optim.InvSqrtT())
+            return optim.run("muon", oracle, st, 200, track_average=track_average)
+
+        on, off = noisy_run(True), noisy_run(False)
+        for col in ("lam", "f", "w11", "w22", "grad_fro"):
+            np.testing.assert_array_equal(getattr(on, col), getattr(off, col))
+        assert np.all(np.isfinite(on.favg)) and np.all(np.isnan(off.favg))
+
+    def test_oracle_with_evaluate_only(self):
+        class EvaluateOnly:
+            def __init__(self, base):
+                self.base = base
+
+            def evaluate(self, W):
+                return self.base.evaluate(W)
+
+        a = optim.run("muon", kinky_oracle(0.3), state(np.diag([1.0, -0.5])), 20)
+        b = optim.run("muon", EvaluateOnly(kinky_oracle(0.3)), state(np.diag([1.0, -0.5])), 20)
+        for col in TRACE_COLUMNS:
+            np.testing.assert_array_equal(getattr(a, col), getattr(b, col))
+
+
+TRACE_COLUMNS = ("t", "lam", "f", "w11", "w22", "grad_fro", "favg")
+
+
+def assert_same_trace(a, b):
+    """Equal in every column, bit for bit, NaN in the same places."""
+    for col in TRACE_COLUMNS:
+        x, y = getattr(a, col), getattr(b, col)
+        assert x.shape == y.shape, col
+        assert np.array_equal(x, y, equal_nan=True), col
+
+
+def mixed_batch(seed, n=15, shape=(2, 2)):
+    """Members with mixed c, beta (0 included), start t and schedules."""
+    rng = np.random.default_rng(seed)
+    # Diagonals of special starts: on the kink w1 = w2, and non-finite ones,
+    # which the scalar run carries along without an error.
+    special = {3: (0.7, 0.7), 4: (np.nan, 1.0), 9: (np.inf, np.inf), 10: (np.inf, -np.inf)}
+    schedules = [optim.Constant(0.1), optim.InvT(), optim.InvSqrtT(),
+                 optim.Table(tuple(rng.uniform(0.01, 0.3, 40))), optim.AdaptiveNuclear(0.05)]
+    fns, states = [], []
+    for b in range(n):
+        W0 = rng.standard_normal(shape)
+        if b in special:
+            W0 = np.zeros(shape)
+            W0[0, 0], W0[1, 1] = special[b]
+        # Member 8 has beta = 0, so its scalar run never reads this M.
+        M0 = np.full(shape, np.inf) if b == 8 else None
+        fns.append(cex.KinkyFunction(c=float(rng.uniform(0.05, 0.95)), m=shape[0], n=shape[1]))
+        states.append(optim.OptimizerState(
+            W=W0, beta=(0.0, 0.3, 0.6, 0.9)[b % 4], schedule=schedules[b % 5], t=b % 3, M=M0))
+    return fns, states
+
+
+# The non-finite starts make numpy warn where the scalar run's float
+# arithmetic is silent; the values are the same.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestRunBatch:
+    @pytest.mark.parametrize("method", optim.BATCH_METHODS)
+    @pytest.mark.parametrize("track_average", (False, True))
+    @pytest.mark.parametrize("shape", ((2, 2), (3, 4)))
+    def test_members_equal_scalar_runs(self, method, track_average, shape):
+        fns, states = mixed_batch(5, shape=shape)
+        T = 120
+        traces = optim.run_batch(method, fns, states, T, track_average=track_average)
+        assert len(traces) == len(states)
+        for fn, st, tr in zip(fns, states, traces):
+            assert_same_trace(tr, optim.run(method, fn.oracle(), st, T,
+                                             track_average=track_average))
+
+    @pytest.mark.parametrize("method", optim.BATCH_METHODS)
+    def test_non_diagonal_member_takes_polar_exact(self, method, monkeypatch):
+        fns, states = mixed_batch(6, n=4)
+        states[2].M = np.array([[0.3, -1.2], [0.8, 0.1]])
+        T = 60
+        expected = [optim.run(method, fn.oracle(), st, T) for fn, st in zip(fns, states)]
+        calls = []
+        polar_exact = linalg.polar_exact
+
+        def counting(A, *args, **kwargs):
+            calls.append(1)
+            return polar_exact(A, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "polar_exact", counting)
+        traces = optim.run_batch(method, fns, states, T, track_average=True)
+        assert len(calls) >= T  # one per step for the non-diagonal member
+        for tr, ref in zip(traces, expected):
+            assert_same_trace(tr, ref)
+
+    @pytest.mark.parametrize("method", optim.BATCH_METHODS)
+    @pytest.mark.parametrize("schedule", (optim.Constant(0.1), optim.AdaptiveNuclear(0.05)))
+    @pytest.mark.parametrize("M0", (np.diag([np.inf, 1.0]),
+                                    np.array([[1.0, np.nan], [0.0, 1.0]])))
+    def test_non_finite_member_raises_as_scalar_run(self, method, schedule, M0):
+        fn = cex.KinkyFunction(c=0.3)
+        bad = optim.OptimizerState(W=np.eye(2), beta=0.5, schedule=schedule, M=M0)
+        with pytest.raises(Exception) as scalar:
+            optim.run(method, fn.oracle(), bad, 5)
+        good = optim.OptimizerState(W=np.eye(2), beta=0.5, schedule=schedule)
+        with pytest.raises(type(scalar.value)) as batch:
+            optim.run_batch(method, [fn, fn], [good, bad], 5)
+        assert type(batch.value) is type(scalar.value)
+        assert str(batch.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("method", ("specgd", "signgd", "signmomentum", "efmuon",
+                                        "muonmax", "efmuonmax", "efm", "nope"))
+    def test_unsupported_method(self, method):
+        fns, states = mixed_batch(7, n=2)
+        with pytest.raises(ValueError):
+            optim.run_batch(method, fns, states, 3)
+
+    def test_unsupported_polar_schedule_and_function(self):
+        fn = cex.KinkyFunction(c=0.3)
+        ns = state(np.eye(2), polar=linalg.polar_newton_schulz)
+        with pytest.raises(ValueError):
+            optim.run_batch("muon", [fn], [ns], 3)
+
+        class Halving(optim.Constant):
+            def value(self, t, momentum=None):
+                return self.lam / (t + 1)
+
+        with pytest.raises(ValueError):
+            optim.run_batch("muon", [fn], [state(np.eye(2), schedule=Halving(0.1))], 3)
+        with pytest.raises(ValueError):
+            optim.run_batch("muon", [kinky_oracle()], [state(np.eye(2))], 3)
+        with pytest.raises(ValueError):
+            optim.run_batch("muon", [fn, fn], [state(np.eye(2))], 3)
+        with pytest.raises(ValueError):
+            optim.run_batch("muon", [fn], [state(np.eye(3))], 3)
+
+    def test_zero_steps(self):
+        fns, states = mixed_batch(8, n=3)
+        for fn, st, tr in zip(fns, states, optim.run_batch("regmuon", fns, states, 0)):
+            assert_same_trace(tr, optim.run("regmuon", fn.oracle(), st, 0, track_average=False))
 
 
 class TestBound:

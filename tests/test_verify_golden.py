@@ -1,10 +1,11 @@
 """``muonlab verify`` prints the same lines, byte for byte, as the recorded run.
 
 The files under ``tests/data/verify/`` hold the standard output of
-``muonlab verify <suite>`` with default arguments.  ``cex2`` is left out:
-it takes about 35 s, and acceptance criterion 3 runs it already.
-Regenerate a file only for a change that is meant to alter a suite's
-observed values, and say so in the change.
+``muonlab verify <suite>`` with default arguments, one file per suite, all
+seven included.  They were recorded with the scalar ``optim.run`` loop, so
+``cex1.txt`` and ``cex2.txt`` also pin the batched engine the two suites
+now run on.  Regenerate a file only for a change that is meant to alter a
+suite's observed values, and say so in the change.
 """
 
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 from muonlab import cli
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "verify"
-SUITES = ("polar", "reduction", "compressor", "lmo", "cex1", "ef-bound")
+SUITES = ("polar", "reduction", "compressor", "lmo", "cex1", "cex2", "ef-bound")
 
 
 @pytest.mark.parametrize("suite", SUITES)
