@@ -8,9 +8,7 @@ from .linalg import (
     NumericalError,
     SvdFactors,
     norm,
-    nuclear_norm_stack,
     polar_exact,
-    polar_exact_stack,
     polar_newton_schulz,
     reduced_svd,
     sign_elementwise,
@@ -59,7 +57,6 @@ from .counterexample import (
     Cex1Init,
     Cex2Guard,
     KinkyFunction,
-    KinkyStack,
     cex1_build,
     cex1_predicted_iterate,
     cex1_predicted_sequence,

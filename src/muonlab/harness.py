@@ -442,7 +442,7 @@ def suite_cex1(T: int = 5000) -> list:
             cases.append((beta, label, init))
             fns.append(fn)
             states.append(optim.OptimizerState(W=W0, beta=beta, schedule=schedule))
-    traces = optim.run_batch("muon", fns, states, T, track_average=False)
+    traces = optim.run_batch("muon", fns, states, T)
     for (beta, label, init), tr in zip(cases, traces):
         pred = cex.cex1_predicted_sequence(init, T)
         dev = max(float(np.max(np.abs(tr.w11 - pred[:, 0]))),
@@ -475,7 +475,7 @@ def suite_cex2(n_inits: int = 100, T: int = 2000) -> list:
             starts = [rng.standard_normal((2, 2)) for _ in range(n_inits)]
             states = [optim.OptimizerState(W=W0, beta=beta, schedule=schedule)
                       for W0 in starts]
-            traces = optim.run_batch(method, [fn] * n_inits, states, T, track_average=False)
+            traces = optim.run_batch(method, [fn] * n_inits, states, T)
             for W0, tr in zip(starts, traces):
                 p0 = W0[0, 0] + W0[1, 1]
                 p, q = cex.cex2_track(tr)

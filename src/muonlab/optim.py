@@ -428,7 +428,8 @@ def run(method, oracle, state0, T: int, compressor=None, track_average: bool = T
 
 
 BATCH_METHODS = ("muon", "regmuon")
-_BATCH_SCHEDULES = (Constant, InvT, InvSqrtT, Table, AdaptiveNuclear)
+# The schedules suite_cex1 and suite_cex2 run with.
+_BATCH_SCHEDULES = (Constant, InvT, Table, AdaptiveNuclear)
 
 
 def _uses_exact_polar(state: OptimizerState) -> bool:
@@ -437,20 +438,25 @@ def _uses_exact_polar(state: OptimizerState) -> bool:
     return state.polar is linalg.polar_exact or state.polar is OptimizerState.polar
 
 
-def run_batch(method, fns, states, T: int, track_average: bool = False) -> list:
+def run_batch(method, fns, states, T: int) -> list:
     """Run B independent trajectories in lock-step; returns one Trace each.
 
     Member b runs ``method`` ("muon" or "regmuon") on the KinkyFunction
     ``fns[b]`` from ``states[b]``, and its Trace is bit-identical, NaN
     positions included, to
-    ``run(method, fns[b].oracle(), states[b], T, track_average=track_average)``.
+    ``run(method, fns[b].oracle(), states[b], T, track_average=False)``.
     A member whose scalar run raises makes the batch raise the same error.
 
     The iterates are stacked as one (B, m, n) array, so each step costs a
     fixed number of numpy calls for the whole batch.  Each member keeps its
-    own W0, M, t, beta and schedule: one of Constant, InvT, InvSqrtT, Table
-    or AdaptiveNuclear, with the exact polar factor.  Any other method,
-    schedule, polar backend or function raises ValueError.
+    own W0, M, beta and schedule: one of Constant, InvT, Table or
+    AdaptiveNuclear, with the exact polar factor, starting at t = 0.  Any
+    other method, schedule, polar backend, start t or function raises
+    ValueError.
+
+    The loop below restates the step_muon / step_regmuon rule on the stack;
+    TestRunBatch in tests/test_optim.py is the contract that keeps the two in
+    sync (ROADMAP item 2 is to merge them).
     """
     from .counterexample import KinkyStack  # counterexample imports optim
 
@@ -469,6 +475,8 @@ def run_batch(method, fns, states, T: int, track_average: bool = False) -> list:
         # the precomputed offline stepsizes below do not pass.
         if type(st.schedule) not in _BATCH_SCHEDULES:
             raise ValueError(f"run_batch does not support schedule {st.schedule!r}")
+        if st.t != 0:
+            raise ValueError(f"run_batch starts every member at t = 0, not {st.t}")
     W = np.stack([np.asarray(st.W, float) for st in states])
     M = np.stack([np.asarray(st.M, float) for st in states])
     if W.shape[1:] != (fstack.m, fstack.n) or M.shape != W.shape:
@@ -482,8 +490,8 @@ def run_batch(method, fns, states, T: int, track_average: bool = False) -> list:
     # zero, and a zero added to an entry of G (never -0.0) leaves it as is.
     M[beta.ravel() == 0.0] = 0.0
     # coef[i, b]: member b's stepsize at step i before any nuclear-norm
-    # factor, i.e. AdaptiveNuclear's base or an offline schedule's value at
-    # the member's own t.  Members sharing a schedule and t share the values.
+    # factor, i.e. AdaptiveNuclear's base or an offline schedule's value.
+    # Members sharing a schedule share the values.
     coef = np.empty((T, B))
     offline = {}
     for b, st in enumerate(states):
@@ -491,23 +499,20 @@ def run_batch(method, fns, states, T: int, track_average: bool = False) -> list:
         if isinstance(sched, AdaptiveNuclear):
             coef[:, b] = sched.base
         else:
-            key = (id(sched), st.t)
-            if key not in offline:
-                offline[key] = [sched.value(st.t + i) for i in range(T)]
-            coef[:, b] = offline[key]
+            if id(sched) not in offline:
+                offline[id(sched)] = [sched.value(i) for i in range(T)]
+            coef[:, b] = offline[id(sched)]
     # Members whose stepsize is multiplied by ||M||_nuc: every regmuon
     # member, and muon members with AdaptiveNuclear.
     scaled = np.array([method == "regmuon" or isinstance(st.schedule, AdaptiveNuclear)
                        for st in states])
     any_scaled = bool(scaled.any())
 
+    # favg stays NaN, as in run(..., track_average=False).
     cols = {k: np.full((B, n), np.nan) for k in ("lam", "f", "w11", "w22", "grad_fro", "favg")}
-    mean = W
     for i in range(n):
         cols["w11"][:, i] = W[:, 0, 0]
         cols["w22"][:, i] = W[:, 1, 1]
-        if track_average:
-            cols["favg"][:, i] = fstack.value(mean)
         if i == T:
             cols["f"][:, i] = fstack.value(W)
             break
@@ -523,8 +528,6 @@ def run_batch(method, fns, states, T: int, track_average: bool = False) -> list:
             raise linalg.NumericalError(f"step t={i} failed: {exc}") from exc
         W = W - lam[:, None, None] * X
         cols["lam"][:, i] = lam
-        if track_average:
-            mean = mean + (1.0 / (i + 2)) * (W - mean)
     t = np.arange(n, dtype=float)
     return [Trace(t=t.copy(), **{k: v[b] for k, v in cols.items()}) for b in range(B)]
 
