@@ -182,6 +182,31 @@ def _build_init(cfg: dict, schedule):
     raise ConfigError(f"unknown init kind {kind!r}")
 
 
+BOUND_KEYS = frozenset(("delta", "sigma", "dist0"))
+
+
+def _resolve_bound(cfg: dict, W0: np.ndarray) -> dict:
+    """The ``bound`` block with its defaults filled in, checked against the
+    domain of ``optim.efm_bound``."""
+    spec = cfg["bound"]
+    if not isinstance(spec, dict):
+        raise ConfigError(f"bound must be an object, got {spec!r}")
+    unknown = sorted(set(spec) - BOUND_KEYS)
+    if unknown:
+        raise ConfigError(f"bound has unknown keys {unknown}")
+    b = {
+        "delta": 1.0 / min(cfg["m"], cfg["n"]),
+        "sigma": cex.lipschitz_bound(cfg["c"]),
+        "dist0": math.hypot(W0[0, 0], W0[1, 1]),
+    }
+    b.update((key, _real(value, f"bound {key}")) for key, value in spec.items())
+    try:
+        optim._check_bound_domain(b["delta"], cfg["beta"], b["sigma"], b["dist0"])
+    except ValueError as exc:
+        raise ConfigError(f"bound {exc}") from None
+    return b
+
+
 def run_experiment(raw_config: dict):
     """Run a configured experiment; returns (Trace, bound column, resolved config)."""
     cfg = resolve_config(raw_config)
@@ -189,36 +214,29 @@ def run_experiment(raw_config: dict):
     W0 = _build_init(cfg, schedule)
     fn = cex.KinkyFunction(c=cfg["c"], m=cfg["m"], n=cfg["n"])
     polar = linalg.polar_exact if cfg["polar"] == "exact" else linalg.polar_newton_schulz
+    if "bound" in cfg:
+        cfg["bound"] = _resolve_bound(cfg, W0)
     state = optim.OptimizerState(W=W0, beta=cfg["beta"], schedule=schedule, polar=polar)
     trace = optim.run(cfg["method"], fn.oracle(), state, cfg["T"],
                       track_average=cfg["track_average"])
     bound = np.full(len(trace), np.nan)
     if "bound" in cfg:
-        b = dict(cfg["bound"] or {})
-        b.setdefault("delta", 1.0 / min(cfg["m"], cfg["n"]))
-        b.setdefault("sigma", cex.lipschitz_bound(cfg["c"]))
-        b.setdefault("dist0", math.hypot(W0[0, 0], W0[1, 1]))
-        cfg["bound"] = b
+        b = cfg["bound"]
         for t in range(len(trace)):
             bound[t] = optim.efm_bound(t, b["delta"], cfg["beta"], b["sigma"], b["dist0"])
     return trace, bound, cfg
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def write_csv(path: str, trace: optim.Trace, bound: np.ndarray):
     """CSV with fixed columns, 17 significant digits, LF endings."""
-    rows = [",".join(CSV_COLUMNS)]
-    for i in range(len(trace)):
-        rows.append(",".join(_fmt(v) for v in (
-            trace.t[i], trace.lam[i], trace.f[i], trace.w11[i], trace.w22[i],
-            trace.sum_diag[i], trace.diff_diag[i], trace.grad_fro[i],
-            trace.favg[i], bound[i],
-        )))
+    columns = (trace.t, trace.lam, trace.f, trace.w11, trace.w22, trace.sum_diag,
+               trace.diff_diag, trace.grad_fro, trace.favg, bound)
+    row = ",".join(["%.17g"] * len(CSV_COLUMNS))
+    lines = [",".join(CSV_COLUMNS)]
+    lines.extend(row % values for values in zip(*(np.asarray(c).tolist() for c in columns),
+                                                strict=True))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_sidecar(path: str, cfg: dict):
@@ -382,6 +400,22 @@ def suite_compressor(trials: int = 1000) -> list:
     return results
 
 
+def _least_frobenius_grid(rng, base, Up, Vp, samples: int) -> float:
+    """Smallest Frobenius norm of ``base + Up E Vp^T`` over ``samples`` draws
+    of E uniform on [-1, 1]^(k x k), each scaled into the operator-norm ball.
+
+    The draws come from one ``rng.uniform`` call, the same stream as one call
+    per draw.  ``vecdot`` gives each candidate's norm bit for bit as
+    ``np.linalg.norm`` on it alone; ``einsum`` and ``sum`` do not.
+    """
+    k = Up.shape[1]
+    E = rng.uniform(-1.0, 1.0, (samples, k, k))
+    op = np.linalg.norm(E, 2, axis=(1, 2))
+    E = np.where((op > 1.0)[:, None, None], E / op[:, None, None], E)
+    cand = (base + Up @ E @ Vp.T).reshape(samples, -1)
+    return float(np.min(np.sqrt(np.vecdot(cand, cand))))
+
+
 def suite_lmo(trials: int = 1000) -> list:
     rng = np.random.default_rng(17)
     results = []
@@ -411,17 +445,8 @@ def suite_lmo(trials: int = 1000) -> list:
         s = np.sort(rng.uniform(0.5, 2.0, rank))[::-1]
         A = (U[:, :rank] * s) @ V[:, :rank].T
         X = norms.lmo_min(A, spec)
-        base = U[:, :rank] @ V[:, :rank].T
-        Up, Vp = U[:, rank:], V[:, rank:]
-        k = 3 - rank
-        best = np.inf
-        for _ in range(400):
-            E = rng.uniform(-1.0, 1.0, (k, k))
-            op = np.linalg.norm(E, 2)
-            if op > 1.0:
-                E = E / op
-            cand = base + Up @ E @ Vp.T
-            best = min(best, float(np.linalg.norm(cand)))
+        best = _least_frobenius_grid(rng, U[:, :rank] @ V[:, :rank].T,
+                                     U[:, rank:], V[:, rank:], 400)
         worst_gap = max(worst_gap, float(np.linalg.norm(X)) - best)
     results.append(CheckResult(
         "lmo least-Frobenius vs brute force (rank-deficient 3x3)",

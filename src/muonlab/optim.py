@@ -541,10 +541,10 @@ def _check_bound_domain(delta, beta, sigma, dist0):
         raise ValueError("delta must lie in (0, 1]")
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if dist0 < 0:
-        raise ValueError("dist0 must be nonnegative")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and nonnegative")
+    if not 0.0 <= dist0 < math.inf:
+        raise ValueError("dist0 must be finite and nonnegative")
 
 
 def efm_bound(T: int, delta: float, beta: float, sigma: float, dist0: float) -> float:

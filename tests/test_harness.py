@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from muonlab import cli, harness
+from muonlab import cli, harness, optim
 from muonlab import counterexample as cex
 
 
@@ -106,6 +106,30 @@ class TestConfig:
         with pytest.raises(harness.ConfigError, match=match):
             harness.run_experiment({**self.BASE, "init": init})
 
+    @pytest.mark.parametrize("bound, match", [
+        ({"delta": True}, "bound delta must be a number"),
+        ({"sigma": "2"}, "bound sigma must be a number"),
+        ([1], "bound must be an object"),
+        (None, "bound must be an object"),
+        ({"foo": 1}, r"bound has unknown keys \['foo'\]"),
+        ({"delta": 2}, r"bound delta must lie in \(0, 1\]"),
+        ({"sigma": -1.0}, "bound sigma must be finite and nonnegative"),
+        ({"dist0": math.inf}, "bound dist0 must be finite and nonnegative"),
+    ])
+    def test_rejects_bad_bound(self, bound, match):
+        cfg = {**harness.PRESETS["efm-appendixE"](), "T": 1, "bound": bound}
+        with pytest.raises(harness.ConfigError, match=match):
+            harness.run_experiment(cfg)
+
+    def test_bound_fields_override_defaults(self):
+        cfg = {**harness.PRESETS["efm-appendixE"](), "T": 1,
+               "bound": {"delta": 1, "dist0": np.float64(2.5)}}
+        _, bound, rcfg = harness.run_experiment(cfg)
+        assert rcfg["bound"] == {"delta": 1.0, "sigma": cex.lipschitz_bound(rcfg["c"]),
+                                 "dist0": 2.5}
+        assert all(type(v) is float for v in rcfg["bound"].values())
+        assert bound[1] == optim.efm_bound(1, 1.0, rcfg["beta"], rcfg["bound"]["sigma"], 2.5)
+
     def test_accepts_numeric_init(self):
         for init in ({"kind": "cex1", "r": 2, "delta": 0.0},
                      {"kind": "explicit", "diag": [1, -0.5]},
@@ -170,6 +194,109 @@ class TestRunExperiment:
         assert abs(rcfg["bound"]["dist0"] - d0) < 1e-12
 
 
+def _per_row_csv(trace, bound):
+    """The per-row, per-cell writer that write_csv replaced: the reference."""
+    rows = [",".join(harness.CSV_COLUMNS)]
+    for i in range(len(trace)):
+        rows.append(",".join("%.17g" % v for v in (
+            trace.t[i], trace.lam[i], trace.f[i], trace.w11[i], trace.w22[i],
+            trace.sum_diag[i], trace.diff_diag[i], trace.grad_fro[i],
+            trace.favg[i], bound[i],
+        )))
+    return "\n".join(rows) + "\n"
+
+
+class _CountingTrace(optim.Trace):
+    """Counts reads of the two derived columns."""
+
+    @property
+    def sum_diag(self):
+        self.reads["sum_diag"] += 1
+        return super().sum_diag
+
+    @property
+    def diff_diag(self):
+        self.reads["diff_diag"] += 1
+        return super().diff_diag
+
+
+def _awkward_trace(cls=optim.Trace):
+    values = np.array([
+        np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+        0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0 * 1e300, np.nextafter(1.0, 2.0),
+        1.7976931348623157e308, 123456789.12345679, -1e-5, 7.0,
+    ])
+    rng = np.random.default_rng(5)
+    cols = {k: rng.permutation(values) for k in ("lam", "f", "w11", "w22", "grad_fro", "favg")}
+    return cls(t=np.arange(values.size, dtype=float), **cols), rng.permutation(values)
+
+
+class TestWriteCsv:
+    def test_bytes_equal_per_row_writer(self, tmp_path):
+        trace, bound = _awkward_trace()
+        out = tmp_path / "awkward.csv"
+        harness.write_csv(str(out), trace, bound)
+        assert out.read_bytes() == _per_row_csv(trace, bound).encode("utf-8")
+        assert "nan" in out.read_text() and "-inf" in out.read_text()
+
+    def test_bytes_equal_per_row_writer_on_runs(self, tmp_path):
+        cfg = {**harness.PRESETS["efm-appendixE"](), "T": 300}
+        runs = [harness.run_experiment(cfg)[:2]]
+        fn, W0, _ = cex.cex1_build(0.5, optim.InvT(), horizon=50)
+        state = optim.OptimizerState(W=W0, beta=0.5, schedule=optim.InvT())
+        runs.append((optim.run_batch("muon", [fn], [state], 50)[0], np.full(51, np.nan)))
+        for i, (trace, bound) in enumerate(runs):
+            out = tmp_path / f"run{i}.csv"
+            harness.write_csv(str(out), trace, bound)
+            assert out.read_bytes() == _per_row_csv(trace, bound).encode("utf-8")
+
+    def test_derived_columns_read_once(self, tmp_path):
+        # The per-row writer rebuilt both (T+1)-arrays for every row: O(T^2).
+        from collections import Counter
+        trace, bound = _awkward_trace(_CountingTrace)
+        trace.reads = Counter()
+        harness.write_csv(str(tmp_path / "count.csv"), trace, bound)
+        assert trace.reads == {"sum_diag": 1, "diff_diag": 1}
+
+    def test_rejects_bound_of_other_length(self, tmp_path):
+        trace, bound = _awkward_trace()
+        with pytest.raises(ValueError):
+            harness.write_csv(str(tmp_path / "short.csv"), trace, bound[:-1])
+
+
+def _grid_loop(rng, base, Up, Vp, samples):
+    """The per-candidate loop that _least_frobenius_grid replaced: the reference."""
+    k = Up.shape[1]
+    best = np.inf
+    for _ in range(samples):
+        E = rng.uniform(-1.0, 1.0, (k, k))
+        op = np.linalg.norm(E, 2)
+        if op > 1.0:
+            E = E / op
+        cand = base + Up @ E @ Vp.T
+        best = min(best, float(np.linalg.norm(cand)))
+    return best
+
+
+class TestLeastFrobeniusGrid:
+    # The lmo suite clips its observed gap at 0.0, so its golden output cannot
+    # see a changed draw order or a last-ulp change in a candidate's norm.
+    @pytest.mark.parametrize("seed", [17, 2024])
+    def test_equals_per_candidate_loop(self, seed):
+        stacked, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            rank = int(stacked.integers(1, 3))
+            assert rank == int(loop.integers(1, 3))
+            U = np.linalg.qr(stacked.standard_normal((3, 3)))[0]
+            V = np.linalg.qr(stacked.standard_normal((3, 3)))[0]
+            loop.standard_normal((3, 3)), loop.standard_normal((3, 3))
+            args = (U[:, :rank] @ V[:, :rank].T, U[:, rank:], V[:, rank:])
+            got = harness._least_frobenius_grid(stacked, *args, 400)
+            want = _grid_loop(loop, *args, 400)
+            assert got == want
+            assert stacked.bit_generator.state == loop.bit_generator.state
+
+
 class TestCli:
     def test_bound_command(self, capsys):
         rc = cli.main(["bound", "--T", "0", "--delta", "1", "--beta", "0",
@@ -230,6 +357,29 @@ class TestCli:
         assert rc == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "tr.config.json").exists()
+
+    @pytest.mark.parametrize("bound", [{"delta": True}, {"sigma": "2"}, [1], {"foo": 1}])
+    def test_run_bad_bound_exits_config_error(self, bound, tmp_path, capsys):
+        # {"delta": true} and {"foo": 1} used to run; the other two died with
+        # a bare TypeError or ValueError message that named no field.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 3, "bound": bound}))
+        rc = cli.main(["run", "--preset", "efm-appendixE", "--config", str(cfg),
+                       "--out", str(tmp_path / "tr.csv")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: bound ")
+        assert not (tmp_path / "tr.csv").exists()
+        assert not (tmp_path / "tr.config.json").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--sigma", "nan"), ("--dist0", "inf")])
+    def test_bound_non_finite_exits_config_error(self, flag, value, capsys):
+        argv = {"--T": "10", "--delta": "0.5", "--beta": "0.5", "--sigma": "1", "--dist0": "1"}
+        argv[flag] = value
+        rc = cli.main(["bound", *(x for kv in argv.items() for x in kv)])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG
+        assert f"{flag[2:]} must be finite" in captured.err
+        assert captured.out == ""
 
     def test_run_bad_config_values(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -438,6 +438,17 @@ class TestBound:
             with pytest.raises(ValueError):
                 optim.efm_bound(**kw)
 
+    @pytest.mark.parametrize("field", ["sigma", "dist0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma_and_dist0(self, field, value):
+        # Both used to pass the sign check and come out as a nan or inf bound.
+        kw = dict(delta=0.5, beta=0.5, sigma=1.0, dist0=1.0)
+        kw[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            optim.efm_bound(10, **kw)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            optim.efm_bound_schedule([1.0, 0.5], **kw)
+
     def test_schedule_form_dominated_by_special_case(self):
         # with lam_t = 1/sqrt(t+1), sum lam^2 <= 1 + log(T+1)
         for T in (0, 10, 500):
