@@ -1,6 +1,6 @@
 """Layer timings of the reproduction path, recorded in a BENCH_<n>.json file.
 
-Times, each as the median, minimum and maximum of ``--repeats`` runs:
+Times, each as the median, minimum and maximum of ``REPEATS`` runs:
 
 - ``harness.write_csv`` on the ``efm-appendixE`` trace (all ten columns
   filled) at T = 5000 and T = 50 000;
@@ -33,15 +33,17 @@ import sys
 import tempfile
 import time
 
+REPEATS = 5
 
-def _timed(fn, repeats: int) -> dict:
+
+def _timed(fn) -> dict:
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         times.append((time.perf_counter() - start) * 1e3)
     return {"median_ms": statistics.median(times), "min_ms": min(times),
-            "max_ms": max(times), "repeats": repeats}
+            "max_ms": max(times), "repeats": REPEATS}
 
 
 def _source(package) -> dict:
@@ -68,7 +70,7 @@ def _machine() -> dict:
             "python": platform.python_version(), "numpy": np.__version__}
 
 
-def measure(repeats: int) -> dict:
+def measure() -> dict:
     import muonlab
     from muonlab import cli, harness
 
@@ -79,14 +81,14 @@ def measure(repeats: int) -> dict:
             trace, bound, _ = harness.run_experiment(cfg)
             path = os.path.join(tmp, f"efm-{T}.csv")
             timings[f"write_csv[T={T}]"] = _timed(
-                lambda: harness.write_csv(path, trace, bound), repeats)
+                lambda: harness.write_csv(path, trace, bound))
             timings[f"write_csv[T={T}]"]["bytes"] = os.path.getsize(path)
-    timings["suite_lmo_grid"] = _timed(lambda: harness.suite_lmo(trials=1), repeats)
+    timings["suite_lmo_grid"] = _timed(lambda: harness.suite_lmo(trials=1))
     for suite in sorted(harness.SUITES):
         def verify(suite=suite):
             with contextlib.redirect_stdout(io.StringIO()):
                 cli.main(["verify", suite])
-        timings[f"verify[{suite}]"] = _timed(verify, repeats)
+        timings[f"verify[{suite}]"] = _timed(verify)
     return {"source": _source(muonlab), "machine": _machine(),
             "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "timings": timings}
@@ -97,10 +99,7 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True,
                         help="name of this run in the output file, e.g. parent or change")
     parser.add_argument("--out", required=True, help="BENCH_<n>.json file to add the run to")
-    parser.add_argument("--repeats", type=int, default=5, help="timed runs per item")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # read when numpy is first imported, just below
 
@@ -108,7 +107,7 @@ def main(argv=None) -> int:
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             record = json.load(fh)
-    record["runs"][args.label] = measure(args.repeats)
+    record["runs"][args.label] = measure()
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
