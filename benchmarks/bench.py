@@ -7,14 +7,21 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
 - the least-Frobenius grid of ``suite_lmo``, as ``suite_lmo(trials=1)``: the
   grid's 20 x 400 candidates do not depend on ``trials``, and at one trial the
   other sixteen checks take one sample each;
-- ``muonlab verify`` for every suite, output discarded.
+- ``muonlab verify`` for every suite, output discarded;
+- ``optim.run`` on the 2x2 counterexample function for ``STEP_T`` steps, in
+  microseconds per step: ``muon`` with a ``Table``, ``regmuon`` with
+  ``AdaptiveNuclear(0.05)`` (both without the running average, as in
+  ``verify cex2``), and ``efmuon`` with ``InvSqrtT`` and the running average;
+- one ``evaluate`` of that function's oracle, in microseconds per call;
+- ``muonlab run`` for each preset, CSV and sidecar written, in microseconds
+  per step.
 
 Each run is stored under ``--label`` in the output file, beside the runs
 already there, so that running the script on two checkouts records a
 before/after pair on the same machine::
 
-    PYTHONPATH=/path/to/parent/src python3 benchmarks/bench.py --label parent --out BENCH_5.json
-    PYTHONPATH=src python3 benchmarks/bench.py --label change --out BENCH_5.json
+    PYTHONPATH=/path/to/parent/src python3 benchmarks/bench.py --label parent --out BENCH_6.json
+    PYTHONPATH=src python3 benchmarks/bench.py --label change --out BENCH_6.json
 
 BLAS is held at one thread, as in ``perfbench``.
 """
@@ -34,6 +41,9 @@ import tempfile
 import time
 
 REPEATS = 5
+# Steps per optim.run timing, and oracle calls per evaluate timing.
+STEP_T = 2000
+ORACLE_CALLS = 10_000
 
 
 def _timed(fn) -> dict:
@@ -44,6 +54,37 @@ def _timed(fn) -> dict:
         times.append((time.perf_counter() - start) * 1e3)
     return {"median_ms": statistics.median(times), "min_ms": min(times),
             "max_ms": max(times), "repeats": REPEATS}
+
+
+def _per_unit(timing: dict, key: str, units: int) -> dict:
+    """``timing`` with its median, in microseconds per unit, stored under ``key``."""
+    timing[key] = timing["median_ms"] * 1e3 / units
+    return timing
+
+
+def _step_timings() -> dict:
+    import numpy as np
+    from muonlab import counterexample as cex
+    from muonlab import optim
+
+    fn = cex.KinkyFunction(c=0.3)
+    table = optim.Table(tuple(np.random.default_rng(0).uniform(0.01, 0.3, STEP_T)))
+    timings = {}
+    for label, method, schedule, track_average in (
+            ("muon+Table", "muon", table, False),
+            ("regmuon+AdaptiveNuclear", "regmuon", optim.AdaptiveNuclear(0.05), False),
+            ("efmuon+InvSqrtT+average", "efmuon", optim.InvSqrtT(), True)):
+        state = optim.OptimizerState(W=np.diag([1.0, -0.5]), beta=0.2, schedule=schedule)
+        timings[f"run[{label}]"] = _per_unit(_timed(
+            lambda: optim.run(method, fn.oracle(), state, STEP_T, track_average=track_average)),
+            "us_per_step", STEP_T)
+    oracle, W = fn.oracle(), np.diag([1.0, -0.5])
+
+    def evaluate():
+        for _ in range(ORACLE_CALLS):
+            oracle.evaluate(W)
+    timings["oracle.evaluate"] = _per_unit(_timed(evaluate), "us_per_call", ORACLE_CALLS)
+    return timings
 
 
 def _source(package) -> dict:
@@ -83,6 +124,12 @@ def measure() -> dict:
             timings[f"write_csv[T={T}]"] = _timed(
                 lambda: harness.write_csv(path, trace, bound))
             timings[f"write_csv[T={T}]"]["bytes"] = os.path.getsize(path)
+        for name in sorted(harness.PRESETS):
+            def run(name=name):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    cli.main(["run", "--preset", name, "--out", os.path.join(tmp, "p.csv")])
+            timings[f"run[{name}]"] = _per_unit(_timed(run), "us_per_step",
+                                                harness.PRESETS[name]()["T"])
     timings["suite_lmo_grid"] = _timed(lambda: harness.suite_lmo(trials=1))
     for suite in sorted(harness.SUITES):
         def verify(suite=suite):
@@ -91,7 +138,7 @@ def measure() -> dict:
         timings[f"verify[{suite}]"] = _timed(verify)
     return {"source": _source(muonlab), "machine": _machine(),
             "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "timings": timings}
+            "timings": {**timings, **_step_timings()}}
 
 
 def main(argv=None) -> int:
@@ -112,7 +159,8 @@ def main(argv=None) -> int:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for name, t in record["runs"][args.label]["timings"].items():
-        print(f"{name:24s} {t['median_ms']:10.2f} ms")
+        per = next((f"  {t[k]:8.2f} {k}" for k in ("us_per_step", "us_per_call") if k in t), "")
+        print(f"{name:34s} {t['median_ms']:10.2f} ms{per}")
     return 0
 
 

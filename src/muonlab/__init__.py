@@ -40,6 +40,7 @@ from .optim import (
     Table,
     Trace,
     efm_bound,
+    efm_bound_column,
     efm_bound_schedule,
     run,
     run_batch,

@@ -79,14 +79,58 @@ class KinkyFunction:
         G[1, 1] = self.c * s1 - s2
         return G
 
-    def oracle(self, selection: str = "zero") -> optim.FunctionOracle:
-        return optim.FunctionOracle(self.value, lambda W: self.subgradient(W, selection))
+    def oracle(self, selection: str = "zero") -> KinkyOracle:
+        return KinkyOracle(self, selection)
 
     def diag_oracle(self, selection: str = "zero") -> optim.FunctionOracle:
         return optim.FunctionOracle(
             lambda w: self.diag_value(w[0], w[1]),
             lambda w: self.diag_subgradient(w, selection),
         )
+
+
+def _subgradient_table(fn: KinkyFunction, selection: str = "zero") -> tuple:
+    """The nine subgradients of ``fn``, at row 3 * (s1 + 1) + (s2 + 1).
+
+    The subgradient depends on W only through the signs s1 of w1 + w2 and s2
+    of w1 - w2, so ``fn.subgradient`` at one W per sign pair gives them all.
+    Sign 0 is the class of a zero, where ``selection`` decides.
+    """
+    rows = []
+    for s1 in (-1.0, 0.0, 1.0):
+        for s2 in (-1.0, 0.0, 1.0):
+            W = np.zeros((fn.m, fn.n))
+            W[0, 0], W[1, 1] = s1 + s2, s1 - s2
+            rows.append(fn.subgradient(W, selection))
+    return tuple(rows)
+
+
+class KinkyOracle:
+    """The subgradient oracle of a KinkyFunction: ``evaluate(W)`` is
+    ``(fn.value(W), fn.subgradient(W, selection))`` bit for bit.
+
+    ``evaluate`` reads the leading diagonal once and computes the value with
+    ``diag_value``'s expression.  The subgradient is a copy of one of the
+    nine from ``_subgradient_table``, picked by the sign classes of w1 + w2
+    and w1 - w2.  A NaN falls in the class of a zero, as in ``_sign``.
+    """
+
+    __slots__ = ("_fn", "_table")
+
+    def __init__(self, fn: KinkyFunction, selection: str = "zero"):
+        self._fn = fn
+        self._table = _subgradient_table(fn, selection)
+
+    def value(self, W) -> float:
+        return self._fn.value(W)
+
+    def evaluate(self, W):
+        w1 = float(W[0, 0])
+        w2 = float(W[1, 1])
+        s = w1 + w2
+        d = w1 - w2
+        k = 3 * ((s > 0) - (s < 0)) + (d > 0) - (d < 0) + 4
+        return self._fn.c * abs(s) + abs(d), self._table[k].copy()
 
 
 def _signs(x: np.ndarray) -> np.ndarray:
@@ -115,19 +159,9 @@ class KinkyStack:
         (self.m, self.n), = shapes
         self.size = len(fns)
         self.c = np.array([fn.c for fn in fns])
-        # The subgradient depends on W only through the signs of w1 + w2 and
-        # w1 - w2, so each function has nine.  Take them, and their Frobenius
-        # norms, from the function itself at one W per sign pair.
-        table = {}
-        for fn in set(fns):
-            rows = []
-            for s1 in (-1.0, 0.0, 1.0):
-                for s2 in (-1.0, 0.0, 1.0):
-                    W = np.zeros((self.m, self.n))
-                    W[0, 0], W[1, 1] = s1 + s2, s1 - s2
-                    G = fn.subgradient(W)
-                    rows.append((G[0, 0], G[1, 1], norms.fro(G)))
-            table[fn] = rows
+        # Each function's nine subgradients, with their Frobenius norms.
+        table = {fn: [(G[0, 0], G[1, 1], norms.fro(G)) for G in _subgradient_table(fn)]
+                 for fn in set(fns)}
         g11, g22, fro = np.array([table[fn] for fn in fns]).transpose(2, 0, 1)
         self._g11, self._g22, self._fro = g11.ravel(), g22.ravel(), fro.ravel()
         # Row 3 * (s1 + 1) + (s2 + 1) of member b's nine.
@@ -270,8 +304,10 @@ def cex1_build(beta, schedule, r: float = 1.0, delta: float = 0.0,
         c = (1.0 - beta) / 2.0
     if not c < (1.0 - beta) / (1.0 + beta):
         raise ValueError("need c < (1-beta)/(1+beta)")
-    if r < 1.0:
-        raise ValueError("need r >= 1")
+    if not 1.0 <= r < math.inf:
+        raise ValueError("need a finite r >= 1")
+    if not math.isfinite(delta):
+        raise ValueError("delta must be finite")
     lam = schedule.limit()
     R = compute_R_sequence(schedule, horizon, tail_tol)
     if lam == 0.0:

@@ -75,6 +75,14 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def _finite(value, what: str) -> float:
+    """A finite config number; JSON's NaN and Infinity are refused."""
+    x = _real(value, what)
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return x
+
+
 def build_schedule(spec: dict):
     try:
         kind = spec["kind"]
@@ -82,15 +90,15 @@ def build_schedule(spec: dict):
         raise ConfigError("schedule needs a 'kind' field") from None
     try:
         if kind == "constant":
-            return optim.Constant(_real(spec["lam"], "lam"))
+            return optim.Constant(_finite(spec["lam"], "lam"))
         if kind == "invt":
             return optim.InvT()
         if kind == "invsqrt":
             return optim.InvSqrtT()
         if kind == "table":
-            return optim.Table(tuple(_real(v, "table value") for v in spec["values"]))
+            return optim.Table(tuple(_finite(v, "table value") for v in spec["values"]))
         if kind == "adaptive_nuclear":
-            return optim.AdaptiveNuclear(_real(spec["base"], "base"))
+            return optim.AdaptiveNuclear(_finite(spec["base"], "base"))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad schedule spec: {exc}") from exc
     raise ConfigError(f"unknown schedule kind {kind!r}")
@@ -155,13 +163,13 @@ def _build_init(cfg: dict, schedule):
     if kind == "cex1":
         _, W0, _ = cex.cex1_build(
             cfg["beta"], schedule,
-            r=_real(init.get("r", 1.0), "r"), delta=_real(init.get("delta", 0.0), "delta"),
+            r=_finite(init.get("r", 1.0), "r"), delta=_finite(init.get("delta", 0.0), "delta"),
             c=cfg["c"], m=m, n=n, horizon=cfg["T"],
         )
         return W0
     if kind == "random":
         rng = np.random.default_rng(cfg["seed"])
-        return _real(init.get("scale", 1.0), "scale") * rng.standard_normal((m, n))
+        return _finite(init.get("scale", 1.0), "scale") * rng.standard_normal((m, n))
     if kind == "explicit":
         if "matrix" in init:
             if np.asarray(init["matrix"]).dtype.kind not in "iuf":
@@ -175,8 +183,8 @@ def _build_init(cfg: dict, schedule):
             if not isinstance(diag, (list, tuple)) or len(diag) != 2:
                 raise ConfigError(f"diag must be a list of two numbers, got {diag!r}")
             W0 = np.zeros((m, n))
-            W0[0, 0] = _real(diag[0], "diag entry")
-            W0[1, 1] = _real(diag[1], "diag entry")
+            W0[0, 0] = _finite(diag[0], "diag entry")
+            W0[1, 1] = _finite(diag[1], "diag entry")
             return W0
         raise ConfigError("explicit init needs 'matrix' or 'diag'")
     raise ConfigError(f"unknown init kind {kind!r}")
@@ -219,11 +227,11 @@ def run_experiment(raw_config: dict):
     state = optim.OptimizerState(W=W0, beta=cfg["beta"], schedule=schedule, polar=polar)
     trace = optim.run(cfg["method"], fn.oracle(), state, cfg["T"],
                       track_average=cfg["track_average"])
-    bound = np.full(len(trace), np.nan)
     if "bound" in cfg:
         b = cfg["bound"]
-        for t in range(len(trace)):
-            bound[t] = optim.efm_bound(t, b["delta"], cfg["beta"], b["sigma"], b["dist0"])
+        bound = optim.efm_bound_column(cfg["T"], b["delta"], cfg["beta"], b["sigma"], b["dist0"])
+    else:
+        bound = np.full(len(trace), np.nan)
     return trace, bound, cfg
 
 

@@ -16,6 +16,10 @@ SVD_TRUNCATION_RTOL = 1e-12
 NEWTON_SCHULZ_DEFAULT_ITERS = 12
 NEWTON_SCHULZ_GROWTH_LIMIT = 10.0
 
+# Native float64.  ``A.dtype is _FLOAT64`` is the hot paths' cheap test for
+# it; a byte-swapped float64 array fails it and takes the general path.
+_FLOAT64 = np.dtype(float)
+
 
 class NumericalError(RuntimeError):
     """An iterative kernel failed to converge or diverged."""

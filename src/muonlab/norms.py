@@ -173,6 +173,8 @@ def inner(a, b) -> float:
 
 
 def fro(a) -> float:
+    if type(a) is np.ndarray and a.dtype is linalg._FLOAT64:
+        return linalg._fro(a)  # what linalg.norm(a, "fro") returns, without its dispatch
     if isinstance(a, ParamPoint):
         return a.fro()
     return linalg.norm(a, "fro")

@@ -28,8 +28,8 @@ class Constant:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("stepsize must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("stepsize must be positive and finite")
 
     def value(self, t: int, momentum=None) -> float:
         return self.lam
@@ -71,8 +71,8 @@ class Table:
         object.__setattr__(self, "values", vals)
         if len(vals) < 1:
             raise ValueError("Table needs at least one stepsize")
-        if any(not v > 0 for v in vals):
-            raise ValueError("stepsize must be positive")
+        if any(not 0 < v < math.inf for v in vals):
+            raise ValueError("stepsize must be positive and finite")
 
     def value(self, t: int, momentum=None) -> float:
         return self.values[min(t, len(self.values) - 1)]
@@ -88,8 +88,8 @@ class AdaptiveNuclear:
     base: float
 
     def __post_init__(self):
-        if not self.base > 0:
-            raise ValueError("base stepsize must be positive")
+        if not 0 < self.base < math.inf:
+            raise ValueError("base stepsize must be positive and finite")
 
     def value(self, t: int, momentum=None) -> float:
         if momentum is None:
@@ -188,12 +188,11 @@ class OptimizerState:
 def _advance(state: OptimizerState, **fields) -> "OptimizerState":
     # Hot path: clone without re-running __post_init__ validation.
     new = OptimizerState.__new__(OptimizerState)
-    new.__dict__.update(state.__dict__)
-    new.__dict__.update(fields)
+    new.__dict__ = {**state.__dict__, **fields}
     return new
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepInfo:
     value: float
     grad: object
@@ -333,6 +332,8 @@ STEP_FUNCTIONS = {
 
 def _readout(W):
     """First two diagonal entries (matrix), first two entries (vector)."""
+    if type(W) is np.ndarray and W.ndim == 2 and W.dtype is linalg._FLOAT64:
+        return float(W[0, 0]), float(W[1, 1]) if min(W.shape) > 1 else 0.0
     if isinstance(W, norms.ParamPoint):
         W = W.matrices[0]
     W = np.asarray(W, float)
@@ -547,6 +548,23 @@ def _check_bound_domain(delta, beta, sigma, dist0):
         raise ValueError("dist0 must be finite and nonnegative")
 
 
+def _bound_coeff(delta: float, beta: float) -> float:
+    return 2.0 * math.sqrt(1.0 - delta) / delta + beta / (1.0 - beta) + 0.5
+
+
+def _bound_factors(delta, beta, sigma, dist0) -> tuple:
+    """(dist0^2, sigma^2 coeff), the T-free factors of ``efm_bound``."""
+    _check_bound_domain(delta, beta, sigma, dist0)
+    return dist0**2, sigma**2 * _bound_coeff(delta, beta)
+
+
+def _bound_at(T: int, dist0_sq: float, noise: float) -> float:
+    # ((sigma^2 coeff) (1 + log(T+1))) / sqrt(T+1): this association gives
+    # the values the efm-appendixE preset digest was recorded with.
+    root = math.sqrt(T + 1.0)
+    return dist0_sq / (2.0 * root) + noise * (1.0 + math.log(T + 1.0)) / root
+
+
 def efm_bound(T: int, delta: float, beta: float, sigma: float, dist0: float) -> float:
     """Averaged-iterate suboptimality bound for EF-M with lambda_t = 1/sqrt(t+1).
 
@@ -555,10 +573,17 @@ def efm_bound(T: int, delta: float, beta: float, sigma: float, dist0: float) -> 
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
-    _check_bound_domain(delta, beta, sigma, dist0)
-    coeff = 2.0 * math.sqrt(1.0 - delta) / delta + beta / (1.0 - beta) + 0.5
-    root = math.sqrt(T + 1.0)
-    return dist0**2 / (2.0 * root) + sigma**2 * coeff * (1.0 + math.log(T + 1.0)) / root
+    return _bound_at(T, *_bound_factors(delta, beta, sigma, dist0))
+
+
+def efm_bound_column(T: int, delta: float, beta: float, sigma: float,
+                     dist0: float) -> np.ndarray:
+    """``[efm_bound(t, delta, beta, sigma, dist0) for t in range(T + 1)]``,
+    bit for bit, with the domain check and the T-free factors done once."""
+    if T < 0:
+        raise ValueError("T must be nonnegative")
+    dist0_sq, noise = _bound_factors(delta, beta, sigma, dist0)
+    return np.array([_bound_at(t, dist0_sq, noise) for t in range(T + 1)])
 
 
 def efm_bound_schedule(lams, delta: float, beta: float, sigma: float, dist0: float) -> float:
@@ -571,9 +596,10 @@ def efm_bound_schedule(lams, delta: float, beta: float, sigma: float, dist0: flo
     lams = np.asarray(lams, float)
     if lams.ndim != 1 or lams.size < 1:
         raise ValueError("lams must be a nonempty 1-d sequence")
-    if np.any(lams <= 0):
-        raise ValueError("stepsize must be positive")
-    coeff = 2.0 * math.sqrt(1.0 - delta) / delta + beta / (1.0 - beta) + 0.5
+    # NaN fails both comparisons.
+    if not np.all((lams > 0) & (lams < math.inf)):
+        raise ValueError("stepsizes must be finite and positive")
+    coeff = _bound_coeff(delta, beta)
     T1 = lams.size
     tail = lams[-1] * T1
     return dist0**2 / (2.0 * tail) + sigma**2 * coeff * float(np.sum(lams**2)) / tail

@@ -80,6 +80,50 @@ class TestKinkyFunction:
         assert cex.lipschitz_bound(1 - 1e-12) <= 2.0
 
 
+def _bits(x) -> bytes:
+    return np.asarray(x, float).tobytes()
+
+
+# Diagonals on both kinks, at signed zeros and with non-finite entries.
+ORACLE_DIAGONALS = [
+    (0.7, 0.7), (0.7, -0.7), (-1.25, 1.25), (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0),
+    (-0.0, -0.0), (np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan), (np.inf, np.inf),
+    (np.inf, -np.inf), (-np.inf, 2.0), (0.5, np.inf), (np.inf, np.nan),
+    (0.3, -0.9), (-2.0, -0.5), (1e-300, -1e-300),
+]
+
+
+class TestKinkyOracle:
+    @pytest.mark.parametrize("selection", ["zero", "plus", "minus"])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2)])
+    def test_equals_function_bit_for_bit(self, selection, shape):
+        rng = np.random.default_rng(24)
+        fn = cex.KinkyFunction(c=0.35, m=shape[0], n=shape[1])
+        oracle = fn.oracle(selection)
+        for w1, w2 in ORACLE_DIAGONALS:
+            W = rng.standard_normal(shape)  # off-diagonal entries are ignored
+            W[0, 0], W[1, 1] = w1, w2
+            value, G = oracle.evaluate(W)
+            ref = fn.subgradient(W, selection)
+            assert type(value) is float
+            assert _bits(value) == _bits(fn.value(W)) == _bits(oracle.value(W))
+            assert G.shape == ref.shape and G.dtype == ref.dtype
+            assert G.tobytes() == ref.tobytes(), (w1, w2)
+
+    def test_returned_subgradient_is_a_copy(self):
+        fn = cex.KinkyFunction(c=0.3)
+        oracle = fn.oracle()
+        W = np.diag([0.4, -1.0])
+        _, G = oracle.evaluate(W)
+        G[:] = 99.0
+        _, again = oracle.evaluate(W)
+        np.testing.assert_array_equal(again, fn.subgradient(W))
+
+    def test_unknown_selection(self):
+        with pytest.raises(ValueError, match="kink selection"):
+            cex.KinkyFunction(c=0.3).oracle("bogus")
+
+
 class TestKinkyStack:
     def test_members_match_function(self):
         rng = np.random.default_rng(21)
@@ -158,6 +202,18 @@ class TestCex1:
             cex.cex1_build(0.5, optim.Constant(0.2), r=0.5)
         with pytest.raises(ValueError):
             cex.cex1_build(0.5, optim.Constant(0.2), c=0.4)  # >= (1-b)/(1+b)
+
+    @pytest.mark.parametrize("kw, match", [
+        ({"r": math.inf}, "finite r"),
+        ({"r": math.nan}, "finite r"),
+        ({"delta": math.nan}, "delta must be finite"),
+        ({"delta": -math.inf}, "delta must be finite"),
+    ])
+    def test_rejects_non_finite_r_and_delta(self, kw, match):
+        # r = inf and delta = nan used to build a start with inf or NaN entries.
+        for schedule in (optim.Constant(0.2), optim.InvT()):
+            with pytest.raises(ValueError, match=match):
+                cex.cex1_build(0.5, schedule, **kw)
 
     def test_predicted_iterate(self):
         beta = 0.9

@@ -121,6 +121,22 @@ class TestConfig:
         with pytest.raises(harness.ConfigError, match=match):
             harness.run_experiment(cfg)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, config", [
+        ("lam", lambda v: {"schedule": {"kind": "constant", "lam": v}}),
+        ("base", lambda v: {"schedule": {"kind": "adaptive_nuclear", "base": v}}),
+        ("table value", lambda v: {"schedule": {"kind": "table", "values": [0.5, v]}}),
+        ("r", lambda v: {"init": {"kind": "cex1", "r": v}}),
+        ("delta", lambda v: {"init": {"kind": "cex1", "delta": v}}),
+        ("scale", lambda v: {"init": {"kind": "random", "scale": v}}),
+        ("diag entry", lambda v: {"init": {"kind": "explicit", "diag": [v, 0.5]}}),
+        ("diag entry", lambda v: {"init": {"kind": "explicit", "diag": [0.5, v]}}),
+    ], ids=["lam", "base", "table", "r", "delta", "scale", "diag0", "diag1"])
+    def test_rejects_non_finite_numbers(self, field, config, value):
+        # JSON's NaN and Infinity used to run and write NaN or inf rows.
+        with pytest.raises(harness.ConfigError, match=f"{field} must be finite"):
+            harness.run_experiment({**self.BASE, **config(value)})
+
     def test_bound_fields_override_defaults(self):
         cfg = {**harness.PRESETS["efm-appendixE"](), "T": 1,
                "bound": {"delta": 1, "dist0": np.float64(2.5)}}
@@ -192,6 +208,15 @@ class TestRunExperiment:
         assert abs(rcfg["bound"]["sigma"] - sigma) < 1e-15
         d0 = math.hypot(1 + math.log(2), 1 - math.log(2))
         assert abs(rcfg["bound"]["dist0"] - d0) < 1e-12
+
+    def test_bound_column_equals_per_row_bound(self):
+        # The column used to be filled by one efm_bound call per row.
+        trace, bound, rcfg = harness.run_experiment(harness.PRESETS["efm-appendixE"]())
+        b = rcfg["bound"]
+        expected = np.array([optim.efm_bound(t, b["delta"], rcfg["beta"], b["sigma"], b["dist0"])
+                             for t in range(rcfg["T"] + 1)])
+        assert len(bound) == len(trace)
+        assert bound.tobytes() == expected.tobytes()
 
 
 def _per_row_csv(trace, bound):
@@ -380,6 +405,20 @@ class TestCli:
         assert rc == cli.EXIT_CONFIG
         assert f"{flag[2:]} must be finite" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("override", [
+        {"schedule": {"kind": "constant", "lam": math.inf}},
+        {"init": {"kind": "explicit", "diag": [math.nan, 0.5]}},
+        {"init": {"kind": "cex1", "r": math.inf}},
+    ])
+    def test_run_non_finite_number_exits_config_error(self, override, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(override))  # written as JSON NaN / Infinity
+        rc = cli.main(["run", "--preset", "cex1-appendixE", "--config", str(cfg),
+                       "--out", str(tmp_path / "tr.csv")])
+        assert rc == cli.EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "tr.csv").exists()
 
     def test_run_bad_config_values(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

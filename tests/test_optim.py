@@ -37,6 +37,16 @@ class TestSchedules:
         with pytest.raises(ValueError):
             optim.AdaptiveNuclear(0.05).limit()
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_stepsizes(self, value):
+        # Each used to be accepted and ran to a trace of inf or NaN rows.
+        with pytest.raises(ValueError, match="finite"):
+            optim.Constant(value)
+        with pytest.raises(ValueError, match="finite"):
+            optim.Table((0.5, value))
+        with pytest.raises(ValueError, match="finite"):
+            optim.AdaptiveNuclear(value)
+
     def test_adaptive_nuclear(self):
         sch = optim.AdaptiveNuclear(0.1)
         assert abs(sch.value(3, momentum=np.diag([3.0, -4.0])) - 0.7) < 1e-15
@@ -448,6 +458,25 @@ class TestBound:
             optim.efm_bound(10, **kw)
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             optim.efm_bound_schedule([1.0, 0.5], **kw)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_schedule_form_rejects_non_finite_stepsizes(self, bad):
+        # Both used to come out as a nan bound.
+        with pytest.raises(ValueError, match="finite and positive"):
+            optim.efm_bound_schedule([1.0, bad], 0.5, 0.5, 1.0, 1.0)
+
+    @pytest.mark.parametrize("T", [0, 1, 5000])
+    def test_column_equals_per_row_bound(self, T):
+        args = (0.5, 0.9, 2.0 ** 0.5 * 1.1, 1.7)
+        column = optim.efm_bound_column(T, *args)
+        expected = np.array([optim.efm_bound(t, *args) for t in range(T + 1)])
+        assert column.shape == (T + 1,) and column.tobytes() == expected.tobytes()
+
+    def test_column_domain(self):
+        with pytest.raises(ValueError, match="T must be nonnegative"):
+            optim.efm_bound_column(-1, 0.5, 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            optim.efm_bound_column(3, 0.5, 0.5, math.nan, 1.0)
 
     def test_schedule_form_dominated_by_special_case(self):
         # with lam_t = 1/sqrt(t+1), sum lam^2 <= 1 + log(T+1)
