@@ -14,14 +14,19 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
   ``verify cex2``), and ``efmuon`` with ``InvSqrtT`` and the running average;
 - one ``evaluate`` of that function's oracle, in microseconds per call;
 - ``muonlab run`` for each preset, CSV and sidecar written, in microseconds
-  per step.
+  per step;
+- ``norms.lmo_min`` and ``norms.compress`` for each spec of the ``verify``
+  suites (vectors of length ``KERNEL_D``, ``KERNEL_MN`` matrices, the suites'
+  product spec), in microseconds per call over ``KERNEL_B`` members, and
+  their ``*_stack`` forms on those ``KERNEL_B`` members as one stack, in
+  microseconds per member (left out where the library has no stack form).
 
 Each run is stored under ``--label`` in the output file, beside the runs
 already there, so that running the script on two checkouts records a
 before/after pair on the same machine::
 
-    PYTHONPATH=/path/to/parent/src python3 benchmarks/bench.py --label parent --out BENCH_6.json
-    PYTHONPATH=src python3 benchmarks/bench.py --label change --out BENCH_6.json
+    PYTHONPATH=/path/to/parent/src python3 benchmarks/bench.py --label parent --out BENCH_7.json
+    PYTHONPATH=src python3 benchmarks/bench.py --label change --out BENCH_7.json
 
 BLAS is held at one thread, as in ``perfbench``.
 """
@@ -44,6 +49,10 @@ REPEATS = 5
 # Steps per optim.run timing, and oracle calls per evaluate timing.
 STEP_T = 2000
 ORACLE_CALLS = 10_000
+# Members per norm-kernel timing, vector length and matrix shape.
+KERNEL_B = 100
+KERNEL_D = 10
+KERNEL_MN = (4, 4)
 
 
 def _timed(fn) -> dict:
@@ -84,6 +93,34 @@ def _step_timings() -> dict:
         for _ in range(ORACLE_CALLS):
             oracle.evaluate(W)
     timings["oracle.evaluate"] = _per_unit(_timed(evaluate), "us_per_call", ORACLE_CALLS)
+    return timings
+
+
+def _kernel_timings() -> dict:
+    import numpy as np
+    from muonlab import harness, norms
+
+    rng = np.random.default_rng(0)
+    timings = {}
+    for spec in harness._basic_specs() + [harness._product_spec()]:
+        if isinstance(spec, norms.ProductNormSpec):
+            stack = ([rng.standard_normal((KERNEL_B, *dims)) for dims in spec.layer_dims],
+                     rng.standard_normal((KERNEL_B, spec.k)))
+            members = [norms.ParamPoint([M[b] for M in stack[0]], stack[1][b])
+                       for b in range(KERNEL_B)]
+        else:
+            shape = KERNEL_MN if isinstance(spec, (norms.OperatorNorm, norms.NuclearNorm)) \
+                else (KERNEL_D,)
+            stack = rng.standard_normal((KERNEL_B, *shape))
+            members = list(stack)
+        for fname in ("lmo_min", "compress"):
+            fn = getattr(norms, fname)
+            timings[f"{fname}[{spec!r}]"] = _per_unit(_timed(
+                lambda: [fn(W, spec) for W in members]), "us_per_call", KERNEL_B)
+            stacked = getattr(norms, f"{fname}_stack", None)
+            if stacked is not None:
+                timings[f"{fname}_stack[{spec!r}]"] = _per_unit(_timed(
+                    lambda: stacked(stack, spec)), "us_per_member", KERNEL_B)
     return timings
 
 
@@ -138,7 +175,7 @@ def measure() -> dict:
         timings[f"verify[{suite}]"] = _timed(verify)
     return {"source": _source(muonlab), "machine": _machine(),
             "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "timings": {**timings, **_step_timings()}}
+            "timings": {**timings, **_step_timings(), **_kernel_timings()}}
 
 
 def main(argv=None) -> int:
@@ -159,7 +196,8 @@ def main(argv=None) -> int:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for name, t in record["runs"][args.label]["timings"].items():
-        per = next((f"  {t[k]:8.2f} {k}" for k in ("us_per_step", "us_per_call") if k in t), "")
+        per = next((f"  {t[k]:8.2f} {k}" for k in ("us_per_step", "us_per_call", "us_per_member")
+                    if k in t), "")
         print(f"{name:34s} {t['median_ms']:10.2f} ms{per}")
     return 0
 

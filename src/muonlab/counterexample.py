@@ -194,11 +194,6 @@ def lipschitz_bound(c: float) -> float:
 # The oscillation radius R_t of the first construction
 
 
-def _check_nonincreasing(lams: np.ndarray):
-    if np.any(np.diff(lams) > 1e-15):
-        raise ValueError("schedule must be nonincreasing")
-
-
 def _euler_tail(terms: np.ndarray) -> float:
     """Sum of sum_j (-1)^j terms[j] by repeated averaging of partial sums.
 
@@ -228,7 +223,7 @@ def compute_R(schedule, t: int, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
     for head in _HEAD_SIZES:
         n = head + _EULER_LEVELS + 1
         lams = np.array([schedule.value(t + s) for s in range(n)])
-        _check_nonincreasing(lams)
+        optim._check_nonincreasing(lams)
         terms = lams - lam
         if np.any(terms < -1e-15):
             raise ValueError("schedule values fall below the declared limit")

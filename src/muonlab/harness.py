@@ -347,28 +347,59 @@ def suite_reduction(trials: int = 50, steps: int = 100) -> list:
                         worst <= 1e-12, worst, 1e-12)]
 
 
-def _spec_samples(rng, spec, trials):
+def _spec_draws(rng, spec, trials: int) -> list:
+    """The suites' ``trials`` random arguments for ``spec``, grouped by shape.
+
+    Returns (indices, stack) pairs, ``indices`` giving each member's trial.
+    The draws come from ``rng`` in trial order: a vector length or matrix
+    shape, then its entries; a product point's layers and theta come from
+    one ``standard_normal`` call, the same stream as one call per block.
+    """
+    if isinstance(spec, norms.ProductNormSpec):
+        ends = np.cumsum([m * n for m, n in spec.layer_dims])
+        Z = rng.standard_normal((trials, int(ends[-1]) + spec.k))
+        mats = [Z[:, end - m * n:end].reshape(trials, m, n)
+                for end, (m, n) in zip(ends, spec.layer_dims)]
+        return [(np.arange(trials), (mats, Z[:, ends[-1]:]))]
+    draws = []
     for _ in range(trials):
         if isinstance(spec, (norms.L1, norms.L2, norms.Linf, norms.Lp)):
-            d = int(rng.integers(2, 21))
-            yield rng.standard_normal(d), d
-        elif isinstance(spec, (norms.OperatorNorm, norms.NuclearNorm)):
-            m, n = rng.integers(2, 8, 2)
-            yield rng.standard_normal((m, n)), (int(m), int(n))
+            draws.append(rng.standard_normal(int(rng.integers(2, 21))))
         else:
-            yield ParamPointSampler(rng, spec)(), None
+            draws.append(rng.standard_normal(rng.integers(2, 8, 2)))
+    groups = {}
+    for i, W in enumerate(draws):
+        groups.setdefault(W.shape, []).append(i)
+    return [(np.array(idx), np.stack([draws[i] for i in idx])) for idx in groups.values()]
 
 
-class ParamPointSampler:
-    def __init__(self, rng, spec):
-        self.rng = rng
-        self.spec = spec
+def _inner_rows(A, B) -> np.ndarray:
+    """``norms.inner`` of each pair of members of two stacks, bit for bit."""
+    if isinstance(A, tuple):
+        (mats_a, theta_a), (mats_b, theta_b) = A, B
+        total = None
+        for X, Y in zip(mats_a, mats_b):
+            term = _inner_rows(X, Y)
+            total = term if total is None else total + term
+        return total + np.vecdot(theta_a, theta_b)
+    return (A * B).reshape(len(A), -1).sum(axis=1)
 
-    def __call__(self):
-        return norms.ParamPoint(
-            [self.rng.standard_normal(dims) for dims in self.spec.layer_dims],
-            self.rng.standard_normal(self.spec.k),
-        )
+
+def _fro_rows(A) -> np.ndarray:
+    """``norms.fro`` of each member of a stack, bit for bit."""
+    if isinstance(A, tuple):
+        return np.sqrt(_inner_rows(A, A))  # ParamPoint.fro
+    flat = A.reshape(len(A), -1)
+    return np.sqrt(np.vecdot(flat, flat))  # linalg._fro, row by row
+
+
+def _worst(start: float, trials: int, parts) -> float:
+    """``max`` over ``start`` and the per-member values of ``parts``, a list of
+    (indices, values) pairs, taken in trial order as the per-trial loop did."""
+    values = np.empty(trials)
+    for idx, v in parts:
+        values[idx] = v
+    return max([start, *values.tolist()])
 
 
 def _basic_specs():
@@ -384,24 +415,26 @@ def suite_compressor(trials: int = 1000) -> list:
     rng = np.random.default_rng(13)
     results = []
     for spec in _basic_specs():
-        worst = -np.inf
-        for W, dims in _spec_samples(rng, spec, trials):
-            delta = norms.compressor_constants(spec, dims).delta
-            C = norms.compress(W, spec)
-            lhs = norms.fro(W - C) ** 2
-            rhs = (1.0 - delta) * norms.fro(W) ** 2
-            worst = max(worst, lhs - rhs)
+        parts = []
+        for idx, W in _spec_draws(rng, spec, trials):
+            dims = W.shape[1] if W.ndim == 2 else W.shape[1:]
+            shrink = 1.0 - norms.compressor_constants(spec, dims).delta
+            lhs = _fro_rows(W - norms.compress_stack(W, spec)).tolist()
+            parts.append((idx, [a**2 - shrink * b**2
+                                for a, b in zip(lhs, _fro_rows(W).tolist())]))
+        worst = _worst(-np.inf, trials, parts)
         results.append(CheckResult(
             f"compression contraction [{type(spec).__name__}]",
             worst <= 1e-8, worst, 1e-8))
     spec = _product_spec()
-    alpha = min(1.0, 1.0 / math.sqrt(spec.s * spec.num_layers))
-    worst = -np.inf
-    for W, _ in _spec_samples(rng, spec, trials):
-        C = norms.compress(W, spec)
-        lhs = norms.fro(W - C) ** 2
-        rhs = norms.fro(W) ** 2 - alpha**2 * norms.dual_norm(W, spec) ** 2
-        worst = max(worst, lhs - rhs)
+    alpha_sq = norms.compressor_constants(spec).alpha ** 2
+    parts = []
+    for idx, W in _spec_draws(rng, spec, trials):
+        (mats, theta), (C, c) = W, norms.compress_stack(W, spec)
+        lhs = _fro_rows(([M - D for M, D in zip(mats, C)], theta - c)).tolist()
+        rhs = zip(_fro_rows(W).tolist(), norms.dual_norm_stack(W, spec).tolist())
+        parts.append((idx, [a**2 - (b**2 - alpha_sq * c**2) for a, (b, c) in zip(lhs, rhs)]))
+    worst = _worst(-np.inf, trials, parts)
     results.append(CheckResult(
         "compression contraction [Product, proof-line]",
         worst <= 1e-8, worst, 1e-8))
@@ -428,13 +461,13 @@ def suite_lmo(trials: int = 1000) -> list:
     rng = np.random.default_rng(17)
     results = []
     for spec in _basic_specs() + [_product_spec()]:
-        worst_pair = 0.0
-        worst_primal = 0.0
-        for W, _ in _spec_samples(rng, spec, trials):
-            X = norms.lmo_min(W, spec)
-            dn = norms.dual_norm(W, spec)
-            worst_pair = max(worst_pair, abs(norms.inner(W, X) - dn))
-            worst_primal = max(worst_primal, norms.primal_norm(X, spec))
+        pair, primal = [], []
+        for idx, W in _spec_draws(rng, spec, trials):
+            X = norms.lmo_min_stack(W, spec)
+            pair.append((idx, np.abs(_inner_rows(W, X) - norms.dual_norm_stack(W, spec))))
+            primal.append((idx, norms.primal_norm_stack(X, spec)))
+        worst_pair = _worst(0.0, trials, pair)
+        worst_primal = _worst(0.0, trials, primal)
         results.append(CheckResult(
             f"lmo pairing equals dual norm [{type(spec).__name__}]",
             worst_pair <= 1e-8, worst_pair, 1e-8))

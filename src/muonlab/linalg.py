@@ -89,10 +89,18 @@ def reduced_svd(A, tol: float = SVD_TRUNCATION_RTOL) -> SvdFactors:
     A = as_matrix(A)
     if tol <= 0:
         raise ValueError("tol must be positive")
+    return _truncated(*_svd(A), tol)
+
+
+def _svd(A: np.ndarray) -> tuple:
+    """``np.linalg.svd(A, full_matrices=False)`` of a finite matrix or stack."""
     try:
-        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        return np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
+
+
+def _truncated(U: np.ndarray, s: np.ndarray, Vt: np.ndarray, tol: float) -> SvdFactors:
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
@@ -143,6 +151,8 @@ def _as_stack(a) -> np.ndarray:
     A = np.asarray(a, dtype=float)
     if A.ndim != 3:
         raise ValueError(f"expected a (B, m, n) stack, got shape {A.shape}")
+    if A.shape[1] < 1 or A.shape[2] < 1:
+        raise ValueError("matrix dimensions must be positive")
     return A
 
 
@@ -158,30 +168,98 @@ def _stack_is_diagonal(A: np.ndarray) -> bool:
     return np.count_nonzero(A) == np.count_nonzero(A.diagonal(axis1=1, axis2=2))
 
 
-def polar_exact_stack(A) -> np.ndarray:
-    """``polar_exact`` of each member of a (B, m, n) stack, bit for bit.
+def _split(A: np.ndarray, fast: np.ndarray) -> tuple:
+    """The members off the fast path, as two index arrays: those that share
+    one stacked SVD, whose factors are the per-matrix ones bit for bit, and
+    those that go through the per-matrix function.  The first are the finite
+    ones when there are two or more; the second, the rest: a lone finite
+    member, and the non-finite ones, for which the function raises.
+    """
+    todo = np.flatnonzero(~fast)
+    finite = np.isfinite(A[todo]).all(axis=(1, 2))
+    if np.count_nonzero(finite) < 2:
+        return todo[:0], todo
+    return todo[finite], todo[~finite]
 
-    Finite diagonal members take the fast path ``sign``; every other member
-    goes through ``polar_exact`` itself, so non-finite entries raise the
-    same error and non-diagonal members get the same SVD.
+
+def _polar_stack(A: np.ndarray, nuclear: np.ndarray | None) -> np.ndarray:
+    """The polar factor of each member (and, into ``nuclear``, its nuclear
+    norm), bit for bit as ``polar_exact`` (``polar_and_nuclear``) gives it.
+
+    Finite diagonal members take the fast path ``sign``; see ``_split`` for
+    the others.  A stack of one goes through the per-matrix function.
+    """
+    if len(A) == 1:
+        if nuclear is None:
+            return polar_exact(A[0])[None]
+        X, nuclear[0] = polar_and_nuclear(A[0])
+        return X[None]
+    X = np.sign(A)
+    if _all_finite(A) and _stack_is_diagonal(A):
+        return X
+    svd, rest = _split(A, np.isfinite(A).all(axis=(1, 2)) & _diagonal_members(A))
+    if svd.size:
+        U, s, Vt = _svd(A[svd])
+        full = np.all(s > SVD_TRUNCATION_RTOL * s[:, :1], axis=1)
+        X[svd[full]] = U[full] @ Vt[full]
+        for j in np.flatnonzero(~full):
+            f = _truncated(U[j], s[j], Vt[j], SVD_TRUNCATION_RTOL)
+            X[svd[j]] = _polar_of(f, A[svd[j]])
+        if nuclear is not None:
+            nuclear[svd] = s.sum(axis=1)
+    for b in rest:
+        if nuclear is None:
+            X[b] = polar_exact(A[b])
+        else:
+            X[b], nuclear[b] = polar_and_nuclear(A[b])
+    return X
+
+
+def polar_exact_stack(A) -> np.ndarray:
+    """``polar_exact`` of each member of a (B, m, n) stack, bit for bit."""
+    return _polar_stack(_as_stack(A), None)
+
+
+def polar_and_nuclear_stack(A) -> tuple:
+    """``polar_and_nuclear`` of each member of a (B, m, n) stack, bit for bit,
+    as a (B, m, n) stack of polar factors and a (B,) array of nuclear norms."""
+    A = _as_stack(A)
+    nuclear = np.abs(A.diagonal(axis1=1, axis2=2)).sum(axis=1)
+    return _polar_stack(A, nuclear), nuclear
+
+
+def _norm_stack(A, kind: str) -> np.ndarray:
+    """``norm(A[b], kind)`` of each member, for kind "op" or "nuc".
+
+    Diagonal members take ``norm``'s fast path; see ``_split`` for the
+    others.  The stacked SVD computes singular values alone
+    (``compute_uv=False``), as ``norm`` does.  A stack of one goes through
+    ``norm``.
     """
     A = _as_stack(A)
-    X = np.sign(A)
-    if not (_all_finite(A) and _stack_is_diagonal(A)):
-        fast = np.isfinite(A).all(axis=(1, 2)) & _diagonal_members(A)
-        for b in np.flatnonzero(~fast):
-            X[b] = polar_exact(A[b])
-    return X
+    if len(A) == 1:
+        return np.array([norm(A[0], kind)])
+    d = np.abs(A.diagonal(axis1=1, axis2=2))
+    out = d.max(axis=1) if kind == "op" else d.sum(axis=1)
+    if _stack_is_diagonal(A):
+        return out
+    svd, rest = _split(A, _diagonal_members(A))
+    if svd.size:
+        s = np.linalg.svd(A[svd], compute_uv=False)
+        out[svd] = s[:, 0] if kind == "op" else s.sum(axis=1)
+    for b in rest:
+        out[b] = norm(A[b], kind)
+    return out
+
+
+def op_norm_stack(A) -> np.ndarray:
+    """``norm(A[b], "op")`` of each member of a (B, m, n) stack, bit for bit."""
+    return _norm_stack(A, "op")
 
 
 def nuclear_norm_stack(A) -> np.ndarray:
     """``norm(A[b], "nuc")`` of each member of a (B, m, n) stack, bit for bit."""
-    A = _as_stack(A)
-    out = np.abs(A.diagonal(axis1=1, axis2=2)).sum(axis=1)
-    if not _stack_is_diagonal(A):
-        for b in np.flatnonzero(~_diagonal_members(A)):
-            out[b] = norm(A[b], "nuc")
-    return out
+    return _norm_stack(A, "nuc")
 
 
 def polar_newton_schulz(A, iters: int = NEWTON_SCHULZ_DEFAULT_ITERS) -> np.ndarray:
@@ -217,7 +295,8 @@ def norm(A, kind: str, p: float | None = None) -> float:
     """Scalar norms used across the package.
 
     kind is one of "fro", "op", "nuc" (matrices) or "l1", "l2", "linf",
-    "lp" (vectors, or single-row/column matrices).  "lp" needs p >= 1.
+    "lp" (vectors, or single-row/column matrices).  "lp" needs a finite
+    p >= 1; "linf" is the p = inf norm.
     """
     arr = np.asarray(A, dtype=float)
     if kind == "fro":
@@ -238,7 +317,7 @@ def norm(A, kind: str, p: float | None = None) -> float:
     if kind == "linf":
         return float(np.abs(v).max()) if v.size else 0.0
     if kind == "lp":
-        if p is None or p < 1:
-            raise ValueError("lp norm requires p >= 1")
+        if p is None or not 1 <= p < math.inf:
+            raise ValueError(f"lp norm requires a finite p >= 1, got {p!r}")
         return float((np.abs(v) ** p).sum() ** (1.0 / p))
     raise ValueError(f"unknown norm kind {kind!r}")

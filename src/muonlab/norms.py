@@ -6,14 +6,15 @@ A norm spec is a small frozen dataclass; the public entry points
 ``primal_norm``, ``dual_norm``, ``lmo_min``, ``compressor_constants`` and
 ``compress`` dispatch on its type.  Vector specs (L1/L2/Linf/Lp) act on 1-d
 arrays, matrix specs (Operator/Nuclear) on 2-d arrays, and the product spec
-on :class:`ParamPoint`.
+on :class:`ParamPoint`.  The ``*_stack`` forms evaluate a stack of such
+arguments at once; the per-call functions are their B = 1 case.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +49,8 @@ class Lp:
     p: float
 
     def __post_init__(self):
-        if not self.p >= 1:
-            raise ValueError("Lp requires p >= 1")
+        if not 1 <= self.p < math.inf:
+            raise ValueError(f"Lp requires a finite p >= 1 (Linf is p = inf), got {self.p!r}")
 
 
 @dataclass(frozen=True)
@@ -81,10 +82,14 @@ class ProductNormSpec:
             raise ValueError("at least one layer required")
         if any(m < 1 or n < 1 for m, n in dims):
             raise ValueError("layer dimensions must be positive")
-        if not self.s > 0:
-            raise ValueError("scale s must be positive")
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
+        if (isinstance(self.s, bool) or not isinstance(self.s, numbers.Real)
+                or not 0 < self.s < math.inf):
+            raise ValueError(f"scale s must be positive and finite, got {self.s!r}")
+        if (isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral)
+                or self.k < 1):
+            raise ValueError(f"k must be a positive integer, got {self.k!r}")
+        object.__setattr__(self, "s", float(self.s))
+        object.__setattr__(self, "k", int(self.k))
 
     @property
     def num_layers(self) -> int:
@@ -155,13 +160,10 @@ class CompressorConstants:
     """Frobenius-equivalence constant alpha and compression quality delta.
 
     delta = alpha^2 / beta^2 for alpha ||W||_F <= ||W|| <= beta ||W||_F.
-    ``empirical_beta`` is set only for the product norm, where beta has no
-    closed form in the source material and is estimated numerically.
     """
 
     alpha: float
     delta: float
-    empirical_beta: float | None = None
 
 
 def inner(a, b) -> float:
@@ -200,110 +202,286 @@ def _require_product_point(W, spec: ProductNormSpec) -> ParamPoint:
     return W
 
 
-def _product_y(W: ParamPoint, spec: ProductNormSpec) -> float:
-    return sum(
-        linalg.norm(M, "nuc") / math.sqrt(d) for M, d in zip(W.matrices, spec.d)
-    )
+# ---------------------------------------------------------------------------
+# Stacks.  Every spec's kernels act on a stack of B members:
+#
+#   L1, L2, Linf, Lp       a (B, d) array of vectors;
+#   Operator, Nuclear      a (B, m, n) array of matrices;
+#   ProductNormSpec        a pair (matrices, theta) of per-layer
+#                          (B, m_l, n_l) stacks and a (B, k) theta.
+#
+# Each member's result equals the per-call function's on that member bit for
+# bit; the per-call functions are the B = 1 case.  Where the per-call form
+# used Python float arithmetic (``x ** 2`` is libm's pow, which is not
+# always numpy's x * x), the stacks keep it per member.
+
+_VECTOR_SPECS = (L1, L2, Linf, Lp)
+_MATRIX_SPECS = (OperatorNorm, NuclearNorm)
+
+
+def _stack(W, spec):
+    """Validate and coerce a stack for ``spec``."""
+    if isinstance(spec, _VECTOR_SPECS):
+        V = np.asarray(W, dtype=float)
+        if V.ndim != 2:
+            raise ValueError(f"expected a (B, d) stack of vectors, got shape {V.shape}")
+        return V
+    if isinstance(spec, _MATRIX_SPECS):
+        return linalg._as_stack(W)
+    if isinstance(spec, ProductNormSpec):
+        try:
+            mats, theta = W
+        except (TypeError, ValueError):
+            raise ValueError("a product stack is a (matrices, theta) pair") from None
+        mats = [np.asarray(M, dtype=float) for M in mats]
+        theta = np.asarray(theta, dtype=float)
+        B = theta.shape[0] if theta.ndim == 2 else -1
+        if (theta.shape != (B, spec.k) or len(mats) != spec.num_layers
+                or any(M.shape != (B, *dims) for M, dims in zip(mats, spec.layer_dims))):
+            raise ValueError("stack shapes do not match the product spec")
+        # ParamPoint's checks and messages.
+        if not all(linalg._all_finite(M) for M in mats):
+            raise ValueError("matrix entries must be finite")
+        if not linalg._all_finite(theta):
+            raise ValueError("theta entries must be finite")
+        return mats, theta
+    raise ValueError(f"unknown norm spec {spec!r}")
+
+
+def _one(W, spec):
+    """The B = 1 stack of a per-call argument."""
+    if isinstance(spec, _VECTOR_SPECS):
+        return linalg._as_vector(W)[None]
+    if isinstance(spec, _MATRIX_SPECS):
+        A = np.asarray(W, dtype=float)
+        if A.ndim != 2:
+            raise ValueError(f"expected a 2-d array, got shape {A.shape}")
+        return A[None]
+    if isinstance(spec, ProductNormSpec):
+        W = _require_product_point(W, spec)
+        return [M[None] for M in W.matrices], W.theta[None]
+    raise ValueError(f"unknown norm spec {spec!r}")
+
+
+def _first(X):
+    """Member 0 of a stacked result, in the per-call form."""
+    if isinstance(X, tuple):
+        return ParamPoint([M[0] for M in X[0]], X[1][0])
+    return X[0]
+
+
+def _sq(x: np.ndarray) -> np.ndarray:
+    """``v ** 2`` of each entry as a Python float, i.e. libm's pow."""
+    return np.array([v ** 2 for v in x.tolist()])
+
+
+def _l1_rows(V):
+    return np.abs(V).sum(axis=1)
+
+
+def _l2_rows(V):
+    # linalg._fro of each row: vecdot is ndarray.dot row by row, bit for bit.
+    return np.sqrt(np.vecdot(V, V))
+
+
+def _linf_rows(V):
+    return np.abs(V).max(axis=1) if V.shape[1] else np.zeros(len(V))
+
+
+def _lp_rows(V, p: float):
+    """``linalg.norm(v, "lp", p=p)`` of each row, the outer power per member."""
+    inv = 1.0 / p
+    return np.array([x ** inv for x in (np.abs(V) ** p).sum(axis=1).tolist()])
+
+
+def _lmo_l1_rows(V):
+    # Maximizers live on the coordinates with maximal |w_i|; the least
+    # Euclidean norm element of their convex hull is the centroid.
+    A = np.abs(V)
+    amax = A.max(axis=1) if V.shape[1] else np.zeros(len(V))
+    top = (A >= (amax * (1.0 - TIE_RTOL))[:, None]) & (amax != 0.0)[:, None]
+    X = np.zeros_like(V)
+    np.divide(np.sign(V), np.count_nonzero(top, axis=1)[:, None], out=X, where=top)
+    return X
+
+
+def _lmo_lp_rows(V, p: float, nq: np.ndarray):
+    """The Lp LMO for p > 1, given each row's conjugate norm ``nq``."""
+    nz = (V != 0.0) & (nq != 0.0)[:, None]
+    R = np.zeros_like(V)
+    np.divide(np.abs(V), nq[:, None], out=R, where=nz)
+    return np.where(nz, np.sign(V) * R ** (_conjugate_exponent(p) - 1.0), 0.0)
+
+
+def _nuclear_ball(A: np.ndarray) -> tuple:
+    """(||A_b||_op, lmo over the nuclear ball) of each member, from one
+    stacked SVD of the finite (B, m, n) stack ``A``."""
+    if not linalg._all_finite(A):
+        raise ValueError("matrix entries must be finite")
+    U, s, Vt = linalg._svd(A)
+    # The zero matrix (rank 0 in reduced_svd) maps to 0; others average the
+    # dyads of their top singular values.
+    s0 = s[:, 0]
+    top = (s >= (s0 * (1.0 - TIE_RTOL))[:, None]) & (s0 != 0.0)[:, None]
+    k = np.count_nonzero(top, axis=1)
+    X = np.zeros_like(A)
+    one = k == 1
+    # A single dyad U[:, [0]] @ Vt[[0]] is, per entry, one product added to
+    # the +0.0 the matmul starts from; so is this, -0.0 products included.
+    X[one] = U[one][:, :, :1] * Vt[one][:, :1, :] + 0.0
+    for b in np.flatnonzero(k > 1):
+        idx = np.flatnonzero(top[b])
+        X[b] = (U[b][:, idx] @ Vt[b][idx]) / len(idx)
+    return np.where(s0 == 0.0, 0.0, s0), X
+
+
+def _product_y(nuclear, spec) -> np.ndarray:
+    """sum_l ||W^l||_nuc / sqrt(d_l), added layer by layer."""
+    y = None
+    for nuc, d in zip(nuclear, spec.d):
+        term = nuc / math.sqrt(d)
+        y = term if y is None else y + term
+    return y
+
+
+def _product_dual(y, l1, spec) -> np.ndarray:
+    return np.sqrt(spec.s * _sq(y) + _sq(l1) / spec.k)
+
+
+def _primal(W, spec) -> np.ndarray:
+    if isinstance(spec, L1):
+        return _l1_rows(W)
+    if isinstance(spec, L2):
+        return _l2_rows(W)
+    if isinstance(spec, Linf):
+        return _linf_rows(W)
+    if isinstance(spec, Lp):
+        return _lp_rows(W, spec.p)
+    if isinstance(spec, OperatorNorm):
+        return linalg.op_norm_stack(W)
+    if isinstance(spec, NuclearNorm):
+        return linalg.nuclear_norm_stack(W)
+    mats, theta = W
+    block = None
+    for M, d in zip(mats, spec.d):
+        b = math.sqrt(d / spec.s) * linalg.op_norm_stack(M)
+        block = b if block is None else np.maximum(block, b)
+    return np.sqrt(_sq(block) + spec.k * _sq(_linf_rows(theta)))
+
+
+def _dual(W, spec) -> np.ndarray:
+    if isinstance(spec, L1):
+        return _linf_rows(W)
+    if isinstance(spec, L2):
+        return _l2_rows(W)
+    if isinstance(spec, Linf):
+        return _l1_rows(W)
+    if isinstance(spec, Lp):
+        if spec.p == 1.0:
+            return _linf_rows(W)
+        return _lp_rows(W, _conjugate_exponent(spec.p))
+    if isinstance(spec, OperatorNorm):
+        return linalg.nuclear_norm_stack(W)
+    if isinstance(spec, NuclearNorm):
+        return linalg.op_norm_stack(W)
+    mats, theta = W
+    y = _product_y([linalg.nuclear_norm_stack(M) for M in mats], spec)
+    return _product_dual(y, _l1_rows(theta), spec)
+
+
+def _dual_and_lmo(W, spec) -> tuple:
+    """(dual norm, lmo_min) of each member.  The matrix specs take one SVD
+    per matrix block for both; the vector specs share the Lp norm."""
+    if isinstance(spec, L1) or isinstance(spec, Lp) and spec.p == 1.0:
+        return _linf_rows(W), _lmo_l1_rows(W)
+    if isinstance(spec, L2):
+        n = _l2_rows(W)
+        X = np.zeros_like(W)
+        np.divide(W, n[:, None], out=X, where=(n > 0)[:, None])
+        return n, X
+    if isinstance(spec, Linf):
+        return _l1_rows(W), np.sign(W)
+    if isinstance(spec, Lp):
+        nq = _dual(W, spec)
+        return nq, _lmo_lp_rows(W, spec.p, nq)
+    if isinstance(spec, OperatorNorm):
+        X, nuc = linalg.polar_and_nuclear_stack(W)
+        return nuc, X
+    if isinstance(spec, NuclearNorm):
+        return _nuclear_ball(W)
+    # One SVD per layer gives both ||W^l||_nuc (for the dual norm) and
+    # polar(W^l) (for the LMO).
+    mats, theta = W
+    parts = [linalg.polar_and_nuclear_stack(M) for M in mats]
+    y = _product_y([nuc for _, nuc in parts], spec)
+    l1 = _l1_rows(theta)
+    dn = _product_dual(y, l1, spec)
+    zero = dn == 0.0
+    safe = np.where(zero, 1.0, dn)
+    X = [((spec.s * y) / (math.sqrt(d) * safe))[:, None, None] * P
+         for (P, _), d in zip(parts, spec.d)]
+    th = (l1 / (spec.k * safe))[:, None] * np.sign(theta)
+    return dn, _zeroed((X, th), zero)
+
+
+def _blocks(X) -> list:
+    """The arrays of a stacked result: the product's layers and theta, or X."""
+    return [*X[0], X[1]] if isinstance(X, tuple) else [X]
+
+
+def _zeroed(X, zero: np.ndarray):
+    """``X`` with the members flagged in ``zero`` set to +0.0."""
+    if zero.any():
+        for Y in _blocks(X):
+            Y[zero] = 0.0
+    return X
+
+
+def _dims(W, spec):
+    """The ``dims`` argument of ``compressor_constants`` for a stack."""
+    if isinstance(spec, _VECTOR_SPECS):
+        return W.shape[1]
+    if isinstance(spec, _MATRIX_SPECS):
+        return W.shape[1:]
+    return None
+
+
+def primal_norm_stack(W, spec) -> np.ndarray:
+    """``primal_norm`` of each member of a stack, as a (B,) array."""
+    return _primal(_stack(W, spec), spec)
+
+
+def dual_norm_stack(W, spec) -> np.ndarray:
+    """``dual_norm`` of each member of a stack, as a (B,) array."""
+    return _dual(_stack(W, spec), spec)
+
+
+def lmo_min_stack(W, spec):
+    """``lmo_min`` of each member of a stack, as a stack of the same form."""
+    return _dual_and_lmo(_stack(W, spec), spec)[1]
+
+
+def _compress(W, spec):
+    alpha = compressor_constants(spec, _dims(W, spec)).alpha
+    dn, X = _dual_and_lmo(W, spec)
+    coef = alpha**2 * dn
+    out = [coef.reshape((-1,) + (1,) * (Y.ndim - 1)) * Y for Y in _blocks(X)]
+    return _zeroed((out[:-1], out[-1]) if isinstance(X, tuple) else out[0], dn == 0.0)
+
+
+def compress_stack(W, spec):
+    """``compress`` of each member of a stack, as a stack of the same form."""
+    return _compress(_stack(W, spec), spec)
 
 
 def primal_norm(W, spec) -> float:
     """Evaluate the norm selected by ``spec``."""
-    if isinstance(spec, L1):
-        return linalg.norm(W, "l1")
-    if isinstance(spec, L2):
-        return linalg.norm(W, "l2")
-    if isinstance(spec, Linf):
-        return linalg.norm(W, "linf")
-    if isinstance(spec, Lp):
-        return linalg.norm(W, "lp", p=spec.p)
-    if isinstance(spec, OperatorNorm):
-        return linalg.norm(W, "op")
-    if isinstance(spec, NuclearNorm):
-        return linalg.norm(W, "nuc")
-    if isinstance(spec, ProductNormSpec):
-        W = _require_product_point(W, spec)
-        block_max = max(
-            math.sqrt(d / spec.s) * linalg.norm(M, "op")
-            for M, d in zip(W.matrices, spec.d)
-        )
-        th = linalg.norm(W.theta, "linf") if W.theta.size else 0.0
-        return math.sqrt(block_max**2 + spec.k * th**2)
-    raise ValueError(f"unknown norm spec {spec!r}")
+    return float(_primal(_one(W, spec), spec)[0])
 
 
 def dual_norm(W, spec) -> float:
     """Dual norm max_{||X|| <= 1} <X, W> of the spec's norm."""
-    if isinstance(spec, L1):
-        return linalg.norm(W, "linf")
-    if isinstance(spec, L2):
-        return linalg.norm(W, "l2")
-    if isinstance(spec, Linf):
-        return linalg.norm(W, "l1")
-    if isinstance(spec, Lp):
-        q = _conjugate_exponent(spec.p)
-        if math.isinf(q):
-            return linalg.norm(W, "linf")
-        return linalg.norm(W, "lp", p=q)
-    if isinstance(spec, OperatorNorm):
-        return linalg.norm(W, "nuc")
-    if isinstance(spec, NuclearNorm):
-        return linalg.norm(W, "op")
-    if isinstance(spec, ProductNormSpec):
-        W = _require_product_point(W, spec)
-        y = _product_y(W, spec)
-        l1 = linalg.norm(W.theta, "l1") if W.theta.size else 0.0
-        return math.sqrt(spec.s * y**2 + l1**2 / spec.k)
-    raise ValueError(f"unknown norm spec {spec!r}")
-
-
-def _lmo_l1(w: np.ndarray) -> np.ndarray:
-    # Maximizers live on the coordinates with maximal |w_i|; the least
-    # Euclidean norm element of their convex hull is the centroid.
-    out = np.zeros_like(w)
-    amax = np.abs(w).max() if w.size else 0.0
-    if amax == 0.0:
-        return out
-    idx = np.nonzero(np.abs(w) >= amax * (1.0 - TIE_RTOL))[0]
-    out[idx] = np.sign(w[idx]) / len(idx)
-    return out
-
-
-def _lmo_lp(w: np.ndarray, p: float) -> np.ndarray:
-    if p == 1.0:
-        return _lmo_l1(w)
-    q = _conjugate_exponent(p)
-    nq = linalg.norm(w, "lp", p=q)
-    if nq == 0.0:
-        return np.zeros_like(w)
-    out = np.zeros_like(w)
-    nz = w != 0.0
-    out[nz] = np.sign(w[nz]) * (np.abs(w[nz]) / nq) ** (q - 1.0)
-    return out
-
-
-def _nuclear_ball(W: np.ndarray) -> tuple:
-    # (||W||_op, lmo over the nuclear ball) from one SVD.
-    f = linalg.reduced_svd(W)
-    if f.rank == 0:
-        return 0.0, np.zeros_like(W)
-    top = np.nonzero(f.sigma >= f.sigma[0] * (1.0 - TIE_RTOL))[0]
-    k = len(top)
-    return float(f.sigma[0]), (f.U[:, top] @ f.Vt[top]) / k
-
-
-def _product_dual_and_lmo(W, spec: ProductNormSpec) -> tuple:
-    # One SVD per layer gives both ||W^l||_nuc (for the dual norm) and
-    # polar(W^l) (for the LMO).
-    W = _require_product_point(W, spec)
-    parts = [linalg.polar_and_nuclear(M) for M in W.matrices]
-    y = sum(nuc / math.sqrt(d) for (_, nuc), d in zip(parts, spec.d))
-    l1 = linalg.norm(W.theta, "l1")
-    dn = math.sqrt(spec.s * y**2 + l1**2 / spec.k)
-    if dn == 0.0:
-        return dn, W.zeros_like()
-    mats = [(spec.s * y / (math.sqrt(d) * dn)) * P for (P, _), d in zip(parts, spec.d)]
-    theta = (l1 / (spec.k * dn)) * np.sign(W.theta)
-    return dn, ParamPoint(mats, theta)
+    return float(_dual(_one(W, spec), spec)[0])
 
 
 def lmo_min(W, spec):
@@ -312,70 +490,17 @@ def lmo_min(W, spec):
     At W = 0 every feasible X attains the maximum 0 and the least-norm
     element is 0.
     """
-    if isinstance(spec, L1):
-        return _lmo_l1(linalg._as_vector(W))
-    if isinstance(spec, L2):
-        w = linalg._as_vector(W)
-        n = np.linalg.norm(w)
-        return w / n if n > 0 else np.zeros_like(w)
-    if isinstance(spec, Linf):
-        return np.sign(linalg._as_vector(W))
-    if isinstance(spec, Lp):
-        return _lmo_lp(linalg._as_vector(W), spec.p)
-    if isinstance(spec, OperatorNorm):
-        return linalg.polar_exact(W)
-    if isinstance(spec, NuclearNorm):
-        return _nuclear_ball(linalg.as_matrix(W))[1]
-    if isinstance(spec, ProductNormSpec):
-        return _product_dual_and_lmo(W, spec)[1]
-    raise ValueError(f"unknown norm spec {spec!r}")
+    return _first(_dual_and_lmo(_one(W, spec), spec)[1])
 
 
 def dual_norm_and_lmo(W, spec) -> tuple:
     """``(dual_norm(W, spec), lmo_min(W, spec))``, the two factors of the
     scaled sharp operator ||W||_* lmo_min(W).
 
-    The matrix specs take one SVD per matrix block for both; the vector
-    specs evaluate the two separately.
+    The matrix specs take one SVD per matrix block for both.
     """
-    if isinstance(spec, OperatorNorm):
-        X, nuc = linalg.polar_and_nuclear(W)
-        return nuc, X
-    if isinstance(spec, NuclearNorm):
-        return _nuclear_ball(linalg.as_matrix(W))
-    if isinstance(spec, ProductNormSpec):
-        return _product_dual_and_lmo(W, spec)
-    return dual_norm(W, spec), lmo_min(W, spec)
-
-
-@functools.lru_cache(maxsize=None)
-def _estimate_product_beta(spec: ProductNormSpec, trials: int = 256, seed: int = 0) -> float:
-    """Empirical upper Frobenius-equivalence constant for the product norm.
-
-    Maximizes ||W|| / ||W||_F over random directions plus the structured
-    witnesses (a rank-one matrix concentrated on the block maximizing
-    d_l / s, and a single-coordinate theta) that attain the analytic
-    supremum sqrt(max(max_l d_l/s, k)).
-    """
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(trials):
-        W = ParamPoint(
-            [rng.standard_normal(dims) for dims in spec.layer_dims],
-            rng.standard_normal(spec.k),
-        )
-        best = max(best, primal_norm(W, spec) / W.fro())
-    # Structured witnesses.
-    for ell in range(spec.num_layers):
-        mats = [np.zeros(dims) for dims in spec.layer_dims]
-        mats[ell][0, 0] = 1.0
-        W = ParamPoint(mats, np.zeros(spec.k))
-        best = max(best, primal_norm(W, spec))
-    theta = np.zeros(spec.k)
-    theta[0] = 1.0
-    W = ParamPoint([np.zeros(dims) for dims in spec.layer_dims], theta)
-    best = max(best, primal_norm(W, spec))
-    return best
+    dn, X = _dual_and_lmo(_one(W, spec), spec)
+    return float(dn[0]), _first(X)
 
 
 def _vector_dim(dims) -> int:
@@ -388,8 +513,7 @@ def compressor_constants(spec, dims=None) -> CompressorConstants:
     """Table of (alpha, delta) for the supported norms.
 
     ``dims`` is the vector length d for L1/L2/Linf/Lp, the matrix shape
-    (m, n) for Operator/Nuclear, and ignored for the product spec.  The
-    product delta uses an empirical beta estimate and is flagged as such.
+    (m, n) for Operator/Nuclear, and ignored for the product spec.
     """
     if isinstance(spec, L1):
         d = _vector_dim(dims)
@@ -413,19 +537,10 @@ def compressor_constants(spec, dims=None) -> CompressorConstants:
         return CompressorConstants(1.0 / math.sqrt(r), 1.0 / r)
     if isinstance(spec, ProductNormSpec):
         alpha = min(1.0, 1.0 / math.sqrt(spec.s * spec.num_layers))
-        beta_hat = _estimate_product_beta(spec)
-        delta = min(1.0, alpha**2 / beta_hat**2)
-        return CompressorConstants(alpha, delta, empirical_beta=beta_hat)
-    raise ValueError(f"unknown norm spec {spec!r}")
-
-
-def _alpha_for(W, spec) -> float:
-    if isinstance(spec, (L1, L2, Linf, Lp)):
-        return compressor_constants(spec, linalg._as_vector(W).size).alpha
-    if isinstance(spec, (OperatorNorm, NuclearNorm)):
-        return compressor_constants(spec, linalg.as_matrix(W).shape).alpha
-    if isinstance(spec, ProductNormSpec):
-        return min(1.0, 1.0 / math.sqrt(spec.s * spec.num_layers))
+        # sup ||W|| / ||W||_F, attained by a rank-one block on the layer with
+        # the largest d_l / s, or by a single theta coordinate.
+        beta = math.sqrt(max(max(d / spec.s for d in spec.d), spec.k))
+        return CompressorConstants(alpha, min(1.0, alpha**2 / beta**2))
     raise ValueError(f"unknown norm spec {spec!r}")
 
 
@@ -435,8 +550,4 @@ def compress(W, spec):
     C is a delta-compressor: ||W - C(W)||_F^2 <= (1 - delta) ||W||_F^2.
     compress(0) = 0.  Matrix specs take one SVD per matrix block.
     """
-    alpha = _alpha_for(W, spec)
-    dn, X = dual_norm_and_lmo(W, spec)
-    if dn == 0.0:
-        return zeros_like(W)
-    return (alpha**2 * dn) * X
+    return _first(_compress(_one(W, spec), spec))

@@ -586,6 +586,11 @@ def efm_bound_column(T: int, delta: float, beta: float, sigma: float,
     return np.array([_bound_at(t, dist0_sq, noise) for t in range(T + 1)])
 
 
+def _check_nonincreasing(lams: np.ndarray):
+    if np.any(np.diff(lams) > 1e-15):
+        raise ValueError("schedule must be nonincreasing")
+
+
 def efm_bound_schedule(lams, delta: float, beta: float, sigma: float, dist0: float) -> float:
     """General-schedule form of the bound with nonincreasing stepsizes lams[0..T].
 
@@ -599,6 +604,7 @@ def efm_bound_schedule(lams, delta: float, beta: float, sigma: float, dist0: flo
     # NaN fails both comparisons.
     if not np.all((lams > 0) & (lams < math.inf)):
         raise ValueError("stepsizes must be finite and positive")
+    _check_nonincreasing(lams)
     coeff = _bound_coeff(delta, beta)
     T1 = lams.size
     tail = lams[-1] * T1

@@ -171,6 +171,67 @@ class TestStacks:
             linalg.polar_exact_stack(np.eye(2))
         with pytest.raises(ValueError):
             linalg.nuclear_norm_stack(np.eye(2))
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            linalg.op_norm_stack(np.ones((2, 0, 3)))
+
+    def mixed(self, rng, m, n):
+        """Full-rank, rank-deficient, diagonal and zero members of one shape."""
+        r = min(m, n)
+        members = [rng.standard_normal((m, n)) for _ in range(4)]
+        members.append(rng.standard_normal((m, 1)) @ rng.standard_normal((1, n)))
+        members.append(np.round(rng.standard_normal((m, n))))
+        members += list(self.stack(rng, m, n))
+        if r > 2:
+            members.append(rng.standard_normal((m, r - 1)) @ rng.standard_normal((r - 1, n)))
+        return np.stack(members)
+
+    @pytest.mark.parametrize("shape", [(1, 4), (2, 2), (3, 5), (6, 4), (7, 7), (20, 20)])
+    def test_all_stack_kernels_match(self, shape):
+        A = self.mixed(np.random.default_rng(10), *shape)
+        X = linalg.polar_exact_stack(A)
+        P, nuc_uv = linalg.polar_and_nuclear_stack(A)
+        op, nuc = linalg.op_norm_stack(A), linalg.nuclear_norm_stack(A)
+        for b in range(len(A)):
+            ref_P, ref_nuc = linalg.polar_and_nuclear(A[b])
+            assert X[b].tobytes() == linalg.polar_exact(A[b]).tobytes()
+            assert P[b].tobytes() == ref_P.tobytes()
+            assert nuc_uv[b] == ref_nuc
+            assert op[b] == linalg.norm(A[b], "op")
+            assert nuc[b] == linalg.norm(A[b], "nuc")
+
+    def test_one_svd_per_stack(self, monkeypatch):
+        A = self.mixed(np.random.default_rng(11), 4, 3)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        for kernel in (linalg.polar_exact_stack, linalg.polar_and_nuclear_stack,
+                       linalg.op_norm_stack, linalg.nuclear_norm_stack):
+            kernel(A)
+        assert len(calls) == 4
+
+    def test_lone_member_goes_through_the_reference(self, monkeypatch):
+        A = self.stack(np.random.default_rng(12), 3, 3)  # one non-diagonal member
+        calls = []
+        polar_exact = linalg.polar_exact
+        monkeypatch.setattr(linalg, "polar_exact",
+                            lambda M, *a: calls.append(1) or polar_exact(M, *a))
+        X = linalg.polar_exact_stack(A)
+        assert len(calls) == 1
+        assert X[1].tobytes() == polar_exact(A[1]).tobytes()
+
+    @pytest.mark.parametrize("kernel", ["op_norm_stack", "nuclear_norm_stack",
+                                        "polar_and_nuclear_stack"])
+    def test_non_finite_member_raises_as_the_reference(self, kernel):
+        A = self.mixed(np.random.default_rng(13), 3, 3)
+        A[3, 0, 1] = np.nan
+        reference = {"op_norm_stack": lambda M: linalg.norm(M, "op"),
+                     "nuclear_norm_stack": lambda M: linalg.norm(M, "nuc"),
+                     "polar_and_nuclear_stack": linalg.polar_and_nuclear}[kernel]
+        with pytest.raises(Exception) as ref:
+            reference(A[3])
+        with pytest.raises(type(ref.value)) as got:
+            getattr(linalg, kernel)(A)
+        assert str(got.value) == str(ref.value)
 
 
 class TestPolarNewtonSchulz:

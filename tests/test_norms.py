@@ -32,6 +32,42 @@ class TestParamPoint:
             norms.Lp(0.5)
 
 
+class TestSpecValidation:
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan, 0.5, 0.0])
+    def test_lp_requires_finite_p_at_least_one(self, p):
+        # Lp(inf) used to be accepted and give NaN duals, LMOs and compressions.
+        with pytest.raises(ValueError, match="finite p >= 1"):
+            norms.Lp(p)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan, 0.5, None])
+    def test_lp_norm_requires_finite_p_at_least_one(self, p):
+        # p = inf used to return 1.0 for [3, -4, 1], and p = nan returned nan.
+        with pytest.raises(ValueError, match="finite p >= 1"):
+            linalg.norm(np.array([3.0, -4.0, 1.0]), "lp", p=p)
+
+    def test_lp_one_is_l1(self):
+        w = np.array([2.0, -2.0, 1.0])
+        assert norms.dual_norm(w, norms.Lp(1.0)) == norms.dual_norm(w, norms.L1())
+        np.testing.assert_array_equal(norms.lmo_min(w, norms.Lp(1.0)), norms.lmo_min(w, norms.L1()))
+
+    @pytest.mark.parametrize("s", [math.inf, math.nan, 0.0, -1.0, True, "1.5", None])
+    def test_product_requires_finite_positive_s(self, s):
+        # s = inf used to be accepted, with alpha = delta = 0.0.
+        with pytest.raises(ValueError, match="scale s"):
+            norms.ProductNormSpec(layer_dims=((2, 2),), s=s, k=1)
+
+    @pytest.mark.parametrize("k", [0, -1, 1.5, 2.0, True, "2", None])
+    def test_product_requires_integer_k(self, k):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            norms.ProductNormSpec(layer_dims=((2, 2),), s=1.0, k=k)
+
+    def test_product_normalises_s_and_k(self):
+        spec = norms.ProductNormSpec(layer_dims=((2, 2),), s=2, k=np.int64(3))
+        assert type(spec.s) is float and spec.s == 2.0
+        assert type(spec.k) is int and spec.k == 3
+        assert spec == norms.ProductNormSpec(layer_dims=((2, 2),), s=2.0, k=3)
+
+
 class TestDualNorm:
     def test_operator_dual_is_nuclear(self):
         assert norms.dual_norm(np.diag([3.0, -4.0]), norms.OperatorNorm()) == 7.0
@@ -129,16 +165,33 @@ class TestCompressorConstants:
         assert abs(cc.alpha - 8 ** (1 / 3 - 0.5)) < 1e-15
         assert abs(cc.delta - 8 ** (-2 * abs(1 / 3 - 0.5))) < 1e-15
 
-    def test_product_alpha_and_empirical_beta(self):
+    def test_product_alpha_and_closed_form_delta(self):
         spec = norms.ProductNormSpec(layer_dims=((3, 4), (2, 2)), s=1.5, k=3)
         cc = norms.compressor_constants(spec)
-        assert abs(cc.alpha - min(1.0, 1.0 / math.sqrt(1.5 * 2))) < 1e-15
-        assert cc.empirical_beta is not None
-        # analytic supremum of ||.|| / ||.||_F is sqrt(max(max_l d_l/s, k))
-        sup = math.sqrt(max(max(min(m, n) / spec.s for m, n in spec.layer_dims), spec.k))
-        assert cc.empirical_beta <= sup + 1e-12
-        assert cc.empirical_beta >= sup - 1e-9
+        alpha = min(1.0, 1.0 / math.sqrt(1.5 * 2))
+        assert cc.alpha == alpha
+        # beta = sup ||W|| / ||W||_F = sqrt(max(max_l d_l/s, k)) = sqrt(3)
+        beta = math.sqrt(max(max(min(m, n) / spec.s for m, n in spec.layer_dims), spec.k))
+        assert cc.delta == min(1.0, alpha**2 / beta**2)
         assert 0 < cc.delta <= 1.0
+        # the supremum bounds sampled ratios and a single theta coordinate attains it
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            W = norms.ParamPoint([rng.standard_normal(d) for d in spec.layer_dims],
+                                 rng.standard_normal(spec.k))
+            assert norms.primal_norm(W, spec) <= beta * W.fro() * (1 + 1e-12)
+        e = norms.ParamPoint([np.zeros(d) for d in spec.layer_dims], np.array([1.0, 0.0, 0.0]))
+        assert abs(norms.primal_norm(e, spec) - beta) <= 1e-15
+
+    def test_product_delta_from_the_layer_term(self):
+        # max_l d_l / s = 4 / 0.5 = 8 beats k = 2: a rank-one block on layer 1 attains it
+        spec = norms.ProductNormSpec(layer_dims=((2, 3), (4, 5)), s=0.5, k=2)
+        alpha = min(1.0, 1.0 / math.sqrt(0.5 * 2))
+        assert norms.compressor_constants(spec).delta == min(1.0, alpha**2 / math.sqrt(8.0)**2)
+        mats = [np.zeros(d) for d in spec.layer_dims]
+        mats[1][0, 0] = 1.0
+        e = norms.ParamPoint(mats, np.zeros(2))
+        assert abs(norms.primal_norm(e, spec) - math.sqrt(8.0)) <= 1e-15
 
 
 class TestCompress:
@@ -204,3 +257,329 @@ class TestFastKernels:
     def test_param_point_accepts_largest_finite_theta(self):
         p = norms.ParamPoint([np.eye(2)], np.array([1e308, -1e308]))
         np.testing.assert_array_equal(p.theta, [1e308, -1e308])
+
+
+# ---------------------------------------------------------------------------
+# Stack kernels.  The reference below is the per-call implementation the stack
+# kernels replaced, kept here so both forms are checked against it bit for bit.
+
+
+def _ref_nuclear_ball(W):
+    f = linalg.reduced_svd(W)
+    if f.rank == 0:
+        return 0.0, np.zeros_like(W)
+    top = np.nonzero(f.sigma >= f.sigma[0] * (1.0 - norms.TIE_RTOL))[0]
+    return float(f.sigma[0]), (f.U[:, top] @ f.Vt[top]) / len(top)
+
+
+def _ref_product_dual_and_lmo(W, spec):
+    parts = [linalg.polar_and_nuclear(M) for M in W.matrices]
+    y = sum(nuc / math.sqrt(d) for (_, nuc), d in zip(parts, spec.d))
+    l1 = linalg.norm(W.theta, "l1")
+    dn = math.sqrt(spec.s * y**2 + l1**2 / spec.k)
+    if dn == 0.0:
+        return dn, W.zeros_like()
+    mats = [(spec.s * y / (math.sqrt(d) * dn)) * P for (P, _), d in zip(parts, spec.d)]
+    return dn, norms.ParamPoint(mats, (l1 / (spec.k * dn)) * np.sign(W.theta))
+
+
+def ref_primal(W, spec):
+    if isinstance(spec, norms.ProductNormSpec):
+        block = max(math.sqrt(d / spec.s) * linalg.norm(M, "op")
+                    for M, d in zip(W.matrices, spec.d))
+        return math.sqrt(block**2 + spec.k * linalg.norm(W.theta, "linf")**2)
+    if isinstance(spec, norms.Lp):
+        return linalg.norm(W, "lp", p=spec.p)
+    kind = {norms.L1: "l1", norms.L2: "l2", norms.Linf: "linf",
+            norms.OperatorNorm: "op", norms.NuclearNorm: "nuc"}[type(spec)]
+    return linalg.norm(W, kind)
+
+
+def ref_dual(W, spec):
+    if isinstance(spec, norms.ProductNormSpec):
+        y = sum(linalg.norm(M, "nuc") / math.sqrt(d) for M, d in zip(W.matrices, spec.d))
+        return math.sqrt(spec.s * y**2 + linalg.norm(W.theta, "l1")**2 / spec.k)
+    if isinstance(spec, norms.Lp):
+        if spec.p == 1.0:
+            return linalg.norm(W, "linf")
+        return linalg.norm(W, "lp", p=spec.p / (spec.p - 1.0))
+    kind = {norms.L1: "linf", norms.L2: "l2", norms.Linf: "l1",
+            norms.OperatorNorm: "nuc", norms.NuclearNorm: "op"}[type(spec)]
+    return linalg.norm(W, kind)
+
+
+def _ref_lmo_l1(w):
+    out = np.zeros_like(w)
+    amax = np.abs(w).max() if w.size else 0.0
+    if amax == 0.0:
+        return out
+    idx = np.nonzero(np.abs(w) >= amax * (1.0 - norms.TIE_RTOL))[0]
+    out[idx] = np.sign(w[idx]) / len(idx)
+    return out
+
+
+def ref_lmo(W, spec):
+    if isinstance(spec, norms.ProductNormSpec):
+        return _ref_product_dual_and_lmo(W, spec)[1]
+    if isinstance(spec, norms.OperatorNorm):
+        return linalg.polar_exact(W)
+    if isinstance(spec, norms.NuclearNorm):
+        return _ref_nuclear_ball(linalg.as_matrix(W))[1]
+    w = linalg._as_vector(W)
+    if isinstance(spec, norms.L1) or isinstance(spec, norms.Lp) and spec.p == 1.0:
+        return _ref_lmo_l1(w)
+    if isinstance(spec, norms.L2):
+        n = np.linalg.norm(w)
+        return w / n if n > 0 else np.zeros_like(w)
+    if isinstance(spec, norms.Linf):
+        return np.sign(w)
+    q = spec.p / (spec.p - 1.0)
+    nq = linalg.norm(w, "lp", p=q)
+    out = np.zeros_like(w)
+    if nq != 0.0:
+        nz = w != 0.0
+        out[nz] = np.sign(w[nz]) * (np.abs(w[nz]) / nq) ** (q - 1.0)
+    return out
+
+
+def ref_dual_and_lmo(W, spec):
+    if isinstance(spec, norms.OperatorNorm):
+        X, nuc = linalg.polar_and_nuclear(W)
+        return nuc, X
+    if isinstance(spec, norms.NuclearNorm):
+        return _ref_nuclear_ball(linalg.as_matrix(W))
+    if isinstance(spec, norms.ProductNormSpec):
+        return _ref_product_dual_and_lmo(W, spec)
+    return ref_dual(W, spec), ref_lmo(W, spec)
+
+
+def ref_compress(W, spec):
+    if isinstance(spec, norms.ProductNormSpec):
+        alpha = min(1.0, 1.0 / math.sqrt(spec.s * spec.num_layers))
+    elif isinstance(spec, (norms.OperatorNorm, norms.NuclearNorm)):
+        alpha = norms.compressor_constants(spec, np.shape(W)).alpha
+    else:
+        alpha = norms.compressor_constants(spec, linalg._as_vector(W).size).alpha
+    dn, X = ref_dual_and_lmo(W, spec)
+    if dn == 0.0:
+        return norms.zeros_like(X)
+    return (alpha**2 * dn) * X
+
+
+REFERENCE = {"primal_norm": ref_primal, "dual_norm": ref_dual, "lmo_min": ref_lmo,
+             "compress": ref_compress}
+
+
+def _blocks(x):
+    """The arrays of a per-call result, as a list."""
+    if isinstance(x, norms.ParamPoint):
+        return [*x.matrices, x.theta]
+    return [np.asarray(x)]
+
+
+def assert_bits(got, want):
+    got, want = _blocks(got), _blocks(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()  # -0.0 and NaN payloads included
+
+
+VECTOR_SPECS = [norms.L1(), norms.L2(), norms.Linf(), norms.Lp(1.0), norms.Lp(1.5),
+                norms.Lp(2.0), norms.Lp(3.0)]
+MATRIX_SPECS = [norms.OperatorNorm(), norms.NuclearNorm()]
+PRODUCT_SPECS = [norms.ProductNormSpec(layer_dims=((3, 4), (2, 2)), s=1.5, k=3),
+                 norms.ProductNormSpec(layer_dims=((5, 3), (1, 4), (2, 6)), s=0.7, k=2)]
+
+
+def vector_groups(rng):
+    """Stacks of several lengths with ties, near-ties, zeros, -0.0, non-finite
+    and tiny members."""
+    for d in (1, 2, 5, 8, 9, 20):
+        members = [rng.standard_normal(d) for _ in range(6)]
+        members += [np.zeros(d), np.full(d, -0.0), rng.integers(-2, 3, d).astype(float),
+                    rng.standard_normal(d) * 1e-300]
+        tie = rng.standard_normal(d)
+        tie[: (d + 1) // 2] = -1.5
+        near = rng.standard_normal(d)
+        near[0], near[-1] = 3.0, -3.0 * (1 - 1e-13)  # a tie within TIE_RTOL
+        members += [tie, near]
+        for bad in (np.nan, np.inf, -np.inf):
+            w = rng.standard_normal(d)
+            w[d // 2] = bad
+            members.append(w)
+        yield np.stack(members)
+
+
+def matrix_groups(rng):
+    """Stacks of several shapes with diagonal, zero, rank-deficient and tied members."""
+    for m, n in ((1, 3), (2, 2), (3, 2), (4, 4), (5, 7), (7, 3)):
+        r = min(m, n)
+        members = [rng.standard_normal((m, n)) for _ in range(5)]
+        D = np.zeros((m, n))
+        D[np.arange(r), np.arange(r)] = rng.standard_normal(r)
+        members += [np.zeros((m, n)), D, np.round(rng.standard_normal((m, n)))]
+        members.append(rng.standard_normal((m, 1)) @ rng.standard_normal((1, n)))
+        Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        members.append(Q @ np.eye(m, n))  # all singular values tie
+        members.append(-members[0])
+        yield np.stack(members)
+
+
+def product_stack(rng, spec, B=12):
+    mats = [rng.standard_normal((B, m, n)) for m, n in spec.layer_dims]
+    theta = rng.standard_normal((B, spec.k))
+    for M in mats:
+        M[0] = 0.0
+    theta[0] = 0.0  # the zero point
+    mats[0][1] = 0.0  # a zero block
+    theta[2] = 1.0  # tied theta entries
+    mats[-1][3] = np.eye(*spec.layer_dims[-1])  # a diagonal block
+    return mats, theta
+
+
+def member(W, spec, b):
+    if isinstance(spec, norms.ProductNormSpec):
+        return norms.ParamPoint([M[b] for M in W[0]], W[1][b])
+    return W[b]
+
+
+def stack_member(X, b):
+    if isinstance(X, tuple):
+        return norms.ParamPoint([M[b] for M in X[0]], X[1][b])
+    return X[b]
+
+
+def all_cases():
+    rng = np.random.default_rng(2024)
+    for spec in VECTOR_SPECS:
+        for W in vector_groups(rng):
+            yield spec, W
+    for spec in MATRIX_SPECS:
+        for W in matrix_groups(rng):
+            yield spec, W
+    for spec in PRODUCT_SPECS:
+        yield spec, product_stack(rng, spec)
+
+
+def size(W):
+    return len(W[1]) if isinstance(W, tuple) else len(W)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestStackedNorms:
+    """Each stack kernel equals the per-call function member by member, and
+    both equal the per-call implementation they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("fname", ["primal_norm", "dual_norm", "lmo_min", "compress"])
+    def test_members_match_per_call_and_reference(self, fname):
+        checked = 0
+        for spec, W in all_cases():
+            stacked = getattr(norms, fname + "_stack")(W, spec)
+            for b in range(size(W)):
+                Wb = member(W, spec, b)
+                per_call = getattr(norms, fname)(Wb, spec)
+                assert_bits(per_call, REFERENCE[fname](Wb, spec))
+                assert_bits(stack_member(stacked, b), per_call)
+                checked += 1
+        assert checked > 700
+
+    def test_dual_norm_and_lmo_match_reference(self):
+        for spec, W in all_cases():
+            for b in range(size(W)):
+                Wb = member(W, spec, b)
+                dn, X = norms.dual_norm_and_lmo(Wb, spec)
+                ref_dn, ref_X = ref_dual_and_lmo(Wb, spec)
+                assert type(dn) is float
+                assert_bits(np.float64(dn), np.float64(ref_dn))
+                assert_bits(X, ref_X)
+
+    def test_scalars_are_python_floats(self):
+        for spec, W in all_cases():
+            Wb = member(W, spec, 0)
+            assert type(norms.primal_norm(Wb, spec)) is float
+            assert type(norms.dual_norm(Wb, spec)) is float
+
+    @pytest.mark.parametrize("spec", VECTOR_SPECS, ids=repr)
+    def test_single_row_and_column_vectors(self, spec):
+        w = np.random.default_rng(3).standard_normal(6)
+        for shaped in (w[None], w[:, None]):
+            for fname in ("primal_norm", "dual_norm", "lmo_min", "compress"):
+                assert_bits(getattr(norms, fname)(shaped, spec), getattr(norms, fname)(w, spec))
+
+    def test_strided_vectors(self):
+        A = np.random.default_rng(4).standard_normal((7, 9))
+        for spec in VECTOR_SPECS:
+            for w in (A[:, 2], A[1, ::2]):
+                for fname in ("primal_norm", "dual_norm", "lmo_min", "compress"):
+                    assert_bits(getattr(norms, fname)(w, spec), REFERENCE[fname](w, spec))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("spec", MATRIX_SPECS, ids=repr)
+    @pytest.mark.parametrize("fname", ["primal_norm", "dual_norm", "lmo_min", "compress"])
+    @pytest.mark.parametrize("where", [(0, 1), (1, 1)])
+    def test_non_finite_matrix_member(self, bad, spec, fname, where):
+        rng = np.random.default_rng(5)
+        W = rng.standard_normal((4, 3, 3))
+        W[2][where] = bad
+        if where == (1, 1):
+            W[2] = np.diag(np.diagonal(W[2]))  # non-finite but diagonal
+        try:
+            expected = getattr(norms, fname)(W[2], spec)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as got:
+                getattr(norms, fname + "_stack")(W, spec)
+            assert str(got.value) == str(exc)
+        else:
+            stacked = getattr(norms, fname + "_stack")(W, spec)
+            assert_bits(stack_member(stacked, 2), expected)
+
+    def test_non_finite_product_members(self):
+        spec = PRODUCT_SPECS[0]
+        mats, theta = product_stack(np.random.default_rng(6), spec)
+        mats[1][4, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            norms.lmo_min_stack((mats, theta), spec)
+        mats[1][4, 0, 1] = 0.0
+        theta[5, 1] = np.inf
+        with pytest.raises(ValueError, match="theta entries must be finite"):
+            norms.compress_stack((mats, theta), spec)
+
+    def test_rejects_bad_stacks(self):
+        spec = PRODUCT_SPECS[0]
+        mats, theta = product_stack(np.random.default_rng(7), spec)
+        with pytest.raises(ValueError, match="do not match"):
+            norms.dual_norm_stack((mats, theta[:, :2]), spec)
+        with pytest.raises(ValueError, match="do not match"):
+            norms.dual_norm_stack((mats[:1], theta), spec)
+        with pytest.raises(ValueError, match="pair"):
+            norms.dual_norm_stack(member((mats, theta), spec, 0), spec)
+        with pytest.raises(ValueError, match="stack of vectors"):
+            norms.lmo_min_stack(np.ones(3), norms.L1())
+        with pytest.raises(ValueError, match="stack"):
+            norms.lmo_min_stack(np.ones((2, 2)), norms.OperatorNorm())
+        with pytest.raises(ValueError, match="2-d array"):
+            norms.lmo_min(np.ones(3), norms.OperatorNorm())
+        with pytest.raises(ValueError, match="ParamPoint"):
+            norms.lmo_min(np.ones(3), spec)
+
+    @pytest.mark.parametrize("fname, y, t", [
+        ("dual_norm", "0x1.9afda88a20538p+0", "0x1.58d19a9544c25p-1"),
+        ("primal_norm", "0x1.bcf5fff969864p-1", "0x1.e06ae89b2584dp+0")])
+    def test_python_float_squares(self, fname, y, t):
+        # Values whose norm differs when y**2 is numpy's y * y instead of libm's pow.
+        spec = norms.ProductNormSpec(layer_dims=((1, 1),), s=1.5, k=1)
+        W = norms.ParamPoint([[[float.fromhex(y)]]], [float.fromhex(t)])
+        got = getattr(norms, fname)(W, spec)
+        assert got == REFERENCE[fname](W, spec)
+        assert getattr(norms, fname + "_stack")(([W.matrices[0][None]], W.theta[None]), spec)[0] == got
+
+    def test_one_svd_for_a_stack(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        W = np.random.default_rng(8).standard_normal((50, 4, 3))
+        norms.lmo_min_stack(W, norms.NuclearNorm())
+        norms.compress_stack(W, norms.OperatorNorm())
+        norms.dual_norm_stack(W, norms.OperatorNorm())
+        assert len(calls) == 3

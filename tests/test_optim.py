@@ -465,6 +465,14 @@ class TestBound:
         with pytest.raises(ValueError, match="finite and positive"):
             optim.efm_bound_schedule([1.0, bad], 0.5, 0.5, 1.0, 1.0)
 
+    @pytest.mark.parametrize("lams", [[0.01, 1.0, 5.0], [1.0, 0.5, 0.6]])
+    def test_schedule_form_rejects_increasing_stepsizes(self, lams):
+        # [0.01, 1.0, 5.0] used to give 7.54; the bound assumes lam_t nonincreasing.
+        with pytest.raises(ValueError, match="schedule must be nonincreasing"):
+            optim.efm_bound_schedule(lams, 0.5, 0.5, 1.0, 1.0)
+        # constant and decreasing schedules pass the same check
+        optim.efm_bound_schedule([1.0, 1.0, 0.5], 0.5, 0.5, 1.0, 1.0)
+
     @pytest.mark.parametrize("T", [0, 1, 5000])
     def test_column_equals_per_row_bound(self, T):
         args = (0.5, 0.9, 2.0 ** 0.5 * 1.1, 1.7)

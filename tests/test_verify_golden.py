@@ -6,13 +6,19 @@ seven included.  They were recorded with the scalar ``optim.run`` loop, so
 ``cex1.txt`` and ``cex2.txt`` also pin the batched engine the two suites
 now run on.  Regenerate a file only for a change that is meant to alter a
 suite's observed values, and say so in the change.
+
+The printed lines show four significant digits.  ``observed-hex.json``
+holds every observed value of the ``lmo`` and ``compressor`` suites as
+``float.hex``, recorded with the per-call norm kernels, so it pins the
+stack kernels those suites now run on to the last bit.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from muonlab import cli
+from muonlab import cli, harness
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "verify"
 SUITES = ("polar", "reduction", "compressor", "lmo", "cex1", "cex2", "ef-bound")
@@ -25,3 +31,10 @@ def test_verify_output_matches_golden(suite, capsys):
     assert rc == cli.EXIT_OK
     assert captured.err == ""
     assert captured.out == (GOLDEN / f"{suite}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("suite", ["lmo", "compressor"])
+def test_observed_values_match_recorded_bits(suite):
+    recorded = json.loads((GOLDEN / "observed-hex.json").read_text(encoding="utf-8"))[suite]
+    got = [[r.name, float(r.observed).hex()] for r in harness.SUITES[suite]()]
+    assert got == recorded
