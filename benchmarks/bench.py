@@ -19,14 +19,19 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
   suites (vectors of length ``KERNEL_D``, ``KERNEL_MN`` matrices, the suites'
   product spec), in microseconds per call over ``KERNEL_B`` members, and
   their ``*_stack`` forms on those ``KERNEL_B`` members as one stack, in
-  microseconds per member (left out where the library has no stack form).
+  microseconds per member (left out where the library has no stack form);
+- ``linalg.polar_newton_schulz`` per call on ``KERNEL_B`` matrices of shape
+  ``KERNEL_MN``, and ``polar_newton_schulz_stack`` on them as one stack, in
+  microseconds per member (left out where the library has no stack form);
+- ``linalg.polar_newton_schulz`` and ``linalg.polar_exact`` on one Gaussian
+  n x n matrix for each n in ``POLAR_SIZES``, in microseconds per call.
 
 Each run is stored under ``--label`` in the output file, beside the runs
 already there, so that running the script on two checkouts records a
 before/after pair on the same machine::
 
-    PYTHONPATH=/path/to/parent/src python3 benchmarks/bench.py --label parent --out BENCH_7.json
-    PYTHONPATH=src python3 benchmarks/bench.py --label change --out BENCH_7.json
+    PYTHONPATH=/path/to/parent/src python3 benchmarks/bench.py --label parent --out BENCH_8.json
+    PYTHONPATH=src python3 benchmarks/bench.py --label change --out BENCH_8.json
 
 BLAS is held at one thread, as in ``perfbench``.
 """
@@ -53,6 +58,9 @@ ORACLE_CALLS = 10_000
 KERNEL_B = 100
 KERNEL_D = 10
 KERNEL_MN = (4, 4)
+# Matrix sizes of the per-call polar timings, and calls per timing at each.
+POLAR_SIZES = (2, 8, 64, 256)
+POLAR_CALLS = {2: 1000, 8: 1000, 64: 100, 256: 10}
 
 
 def _timed(fn) -> dict:
@@ -124,6 +132,28 @@ def _kernel_timings() -> dict:
     return timings
 
 
+def _polar_timings() -> dict:
+    import numpy as np
+    from muonlab import linalg
+
+    rng = np.random.default_rng(0)
+    timings = {}
+    stack = rng.standard_normal((KERNEL_B, *KERNEL_MN))
+    timings["polar_newton_schulz[4x4]"] = _per_unit(_timed(
+        lambda: [linalg.polar_newton_schulz(A) for A in stack]), "us_per_call", KERNEL_B)
+    stacked = getattr(linalg, "polar_newton_schulz_stack", None)
+    if stacked is not None:
+        timings["polar_newton_schulz_stack[4x4]"] = _per_unit(_timed(
+            lambda: stacked(stack)), "us_per_member", KERNEL_B)
+    for n in POLAR_SIZES:
+        A, calls = rng.standard_normal((n, n)), POLAR_CALLS[n]
+        for fname in ("polar_newton_schulz", "polar_exact"):
+            fn = getattr(linalg, fname)
+            timings[f"{fname}[{n}x{n}]"] = _per_unit(_timed(
+                lambda: [fn(A) for _ in range(calls)]), "us_per_call", calls)
+    return timings
+
+
 def _source(package) -> dict:
     """The git commit the timed code came from, and whether it was edited."""
     root = os.path.dirname(os.path.abspath(package.__file__))
@@ -175,7 +205,8 @@ def measure() -> dict:
         timings[f"verify[{suite}]"] = _timed(verify)
     return {"source": _source(muonlab), "machine": _machine(),
             "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "timings": {**timings, **_step_timings(), **_kernel_timings()}}
+            "timings": {**timings, **_step_timings(), **_kernel_timings(),
+                        **_polar_timings()}}
 
 
 def main(argv=None) -> int:

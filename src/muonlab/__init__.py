@@ -11,7 +11,6 @@ from .linalg import (
     polar_exact,
     polar_newton_schulz,
     reduced_svd,
-    sign_elementwise,
 )
 from .norms import (
     L1,

@@ -270,79 +270,140 @@ class CheckResult:
         return f"{status} {self.name}: observed {self.observed:.3e}, required <= {self.required:.3e}"
 
 
-def _random_well_conditioned(rng, m, n):
-    # Singular values in [0.5, 2] keep the condition number under 4.
-    r = min(m, n)
-    U = np.linalg.qr(rng.standard_normal((m, r)))[0]
-    V = np.linalg.qr(rng.standard_normal((n, r)))[0]
-    s = rng.uniform(0.5, 2.0, r)
-    return (U * s) @ V.T
+def _group_by(keys) -> list:
+    """The indices of equal keys, as one array per key, in order of first
+    appearance."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return [np.array(idx) for idx in groups.values()]
 
 
 def suite_polar(trials: int = 500) -> list:
     rng = np.random.default_rng(7)
-    worst_ns = 0.0
+    # Well-conditioned inputs (U * s) @ V^T with orthonormal U, V from QR and
+    # singular values in [0.5, 2], so the condition number stays under 4.
+    # The draws come in trial order: the shape, the two Gaussians, then s.
+    draws = []
     for _ in range(trials):
         m, n = rng.integers(2, 9, 2)
-        A = _random_well_conditioned(rng, m, n)
-        err = float(np.linalg.norm(
-            linalg.polar_newton_schulz(A) - linalg.polar_exact(A)))
-        worst_ns = max(worst_ns, err)
-    worst_diag = 0.0
+        r = min(m, n)
+        draws.append((rng.standard_normal((m, r)), rng.standard_normal((n, r)),
+                      rng.uniform(0.5, 2.0, r)))
+    errs = []
+    for idx in _group_by((G.shape, H.shape) for G, H, _ in draws):
+        G, H, s = (np.stack([draws[i][j] for i in idx]) for j in range(3))
+        U, V = np.linalg.qr(G)[0], np.linalg.qr(H)[0]
+        A = (U * s[:, None, :]) @ V.mT
+        D = linalg.polar_newton_schulz_stack(A) - linalg.polar_exact_stack(A)
+        errs.append((idx, _fro_rows(D)))  # np.linalg.norm of each member
+    worst_ns = _worst(0.0, trials, errs)
+    diags = []
     for _ in range(200):
         m, n = rng.integers(2, 7, 2)
-        D = np.zeros((m, n))
-        d = min(m, n)
-        vals = rng.standard_normal(d)
-        vals[rng.random(d) < 0.3] = 0.0
-        D[np.arange(d), np.arange(d)] = vals
+        vals = rng.standard_normal(min(m, n))
+        vals[rng.random(vals.size) < 0.3] = 0.0
+        diags.append((m, n, vals))
+    worst_diag = 0.0
+    for idx in _group_by((m, n) for m, n, _ in diags):
+        m, n, _ = diags[idx[0]]
+        D = np.zeros((len(idx), m, n))
+        k = np.arange(min(m, n))
+        D[:, k, k] = [diags[i][2] for i in idx]
         worst_diag = max(worst_diag, float(np.max(np.abs(
-            linalg.polar_exact(D) - np.sign(D)))))
+            linalg.polar_exact_stack(D) - np.sign(D)))))
     return [
         CheckResult("newton-schulz vs exact polar", worst_ns <= 1e-4, worst_ns, 1e-4),
         CheckResult("polar of diagonal equals sign", worst_diag == 0.0, worst_diag, 0.0),
     ]
 
 
-def _random_piecewise_linear_oracle(rng, d):
-    """Convex f(w) = sum_j a_j |<u_j, w> + b_j| with its subgradient."""
-    k = int(rng.integers(2, 6))
-    a = rng.uniform(0.2, 2.0, k)
-    U = rng.standard_normal((k, d))
-    b = rng.standard_normal(k)
+@dataclass(frozen=True)
+class _ReductionTrial:
+    """One trial of ``suite_reduction``: momentum ``beta``, a stepsize
+    schedule, the start ``w0``, and the convex piecewise-linear
+    f(w) = sum_j a_j |<U_j, w> + b_j| with k terms (U is k x d)."""
 
-    def fn(w):
-        return float(a @ np.abs(U @ w + b))
-
-    def grad(w):
-        return (a * np.sign(U @ w + b)) @ U
-
-    return optim.FunctionOracle(fn, grad)
+    beta: float
+    schedule: object
+    a: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
+    w0: np.ndarray
 
 
-def suite_reduction(trials: int = 50, steps: int = 100) -> list:
-    rng = np.random.default_rng(11)
-    worst = 0.0
+def _reduction_trials(rng, trials: int) -> list:
+    out = []
     for _ in range(trials):
         d = int(rng.integers(2, 5))
         beta = float(rng.uniform(0.0, 0.99))
         schedule = [optim.Constant(float(rng.uniform(0.01, 0.5))),
                     optim.InvT(), optim.InvSqrtT()][int(rng.integers(0, 3))]
-        vec = _random_piecewise_linear_oracle(rng, d)
-        idx = np.arange(d)
-        mat = optim.FunctionOracle(
-            lambda W, o=vec: o.fn(np.diagonal(W)),
-            lambda W, o=vec, d=d: np.diag(o.subgrad(np.diagonal(W))),
-        )
-        w0 = rng.standard_normal(d)
-        sm = optim.OptimizerState(W=w0.copy(), beta=beta, schedule=schedule)
-        mu = optim.OptimizerState(W=np.diag(w0), beta=beta, schedule=schedule)
-        for _ in range(steps):
-            sm, _ = optim.step_signmomentum(sm, vec)
-            mu, _ = optim.step_muon(mu, mat)
-            worst = max(worst, float(np.max(np.abs(np.diagonal(mu.W) - sm.W))))
-            off = mu.W - np.diag(np.diagonal(mu.W))
-            worst = max(worst, float(np.max(np.abs(off))))
+        k = int(rng.integers(2, 6))
+        a = rng.uniform(0.2, 2.0, k)
+        U = rng.standard_normal((k, d))
+        b = rng.standard_normal(k)
+        out.append(_ReductionTrial(beta, schedule, a, U, b, rng.standard_normal(d)))
+    return out
+
+
+def _reduction_lockstep(trials: list, steps: int) -> tuple:
+    """Signed momentum on each trial's f, and Muon on f of the diagonal of a
+    d x d matrix started at diag(w0), run in lock-step.
+
+    The trials share one (k, d).  Returns the iterates after each step, a
+    (steps, B, d) and a (steps, B, d, d) array, and the final momenta, a
+    (B, d) and a (B, d, d) array; member b's are those of
+    ``step_signmomentum`` and ``step_muon`` loops bit for bit
+    (TestReductionLockstep in tests/test_harness.py is the contract).
+    """
+    B, d = len(trials), trials[0].w0.size
+    a = np.stack([t.a for t in trials])
+    U = np.stack([t.U for t in trials])
+    b = np.stack([t.b for t in trials])
+    beta = np.array([t.beta for t in trials])[:, None]
+    one_minus_beta = 1.0 - beta
+    # Each member's offline stepsizes, lam[i, b] at step i.
+    lam = np.array([[t.schedule.value(i) for t in trials] for i in range(steps)])
+    diag = np.arange(d)
+
+    def subgrad(w):
+        # (a * sign(U @ w + b)) @ U of each row of w, as the same matmuls.
+        z = (U @ w[:, :, None])[:, :, 0] + b
+        return ((a * np.sign(z))[:, None, :] @ U)[:, 0]
+
+    # The momenta start at zero, so for beta = 0 beta * M is a zero and
+    # beta * M + (1 - beta) * G is G, as _momentum returns it, up to the
+    # sign of a zero entry, which np.sign reads as 0 either way.
+    w = np.stack([t.w0 for t in trials])
+    m = np.zeros_like(w)
+    W = np.zeros((B, d, d))
+    W[:, diag, diag] = w
+    M, G = np.zeros_like(W), np.zeros_like(W)  # G is diagonal: only its diagonal is written
+    vec, mat = np.empty((steps, B, d)), np.empty((steps, B, d, d))
+    for i in range(steps):
+        m = beta * m + one_minus_beta * subgrad(w)
+        w = w - lam[i][:, None] * np.sign(m)
+        G[:, diag, diag] = subgrad(W[:, diag, diag])
+        M = beta[:, :, None] * M + one_minus_beta[:, :, None] * G
+        W = W - lam[i][:, None, None] * linalg.polar_exact_stack(M)
+        vec[i], mat[i] = w, W
+    return vec, mat, m, M
+
+
+def suite_reduction(trials: int = 50, steps: int = 100) -> list:
+    rng = np.random.default_rng(11)
+    draws = _reduction_trials(rng, trials)
+    worst = [0.0]
+    for idx in _group_by(t.U.shape for t in draws):
+        vec, mat, _, _ = _reduction_lockstep([draws[i] for i in idx], steps)
+        d = vec.shape[-1]
+        diag = mat[..., np.arange(d), np.arange(d)]
+        off = mat.copy()
+        off[..., np.arange(d), np.arange(d)] -= diag
+        worst += [np.max(np.abs(diag - vec)), np.max(np.abs(off))]
+    # np.max keeps a NaN, which max() over Python floats could drop.
+    worst = float(np.max(worst))
     return [CheckResult("momentum spectral vs signed momentum on diagonals",
                         worst <= 1e-12, worst, 1e-12)]
 
@@ -367,10 +428,8 @@ def _spec_draws(rng, spec, trials: int) -> list:
             draws.append(rng.standard_normal(int(rng.integers(2, 21))))
         else:
             draws.append(rng.standard_normal(rng.integers(2, 8, 2)))
-    groups = {}
-    for i, W in enumerate(draws):
-        groups.setdefault(W.shape, []).append(i)
-    return [(np.array(idx), np.stack([draws[i] for i in idx])) for idx in groups.values()]
+    return [(idx, np.stack([draws[i] for i in idx]))
+            for idx in _group_by(W.shape for W in draws)]
 
 
 def _inner_rows(A, B) -> np.ndarray:
@@ -389,8 +448,7 @@ def _fro_rows(A) -> np.ndarray:
     """``norms.fro`` of each member of a stack, bit for bit."""
     if isinstance(A, tuple):
         return np.sqrt(_inner_rows(A, A))  # ParamPoint.fro
-    flat = A.reshape(len(A), -1)
-    return np.sqrt(np.vecdot(flat, flat))  # linalg._fro, row by row
+    return linalg._fro_members(A)
 
 
 def _worst(start: float, trials: int, parts) -> float:

@@ -1,4 +1,4 @@
-"""Dense matrix kernels: reduced SVD, polar factors, elementwise sign, norms.
+"""Dense matrix kernels: reduced SVD, polar factors, norms.
 
 All operations are pure functions on float64 numpy arrays and are safe to
 call concurrently.
@@ -241,9 +241,12 @@ def _norm_stack(A, kind: str) -> np.ndarray:
         return np.array([norm(A[0], kind)])
     d = np.abs(A.diagonal(axis1=1, axis2=2))
     out = d.max(axis=1) if kind == "op" else d.sum(axis=1)
-    if _stack_is_diagonal(A):
+    finite = np.isfinite(out)
+    if _stack_is_diagonal(A) and finite.all():
         return out
-    svd, rest = _split(A, _diagonal_members(A))
+    # A diagonal member with a non-finite norm goes through norm, which
+    # raises for a non-finite entry.
+    svd, rest = _split(A, _diagonal_members(A) & finite)
     if svd.size:
         s = np.linalg.svd(A[svd], compute_uv=False)
         out[svd] = s[:, 0] if kind == "op" else s.sum(axis=1)
@@ -269,26 +272,65 @@ def polar_newton_schulz(A, iters: int = NEWTON_SCHULZ_DEFAULT_ITERS) -> np.ndarr
     in (0, 1].  Accuracy target: within 1e-4 of ``polar_exact`` at the
     default iteration count for mildly conditioned inputs; heavily
     rank-deficient or ill-conditioned inputs converge more slowly.  The zero
-    matrix maps to zero without iterating.
+    matrix maps to zero without iterating.  This is the B = 1 case of
+    ``polar_newton_schulz_stack``.
     """
-    A = as_matrix(A)
+    return _newton_schulz(as_matrix(A)[None], iters)[0]
+
+
+def polar_newton_schulz_stack(A, iters: int = NEWTON_SCHULZ_DEFAULT_ITERS) -> np.ndarray:
+    """``polar_newton_schulz`` of each member of a (B, m, n) stack, bit for bit.
+
+    Every rule holds per member: the Frobenius pre-scaling, zero members
+    mapping to zero, and the finiteness and growth checks of each iteration.
+    A non-finite member raises ``as_matrix``'s ValueError; a diverging one,
+    NumericalError.
+    """
+    A = _as_stack(A)
+    if not _all_finite(A):
+        raise ValueError("matrix entries must be finite")
+    return _newton_schulz(A, iters)
+
+
+def _fro_members(A: np.ndarray) -> np.ndarray:
+    """``_fro`` of each member of a stack: vecdot is ndarray.dot row by row."""
+    flat = A.reshape(len(A), -1)
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def _newton_schulz(A: np.ndarray, iters: int) -> np.ndarray:
+    # A stacked matmul is the 2-d one per member, so each member's iterates
+    # are what a stack of one gives.
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    fro = _fro(A)
-    if fro == 0.0:
-        return np.zeros_like(A)
-    X = A / fro
-    limit = NEWTON_SCHULZ_GROWTH_LIMIT * math.sqrt(min(A.shape))
+    fro = _fro_members(A)
+    live = fro != 0.0
+    if not live.all():
+        X = np.zeros_like(A)
+        if live.any():
+            X[live] = _newton_schulz(A[live], iters)
+        return X
+    X = A / fro[:, None, None]
+    limit = NEWTON_SCHULZ_GROWTH_LIMIT * math.sqrt(min(A.shape[1:]))
     for _ in range(iters):
-        X = 1.5 * X - 0.5 * (X @ X.T @ X)
-        if not _all_finite(X) or _fro(X) > limit:
+        X = 1.5 * X - 0.5 * (X @ X.mT @ X)
+        # The largest member norm, NaN or inf if any entry is not finite:
+        # one test of both checks.
+        flat = X.reshape(len(X), -1)
+        if not math.sqrt(np.vecdot(flat, flat).max()) <= limit:
             raise NumericalError("Newton-Schulz iteration diverged")
     return X
 
 
-def sign_elementwise(A) -> np.ndarray:
-    """Elementwise sign with sign(0) = 0."""
-    return np.sign(np.asarray(A, dtype=float))
+def _non_finite_norm(r: float, arr: np.ndarray, what: str) -> float:
+    """The non-finite norm ``r`` of ``arr``: an error if an entry is not
+    finite, else an overflow, returned as it is.
+
+    Callers test ``r`` first, so finite input pays no scan of its entries.
+    """
+    if not _all_finite(arr):
+        raise ValueError(f"{what} entries must be finite")
+    return r
 
 
 def norm(A, kind: str, p: float | None = None) -> float:
@@ -296,7 +338,8 @@ def norm(A, kind: str, p: float | None = None) -> float:
 
     kind is one of "fro", "op", "nuc" (matrices) or "l1", "l2", "linf",
     "lp" (vectors, or single-row/column matrices).  "lp" needs a finite
-    p >= 1; "linf" is the p = inf norm.
+    p >= 1; "linf" is the p = inf norm.  Every kind but "fro" raises
+    ValueError on a NaN or infinite entry.
     """
     arr = np.asarray(A, dtype=float)
     if kind == "fro":
@@ -306,18 +349,23 @@ def norm(A, kind: str, p: float | None = None) -> float:
             raise ValueError(f"expected a 2-d array, got shape {arr.shape}")
         if _offdiag_is_zero(arr):
             d = np.abs(arr.diagonal())
-            return float(d.max()) if kind == "op" else float(d.sum())
+            r = float(d.max()) if kind == "op" else float(d.sum())
+            return r if math.isfinite(r) else _non_finite_norm(r, arr, "matrix")
+        if not _all_finite(arr):
+            raise ValueError("matrix entries must be finite")
         s = np.linalg.svd(arr, compute_uv=False)
         return float(s[0]) if kind == "op" else float(s.sum())
     v = _as_vector(arr)
     if kind == "l1":
-        return float(np.abs(v).sum())
-    if kind == "l2":
-        return _fro(v)
-    if kind == "linf":
-        return float(np.abs(v).max()) if v.size else 0.0
-    if kind == "lp":
+        r = float(np.abs(v).sum())
+    elif kind == "l2":
+        r = _fro(v)
+    elif kind == "linf":
+        r = float(np.abs(v).max()) if v.size else 0.0
+    elif kind == "lp":
         if p is None or not 1 <= p < math.inf:
             raise ValueError(f"lp norm requires a finite p >= 1, got {p!r}")
-        return float((np.abs(v) ** p).sum() ** (1.0 / p))
-    raise ValueError(f"unknown norm kind {kind!r}")
+        r = float((np.abs(v) ** p).sum() ** (1.0 / p))
+    else:
+        raise ValueError(f"unknown norm kind {kind!r}")
+    return r if math.isfinite(r) else _non_finite_norm(r, v, "vector")

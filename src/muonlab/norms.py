@@ -225,7 +225,7 @@ def _stack(W, spec):
         V = np.asarray(W, dtype=float)
         if V.ndim != 2:
             raise ValueError(f"expected a (B, d) stack of vectors, got shape {V.shape}")
-        return V
+        return _finite_vectors(V)
     if isinstance(spec, _MATRIX_SPECS):
         return linalg._as_stack(W)
     if isinstance(spec, ProductNormSpec):
@@ -248,10 +248,17 @@ def _stack(W, spec):
     raise ValueError(f"unknown norm spec {spec!r}")
 
 
+def _finite_vectors(V: np.ndarray) -> np.ndarray:
+    # linalg.norm's check and message for the vector kinds.
+    if not linalg._all_finite(V):
+        raise ValueError("vector entries must be finite")
+    return V
+
+
 def _one(W, spec):
     """The B = 1 stack of a per-call argument."""
     if isinstance(spec, _VECTOR_SPECS):
-        return linalg._as_vector(W)[None]
+        return _finite_vectors(linalg._as_vector(W)[None])
     if isinstance(spec, _MATRIX_SPECS):
         A = np.asarray(W, dtype=float)
         if A.ndim != 2:

@@ -100,10 +100,6 @@ class AdaptiveNuclear:
         raise ValueError("AdaptiveNuclear has no offline limit")
 
 
-def schedule_is_offline(schedule) -> bool:
-    return not isinstance(schedule, AdaptiveNuclear)
-
-
 # ---------------------------------------------------------------------------
 # Oracles
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -322,6 +323,81 @@ class TestLeastFrobeniusGrid:
             assert stacked.bit_generator.state == loop.bit_generator.state
 
 
+def _scalar_reduction(trial, steps):
+    """The per-trial loop suite_reduction ran before the lock-step engine:
+    the iterates of step_signmomentum on f and of step_muon on f(diag W),
+    then their final momenta."""
+    a, U, b = trial.a, trial.U, trial.b
+    vec = optim.FunctionOracle(lambda w: float(a @ np.abs(U @ w + b)),
+                               lambda w: (a * np.sign(U @ w + b)) @ U)
+    mat = optim.FunctionOracle(lambda W: vec.fn(np.diagonal(W)),
+                               lambda W: np.diag(vec.subgrad(np.diagonal(W))))
+    sm = optim.OptimizerState(W=trial.w0.copy(), beta=trial.beta, schedule=trial.schedule)
+    mu = optim.OptimizerState(W=np.diag(trial.w0), beta=trial.beta, schedule=trial.schedule)
+    ws, Ws = [], []
+    for _ in range(steps):
+        sm, _ = optim.step_signmomentum(sm, vec)
+        mu, _ = optim.step_muon(mu, mat)
+        ws.append(sm.W)
+        Ws.append(mu.W)
+    return np.array(ws), np.array(Ws), sm.M, mu.M
+
+
+class TestReductionLockstep:
+    """Each member of the lock-step reduction run equals the scalar
+    step_signmomentum and step_muon loops bit for bit, as TestRunBatch holds
+    run_batch to optim.run."""
+
+    STEPS = 60
+
+    def check(self, trials):
+        # The iterates read only the sign of the momentum, so the final
+        # momenta are compared too.
+        got = harness._reduction_lockstep(trials, self.STEPS)
+        for b, trial in enumerate(trials):
+            want = _scalar_reduction(trial, self.STEPS)
+            got_b = (got[0][:, b], got[1][:, b], got[2][b], got[3][b])
+            for g, w in zip(got_b, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def groups(self):
+        trials = harness._reduction_trials(np.random.default_rng(11), 50)
+        return [[trials[i] for i in idx] for idx in harness._group_by(t.U.shape for t in trials)]
+
+    def test_suite_groups(self):
+        groups = self.groups()
+        assert len(groups) > 5
+        schedules = set()
+        for group in groups[:6]:
+            self.check(group)
+            schedules |= {type(t.schedule) for t in group}
+        assert schedules == {optim.Constant, optim.InvT, optim.InvSqrtT}
+
+    def test_beta_zero_member_and_group_of_one(self):
+        group = max(self.groups(), key=len)
+        assert len(group) >= 3
+        mixed = [group[0], dataclasses.replace(group[1], beta=0.0), group[2],
+                 dataclasses.replace(group[0], beta=0.0, w0=-group[0].w0)]
+        self.check(mixed)
+        self.check(mixed[1:2])
+        self.check(group[2:3])
+
+    def test_suite_reports_a_nan(self, monkeypatch):
+        # A NaN iterate fails the check; max() over Python floats could
+        # have dropped it.
+        lockstep = harness._reduction_lockstep
+
+        def with_nan(trials, steps):
+            vec, mat, m, M = lockstep(trials, steps)
+            vec[-1, 0, 0] = np.nan
+            return vec, mat, m, M
+
+        monkeypatch.setattr(harness, "_reduction_lockstep", with_nan)
+        (result,) = harness.suite_reduction(trials=4, steps=3)
+        assert not result.passed
+        assert math.isnan(result.observed)
+
+
 class TestCli:
     def test_bound_command(self, capsys):
         rc = cli.main(["bound", "--T", "0", "--delta", "1", "--beta", "0",
@@ -426,6 +502,13 @@ class TestCli:
                                    "schedule": {"kind": "invt"}, "T": 1,
                                    "init": {"kind": "cex1"}}))
         assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("suite", ["polar", "reduction"])
+    def test_verify_one_trial(self, suite, capsys):
+        rc = cli.main(["verify", suite, "--trials", "1"])
+        out = capsys.readouterr().out
+        assert rc == cli.EXIT_OK
+        assert "FAIL" not in out and out.count("PASS") == len(harness.SUITES[suite](trials=1))
 
     def test_verify_small_suite(self, capsys):
         rc = cli.main(["verify", "reduction", "--trials", "3"])

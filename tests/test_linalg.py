@@ -1,3 +1,9 @@
+import json
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -161,10 +167,15 @@ class TestStacks:
             linalg.polar_exact_stack(A)
 
     def test_non_finite_diagonal_nuclear_norm(self):
-        A = np.stack([np.diag([np.inf, 1.0]), np.diag([np.nan, 1.0])])
-        nuc = linalg.nuclear_norm_stack(A)
-        assert nuc[0] == linalg.norm(A[0], "nuc") == np.inf
-        assert np.isnan(nuc[1]) and np.isnan(linalg.norm(A[1], "nuc"))
+        # A non-finite diagonal entry raises, per call and in a stack, as a
+        # non-finite entry off the diagonal does.
+        for bad in (np.diag([np.inf, 1.0]), np.diag([np.nan, 1.0])):
+            for kind, stacked in (("nuc", linalg.nuclear_norm_stack),
+                                  ("op", linalg.op_norm_stack)):
+                with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                    linalg.norm(bad, kind)
+                with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                    stacked(np.stack([np.diag([2.0, 1.0]), bad]))
 
     def test_rejects_non_stack(self):
         with pytest.raises(ValueError):
@@ -259,14 +270,138 @@ class TestPolarNewtonSchulz:
             linalg.polar_newton_schulz(np.eye(2), iters=0)
 
 
-class TestSign:
-    def test_examples(self):
-        np.testing.assert_array_equal(
-            linalg.sign_elementwise(np.diag([2.0, -3.0])), np.diag([1.0, -1.0]))
-        np.testing.assert_array_equal(linalg.sign_elementwise(np.zeros((2, 2))), np.zeros((2, 2)))
-        np.testing.assert_array_equal(
-            linalg.sign_elementwise(np.array([[0.5, -0.5], [0.0, 7.0]])),
-            np.array([[1.0, -1.0], [0.0, 1.0]]))
+def ns_reference(A, iters=linalg.NEWTON_SCHULZ_DEFAULT_ITERS):
+    """The 2-d iteration ``polar_newton_schulz`` ran before it became the
+    B = 1 case of ``polar_newton_schulz_stack``, kept as the reference."""
+    A = linalg.as_matrix(A)
+    fro = math.sqrt(A.ravel().dot(A.ravel()))
+    if fro == 0.0:
+        return np.zeros_like(A)
+    X = A / fro
+    limit = linalg.NEWTON_SCHULZ_GROWTH_LIMIT * math.sqrt(min(A.shape))
+    for _ in range(iters):
+        X = 1.5 * X - 0.5 * (X @ X.T @ X)
+        if not np.all(np.isfinite(X)) or np.linalg.norm(X) > limit:
+            raise linalg.NumericalError("Newton-Schulz iteration diverged")
+    return X
+
+
+# SHA-256 of polar_newton_schulz's output bytes on seeded Gaussian inputs,
+# recorded with the 2-d iteration (ns_reference) before the stack kernel,
+# with numpy 2.4.6's OpenBLAS at one thread on an x86-64 CPU.  A threaded
+# BLAS changes the last bits at 256 x 256, so the digests are computed in a
+# child process held at one thread; another BLAS build may differ too.
+NS_DIGESTS = {
+    "2x2": "56992fe5ef7fc79a0be5b51b82aaec6c0d5f6983829acd34094ec6039453f12e",
+    "5x3": "e1aabac91f3ed86acaa79440138d4b310184440011a1ca1f248970f1d0f02b86",
+    "8x8": "ab893780bde6fd82b32aca497194aca460167dc9c9e43c54cb4fe85057739877",
+    "64x64": "4333f062d8e8f58e6da870832fde27143214f98d98d251381a544ad0d7fd5e56",
+    "256x256": "0c8cf536796e7011fee21c10dd6bae5346b4657f4830c170f0f72c7fa1e05c0c",
+}
+NS_DIGEST_SCRIPT = """
+import hashlib, json
+import numpy as np
+from muonlab import linalg
+rng = np.random.default_rng(2024)
+out = {}
+for m, n in ((2, 2), (5, 3), (8, 8), (64, 64), (256, 256)):
+    X = linalg.polar_newton_schulz(rng.standard_normal((m, n)))
+    out[f"{m}x{n}"] = hashlib.sha256(np.ascontiguousarray(X).tobytes()).hexdigest()
+print(json.dumps(out))
+"""
+
+
+def test_newton_schulz_digests():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(linalg.__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", NS_DIGEST_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == NS_DIGESTS
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestNewtonSchulzStack:
+    """Each member of a stack is the B = 1 call, and both are the 2-d
+    iteration they replaced, bit for bit."""
+
+    def check_members(self, A, iters=linalg.NEWTON_SCHULZ_DEFAULT_ITERS):
+        got = linalg.polar_newton_schulz_stack(A, iters=iters)
+        assert got.shape == A.shape
+        for b in range(len(A)):
+            one = linalg.polar_newton_schulz(A[b], iters=iters)
+            assert_same_bits(got[b], one)
+            assert_same_bits(one, ns_reference(A[b], iters))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (5, 3), (3, 5), (1, 4), (4, 1), (8, 8), (33, 17)])
+    def test_mixed_members(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        m, n = shape
+        A = rng.standard_normal((7, m, n))
+        A[1] = 0.0  # a zero member beside non-zero ones
+        A[3] = rng.standard_normal((m, 1)) @ rng.standard_normal((1, n))  # rank one
+        A[4] *= 1e-150  # tiny
+        A[5] = -0.0
+        k = np.arange(min(m, n))
+        A[6] = 0.0
+        A[6, k, k] = rng.standard_normal(k.size)  # diagonal
+        self.check_members(A)
+        self.check_members(A, iters=1)
+        assert_same_bits(linalg.polar_newton_schulz_stack(A)[[1, 5]], np.zeros((2, m, n)))
+
+    def test_all_zero_and_single_member(self):
+        self.check_members(np.zeros((3, 4, 2)))
+        self.check_members(np.random.default_rng(1).standard_normal((1, 6, 6)))
+
+    def test_strided_and_fortran_input(self):
+        A = np.random.default_rng(2).standard_normal((5, 8, 6))
+        for view in (A[::2], A[:, ::2, 1:], np.asfortranarray(A), A.mT):
+            self.check_members(view)
+
+    def test_diverging_member_raises(self, monkeypatch):
+        # From a Frobenius-scaled start every singular value stays in (0, 1],
+        # so a lower growth limit stands in for divergence.  One step takes
+        # the identity's X to 0.6875 I (Frobenius norm 1.375) and a rank-one
+        # member's to itself (norm 1): the limit 0.6 * sqrt(4) lies between.
+        monkeypatch.setattr(linalg, "NEWTON_SCHULZ_GROWTH_LIMIT", 0.6)
+        rank_one = np.zeros((4, 4))
+        rank_one[0, 0] = 3.0
+        A = np.stack([rank_one, np.eye(4)])
+        np.testing.assert_array_equal(linalg.polar_newton_schulz(rank_one), rank_one / 3.0)
+        for call in (lambda: linalg.polar_newton_schulz(A[1]),
+                     lambda: linalg.polar_newton_schulz_stack(A),
+                     lambda: ns_reference(A[1])):
+            with pytest.raises(linalg.NumericalError, match="Newton-Schulz iteration diverged"):
+                call()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_member(self, bad):
+        A = np.random.default_rng(3).standard_normal((4, 3, 3))
+        A[2, 1, 0] = bad
+        with pytest.raises(ValueError) as ref:
+            linalg.polar_newton_schulz(A[2])
+        with pytest.raises(ValueError) as got:
+            linalg.polar_newton_schulz_stack(A)
+        assert str(got.value) == str(ref.value) == "matrix entries must be finite"
+
+    def test_bad_iters(self):
+        A = np.stack([np.eye(2), np.zeros((2, 2))])
+        for iters in (0, -1):
+            with pytest.raises(ValueError, match="iters must be >= 1"):
+                linalg.polar_newton_schulz_stack(A, iters=iters)
+            with pytest.raises(ValueError, match="iters must be >= 1"):
+                linalg.polar_newton_schulz(A[1], iters=iters)
+
+    def test_rejects_non_stack(self):
+        with pytest.raises(ValueError, match="stack"):
+            linalg.polar_newton_schulz_stack(np.eye(2))
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            linalg.polar_newton_schulz_stack(np.ones((2, 0, 3)))
 
 
 class TestNorm:
@@ -304,6 +439,30 @@ class TestNorm:
             assert fro / np.sqrt(min(A.shape)) <= op + tol
             assert op <= fro + tol
             assert fro <= nuc + tol
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["op", "nuc"])
+    def test_matrix_norms_reject_non_finite(self, kind, bad):
+        # A diagonal NaN used to give a NaN norm, and a NaN off the diagonal
+        # numpy's bare LinAlgError.
+        for A in (np.diag([1.0, bad]), np.array([[1.0, bad], [0.0, 2.0]])):
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                linalg.norm(A, kind)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["l1", "l2", "linf", "lp"])
+    def test_vector_norms_reject_non_finite(self, kind, bad):
+        with pytest.raises(ValueError, match="^vector entries must be finite$"):
+            linalg.norm(np.array([1.0, bad, 2.0]), kind, p=3.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_finite_input_keeps_inf(self):
+        # Only a non-finite entry raises; a norm that overflows is inf.
+        big = np.finfo(float).max
+        assert linalg.norm(np.diag([big, big]), "nuc") == math.inf
+        assert linalg.norm(np.array([big, big]), "l1") == math.inf
+        assert linalg.norm(np.array([big, big]), "l2") == math.inf
+        assert linalg.norm(np.diag([big, big]), "op") == big
 
     def test_vector_norm_accepts_row_or_column(self):
         assert linalg.norm(np.array([[2.0], [0.0], [-1.0]]), "l1") == 3.0

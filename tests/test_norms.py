@@ -393,8 +393,9 @@ PRODUCT_SPECS = [norms.ProductNormSpec(layer_dims=((3, 4), (2, 2)), s=1.5, k=3),
 
 
 def vector_groups(rng):
-    """Stacks of several lengths with ties, near-ties, zeros, -0.0, non-finite
-    and tiny members."""
+    """Stacks of several lengths with ties, near-ties, zeros, -0.0, tiny,
+    huge and one-hot members.  Non-finite members raise
+    (test_non_finite_vector_member)."""
     for d in (1, 2, 5, 8, 9, 20):
         members = [rng.standard_normal(d) for _ in range(6)]
         members += [np.zeros(d), np.full(d, -0.0), rng.integers(-2, 3, d).astype(float),
@@ -404,10 +405,10 @@ def vector_groups(rng):
         near = rng.standard_normal(d)
         near[0], near[-1] = 3.0, -3.0 * (1 - 1e-13)  # a tie within TIE_RTOL
         members += [tie, near]
-        for bad in (np.nan, np.inf, -np.inf):
-            w = rng.standard_normal(d)
-            w[d // 2] = bad
-            members.append(w)
+        one_hot = np.zeros(d)
+        one_hot[d // 2] = -2.5
+        # Finite entries whose squares overflow, at two scales.
+        members += [one_hot, rng.standard_normal(d) * 1e200, rng.standard_normal(d) * 1e160]
         yield np.stack(members)
 
 
@@ -533,6 +534,19 @@ class TestStackedNorms:
         else:
             stacked = getattr(norms, fname + "_stack")(W, spec)
             assert_bits(stack_member(stacked, 2), expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("spec", VECTOR_SPECS, ids=repr)
+    @pytest.mark.parametrize("fname", ["primal_norm", "dual_norm", "lmo_min", "compress"])
+    def test_non_finite_vector_member(self, bad, spec, fname):
+        # These used to return NaN, or zeros from lmo_min; they now raise
+        # linalg.norm's error, per call and in a stack alike.
+        W = np.random.default_rng(8).standard_normal((4, 5))
+        W[2, 3] = bad
+        with pytest.raises(ValueError, match="^vector entries must be finite$"):
+            getattr(norms, fname)(W[2], spec)
+        with pytest.raises(ValueError, match="^vector entries must be finite$"):
+            getattr(norms, fname + "_stack")(W, spec)
 
     def test_non_finite_product_members(self):
         spec = PRODUCT_SPECS[0]

@@ -8,9 +8,11 @@ now run on.  Regenerate a file only for a change that is meant to alter a
 suite's observed values, and say so in the change.
 
 The printed lines show four significant digits.  ``observed-hex.json``
-holds every observed value of the ``lmo`` and ``compressor`` suites as
-``float.hex``, recorded with the per-call norm kernels, so it pins the
-stack kernels those suites now run on to the last bit.
+holds every observed value of all seven suites as ``float.hex``.  The
+``lmo`` and ``compressor`` entries were recorded with the per-call norm
+kernels, and the ``polar`` and ``reduction`` entries with one trial at a
+time, so they pin the stacked kernels those suites now run on to the last
+bit.
 """
 
 import json
@@ -33,7 +35,7 @@ def test_verify_output_matches_golden(suite, capsys):
     assert captured.out == (GOLDEN / f"{suite}.txt").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("suite", ["lmo", "compressor"])
+@pytest.mark.parametrize("suite", SUITES)
 def test_observed_values_match_recorded_bits(suite):
     recorded = json.loads((GOLDEN / "observed-hex.json").read_text(encoding="utf-8"))[suite]
     got = [[r.name, float(r.observed).hex()] for r in harness.SUITES[suite]()]
