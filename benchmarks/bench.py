@@ -24,7 +24,15 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
   ``KERNEL_MN``, and ``polar_newton_schulz_stack`` on them as one stack, in
   microseconds per member (left out where the library has no stack form);
 - ``linalg.polar_newton_schulz`` and ``linalg.polar_exact`` on one Gaussian
-  n x n matrix for each n in ``POLAR_SIZES``, in microseconds per call.
+  n x n matrix for each n in ``POLAR_SIZES``, in microseconds per call;
+- each ``optim.step_*`` entry, called in a loop, in microseconds per step:
+  ``STEP_T`` steps on the 2x2 counterexample function from a diagonal start
+  (the product rules on a one-layer 2x2 ``ProductNormSpec`` point), and
+  ``RULE_DENSE_STEPS`` steps on an l1 distance from a dense ``RULE_DENSE_N``
+  square start (the product rules on a two-layer point of that width).
+
+Every per-unit figure is given from the median and, under ``*_min``, from the
+minimum; on a shared host the minimum is the steadier of the two.
 
 Each run is stored under ``--label`` in the output file, beside the runs
 already there, so that running the script on two checkouts records a
@@ -61,6 +69,12 @@ KERNEL_MN = (4, 4)
 # Matrix sizes of the per-call polar timings, and calls per timing at each.
 POLAR_SIZES = (2, 8, 64, 256)
 POLAR_CALLS = {2: 1000, 8: 1000, 64: 100, 256: 10}
+# The step entries, named here so that the script also runs on commits
+# without optim.RULES, and the dense set-up of their timings.
+STEP_METHODS = ("specgd", "muon", "regmuon", "signgd", "signmomentum", "efmuon",
+                "muonmax", "efmuonmax")
+RULE_DENSE_N = 64
+RULE_DENSE_STEPS = 20
 
 
 def _timed(fn) -> dict:
@@ -74,8 +88,10 @@ def _timed(fn) -> dict:
 
 
 def _per_unit(timing: dict, key: str, units: int) -> dict:
-    """``timing`` with its median, in microseconds per unit, stored under ``key``."""
+    """``timing`` with its median and its minimum, in microseconds per unit,
+    stored under ``key`` and ``key + "_min"``."""
     timing[key] = timing["median_ms"] * 1e3 / units
+    timing[key + "_min"] = timing["min_ms"] * 1e3 / units
     return timing
 
 
@@ -154,6 +170,65 @@ def _polar_timings() -> dict:
     return timings
 
 
+def _l1_oracle(target):
+    """f(W) = ||W - target||_1 with subgradient sign(W - target), blockwise."""
+    import numpy as np
+    from muonlab import norms, optim
+
+    if isinstance(target, norms.ParamPoint):
+        def value(W):
+            D = W - target
+            return sum(float(np.abs(M).sum()) for M in D.matrices) + float(np.abs(D.theta).sum())
+
+        def subgrad(W):
+            D = W - target
+            return norms.ParamPoint([np.sign(M) for M in D.matrices], np.sign(D.theta))
+    else:
+        def value(W):
+            return float(np.abs(W - target).sum())
+
+        def subgrad(W):
+            return np.sign(W - target)
+    return optim.FunctionOracle(value, subgrad)
+
+
+def _rule_timings() -> dict:
+    import numpy as np
+    from muonlab import counterexample as cex
+    from muonlab import norms, optim
+
+    rng = np.random.default_rng(0)
+    n = RULE_DENSE_N
+
+    def point(spec):
+        return norms.ParamPoint([rng.standard_normal(d) for d in spec.layer_dims],
+                                rng.standard_normal(spec.k))
+
+    small = norms.ProductNormSpec(layer_dims=((2, 2),), s=1.0, k=1)
+    wide = norms.ProductNormSpec(layer_dims=((n, n), (n, n // 2)), s=1.0, k=8)
+    setups = {
+        "2x2": (np.diag([1.0, -0.5]), cex.KinkyFunction(c=0.3).oracle(), None, STEP_T),
+        "2x2-product": (point(small), _l1_oracle(point(small)), small, STEP_T),
+        "dense": (rng.standard_normal((n, n)), _l1_oracle(rng.standard_normal((n, n))),
+                  None, RULE_DENSE_STEPS),
+        "dense-product": (point(wide), _l1_oracle(point(wide)), wide, RULE_DENSE_STEPS),
+    }
+    timings = {}
+    for method in STEP_METHODS:
+        step = getattr(optim, f"step_{method}")
+        product = method in ("muonmax", "efmuonmax")
+        for size in ("2x2", "dense"):
+            W0, oracle, spec, steps = setups[size + "-product" if product else size]
+
+            def loop():
+                st = optim.OptimizerState(W=W0, beta=0.5, schedule=optim.InvSqrtT(),
+                                          spec=spec)
+                for _ in range(steps):
+                    st, _ = step(st, oracle)
+            timings[f"step_{method}[{size}]"] = _per_unit(_timed(loop), "us_per_step", steps)
+    return timings
+
+
 def _source(package) -> dict:
     """The git commit the timed code came from, and whether it was edited."""
     root = os.path.dirname(os.path.abspath(package.__file__))
@@ -206,7 +281,7 @@ def measure() -> dict:
     return {"source": _source(muonlab), "machine": _machine(),
             "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "timings": {**timings, **_step_timings(), **_kernel_timings(),
-                        **_polar_timings()}}
+                        **_polar_timings(), **_rule_timings()}}
 
 
 def main(argv=None) -> int:

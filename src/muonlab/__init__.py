@@ -43,7 +43,6 @@ from .optim import (
     efm_bound_schedule,
     run,
     run_batch,
-    step_efm,
     step_efmuon,
     step_efmuonmax,
     step_muon,
@@ -61,7 +60,6 @@ from .counterexample import (
     cex1_predicted_iterate,
     cex1_predicted_sequence,
     cex2_guard_check,
-    cex2_track,
     compute_R,
     compute_R_sequence,
     lipschitz_bound,

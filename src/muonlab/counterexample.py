@@ -244,9 +244,14 @@ def compute_R_sequence(schedule, T: int, tail_tol: float = DEFAULT_TAIL_TOL) -> 
     """R_0 .. R_T via one tail evaluation and the exact recursion R_{t+1} = lam_t - R_t."""
     if T < 0:
         raise ValueError("T must be nonnegative")
-    R = np.empty(T + 1)
-    R[0] = compute_R(schedule, 0, tail_tol)
-    for t in range(T):
+    return _R_recursion(schedule, compute_R(schedule, 0, tail_tol), T + 1)
+
+
+def _R_recursion(schedule, R0: float, n: int) -> np.ndarray:
+    """R_0 .. R_{n-1} from R_0 by the recursion R_{t+1} = lam_t - R_t."""
+    R = np.empty(n)
+    R[0] = R0
+    for t in range(n - 1):
         R[t + 1] = schedule.value(t) - R[t]
     return R
 
@@ -273,12 +278,7 @@ class Cex1Init:
 
     def R(self, t: int) -> float:
         if self._R is None or t >= len(self._R):
-            n = max(2 * (t + 1), 16)
-            R = np.empty(n)
-            R[0] = self.R0
-            for s in range(n - 1):
-                R[s + 1] = self.schedule.value(s) - R[s]
-            self._R = R
+            self._R = _R_recursion(self.schedule, self.R0, max(2 * (t + 1), 16))
         return float(self._R[t])
 
 
@@ -357,11 +357,6 @@ class Cex2Guard:
     q0: float
     ok: bool
     first_bad_t: int = -1
-
-
-def cex2_track(trace: optim.Trace):
-    """Invariants p_t = w1 + w2 and q_t = w1 - w2 along a trace."""
-    return trace.sum_diag, trace.diff_diag
 
 
 def cex2_guard_check(W0, beta, schedule, T: int, method: str = "muon",

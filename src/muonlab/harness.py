@@ -104,6 +104,10 @@ def build_schedule(spec: dict):
     raise ConfigError(f"unknown schedule kind {kind!r}")
 
 
+# The rules a run on the counterexample function takes: all but the
+# product-norm ones, which need a ProductNormSpec point.
+RUN_METHODS = tuple(name for name, rule in optim.RULES.items() if rule.lmo != "product")
+
 CONFIG_KEYS = frozenset((
     "method", "beta", "c", "style", "schedule", "T", "init", "m", "n", "seed",
     "polar", "track_average", "bound",
@@ -123,8 +127,9 @@ def resolve_config(raw: dict) -> dict:
     for key in ("method", "schedule", "T", "init"):
         if key not in cfg:
             raise ConfigError(f"config is missing {key!r}")
-    if cfg["method"] not in optim.STEP_FUNCTIONS and cfg["method"] != "efm":
-        raise ConfigError(f"unknown method {cfg['method']!r}")
+    if cfg["method"] not in RUN_METHODS:
+        raise ConfigError(f"unknown method {cfg['method']!r}; "
+                          f"a run takes one of {', '.join(RUN_METHODS)}")
     for key in ("m", "n", "seed", "T"):
         if isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, np.integer)):
             raise ConfigError(f"{key} must be an integer")
@@ -373,7 +378,7 @@ def _reduction_lockstep(trials: list, steps: int) -> tuple:
         return ((a * np.sign(z))[:, None, :] @ U)[:, 0]
 
     # The momenta start at zero, so for beta = 0 beta * M is a zero and
-    # beta * M + (1 - beta) * G is G, as _momentum returns it, up to the
+    # beta * M + (1 - beta) * G is G, as optim.step reads it, up to the
     # sign of a zero entry, which np.sign reads as 0 either way.
     w = np.stack([t.w0 for t in trials])
     m = np.zeros_like(w)
@@ -567,11 +572,11 @@ def suite_cex1(T: int = 5000) -> list:
             fns.append(fn)
             states.append(optim.OptimizerState(W=W0, beta=beta, schedule=schedule))
     traces = optim.run_batch("muon", fns, states, T)
-    for (beta, label, init), tr in zip(cases, traces):
+    for (beta, label, init), fn, tr in zip(cases, fns, traces):
         pred = cex.cex1_predicted_sequence(init, T)
         dev = max(float(np.max(np.abs(tr.w11 - pred[:, 0]))),
                   float(np.max(np.abs(tr.w22 - pred[:, 1]))))
-        floor = (1.0 - beta) * init.r
+        floor = cex.cex1_floor(init, fn)
         fmin = float(np.min(tr.f))
         results.append(CheckResult(
             f"oscillation matches closed form [beta={beta}, {label}]",
@@ -602,7 +607,7 @@ def suite_cex2(n_inits: int = 100, T: int = 2000) -> list:
             traces = optim.run_batch(method, [fn] * n_inits, states, T)
             for W0, tr in zip(starts, traces):
                 p0 = W0[0, 0] + W0[1, 1]
-                p, q = cex.cex2_track(tr)
+                p, q = tr.sum_diag, tr.diff_diag  # the invariants p_t and q_t
                 dp = float(np.max(np.abs(p - p0)))
                 worst_p = max(worst_p, dp)
                 ok_q = bool(np.all(q != 0.0))

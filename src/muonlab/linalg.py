@@ -15,6 +15,8 @@ import numpy as np
 SVD_TRUNCATION_RTOL = 1e-12
 NEWTON_SCHULZ_DEFAULT_ITERS = 12
 NEWTON_SCHULZ_GROWTH_LIMIT = 10.0
+# The Frobenius norm below which a sum of squares is no longer a normal number.
+_FRO_UNDERFLOW = math.sqrt(np.finfo(float).tiny)
 
 # Native float64.  ``A.dtype is _FLOAT64`` is the hot paths' cheap test for
 # it; a byte-swapped float64 array fails it and takes the general path.
@@ -269,11 +271,12 @@ def polar_newton_schulz(A, iters: int = NEWTON_SCHULZ_DEFAULT_ITERS) -> np.ndarr
     """Approximate the polar factor with the cubic iteration X <- 1.5X - 0.5 X X^T X.
 
     The input is pre-scaled by its Frobenius norm so all singular values lie
-    in (0, 1].  Accuracy target: within 1e-4 of ``polar_exact`` at the
-    default iteration count for mildly conditioned inputs; heavily
-    rank-deficient or ill-conditioned inputs converge more slowly.  The zero
-    matrix maps to zero without iterating.  This is the B = 1 case of
-    ``polar_newton_schulz_stack``.
+    in (0, 1]; one whose sum of squares overflows or underflows is divided
+    by its largest |entry| first.  Accuracy target: within 1e-4 of
+    ``polar_exact`` at the default iteration count for mildly conditioned
+    inputs; heavily rank-deficient or ill-conditioned inputs converge more
+    slowly.  The zero matrix maps to zero without iterating.  This is the
+    B = 1 case of ``polar_newton_schulz_stack``.
     """
     return _newton_schulz(as_matrix(A)[None], iters)[0]
 
@@ -303,7 +306,17 @@ def _newton_schulz(A: np.ndarray, iters: int) -> np.ndarray:
     # are what a stack of one gives.
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    fro = _fro_members(A)
+    # A nonzero member whose sum of squares overflows or underflows would be
+    # divided by inf or taken for zero: divide it by its largest |entry|
+    # first.  Every other member keeps its bits.
+    with np.errstate(over="ignore"):
+        fro = _fro_members(A)
+    odd = np.flatnonzero((fro < _FRO_UNDERFLOW) | (fro == math.inf))
+    if odd.size:
+        peak = np.abs(A[odd]).max(axis=(1, 2))
+        A = A.copy()
+        A[odd[peak > 0.0]] /= peak[peak > 0.0, None, None]  # a zero member stays zero
+        fro[odd] = _fro_members(A[odd])
     live = fro != 0.0
     if not live.all():
         X = np.zeros_like(A)

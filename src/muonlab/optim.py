@@ -1,18 +1,20 @@
 """Optimizer step rules and runners.
 
-Implements spectral subgradient descent (specGD), its momentum form (Muon),
-the nuclear-norm rescaled variant (regMuon), elementwise sign methods
-(signGD, signMomentum), the error-feedback loop EF-M with its specializations
-EF-Muon and EF-MuonMax, the product-norm method MuonMax, stepsize schedules,
-and the convergence-bound evaluator for the error-feedback method.
+Every method is one steepest-descent rule through a norm's LMO, with or
+without momentum, a dual-norm scale or error feedback: ``RULES`` names them
+(specGD, Muon, regMuon, signGD, signMomentum, EF-Muon, MuonMax, EF-MuonMax)
+and ``step`` is the one body they run.  Also here: stepsize schedules, the
+runners ``run`` and ``run_batch``, and the convergence-bound evaluator for the
+error-feedback method.
 
-Step functions are pure: they take a state and return (new_state, StepInfo).
+Steps are pure: they take a state and return (new_state, StepInfo).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,78 +194,38 @@ def _advance(state: OptimizerState, **fields) -> "OptimizerState":
 class StepInfo:
     value: float
     grad: object
-    lam: float
+    lam: float  # the coefficient of the step's LMO direction (see ``step``)
 
 
-def _momentum(state: OptimizerState, G):
-    if state.beta == 0.0:
-        return G
-    return state.beta * state.M + (1.0 - state.beta) * G
+@dataclass(frozen=True)
+class Rule:
+    """One steepest-descent method through a norm's LMO (see ``step``).
 
-
-def _lam(state: OptimizerState, M) -> float:
-    return state.schedule.value(state.t, momentum=M)
-
-
-def step_specgd(state, oracle):
-    """W' = W - lambda_t polar(G_t)."""
-    value, G = oracle.evaluate(state.W)
-    lam = _lam(state, G)
-    W = state.W - lam * state.polar(G)
-    return _advance(state, W=W, M=G, t=state.t + 1), StepInfo(value, G, lam)
-
-
-def step_muon(state, oracle):
-    """M' = beta M + (1-beta) G; W' = W - lambda_t polar(M')."""
-    value, G = oracle.evaluate(state.W)
-    M = _momentum(state, G)
-    lam = _lam(state, M)
-    W = state.W - lam * state.polar(M)
-    return _advance(state, W=W, M=M, t=state.t + 1), StepInfo(value, G, lam)
-
-
-def step_regmuon(state, oracle):
-    """Muon step rescaled by the nuclear norm of the momentum."""
-    value, G = oracle.evaluate(state.W)
-    M = _momentum(state, G)
-    lam = state.schedule.value(state.t, momentum=M)
-    lam_eff = lam if isinstance(state.schedule, AdaptiveNuclear) else lam * linalg.norm(M, "nuc")
-    W = state.W - lam_eff * state.polar(M)
-    return _advance(state, W=W, M=M, t=state.t + 1), StepInfo(value, G, lam_eff)
-
-
-def step_signgd(state, oracle):
-    value, G = oracle.evaluate(state.W)
-    lam = _lam(state, G)
-    W = state.W - lam * np.sign(G)
-    return _advance(state, W=W, M=G, t=state.t + 1), StepInfo(value, G, lam)
-
-
-def step_signmomentum(state, oracle):
-    value, G = oracle.evaluate(state.W)
-    M = _momentum(state, G)
-    lam = _lam(state, M)
-    W = state.W - lam * np.sign(M)
-    return _advance(state, W=W, M=M, t=state.t + 1), StepInfo(value, G, lam)
-
-
-def identity_compressor(W):
-    return W
-
-
-def step_efm(state, oracle, compressor):
-    """Error-feedback momentum step.
-
-    P_t = E_t + lambda_t M_t; W' = W - C(P_t); E' = P_t - C(P_t).
+    ``lmo`` is "polar" (spectral norm, through ``state.polar``), "sign"
+    (elementwise max norm) or "product" (``norms`` on ``state.spec``).
+    Without ``momentum`` the rule reads G in place of M; ``scaled`` multiplies
+    the stepsize by the dual norm of M; ``feedback`` makes it EF-M with the
+    norm's compressor.  ``step`` implements the combinations in RULES.
     """
-    value, G = oracle.evaluate(state.W)
-    M = _momentum(state, G)
-    lam = _lam(state, M)
-    P = state.E + lam * M
-    C = compressor(P)
-    W = state.W - C
-    E = P - C
-    return _advance(state, W=W, M=M, E=E, t=state.t + 1), StepInfo(value, G, lam)
+
+    lmo: str
+    momentum: bool = True
+    scaled: bool = False
+    feedback: bool = False
+
+
+# specGD and signGD read G itself; regMuon and MuonMax are the scaled sharp
+# operator ||M||_* lmo(M); EF-Muon and EF-MuonMax use error feedback.
+RULES = {
+    "specgd": Rule("polar", momentum=False),
+    "muon": Rule("polar"),
+    "regmuon": Rule("polar", scaled=True),
+    "signgd": Rule("sign", momentum=False),
+    "signmomentum": Rule("sign"),
+    "efmuon": Rule("polar", feedback=True),
+    "muonmax": Rule("product", scaled=True),
+    "efmuonmax": Rule("product", feedback=True),
+}
 
 
 def _operator_compressor(P):
@@ -282,44 +244,50 @@ def _operator_compressor(P):
     return (nuc / r) * X
 
 
-def step_efmuon(state, oracle):
-    """EF-M with the operator-norm compressor (1/r) ||P||_nuc polar(P).
+def step(rule: Rule, state: OptimizerState, oracle):
+    """One step of ``rule`` from ``state``; returns (new state, StepInfo).
 
-    Always uses the exact polar factor; see ``_operator_compressor``.
+    M' = beta M + (1 - beta) G (G itself without momentum or at beta = 0)
+    and lam_t = schedule(t, M').  Without feedback W' = W - lam lmo(M'), with
+    lam = lam_t ||M'||_* for a scaled rule (lam_t under AdaptiveNuclear, which
+    already carries ||M'||_nuc), else lam_t.  With feedback P = E + lam_t M',
+    W' = W - C(P) and E' = P - C(P), C being ``_operator_compressor`` or
+    ``norms.compress``.  ``StepInfo.lam`` is lam, or lam_t with feedback.
     """
-    return step_efm(state, oracle, _operator_compressor)
-
-
-def step_muonmax(state, oracle):
-    """Product-norm regularized step: W' = W - lambda_t ||M||_* lmo_min(M)."""
-    if not isinstance(state.spec, norms.ProductNormSpec):
-        raise ValueError("step_muonmax requires a ProductNormSpec")
+    if rule.lmo == "product" and not isinstance(state.spec, norms.ProductNormSpec):
+        raise ValueError("the product-norm rules require a ProductNormSpec")
     value, G = oracle.evaluate(state.W)
-    M = _momentum(state, G)
-    lam = _lam(state, M)
-    dn, X = norms.dual_norm_and_lmo(M, state.spec)
-    W = state.W - (lam * dn) * X
-    return _advance(state, W=W, M=M, t=state.t + 1), StepInfo(value, G, lam)
+    beta = state.beta
+    M = beta * state.M + (1.0 - beta) * G if rule.momentum and beta != 0.0 else G
+    lam = state.schedule.value(state.t, momentum=M)
+    if rule.feedback:
+        P = state.E + lam * M
+        C = norms.compress(P, state.spec) if rule.lmo == "product" else _operator_compressor(P)
+        return (_advance(state, W=state.W - C, M=M, E=P - C, t=state.t + 1),
+                StepInfo(value, G, lam))
+    scale = rule.scaled and not isinstance(state.schedule, AdaptiveNuclear)
+    if rule.lmo == "product":
+        dn, X = norms.dual_norm_and_lmo(M, state.spec)
+    elif rule.lmo == "polar":
+        dn = linalg.norm(M, "nuc") if scale else None
+        X = state.polar(M)
+    else:
+        X = np.sign(M)
+    if scale:
+        lam = lam * dn
+    return _advance(state, W=state.W - lam * X, M=M, t=state.t + 1), StepInfo(value, G, lam)
 
 
-def step_efmuonmax(state, oracle):
-    """EF-M with the product-norm compressor."""
-    if not isinstance(state.spec, norms.ProductNormSpec):
-        raise ValueError("step_efmuonmax requires a ProductNormSpec")
-    spec = state.spec
-    return step_efm(state, oracle, lambda P: norms.compress(P, spec))
+def _entry(name: str) -> functools.partial:
+    """``step`` bound to ``RULES[name]``: a (state, oracle) -> (state, info) entry."""
+    entry = functools.partial(step, RULES[name])
+    entry.__name__ = f"step_{name}"
+    return entry
 
 
-STEP_FUNCTIONS = {
-    "specgd": step_specgd,
-    "muon": step_muon,
-    "regmuon": step_regmuon,
-    "signgd": step_signgd,
-    "signmomentum": step_signmomentum,
-    "efmuon": step_efmuon,
-    "muonmax": step_muonmax,
-    "efmuonmax": step_efmuonmax,
-}
+STEP_FUNCTIONS = {name: _entry(name) for name in RULES}
+(step_specgd, step_muon, step_regmuon, step_signgd, step_signmomentum, step_efmuon,
+ step_muonmax, step_efmuonmax) = STEP_FUNCTIONS.values()
 
 
 # ---------------------------------------------------------------------------
@@ -371,38 +339,26 @@ class Trace:
         return len(self.t)
 
 
-def run(method, oracle, state0, T: int, compressor=None, track_average: bool = True) -> Trace:
-    """Run ``T`` steps of a named method (or a step callable) from state0.
+# The Trace columns that start as NaN: all but t.
+_NAN_COLUMNS = ("lam", "f", "w11", "w22", "grad_fro", "favg")
 
-    Records T + 1 rows.  ``compressor`` is only consulted by "efm".  The
-    favg and final-value rows read the objective through the oracle's
-    ``value`` (see ``_value``), so a noisy oracle's subgradients do not
-    depend on ``track_average``.  With ``track_average`` off the favg column
-    is NaN.
+
+def run(method, oracle, state0, T: int, track_average: bool = True) -> Trace:
+    """Run ``T`` steps of the rule named ``method`` (a key of RULES) from state0.
+
+    Records T + 1 rows.  The favg and final-value rows read the objective
+    through the oracle's ``value`` (see ``_value``), so a noisy oracle's
+    subgradients do not depend on ``track_average``.  With ``track_average``
+    off the favg column is NaN.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
-    if callable(method):
-        step = method
-    elif method == "efm":
-        comp = identity_compressor if compressor is None else compressor
-        step = lambda s, o: step_efm(s, o, comp)
-    else:
-        try:
-            step = STEP_FUNCTIONS[method]
-        except KeyError:
-            raise ValueError(f"unknown method {method!r}") from None
+    if method not in RULES:
+        raise ValueError(f"unknown method {method!r}")
+    step_fn = STEP_FUNCTIONS[method]
 
     n = T + 1
-    tr = Trace(
-        t=np.arange(n, dtype=float),
-        lam=np.full(n, np.nan),
-        f=np.full(n, np.nan),
-        w11=np.full(n, np.nan),
-        w22=np.full(n, np.nan),
-        grad_fro=np.full(n, np.nan),
-        favg=np.full(n, np.nan),
-    )
+    tr = Trace(t=np.arange(n, dtype=float), **{k: np.full(n, np.nan) for k in _NAN_COLUMNS})
     state = state0
     mean = state.W  # running mean of W_0 .. W_t
     for i in range(n):
@@ -413,7 +369,7 @@ def run(method, oracle, state0, T: int, compressor=None, track_average: bool = T
             tr.f[i] = _value(oracle, state.W)
             break
         try:
-            state, info = step(state, oracle)
+            state, info = step_fn(state, oracle)
         except linalg.NumericalError as exc:
             raise linalg.NumericalError(f"step t={i} failed: {exc}") from exc
         tr.f[i] = info.value
@@ -424,7 +380,9 @@ def run(method, oracle, state0, T: int, compressor=None, track_average: bool = T
     return tr
 
 
-BATCH_METHODS = ("muon", "regmuon")
+# The rules run_batch runs: polar LMO with momentum, no error feedback.
+BATCH_METHODS = tuple(name for name, rule in RULES.items()
+                      if rule.momentum and rule.lmo == "polar" and not rule.feedback)
 # The schedules suite_cex1 and suite_cex2 run with.
 _BATCH_SCHEDULES = (Constant, InvT, Table, AdaptiveNuclear)
 
@@ -438,7 +396,7 @@ def _uses_exact_polar(state: OptimizerState) -> bool:
 def run_batch(method, fns, states, T: int) -> list:
     """Run B independent trajectories in lock-step; returns one Trace each.
 
-    Member b runs ``method`` ("muon" or "regmuon") on the KinkyFunction
+    Member b runs ``method`` (one of BATCH_METHODS) on the KinkyFunction
     ``fns[b]`` from ``states[b]``, and its Trace is bit-identical, NaN
     positions included, to
     ``run(method, fns[b].oracle(), states[b], T, track_average=False)``.
@@ -451,9 +409,9 @@ def run_batch(method, fns, states, T: int) -> list:
     other method, schedule, polar backend, start t or function raises
     ValueError.
 
-    The loop below restates the step_muon / step_regmuon rule on the stack;
-    TestRunBatch in tests/test_optim.py is the contract that keeps the two in
-    sync (ROADMAP item 2 is to merge them).
+    The loop below is ``step`` for these rules on the stack, with the
+    rule's ``scaled`` read from RULES; TestRunBatch in tests/test_optim.py is
+    the contract that keeps the two in sync.
     """
     from .counterexample import KinkyStack  # counterexample imports optim
 
@@ -461,6 +419,7 @@ def run_batch(method, fns, states, T: int) -> list:
         raise ValueError(f"run_batch supports {BATCH_METHODS}, not {method!r}")
     if T < 0:
         raise ValueError("T must be nonnegative")
+    rule = RULES[method]
     fstack = KinkyStack(fns)
     states = list(states)
     if len(states) != fstack.size:
@@ -482,7 +441,7 @@ def run_batch(method, fns, states, T: int) -> list:
     B, n = fstack.size, T + 1
     beta = np.array([st.beta for st in states])[:, None, None]
     one_minus_beta = 1.0 - beta
-    # With beta = 0, _momentum returns G itself and M is never read.  Zeroed,
+    # With beta = 0, step reads G itself and M is never read.  Zeroed,
     # it makes beta * M + (1 - beta) * G equal G bit for bit: 0 * M is a
     # zero, and a zero added to an entry of G (never -0.0) leaves it as is.
     M[beta.ravel() == 0.0] = 0.0
@@ -499,14 +458,14 @@ def run_batch(method, fns, states, T: int) -> list:
             if id(sched) not in offline:
                 offline[id(sched)] = [sched.value(i) for i in range(T)]
             coef[:, b] = offline[id(sched)]
-    # Members whose stepsize is multiplied by ||M||_nuc: every regmuon
-    # member, and muon members with AdaptiveNuclear.
-    scaled = np.array([method == "regmuon" or isinstance(st.schedule, AdaptiveNuclear)
+    # Members whose stepsize is multiplied by ||M||_nuc: every member of a
+    # scaled rule, and any member with AdaptiveNuclear.
+    scaled = np.array([rule.scaled or isinstance(st.schedule, AdaptiveNuclear)
                        for st in states])
     any_scaled = bool(scaled.any())
 
     # favg stays NaN, as in run(..., track_average=False).
-    cols = {k: np.full((B, n), np.nan) for k in ("lam", "f", "w11", "w22", "grad_fro", "favg")}
+    cols = {k: np.full((B, n), np.nan) for k in _NAN_COLUMNS}
     for i in range(n):
         cols["w11"][:, i] = W[:, 0, 0]
         cols["w22"][:, i] = W[:, 1, 1]

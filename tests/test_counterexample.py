@@ -227,6 +227,15 @@ class TestCex1:
             w1, w2 = cex.cex1_predicted_iterate(init, t)
             assert abs(w1 + w2 - 2 * init.r) < 1e-12
 
+    def test_lazy_extension_equals_a_longer_horizon(self):
+        # Past the build horizon Cex1Init extends R by the recursion that
+        # compute_R_sequence runs, so both give the same bits.
+        for schedule in (optim.InvT(), optim.Constant(0.2)):
+            short = cex.cex1_build(0.5, schedule, horizon=10)[2]
+            long = cex.cex1_build(0.5, schedule, horizon=100)[2]
+            assert (cex.cex1_predicted_sequence(short, 100).tobytes()
+                    == cex.cex1_predicted_sequence(long, 100).tobytes())
+
     def test_run_matches_prediction_and_floor(self):
         T = 300
         for beta in (0.0, 0.9):
@@ -248,7 +257,7 @@ class TestCex2:
         W0 = rng.standard_normal((2, 2))
         st = optim.OptimizerState(W=W0, beta=beta, schedule=optim.AdaptiveNuclear(0.05))
         tr = optim.run("regmuon", fn.oracle(), st, 500, track_average=False)
-        p, q = cex.cex2_track(tr)
+        p, q = tr.sum_diag, tr.diff_diag
         p0 = W0[0, 0] + W0[1, 1]
         assert np.max(np.abs(p - p0)) <= 1e-12
         # q recursion: q_{t+1} = q_t - 2 lam_t sign(q_t)

@@ -37,6 +37,20 @@ class TestConfig:
             harness.resolve_config({**self.BASE, "method": "efmuon", "polar": "ns"})
         harness.resolve_config({**self.BASE, "method": "muon", "polar": "ns"})
 
+    @pytest.mark.parametrize("method", ["muonmax", "efmuonmax", "efm"])
+    def test_rejects_methods_a_run_cannot_take(self, method):
+        # muonmax and efmuonmax need a ProductNormSpec point and used to fail
+        # only after the run had started; "efm" is no longer a method.
+        with pytest.raises(harness.ConfigError, match="a run takes one of") as exc:
+            harness.resolve_config({**self.BASE, "method": method})
+        assert all(name in str(exc.value) for name in harness.RUN_METHODS)
+
+    def test_run_methods(self):
+        assert harness.RUN_METHODS == ("specgd", "muon", "regmuon", "signgd",
+                                       "signmomentum", "efmuon")
+        for method in harness.RUN_METHODS:
+            harness.run_experiment({**self.BASE, "method": method, "T": 3})
+
     def test_rejects_unknown_key(self):
         with pytest.raises(harness.ConfigError, match="unknown config keys"):
             harness.resolve_config({**self.BASE, "betta": 0.5})
@@ -442,6 +456,17 @@ class TestCli:
                        "--out", str(tmp_path / "tr.csv")])
         assert rc == cli.EXIT_CONFIG
         assert "beta must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "tr.csv").exists()
+
+    @pytest.mark.parametrize("method", ["muonmax", "efmuonmax", "efm"])
+    def test_run_product_or_removed_method_exits_config_error(self, method, tmp_path, capsys):
+        # muonmax and efmuonmax used to exit 2 only after the run had started.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": method}))
+        rc = cli.main(["run", "--preset", "cex1-appendixE", "--config", str(cfg),
+                       "--out", str(tmp_path / "tr.csv")])
+        assert rc == cli.EXIT_CONFIG
+        assert "a run takes one of" in capsys.readouterr().err
         assert not (tmp_path / "tr.csv").exists()
 
     @pytest.mark.parametrize("init", [

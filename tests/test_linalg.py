@@ -269,6 +269,14 @@ class TestPolarNewtonSchulz:
         with pytest.raises(ValueError):
             linalg.polar_newton_schulz(np.eye(2), iters=0)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e154, 1e-170])
+    def test_frobenius_overflow_or_underflow(self, scale):
+        # Each used to return the zero matrix: the Frobenius norm came out as
+        # inf (the input was divided by it) or as 0 (the zero-matrix branch).
+        A = scale * np.array([[2.0, 1.0], [0.5, -1.5]])
+        np.testing.assert_allclose(linalg.polar_newton_schulz(A), linalg.polar_exact(A),
+                                   atol=1e-12)
+
 
 def ns_reference(A, iters=linalg.NEWTON_SCHULZ_DEFAULT_ITERS):
     """The 2-d iteration ``polar_newton_schulz`` ran before it became the
@@ -353,6 +361,21 @@ class TestNewtonSchulzStack:
         self.check_members(A)
         self.check_members(A, iters=1)
         assert_same_bits(linalg.polar_newton_schulz_stack(A)[[1, 5]], np.zeros((2, m, n)))
+
+    def test_frobenius_overflow_or_underflow_member(self):
+        # Such members used to come out as zero; the others keep their bits.
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((6, 3, 3))
+        A[1] *= 1e200
+        A[2] = 0.0
+        A[3] = 1e-170 * np.eye(3)
+        A[4] *= 1e-150  # tiny, but its sum of squares is a normal number
+        got = linalg.polar_newton_schulz_stack(A)
+        for b in (0, 2, 4, 5):
+            assert_same_bits(got[b], ns_reference(A[b]))
+        for b in (1, 3):
+            np.testing.assert_allclose(got[b], linalg.polar_exact(A[b]), atol=1e-12)
+            assert_same_bits(got[b], linalg.polar_newton_schulz(A[b]))
 
     def test_all_zero_and_single_member(self):
         self.check_members(np.zeros((3, 4, 2)))

@@ -127,15 +127,6 @@ class TestBasicSteps:
 
 
 class TestErrorFeedback:
-    def test_identity_compressor_is_momentum_sgd(self):
-        oracle = kinky_oracle(0.3)
-        rng = np.random.default_rng(11)
-        W0 = rng.standard_normal((2, 2))
-        st = state(W0, beta=0.5, schedule=optim.Constant(0.2))
-        st2, info = optim.step_efm(st, oracle, optim.identity_compressor)
-        np.testing.assert_array_equal(st2.W, st.W - info.lam * st2.M)
-        assert np.all(st2.E == 0)
-
     def test_operator_compressor_hand_example(self):
         oracle = optim.FunctionOracle(lambda W: 0.0, lambda W: np.diag([3.0, -4.0]))
         st = state(np.zeros((2, 2)), schedule=optim.Constant(1.0))
@@ -174,18 +165,25 @@ class TestErrorFeedback:
             np.testing.assert_array_equal(a.E, b.E)
 
     def test_efmuon_matches_generic_efm(self):
+        # EF-M written out here, with its own compressor (1/r) ||P||_nuc polar(P).
         oracle = cex.KinkyFunction(c=0.3, m=3, n=2).oracle()
         rng = np.random.default_rng(13)
         W0 = rng.standard_normal((3, 2))
-        comp = lambda P: (np.linalg.svd(P, compute_uv=False).sum() / 2) * \
-            optim.linalg.polar_exact(P)
-        a = state(W0.copy(), beta=0.7, schedule=optim.InvSqrtT())
-        b = state(W0.copy(), beta=0.7, schedule=optim.InvSqrtT())
-        for _ in range(20):
-            a, _ = optim.step_efmuon(a, oracle)
-            b, _ = optim.step_efm(b, oracle, comp)
-        np.testing.assert_allclose(a.W, b.W, atol=1e-12)
-        np.testing.assert_allclose(a.E, b.E, atol=1e-12)
+        beta, schedule = 0.7, optim.InvSqrtT()
+        a = state(W0.copy(), beta=beta, schedule=schedule)
+        W, M, E = W0.copy(), np.zeros_like(W0), np.zeros_like(W0)
+        for t in range(20):
+            a, info = optim.step_efmuon(a, oracle)
+            _, G = oracle.evaluate(W)
+            M = beta * M + (1 - beta) * G
+            lam = schedule.value(t)
+            P = E + lam * M
+            C = (np.linalg.svd(P, compute_uv=False).sum() / 2) * linalg.polar_exact(P)
+            W, E = W - C, P - C
+            assert info.lam == lam
+        np.testing.assert_allclose(a.W, W, atol=1e-12)
+        np.testing.assert_allclose(a.M, M, atol=1e-12)
+        np.testing.assert_allclose(a.E, E, atol=1e-12)
 
     def test_alternative_error_update_agrees(self):
         # E' = E + W' - (W - lam M') agrees with E' = P - C(P) within 1e-14
@@ -197,6 +195,30 @@ class TestErrorFeedback:
             st, info = optim.step_efmuon(st, oracle)
             alt = prev.E + st.W - (prev.W - info.lam * st.M)
             np.testing.assert_allclose(st.E, alt, atol=1e-14)
+
+
+class TestRules:
+    def test_entries_come_from_the_table(self):
+        assert list(optim.STEP_FUNCTIONS) == list(optim.RULES)
+        for name, entry in optim.STEP_FUNCTIONS.items():
+            assert getattr(optim, f"step_{name}") is entry
+            assert entry.__name__ == f"step_{name}"
+        assert optim.BATCH_METHODS == ("muon", "regmuon")
+
+    def test_entries_and_run_go_through_step(self, monkeypatch):
+        for name, entry in optim.STEP_FUNCTIONS.items():
+            assert entry.func is optim.step and entry.args == (optim.RULES[name],)
+        calls = []
+        step = optim.STEP_FUNCTIONS["regmuon"]
+        monkeypatch.setitem(optim.STEP_FUNCTIONS, "regmuon",
+                            lambda st, oracle: calls.append(1) or step(st, oracle))
+        optim.run("regmuon", kinky_oracle(), state(np.eye(2)), 3)
+        assert len(calls) == 3
+
+    def test_efm_method_is_gone(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            optim.run("efm", kinky_oracle(), state(np.eye(2)), 1)
+        assert not hasattr(optim, "step_efm") and not hasattr(optim, "identity_compressor")
 
 
 class TestProductSteps:
@@ -243,6 +265,19 @@ class TestProductSteps:
             P = prev.E + info.lam * st.M
             C = norms.compress(P, spec)
             assert (st.E + C - P).fro() <= 1e-14
+
+    def test_muonmax_lam_is_the_lmo_coefficient(self):
+        # StepInfo.lam is lam_t ||M||_*, the coefficient of lmo(M), as for regmuon.
+        rng = np.random.default_rng(17)
+        W0 = norms.ParamPoint([rng.standard_normal((2, 2))], rng.standard_normal(1))
+        st = optim.OptimizerState(W=W0, beta=0.5, schedule=optim.Constant(0.1),
+                                  spec=self.spec())
+        st2, info = optim.step_muonmax(st, self.oracle())
+        dn, X = norms.dual_norm_and_lmo(st2.M, self.spec())
+        assert info.lam == 0.1 * dn
+        moved = W0 - info.lam * X
+        for a, b in zip(st2.W.matrices + [st2.W.theta], moved.matrices + [moved.theta]):
+            assert a.tobytes() == b.tobytes()
 
     def test_spec_required(self):
         st = optim.OptimizerState(W=np.eye(2), schedule=optim.Constant(0.1))
