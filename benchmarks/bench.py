@@ -9,9 +9,12 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
   other sixteen checks take one sample each;
 - ``muonlab verify`` for every suite, output discarded;
 - ``optim.run`` on the 2x2 counterexample function for ``STEP_T`` steps, in
-  microseconds per step: ``muon`` with a ``Table``, ``regmuon`` with
-  ``AdaptiveNuclear(0.05)`` (both without the running average, as in
-  ``verify cex2``), and ``efmuon`` with ``InvSqrtT`` and the running average;
+  microseconds per step, for each rule but the product ones: ``regmuon``
+  with ``AdaptiveNuclear(0.05)``, ``efmuon`` with ``InvSqrtT`` and the
+  running average, and the others with a ``Table`` and, as in ``verify
+  cex2``, without it.  These take ``run``'s float loop where the library has
+  one; one more row runs ``muon`` through a ``FunctionOracle`` of the same
+  function, which keeps the general loop measured;
 - one ``evaluate`` of that function's oracle, in microseconds per call;
 - ``muonlab run`` for each preset, CSV and sidecar written, in microseconds
   per step;
@@ -38,8 +41,8 @@ Each run is stored under ``--label`` in the output file, beside the runs
 already there, so that running the script on two checkouts records a
 before/after pair on the same machine::
 
-    PYTHONPATH=/path/to/parent/src python3 benchmarks/bench.py --label parent --out BENCH_8.json
-    PYTHONPATH=src python3 benchmarks/bench.py --label change --out BENCH_8.json
+    PYTHONPATH=/path/to/parent/src python3 benchmarks/bench.py --label parent --out BENCH_10.json
+    PYTHONPATH=src python3 benchmarks/bench.py --label change --out BENCH_10.json
 
 BLAS is held at one thread, as in ``perfbench``.
 """
@@ -102,14 +105,20 @@ def _step_timings() -> dict:
 
     fn = cex.KinkyFunction(c=0.3)
     table = optim.Table(tuple(np.random.default_rng(0).uniform(0.01, 0.3, STEP_T)))
+    general = optim.FunctionOracle(fn.value, fn.subgradient)
     timings = {}
-    for label, method, schedule, track_average in (
-            ("muon+Table", "muon", table, False),
-            ("regmuon+AdaptiveNuclear", "regmuon", optim.AdaptiveNuclear(0.05), False),
-            ("efmuon+InvSqrtT+average", "efmuon", optim.InvSqrtT(), True)):
+    for label, method, schedule, track_average, oracle in (
+            ("specgd+Table", "specgd", table, False, None),
+            ("muon+Table", "muon", table, False, None),
+            ("regmuon+AdaptiveNuclear", "regmuon", optim.AdaptiveNuclear(0.05), False, None),
+            ("signgd+Table", "signgd", table, False, None),
+            ("signmomentum+Table", "signmomentum", table, False, None),
+            ("efmuon+InvSqrtT+average", "efmuon", optim.InvSqrtT(), True, None),
+            ("muon+Table+FunctionOracle", "muon", table, False, general)):
         state = optim.OptimizerState(W=np.diag([1.0, -0.5]), beta=0.2, schedule=schedule)
         timings[f"run[{label}]"] = _per_unit(_timed(
-            lambda: optim.run(method, fn.oracle(), state, STEP_T, track_average=track_average)),
+            lambda: optim.run(method, oracle or fn.oracle(), state, STEP_T,
+                              track_average=track_average)),
             "us_per_step", STEP_T)
     oracle, W = fn.oracle(), np.diag([1.0, -0.5])
 

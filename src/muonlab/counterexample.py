@@ -105,6 +105,12 @@ def _subgradient_table(fn: KinkyFunction, selection: str = "zero") -> tuple:
     return tuple(rows)
 
 
+def _subgradient_rows(table: tuple) -> tuple:
+    """``(G[0, 0], G[1, 1], norms.fro(G))`` of each G of a
+    ``_subgradient_table``, as floats and in its order."""
+    return tuple((float(G[0, 0]), float(G[1, 1]), norms.fro(G)) for G in table)
+
+
 class KinkyOracle:
     """The subgradient oracle of a KinkyFunction: ``evaluate(W)`` is
     ``(fn.value(W), fn.subgradient(W, selection))`` bit for bit.
@@ -113,16 +119,19 @@ class KinkyOracle:
     ``diag_value``'s expression.  The subgradient is a copy of one of the
     nine from ``_subgradient_table``, picked by the sign classes of w1 + w2
     and w1 - w2.  A NaN falls in the class of a zero, as in ``_sign``.
+    ``rows`` holds the nine as ``_subgradient_rows``, for ``optim.run``'s
+    float loop.
     """
 
-    __slots__ = ("_fn", "_table")
+    __slots__ = ("fn", "_table", "rows")
 
     def __init__(self, fn: KinkyFunction, selection: str = "zero"):
-        self._fn = fn
+        self.fn = fn
         self._table = _subgradient_table(fn, selection)
+        self.rows = _subgradient_rows(self._table)
 
     def value(self, W) -> float:
-        return self._fn.value(W)
+        return self.fn.value(W)
 
     def evaluate(self, W):
         w1 = float(W[0, 0])
@@ -130,7 +139,7 @@ class KinkyOracle:
         s = w1 + w2
         d = w1 - w2
         k = 3 * ((s > 0) - (s < 0)) + (d > 0) - (d < 0) + 4
-        return self._fn.c * abs(s) + abs(d), self._table[k].copy()
+        return self.fn.c * abs(s) + abs(d), self._table[k].copy()
 
 
 def _signs(x: np.ndarray) -> np.ndarray:
@@ -160,8 +169,7 @@ class KinkyStack:
         self.size = len(fns)
         self.c = np.array([fn.c for fn in fns])
         # Each function's nine subgradients, with their Frobenius norms.
-        table = {fn: [(G[0, 0], G[1, 1], norms.fro(G)) for G in _subgradient_table(fn)]
-                 for fn in set(fns)}
+        table = {fn: _subgradient_rows(_subgradient_table(fn)) for fn in set(fns)}
         g11, g22, fro = np.array([table[fn] for fn in fns]).transpose(2, 0, 1)
         self._g11, self._g22, self._fro = g11.ravel(), g22.ravel(), fro.ravel()
         # Row 3 * (s1 + 1) + (s2 + 1) of member b's nine.

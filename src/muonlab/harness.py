@@ -562,28 +562,24 @@ def suite_cex1(T: int = 5000) -> list:
     results = []
     rng = np.random.default_rng(19)
     table = optim.Table(tuple(np.sort(rng.uniform(0.05, 0.4, 64))[::-1]))
-    cases, fns, states = [], [], []
     for beta in (0.0, 0.5, 0.9):
         for label, schedule in (("Constant(0.2)", optim.Constant(0.2)),
                                 ("InvT", optim.InvT()),
                                 ("Table", table)):
             fn, W0, init = cex.cex1_build(beta, schedule, horizon=T)
-            cases.append((beta, label, init))
-            fns.append(fn)
-            states.append(optim.OptimizerState(W=W0, beta=beta, schedule=schedule))
-    traces = optim.run_batch("muon", fns, states, T)
-    for (beta, label, init), fn, tr in zip(cases, fns, traces):
-        pred = cex.cex1_predicted_sequence(init, T)
-        dev = max(float(np.max(np.abs(tr.w11 - pred[:, 0]))),
-                  float(np.max(np.abs(tr.w22 - pred[:, 1]))))
-        floor = cex.cex1_floor(init, fn)
-        fmin = float(np.min(tr.f))
-        results.append(CheckResult(
-            f"oscillation matches closed form [beta={beta}, {label}]",
-            dev <= 1e-10, dev, 1e-10))
-        results.append(CheckResult(
-            f"suboptimality floor {floor:.3g} [beta={beta}, {label}]",
-            fmin >= floor - 1e-12, floor - fmin, 1e-12))
+            state = optim.OptimizerState(W=W0, beta=beta, schedule=schedule)
+            tr = optim.run("muon", fn.oracle(), state, T, track_average=False)
+            pred = cex.cex1_predicted_sequence(init, T)
+            dev = max(float(np.max(np.abs(tr.w11 - pred[:, 0]))),
+                      float(np.max(np.abs(tr.w22 - pred[:, 1]))))
+            floor = cex.cex1_floor(init, fn)
+            fmin = float(np.min(tr.f))
+            results.append(CheckResult(
+                f"oscillation matches closed form [beta={beta}, {label}]",
+                dev <= 1e-10, dev, 1e-10))
+            results.append(CheckResult(
+                f"suboptimality floor {floor:.3g} [beta={beta}, {label}]",
+                fmin >= floor - 1e-12, floor - fmin, 1e-12))
     return results
 
 

@@ -349,19 +349,21 @@ def run(method, oracle, state0, T: int, track_average: bool = True) -> Trace:
     Records T + 1 rows.  The favg and final-value rows read the objective
     through the oracle's ``value`` (see ``_value``), so a noisy oracle's
     subgradients do not depend on ``track_average``.  With ``track_average``
-    off the favg column is NaN.
+    off the favg column is NaN.  A run on a counterexample function's own
+    oracle takes ``_run_diagonal`` where it applies; the Trace is the same.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
     if method not in RULES:
         raise ValueError(f"unknown method {method!r}")
-    step_fn = STEP_FUNCTIONS[method]
+    rule, step_fn = RULES[method], STEP_FUNCTIONS[method]
 
     n = T + 1
     tr = Trace(t=np.arange(n, dtype=float), **{k: np.full(n, np.nan) for k in _NAN_COLUMNS})
-    state = state0
-    mean = state.W  # running mean of W_0 .. W_t
-    for i in range(n):
+    state, mean, start = state0, state0.W, 0  # mean: the running mean of W_0 .. W_t
+    if _runs_on_diagonal(rule, oracle, state0):
+        state, mean, start = _run_diagonal(rule, oracle, state0, T, track_average, tr)
+    for i in range(start, n):
         tr.w11[i], tr.w22[i] = _readout(state.W)
         if track_average:
             tr.favg[i] = _value(oracle, mean)
@@ -380,10 +382,125 @@ def run(method, oracle, state0, T: int, track_average: bool = True) -> Trace:
     return tr
 
 
+# The schedules _run_diagonal computes as ``step`` does.  Exact types: a
+# subclass may make value() read the momentum.
+_DIAGONAL_SCHEDULES = (Constant, InvT, InvSqrtT, Table, AdaptiveNuclear)
+
+
+def _runs_on_diagonal(rule: Rule, oracle, state: OptimizerState) -> bool:
+    """Whether ``run`` may take ``_run_diagonal`` for ``rule`` from ``state``.
+
+    The oracle must be a KinkyFunction's own KinkyOracle; the rule's LMO the
+    exact polar factor or the sign; the schedule of a type in
+    _DIAGONAL_SCHEDULES; W, M and E native float64 arrays of the function's
+    shape, M and E finite and zero off their first two diagonal entries.
+    """
+    from .counterexample import KinkyFunction, KinkyOracle  # counterexample imports optim
+
+    if type(oracle) is not KinkyOracle or type(oracle.fn) is not KinkyFunction:
+        return False
+    if not (rule.lmo == "sign" or (rule.lmo == "polar" and _uses_exact_polar(state))):
+        return False
+    if type(state.schedule) not in _DIAGONAL_SCHEDULES:
+        return False
+    shape = (oracle.fn.m, oracle.fn.n)
+    for A in (state.W, state.M, state.E):
+        if type(A) is not np.ndarray or A.dtype is not linalg._FLOAT64 or A.shape != shape:
+            return False
+    return all(linalg._all_finite(A) and np.count_nonzero(A) == np.count_nonzero(A.diagonal()[:2])
+               for A in (state.M, state.E))
+
+
+def _run_diagonal(rule: Rule, oracle, state: OptimizerState, T: int, track_average: bool,
+                  tr: Trace) -> tuple:
+    """``run``'s loop on the first two diagonal entries of W, M and E, as floats.
+
+    Exact for a start ``_runs_on_diagonal`` accepts: the subgradient is zero
+    off the first two diagonal entries, so M, E and each step stay zero
+    there, W keeps its other entries (no Trace column reads them), and on
+    such a matrix the polar factor is the sign and the nuclear norm
+    |d1| + |d2|.  Each float operation is the one ``step`` applies
+    elementwise.  Where ``step`` multiplies an array by a stepsize or a
+    compressor scale, this loop multiplies by ``float`` of the same number,
+    as numpy's type promotion does.
+
+    Fills the rows of ``tr`` it runs.  A step whose stepsize or compressor
+    scale is not finite is left to ``run``'s loop, which gives the NaNs and
+    raises the errors of ``step``: the return value is the state and running
+    mean at that step, and its index.  When all ran it is (None, None, T + 1).
+    """
+    fn, rows = oracle.fn, oracle.rows
+    c = fn.c
+    sched, t0 = state.schedule, state.t
+    adaptive = type(sched) is AdaptiveNuclear
+    value = sched.value
+    base = sched.base if adaptive else None
+    momentum = rule.momentum and state.beta != 0.0
+    beta, one_minus_beta = float(state.beta), float(1.0 - state.beta)
+    scaled = rule.scaled and not adaptive
+    feedback = rule.feedback
+    r = min(fn.m, fn.n)
+    w1, w2 = float(state.W[0, 0]), float(state.W[1, 1])
+    m1, m2 = float(state.M[0, 0]), float(state.M[1, 1])
+    e1, e2 = float(state.E[0, 0]), float(state.E[1, 1])
+    a1, a2 = w1, w2  # the running mean
+    w11, w22, f, lams, grad_fro, favg = [], [], [], [], [], []
+    for i in range(T + 1):
+        w11.append(w1)
+        w22.append(w2)
+        if track_average:
+            favg.append(c * abs(a1 + a2) + abs(a1 - a2))
+        s, d = w1 + w2, w1 - w2
+        if i == T:
+            f.append(c * abs(s) + abs(d))
+            break
+        g1, g2, gf = rows[3 * ((s > 0) - (s < 0)) + (d > 0) - (d < 0) + 4]
+        if momentum:
+            n1, n2 = beta * m1 + one_minus_beta * g1, beta * m2 + one_minus_beta * g2
+        else:
+            n1, n2 = g1, g2
+        lam = base * (abs(n1) + abs(n2)) if adaptive else value(t0 + i)
+        if feedback:
+            lam_f = float(lam)
+            p1, p2 = e1 + lam_f * n1, e2 + lam_f * n2
+            nuc = abs(p1) + abs(p2)
+            if not nuc < math.inf:
+                break
+            scale = nuc / r
+            c1 = scale * (1.0 if p1 > 0 else -1.0 if p1 < 0 else 0.0)
+            c2 = scale * (1.0 if p2 > 0 else -1.0 if p2 < 0 else 0.0)
+            w1, w2, e1, e2 = w1 - c1, w2 - c2, p1 - c1, p2 - c2
+        else:
+            if scaled:
+                lam = lam * (abs(n1) + abs(n2))
+            lam_f = float(lam)
+            if not abs(lam_f) < math.inf:
+                break
+            w1 = w1 - lam_f * (1.0 if n1 > 0 else -1.0 if n1 < 0 else 0.0)
+            w2 = w2 - lam_f * (1.0 if n2 > 0 else -1.0 if n2 < 0 else 0.0)
+        m1, m2 = n1, n2
+        f.append(c * abs(s) + abs(d))
+        lams.append(lam)
+        grad_fro.append(gf)
+        if track_average:
+            k = 1.0 / (i + 2)
+            a1, a2 = a1 + k * (w1 - a1), a2 + k * (w2 - a2)
+    for col, vals in (("w11", w11), ("w22", w22), ("f", f), ("lam", lams),
+                      ("grad_fro", grad_fro), ("favg", favg)):
+        getattr(tr, col)[:len(vals)] = vals
+    if i == T:
+        return None, None, T + 1
+    W, mean = state.W.copy(), state.W.copy()
+    M, E = np.zeros_like(state.M), np.zeros_like(state.E)
+    W[0, 0], W[1, 1], M[0, 0], M[1, 1], E[0, 0], E[1, 1] = w1, w2, m1, m2, e1, e2
+    mean[0, 0], mean[1, 1] = a1, a2
+    return _advance(state, W=W, M=M, E=E, t=t0 + i), mean, i
+
+
 # The rules run_batch runs: polar LMO with momentum, no error feedback.
 BATCH_METHODS = tuple(name for name, rule in RULES.items()
                       if rule.momentum and rule.lmo == "polar" and not rule.feedback)
-# The schedules suite_cex1 and suite_cex2 run with.
+# The schedules run_batch runs; TestRunBatch covers each.
 _BATCH_SCHEDULES = (Constant, InvT, Table, AdaptiveNuclear)
 
 

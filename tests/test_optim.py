@@ -1,7 +1,11 @@
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from muonlab import counterexample as cex
 from muonlab import linalg, norms, optim
@@ -212,7 +216,9 @@ class TestRules:
         step = optim.STEP_FUNCTIONS["regmuon"]
         monkeypatch.setitem(optim.STEP_FUNCTIONS, "regmuon",
                             lambda st, oracle: calls.append(1) or step(st, oracle))
-        optim.run("regmuon", kinky_oracle(), state(np.eye(2)), 3)
+        # A KinkyOracle would take run's float loop, which calls no entry.
+        fn = cex.KinkyFunction(c=0.5)
+        optim.run("regmuon", optim.FunctionOracle(fn.value, fn.subgradient), state(np.eye(2)), 3)
         assert len(calls) == 3
 
     def test_efm_method_is_gone(self):
@@ -458,6 +464,164 @@ class TestRunBatch:
         fns, states = mixed_batch(8, n=3)
         for fn, st, tr in zip(fns, states, optim.run_batch("regmuon", fns, states, 0)):
             assert_same_trace(tr, optim.run("regmuon", fn.oracle(), st, 0, track_average=False))
+
+
+# The rules run's float loop takes on a KinkyOracle: all but the product ones.
+DIAGONAL_METHODS = tuple(name for name, rule in optim.RULES.items() if rule.lmo != "product")
+
+
+def trace_bytes(tr):
+    return tuple(getattr(tr, col).tobytes() for col in TRACE_COLUMNS)
+
+
+def general_oracle(fn, selection="zero"):
+    """fn's oracle as a FunctionOracle, which run's float loop does not take."""
+    return optim.FunctionOracle(fn.value, lambda W: fn.subgradient(W, selection))
+
+
+@contextlib.contextmanager
+def counting_steps():
+    """A list that gets an item per call of a STEP_FUNCTIONS entry, which still runs."""
+    calls = []
+    counting = {name: lambda st, oracle, entry=entry: calls.append(1) or entry(st, oracle)
+                for name, entry in optim.STEP_FUNCTIONS.items()}
+    with mock.patch.dict(optim.STEP_FUNCTIONS, counting):
+        yield calls
+
+
+# Diagonal entries: zeros, ties for the kinks, non-finite and extreme values.
+_ENTRIES = hs.one_of(
+    hs.sampled_from((0.0, -0.0, 0.7, -0.7, 1e308, -5e-324, np.inf, -np.inf, np.nan)),
+    hs.floats(-3.0, 3.0))
+_SCHEDULES = hs.one_of(
+    hs.floats(0.01, 2.0).map(optim.Constant),
+    hs.just(optim.InvT()),
+    hs.just(optim.InvSqrtT()),
+    hs.lists(hs.floats(0.01, 2.0), min_size=1, max_size=6).map(lambda v: optim.Table(tuple(v))),
+    hs.floats(0.01, 1.0).map(optim.AdaptiveNuclear),
+)
+
+
+@hs.composite
+def diagonal_runs(draw):
+    """(method, KinkyFunction, selection, state factory, T, track_average)."""
+    shape = draw(hs.sampled_from(((2, 2), (3, 4), (4, 3))))
+    fn = cex.KinkyFunction(c=draw(hs.floats(0.05, 0.95)), m=shape[0], n=shape[1])
+    w1 = draw(_ENTRIES)
+    w2 = draw(hs.one_of(hs.just(w1), hs.just(-w1), _ENTRIES))
+    W0 = np.random.default_rng(draw(hs.integers(0, 2**32 - 1))).standard_normal(shape)
+    W0[0, 0], W0[1, 1] = w1, w2
+    M0, E0 = np.zeros(shape), np.zeros(shape)
+    M0[0, 0], M0[1, 1], E0[0, 0], E0[1, 1] = draw(hs.lists(hs.floats(-3.0, 3.0),
+                                                            min_size=4, max_size=4))
+    beta = draw(hs.one_of(hs.just(0.0), hs.floats(0.0, 1.0, exclude_max=True)))
+    schedule, t0 = draw(_SCHEDULES), draw(hs.integers(0, 50))
+
+    def state0():
+        return optim.OptimizerState(W=W0.copy(), beta=beta, schedule=schedule,
+                                    M=M0.copy(), E=E0.copy(), t=t0)
+
+    return (draw(hs.sampled_from(DIAGONAL_METHODS)), fn,
+            draw(hs.sampled_from(("zero", "plus", "minus"))), state0,
+            draw(hs.integers(0, 30)), draw(hs.booleans()))
+
+
+# The non-finite starts make the general loop's numpy warn where the float
+# loop is silent; the values are the same.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestDiagonalRun:
+    """run's float loop on a KinkyOracle against its general loop."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(diagonal_runs())
+    def test_equals_general_loop_bit_for_bit(self, case):
+        method, fn, selection, state0, T, track_average = case
+        with counting_steps() as calls:
+            fast = optim.run(method, fn.oracle(selection), state0(), T, track_average)
+        assert not calls  # all T steps ran in the float loop
+        general = optim.run(method, general_oracle(fn, selection), state0(), T, track_average)
+        assert trace_bytes(fast) == trace_bytes(general)
+
+    @pytest.mark.parametrize("diag, first_failing_T", (((1.0, 1.0), 2), ((1.0, -0.5), 1)))
+    def test_efmuon_overflow_raises_as_general_loop(self, diag, first_failing_T):
+        # P = E + lam M overflows at step 0 from (1, -0.5).  From the kink
+        # (1, 1), P is finite but its nuclear norm overflows: W and E go to
+        # -inf and P at step 1 is not finite.
+        fn = cex.KinkyFunction(c=0.9)
+
+        def outcome(oracle, T):
+            st = optim.OptimizerState(W=np.diag(diag), beta=0.0,
+                                      schedule=optim.Table((1e308, 1e308)))
+            try:
+                return trace_bytes(optim.run("efmuon", oracle, st, T))
+            except Exception as exc:  # compared with the general loop's
+                return type(exc), str(exc)
+
+        for T in range(first_failing_T + 2):
+            general = outcome(general_oracle(fn), T)
+            assert outcome(fn.oracle(), T) == general
+            raises = T >= first_failing_T
+            assert (general == (ValueError, "matrix entries must be finite")) is raises
+
+    @pytest.mark.parametrize("method", ("muon", "regmuon"))
+    def test_infinite_stepsize_hands_over_to_general_loop(self, method):
+        # ||M||_nuc overflows, so lam is inf and W goes to inf and NaN, in
+        # the general loop: run hands the step over.
+        fn = cex.KinkyFunction(c=0.3)
+
+        def state0():
+            return optim.OptimizerState(W=np.diag([1.0, -0.5]), beta=0.9, M=np.diag([1.7e308] * 2),
+                                        schedule=optim.AdaptiveNuclear(0.5))
+
+        general = optim.run(method, general_oracle(fn), state0(), 3)
+        with counting_steps() as calls:
+            fast = optim.run(method, fn.oracle(), state0(), 3)
+        assert trace_bytes(fast) == trace_bytes(general)
+        assert len(calls) == 3 and not np.isfinite(general.w11[-1])
+
+    def test_takes_float_loop(self):
+        with counting_steps() as calls:
+            for method in DIAGONAL_METHODS:
+                optim.run(method, kinky_oracle(), state(np.diag([1.0, -0.5]), beta=0.5), 5)
+        assert not calls
+
+    class Halving(optim.Constant):
+        def value(self, t, momentum=None):
+            return self.lam / (t + 1)
+
+    # (method, function shape, state keywords, error the general loop raises)
+    INELIGIBLE = {
+        "newton-schulz polar": ("muon", (2, 2), dict(polar=linalg.polar_newton_schulz), None),
+        "non-diagonal M": ("muon", (2, 2), dict(beta=0.5, M=np.array([[0.3, 0.1], [0.0, 0.2]])),
+                           None),
+        "non-finite M": ("signmomentum", (2, 2), dict(M=np.diag([np.inf, 1.0])), None),
+        "M past the first two": ("muon", (3, 3), dict(W=np.eye(3), beta=0.5,
+                                                      M=np.diag([0.0, 0.0, 1.0])), None),
+        "non-diagonal E": ("efmuon", (2, 2), dict(E=np.array([[0.0, 0.1], [0.0, 0.0]])), None),
+        "schedule subclass": ("regmuon", (2, 2), dict(schedule=Halving(0.1)), None),
+        "float32 W": ("muon", (2, 2), dict(W=np.eye(2, dtype=np.float32)), None),
+        "shape mismatch": ("muon", (3, 4), {}, ValueError),
+        "muonmax": ("muonmax", (2, 2), {}, ValueError),
+        "efmuonmax": ("efmuonmax", (2, 2), {}, ValueError),
+    }
+
+    @pytest.mark.parametrize("case", INELIGIBLE)
+    def test_ineligible_takes_general_loop(self, case):
+        method, shape, kw, error = self.INELIGIBLE[case]
+        kw = {"W": np.diag([1.0, -0.5]), "schedule": optim.Constant(0.1), **kw}
+        oracle = cex.KinkyFunction(c=0.3, m=shape[0], n=shape[1]).oracle()
+        with counting_steps() as calls:
+            if error is None:
+                optim.run(method, oracle, optim.OptimizerState(**kw), 4)
+            else:
+                with pytest.raises(error):
+                    optim.run(method, oracle, optim.OptimizerState(**kw), 4)
+        assert len(calls) == (4 if error is None else 1)
+
+    def test_noisy_oracle_takes_general_loop(self):
+        with counting_steps() as calls:
+            optim.run("muon", optim.NoisyOracle(kinky_oracle(), 0.0), state(np.eye(2)), 4)
+        assert len(calls) == 4
 
 
 class TestBound:
