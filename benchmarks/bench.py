@@ -15,7 +15,10 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
   cex2``, without it.  These take ``run``'s float loop where the library has
   one; one more row runs ``muon`` through a ``FunctionOracle`` of the same
   function, which keeps the general loop measured;
-- one ``evaluate`` of that function's oracle, in microseconds per call;
+- one ``evaluate`` of that function's oracle, and one ``KinkyFunction.oracle()``
+  construction, in microseconds per call;
+- ``counterexample.cex1_build`` at horizon ``CEX1_HORIZON`` with ``InvT`` and
+  with ``Constant(0.2)``, in microseconds per call;
 - ``muonlab run`` for each preset, CSV and sidecar written, in microseconds
   per step;
 - ``norms.lmo_min`` and ``norms.compress`` for each spec of the ``verify``
@@ -41,8 +44,8 @@ Each run is stored under ``--label`` in the output file, beside the runs
 already there, so that running the script on two checkouts records a
 before/after pair on the same machine::
 
-    PYTHONPATH=/path/to/parent/src python3 benchmarks/bench.py --label parent --out BENCH_10.json
-    PYTHONPATH=src python3 benchmarks/bench.py --label change --out BENCH_10.json
+    PYTHONPATH=/path/to/parent/src python3 benchmarks/bench.py --label parent --out BENCH_11.json
+    PYTHONPATH=src python3 benchmarks/bench.py --label change --out BENCH_11.json
 
 BLAS is held at one thread, as in ``perfbench``.
 """
@@ -65,6 +68,9 @@ REPEATS = 5
 # Steps per optim.run timing, and oracle calls per evaluate timing.
 STEP_T = 2000
 ORACLE_CALLS = 10_000
+# Oracle constructions per timing, and the horizon of the cex1_build timings.
+ORACLE_BUILDS = 1000
+CEX1_HORIZON = 5000
 # Members per norm-kernel timing, vector length and matrix shape.
 KERNEL_B = 100
 KERNEL_D = 10
@@ -126,6 +132,11 @@ def _step_timings() -> dict:
         for _ in range(ORACLE_CALLS):
             oracle.evaluate(W)
     timings["oracle.evaluate"] = _per_unit(_timed(evaluate), "us_per_call", ORACLE_CALLS)
+    timings["KinkyFunction.oracle"] = _per_unit(_timed(
+        lambda: [fn.oracle() for _ in range(ORACLE_BUILDS)]), "us_per_call", ORACLE_BUILDS)
+    for schedule in (optim.InvT(), optim.Constant(0.2)):
+        timings[f"cex1_build[{schedule!r},horizon={CEX1_HORIZON}]"] = _per_unit(_timed(
+            lambda: cex.cex1_build(0.5, schedule, horizon=CEX1_HORIZON)), "us_per_call", 1)
     return timings
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import norms, optim
+from . import linalg, optim
 
 DEFAULT_TAIL_TOL = 1e-12
 
@@ -89,26 +89,25 @@ class KinkyFunction:
         )
 
 
-def _subgradient_table(fn: KinkyFunction, selection: str = "zero") -> tuple:
-    """The nine subgradients of ``fn``, at row 3 * (s1 + 1) + (s2 + 1).
+def _subgradients(fn: KinkyFunction, selection: str = "zero") -> tuple:
+    """The nine subgradients of ``fn`` as a (9, m, n) stack, row
+    3 * (s1 + 1) + (s2 + 1), and their Frobenius norms, shape (9,).
 
     The subgradient depends on W only through the signs s1 of w1 + w2 and s2
-    of w1 - w2, so ``fn.subgradient`` at one W per sign pair gives them all.
-    Sign 0 is the class of a zero, where ``selection`` decides.
+    of w1 - w2; row k is ``fn.subgradient`` at any W of that sign class, by
+    its own expressions.  Sign 0 is the class of a zero, where ``selection``
+    decides.  ``linalg._fro_members`` is ``norms.fro`` of each row.
     """
-    rows = []
-    for s1 in (-1.0, 0.0, 1.0):
-        for s2 in (-1.0, 0.0, 1.0):
-            W = np.zeros((fn.m, fn.n))
-            W[0, 0], W[1, 1] = s1 + s2, s1 - s2
-            rows.append(fn.subgradient(W, selection))
-    return tuple(rows)
+    signs = [_sign(x, selection) for x in (-1.0, 0.0, 1.0)]
+    G = np.zeros((9, fn.m, fn.n))
+    G[:, 0, 0] = [fn.c * s1 + s2 for s1 in signs for s2 in signs]
+    G[:, 1, 1] = [fn.c * s1 - s2 for s1 in signs for s2 in signs]
+    return G, linalg._fro_members(G)
 
 
-def _subgradient_rows(table: tuple) -> tuple:
-    """``(G[0, 0], G[1, 1], norms.fro(G))`` of each G of a
-    ``_subgradient_table``, as floats and in its order."""
-    return tuple((float(G[0, 0]), float(G[1, 1]), norms.fro(G)) for G in table)
+def _signs(x: np.ndarray) -> np.ndarray:
+    """``_sign(x, "zero")`` elementwise, as integers; NaN maps to 0."""
+    return np.subtract(x > 0, x < 0, dtype=np.intp)
 
 
 class KinkyOracle:
@@ -117,18 +116,18 @@ class KinkyOracle:
 
     ``evaluate`` reads the leading diagonal once and computes the value with
     ``diag_value``'s expression.  The subgradient is a copy of one of the
-    nine from ``_subgradient_table``, picked by the sign classes of w1 + w2
-    and w1 - w2.  A NaN falls in the class of a zero, as in ``_sign``.
-    ``rows`` holds the nine as ``_subgradient_rows``, for ``optim.run``'s
-    float loop.
+    nine from ``_subgradients``, picked by the sign classes of w1 + w2 and
+    w1 - w2.  A NaN falls in the class of a zero, as in ``_sign``.  ``rows``
+    holds the nine's ``(G[0, 0], G[1, 1])`` as floats, for ``optim.run``'s
+    float loop, and ``fro`` their Frobenius norms.
     """
 
-    __slots__ = ("fn", "_table", "rows")
+    __slots__ = ("fn", "_table", "rows", "fro")
 
     def __init__(self, fn: KinkyFunction, selection: str = "zero"):
         self.fn = fn
-        self._table = _subgradient_table(fn, selection)
-        self.rows = _subgradient_rows(self._table)
+        self._table, self.fro = _subgradients(fn, selection)
+        self.rows = tuple(zip(self._table[:, 0, 0].tolist(), self._table[:, 1, 1].tolist()))
 
     def value(self, W) -> float:
         return self.fn.value(W)
@@ -141,10 +140,10 @@ class KinkyOracle:
         k = 3 * ((s > 0) - (s < 0)) + (d > 0) - (d < 0) + 4
         return self.fn.c * abs(s) + abs(d), self._table[k].copy()
 
-
-def _signs(x: np.ndarray) -> np.ndarray:
-    """``_sign(x, "zero")`` elementwise, as integers; NaN maps to 0."""
-    return np.subtract(x > 0, x < 0, dtype=np.intp)
+    def grad_fro(self, s: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """``norms.fro`` of the subgradient ``evaluate`` returns at each
+        diagonal with w1 + w2 = s[i] and w1 - w2 = d[i]."""
+        return self.fro.take(3 * _signs(s) + _signs(d) + 4)
 
 
 class KinkyStack:
@@ -169,9 +168,10 @@ class KinkyStack:
         self.size = len(fns)
         self.c = np.array([fn.c for fn in fns])
         # Each function's nine subgradients, with their Frobenius norms.
-        table = {fn: _subgradient_rows(_subgradient_table(fn)) for fn in set(fns)}
-        g11, g22, fro = np.array([table[fn] for fn in fns]).transpose(2, 0, 1)
-        self._g11, self._g22, self._fro = g11.ravel(), g22.ravel(), fro.ravel()
+        nine = {fn: _subgradients(fn) for fn in set(fns)}
+        self._g11 = np.concatenate([nine[fn][0][:, 0, 0] for fn in fns])
+        self._g22 = np.concatenate([nine[fn][0][:, 1, 1] for fn in fns])
+        self._fro = np.concatenate([nine[fn][1] for fn in fns])
         # Row 3 * (s1 + 1) + (s2 + 1) of member b's nine.
         self._row0 = 9 * np.arange(self.size) + 4
 
@@ -230,7 +230,7 @@ def compute_R(schedule, t: int, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
     prev = None
     for head in _HEAD_SIZES:
         n = head + _EULER_LEVELS + 1
-        lams = np.array([schedule.value(t + s) for s in range(n)])
+        lams = np.array(optim.offline_stepsizes(schedule, t, n))
         optim._check_nonincreasing(lams)
         terms = lams - lam
         if np.any(terms < -1e-15):
@@ -256,12 +256,12 @@ def compute_R_sequence(schedule, T: int, tail_tol: float = DEFAULT_TAIL_TOL) -> 
 
 
 def _R_recursion(schedule, R0: float, n: int) -> np.ndarray:
-    """R_0 .. R_{n-1} from R_0 by the recursion R_{t+1} = lam_t - R_t."""
-    R = np.empty(n)
-    R[0] = R0
-    for t in range(n - 1):
-        R[t + 1] = schedule.value(t) - R[t]
-    return R
+    """R_0 .. R_{n-1} from R_0 by the recursion R_{t+1} = lam_t - R_t, in
+    float64 whatever the type of lam_t, as when R was an array."""
+    R = [float(R0)]
+    for lam in optim.offline_stepsizes(schedule, 0, n - 1):
+        R.append(float(lam) - R[-1])
+    return np.array(R)
 
 
 # ---------------------------------------------------------------------------

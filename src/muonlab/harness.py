@@ -369,7 +369,7 @@ def _reduction_lockstep(trials: list, steps: int) -> tuple:
     beta = np.array([t.beta for t in trials])[:, None]
     one_minus_beta = 1.0 - beta
     # Each member's offline stepsizes, lam[i, b] at step i.
-    lam = np.array([[t.schedule.value(i) for t in trials] for i in range(steps)])
+    lam = np.array([optim.offline_stepsizes(t.schedule, 0, steps) for t in trials]).T
     diag = np.arange(d)
 
     def subgrad(w):

@@ -102,6 +102,23 @@ class AdaptiveNuclear:
         raise ValueError("AdaptiveNuclear has no offline limit")
 
 
+def offline_stepsizes(schedule, t0: int, n: int) -> list:
+    """``[schedule.value(t) for t in range(t0, t0 + n)]``, bit for bit.
+
+    An exact Constant is a repeat and an exact Table a clamped slice; any
+    other schedule is asked step by step, so AdaptiveNuclear raises as its
+    ``value`` does without the momentum.
+    """
+    if t0 < 0:
+        raise ValueError("t0 must be nonnegative")
+    if type(schedule) is Constant:
+        return [schedule.lam] * n
+    if type(schedule) is Table:
+        head = list(schedule.values[t0:t0 + n])
+        return head + [schedule.values[-1]] * (n - len(head))
+    return [schedule.value(t) for t in range(t0, t0 + n)]
+
+
 # ---------------------------------------------------------------------------
 # Oracles
 
@@ -177,6 +194,8 @@ class OptimizerState:
     def __post_init__(self):
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
+        if not isinstance(self.t, (int, np.integer)) or isinstance(self.t, bool) or self.t < 0:
+            raise ValueError(f"t must be a nonnegative integer, not {self.t!r}")
         if self.M is None:
             self.M = norms.zeros_like(self.W)
         if self.E is None:
@@ -390,14 +409,16 @@ _DIAGONAL_SCHEDULES = (Constant, InvT, InvSqrtT, Table, AdaptiveNuclear)
 def _runs_on_diagonal(rule: Rule, oracle, state: OptimizerState) -> bool:
     """Whether ``run`` may take ``_run_diagonal`` for ``rule`` from ``state``.
 
-    The oracle must be a KinkyFunction's own KinkyOracle; the rule's LMO the
-    exact polar factor or the sign; the schedule of a type in
-    _DIAGONAL_SCHEDULES; W, M and E native float64 arrays of the function's
-    shape, M and E finite and zero off their first two diagonal entries.
+    The oracle must be a KinkyFunction's own KinkyOracle with a float c (f
+    is derived in float64); the rule's LMO the exact polar factor or the
+    sign; the schedule of a type in _DIAGONAL_SCHEDULES; W, M and E native
+    float64 arrays of the function's shape, M and E finite and zero off
+    their first two diagonal entries.
     """
     from .counterexample import KinkyFunction, KinkyOracle  # counterexample imports optim
 
-    if type(oracle) is not KinkyOracle or type(oracle.fn) is not KinkyFunction:
+    if type(oracle) is not KinkyOracle or type(oracle.fn) is not KinkyFunction \
+            or not isinstance(oracle.fn.c, float):
         return False
     if not (rule.lmo == "sign" or (rule.lmo == "polar" and _uses_exact_polar(state))):
         return False
@@ -424,42 +445,38 @@ def _run_diagonal(rule: Rule, oracle, state: OptimizerState, T: int, track_avera
     compressor scale, this loop multiplies by ``float`` of the same number,
     as numpy's type promotion does.
 
+    A step records w1, w2, the running mean and a stepsize that depends on
+    M; offline ones are ``offline_stepsizes``.  f, favg and grad_fro are
+    derived after the loop, with numpy's warnings off as the floats have none.
+
     Fills the rows of ``tr`` it runs.  A step whose stepsize or compressor
     scale is not finite is left to ``run``'s loop, which gives the NaNs and
     raises the errors of ``step``: the return value is the state and running
     mean at that step, and its index.  When all ran it is (None, None, T + 1).
     """
-    fn, rows = oracle.fn, oracle.rows
-    c = fn.c
+    rows, c = oracle.rows, oracle.fn.c
     sched, t0 = state.schedule, state.t
     adaptive = type(sched) is AdaptiveNuclear
-    value = sched.value
     base = sched.base if adaptive else None
+    lams = None if adaptive else offline_stepsizes(sched, t0, T)
     momentum = rule.momentum and state.beta != 0.0
     beta, one_minus_beta = float(state.beta), float(1.0 - state.beta)
     scaled = rule.scaled and not adaptive
     feedback = rule.feedback
-    r = min(fn.m, fn.n)
+    r = min(oracle.fn.m, oracle.fn.n)
     w1, w2 = float(state.W[0, 0]), float(state.W[1, 1])
     m1, m2 = float(state.M[0, 0]), float(state.M[1, 1])
     e1, e2 = float(state.E[0, 0]), float(state.E[1, 1])
     a1, a2 = w1, w2  # the running mean
-    w11, w22, f, lams, grad_fro, favg = [], [], [], [], [], []
-    for i in range(T + 1):
-        w11.append(w1)
-        w22.append(w2)
-        if track_average:
-            favg.append(c * abs(a1 + a2) + abs(a1 - a2))
+    w11, w22, a11, a22, lam_col = [w1], [w2], [a1], [a2], []
+    for i in range(T):
         s, d = w1 + w2, w1 - w2
-        if i == T:
-            f.append(c * abs(s) + abs(d))
-            break
-        g1, g2, gf = rows[3 * ((s > 0) - (s < 0)) + (d > 0) - (d < 0) + 4]
+        g1, g2 = rows[3 * ((s > 0) - (s < 0)) + (d > 0) - (d < 0) + 4]
         if momentum:
             n1, n2 = beta * m1 + one_minus_beta * g1, beta * m2 + one_minus_beta * g2
         else:
             n1, n2 = g1, g2
-        lam = base * (abs(n1) + abs(n2)) if adaptive else value(t0 + i)
+        lam = base * (abs(n1) + abs(n2)) if adaptive else lams[i]
         if feedback:
             lam_f = float(lam)
             p1, p2 = e1 + lam_f * n1, e2 + lam_f * n2
@@ -479,15 +496,28 @@ def _run_diagonal(rule: Rule, oracle, state: OptimizerState, T: int, track_avera
             w1 = w1 - lam_f * (1.0 if n1 > 0 else -1.0 if n1 < 0 else 0.0)
             w2 = w2 - lam_f * (1.0 if n2 > 0 else -1.0 if n2 < 0 else 0.0)
         m1, m2 = n1, n2
-        f.append(c * abs(s) + abs(d))
-        lams.append(lam)
-        grad_fro.append(gf)
+        w11.append(w1)
+        w22.append(w2)
+        if adaptive or scaled:
+            lam_col.append(lam)
         if track_average:
             k = 1.0 / (i + 2)
             a1, a2 = a1 + k * (w1 - a1), a2 + k * (w2 - a2)
-    for col, vals in (("w11", w11), ("w22", w22), ("f", f), ("lam", lams),
-                      ("grad_fro", grad_fro), ("favg", favg)):
-        getattr(tr, col)[:len(vals)] = vals
+            a11.append(a1)
+            a22.append(a2)
+    else:
+        i = T
+    # Rows 0 .. i hold W_0 .. W_i; steps 0 .. i - 1 ran.
+    W1, W2 = np.array(w11), np.array(w22)
+    tr.w11[:i + 1], tr.w22[:i + 1] = W1, W2
+    tr.lam[:i] = lam_col if adaptive or scaled else lams[:i]
+    with np.errstate(all="ignore"):
+        S, D = W1 + W2, W1 - W2
+        tr.f[:i + 1] = c * np.abs(S) + np.abs(D)
+        tr.grad_fro[:i] = oracle.grad_fro(S[:i], D[:i])
+        if track_average:
+            A1, A2 = np.array(a11), np.array(a22)
+            tr.favg[:i + 1] = c * np.abs(A1 + A2) + np.abs(A1 - A2)
     if i == T:
         return None, None, T + 1
     W, mean = state.W.copy(), state.W.copy()
@@ -573,7 +603,7 @@ def run_batch(method, fns, states, T: int) -> list:
             coef[:, b] = sched.base
         else:
             if id(sched) not in offline:
-                offline[id(sched)] = [sched.value(i) for i in range(T)]
+                offline[id(sched)] = offline_stepsizes(sched, 0, T)
             coef[:, b] = offline[id(sched)]
     # Members whose stepsize is multiplied by ||M||_nuc: every member of a
     # scaled rule, and any member with AdaptiveNuclear.

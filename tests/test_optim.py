@@ -1,5 +1,6 @@
 import contextlib
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -54,6 +55,62 @@ class TestSchedules:
     def test_adaptive_nuclear(self):
         sch = optim.AdaptiveNuclear(0.1)
         assert abs(sch.value(3, momentum=np.diag([3.0, -4.0])) - 0.7) < 1e-15
+
+
+class HalvingConstant(optim.Constant):
+    """A Constant subclass with its own value(): not a repeat of lam."""
+
+    def value(self, t, momentum=None):
+        return self.lam / (t + 1)
+
+
+class TableSubclass(optim.Table):
+    pass
+
+
+# Every offline schedule type, exact and subclassed; Tables of 1 to 6 entries.
+_OFFLINE_SCHEDULES = hs.one_of(
+    hs.floats(0.01, 2.0).map(optim.Constant),
+    hs.floats(0.01, 2.0).map(HalvingConstant),
+    hs.just(optim.InvT()),
+    hs.just(optim.InvSqrtT()),
+    hs.lists(hs.floats(0.01, 2.0), min_size=1, max_size=6).map(
+        lambda v: optim.Table(tuple(v))),
+    hs.lists(hs.floats(0.01, 2.0), min_size=1, max_size=6).map(
+        lambda v: TableSubclass(tuple(v))),
+)
+
+
+class TestOfflineStepsizes:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_OFFLINE_SCHEDULES, hs.integers(0, 10), hs.integers(0, 12))
+    def test_equals_value_comprehension(self, schedule, t0, n):
+        # t0 and t0 + n fall before, inside and past a Table's end.
+        got = optim.offline_stepsizes(schedule, t0, n)
+        want = [schedule.value(t) for t in range(t0, t0 + n)]
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert np.array(got, float).tobytes() == np.array(want, float).tobytes()
+
+    def test_adaptive_nuclear_raises_as_value_does(self):
+        assert optim.offline_stepsizes(optim.AdaptiveNuclear(0.1), 3, 0) == []
+        with pytest.raises(ValueError, match="momentum"):
+            optim.offline_stepsizes(optim.AdaptiveNuclear(0.1), 3, 2)
+
+    def test_rejects_negative_start(self):
+        with pytest.raises(ValueError, match="t0"):
+            optim.offline_stepsizes(optim.Table((0.1, 0.2)), -1, 2)
+
+
+class TestOptimizerState:
+    @pytest.mark.parametrize("t", [-1, 1.5, True])
+    def test_rejects_t_that_is_not_a_nonnegative_integer(self, t):
+        # t = -1 used to raise ZeroDivisionError in run under InvT and
+        # InvSqrtT, and a Table read its last stepsize first.
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            optim.OptimizerState(W=np.eye(2), schedule=optim.InvT(), t=t)
+
+    def test_accepts_numpy_integer_t(self):
+        assert optim.OptimizerState(W=np.eye(2), t=np.int64(3)).t == 3
 
 
 class TestBasicSteps:
@@ -617,6 +674,57 @@ class TestDiagonalRun:
                 with pytest.raises(error):
                     optim.run(method, oracle, optim.OptimizerState(**kw), 4)
         assert len(calls) == (4 if error is None else 1)
+
+    # Every schedule type _run_diagonal takes, for the long-horizon check.
+    LONG_SCHEDULES = {
+        "Constant": optim.Constant(0.05),
+        "InvT": optim.InvT(),
+        "InvSqrtT": optim.InvSqrtT(),
+        "Table": optim.Table(tuple(np.random.default_rng(5).uniform(0.01, 0.3, 700))),
+        "AdaptiveNuclear": optim.AdaptiveNuclear(0.05),
+    }
+
+    @pytest.mark.parametrize("schedule", LONG_SCHEDULES)
+    @pytest.mark.parametrize("method", DIAGONAL_METHODS)
+    def test_long_horizon_equals_general_loop(self, method, schedule):
+        # T = 2000, past the Table's end: the loops agree over a whole run,
+        # with the running mean and a start on neither kink.
+        fn = cex.KinkyFunction(c=0.35)
+
+        def state0():
+            return optim.OptimizerState(W=np.diag([1.3, -0.45]), beta=0.4,
+                                        schedule=self.LONG_SCHEDULES[schedule])
+
+        with counting_steps() as calls:
+            fast = optim.run(method, fn.oracle(), state0(), 2000)
+        assert not calls
+        assert trace_bytes(fast) == trace_bytes(optim.run(method, general_oracle(fn),
+                                                          state0(), 2000))
+
+    @pytest.mark.parametrize("diag", [(np.inf, 1.0), (np.inf, -np.inf), (np.nan, 0.5),
+                                      (-np.inf, -np.inf), (1e308, 1e308)])
+    @pytest.mark.parametrize("method", DIAGONAL_METHODS)
+    def test_non_finite_start_stays_silent(self, method, diag):
+        # The columns derived after the float loop see inf - inf and
+        # overflowing sums; numpy must not warn where the floats do not.
+        st = optim.OptimizerState(W=np.diag(diag), beta=0.3, schedule=optim.InvT())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with counting_steps() as calls:
+                tr = optim.run(method, kinky_oracle(), st, 6)
+        assert not calls and len(tr) == 7
+
+    def test_non_float_c_takes_general_loop(self):
+        # f is derived in float64; c * |s| in float32 rounds differently.
+        fn = cex.KinkyFunction(c=np.float32(0.3))
+
+        def state0():
+            return state(np.diag([1.1, -0.57]), beta=0.2, schedule=optim.InvT())
+
+        with counting_steps() as calls:
+            tr = optim.run("muon", fn.oracle(), state0(), 5)
+        assert len(calls) == 5
+        assert trace_bytes(tr) == trace_bytes(optim.run("muon", general_oracle(fn), state0(), 5))
 
     def test_noisy_oracle_takes_general_loop(self):
         with counting_steps() as calls:
