@@ -15,6 +15,11 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
   cex2``, without it.  These take ``run``'s float loop where the library has
   one; one more row runs ``muon`` through a ``FunctionOracle`` of the same
   function, which keeps the general loop measured;
+- ``optim.run_batch`` on that function for ``BATCH_T`` steps at each batch
+  size in ``BATCH_SIZES``, in microseconds per member-step: ``muon`` with a
+  ``Table`` and ``regmuon`` with ``AdaptiveNuclear(0.05)``, as in ``verify
+  cex2``, and ``efmuon`` with ``InvSqrtT``, from dense 2x2 starts.  A set-up
+  the library refuses with ``ValueError`` is left out;
 - one ``evaluate`` of that function's oracle, and one ``KinkyFunction.oracle()``
   construction, in microseconds per call;
 - ``counterexample.cex1_build`` at horizon ``CEX1_HORIZON`` with ``InvT`` and
@@ -44,8 +49,8 @@ Each run is stored under ``--label`` in the output file, beside the runs
 already there, so that running the script on two checkouts records a
 before/after pair on the same machine::
 
-    PYTHONPATH=/path/to/parent/src python3 benchmarks/bench.py --label parent --out BENCH_11.json
-    PYTHONPATH=src python3 benchmarks/bench.py --label change --out BENCH_11.json
+    PYTHONPATH=/path/to/parent/src python3 benchmarks/bench.py --label parent --out BENCH_12.json
+    PYTHONPATH=src python3 benchmarks/bench.py --label change --out BENCH_12.json
 
 BLAS is held at one thread, as in ``perfbench``.
 """
@@ -68,6 +73,9 @@ REPEATS = 5
 # Steps per optim.run timing, and oracle calls per evaluate timing.
 STEP_T = 2000
 ORACLE_CALLS = 10_000
+# Batch sizes and horizon of the run_batch timings.
+BATCH_SIZES = (1, 10, 100, 1000)
+BATCH_T = 1000
 # Oracle constructions per timing, and the horizon of the cex1_build timings.
 ORACLE_BUILDS = 1000
 CEX1_HORIZON = 5000
@@ -137,6 +145,32 @@ def _step_timings() -> dict:
     for schedule in (optim.InvT(), optim.Constant(0.2)):
         timings[f"cex1_build[{schedule!r},horizon={CEX1_HORIZON}]"] = _per_unit(_timed(
             lambda: cex.cex1_build(0.5, schedule, horizon=CEX1_HORIZON)), "us_per_call", 1)
+    return timings
+
+
+def _batch_timings() -> dict:
+    import numpy as np
+    from muonlab import counterexample as cex
+    from muonlab import optim
+
+    fn = cex.KinkyFunction(c=0.3)
+    table = optim.Table(tuple(np.random.default_rng(0).uniform(0.01, 0.3, BATCH_T)))
+    timings = {}
+    for label, method, schedule in (("muon+Table", "muon", table),
+                                    ("regmuon+AdaptiveNuclear", "regmuon",
+                                     optim.AdaptiveNuclear(0.05)),
+                                    ("efmuon+InvSqrtT", "efmuon", optim.InvSqrtT())):
+        for B in BATCH_SIZES:
+            rng = np.random.default_rng(B)
+            states = [optim.OptimizerState(W=rng.standard_normal((2, 2)), beta=0.2,
+                                           schedule=schedule) for _ in range(B)]
+            try:
+                optim.run_batch(method, [fn], states[:1], 1)
+            except ValueError:
+                continue  # this library's run_batch does not run the set-up
+            timings[f"run_batch[{label},B={B}]"] = _per_unit(_timed(
+                lambda: optim.run_batch(method, [fn] * B, states, BATCH_T)),
+                "us_per_member_step", B * BATCH_T)
     return timings
 
 
@@ -300,7 +334,7 @@ def measure() -> dict:
         timings[f"verify[{suite}]"] = _timed(verify)
     return {"source": _source(muonlab), "machine": _machine(),
             "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "timings": {**timings, **_step_timings(), **_kernel_timings(),
+            "timings": {**timings, **_step_timings(), **_batch_timings(), **_kernel_timings(),
                         **_polar_timings(), **_rule_timings()}}
 
 
@@ -322,9 +356,9 @@ def main(argv=None) -> int:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for name, t in record["runs"][args.label]["timings"].items():
-        per = next((f"  {t[k]:8.2f} {k}" for k in ("us_per_step", "us_per_call", "us_per_member")
-                    if k in t), "")
-        print(f"{name:34s} {t['median_ms']:10.2f} ms{per}")
+        per = next((f"  {t[k]:8.2f} {k}" for k in ("us_per_step", "us_per_call", "us_per_member",
+                                                   "us_per_member_step") if k in t), "")
+        print(f"{name:44s} {t['median_ms']:10.2f} ms{per}")
     return 0
 
 

@@ -7,6 +7,7 @@ them against simulation traces.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,15 @@ class KinkyFunction:
     n: int = 2
 
     def __post_init__(self):
+        # Stored as a Python float and ints, so f and its subgradient compute
+        # in float64 whatever real type c was given as (np.float32, say).
+        for name, kind, cast, what in (("c", numbers.Real, float, "a real number"),
+                                       ("m", numbers.Integral, int, "an integer"),
+                                       ("n", numbers.Integral, int, "an integer")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {what}, not {value!r}")
+            object.__setattr__(self, name, cast(value))
         if not 0.0 < self.c < 1.0:
             raise ValueError("c must lie in (0, 1)")
         if self.m < 2 or self.n < 2:
@@ -118,8 +128,9 @@ class KinkyOracle:
     ``diag_value``'s expression.  The subgradient is a copy of one of the
     nine from ``_subgradients``, picked by the sign classes of w1 + w2 and
     w1 - w2.  A NaN falls in the class of a zero, as in ``_sign``.  ``rows``
-    holds the nine's ``(G[0, 0], G[1, 1])`` as floats, for ``optim.run``'s
-    float loop, and ``fro`` their Frobenius norms.
+    holds the nine's ``(G[0, 0], G[1, 1])`` as floats, for the float loops
+    of ``optim.run`` and ``optim.run_batch``, and ``fro`` their Frobenius
+    norms.
     """
 
     __slots__ = ("fn", "_table", "rows", "fro")
@@ -144,51 +155,6 @@ class KinkyOracle:
         """``norms.fro`` of the subgradient ``evaluate`` returns at each
         diagonal with w1 + w2 = s[i] and w1 - w2 = d[i]."""
         return self.fro.take(3 * _signs(s) + _signs(d) + 4)
-
-
-class KinkyStack:
-    """B KinkyFunctions of one shape, evaluated together on a (B, m, n) stack.
-
-    For member b, ``value(W)[b]`` is ``fns[b].value(W[b])``, and
-    ``evaluate(W)`` also returns ``fns[b].subgradient(W[b])`` (selection
-    "zero") and its ``norms.fro``, bit for bit.  On non-finite entries numpy
-    may warn where the scalar's float arithmetic does not.
-    """
-
-    def __init__(self, fns):
-        fns = list(fns)
-        if not fns:
-            raise ValueError("need at least one function")
-        if any(type(fn) is not KinkyFunction for fn in fns):
-            raise ValueError("KinkyStack takes KinkyFunction objects only")
-        shapes = {(fn.m, fn.n) for fn in fns}
-        if len(shapes) != 1:
-            raise ValueError(f"functions of different shapes {sorted(shapes)}")
-        (self.m, self.n), = shapes
-        self.size = len(fns)
-        self.c = np.array([fn.c for fn in fns])
-        # Each function's nine subgradients, with their Frobenius norms.
-        nine = {fn: _subgradients(fn) for fn in set(fns)}
-        self._g11 = np.concatenate([nine[fn][0][:, 0, 0] for fn in fns])
-        self._g22 = np.concatenate([nine[fn][0][:, 1, 1] for fn in fns])
-        self._fro = np.concatenate([nine[fn][1] for fn in fns])
-        # Row 3 * (s1 + 1) + (s2 + 1) of member b's nine.
-        self._row0 = 9 * np.arange(self.size) + 4
-
-    def value(self, W) -> np.ndarray:
-        """Objective values, shape (B,)."""
-        w1, w2 = W[:, 0, 0], W[:, 1, 1]
-        return self.c * np.abs(w1 + w2) + np.abs(w1 - w2)
-
-    def evaluate(self, W):
-        """(values (B,), subgradients (B, m, n), their Frobenius norms (B,))."""
-        w1, w2 = W[:, 0, 0], W[:, 1, 1]
-        s, d = w1 + w2, w1 - w2
-        k = self._row0 + 3 * _signs(s) + _signs(d)
-        G = np.zeros((self.size, self.m, self.n))
-        G[:, 0, 0] = self._g11.take(k)
-        G[:, 1, 1] = self._g22.take(k)
-        return self.c * np.abs(s) + np.abs(d), G, self._fro.take(k)
 
 
 def lipschitz_bound(c: float) -> float:

@@ -4,8 +4,8 @@ Every method is one steepest-descent rule through a norm's LMO, with or
 without momentum, a dual-norm scale or error feedback: ``RULES`` names them
 (specGD, Muon, regMuon, signGD, signMomentum, EF-Muon, MuonMax, EF-MuonMax)
 and ``step`` is the one body they run.  Also here: stepsize schedules, the
-runners ``run`` and ``run_batch``, and the convergence-bound evaluator for the
-error-feedback method.
+runners ``run`` and ``run_batch`` (B runs on counterexample functions in
+lock-step), and the convergence-bound evaluator for error feedback.
 
 Steps are pure: they take a state and return (new_state, StepInfo).
 """
@@ -358,8 +358,9 @@ class Trace:
         return len(self.t)
 
 
-# The Trace columns that start as NaN: all but t.
-_NAN_COLUMNS = ("lam", "f", "w11", "w22", "grad_fro", "favg")
+def _nan_trace(n: int) -> Trace:
+    """A Trace of n rows, NaN in every column but t."""
+    return Trace(np.arange(n, dtype=float), *(np.full(n, np.nan) for _ in range(6)))
 
 
 def run(method, oracle, state0, T: int, track_average: bool = True) -> Trace:
@@ -377,12 +378,12 @@ def run(method, oracle, state0, T: int, track_average: bool = True) -> Trace:
         raise ValueError(f"unknown method {method!r}")
     rule, step_fn = RULES[method], STEP_FUNCTIONS[method]
 
-    n = T + 1
-    tr = Trace(t=np.arange(n, dtype=float), **{k: np.full(n, np.nan) for k in _NAN_COLUMNS})
-    state, mean, start = state0, state0.W, 0  # mean: the running mean of W_0 .. W_t
-    if _runs_on_diagonal(rule, oracle, state0):
-        state, mean, start = _run_diagonal(rule, oracle, state0, T, track_average, tr)
-    for i in range(start, n):
+    tr = _nan_trace(T + 1)
+    if _runs_on_diagonal(rule, oracle, state0) and \
+            _run_diagonal(rule, oracle, state0, T, track_average, tr):
+        return tr
+    state, mean = state0, state0.W  # mean: the running mean of W_0 .. W_t
+    for i in range(T + 1):
         tr.w11[i], tr.w22[i] = _readout(state.W)
         if track_average:
             tr.favg[i] = _value(oracle, mean)
@@ -406,19 +407,24 @@ def run(method, oracle, state0, T: int, track_average: bool = True) -> Trace:
 _DIAGONAL_SCHEDULES = (Constant, InvT, InvSqrtT, Table, AdaptiveNuclear)
 
 
-def _runs_on_diagonal(rule: Rule, oracle, state: OptimizerState) -> bool:
-    """Whether ``run`` may take ``_run_diagonal`` for ``rule`` from ``state``.
+def _uses_exact_polar(state: OptimizerState) -> bool:
+    # A state built with the default keeps the function linalg defined, even
+    # after linalg.polar_exact has been rebound (to a tracing wrapper, say).
+    return state.polar is linalg.polar_exact or state.polar is OptimizerState.polar
 
-    The oracle must be a KinkyFunction's own KinkyOracle with a float c (f
-    is derived in float64); the rule's LMO the exact polar factor or the
-    sign; the schedule of a type in _DIAGONAL_SCHEDULES; W, M and E native
-    float64 arrays of the function's shape, M and E finite and zero off
-    their first two diagonal entries.
+
+def _runs_on_diagonal(rule: Rule, oracle, state: OptimizerState) -> bool:
+    """Whether the float loop may run ``rule`` from ``state``: the one
+    predicate for ``run``'s ``_run_diagonal`` and ``run_batch``'s lock-step.
+
+    The oracle must be a KinkyFunction's own KinkyOracle; the rule's LMO the
+    exact polar factor or the sign; the schedule of a type in
+    _DIAGONAL_SCHEDULES; W, M and E native float64 arrays of the function's
+    shape, M and E finite and zero off their first two diagonal entries.
     """
     from .counterexample import KinkyFunction, KinkyOracle  # counterexample imports optim
 
-    if type(oracle) is not KinkyOracle or type(oracle.fn) is not KinkyFunction \
-            or not isinstance(oracle.fn.c, float):
+    if type(oracle) is not KinkyOracle or type(oracle.fn) is not KinkyFunction:
         return False
     if not (rule.lmo == "sign" or (rule.lmo == "polar" and _uses_exact_polar(state))):
         return False
@@ -433,7 +439,7 @@ def _runs_on_diagonal(rule: Rule, oracle, state: OptimizerState) -> bool:
 
 
 def _run_diagonal(rule: Rule, oracle, state: OptimizerState, T: int, track_average: bool,
-                  tr: Trace) -> tuple:
+                  tr: Trace) -> bool:
     """``run``'s loop on the first two diagonal entries of W, M and E, as floats.
 
     Exact for a start ``_runs_on_diagonal`` accepts: the subgradient is zero
@@ -447,18 +453,16 @@ def _run_diagonal(rule: Rule, oracle, state: OptimizerState, T: int, track_avera
 
     A step records w1, w2, the running mean and a stepsize that depends on
     M; offline ones are ``offline_stepsizes``.  f, favg and grad_fro are
-    derived after the loop, with numpy's warnings off as the floats have none.
+    derived after the loop (``_fill_diagonal``).
 
-    Fills the rows of ``tr`` it runs.  A step whose stepsize or compressor
-    scale is not finite is left to ``run``'s loop, which gives the NaNs and
-    raises the errors of ``step``: the return value is the state and running
-    mean at that step, and its index.  When all ran it is (None, None, T + 1).
+    Fills ``tr`` and returns True, or returns False at a stepsize or
+    compressor scale that is not finite: ``run`` then runs its own loop from
+    the start, which gives the NaNs and raises the errors of ``step``.
     """
-    rows, c = oracle.rows, oracle.fn.c
-    sched, t0 = state.schedule, state.t
+    rows, sched = oracle.rows, state.schedule
     adaptive = type(sched) is AdaptiveNuclear
     base = sched.base if adaptive else None
-    lams = None if adaptive else offline_stepsizes(sched, t0, T)
+    lams = None if adaptive else offline_stepsizes(sched, state.t, T)
     momentum = rule.momentum and state.beta != 0.0
     beta, one_minus_beta = float(state.beta), float(1.0 - state.beta)
     scaled = rule.scaled and not adaptive
@@ -482,7 +486,7 @@ def _run_diagonal(rule: Rule, oracle, state: OptimizerState, T: int, track_avera
             p1, p2 = e1 + lam_f * n1, e2 + lam_f * n2
             nuc = abs(p1) + abs(p2)
             if not nuc < math.inf:
-                break
+                return False
             scale = nuc / r
             c1 = scale * (1.0 if p1 > 0 else -1.0 if p1 < 0 else 0.0)
             c2 = scale * (1.0 if p2 > 0 else -1.0 if p2 < 0 else 0.0)
@@ -492,7 +496,7 @@ def _run_diagonal(rule: Rule, oracle, state: OptimizerState, T: int, track_avera
                 lam = lam * (abs(n1) + abs(n2))
             lam_f = float(lam)
             if not abs(lam_f) < math.inf:
-                break
+                return False
             w1 = w1 - lam_f * (1.0 if n1 > 0 else -1.0 if n1 < 0 else 0.0)
             w2 = w2 - lam_f * (1.0 if n2 > 0 else -1.0 if n2 < 0 else 0.0)
         m1, m2 = n1, n2
@@ -505,134 +509,123 @@ def _run_diagonal(rule: Rule, oracle, state: OptimizerState, T: int, track_avera
             a1, a2 = a1 + k * (w1 - a1), a2 + k * (w2 - a2)
             a11.append(a1)
             a22.append(a2)
-    else:
-        i = T
-    # Rows 0 .. i hold W_0 .. W_i; steps 0 .. i - 1 ran.
-    W1, W2 = np.array(w11), np.array(w22)
-    tr.w11[:i + 1], tr.w22[:i + 1] = W1, W2
-    tr.lam[:i] = lam_col if adaptive or scaled else lams[:i]
+    _fill_diagonal(tr, oracle, np.array(w11), np.array(w22),
+                   lam_col if adaptive or scaled else lams, (a11, a22) if track_average else None)
+    return True
+
+
+def _fill_diagonal(tr: Trace, oracle, W1, W2, lam, means=None):
+    """Fill ``tr`` from a float loop's records of T steps: W1 and W2, the
+    first two diagonal entries of W_0 .. W_T, the stepsizes ``lam`` and, if
+    given, the running means' two entries.  f and favg are derived by the
+    function's expression and grad_fro by ``KinkyOracle.grad_fro``, with
+    numpy's warnings off as the float arithmetic has none."""
+    c = oracle.fn.c
+    tr.w11[:], tr.w22[:], tr.lam[:-1] = W1, W2, lam
     with np.errstate(all="ignore"):
         S, D = W1 + W2, W1 - W2
-        tr.f[:i + 1] = c * np.abs(S) + np.abs(D)
-        tr.grad_fro[:i] = oracle.grad_fro(S[:i], D[:i])
-        if track_average:
-            A1, A2 = np.array(a11), np.array(a22)
-            tr.favg[:i + 1] = c * np.abs(A1 + A2) + np.abs(A1 - A2)
-    if i == T:
-        return None, None, T + 1
-    W, mean = state.W.copy(), state.W.copy()
-    M, E = np.zeros_like(state.M), np.zeros_like(state.E)
-    W[0, 0], W[1, 1], M[0, 0], M[1, 1], E[0, 0], E[1, 1] = w1, w2, m1, m2, e1, e2
-    mean[0, 0], mean[1, 1] = a1, a2
-    return _advance(state, W=W, M=M, E=E, t=t0 + i), mean, i
-
-
-# The rules run_batch runs: polar LMO with momentum, no error feedback.
-BATCH_METHODS = tuple(name for name, rule in RULES.items()
-                      if rule.momentum and rule.lmo == "polar" and not rule.feedback)
-# The schedules run_batch runs; TestRunBatch covers each.
-_BATCH_SCHEDULES = (Constant, InvT, Table, AdaptiveNuclear)
-
-
-def _uses_exact_polar(state: OptimizerState) -> bool:
-    # A state built with the default keeps the function linalg defined, even
-    # after linalg.polar_exact has been rebound (to a tracing wrapper, say).
-    return state.polar is linalg.polar_exact or state.polar is OptimizerState.polar
+        tr.f[:] = c * np.abs(S) + np.abs(D)
+        tr.grad_fro[:-1] = oracle.grad_fro(S[:-1], D[:-1])
+        if means is not None:
+            A1, A2 = np.array(means[0]), np.array(means[1])
+            tr.favg[:] = c * np.abs(A1 + A2) + np.abs(A1 - A2)
+    return tr
 
 
 def run_batch(method, fns, states, T: int) -> list:
-    """Run B independent trajectories in lock-step; returns one Trace each.
+    """``[run(method, fn.oracle(), st, T, track_average=False) for fn, st in
+    zip(fns, states)]``, bit for bit, with the float loops run in lock-step.
 
-    Member b runs ``method`` (one of BATCH_METHODS) on the KinkyFunction
-    ``fns[b]`` from ``states[b]``, and its Trace is bit-identical, NaN
-    positions included, to
-    ``run(method, fns[b].oracle(), states[b], T, track_average=False)``.
-    A member whose scalar run raises makes the batch raise the same error.
-
-    The iterates are stacked as one (B, m, n) array, so each step costs a
-    fixed number of numpy calls for the whole batch.  Each member keeps its
-    own W0, M, beta and schedule: one of Constant, InvT, Table or
-    AdaptiveNuclear, with the exact polar factor, starting at t = 0.  Any
-    other method, schedule, polar backend, start t or function raises
-    ValueError.
-
-    The loop below is ``step`` for these rules on the stack, with the
-    rule's ``scaled`` read from RULES; TestRunBatch in tests/test_optim.py is
-    the contract that keeps the two in sync.
+    The members ``_runs_on_diagonal`` accepts run ``_run_diagonal``'s
+    recurrence together (``_run_lockstep``): a step costs a fixed number of
+    numpy calls for the whole batch.  Every other member, and every member
+    where the float loop gives up, is run by ``run``; so its Trace and its
+    errors are ``run``'s, and the first member whose run raises makes the
+    batch raise.
     """
-    from .counterexample import KinkyStack  # counterexample imports optim
+    from .counterexample import KinkyFunction  # counterexample imports optim
 
-    if method not in BATCH_METHODS:
-        raise ValueError(f"run_batch supports {BATCH_METHODS}, not {method!r}")
     if T < 0:
         raise ValueError("T must be nonnegative")
+    if method not in RULES:
+        raise ValueError(f"unknown method {method!r}")
+    fns, states = list(fns), list(states)
+    if len(fns) != len(states):
+        raise ValueError(f"{len(fns)} functions but {len(states)} states")
+    if not all(isinstance(fn, KinkyFunction) for fn in fns):
+        raise ValueError("run_batch takes KinkyFunction objects")
     rule = RULES[method]
-    fstack = KinkyStack(fns)
-    states = list(states)
-    if len(states) != fstack.size:
-        raise ValueError(f"{fstack.size} functions but {len(states)} states")
-    for st in states:
-        if not _uses_exact_polar(st):
-            raise ValueError("run_batch needs the exact polar factor")
-        # Exact types: a subclass may make value() read the momentum, which
-        # the precomputed offline stepsizes below do not pass.
-        if type(st.schedule) not in _BATCH_SCHEDULES:
-            raise ValueError(f"run_batch does not support schedule {st.schedule!r}")
-        if st.t != 0:
-            raise ValueError(f"run_batch starts every member at t = 0, not {st.t}")
-    W = np.stack([np.asarray(st.W, float) for st in states])
-    M = np.stack([np.asarray(st.M, float) for st in states])
-    if W.shape[1:] != (fstack.m, fstack.n) or M.shape != W.shape:
-        raise ValueError(f"W and M must be {fstack.m} x {fstack.n} matrices")
+    built = {fn: fn.oracle() for fn in dict.fromkeys(fns)}  # one oracle per distinct function
+    oracles = [built[fn] for fn in fns]
+    lockstep = [b for b, (oracle, st) in enumerate(zip(oracles, states))
+                if _runs_on_diagonal(rule, oracle, st)]
+    ran = dict(zip(lockstep, _run_lockstep(rule, [oracles[b] for b in lockstep],
+                                           [states[b] for b in lockstep], T) if lockstep else []))
+    return [ran[b] if ran.get(b) is not None else run(method, oracle, st, T, track_average=False)
+            for b, (oracle, st) in enumerate(zip(oracles, states))]
 
-    B, n = fstack.size, T + 1
-    beta = np.array([st.beta for st in states])[:, None, None]
-    one_minus_beta = 1.0 - beta
-    # With beta = 0, step reads G itself and M is never read.  Zeroed,
-    # it makes beta * M + (1 - beta) * G equal G bit for bit: 0 * M is a
-    # zero, and a zero added to an entry of G (never -0.0) leaves it as is.
-    M[beta.ravel() == 0.0] = 0.0
-    # coef[i, b]: member b's stepsize at step i before any nuclear-norm
-    # factor, i.e. AdaptiveNuclear's base or an offline schedule's value.
-    # Members sharing a schedule share the values.
-    coef = np.empty((T, B))
-    offline = {}
-    for b, st in enumerate(states):
-        sched = st.schedule
-        if isinstance(sched, AdaptiveNuclear):
-            coef[:, b] = sched.base
+
+def _run_lockstep(rule: Rule, oracles: list, states: list, T: int) -> list:
+    """``_run_diagonal`` for B >= 1 members at once, on (B,) float64 arrays:
+    each member's Trace, or None where ``_run_diagonal`` returns False.
+
+    Each numpy operation is, elementwise, the float loop's operation.  A
+    member without momentum (or with beta = 0) gets beta = 0 and 1 - beta =
+    1: beta * m + (1 - beta) * g is then g bit for bit, as m is finite and no
+    subgradient entry is -0.0.  (1 - beta) * g is taken once per row.
+    """
+    from .counterexample import _signs  # counterexample imports optim
+
+    B = len(states)
+    coef = np.empty((T, B))  # each step's stepsize before any nuclear-norm factor
+    offline, start, rows = {}, [], []
+    for b, (oracle, st) in enumerate(zip(oracles, states)):
+        if type(st.schedule) is AdaptiveNuclear:
+            coef[:, b] = st.schedule.base
         else:
-            if id(sched) not in offline:
-                offline[id(sched)] = offline_stepsizes(sched, 0, T)
-            coef[:, b] = offline[id(sched)]
-    # Members whose stepsize is multiplied by ||M||_nuc: every member of a
-    # scaled rule, and any member with AdaptiveNuclear.
-    scaled = np.array([rule.scaled or isinstance(st.schedule, AdaptiveNuclear)
-                       for st in states])
-    any_scaled = bool(scaled.any())
+            key = (id(st.schedule), st.t)
+            if key not in offline:
+                offline[key] = np.array(offline_stepsizes(st.schedule, st.t, T), float)
+            coef[:, b] = offline[key]
+        momentum = rule.momentum and st.beta != 0.0
+        betas = (float(st.beta), float(1.0 - st.beta)) if momentum else (0.0, 1.0)
+        start.append((st.W[0, 0], st.W[1, 1], st.M[0, 0], st.M[1, 1], st.E[0, 0], st.E[1, 1],
+                      *betas, min(oracle.fn.m, oracle.fn.n)))
+        rows.append(oracle.rows)
+    w1, w2, m1, m2, e1, e2, beta, one_minus_beta, r = np.array(start).T
+    G1, G2 = (one_minus_beta[:, None, None] * np.array(rows)).reshape(9 * B, 2).T.copy()
+    row0 = 9 * np.arange(B) + 4  # member b's row of the zero sign class
+    # The members whose stepsize has a ||M||_nuc factor.
+    mult = np.array([rule.scaled or type(st.schedule) is AdaptiveNuclear for st in states])
+    any_mult = bool(mult.any())
 
-    # favg stays NaN, as in run(..., track_average=False).
-    cols = {k: np.full((B, n), np.nan) for k in _NAN_COLUMNS}
-    for i in range(n):
-        cols["w11"][:, i] = W[:, 0, 0]
-        cols["w22"][:, i] = W[:, 1, 1]
-        if i == T:
-            cols["f"][:, i] = fstack.value(W)
-            break
-        cols["f"][:, i], G, cols["grad_fro"][:, i] = fstack.evaluate(W)
-        M = beta * M + one_minus_beta * G
-        lam = coef[i]
-        if any_scaled:
-            lam = lam.copy()
-            lam[scaled] *= linalg.nuclear_norm_stack(M[scaled])
-        try:
-            X = linalg.polar_exact_stack(M)
-        except linalg.NumericalError as exc:
-            raise linalg.NumericalError(f"step t={i} failed: {exc}") from exc
-        W = W - lam[:, None, None] * X
-        cols["lam"][:, i] = lam
-    t = np.arange(n, dtype=float)
-    return [Trace(t=t.copy(), **{k: v[b] for k, v in cols.items()}) for b in range(B)]
+    W1, W2, lam_col = np.empty((T + 1, B)), np.empty((T + 1, B)), np.empty((T, B))
+    W1[0], W2[0] = w1, w2
+    worst = np.zeros(B)  # the largest nuclear norm of P; NaN or inf once one is not finite
+    with np.errstate(all="ignore"):
+        for i in range(T):
+            s, d = w1 + w2, w1 - w2
+            k = row0 + 3 * _signs(s) + _signs(d)
+            n1, n2 = beta * m1 + G1.take(k), beta * m2 + G2.take(k)
+            lam = coef[i]
+            if any_mult:
+                lam = np.where(mult, lam * (np.abs(n1) + np.abs(n2)), lam)
+            if rule.feedback:
+                p1, p2 = e1 + lam * n1, e2 + lam * n2
+                nuc = np.abs(p1) + np.abs(p2)
+                worst = np.maximum(worst, nuc)
+                scale = nuc / r
+                c1, c2 = scale * np.sign(p1), scale * np.sign(p2)
+                w1, w2, e1, e2 = w1 - c1, w2 - c2, p1 - c1, p2 - c2
+            else:
+                w1, w2 = w1 - lam * np.sign(n1), w2 - lam * np.sign(n2)
+            m1, m2 = n1, n2
+            W1[i + 1], W2[i + 1], lam_col[i] = w1, w2, lam
+    gave_up = ~(worst < math.inf) if rule.feedback else ~np.isfinite(lam_col).all(axis=0)
+    W1, W2, lam_col = W1.T.copy(), W2.T.copy(), lam_col.T.copy()  # a member's records, contiguous
+    return [None if gave_up[b] else
+            _fill_diagonal(_nan_trace(T + 1), oracle, W1[b], W2[b], lam_col[b])
+            for b, oracle in enumerate(oracles)]
 
 
 # ---------------------------------------------------------------------------

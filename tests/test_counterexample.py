@@ -18,6 +18,21 @@ class TestKinkyFunction:
         got = fn.diag_value(1 + math.log(2), 1 - math.log(2))
         assert abs(got - (2 * c + 2 * math.log(2))) < 1e-14
 
+    def test_c_is_stored_as_a_float(self):
+        for c in (np.float32(0.3), np.float64(0.3), 0.3):
+            fn = cex.KinkyFunction(c=c)
+            assert type(fn.c) is float and fn.c == float(c)
+        fn = cex.KinkyFunction(c=0.3, m=np.int64(3), n=4)
+        assert type(fn.m) is int and (fn.m, fn.n) == (3, 4)
+
+    @pytest.mark.parametrize("kw", [dict(c=True), dict(c="0.3"), dict(c=0.3 + 0j),
+                                    dict(c=0.3, m=2.5), dict(c=0.3, n=3.0),
+                                    dict(c=0.3, m=True), dict(c=0.3, n="3")])
+    def test_refuses_non_real_c_and_non_integer_shape(self, kw):
+        # m = 2.5 used to pass and then fail in np.zeros.
+        with pytest.raises(ValueError, match="must be"):
+            cex.KinkyFunction(**kw)
+
     def test_matrix_matches_diag(self):
         rng = np.random.default_rng(20)
         fn = cex.KinkyFunction(c=0.3, m=3, n=4)
@@ -122,36 +137,6 @@ class TestKinkyOracle:
     def test_unknown_selection(self):
         with pytest.raises(ValueError, match="kink selection"):
             cex.KinkyFunction(c=0.3).oracle("bogus")
-
-
-class TestKinkyStack:
-    def test_members_match_function(self):
-        rng = np.random.default_rng(21)
-        fns = [cex.KinkyFunction(c=c, m=3, n=4) for c in (0.2, 0.5, 0.2, 0.9, 0.5, 0.7)]
-        W = rng.standard_normal((len(fns), 3, 4))
-        # Kinks (w1 = w2, w1 = -w2) and non-finite diagonals, which the
-        # scalar subgradient maps through sign(NaN) = 0.
-        W[1, 0, 0], W[1, 1, 1] = 0.5, 0.5
-        W[2, 0, 0], W[2, 1, 1] = 0.5, -0.5
-        W[3, 0, 0], W[3, 1, 1] = np.nan, 1.0
-        W[4, 0, 0], W[4, 1, 1] = np.inf, -np.inf
-        W[5, 0, 0], W[5, 1, 1] = 0.0, 0.0
-        stack = cex.KinkyStack(fns)
-        with np.errstate(invalid="ignore"):
-            values, G, fro = stack.evaluate(W)
-            np.testing.assert_array_equal(stack.value(W), values)
-        for b, fn in enumerate(fns):
-            np.testing.assert_array_equal(values[b], fn.value(W[b]))
-            np.testing.assert_array_equal(G[b], fn.subgradient(W[b]))
-            assert fro[b] == optim.norms.fro(fn.subgradient(W[b]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cex.KinkyStack([])
-        with pytest.raises(ValueError):
-            cex.KinkyStack([cex.KinkyFunction(c=0.3), cex.KinkyFunction(c=0.3, m=3)])
-        with pytest.raises(ValueError):
-            cex.KinkyStack([cex.KinkyFunction(c=0.3).oracle()])
 
 
 class TestComputeR:

@@ -264,7 +264,6 @@ class TestRules:
         for name, entry in optim.STEP_FUNCTIONS.items():
             assert getattr(optim, f"step_{name}") is entry
             assert entry.__name__ == f"step_{name}"
-        assert optim.BATCH_METHODS == ("muon", "regmuon")
 
     def test_entries_and_run_go_through_step(self, monkeypatch):
         for name, entry in optim.STEP_FUNCTIONS.items():
@@ -436,91 +435,6 @@ def mixed_batch(seed, n=15, shape=(2, 2)):
         states.append(optim.OptimizerState(
             W=W0, beta=(0.0, 0.5, 0.9)[b % 3], schedule=schedules[b % 4], M=M0))
     return fns, states
-
-
-# The non-finite starts make numpy warn where the scalar run's float
-# arithmetic is silent; the values are the same.
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-class TestRunBatch:
-    @pytest.mark.parametrize("method", optim.BATCH_METHODS)
-    @pytest.mark.parametrize("shape", ((2, 2), (3, 4)))
-    def test_members_equal_scalar_runs(self, method, shape):
-        fns, states = mixed_batch(5, shape=shape)
-        T = 120
-        traces = optim.run_batch(method, fns, states, T)
-        assert len(traces) == len(states)
-        for fn, st, tr in zip(fns, states, traces):
-            assert_same_trace(tr, optim.run(method, fn.oracle(), st, T, track_average=False))
-
-    @pytest.mark.parametrize("method", optim.BATCH_METHODS)
-    def test_non_diagonal_member_takes_polar_exact(self, method, monkeypatch):
-        fns, states = mixed_batch(6, n=4)
-        states[2].M = np.array([[0.3, -1.2], [0.8, 0.1]])
-        T = 60
-        expected = [optim.run(method, fn.oracle(), st, T, track_average=False)
-                    for fn, st in zip(fns, states)]
-        calls = []
-        polar_exact = linalg.polar_exact
-
-        def counting(A, *args, **kwargs):
-            calls.append(1)
-            return polar_exact(A, *args, **kwargs)
-
-        monkeypatch.setattr(linalg, "polar_exact", counting)
-        traces = optim.run_batch(method, fns, states, T)
-        assert len(calls) >= T  # one per step for the non-diagonal member
-        for tr, ref in zip(traces, expected):
-            assert_same_trace(tr, ref)
-
-    @pytest.mark.parametrize("method", optim.BATCH_METHODS)
-    @pytest.mark.parametrize("schedule", (optim.Constant(0.1), optim.AdaptiveNuclear(0.05)))
-    @pytest.mark.parametrize("M0", (np.diag([np.inf, 1.0]),
-                                    np.array([[1.0, np.nan], [0.0, 1.0]])))
-    def test_non_finite_member_raises_as_scalar_run(self, method, schedule, M0):
-        fn = cex.KinkyFunction(c=0.3)
-        bad = optim.OptimizerState(W=np.eye(2), beta=0.5, schedule=schedule, M=M0)
-        with pytest.raises(Exception) as scalar:
-            optim.run(method, fn.oracle(), bad, 5)
-        good = optim.OptimizerState(W=np.eye(2), beta=0.5, schedule=schedule)
-        with pytest.raises(type(scalar.value)) as batch:
-            optim.run_batch(method, [fn, fn], [good, bad], 5)
-        assert type(batch.value) is type(scalar.value)
-        assert str(batch.value) == str(scalar.value)
-
-    @pytest.mark.parametrize("method", ("specgd", "signgd", "signmomentum", "efmuon",
-                                        "muonmax", "efmuonmax", "efm", "nope"))
-    def test_unsupported_method(self, method):
-        fns, states = mixed_batch(7, n=2)
-        with pytest.raises(ValueError):
-            optim.run_batch(method, fns, states, 3)
-
-    def test_unsupported_polar_schedule_and_function(self):
-        fn = cex.KinkyFunction(c=0.3)
-        ns = state(np.eye(2), polar=linalg.polar_newton_schulz)
-        with pytest.raises(ValueError):
-            optim.run_batch("muon", [fn], [ns], 3)
-
-        class Halving(optim.Constant):
-            def value(self, t, momentum=None):
-                return self.lam / (t + 1)
-
-        with pytest.raises(ValueError):
-            optim.run_batch("muon", [fn], [state(np.eye(2), schedule=Halving(0.1))], 3)
-        with pytest.raises(ValueError):
-            optim.run_batch("muon", [fn], [state(np.eye(2), schedule=optim.InvSqrtT())], 3)
-        with pytest.raises(ValueError, match="t = 0"):
-            optim.run_batch("muon", [fn], [state(np.eye(2), t=2)], 3)
-        with pytest.raises(ValueError):
-            optim.run_batch("muon", [kinky_oracle()], [state(np.eye(2))], 3)
-        with pytest.raises(ValueError):
-            optim.run_batch("muon", [fn, fn], [state(np.eye(2))], 3)
-        with pytest.raises(ValueError):
-            optim.run_batch("muon", [fn], [state(np.eye(3))], 3)
-
-    def test_zero_steps(self):
-        fns, states = mixed_batch(8, n=3)
-        for fn, st, tr in zip(fns, states, optim.run_batch("regmuon", fns, states, 0)):
-            assert_same_trace(tr, optim.run("regmuon", fn.oracle(), st, 0, track_average=False))
 
 
 # The rules run's float loop takes on a KinkyOracle: all but the product ones.
@@ -714,22 +628,174 @@ class TestDiagonalRun:
                 tr = optim.run(method, kinky_oracle(), st, 6)
         assert not calls and len(tr) == 7
 
-    def test_non_float_c_takes_general_loop(self):
-        # f is derived in float64; c * |s| in float32 rounds differently.
+    def test_float32_c_is_converted_and_takes_float_loop(self):
+        # KinkyFunction stores c as a float, so f is float64 in both loops.
         fn = cex.KinkyFunction(c=np.float32(0.3))
+        assert type(fn.c) is float and fn.c == float(np.float32(0.3))
 
         def state0():
             return state(np.diag([1.1, -0.57]), beta=0.2, schedule=optim.InvT())
 
         with counting_steps() as calls:
             tr = optim.run("muon", fn.oracle(), state0(), 5)
-        assert len(calls) == 5
+        assert not calls
         assert trace_bytes(tr) == trace_bytes(optim.run("muon", general_oracle(fn), state0(), 5))
 
     def test_noisy_oracle_takes_general_loop(self):
         with counting_steps() as calls:
             optim.run("muon", optim.NoisyOracle(kinky_oracle(), 0.0), state(np.eye(2)), 4)
         assert len(calls) == 4
+
+
+def result_or_error(fn):
+    """fn()'s trace bytes, or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # compared with the scalar runs'
+        return type(exc), str(exc)
+
+
+def _changed(state0, change):
+    """A factory of state0()'s with ``change`` applied."""
+    def make():
+        st = state0()
+        if change == "overflowing Table":
+            st.schedule = optim.Table((1e308, 1e308))
+        elif change == "non-diagonal M":
+            st.M[0, 1] = 0.5
+        elif change == "non-finite M":
+            st.M[1, 1] = np.inf
+        return st
+    return make
+
+
+@hs.composite
+def batches(draw):
+    """(method, [(KinkyFunction, state factory)], T).
+
+    The members are diagonal_runs' functions and starts; their method,
+    selection, T and track_average are not used.  Some get a Table whose
+    steps overflow, or an M the float loop refuses.
+    """
+    members = []
+    for _, fn, _, state0, _, _ in draw(hs.lists(diagonal_runs(), min_size=1, max_size=6)):
+        change = draw(hs.sampled_from((None, None, "overflowing Table", "non-diagonal M",
+                                       "non-finite M")))
+        members.append((fn, _changed(state0, change)))
+    return draw(hs.sampled_from(DIAGONAL_METHODS)), members, draw(hs.integers(0, 30))
+
+
+class TestRunBatch:
+    """run_batch against [run(..., track_average=False)] for each member."""
+
+    # Members that go through run's general loop make numpy warn on
+    # non-finite values; the lock-step engine is silent.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(batches())
+    def test_equals_scalar_runs_bit_for_bit(self, case):
+        method, members, T = case
+
+        def scalar_runs():
+            return [trace_bytes(optim.run(method, fn.oracle(), state0(), T, track_average=False))
+                    for fn, state0 in members]
+
+        def batch():
+            return [trace_bytes(tr) for tr in optim.run_batch(
+                method, [fn for fn, _ in members], [state0() for _, state0 in members], T)]
+
+        with counting_steps() as scalar_calls:
+            expected = result_or_error(scalar_runs)
+        with counting_steps() as batch_calls:
+            assert result_or_error(batch) == expected
+        # Members the float loop runs to the end make no step calls.
+        assert len(batch_calls) == len(scalar_calls)
+
+    @pytest.mark.parametrize("method", DIAGONAL_METHODS)
+    @pytest.mark.parametrize("shape", ((2, 2), (3, 4)))
+    def test_members_equal_scalar_runs(self, method, shape):
+        fns, states = mixed_batch(5, shape=shape)
+        T = 120
+        traces = optim.run_batch(method, fns, states, T)
+        assert len(traces) == len(states)
+        for fn, st, tr in zip(fns, states, traces):
+            assert_same_trace(tr, optim.run(method, fn.oracle(), st, T, track_average=False))
+
+    @pytest.mark.parametrize("method", DIAGONAL_METHODS)
+    def test_non_diagonal_member_runs_through_run(self, method):
+        fns, states = mixed_batch(6, n=4)
+        states[2].M = np.array([[0.3, -1.2], [0.8, 0.1]])
+        T = 60
+        expected = [optim.run(method, fn.oracle(), st, T, track_average=False)
+                    for fn, st in zip(fns, states)]
+        with counting_steps() as calls:
+            traces = optim.run_batch(method, fns, states, T)
+        assert len(calls) == T  # the non-diagonal member's steps, and no others
+        for tr, ref in zip(traces, expected):
+            assert_same_trace(tr, ref)
+
+    @pytest.mark.parametrize("method", ("muon", "regmuon"))
+    @pytest.mark.parametrize("schedule", (optim.Constant(0.1), optim.AdaptiveNuclear(0.05)))
+    @pytest.mark.parametrize("M0", (np.diag([np.inf, 1.0]),
+                                    np.array([[1.0, np.nan], [0.0, 1.0]])))
+    def test_non_finite_member_raises_as_scalar_run(self, method, schedule, M0):
+        fn = cex.KinkyFunction(c=0.3)
+        bad = optim.OptimizerState(W=np.eye(2), beta=0.5, schedule=schedule, M=M0)
+        with pytest.raises(Exception) as scalar:
+            optim.run(method, fn.oracle(), bad, 5)
+        good = optim.OptimizerState(W=np.eye(2), beta=0.5, schedule=schedule)
+        with pytest.raises(type(scalar.value)) as batch:
+            optim.run_batch(method, [fn, fn], [good, bad], 5)
+        assert type(batch.value) is type(scalar.value)
+        assert str(batch.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("method", ("muonmax", "efmuonmax", "efm", "nope"))
+    def test_unsupported_method(self, method):
+        # The product rules raise as run raises: these states have no
+        # ProductNormSpec.  Unknown names raise before any member runs.
+        fns, states = mixed_batch(7, n=2)
+        with pytest.raises(ValueError) as scalar:
+            optim.run(method, fns[0].oracle(), states[0], 3)
+        with pytest.raises(ValueError) as batch:
+            optim.run_batch(method, fns, states, 3)
+        assert str(batch.value) == str(scalar.value)
+
+    def test_any_polar_schedule_and_start_equal_scalar_runs(self):
+        # The Newton-Schulz polar, a schedule subclass, InvSqrtT and a start
+        # at t = 2, next to a plain member.
+        fn = cex.KinkyFunction(c=0.3)
+
+        def states():
+            return [state(np.diag([1.0, -0.5]), beta=0.5, **kw) for kw in (
+                {}, dict(polar=linalg.polar_newton_schulz), dict(schedule=HalvingConstant(0.1)),
+                dict(schedule=optim.InvSqrtT()), dict(t=2))]
+
+        for method in DIAGONAL_METHODS:
+            traces = optim.run_batch(method, [fn] * 5, states(), 20)
+            for st, tr in zip(states(), traces):
+                assert_same_trace(tr, optim.run(method, fn.oracle(), st, 20, track_average=False))
+
+    def test_malformed_input(self):
+        fn = cex.KinkyFunction(c=0.3)
+        with pytest.raises(ValueError, match="KinkyFunction"):
+            optim.run_batch("muon", [kinky_oracle()], [state(np.eye(2))], 3)
+        with pytest.raises(ValueError, match="2 functions but 1 states"):
+            optim.run_batch("muon", [fn, fn], [state(np.eye(2))], 3)
+        with pytest.raises(ValueError, match="T must be nonnegative"):
+            optim.run_batch("muon", [fn], [state(np.eye(2))], -1)
+        assert optim.run_batch("muon", [], [], 3) == []
+        # A 3 x 3 state on a 2 x 2 function raises as its run raises.
+        with pytest.raises(ValueError) as scalar:
+            optim.run("muon", fn.oracle(), state(np.eye(3)), 3)
+        with pytest.raises(ValueError) as batch:
+            optim.run_batch("muon", [fn], [state(np.eye(3))], 3)
+        assert str(batch.value) == str(scalar.value)
+
+    def test_zero_steps(self):
+        fns, states = mixed_batch(8, n=3)
+        for method in DIAGONAL_METHODS:
+            for fn, st, tr in zip(fns, states, optim.run_batch(method, fns, states, 0)):
+                assert_same_trace(tr, optim.run(method, fn.oracle(), st, 0, track_average=False))
 
 
 class TestBound:
