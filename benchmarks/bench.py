@@ -15,6 +15,8 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
   cex2``, without it.  These take ``run``'s float loop where the library has
   one; one more row runs ``muon`` through a ``FunctionOracle`` of the same
   function, which keeps the general loop measured;
+- ``optim.run`` of zero steps (``muon``, ``Table``), in microseconds per
+  call: the fixed cost of a run, the float loop's dispatch and post-pass;
 - ``optim.run_batch`` on that function for ``BATCH_T`` steps at each batch
   size in ``BATCH_SIZES``, in microseconds per member-step: ``muon`` with a
   ``Table`` and ``regmuon`` with ``AdaptiveNuclear(0.05)``, as in ``verify
@@ -70,9 +72,11 @@ import tempfile
 import time
 
 REPEATS = 5
-# Steps per optim.run timing, and oracle calls per evaluate timing.
+# Steps per optim.run timing, oracle calls per evaluate timing, and runs of
+# zero steps per fixed-cost timing.
 STEP_T = 2000
 ORACLE_CALLS = 10_000
+EMPTY_RUNS = 2000
 # Batch sizes and horizon of the run_batch timings.
 BATCH_SIZES = (1, 10, 100, 1000)
 BATCH_T = 1000
@@ -135,6 +139,12 @@ def _step_timings() -> dict:
                               track_average=track_average)),
             "us_per_step", STEP_T)
     oracle, W = fn.oracle(), np.diag([1.0, -0.5])
+    state = optim.OptimizerState(W=W, beta=0.2, schedule=table)
+
+    def empty_runs():
+        for _ in range(EMPTY_RUNS):
+            optim.run("muon", oracle, state, 0, track_average=False)
+    timings["run[muon+Table,T=0]"] = _per_unit(_timed(empty_runs), "us_per_call", EMPTY_RUNS)
 
     def evaluate():
         for _ in range(ORACLE_CALLS):

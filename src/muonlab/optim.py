@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +26,27 @@ from . import linalg, norms
 # Stepsize schedules
 
 
+def _stepsize(value, what: str = "stepsize") -> float:
+    """``value`` as a Python float, so every loop multiplies by it in float64.
+    A bool, a non-real value and one not positive and finite raise ValueError.
+    ``float`` is tested before the ABC, whose check costs ten times more."""
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
+        raise ValueError(f"{what} must be a real number, not {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not 0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite")
+    return value
+
+
 @dataclass(frozen=True)
 class Constant:
     lam: float
 
     def __post_init__(self):
-        if not 0 < self.lam < math.inf:
-            raise ValueError("stepsize must be positive and finite")
+        object.__setattr__(self, "lam", _stepsize(self.lam))
 
     def value(self, t: int, momentum=None) -> float:
         return self.lam
@@ -69,12 +84,9 @@ class Table:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if len(vals) < 1:
+        object.__setattr__(self, "values", tuple(_stepsize(v) for v in self.values))
+        if not self.values:
             raise ValueError("Table needs at least one stepsize")
-        if any(not 0 < v < math.inf for v in vals):
-            raise ValueError("stepsize must be positive and finite")
 
     def value(self, t: int, momentum=None) -> float:
         return self.values[min(t, len(self.values) - 1)]
@@ -90,8 +102,7 @@ class AdaptiveNuclear:
     base: float
 
     def __post_init__(self):
-        if not 0 < self.base < math.inf:
-            raise ValueError("base stepsize must be positive and finite")
+        object.__setattr__(self, "base", _stepsize(self.base, "base stepsize"))
 
     def value(self, t: int, momentum=None) -> float:
         if momentum is None:
@@ -413,6 +424,13 @@ def _uses_exact_polar(state: OptimizerState) -> bool:
     return state.polar is linalg.polar_exact or state.polar is OptimizerState.polar
 
 
+@functools.cache
+def _counterexample():
+    """The counterexample module, imported on first use: it imports optim."""
+    from . import counterexample
+    return counterexample
+
+
 def _runs_on_diagonal(rule: Rule, oracle, state: OptimizerState) -> bool:
     """Whether the float loop may run ``rule`` from ``state``: the one
     predicate for ``run``'s ``_run_diagonal`` and ``run_batch``'s lock-step.
@@ -422,9 +440,8 @@ def _runs_on_diagonal(rule: Rule, oracle, state: OptimizerState) -> bool:
     _DIAGONAL_SCHEDULES; W, M and E native float64 arrays of the function's
     shape, M and E finite and zero off their first two diagonal entries.
     """
-    from .counterexample import KinkyFunction, KinkyOracle  # counterexample imports optim
-
-    if type(oracle) is not KinkyOracle or type(oracle.fn) is not KinkyFunction:
+    cex = _counterexample()
+    if type(oracle) is not cex.KinkyOracle or type(oracle.fn) is not cex.KinkyFunction:
         return False
     if not (rule.lmo == "sign" or (rule.lmo == "polar" and _uses_exact_polar(state))):
         return False
@@ -447,77 +464,74 @@ def _run_diagonal(rule: Rule, oracle, state: OptimizerState, T: int, track_avera
     there, W keeps its other entries (no Trace column reads them), and on
     such a matrix the polar factor is the sign and the nuclear norm
     |d1| + |d2|.  Each float operation is the one ``step`` applies
-    elementwise.  Where ``step`` multiplies an array by a stepsize or a
-    compressor scale, this loop multiplies by ``float`` of the same number,
-    as numpy's type promotion does.
+    elementwise (schedules hold Python floats).  The sign class is picked by
+    branches, a NaN falling in the class of a zero; lam sign(m) and the
+    compressor's scale sign(p) are taken as +-lam and +-scale or 0, the same
+    numbers while lam and the scale are finite.
 
     A step records w1, w2, the running mean and a stepsize that depends on
-    M; offline ones are ``offline_stepsizes``.  f, favg and grad_fro are
-    derived after the loop (``_fill_diagonal``).
-
-    Fills ``tr`` and returns True, or returns False at a stepsize or
-    compressor scale that is not finite: ``run`` then runs its own loop from
-    the start, which gives the NaNs and raises the errors of ``step``.
+    M; f, favg and grad_fro are derived after the loop (``_fill_diagonal``).
+    It fills ``tr`` and returns True, or returns False where a stepsize or
+    compressor scale was not finite, found by one test after the loop: an
+    offline stepsize is finite, a recorded one is tested, and with feedback
+    E ends not finite iff a nuclear norm of P was not.  ``run`` then runs its
+    own loop from the start, which gives the NaNs and raises the errors of
+    ``step``.
     """
-    rows, sched = oracle.rows, state.schedule
-    adaptive = type(sched) is AdaptiveNuclear
-    base = sched.base if adaptive else None
-    lams = None if adaptive else offline_stepsizes(sched, state.t, T)
+    adaptive = type(state.schedule) is AdaptiveNuclear
+    coef = [state.schedule.base] * T if adaptive else offline_stepsizes(state.schedule, state.t, T)
+    mult = rule.scaled or adaptive  # the stepsize has a ||M||_nuc factor
     momentum = rule.momentum and state.beta != 0.0
     beta, one_minus_beta = float(state.beta), float(1.0 - state.beta)
-    scaled = rule.scaled and not adaptive
-    feedback = rule.feedback
-    r = min(oracle.fn.m, oracle.fn.n)
+    rows = [(one_minus_beta * g1, one_minus_beta * g2) for g1, g2 in oracle.rows] \
+        if momentum else oracle.rows
+    Rn, Rz, Rp = rows[0:3], rows[3:6], rows[6:9]  # by the sign of w1 + w2
+    feedback, r = rule.feedback, min(oracle.fn.m, oracle.fn.n)
     w1, w2 = float(state.W[0, 0]), float(state.W[1, 1])
     m1, m2 = float(state.M[0, 0]), float(state.M[1, 1])
     e1, e2 = float(state.E[0, 0]), float(state.E[1, 1])
-    a1, a2 = w1, w2  # the running mean
+    a1, a2, j = w1, w2, 1.0  # the running mean of j iterates
     w11, w22, a11, a22, lam_col = [w1], [w2], [a1], [a2], []
-    for i in range(T):
+    for lam in coef:
         s, d = w1 + w2, w1 - w2
-        g1, g2 = rows[3 * ((s > 0) - (s < 0)) + (d > 0) - (d < 0) + 4]
+        R = Rp if s > 0 else Rn if s < 0 else Rz
+        g1, g2 = R[2] if d > 0 else R[0] if d < 0 else R[1]
         if momentum:
-            n1, n2 = beta * m1 + one_minus_beta * g1, beta * m2 + one_minus_beta * g2
+            m1, m2 = beta * m1 + g1, beta * m2 + g2
         else:
-            n1, n2 = g1, g2
-        lam = base * (abs(n1) + abs(n2)) if adaptive else lams[i]
+            m1, m2 = g1, g2
+        if mult:
+            lam = lam * (abs(m1) + abs(m2))
+            lam_col.append(lam)
         if feedback:
-            lam_f = float(lam)
-            p1, p2 = e1 + lam_f * n1, e2 + lam_f * n2
-            nuc = abs(p1) + abs(p2)
-            if not nuc < math.inf:
-                return False
-            scale = nuc / r
-            c1 = scale * (1.0 if p1 > 0 else -1.0 if p1 < 0 else 0.0)
-            c2 = scale * (1.0 if p2 > 0 else -1.0 if p2 < 0 else 0.0)
+            p1, p2 = e1 + lam * m1, e2 + lam * m2
+            scale = (abs(p1) + abs(p2)) / r
+            c1 = scale if p1 > 0 else -scale if p1 < 0 else 0.0
+            c2 = scale if p2 > 0 else -scale if p2 < 0 else 0.0
             w1, w2, e1, e2 = w1 - c1, w2 - c2, p1 - c1, p2 - c2
         else:
-            if scaled:
-                lam = lam * (abs(n1) + abs(n2))
-            lam_f = float(lam)
-            if not abs(lam_f) < math.inf:
-                return False
-            w1 = w1 - lam_f * (1.0 if n1 > 0 else -1.0 if n1 < 0 else 0.0)
-            w2 = w2 - lam_f * (1.0 if n2 > 0 else -1.0 if n2 < 0 else 0.0)
-        m1, m2 = n1, n2
+            w1 = w1 - lam if m1 > 0 else w1 + lam if m1 < 0 else w1
+            w2 = w2 - lam if m2 > 0 else w2 + lam if m2 < 0 else w2
         w11.append(w1)
         w22.append(w2)
-        if adaptive or scaled:
-            lam_col.append(lam)
         if track_average:
-            k = 1.0 / (i + 2)
+            j += 1.0
+            k = 1.0 / j
             a1, a2 = a1 + k * (w1 - a1), a2 + k * (w2 - a2)
             a11.append(a1)
             a22.append(a2)
-    _fill_diagonal(tr, oracle, np.array(w11), np.array(w22),
-                   lam_col if adaptive or scaled else lams, (a11, a22) if track_average else None)
+    lam = np.fromiter(lam_col if mult else coef, float, T)
+    if not (math.isfinite(e1) and math.isfinite(e2) if feedback else linalg._all_finite(lam)):
+        return False
+    W1, W2, A1, A2 = (np.fromiter(x, float, len(x)) for x in (w11, w22, a11, a22))
+    _fill_diagonal(tr, oracle, W1, W2, lam, (A1, A2) if track_average else None)
     return True
 
 
 def _fill_diagonal(tr: Trace, oracle, W1, W2, lam, means=None):
-    """Fill ``tr`` from a float loop's records of T steps: W1 and W2, the
-    first two diagonal entries of W_0 .. W_T, the stepsizes ``lam`` and, if
-    given, the running means' two entries.  f and favg are derived by the
+    """Fill ``tr`` from a float loop's records of T steps: arrays W1 and W2,
+    the first two diagonal entries of W_0 .. W_T, the stepsizes ``lam`` and,
+    if given, the running means' two entries.  f and favg are derived by the
     function's expression and grad_fro by ``KinkyOracle.grad_fro``, with
     numpy's warnings off as the float arithmetic has none."""
     c = oracle.fn.c
@@ -527,7 +541,7 @@ def _fill_diagonal(tr: Trace, oracle, W1, W2, lam, means=None):
         tr.f[:] = c * np.abs(S) + np.abs(D)
         tr.grad_fro[:-1] = oracle.grad_fro(S[:-1], D[:-1])
         if means is not None:
-            A1, A2 = np.array(means[0]), np.array(means[1])
+            A1, A2 = means
             tr.favg[:] = c * np.abs(A1 + A2) + np.abs(A1 - A2)
     return tr
 
@@ -543,8 +557,6 @@ def run_batch(method, fns, states, T: int) -> list:
     errors are ``run``'s, and the first member whose run raises makes the
     batch raise.
     """
-    from .counterexample import KinkyFunction  # counterexample imports optim
-
     if T < 0:
         raise ValueError("T must be nonnegative")
     if method not in RULES:
@@ -552,7 +564,7 @@ def run_batch(method, fns, states, T: int) -> list:
     fns, states = list(fns), list(states)
     if len(fns) != len(states):
         raise ValueError(f"{len(fns)} functions but {len(states)} states")
-    if not all(isinstance(fn, KinkyFunction) for fn in fns):
+    if not all(isinstance(fn, _counterexample().KinkyFunction) for fn in fns):
         raise ValueError("run_batch takes KinkyFunction objects")
     rule = RULES[method]
     built = {fn: fn.oracle() for fn in dict.fromkeys(fns)}  # one oracle per distinct function
@@ -574,8 +586,7 @@ def _run_lockstep(rule: Rule, oracles: list, states: list, T: int) -> list:
     1: beta * m + (1 - beta) * g is then g bit for bit, as m is finite and no
     subgradient entry is -0.0.  (1 - beta) * g is taken once per row.
     """
-    from .counterexample import _signs  # counterexample imports optim
-
+    _signs = _counterexample()._signs
     B = len(states)
     coef = np.empty((T, B))  # each step's stepsize before any nuclear-norm factor
     offline, start, rows = {}, [], []

@@ -52,6 +52,22 @@ class TestSchedules:
         with pytest.raises(ValueError, match="finite"):
             optim.AdaptiveNuclear(value)
 
+    @pytest.mark.parametrize("value", [True, np.True_, "0.5", 0.5 + 0j, None,
+                                       pytest.param(10**400, id="10**400")])
+    def test_rejects_bool_non_real_and_float_overflow(self, value):
+        # 10**400 used to pass the range check and raise OverflowError at
+        # the first step of every run.
+        for make in (optim.Constant, lambda v: optim.Table((0.5, v)), optim.AdaptiveNuclear):
+            with pytest.raises(ValueError):
+                make(value)
+
+    @pytest.mark.parametrize("value", [np.float32(0.1), np.float64(0.1), 2, np.int64(2)])
+    def test_numbers_are_stored_as_floats(self, value):
+        for sch, stored in ((optim.Constant(value), lambda s: s.lam),
+                            (optim.AdaptiveNuclear(value), lambda s: s.base),
+                            (optim.Table((value,)), lambda s: s.values[0])):
+            assert type(stored(sch)) is float and stored(sch) == float(value)
+
     def test_adaptive_nuclear(self):
         sch = optim.AdaptiveNuclear(0.1)
         assert abs(sch.value(3, momentum=np.diag([3.0, -4.0])) - 0.7) < 1e-15
@@ -549,6 +565,95 @@ class TestDiagonalRun:
             fast = optim.run(method, fn.oracle(), state0(), 3)
         assert trace_bytes(fast) == trace_bytes(general)
         assert len(calls) == 3 and not np.isfinite(general.w11[-1])
+
+    def test_interior_infinite_stepsize_hands_over_to_general_loop(self):
+        # lam_2 = 1.7e308 ||M_2||_nuc overflows at step 2 of 5; the float
+        # loop finds it after the loop and the general loop runs all 5 steps.
+        fn = cex.KinkyFunction(c=0.3)
+
+        def state0():
+            return optim.OptimizerState(W=np.diag([1.0, -0.5]), beta=0.5,
+                                        schedule=optim.Table((0.1, 0.1, 1.7e308)))
+
+        general = optim.run("regmuon", general_oracle(fn), state0(), 5)
+        assert np.isfinite(general.lam[:2]).all() and general.lam[2] == np.inf
+        with counting_steps() as calls:
+            fast = optim.run("regmuon", fn.oracle(), state0(), 5)
+        assert trace_bytes(fast) == trace_bytes(general) and len(calls) == 5
+        with counting_steps() as calls:
+            optim.run("regmuon", fn.oracle(), state0(), 2)
+        assert not calls  # both stepsizes are finite
+
+    @pytest.mark.parametrize("diag, first_failing_T", (((1.0, 1.0), 4), ((1.0, -0.5), 3)))
+    def test_efmuon_interior_overflow_raises_as_general_loop(self, diag, first_failing_T):
+        # At step 2 the nuclear norm of P overflows from (1, 1), and P itself
+        # from (1, -0.5).  From (1, 1) the run of T = 3 finishes with W and E
+        # not finite; step 3 raises.
+        fn = cex.KinkyFunction(c=0.9)
+
+        def outcome(oracle, T):
+            st = optim.OptimizerState(W=np.diag(diag), beta=0.0,
+                                      schedule=optim.Table((0.1, 0.1, 1e308, 1e308)))
+            with counting_steps() as calls:
+                try:
+                    return trace_bytes(optim.run("efmuon", oracle, st, T)), len(calls)
+                except Exception as exc:  # compared with the general loop's
+                    return type(exc), str(exc)
+
+        for T in range(first_failing_T + 2):
+            general, fast = outcome(general_oracle(fn), T), outcome(fn.oracle(), T)
+            if T >= first_failing_T:
+                assert fast == general == (ValueError, "matrix entries must be finite")
+            else:  # the float loop runs T <= 2 and hands a later T over
+                assert fast == (general[0], 0 if T <= 2 else T)
+
+    @pytest.mark.parametrize("diag, entry", (((0.5, 1.0), 0), ((1.0, 0.5), 1)))
+    def test_efmuon_overflow_in_one_entry_raises_as_general_loop(self, diag, entry):
+        # E cancels lam G in one entry of P, and the other entry overflows:
+        # that entry of E turns NaN while the cancelled one stays 0.
+        fn, lam = cex.KinkyFunction(c=0.3), 1.5e308
+        G = fn.subgradient(np.diag(diag))
+        E0 = np.zeros((2, 2))
+        E0[entry, entry] = -(lam * G[entry, entry])
+
+        def outcome(oracle):
+            st = optim.OptimizerState(W=np.diag(diag), E=E0.copy(),
+                                      schedule=optim.Table((lam,)))
+            return result_or_error(lambda: trace_bytes(optim.run("efmuon", oracle, st, 1)))
+
+        assert outcome(fn.oracle()) == outcome(general_oracle(fn)) == \
+            (ValueError, "matrix entries must be finite")
+
+    # Schedule numbers of other real types than float: both loops and
+    # run_batch compute with the float they are stored as.
+    REAL_TYPED = {
+        "Constant(np.float32)": optim.Constant(np.float32(0.1)),
+        "Constant(np.float64)": optim.Constant(np.float64(0.1)),
+        "Constant(int)": optim.Constant(1),
+        "AdaptiveNuclear(np.float32)": optim.AdaptiveNuclear(np.float32(0.05)),
+        "AdaptiveNuclear(np.float64)": optim.AdaptiveNuclear(np.float64(0.05)),
+        "AdaptiveNuclear(int)": optim.AdaptiveNuclear(1),
+    }
+
+    @pytest.mark.parametrize("schedule", REAL_TYPED)
+    @pytest.mark.parametrize("method", DIAGONAL_METHODS)
+    def test_real_typed_schedule_numbers_equal_in_every_loop(self, method, schedule):
+        fn, sched = cex.KinkyFunction(c=0.3), self.REAL_TYPED[schedule]
+        as_float = type(sched)(float(getattr(sched, "lam", getattr(sched, "base", None))))
+
+        def state0(s=sched):
+            return optim.OptimizerState(W=np.diag([1.3, -0.45]), beta=0.4, schedule=s)
+
+        with counting_steps() as calls:
+            fast = optim.run(method, fn.oracle(), state0(), 60, track_average=False)
+            (batch,) = optim.run_batch(method, [fn], [state0()], 60)
+        assert not calls
+        expected = trace_bytes(fast)
+        assert trace_bytes(batch) == expected
+        assert trace_bytes(optim.run(method, general_oracle(fn), state0(), 60,
+                                     track_average=False)) == expected
+        assert trace_bytes(optim.run(method, fn.oracle(), state0(as_float), 60,
+                                     track_average=False)) == expected
 
     def test_takes_float_loop(self):
         with counting_steps() as calls:
