@@ -38,6 +38,11 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
   microseconds per member (left out where the library has no stack form);
 - ``linalg.polar_newton_schulz`` and ``linalg.polar_exact`` on one Gaussian
   n x n matrix for each n in ``POLAR_SIZES``, in microseconds per call;
+- the four ``linalg`` stack kernels (``polar_exact_stack``,
+  ``polar_and_nuclear_stack``, ``op_norm_stack``, ``nuclear_norm_stack``) on
+  n x n stacks for each n in ``STACK_CALLS``, in microseconds per call: one
+  Gaussian member (B = 1), and B = 8 with one Gaussian member among
+  diagonal ones;
 - each ``optim.step_*`` entry, called in a loop, in microseconds per step:
   ``STEP_T`` steps on the 2x2 counterexample function from a diagonal start
   (the product rules on a one-layer 2x2 ``ProductNormSpec`` point), and
@@ -90,6 +95,12 @@ KERNEL_MN = (4, 4)
 # Matrix sizes of the per-call polar timings, and calls per timing at each.
 POLAR_SIZES = (2, 8, 64, 256)
 POLAR_CALLS = {2: 1000, 8: 1000, 64: 100, 256: 10}
+# Matrix sizes of the linalg stack-kernel timings with calls per timing at
+# each, and their stack sizes.
+STACK_CALLS = {2: 1000, 64: 100}
+STACK_SIZES = (1, 8)
+STACK_KERNELS = ("polar_exact_stack", "polar_and_nuclear_stack", "op_norm_stack",
+                 "nuclear_norm_stack")
 # The step entries, named here so that the script also runs on commits
 # without optim.RULES, and the dense set-up of their timings.
 STEP_METHODS = ("specgd", "muon", "regmuon", "signgd", "signmomentum", "efmuon",
@@ -234,6 +245,24 @@ def _polar_timings() -> dict:
     return timings
 
 
+def _stack_timings() -> dict:
+    import numpy as np
+    from muonlab import linalg
+
+    rng = np.random.default_rng(0)
+    timings = {}
+    for n, calls in STACK_CALLS.items():
+        for B in STACK_SIZES:
+            A = np.zeros((B, n, n))
+            A[:, np.arange(n), np.arange(n)] = rng.standard_normal((B, n))
+            A[B // 2] = rng.standard_normal((n, n))  # the lone non-diagonal member
+            for fname in STACK_KERNELS:
+                fn = getattr(linalg, fname)
+                timings[f"{fname}[{n}x{n},B={B}]"] = _per_unit(_timed(
+                    lambda: [fn(A) for _ in range(calls)]), "us_per_call", calls)
+    return timings
+
+
 def _l1_oracle(target):
     """f(W) = ||W - target||_1 with subgradient sign(W - target), blockwise."""
     import numpy as np
@@ -345,7 +374,7 @@ def measure() -> dict:
     return {"source": _source(muonlab), "machine": _machine(),
             "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "timings": {**timings, **_step_timings(), **_batch_timings(), **_kernel_timings(),
-                        **_polar_timings(), **_rule_timings()}}
+                        **_polar_timings(), **_stack_timings(), **_rule_timings()}}
 
 
 def main(argv=None) -> int:

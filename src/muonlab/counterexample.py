@@ -181,17 +181,15 @@ def _euler_tail(terms: np.ndarray) -> float:
     return float(ps[0])
 
 
-def compute_R(schedule, t: int, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
+def compute_R(schedule, t: int) -> float:
     """R_t = lam/2 + sum_{s>=0} (-1)^s (lam_{t+s} - lam), lam = lim lam_t.
 
     Requires a nonincreasing schedule with a well-defined limit.  The
     alternating tail is accelerated by repeated averaging; the head length
-    grows until two estimates agree within tail_tol.
+    grows until two estimates agree within DEFAULT_TAIL_TOL.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if not tail_tol > 0:
-        raise ValueError("tail_tol must be positive")
     lam = schedule.limit()
     prev = None
     for head in _HEAD_SIZES:
@@ -205,20 +203,20 @@ def compute_R(schedule, t: int, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
         head_sum = float(np.dot(signs, terms[:head]))
         tail = _euler_tail(terms[head:])
         est = lam / 2.0 + head_sum + (tail if head % 2 == 0 else -tail)
-        if terms[head] <= tail_tol:
+        if terms[head] <= DEFAULT_TAIL_TOL:
             # Plain alternating-series remainder bound already suffices.
             return est
-        if prev is not None and abs(est - prev) <= tail_tol:
+        if prev is not None and abs(est - prev) <= DEFAULT_TAIL_TOL:
             return est
         prev = est
     return est
 
 
-def compute_R_sequence(schedule, T: int, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
+def compute_R_sequence(schedule, T: int) -> np.ndarray:
     """R_0 .. R_T via one tail evaluation and the exact recursion R_{t+1} = lam_t - R_t."""
     if T < 0:
         raise ValueError("T must be nonnegative")
-    return _R_recursion(schedule, compute_R(schedule, 0, tail_tol), T + 1)
+    return _R_recursion(schedule, compute_R(schedule, 0), T + 1)
 
 
 def _R_recursion(schedule, R0: float, n: int) -> np.ndarray:
@@ -258,7 +256,7 @@ class Cex1Init:
 
 def cex1_build(beta, schedule, r: float = 1.0, delta: float = 0.0,
                c: float = None, m: int = 2, n: int = 2,
-               horizon: int = 5000, tail_tol: float = DEFAULT_TAIL_TOL):
+               horizon: int = 5000):
     """Build the function and initialization on which momentum spectral
     descent provably oscillates at distance R_t from the solution set.
 
@@ -278,7 +276,7 @@ def cex1_build(beta, schedule, r: float = 1.0, delta: float = 0.0,
     if not math.isfinite(delta):
         raise ValueError("delta must be finite")
     lam = schedule.limit()
-    R = compute_R_sequence(schedule, horizon, tail_tol)
+    R = compute_R_sequence(schedule, horizon)
     if lam == 0.0:
         if delta != 0.0:
             raise ValueError("delta must be 0 when the stepsizes vanish")

@@ -309,14 +309,14 @@ def suite_polar(trials: int = 500) -> list:
         vals = rng.standard_normal(min(m, n))
         vals[rng.random(vals.size) < 0.3] = 0.0
         diags.append((m, n, vals))
-    worst_diag = 0.0
+    diag_errs = [0.0]
     for idx in _group_by((m, n) for m, n, _ in diags):
         m, n, _ = diags[idx[0]]
         D = np.zeros((len(idx), m, n))
         k = np.arange(min(m, n))
         D[:, k, k] = [diags[i][2] for i in idx]
-        worst_diag = max(worst_diag, float(np.max(np.abs(
-            linalg.polar_exact_stack(D) - np.sign(D)))))
+        diag_errs.append(float(np.max(np.abs(linalg.polar_exact_stack(D) - np.sign(D)))))
+    worst_diag = _max(diag_errs)
     return [
         CheckResult("newton-schulz vs exact polar", worst_ns <= 1e-4, worst_ns, 1e-4),
         CheckResult("polar of diagonal equals sign", worst_diag == 0.0, worst_diag, 0.0),
@@ -456,13 +456,19 @@ def _fro_rows(A) -> np.ndarray:
     return linalg._fro_members(A)
 
 
+def _max(values: list) -> float:
+    """Python ``max`` of ``values`` in order, but NaN if any of them is NaN:
+    ``max`` drops a NaN that does not come first, and a check would pass."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def _worst(start: float, trials: int, parts) -> float:
-    """``max`` over ``start`` and the per-member values of ``parts``, a list of
-    (indices, values) pairs, taken in trial order as the per-trial loop did."""
+    """``_max`` over ``start`` and the per-member values of ``parts``, a list
+    of (indices, values) pairs, taken in trial order as the per-trial loop did."""
     values = np.empty(trials)
     for idx, v in parts:
         values[idx] = v
-    return max([start, *values.tolist()])
+    return _max([start, *values.tolist()])
 
 
 def _basic_specs():
@@ -488,7 +494,7 @@ def suite_compressor(trials: int = 1000) -> list:
         worst = _worst(-np.inf, trials, parts)
         results.append(CheckResult(
             f"compression contraction [{type(spec).__name__}]",
-            worst <= 1e-8, worst, 1e-8))
+            worst <= norms.CONTRACTION_SLACK, worst, norms.CONTRACTION_SLACK))
     spec = _product_spec()
     alpha_sq = norms.compressor_constants(spec).alpha ** 2
     parts = []
@@ -500,7 +506,7 @@ def suite_compressor(trials: int = 1000) -> list:
     worst = _worst(-np.inf, trials, parts)
     results.append(CheckResult(
         "compression contraction [Product, proof-line]",
-        worst <= 1e-8, worst, 1e-8))
+        worst <= norms.CONTRACTION_SLACK, worst, norms.CONTRACTION_SLACK))
     return results
 
 
@@ -533,15 +539,16 @@ def suite_lmo(trials: int = 1000) -> list:
         worst_primal = _worst(0.0, trials, primal)
         results.append(CheckResult(
             f"lmo pairing equals dual norm [{type(spec).__name__}]",
-            worst_pair <= 1e-8, worst_pair, 1e-8))
+            worst_pair <= norms.PAIRING_TOL, worst_pair, norms.PAIRING_TOL))
         results.append(CheckResult(
             f"lmo stays in the unit ball [{type(spec).__name__}]",
-            worst_primal <= 1.0 + 1e-10, worst_primal, 1.0 + 1e-10))
+            worst_primal <= 1.0 + norms.PRIMAL_NORM_SLACK, worst_primal,
+            1.0 + norms.PRIMAL_NORM_SLACK))
 
     # Least-Frobenius optimality on rank-deficient 3x3 inputs: brute-force
     # the argmax set U_r V_r^T + U_perp E V_perp^T over a grid of E.
     spec = norms.OperatorNorm()
-    worst_gap = 0.0
+    gaps = [0.0]
     for _ in range(20):
         rank = int(rng.integers(1, 3))
         U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
@@ -551,7 +558,8 @@ def suite_lmo(trials: int = 1000) -> list:
         X = norms.lmo_min(A, spec)
         best = _least_frobenius_grid(rng, U[:, :rank] @ V[:, :rank].T,
                                      U[:, rank:], V[:, rank:], 400)
-        worst_gap = max(worst_gap, float(np.linalg.norm(X)) - best)
+        gaps.append(float(np.linalg.norm(X)) - best)
+    worst_gap = _max(gaps)
     results.append(CheckResult(
         "lmo least-Frobenius vs brute force (rank-deficient 3x3)",
         worst_gap <= 1e-8, worst_gap, 1e-8))
@@ -570,8 +578,8 @@ def suite_cex1(T: int = 5000) -> list:
             state = optim.OptimizerState(W=W0, beta=beta, schedule=schedule)
             tr = optim.run("muon", fn.oracle(), state, T, track_average=False)
             pred = cex.cex1_predicted_sequence(init, T)
-            dev = max(float(np.max(np.abs(tr.w11 - pred[:, 0]))),
-                      float(np.max(np.abs(tr.w22 - pred[:, 1]))))
+            dev = _max([float(np.max(np.abs(tr.w11 - pred[:, 0]))),
+                        float(np.max(np.abs(tr.w22 - pred[:, 1])))])
             floor = cex.cex1_floor(init, fn)
             fmin = float(np.min(tr.f))
             results.append(CheckResult(
@@ -593,9 +601,8 @@ def suite_cex2(n_inits: int = 100, T: int = 2000) -> list:
         for label, method, schedule in (
                 ("regmuon+adaptive", "regmuon", optim.AdaptiveNuclear(0.05)),
                 ("muon+table", "muon", table)):
-            worst_p = 0.0
+            dps = [0.0]
             q_ok = True
-            worst_floor = np.inf
             passes = 0
             starts = [rng.standard_normal((2, 2)) for _ in range(n_inits)]
             states = [optim.OptimizerState(W=W0, beta=beta, schedule=schedule)
@@ -605,13 +612,13 @@ def suite_cex2(n_inits: int = 100, T: int = 2000) -> list:
                 p0 = W0[0, 0] + W0[1, 1]
                 p, q = tr.sum_diag, tr.diff_diag  # the invariants p_t and q_t
                 dp = float(np.max(np.abs(p - p0)))
-                worst_p = max(worst_p, dp)
-                ok_q = bool(np.all(q != 0.0))
+                dps.append(dp)
+                ok_q = bool(np.all(np.abs(q) > 0.0))  # a NaN q fails too
                 q_ok = q_ok and ok_q
                 margin = float(np.min(tr.f)) - c * abs(p0)
-                worst_floor = min(worst_floor, margin)
                 if dp <= 1e-12 and ok_q and margin >= -1e-12:
                     passes += 1
+            worst_p = _max(dps)
             results.append(CheckResult(
                 f"invariant p constant [beta={beta}, {label}]",
                 worst_p <= 1e-12, worst_p, 1e-12))

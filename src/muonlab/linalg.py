@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Centralized numeric defaults; every kernel accepts overrides per call.
+# Centralized numeric defaults; reduced_svd and the Newton-Schulz kernels
+# accept overrides per call.
 SVD_TRUNCATION_RTOL = 1e-12
 NEWTON_SCHULZ_DEFAULT_ITERS = 12
 NEWTON_SCHULZ_GROWTH_LIMIT = 10.0
@@ -116,7 +117,7 @@ def _truncated(U: np.ndarray, s: np.ndarray, Vt: np.ndarray, tol: float) -> SvdF
     )
 
 
-def polar_exact(A, tol: float = SVD_TRUNCATION_RTOL) -> np.ndarray:
+def polar_exact(A) -> np.ndarray:
     """Polar factor U @ Vt of the reduced SVD.
 
     Null directions are zeroed (least Frobenius norm selection), so the
@@ -127,10 +128,10 @@ def polar_exact(A, tol: float = SVD_TRUNCATION_RTOL) -> np.ndarray:
     A = as_matrix(A)
     if _offdiag_is_zero(A):
         return np.sign(A)
-    return _polar_of(reduced_svd(A, tol), A)
+    return _polar_of(reduced_svd(A), A)
 
 
-def polar_and_nuclear(A, tol: float = SVD_TRUNCATION_RTOL) -> tuple:
+def polar_and_nuclear(A) -> tuple:
     """``(polar_exact(A), norm(A, "nuc"))`` from a single SVD.
 
     Diagonal inputs take the same exact fast path as both functions:
@@ -139,7 +140,7 @@ def polar_and_nuclear(A, tol: float = SVD_TRUNCATION_RTOL) -> tuple:
     A = as_matrix(A)
     if _offdiag_is_zero(A):
         return np.sign(A), float(np.abs(A.diagonal()).sum())
-    f = reduced_svd(A, tol)
+    f = reduced_svd(A)
     return _polar_of(f, A), f.nuclear
 
 
@@ -158,62 +159,46 @@ def _as_stack(a) -> np.ndarray:
     return A
 
 
-def _diagonal_members(A: np.ndarray) -> np.ndarray:
-    """``_offdiag_is_zero`` of each member of a stack: NaN counts as nonzero."""
-    nz = A != 0
-    return (np.count_nonzero(nz, axis=(1, 2))
-            == np.count_nonzero(nz.diagonal(axis1=1, axis2=2), axis=1))
-
-
 def _stack_is_diagonal(A: np.ndarray) -> bool:
     """Whether every member of a stack is diagonal, from two counts."""
     return np.count_nonzero(A) == np.count_nonzero(A.diagonal(axis1=1, axis2=2))
 
 
-def _split(A: np.ndarray, fast: np.ndarray) -> tuple:
-    """The members off the fast path, as two index arrays: those that share
-    one stacked SVD, whose factors are the per-matrix ones bit for bit, and
-    those that go through the per-matrix function.  The first are the finite
-    ones when there are two or more; the second, the rest: a lone finite
-    member, and the non-finite ones, for which the function raises.
-    """
-    todo = np.flatnonzero(~fast)
-    finite = np.isfinite(A[todo]).all(axis=(1, 2))
-    if np.count_nonzero(finite) < 2:
-        return todo[:0], todo
-    return todo[finite], todo[~finite]
+def _svd_members(A: np.ndarray) -> np.ndarray | None:
+    """The indices of the non-diagonal members of a stack, or None if all are
+    diagonal; a stacked SVD gives each of them its 2-d factors bit for bit.
+    A non-finite entry raises as it does per matrix."""
+    if not _all_finite(A):
+        raise ValueError("matrix entries must be finite")
+    if _stack_is_diagonal(A):
+        return None
+    nz = A != 0  # _offdiag_is_zero of each member
+    return np.flatnonzero(np.count_nonzero(nz, axis=(1, 2))
+                          != np.count_nonzero(nz.diagonal(axis1=1, axis2=2), axis=1))
 
 
 def _polar_stack(A: np.ndarray, nuclear: np.ndarray | None) -> np.ndarray:
     """The polar factor of each member (and, into ``nuclear``, its nuclear
     norm), bit for bit as ``polar_exact`` (``polar_and_nuclear``) gives it.
-
-    Finite diagonal members take the fast path ``sign``; see ``_split`` for
-    the others.  A stack of one goes through the per-matrix function.
-    """
+    A stack of one goes through that function; in a larger one, the members
+    off the ``sign`` fast path share one SVD, truncated as ``reduced_svd`` is."""
     if len(A) == 1:
         if nuclear is None:
             return polar_exact(A[0])[None]
         X, nuclear[0] = polar_and_nuclear(A[0])
         return X[None]
+    svd = _svd_members(A)
     X = np.sign(A)
-    if _all_finite(A) and _stack_is_diagonal(A):
+    if svd is None:
         return X
-    svd, rest = _split(A, np.isfinite(A).all(axis=(1, 2)) & _diagonal_members(A))
-    if svd.size:
-        U, s, Vt = _svd(A[svd])
-        full = np.all(s > SVD_TRUNCATION_RTOL * s[:, :1], axis=1)
-        X[svd[full]] = U[full] @ Vt[full]
-        for j in np.flatnonzero(~full):
-            f = _truncated(U[j], s[j], Vt[j], SVD_TRUNCATION_RTOL)
-            X[svd[j]] = _polar_of(f, A[svd[j]])
-        if nuclear is not None:
-            nuclear[svd] = s.sum(axis=1)
-    for b in rest:
-        if nuclear is None:
-            X[b] = polar_exact(A[b])
-        else:
-            X[b], nuclear[b] = polar_and_nuclear(A[b])
+    U, s, Vt = _svd(A[svd])
+    full = np.all(s > SVD_TRUNCATION_RTOL * s[:, :1], axis=1)
+    X[svd[full]] = U[full] @ Vt[full]
+    for j in np.flatnonzero(~full):
+        f = _truncated(U[j], s[j], Vt[j], SVD_TRUNCATION_RTOL)
+        X[svd[j]] = _polar_of(f, A[svd[j]])
+    if nuclear is not None:
+        nuclear[svd] = s.sum(axis=1)
     return X
 
 
@@ -231,29 +216,19 @@ def polar_and_nuclear_stack(A) -> tuple:
 
 
 def _norm_stack(A, kind: str) -> np.ndarray:
-    """``norm(A[b], kind)`` of each member, for kind "op" or "nuc".
-
-    Diagonal members take ``norm``'s fast path; see ``_split`` for the
-    others.  The stacked SVD computes singular values alone
-    (``compute_uv=False``), as ``norm`` does.  A stack of one goes through
-    ``norm``.
+    """``norm(A[b], kind)`` of each member, for kind "op" or "nuc".  A stack
+    of one goes through ``norm``; in a larger one, the members off its
+    diagonal fast path share one SVD of singular values alone.
     """
     A = _as_stack(A)
     if len(A) == 1:
         return np.array([norm(A[0], kind)])
+    svd = _svd_members(A)
     d = np.abs(A.diagonal(axis1=1, axis2=2))
     out = d.max(axis=1) if kind == "op" else d.sum(axis=1)
-    finite = np.isfinite(out)
-    if _stack_is_diagonal(A) and finite.all():
-        return out
-    # A diagonal member with a non-finite norm goes through norm, which
-    # raises for a non-finite entry.
-    svd, rest = _split(A, _diagonal_members(A) & finite)
-    if svd.size:
+    if svd is not None:
         s = np.linalg.svd(A[svd], compute_uv=False)
         out[svd] = s[:, 0] if kind == "op" else s.sum(axis=1)
-    for b in rest:
-        out[b] = norm(A[b], kind)
     return out
 
 

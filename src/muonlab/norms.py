@@ -20,6 +20,8 @@ import numpy as np
 
 from . import linalg
 
+# The verify suites' tolerances: |<W, lmo(W)> - ||W||_*|, ||lmo(W)|| - 1 and
+# ||W - C(W)||_F^2 - (1 - delta) ||W||_F^2.
 PAIRING_TOL = 1e-8
 PRIMAL_NORM_SLACK = 1e-10
 CONTRACTION_SLACK = 1e-8
@@ -63,6 +65,13 @@ class NuclearNorm:
     pass
 
 
+def _positive_int(value, what: str) -> int:
+    """``value`` as an int; a bool, a non-integer or one below 1 raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ProductNormSpec:
     """Layerwise max of scaled operator norms plus a scaled l-inf vector block.
@@ -76,20 +85,16 @@ class ProductNormSpec:
     k: int
 
     def __post_init__(self):
-        dims = tuple((int(m), int(n)) for m, n in self.layer_dims)
+        dims = tuple((_positive_int(m, "a layer dimension"),
+                      _positive_int(n, "a layer dimension")) for m, n in self.layer_dims)
         object.__setattr__(self, "layer_dims", dims)
         if len(dims) < 1:
             raise ValueError("at least one layer required")
-        if any(m < 1 or n < 1 for m, n in dims):
-            raise ValueError("layer dimensions must be positive")
         if (isinstance(self.s, bool) or not isinstance(self.s, numbers.Real)
                 or not 0 < self.s < math.inf):
             raise ValueError(f"scale s must be positive and finite, got {self.s!r}")
-        if (isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral)
-                or self.k < 1):
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
         object.__setattr__(self, "s", float(self.s))
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", _positive_int(self.k, "k"))
 
     @property
     def num_layers(self) -> int:
@@ -513,7 +518,13 @@ def dual_norm_and_lmo(W, spec) -> tuple:
 def _vector_dim(dims) -> int:
     if dims is None:
         raise ValueError("vector specs need the dimension d")
-    return int(dims)
+    return _positive_int(dims, "the dimension d")
+
+
+def _matrix_rank(dims) -> int:
+    """min(m, n) of a matrix shape (m, n) of positive integers."""
+    m, n = dims
+    return min(_positive_int(m, "a matrix dimension"), _positive_int(n, "a matrix dimension"))
 
 
 def compressor_constants(spec, dims=None) -> CompressorConstants:
@@ -536,11 +547,9 @@ def compressor_constants(spec, dims=None) -> CompressorConstants:
         delta = d ** (-2.0 * abs(1.0 / spec.p - 0.5))
         return CompressorConstants(alpha, delta)
     if isinstance(spec, NuclearNorm):
-        m, n = dims
-        return CompressorConstants(1.0, 1.0 / min(m, n))
+        return CompressorConstants(1.0, 1.0 / _matrix_rank(dims))
     if isinstance(spec, OperatorNorm):
-        m, n = dims
-        r = min(m, n)
+        r = _matrix_rank(dims)
         return CompressorConstants(1.0 / math.sqrt(r), 1.0 / r)
     if isinstance(spec, ProductNormSpec):
         alpha = min(1.0, 1.0 / math.sqrt(spec.s * spec.num_layers))

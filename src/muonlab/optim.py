@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,8 +153,9 @@ class NoisyOracle:
     """Wraps a base oracle with seeded additive Gaussian noise on the subgradient."""
 
     def __init__(self, base, noise_std: float, seed: int = 0):
-        if noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        if (isinstance(noise_std, bool) or not isinstance(noise_std, numbers.Real)
+                or not 0 <= noise_std <= sys.float_info.max):
+            raise ValueError(f"noise_std must be nonnegative and finite, not {noise_std!r}")
         self.base = base
         self.noise_std = noise_std
         self.rng = np.random.default_rng(seed)

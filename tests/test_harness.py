@@ -412,6 +412,76 @@ class TestReductionLockstep:
         assert math.isnan(result.observed)
 
 
+def _with_nan_member(func):
+    """``func`` with the last member of its stacked result (its theta, for a
+    product stack) set to NaN."""
+    def wrapped(*args, **kwargs):
+        out = func(*args, **kwargs)
+        (out[1] if isinstance(out, tuple) else out)[-1] = np.nan
+        return out
+    return wrapped
+
+
+class TestSuitesFailOnNaN:
+    """A NaN reaches each suite's observed value, so its check fails; Python
+    ``max`` would drop a NaN that does not come first."""
+
+    def assert_nan_fails(self, results):
+        assert results
+        for r in results:
+            assert not r.passed and math.isnan(r.observed), r.line()
+
+    @pytest.mark.parametrize("kernel, check", [("polar_newton_schulz_stack", 0),
+                                               ("polar_exact_stack", 1)])
+    def test_polar(self, kernel, check, monkeypatch):
+        monkeypatch.setattr(harness.linalg, kernel,
+                            _with_nan_member(getattr(harness.linalg, kernel)))
+        self.assert_nan_fails([harness.suite_polar(trials=6)[check]])
+
+    def test_compressor(self, monkeypatch):
+        monkeypatch.setattr(harness.norms, "compress_stack",
+                            _with_nan_member(harness.norms.compress_stack))
+        self.assert_nan_fails(harness.suite_compressor(trials=6))
+
+    def test_lmo(self, monkeypatch):
+        # A NaN from lmo_min_stack would be refused by primal_norm_stack.
+        for kernel in ("dual_norm_stack", "primal_norm_stack"):
+            monkeypatch.setattr(harness.norms, kernel,
+                                _with_nan_member(getattr(harness.norms, kernel)))
+        lmo_min, calls = harness.norms.lmo_min, []
+
+        def second_call_nan(W, spec):  # the least-Frobenius trials call lmo_min
+            calls.append(1)
+            return lmo_min(W, spec) * (np.nan if len(calls) == 2 else 1.0)
+
+        monkeypatch.setattr(harness.norms, "lmo_min", second_call_nan)
+        self.assert_nan_fails(harness.suite_lmo(trials=6))
+
+    def test_cex1(self, monkeypatch):
+        predicted = cex.cex1_predicted_sequence
+
+        def with_nan(init, T):
+            pred = predicted(init, T)
+            pred[-1, 1] = np.nan  # w22, the second of the two deviations
+            return pred
+
+        monkeypatch.setattr(cex, "cex1_predicted_sequence", with_nan)
+        self.assert_nan_fails(harness.suite_cex1(T=20)[::2])
+
+    def test_cex2(self, monkeypatch):
+        run_batch = optim.run_batch
+
+        def with_nan(*args):
+            traces = run_batch(*args)
+            traces[-1].w11[-1] = np.nan
+            return traces
+
+        monkeypatch.setattr(optim, "run_batch", with_nan)
+        results = harness.suite_cex2(n_inits=3, T=10)
+        self.assert_nan_fails(results[::3])  # the invariant p
+        assert not any(r.passed for r in results)  # q and the floor, by count
+
+
 class TestCli:
     def test_bound_command(self, capsys):
         rc = cli.main(["bound", "--T", "0", "--delta", "1", "--beta", "0",

@@ -220,15 +220,56 @@ class TestStacks:
             kernel(A)
         assert len(calls) == 4
 
-    def test_lone_member_goes_through_the_reference(self, monkeypatch):
-        A = self.stack(np.random.default_rng(12), 3, 3)  # one non-diagonal member
-        calls = []
-        polar_exact = linalg.polar_exact
-        monkeypatch.setattr(linalg, "polar_exact",
-                            lambda M, *a: calls.append(1) or polar_exact(M, *a))
+    @pytest.mark.parametrize("case", ["lone", "lone rank-deficient", "mixed"])
+    def test_larger_stacks_do_not_call_the_per_matrix_functions(self, case, monkeypatch):
+        rng = np.random.default_rng(12)
+        A = {"lone": lambda: self.stack(rng, 3, 3),  # one non-diagonal member
+             "lone rank-deficient": lambda: np.stack(
+                 [np.diag([2.0, -1.0, 0.0]), np.outer(rng.standard_normal(3),
+                                                      rng.standard_normal(3))]),
+             "mixed": lambda: self.mixed(rng, 4, 3)}[case]()
+        ref = [(linalg.polar_exact(M), *linalg.polar_and_nuclear(M),
+                linalg.norm(M, "op"), linalg.norm(M, "nuc")) for M in A]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-matrix function was called")
+
+        for name in ("polar_exact", "polar_and_nuclear", "norm"):
+            monkeypatch.setattr(linalg, name, refuse)
         X = linalg.polar_exact_stack(A)
+        P, nuc_uv = linalg.polar_and_nuclear_stack(A)
+        op, nuc = linalg.op_norm_stack(A), linalg.nuclear_norm_stack(A)
+        for b, (ref_X, ref_P, ref_nuc_uv, ref_op, ref_nuc) in enumerate(ref):
+            assert X[b].tobytes() == ref_X.tobytes()
+            assert P[b].tobytes() == ref_P.tobytes()
+            assert nuc_uv[b] == ref_nuc_uv
+            assert op[b] == ref_op
+            assert nuc[b] == ref_nuc
+
+    @pytest.mark.parametrize("kernel, reference", [
+        ("polar_exact_stack", "polar_exact"), ("polar_and_nuclear_stack", "polar_and_nuclear"),
+        ("op_norm_stack", "norm"), ("nuclear_norm_stack", "norm")])
+    def test_stack_of_one_calls_the_per_matrix_function_once(self, kernel, reference,
+                                                             monkeypatch):
+        A = np.random.default_rng(14).standard_normal((1, 3, 3))
+        calls = []
+        func = getattr(linalg, reference)
+        monkeypatch.setattr(linalg, reference, lambda *a: calls.append(1) or func(*a))
+        getattr(linalg, kernel)(A)
         assert len(calls) == 1
-        assert X[1].tobytes() == polar_exact(A[1]).tobytes()
+
+    @pytest.mark.parametrize("kernel", ["polar_exact_stack", "polar_and_nuclear_stack",
+                                        "op_norm_stack", "nuclear_norm_stack"])
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 1)])
+    def test_non_finite_member_raises_before_any_svd(self, kernel, entry, monkeypatch):
+        A = self.mixed(np.random.default_rng(15), 3, 3)
+        A[(3,) + entry] = np.nan
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            getattr(linalg, kernel)(A)
+        assert calls == []
 
     @pytest.mark.parametrize("kernel", ["op_norm_stack", "nuclear_norm_stack",
                                         "polar_and_nuclear_stack"])

@@ -61,6 +61,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="k must be a positive integer"):
             norms.ProductNormSpec(layer_dims=((2, 2),), s=1.0, k=k)
 
+    @pytest.mark.parametrize("dims", [(2.5, 2), (2, True), ("3", 2), (0, 2), (2, None)])
+    def test_product_requires_integer_layer_dims(self, dims):
+        # 2.5 used to become 2, True 1, and "3" was accepted.
+        with pytest.raises(ValueError, match="layer dimension must be a positive integer"):
+            norms.ProductNormSpec(layer_dims=((2, 2), dims), s=1.0, k=1)
+
     def test_product_normalises_s_and_k(self):
         spec = norms.ProductNormSpec(layer_dims=((2, 2),), s=2, k=np.int64(3))
         assert type(spec.s) is float and spec.s == 2.0
@@ -164,6 +170,24 @@ class TestCompressorConstants:
         cc = norms.compressor_constants(norms.Lp(3.0), 8)
         assert abs(cc.alpha - 8 ** (1 / 3 - 0.5)) < 1e-15
         assert abs(cc.delta - 8 ** (-2 * abs(1 / 3 - 0.5))) < 1e-15
+
+    @pytest.mark.parametrize("spec", [norms.L1(), norms.Linf(), norms.Lp(3.0)])
+    @pytest.mark.parametrize("d", [0, -1, 2.5, True, "4"])
+    def test_vector_dims_must_be_a_positive_integer(self, spec, d):
+        # 0 used to raise ZeroDivisionError, and 2.5 became 2.
+        with pytest.raises(ValueError, match="dimension d must be a positive integer"):
+            norms.compressor_constants(spec, d)
+
+    @pytest.mark.parametrize("spec", [norms.OperatorNorm(), norms.NuclearNorm()])
+    @pytest.mark.parametrize("dims", [(0, 3), (2.5, 3), (3, True)])
+    def test_matrix_dims_must_be_positive_integers(self, spec, dims):
+        with pytest.raises(ValueError, match="matrix dimension must be a positive integer"):
+            norms.compressor_constants(spec, dims)
+
+    def test_compress_refuses_an_empty_vector(self):
+        # It used to raise ZeroDivisionError.
+        with pytest.raises(ValueError, match="dimension d must be a positive integer"):
+            norms.compress(np.array([]), norms.L1())
 
     def test_product_alpha_and_closed_form_delta(self):
         spec = norms.ProductNormSpec(layer_dims=((3, 4), (2, 2)), s=1.5, k=3)

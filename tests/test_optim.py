@@ -406,6 +406,14 @@ class TestRun:
             np.testing.assert_array_equal(getattr(on, col), getattr(off, col))
         assert np.all(np.isfinite(on.favg)) and np.all(np.isnan(off.favg))
 
+    @pytest.mark.parametrize("noise_std", [math.nan, math.inf, 10**400, -0.1, True, "0.5",
+                                           None])
+    def test_noisy_oracle_refuses_bad_noise_std(self, noise_std):
+        # NaN and inf used to give NaN and inf subgradients, and 10**400 an
+        # OverflowError at the first evaluate.
+        with pytest.raises(ValueError, match="noise_std must be nonnegative and finite"):
+            optim.NoisyOracle(kinky_oracle(), noise_std)
+
     def test_oracle_with_evaluate_only(self):
         class EvaluateOnly:
             def __init__(self, base):
