@@ -17,6 +17,11 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
   function, which keeps the general loop measured;
 - ``optim.run`` of zero steps (``muon``, ``Table``), in microseconds per
   call: the fixed cost of a run, the float loop's dispatch and post-pass;
+- ``optim.run`` shaped like a ``cex-sweep`` item of ``perfbench``: ``muon``
+  with a ``Table`` for ``SWEEP_T`` steps from a dense 2x2 start, the
+  function and its oracle built for every run, in microseconds per call;
+- ``optim.offline_stepsizes`` of ``InvT``, ``InvSqrtT`` and a ``Table`` for
+  ``OFFLINE_N`` steps, in microseconds per call;
 - ``optim.run_batch`` on that function for ``BATCH_T`` steps at each batch
   size in ``BATCH_SIZES``, in microseconds per member-step: ``muon`` with a
   ``Table`` and ``regmuon`` with ``AdaptiveNuclear(0.05)``, as in ``verify
@@ -82,6 +87,12 @@ REPEATS = 5
 STEP_T = 2000
 ORACLE_CALLS = 10_000
 EMPTY_RUNS = 2000
+# Steps and runs per timing of the cex-sweep-shaped run, and the length and
+# calls per timing of the offline-stepsize rows.
+SWEEP_T = 1000
+SWEEP_RUNS = 200
+OFFLINE_N = 5000
+OFFLINE_CALLS = 200
 # Batch sizes and horizon of the run_batch timings.
 BATCH_SIZES = (1, 10, 100, 1000)
 BATCH_T = 1000
@@ -156,6 +167,23 @@ def _step_timings() -> dict:
         for _ in range(EMPTY_RUNS):
             optim.run("muon", oracle, state, 0, track_average=False)
     timings["run[muon+Table,T=0]"] = _per_unit(_timed(empty_runs), "us_per_call", EMPTY_RUNS)
+    sweep_state = optim.OptimizerState(W=np.random.default_rng(1).standard_normal((2, 2)),
+                                       beta=0.2, schedule=optim.Table(table.values[:SWEEP_T]))
+
+    def sweep_runs():
+        for _ in range(SWEEP_RUNS):
+            optim.run("muon", cex.KinkyFunction(c=0.3).oracle(), sweep_state, SWEEP_T,
+                      track_average=False)
+    timings[f"run[muon+Table,T={SWEEP_T}]+oracle"] = _per_unit(
+        _timed(sweep_runs), "us_per_call", SWEEP_RUNS)
+    offline_table = optim.Table(tuple(np.random.default_rng(2).uniform(0.01, 0.3, OFFLINE_N)))
+    for label, schedule in (("InvT", optim.InvT()), ("InvSqrtT", optim.InvSqrtT()),
+                            ("Table", offline_table)):
+        def offline_calls(schedule=schedule):
+            for _ in range(OFFLINE_CALLS):  # each result freed before the next call
+                optim.offline_stepsizes(schedule, 0, OFFLINE_N)
+        timings[f"offline_stepsizes[{label},n={OFFLINE_N}]"] = _per_unit(
+            _timed(offline_calls), "us_per_call", OFFLINE_CALLS)
 
     def evaluate():
         for _ in range(ORACLE_CALLS):

@@ -19,6 +19,8 @@ DEFAULT_TAIL_TOL = 1e-12
 # Direct head lengths tried before giving up on the alternating tail sum.
 _HEAD_SIZES = (128, 1024, 8192, 65536)
 _EULER_LEVELS = 48
+# sign(0) under each kink selection.
+_KINK_SIGNS = {"zero": 0.0, "plus": 1.0, "minus": -1.0}
 
 
 def _sign(x: float, selection: str) -> float:
@@ -26,13 +28,9 @@ def _sign(x: float, selection: str) -> float:
         return 1.0
     if x < 0:
         return -1.0
-    if selection == "zero":
-        return 0.0
-    if selection == "plus":
-        return 1.0
-    if selection == "minus":
-        return -1.0
-    raise ValueError(f"unknown kink selection {selection!r}")
+    if selection not in _KINK_SIGNS:
+        raise ValueError(f"unknown kink selection {selection!r}")
+    return _KINK_SIGNS[selection]
 
 
 @dataclass(frozen=True)
@@ -75,19 +73,16 @@ class KinkyFunction:
         framework convention), "plus"/"minus" pick an extreme subgradient.
         """
         w = np.asarray(w, float)
-        s1 = _sign(w[0] + w[1], selection)
-        s2 = _sign(w[0] - w[1], selection)
-        return np.array([self.c * s1 + s2, self.c * s1 - s2])
+        return np.array(self._diag_pair(w[0], w[1], selection))
 
     def subgradient(self, W, selection: str = "zero") -> np.ndarray:
-        w1 = float(W[0, 0])
-        w2 = float(W[1, 1])
-        s1 = _sign(w1 + w2, selection)
-        s2 = _sign(w1 - w2, selection)
         G = np.zeros((self.m, self.n))
-        G[0, 0] = self.c * s1 + s2
-        G[1, 1] = self.c * s1 - s2
+        G[0, 0], G[1, 1] = self._diag_pair(float(W[0, 0]), float(W[1, 1]), selection)
         return G
+
+    def _diag_pair(self, w1, w2, selection: str) -> tuple:
+        s1, s2 = _sign(w1 + w2, selection), _sign(w1 - w2, selection)
+        return self.c * s1 + s2, self.c * s1 - s2
 
     def oracle(self, selection: str = "zero") -> KinkyOracle:
         return KinkyOracle(self, selection)
@@ -101,18 +96,19 @@ class KinkyFunction:
 
 def _subgradients(fn: KinkyFunction, selection: str = "zero") -> tuple:
     """The nine subgradients of ``fn`` as a (9, m, n) stack, row
-    3 * (s1 + 1) + (s2 + 1), and their Frobenius norms, shape (9,).
+    3 * (s1 + 1) + (s2 + 1), their Frobenius norms, shape (9,), and each
+    row's (G[0, 0], G[1, 1]) as a pair of floats.
 
     The subgradient depends on W only through the signs s1 of w1 + w2 and s2
     of w1 - w2; row k is ``fn.subgradient`` at any W of that sign class, by
     its own expressions.  Sign 0 is the class of a zero, where ``selection``
     decides.  ``linalg._fro_members`` is ``norms.fro`` of each row.
     """
-    signs = [_sign(x, selection) for x in (-1.0, 0.0, 1.0)]
+    signs = (-1.0, _sign(0.0, selection), 1.0)
+    pairs = tuple((fn.c * s1 + s2, fn.c * s1 - s2) for s1 in signs for s2 in signs)
     G = np.zeros((9, fn.m, fn.n))
-    G[:, 0, 0] = [fn.c * s1 + s2 for s1 in signs for s2 in signs]
-    G[:, 1, 1] = [fn.c * s1 - s2 for s1 in signs for s2 in signs]
-    return G, linalg._fro_members(G)
+    G[:, 0, 0], G[:, 1, 1] = zip(*pairs)
+    return G, linalg._fro_members(G), pairs
 
 
 def _signs(x: np.ndarray) -> np.ndarray:
@@ -137,8 +133,7 @@ class KinkyOracle:
 
     def __init__(self, fn: KinkyFunction, selection: str = "zero"):
         self.fn = fn
-        self._table, self.fro = _subgradients(fn, selection)
-        self.rows = tuple(zip(self._table[:, 0, 0].tolist(), self._table[:, 1, 1].tolist()))
+        self._table, self.fro, self.rows = _subgradients(fn, selection)
 
     def value(self, W) -> float:
         return self.fn.value(W)
@@ -194,7 +189,7 @@ def compute_R(schedule, t: int) -> float:
     prev = None
     for head in _HEAD_SIZES:
         n = head + _EULER_LEVELS + 1
-        lams = np.array(optim.offline_stepsizes(schedule, t, n))
+        lams = optim.offline_stepsizes(schedule, t, n)
         optim._check_nonincreasing(lams)
         terms = lams - lam
         if np.any(terms < -1e-15):
@@ -220,11 +215,10 @@ def compute_R_sequence(schedule, T: int) -> np.ndarray:
 
 
 def _R_recursion(schedule, R0: float, n: int) -> np.ndarray:
-    """R_0 .. R_{n-1} from R_0 by the recursion R_{t+1} = lam_t - R_t, in
-    float64 whatever the type of lam_t, as when R was an array."""
+    """R_0 .. R_{n-1} from R_0 by the float recursion R_{t+1} = lam_t - R_t."""
     R = [float(R0)]
-    for lam in optim.offline_stepsizes(schedule, 0, n - 1):
-        R.append(float(lam) - R[-1])
+    for lam in optim.offline_stepsizes(schedule, 0, n - 1).tolist():
+        R.append(lam - R[-1])
     return np.array(R)
 
 

@@ -523,7 +523,10 @@ def _vector_dim(dims) -> int:
 
 def _matrix_rank(dims) -> int:
     """min(m, n) of a matrix shape (m, n) of positive integers."""
-    m, n = dims
+    try:
+        m, n = dims
+    except (TypeError, ValueError):
+        raise ValueError("matrix specs need the shape (m, n)") from None
     return min(_positive_int(m, "a matrix dimension"), _positive_int(n, "a matrix dimension"))
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import struct
 import sys
 from dataclasses import dataclass
 
@@ -40,6 +41,12 @@ def _stepsize(value, what: str = "stepsize") -> float:
     if not 0 < value < math.inf:
         raise ValueError(f"{what} must be positive and finite")
     return value
+
+
+def _check_count(value, what: str):
+    """Raise ValueError unless ``value`` is an int or numpy integer >= 0, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{what} must be nonnegative: a nonnegative integer, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,8 @@ class Table:
         object.__setattr__(self, "values", tuple(_stepsize(v) for v in self.values))
         if not self.values:
             raise ValueError("Table needs at least one stepsize")
+        object.__setattr__(self, "_array", np.array(self.values))
+        self._array.flags.writeable = False
 
     def value(self, t: int, momentum=None) -> float:
         return self.values[min(t, len(self.values) - 1)]
@@ -114,21 +123,24 @@ class AdaptiveNuclear:
         raise ValueError("AdaptiveNuclear has no offline limit")
 
 
-def offline_stepsizes(schedule, t0: int, n: int) -> list:
-    """``[schedule.value(t) for t in range(t0, t0 + n)]``, bit for bit.
-
-    An exact Constant is a repeat and an exact Table a clamped slice; any
-    other schedule is asked step by step, so AdaptiveNuclear raises as its
-    ``value`` does without the momentum.
-    """
-    if t0 < 0:
-        raise ValueError("t0 must be nonnegative")
-    if type(schedule) is Constant:
-        return [schedule.lam] * n
-    if type(schedule) is Table:
-        head = list(schedule.values[t0:t0 + n])
-        return head + [schedule.values[-1]] * (n - len(head))
-    return [schedule.value(t) for t in range(t0, t0 + n)]
+def offline_stepsizes(schedule, t0: int, n: int) -> np.ndarray:
+    """``[schedule.value(t) for t in range(t0, t0 + n)]`` as a new float64
+    array, bit for bit: an exact Constant is a fill, a Table a clamped slice
+    of its read-only ``_array``, InvT and InvSqrtT their expressions on the
+    float range t0 + 1 .. t0 + n (exact to 2**53; IEEE / and sqrt round as
+    Python's do).  Other schedules are asked step by step (AdaptiveNuclear raises)."""
+    _check_count(t0, "t0")
+    _check_count(n, "n")
+    kind = type(schedule)
+    if kind is Constant:
+        return np.full(n, schedule.lam)
+    if kind is Table:
+        head = schedule._array[t0:t0 + n]
+        return np.concatenate((head, np.full(n - len(head), schedule.values[-1])))
+    if (kind is InvT or kind is InvSqrtT) and t0 + n <= 2**53:
+        t1 = np.arange(t0 + 1, t0 + n + 1, dtype=float)
+        return 1.0 / (t1 if kind is InvT else np.sqrt(t1))
+    return np.array([schedule.value(t) for t in range(t0, t0 + n)], float)
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +219,9 @@ class OptimizerState:
     def __post_init__(self):
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
-        if not isinstance(self.t, (int, np.integer)) or isinstance(self.t, bool) or self.t < 0:
-            raise ValueError(f"t must be a nonnegative integer, not {self.t!r}")
-        if self.M is None:
-            self.M = norms.zeros_like(self.W)
-        if self.E is None:
-            self.E = norms.zeros_like(self.W)
+        _check_count(self.t, "t")
+        self.M = norms.zeros_like(self.W) if self.M is None else self.M
+        self.E = norms.zeros_like(self.W) if self.E is None else self.E
 
 
 def _advance(state: OptimizerState, **fields) -> "OptimizerState":
@@ -328,18 +337,12 @@ STEP_FUNCTIONS = {name: _entry(name) for name in RULES}
 
 def _readout(W):
     """First two diagonal entries (matrix), first two entries (vector)."""
-    if type(W) is np.ndarray and W.ndim == 2 and W.dtype is linalg._FLOAT64:
-        return float(W[0, 0]), float(W[1, 1]) if min(W.shape) > 1 else 0.0
     if isinstance(W, norms.ParamPoint):
         W = W.matrices[0]
-    W = np.asarray(W, float)
-    if W.ndim == 1:
-        w1 = float(W[0])
-        w2 = float(W[1]) if W.size > 1 else 0.0
-    else:
-        w1 = float(W[0, 0])
-        w2 = float(W[1, 1]) if min(W.shape) > 1 else 0.0
-    return w1, w2
+    if type(W) is not np.ndarray or W.dtype is not linalg._FLOAT64:
+        W = np.asarray(W, float)
+    d = W if W.ndim == 1 else W.diagonal()
+    return float(d[0]), float(d[1]) if d.size > 1 else 0.0
 
 
 @dataclass
@@ -371,11 +374,6 @@ class Trace:
         return len(self.t)
 
 
-def _nan_trace(n: int) -> Trace:
-    """A Trace of n rows, NaN in every column but t."""
-    return Trace(np.arange(n, dtype=float), *(np.full(n, np.nan) for _ in range(6)))
-
-
 def run(method, oracle, state0, T: int, track_average: bool = True) -> Trace:
     """Run ``T`` steps of the rule named ``method`` (a key of RULES) from state0.
 
@@ -385,16 +383,16 @@ def run(method, oracle, state0, T: int, track_average: bool = True) -> Trace:
     off the favg column is NaN.  A run on a counterexample function's own
     oracle takes ``_run_diagonal`` where it applies; the Trace is the same.
     """
-    if T < 0:
-        raise ValueError("T must be nonnegative")
+    _check_count(T, "T")
     if method not in RULES:
         raise ValueError(f"unknown method {method!r}")
     rule, step_fn = RULES[method], STEP_FUNCTIONS[method]
 
-    tr = _nan_trace(T + 1)
-    if _runs_on_diagonal(rule, oracle, state0) and \
-            _run_diagonal(rule, oracle, state0, T, track_average, tr):
-        return tr
+    if _runs_on_diagonal(rule, oracle, state0):
+        tr = _run_diagonal(rule, oracle, state0, T, track_average)
+        if tr is not None:
+            return tr
+    tr = Trace(np.arange(T + 1, dtype=float), *(np.full(T + 1, np.nan) for _ in range(6)))
     state, mean = state0, state0.W  # mean: the running mean of W_0 .. W_t
     for i in range(T + 1):
         tr.w11[i], tr.w22[i] = _readout(state.W)
@@ -420,12 +418,6 @@ def run(method, oracle, state0, T: int, track_average: bool = True) -> Trace:
 _DIAGONAL_SCHEDULES = (Constant, InvT, InvSqrtT, Table, AdaptiveNuclear)
 
 
-def _uses_exact_polar(state: OptimizerState) -> bool:
-    # A state built with the default keeps the function linalg defined, even
-    # after linalg.polar_exact has been rebound (to a tracing wrapper, say).
-    return state.polar is linalg.polar_exact or state.polar is OptimizerState.polar
-
-
 @functools.cache
 def _counterexample():
     """The counterexample module, imported on first use: it imports optim."""
@@ -445,7 +437,10 @@ def _runs_on_diagonal(rule: Rule, oracle, state: OptimizerState) -> bool:
     cex = _counterexample()
     if type(oracle) is not cex.KinkyOracle or type(oracle.fn) is not cex.KinkyFunction:
         return False
-    if not (rule.lmo == "sign" or (rule.lmo == "polar" and _uses_exact_polar(state))):
+    # A state built with the default keeps the function linalg defined, even
+    # after linalg.polar_exact has been rebound (to a tracing wrapper, say).
+    exact = state.polar is linalg.polar_exact or state.polar is OptimizerState.polar
+    if not (rule.lmo == "sign" or rule.lmo == "polar" and exact):
         return False
     if type(state.schedule) not in _DIAGONAL_SCHEDULES:
         return False
@@ -453,12 +448,13 @@ def _runs_on_diagonal(rule: Rule, oracle, state: OptimizerState) -> bool:
     for A in (state.W, state.M, state.E):
         if type(A) is not np.ndarray or A.dtype is not linalg._FLOAT64 or A.shape != shape:
             return False
-    return all(linalg._all_finite(A) and np.count_nonzero(A) == np.count_nonzero(A.diagonal()[:2])
+    return all(not (n := np.count_nonzero(A)) or  # all zero, on one count
+               linalg._all_finite(A) and n == np.count_nonzero(A.diagonal()[:2])
                for A in (state.M, state.E))
 
 
-def _run_diagonal(rule: Rule, oracle, state: OptimizerState, T: int, track_average: bool,
-                  tr: Trace) -> bool:
+def _run_diagonal(rule: Rule, oracle, state: OptimizerState, T: int,
+                  track_average: bool) -> Trace | None:
     """``run``'s loop on the first two diagonal entries of W, M and E, as floats.
 
     Exact for a start ``_runs_on_diagonal`` accepts: the subgradient is zero
@@ -472,17 +468,20 @@ def _run_diagonal(rule: Rule, oracle, state: OptimizerState, T: int, track_avera
     numbers while lam and the scale are finite.
 
     A step records w1, w2, the running mean and a stepsize that depends on
-    M; f, favg and grad_fro are derived after the loop (``_fill_diagonal``).
-    It fills ``tr`` and returns True, or returns False where a stepsize or
-    compressor scale was not finite, found by one test after the loop: an
-    offline stepsize is finite, a recorded one is tested, and with feedback
-    E ends not finite iff a nuclear norm of P was not.  ``run`` then runs its
-    own loop from the start, which gives the NaNs and raises the errors of
-    ``step``.
+    M, and the Trace is built from the records (``_diagonal_trace``), or is
+    None where a stepsize or compressor scale was not finite.  One test after
+    the loop finds that: an offline stepsize is finite, a recorded one is
+    tested, and with feedback E ends not finite iff a nuclear norm of P was
+    not.  ``run`` then runs its own loop, with the NaNs and errors of ``step``.
     """
-    adaptive = type(state.schedule) is AdaptiveNuclear
-    coef = [state.schedule.base] * T if adaptive else offline_stepsizes(state.schedule, state.t, T)
+    schedule, t0 = state.schedule, state.t
+    adaptive = type(schedule) is AdaptiveNuclear
     mult = rule.scaled or adaptive  # the stepsize has a ||M||_nuc factor
+    # T + 1 offline stepsizes, the Trace's lam column.  The loop reads the
+    # first T as floats: a Table's own while they last, else the array's.
+    lams = None if adaptive else offline_stepsizes(schedule, t0, T + 1)
+    coef = [schedule.base] * T if adaptive else schedule.values[t0:t0 + T] \
+        if type(schedule) is Table and t0 + T <= len(schedule.values) else lams[:T].tolist()
     momentum = rule.momentum and state.beta != 0.0
     beta, one_minus_beta = float(state.beta), float(1.0 - state.beta)
     rows = [(one_minus_beta * g1, one_minus_beta * g2) for g1, g2 in oracle.rows] \
@@ -522,30 +521,38 @@ def _run_diagonal(rule: Rule, oracle, state: OptimizerState, T: int, track_avera
             a1, a2 = a1 + k * (w1 - a1), a2 + k * (w2 - a2)
             a11.append(a1)
             a22.append(a2)
-    lam = np.fromiter(lam_col if mult else coef, float, T)
-    if not (math.isfinite(e1) and math.isfinite(e2) if feedback else linalg._all_finite(lam)):
-        return False
-    W1, W2, A1, A2 = (np.fromiter(x, float, len(x)) for x in (w11, w22, a11, a22))
-    _fill_diagonal(tr, oracle, W1, W2, lam, (A1, A2) if track_average else None)
-    return True
+    if mult:
+        lam_col.append(0.0)  # the final row's entry
+        lams = _floats(lam_col)
+    if not (math.isfinite(e1) and math.isfinite(e2) if feedback
+            else not mult or linalg._all_finite(lams)):
+        return None
+    means = (_floats(a11), _floats(a22)) if track_average else None
+    return _diagonal_trace(oracle, _floats(w11), _floats(w22), lams, means)
 
 
-def _fill_diagonal(tr: Trace, oracle, W1, W2, lam, means=None):
-    """Fill ``tr`` from a float loop's records of T steps: arrays W1 and W2,
-    the first two diagonal entries of W_0 .. W_T, the stepsizes ``lam`` and,
-    if given, the running means' two entries.  f and favg are derived by the
-    function's expression and grad_fro by ``KinkyOracle.grad_fro``, with
-    numpy's warnings off as the float arithmetic has none."""
+def _floats(xs: list) -> np.ndarray:
+    """Python floats as a new float64 array, packed by one ``struct.pack_into``
+    at about half the cost of ``np.fromiter``."""
+    out = np.empty(len(xs))
+    struct.pack_into(f"{len(xs)}d", out, 0, *xs)
+    return out
+
+
+def _diagonal_trace(oracle, W1, W2, lam, means=None) -> Trace:
+    """The Trace of a float loop's T steps, whose columns are its records:
+    W1 and W2, the first two diagonal entries of W_0 .. W_T; ``lam``, the T
+    stepsizes and a slot for the final NaN; the means' entries, if given.
+    f, favg and grad_fro are derived, numpy's warnings off as the floats' are."""
     c = oracle.fn.c
-    tr.w11[:], tr.w22[:], tr.lam[:-1] = W1, W2, lam
     with np.errstate(all="ignore"):
         S, D = W1 + W2, W1 - W2
-        tr.f[:] = c * np.abs(S) + np.abs(D)
-        tr.grad_fro[:-1] = oracle.grad_fro(S[:-1], D[:-1])
-        if means is not None:
-            A1, A2 = means
-            tr.favg[:] = c * np.abs(A1 + A2) + np.abs(A1 - A2)
-    return tr
+        f = c * np.abs(S) + np.abs(D)
+        grad_fro = oracle.grad_fro(S, D)
+        favg = np.full(len(W1), np.nan) if means is None else \
+            c * np.abs(means[0] + means[1]) + np.abs(means[0] - means[1])
+    lam[-1] = grad_fro[-1] = np.nan
+    return Trace(np.arange(len(W1), dtype=float), lam, f, W1, W2, grad_fro, favg)
 
 
 def run_batch(method, fns, states, T: int) -> list:
@@ -559,8 +566,7 @@ def run_batch(method, fns, states, T: int) -> list:
     errors are ``run``'s, and the first member whose run raises makes the
     batch raise.
     """
-    if T < 0:
-        raise ValueError("T must be nonnegative")
+    _check_count(T, "T")
     if method not in RULES:
         raise ValueError(f"unknown method {method!r}")
     fns, states = list(fns), list(states)
@@ -581,7 +587,7 @@ def run_batch(method, fns, states, T: int) -> list:
 
 def _run_lockstep(rule: Rule, oracles: list, states: list, T: int) -> list:
     """``_run_diagonal`` for B >= 1 members at once, on (B,) float64 arrays:
-    each member's Trace, or None where ``_run_diagonal`` returns False.
+    each member's Trace, or None where ``_run_diagonal`` gives up.
 
     Each numpy operation is, elementwise, the float loop's operation.  A
     member without momentum (or with beta = 0) gets beta = 0 and 1 - beta =
@@ -598,7 +604,7 @@ def _run_lockstep(rule: Rule, oracles: list, states: list, T: int) -> list:
         else:
             key = (id(st.schedule), st.t)
             if key not in offline:
-                offline[key] = np.array(offline_stepsizes(st.schedule, st.t, T), float)
+                offline[key] = offline_stepsizes(st.schedule, st.t, T)
             coef[:, b] = offline[key]
         momentum = rule.momentum and st.beta != 0.0
         betas = (float(st.beta), float(1.0 - st.beta)) if momentum else (0.0, 1.0)
@@ -612,7 +618,7 @@ def _run_lockstep(rule: Rule, oracles: list, states: list, T: int) -> list:
     mult = np.array([rule.scaled or type(st.schedule) is AdaptiveNuclear for st in states])
     any_mult = bool(mult.any())
 
-    W1, W2, lam_col = np.empty((T + 1, B)), np.empty((T + 1, B)), np.empty((T, B))
+    W1, W2, lam_col = (np.empty((T + 1, B)) for _ in range(3))  # lam_col[T] becomes NaN
     W1[0], W2[0] = w1, w2
     worst = np.zeros(B)  # the largest nuclear norm of P; NaN or inf once one is not finite
     with np.errstate(all="ignore"):
@@ -634,10 +640,9 @@ def _run_lockstep(rule: Rule, oracles: list, states: list, T: int) -> list:
                 w1, w2 = w1 - lam * np.sign(n1), w2 - lam * np.sign(n2)
             m1, m2 = n1, n2
             W1[i + 1], W2[i + 1], lam_col[i] = w1, w2, lam
-    gave_up = ~(worst < math.inf) if rule.feedback else ~np.isfinite(lam_col).all(axis=0)
+    gave_up = ~(worst < math.inf) if rule.feedback else ~np.isfinite(lam_col[:T]).all(axis=0)
     W1, W2, lam_col = W1.T.copy(), W2.T.copy(), lam_col.T.copy()  # a member's records, contiguous
-    return [None if gave_up[b] else
-            _fill_diagonal(_nan_trace(T + 1), oracle, W1[b], W2[b], lam_col[b])
+    return [None if gave_up[b] else _diagonal_trace(oracle, W1[b], W2[b], lam_col[b])
             for b, oracle in enumerate(oracles)]
 
 
@@ -679,8 +684,7 @@ def efm_bound(T: int, delta: float, beta: float, sigma: float, dist0: float) -> 
     dist0^2 / (2 sqrt(T+1))
       + sigma^2 (2 sqrt(1-delta)/delta + beta/(1-beta) + 1/2) (1 + log(T+1)) / sqrt(T+1)
     """
-    if T < 0:
-        raise ValueError("T must be nonnegative")
+    _check_count(T, "T")
     return _bound_at(T, *_bound_factors(delta, beta, sigma, dist0))
 
 
@@ -688,8 +692,7 @@ def efm_bound_column(T: int, delta: float, beta: float, sigma: float,
                      dist0: float) -> np.ndarray:
     """``[efm_bound(t, delta, beta, sigma, dist0) for t in range(T + 1)]``,
     bit for bit, with the domain check and the T-free factors done once."""
-    if T < 0:
-        raise ValueError("T must be nonnegative")
+    _check_count(T, "T")
     dist0_sq, noise = _bound_factors(delta, beta, sigma, dist0)
     return np.array([_bound_at(t, dist0_sq, noise) for t in range(T + 1)])
 

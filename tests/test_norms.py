@@ -184,6 +184,13 @@ class TestCompressorConstants:
         with pytest.raises(ValueError, match="matrix dimension must be a positive integer"):
             norms.compressor_constants(spec, dims)
 
+    @pytest.mark.parametrize("spec", [norms.OperatorNorm(), norms.NuclearNorm()])
+    @pytest.mark.parametrize("dims", [None, 3, (2, 3, 4)])
+    def test_matrix_specs_need_a_shape_pair(self, spec, dims):
+        # None and 3 used to raise a bare TypeError from the unpacking.
+        with pytest.raises(ValueError, match=r"matrix specs need the shape \(m, n\)"):
+            norms.compressor_constants(spec, dims)
+
     def test_compress_refuses_an_empty_vector(self):
         # It used to raise ZeroDivisionError.
         with pytest.raises(ValueError, match="dimension d must be a positive integer"):

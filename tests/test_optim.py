@@ -104,17 +104,58 @@ class TestOfflineStepsizes:
         # t0 and t0 + n fall before, inside and past a Table's end.
         got = optim.offline_stepsizes(schedule, t0, n)
         want = [schedule.value(t) for t in range(t0, t0 + n)]
-        assert [type(v) for v in got] == [type(v) for v in want]
-        assert np.array(got, float).tobytes() == np.array(want, float).tobytes()
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == np.array(want, float).tobytes()
+
+    TABLE = (0.3, 0.25, 0.25, 0.1)
+
+    # (schedule, t0, n): a Table's t0 inside, at and past its end, and an
+    # InvT range that crosses 2**53, where floats stop being exact integers.
+    CASES = {
+        "Constant": (optim.Constant(0.3), 2, 7),
+        "InvT": (optim.InvT(), 5, 1000),
+        "InvSqrtT": (optim.InvSqrtT(), 5, 1000),
+        "InvT past 2**53": (optim.InvT(), 2**53 - 1, 6),
+        "Table, t0 inside": (optim.Table(TABLE), 1, 6),
+        "Table, t0 at the end": (optim.Table(TABLE), 4, 3),
+        "Table, t0 past the end": (optim.Table(TABLE), 9, 3),
+        "Table subclass": (TableSubclass(TABLE), 1, 6),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_cases_equal_value_comprehension(self, case):
+        schedule, t0, n = self.CASES[case]
+        got = optim.offline_stepsizes(schedule, t0, n)
+        want = np.array([schedule.value(t) for t in range(t0, t0 + n)])
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t0", [0, 2, 9])
+    def test_writing_the_result_leaves_the_table_unchanged(self, t0):
+        table = optim.Table(self.TABLE)
+        got = optim.offline_stepsizes(table, t0, 5)
+        got[:] = -1.0
+        assert table.values == self.TABLE
+        assert optim.offline_stepsizes(table, 0, 4).tolist() == list(self.TABLE)
 
     def test_adaptive_nuclear_raises_as_value_does(self):
-        assert optim.offline_stepsizes(optim.AdaptiveNuclear(0.1), 3, 0) == []
+        assert optim.offline_stepsizes(optim.AdaptiveNuclear(0.1), 3, 0).tolist() == []
         with pytest.raises(ValueError, match="momentum"):
             optim.offline_stepsizes(optim.AdaptiveNuclear(0.1), 3, 2)
 
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError, match="t0"):
             optim.offline_stepsizes(optim.Table((0.1, 0.2)), -1, 2)
+
+    @pytest.mark.parametrize("bad", [-1, True, 2.0, "3"])
+    def test_t0_and_n_must_be_nonnegative_integers(self, bad):
+        with pytest.raises(ValueError, match="t0 must be nonnegative: a nonnegative integer"):
+            optim.offline_stepsizes(optim.InvT(), bad, 2)
+        with pytest.raises(ValueError, match="n must be nonnegative: a nonnegative integer"):
+            optim.offline_stepsizes(optim.InvT(), 0, bad)
+
+    def test_numpy_integers_are_accepted(self):
+        got = optim.offline_stepsizes(optim.InvT(), np.int64(2), np.int64(3))
+        assert got.tolist() == [1 / 3, 1 / 4, 1 / 5]
 
 
 class TestOptimizerState:
@@ -760,6 +801,40 @@ class TestDiagonalRun:
         assert len(calls) == 4
 
 
+class TestDiagonalTrace:
+    """The Trace the float loop and the lock-step engine build from their records."""
+
+    SCHEDULES = (optim.Table((0.3, 0.2, 0.1)), optim.Constant(0.1), optim.InvT(),
+                 optim.InvSqrtT(), optim.AdaptiveNuclear(0.05))
+
+    def traces(self, method, schedule, T=6):
+        fn = cex.KinkyFunction(c=0.3)
+        st = state(np.diag([1.0, -0.5]), beta=0.5, schedule=schedule)
+        with counting_steps() as calls:
+            yield optim.run(method, fn.oracle(), st, T)
+            yield optim.run(method, fn.oracle(), st, T, track_average=False)
+            yield from optim.run_batch(method, [fn, fn], [st, st], T)
+        assert not calls  # every Trace came from a float loop
+
+    @pytest.mark.parametrize("method", DIAGONAL_METHODS)
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=repr)
+    def test_columns_are_native_aligned_writable_float64(self, method, schedule):
+        for tr in self.traces(method, schedule):
+            for col in TRACE_COLUMNS:
+                a = getattr(tr, col)
+                assert a.dtype == np.float64 and a.dtype.isnative and a.shape == (7,)
+                assert a.flags.c_contiguous and a.flags.aligned and a.flags.writeable
+
+    @pytest.mark.parametrize("method", DIAGONAL_METHODS)
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=repr)
+    def test_writing_a_trace_does_not_change_a_later_run(self, method, schedule):
+        expected = [trace_bytes(tr) for tr in self.traces(method, schedule)]
+        for tr in self.traces(method, schedule):
+            for col in TRACE_COLUMNS:
+                getattr(tr, col)[:] = -1.0
+        assert [trace_bytes(tr) for tr in self.traces(method, schedule)] == expected
+
+
 def result_or_error(fn):
     """fn()'s trace bytes, or the type and message of what it raised."""
     try:
@@ -909,6 +984,31 @@ class TestRunBatch:
         for method in DIAGONAL_METHODS:
             for fn, st, tr in zip(fns, states, optim.run_batch(method, fns, states, 0)):
                 assert_same_trace(tr, optim.run(method, fn.oracle(), st, 0, track_average=False))
+
+
+class TestStepCounts:
+    """T (the number of steps) must be a nonnegative integer, as the state's t."""
+
+    # Each call's result, as bytes where it is an array or a Trace.
+    CALLS = {
+        "run": lambda T: trace_bytes(optim.run("muon", kinky_oracle(), state(np.eye(2)), T)),
+        "run_batch": lambda T: [trace_bytes(tr) for tr in optim.run_batch(
+            "muon", [cex.KinkyFunction(c=0.5)], [state(np.eye(2))], T)],
+        "efm_bound": lambda T: optim.efm_bound(T, 0.5, 0.5, 1.0, 1.0),
+        "efm_bound_column": lambda T: optim.efm_bound_column(T, 0.5, 0.5, 1.0, 1.0).tobytes(),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("T", [-1, True, False, 2.0, 2.5, "3"])
+    def test_rejects_T_that_is_not_a_nonnegative_integer(self, call, T):
+        # run took one step for True, run_batch raised TypeError, run with
+        # 2.0 failed inside numpy and efm_bound(2.5, ...) returned a number.
+        with pytest.raises(ValueError, match="T must be nonnegative: a nonnegative integer"):
+            self.CALLS[call](T)
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_numpy_integer_T_is_accepted(self, call):
+        assert self.CALLS[call](np.int64(3)) == self.CALLS[call](3)
 
 
 class TestBound:
