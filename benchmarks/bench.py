@@ -55,7 +55,9 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
   square start (the product rules on a two-layer point of that width).
 
 Every per-unit figure is given from the median and, under ``*_min``, from the
-minimum; on a shared host the minimum is the steadier of the two.
+minimum; on a shared host the minimum is the steadier of the two.  A timing
+of many calls frees each result before the next call, so it does not time
+the allocator's growth and page faults for results kept alive.
 
 Each run is stored under ``--label`` in the output file, beside the runs
 already there, so that running the script on two checkouts records a
@@ -130,6 +132,15 @@ def _timed(fn) -> dict:
             "max_ms": max(times), "repeats": REPEATS}
 
 
+def _calls(fn, args):
+    """A timing body that calls ``fn(*a)`` for each ``a`` in ``args``,
+    dropping each result before the next call."""
+    def loop():
+        for a in args:
+            fn(*a)
+    return loop
+
+
 def _per_unit(timing: dict, key: str, units: int) -> dict:
     """``timing`` with its median and its minimum, in microseconds per unit,
     stored under ``key`` and ``key + "_min"``."""
@@ -162,11 +173,9 @@ def _step_timings() -> dict:
             "us_per_step", STEP_T)
     oracle, W = fn.oracle(), np.diag([1.0, -0.5])
     state = optim.OptimizerState(W=W, beta=0.2, schedule=table)
-
-    def empty_runs():
-        for _ in range(EMPTY_RUNS):
-            optim.run("muon", oracle, state, 0, track_average=False)
-    timings["run[muon+Table,T=0]"] = _per_unit(_timed(empty_runs), "us_per_call", EMPTY_RUNS)
+    timings["run[muon+Table,T=0]"] = _per_unit(_timed(
+        _calls(optim.run, [("muon", oracle, state, 0, False)] * EMPTY_RUNS)),
+        "us_per_call", EMPTY_RUNS)
     sweep_state = optim.OptimizerState(W=np.random.default_rng(1).standard_normal((2, 2)),
                                        beta=0.2, schedule=optim.Table(table.values[:SWEEP_T]))
 
@@ -179,18 +188,13 @@ def _step_timings() -> dict:
     offline_table = optim.Table(tuple(np.random.default_rng(2).uniform(0.01, 0.3, OFFLINE_N)))
     for label, schedule in (("InvT", optim.InvT()), ("InvSqrtT", optim.InvSqrtT()),
                             ("Table", offline_table)):
-        def offline_calls(schedule=schedule):
-            for _ in range(OFFLINE_CALLS):  # each result freed before the next call
-                optim.offline_stepsizes(schedule, 0, OFFLINE_N)
-        timings[f"offline_stepsizes[{label},n={OFFLINE_N}]"] = _per_unit(
-            _timed(offline_calls), "us_per_call", OFFLINE_CALLS)
-
-    def evaluate():
-        for _ in range(ORACLE_CALLS):
-            oracle.evaluate(W)
-    timings["oracle.evaluate"] = _per_unit(_timed(evaluate), "us_per_call", ORACLE_CALLS)
+        timings[f"offline_stepsizes[{label},n={OFFLINE_N}]"] = _per_unit(_timed(
+            _calls(optim.offline_stepsizes, [(schedule, 0, OFFLINE_N)] * OFFLINE_CALLS)),
+            "us_per_call", OFFLINE_CALLS)
+    timings["oracle.evaluate"] = _per_unit(_timed(
+        _calls(oracle.evaluate, [(W,)] * ORACLE_CALLS)), "us_per_call", ORACLE_CALLS)
     timings["KinkyFunction.oracle"] = _per_unit(_timed(
-        lambda: [fn.oracle() for _ in range(ORACLE_BUILDS)]), "us_per_call", ORACLE_BUILDS)
+        _calls(fn.oracle, [()] * ORACLE_BUILDS)), "us_per_call", ORACLE_BUILDS)
     for schedule in (optim.InvT(), optim.Constant(0.2)):
         timings[f"cex1_build[{schedule!r},horizon={CEX1_HORIZON}]"] = _per_unit(_timed(
             lambda: cex.cex1_build(0.5, schedule, horizon=CEX1_HORIZON)), "us_per_call", 1)
@@ -243,7 +247,7 @@ def _kernel_timings() -> dict:
         for fname in ("lmo_min", "compress"):
             fn = getattr(norms, fname)
             timings[f"{fname}[{spec!r}]"] = _per_unit(_timed(
-                lambda: [fn(W, spec) for W in members]), "us_per_call", KERNEL_B)
+                _calls(fn, [(W, spec) for W in members])), "us_per_call", KERNEL_B)
             stacked = getattr(norms, f"{fname}_stack", None)
             if stacked is not None:
                 timings[f"{fname}_stack[{spec!r}]"] = _per_unit(_timed(
@@ -259,7 +263,7 @@ def _polar_timings() -> dict:
     timings = {}
     stack = rng.standard_normal((KERNEL_B, *KERNEL_MN))
     timings["polar_newton_schulz[4x4]"] = _per_unit(_timed(
-        lambda: [linalg.polar_newton_schulz(A) for A in stack]), "us_per_call", KERNEL_B)
+        _calls(linalg.polar_newton_schulz, [(A,) for A in stack])), "us_per_call", KERNEL_B)
     stacked = getattr(linalg, "polar_newton_schulz_stack", None)
     if stacked is not None:
         timings["polar_newton_schulz_stack[4x4]"] = _per_unit(_timed(
@@ -269,7 +273,7 @@ def _polar_timings() -> dict:
         for fname in ("polar_newton_schulz", "polar_exact"):
             fn = getattr(linalg, fname)
             timings[f"{fname}[{n}x{n}]"] = _per_unit(_timed(
-                lambda: [fn(A) for _ in range(calls)]), "us_per_call", calls)
+                _calls(fn, [(A,)] * calls)), "us_per_call", calls)
     return timings
 
 
@@ -287,7 +291,7 @@ def _stack_timings() -> dict:
             for fname in STACK_KERNELS:
                 fn = getattr(linalg, fname)
                 timings[f"{fname}[{n}x{n},B={B}]"] = _per_unit(_timed(
-                    lambda: [fn(A) for _ in range(calls)]), "us_per_call", calls)
+                    _calls(fn, [(A,)] * calls)), "us_per_call", calls)
     return timings
 
 

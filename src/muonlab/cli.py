@@ -2,8 +2,8 @@
 
 Subcommands: ``run`` (execute an experiment and write a CSV trace),
 ``verify`` (property-check suites), ``bound`` (print the convergence bound).
-Exit codes: 0 success, 1 property failure, 2 config error, 3 numerical
-failure.
+Exit codes: 0 success, 1 property failure, 2 config error (or an output
+that cannot be written), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def cmd_run(args) -> int:
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                cfg.update(json.load(fh))
+                loaded = json.load(fh)
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_CONFIG
@@ -67,6 +67,11 @@ def cmd_run(args) -> int:
             print(f"error: config parse failure at line {exc.lineno}, "
                   f"column {exc.colno}: {exc.msg}", file=sys.stderr)
             return EXIT_CONFIG
+        if not isinstance(loaded, dict):
+            print(f"error: config must be a JSON object, not {type(loaded).__name__}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
+        cfg.update(loaded)
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.polar is not None:
@@ -79,11 +84,12 @@ def cmd_run(args) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except linalg.NumericalError as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    harness.write_csv(args.out, trace, bound)
-    harness.write_sidecar(args.out, resolved)
+    try:
+        harness.write_csv(args.out, trace, bound)
+        harness.write_sidecar(args.out, resolved)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote {len(trace)} rows to {args.out}")
     return EXIT_OK
 
@@ -101,11 +107,7 @@ def cmd_verify(args) -> int:
             print("error: --trials must be at least 1", file=sys.stderr)
             return EXIT_CONFIG
         kwargs[harness.TRIAL_ARGS[args.suite]] = args.trials
-    try:
-        results = suite(**kwargs)
-    except linalg.NumericalError as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    results = suite(**kwargs)
     failed = 0
     for res in results:
         print(res.line())
@@ -127,7 +129,11 @@ def cmd_bound(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"run": cmd_run, "verify": cmd_verify, "bound": cmd_bound}[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except linalg.NumericalError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -19,18 +19,20 @@ DEFAULT_TAIL_TOL = 1e-12
 # Direct head lengths tried before giving up on the alternating tail sum.
 _HEAD_SIZES = (128, 1024, 8192, 65536)
 _EULER_LEVELS = 48
-# sign(0) under each kink selection.
-_KINK_SIGNS = {"zero": 0.0, "plus": 1.0, "minus": -1.0}
+
+# Each construction's c as a function of beta, keyed by style: "cex1" and
+# "cex2" are the two constructions' defaults, "appendix_e" the paper's
+# experiments.  A config's "c": "auto" reads it too.
+AUTO_C = {
+    "cex1": lambda beta: (1.0 - beta) / 2.0,
+    "cex2": lambda beta: 0.5 - beta,
+    "appendix_e": lambda beta: (1.0 - beta) / (2.0 * (1.0 + beta)),
+}
 
 
-def _sign(x: float, selection: str) -> float:
-    if x > 0:
-        return 1.0
-    if x < 0:
-        return -1.0
-    if selection not in _KINK_SIGNS:
-        raise ValueError(f"unknown kink selection {selection!r}")
-    return _KINK_SIGNS[selection]
+def _sign(x: float) -> float:
+    """sign(x), with sign(0) = 0 at a kink; a NaN falls in the zero class."""
+    return 1.0 if x > 0 else -1.0 if x < 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -60,51 +62,51 @@ class KinkyFunction:
         if self.m < 2 or self.n < 2:
             raise ValueError("need m, n >= 2")
 
+    def sd_value(self, s, d):
+        """c|s| + |d| at s = w1 + w2 and d = w1 - w2, floats or arrays alike:
+        the one expression of the objective."""
+        return self.c * abs(s) + abs(d)
+
     def diag_value(self, w1: float, w2: float) -> float:
-        return self.c * abs(w1 + w2) + abs(w1 - w2)
+        return self.sd_value(w1 + w2, w1 - w2)
 
     def value(self, W) -> float:
         return self.diag_value(float(W[0, 0]), float(W[1, 1]))
 
-    def diag_subgradient(self, w, selection: str = "zero") -> np.ndarray:
-        """Subgradient c*s1*(1,1) + s2*(1,-1), s1 = sign(w1+w2), s2 = sign(w1-w2).
-
-        ``selection`` fixes the choice at kinks: "zero" uses sign(0) = 0 (the
-        framework convention), "plus"/"minus" pick an extreme subgradient.
-        """
+    def diag_subgradient(self, w) -> np.ndarray:
+        """Subgradient c*s1*(1,1) + s2*(1,-1), s1 = sign(w1+w2), s2 = sign(w1-w2),
+        with sign(0) = 0 at the kinks."""
         w = np.asarray(w, float)
-        return np.array(self._diag_pair(w[0], w[1], selection))
+        return np.array(self._diag_pair(w[0], w[1]))
 
-    def subgradient(self, W, selection: str = "zero") -> np.ndarray:
+    def subgradient(self, W) -> np.ndarray:
         G = np.zeros((self.m, self.n))
-        G[0, 0], G[1, 1] = self._diag_pair(float(W[0, 0]), float(W[1, 1]), selection)
+        G[0, 0], G[1, 1] = self._diag_pair(float(W[0, 0]), float(W[1, 1]))
         return G
 
-    def _diag_pair(self, w1, w2, selection: str) -> tuple:
-        s1, s2 = _sign(w1 + w2, selection), _sign(w1 - w2, selection)
+    def _diag_pair(self, w1, w2) -> tuple:
+        s1, s2 = _sign(w1 + w2), _sign(w1 - w2)
         return self.c * s1 + s2, self.c * s1 - s2
 
-    def oracle(self, selection: str = "zero") -> KinkyOracle:
-        return KinkyOracle(self, selection)
+    def oracle(self) -> KinkyOracle:
+        return KinkyOracle(self)
 
-    def diag_oracle(self, selection: str = "zero") -> optim.FunctionOracle:
-        return optim.FunctionOracle(
-            lambda w: self.diag_value(w[0], w[1]),
-            lambda w: self.diag_subgradient(w, selection),
-        )
+    def diag_oracle(self) -> optim.FunctionOracle:
+        return optim.FunctionOracle(lambda w: self.diag_value(w[0], w[1]),
+                                    self.diag_subgradient)
 
 
-def _subgradients(fn: KinkyFunction, selection: str = "zero") -> tuple:
+def _subgradients(fn: KinkyFunction) -> tuple:
     """The nine subgradients of ``fn`` as a (9, m, n) stack, row
     3 * (s1 + 1) + (s2 + 1), their Frobenius norms, shape (9,), and each
     row's (G[0, 0], G[1, 1]) as a pair of floats.
 
     The subgradient depends on W only through the signs s1 of w1 + w2 and s2
     of w1 - w2; row k is ``fn.subgradient`` at any W of that sign class, by
-    its own expressions.  Sign 0 is the class of a zero, where ``selection``
-    decides.  ``linalg._fro_members`` is ``norms.fro`` of each row.
+    its own expressions.  Sign 0 is the class of a zero (and of a NaN).
+    ``linalg._fro_members`` is ``norms.fro`` of each row.
     """
-    signs = (-1.0, _sign(0.0, selection), 1.0)
+    signs = (-1.0, 0.0, 1.0)
     pairs = tuple((fn.c * s1 + s2, fn.c * s1 - s2) for s1 in signs for s2 in signs)
     G = np.zeros((9, fn.m, fn.n))
     G[:, 0, 0], G[:, 1, 1] = zip(*pairs)
@@ -112,28 +114,27 @@ def _subgradients(fn: KinkyFunction, selection: str = "zero") -> tuple:
 
 
 def _signs(x: np.ndarray) -> np.ndarray:
-    """``_sign(x, "zero")`` elementwise, as integers; NaN maps to 0."""
+    """``_sign(x)`` elementwise, as integers; NaN maps to 0."""
     return np.subtract(x > 0, x < 0, dtype=np.intp)
 
 
 class KinkyOracle:
     """The subgradient oracle of a KinkyFunction: ``evaluate(W)`` is
-    ``(fn.value(W), fn.subgradient(W, selection))`` bit for bit.
+    ``(fn.value(W), fn.subgradient(W))`` bit for bit.
 
-    ``evaluate`` reads the leading diagonal once and computes the value with
-    ``diag_value``'s expression.  The subgradient is a copy of one of the
-    nine from ``_subgradients``, picked by the sign classes of w1 + w2 and
-    w1 - w2.  A NaN falls in the class of a zero, as in ``_sign``.  ``rows``
-    holds the nine's ``(G[0, 0], G[1, 1])`` as floats, for the float loops
-    of ``optim.run`` and ``optim.run_batch``, and ``fro`` their Frobenius
-    norms.
+    ``evaluate`` reads the leading diagonal once and computes the value by
+    ``fn.sd_value``.  The subgradient is a copy of one of the nine from
+    ``_subgradients``, picked by the sign classes of w1 + w2 and w1 - w2.
+    A NaN falls in the class of a zero, as in ``_sign``.  ``rows`` holds the
+    nine's ``(G[0, 0], G[1, 1])`` as floats, for the float loops of
+    ``optim.run`` and ``optim.run_batch``, and ``fro`` their Frobenius norms.
     """
 
     __slots__ = ("fn", "_table", "rows", "fro")
 
-    def __init__(self, fn: KinkyFunction, selection: str = "zero"):
+    def __init__(self, fn: KinkyFunction):
         self.fn = fn
-        self._table, self.fro, self.rows = _subgradients(fn, selection)
+        self._table, self.fro, self.rows = _subgradients(fn)
 
     def value(self, W) -> float:
         return self.fn.value(W)
@@ -144,7 +145,7 @@ class KinkyOracle:
         s = w1 + w2
         d = w1 - w2
         k = 3 * ((s > 0) - (s < 0)) + (d > 0) - (d < 0) + 4
-        return self.fn.c * abs(s) + abs(d), self._table[k].copy()
+        return self.fn.sd_value(s, d), self._table[k].copy()
 
     def grad_fro(self, s: np.ndarray, d: np.ndarray) -> np.ndarray:
         """``norms.fro`` of the subgradient ``evaluate`` returns at each
@@ -262,7 +263,7 @@ def cex1_build(beta, schedule, r: float = 1.0, delta: float = 0.0,
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
     if c is None:
-        c = (1.0 - beta) / 2.0
+        c = AUTO_C["cex1"](beta)
     if not c < (1.0 - beta) / (1.0 + beta):
         raise ValueError("need c < (1-beta)/(1+beta)")
     if not 1.0 <= r < math.inf:
@@ -332,13 +333,14 @@ def cex2_guard_check(W0, beta, schedule, T: int, method: str = "muon",
     The bad set is characterized by p_0 = 0 or by q_t hitting 0 at some
     step; enumerating it is infeasible, so the check simulates the run and
     verifies q_t != 0 for all t <= T, which is the exact condition the
-    non-convergence argument consumes.
+    non-convergence argument consumes; a NaN q_t fails it too.  ``W0`` must
+    be a finite matrix (``linalg.as_matrix``).
     """
     if not 0.0 <= beta < 0.5:
         raise ValueError("beta must lie in [0, 1/2)")
     if c is None:
-        c = 0.5 - beta
-    W0 = np.asarray(W0, float)
+        c = AUTO_C["cex2"](beta)
+    W0 = linalg.as_matrix(W0)
     fn = KinkyFunction(c=c, m=W0.shape[0], n=W0.shape[1])
     p0 = float(W0[0, 0] + W0[1, 1])
     q0 = float(W0[0, 0] - W0[1, 1])
@@ -346,8 +348,7 @@ def cex2_guard_check(W0, beta, schedule, T: int, method: str = "muon",
         return Cex2Guard(T=T, p0=p0, q0=q0, ok=False, first_bad_t=0)
     state = optim.OptimizerState(W=W0.copy(), beta=beta, schedule=schedule)
     tr = optim.run(method, fn.oracle(), state, T, track_average=False)
-    q = tr.diff_diag
-    bad = np.nonzero(q == 0.0)[0]
+    bad = np.flatnonzero(~(np.abs(tr.diff_diag) > 0.0))  # a NaN q is a hit too
     if bad.size:
         return Cex2Guard(T=T, p0=p0, q0=q0, ok=False, first_bad_t=int(bad[0]))
     return Cex2Guard(T=T, p0=p0, q0=q0, ok=True)

@@ -61,13 +61,6 @@ PRESETS = {
     "efm-appendixE": _preset_efm,
 }
 
-_AUTO_C = {
-    "cex1": lambda beta: (1.0 - beta) / 2.0,
-    "cex2": lambda beta: 0.5 - beta,
-    "appendix_e": lambda beta: (1.0 - beta) / (2.0 * (1.0 + beta)),
-}
-
-
 def _real(value, what: str) -> float:
     """A config number: any real but a bool; strings such as "0.5" are refused."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -142,7 +135,7 @@ def resolve_config(raw: dict) -> dict:
     cfg["beta"] = beta
     if cfg["c"] == "auto":
         try:
-            cfg["c"] = _AUTO_C[cfg["style"]](beta)
+            cfg["c"] = cex.AUTO_C[cfg["style"]](beta)
         except KeyError:
             raise ConfigError(f"unknown style {cfg['style']!r}") from None
     cfg["c"] = _real(cfg["c"], "c")
@@ -208,7 +201,7 @@ def _resolve_bound(cfg: dict, W0: np.ndarray) -> dict:
     if unknown:
         raise ConfigError(f"bound has unknown keys {unknown}")
     b = {
-        "delta": 1.0 / min(cfg["m"], cfg["n"]),
+        "delta": norms.compressor_constants(norms.OperatorNorm(), (cfg["m"], cfg["n"])).delta,
         "sigma": cex.lipschitz_bound(cfg["c"]),
         "dist0": math.hypot(W0[0, 0], W0[1, 1]),
     }
@@ -595,7 +588,7 @@ def suite_cex2(n_inits: int = 100, T: int = 2000) -> list:
     rng = np.random.default_rng(23)
     results = []
     for beta in (0.0, 0.2, 0.4):
-        c = 0.5 - beta
+        c = cex.AUTO_C["cex2"](beta)
         fn = cex.KinkyFunction(c=c)
         table = optim.Table(tuple(rng.uniform(0.01, 0.3, T)))
         for label, method, schedule in (

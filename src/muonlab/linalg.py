@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Centralized numeric defaults; reduced_svd and the Newton-Schulz kernels
-# accept overrides per call.
+# The kernels' fixed numeric constants: the relative rank cut of every SVD
+# and the Newton-Schulz iteration count.
 SVD_TRUNCATION_RTOL = 1e-12
 NEWTON_SCHULZ_DEFAULT_ITERS = 12
 NEWTON_SCHULZ_GROWTH_LIMIT = 10.0
@@ -83,16 +83,13 @@ class SvdFactors:
         return (self.U * self.sigma) @ self.Vt
 
 
-def reduced_svd(A, tol: float = SVD_TRUNCATION_RTOL) -> SvdFactors:
+def reduced_svd(A) -> SvdFactors:
     """Reduced SVD with relative rank truncation.
 
-    Singular values <= tol * sigma_max are dropped, so the zero matrix has
-    rank 0 and empty factors.
+    Singular values <= SVD_TRUNCATION_RTOL * sigma_max are dropped, so the
+    zero matrix has rank 0 and empty factors.
     """
-    A = as_matrix(A)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return _truncated(*_svd(A), tol)
+    return _truncated(*_svd(as_matrix(A)))
 
 
 def _svd(A: np.ndarray) -> tuple:
@@ -103,11 +100,11 @@ def _svd(A: np.ndarray) -> tuple:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
 
 
-def _truncated(U: np.ndarray, s: np.ndarray, Vt: np.ndarray, tol: float) -> SvdFactors:
+def _truncated(U: np.ndarray, s: np.ndarray, Vt: np.ndarray) -> SvdFactors:
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.count_nonzero(s > tol * s[0]))
+        rank = int(np.count_nonzero(s > SVD_TRUNCATION_RTOL * s[0]))
     return SvdFactors(
         U=np.ascontiguousarray(U[:, :rank]),
         sigma=s[:rank].copy(),
@@ -195,7 +192,7 @@ def _polar_stack(A: np.ndarray, nuclear: np.ndarray | None) -> np.ndarray:
     full = np.all(s > SVD_TRUNCATION_RTOL * s[:, :1], axis=1)
     X[svd[full]] = U[full] @ Vt[full]
     for j in np.flatnonzero(~full):
-        f = _truncated(U[j], s[j], Vt[j], SVD_TRUNCATION_RTOL)
+        f = _truncated(U[j], s[j], Vt[j])
         X[svd[j]] = _polar_of(f, A[svd[j]])
     if nuclear is not None:
         nuclear[svd] = s.sum(axis=1)
@@ -242,21 +239,21 @@ def nuclear_norm_stack(A) -> np.ndarray:
     return _norm_stack(A, "nuc")
 
 
-def polar_newton_schulz(A, iters: int = NEWTON_SCHULZ_DEFAULT_ITERS) -> np.ndarray:
+def polar_newton_schulz(A) -> np.ndarray:
     """Approximate the polar factor with the cubic iteration X <- 1.5X - 0.5 X X^T X.
 
     The input is pre-scaled by its Frobenius norm so all singular values lie
     in (0, 1]; one whose sum of squares overflows or underflows is divided
     by its largest |entry| first.  Accuracy target: within 1e-4 of
-    ``polar_exact`` at the default iteration count for mildly conditioned
-    inputs; heavily rank-deficient or ill-conditioned inputs converge more
-    slowly.  The zero matrix maps to zero without iterating.  This is the
-    B = 1 case of ``polar_newton_schulz_stack``.
+    ``polar_exact`` after NEWTON_SCHULZ_DEFAULT_ITERS iterations for mildly
+    conditioned inputs; heavily rank-deficient or ill-conditioned inputs
+    converge more slowly.  The zero matrix maps to zero without iterating.
+    This is the B = 1 case of ``polar_newton_schulz_stack``.
     """
-    return _newton_schulz(as_matrix(A)[None], iters)[0]
+    return _newton_schulz(as_matrix(A)[None])[0]
 
 
-def polar_newton_schulz_stack(A, iters: int = NEWTON_SCHULZ_DEFAULT_ITERS) -> np.ndarray:
+def polar_newton_schulz_stack(A) -> np.ndarray:
     """``polar_newton_schulz`` of each member of a (B, m, n) stack, bit for bit.
 
     Every rule holds per member: the Frobenius pre-scaling, zero members
@@ -267,7 +264,7 @@ def polar_newton_schulz_stack(A, iters: int = NEWTON_SCHULZ_DEFAULT_ITERS) -> np
     A = _as_stack(A)
     if not _all_finite(A):
         raise ValueError("matrix entries must be finite")
-    return _newton_schulz(A, iters)
+    return _newton_schulz(A)
 
 
 def _fro_members(A: np.ndarray) -> np.ndarray:
@@ -276,11 +273,9 @@ def _fro_members(A: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat))
 
 
-def _newton_schulz(A: np.ndarray, iters: int) -> np.ndarray:
+def _newton_schulz(A: np.ndarray) -> np.ndarray:
     # A stacked matmul is the 2-d one per member, so each member's iterates
     # are what a stack of one gives.
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
     # A nonzero member whose sum of squares overflows or underflows would be
     # divided by inf or taken for zero: divide it by its largest |entry|
     # first.  Every other member keeps its bits.
@@ -296,11 +291,11 @@ def _newton_schulz(A: np.ndarray, iters: int) -> np.ndarray:
     if not live.all():
         X = np.zeros_like(A)
         if live.any():
-            X[live] = _newton_schulz(A[live], iters)
+            X[live] = _newton_schulz(A[live])
         return X
     X = A / fro[:, None, None]
     limit = NEWTON_SCHULZ_GROWTH_LIMIT * math.sqrt(min(A.shape[1:]))
-    for _ in range(iters):
+    for _ in range(NEWTON_SCHULZ_DEFAULT_ITERS):
         X = 1.5 * X - 0.5 * (X @ X.mT @ X)
         # The largest member norm, NaN or inf if any entry is not finite:
         # one test of both checks.

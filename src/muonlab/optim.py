@@ -544,13 +544,13 @@ def _diagonal_trace(oracle, W1, W2, lam, means=None) -> Trace:
     W1 and W2, the first two diagonal entries of W_0 .. W_T; ``lam``, the T
     stepsizes and a slot for the final NaN; the means' entries, if given.
     f, favg and grad_fro are derived, numpy's warnings off as the floats' are."""
-    c = oracle.fn.c
+    fn = oracle.fn
     with np.errstate(all="ignore"):
         S, D = W1 + W2, W1 - W2
-        f = c * np.abs(S) + np.abs(D)
+        f = fn.sd_value(S, D)
         grad_fro = oracle.grad_fro(S, D)
         favg = np.full(len(W1), np.nan) if means is None else \
-            c * np.abs(means[0] + means[1]) + np.abs(means[0] - means[1])
+            fn.sd_value(means[0] + means[1], means[0] - means[1])
     lam[-1] = grad_fro[-1] = np.nan
     return Trace(np.arange(len(W1), dtype=float), lam, f, W1, W2, grad_fro, favg)
 

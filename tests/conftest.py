@@ -1,4 +1,18 @@
 import sys
+import warnings
+
+# When a hypothesis test fails, hypothesis's pytest plugin imports this
+# module, and with libcst installed the import warns (DeprecationWarning from
+# mypy_extensions).  Under filterwarnings = error that warning ends the whole
+# session with an INTERNALERROR, hiding the failure.  Importing it here, with
+# its own warnings ignored, leaves every warning of the code under test an
+# error.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    try:
+        import hypothesis.extra._patching
+    except ImportError:
+        pass
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -60,15 +60,8 @@ class TestKinkyFunction:
 
     def test_kink_selections(self):
         fn = cex.KinkyFunction(c=0.5)
-        w = np.array([1.0, 1.0])  # on the |w1 - w2| kink
-        g0 = fn.diag_subgradient(w, "zero")
-        gp = fn.diag_subgradient(w, "plus")
-        gm = fn.diag_subgradient(w, "minus")
-        np.testing.assert_allclose(g0, [0.5, 0.5])
-        np.testing.assert_allclose(gp, [1.5, -0.5])
-        np.testing.assert_allclose(gm, [-0.5, 1.5])
-        with pytest.raises(ValueError):
-            fn.diag_subgradient(w, "bogus")
+        w = np.array([1.0, 1.0])  # on the |w1 - w2| kink, where sign(0) = 0
+        np.testing.assert_allclose(fn.diag_subgradient(w), [0.5, 0.5])
 
     def test_subgradient_inequality(self):
         rng = np.random.default_rng(22)
@@ -109,17 +102,16 @@ ORACLE_DIAGONALS = [
 
 
 class TestKinkyOracle:
-    @pytest.mark.parametrize("selection", ["zero", "plus", "minus"])
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2)])
-    def test_equals_function_bit_for_bit(self, selection, shape):
+    def test_equals_function_bit_for_bit(self, shape):
         rng = np.random.default_rng(24)
         fn = cex.KinkyFunction(c=0.35, m=shape[0], n=shape[1])
-        oracle = fn.oracle(selection)
+        oracle = fn.oracle()
         for w1, w2 in ORACLE_DIAGONALS:
             W = rng.standard_normal(shape)  # off-diagonal entries are ignored
             W[0, 0], W[1, 1] = w1, w2
             value, G = oracle.evaluate(W)
-            ref = fn.subgradient(W, selection)
+            ref = fn.subgradient(W)
             assert type(value) is float
             assert _bits(value) == _bits(fn.value(W)) == _bits(oracle.value(W))
             assert G.shape == ref.shape and G.dtype == ref.dtype
@@ -133,10 +125,6 @@ class TestKinkyOracle:
         G[:] = 99.0
         _, again = oracle.evaluate(W)
         np.testing.assert_array_equal(again, fn.subgradient(W))
-
-    def test_unknown_selection(self):
-        with pytest.raises(ValueError, match="kink selection"):
-            cex.KinkyFunction(c=0.3).oracle("bogus")
 
 
 class TestComputeR:
@@ -165,6 +153,20 @@ class TestComputeR:
         with pytest.raises(ValueError):
             cex.compute_R(optim.Table((0.1, 0.2)), 0)
 
+    def test_rejects_negative_t_and_T(self):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            cex.compute_R(optim.InvT(), -1)
+        with pytest.raises(ValueError, match="T must be nonnegative"):
+            cex.compute_R_sequence(optim.InvT(), -1)
+
+    def test_rejects_schedule_below_its_limit(self):
+        class BelowLimit(optim.Constant):
+            def limit(self):
+                return 2.0 * self.lam
+
+        with pytest.raises(ValueError, match="fall below the declared limit"):
+            cex.compute_R(BelowLimit(0.1), 0)
+
 
 class TestCex1:
     def test_appendix_style_build(self):
@@ -187,6 +189,18 @@ class TestCex1:
             cex.cex1_build(0.5, optim.Constant(0.2), r=0.5)
         with pytest.raises(ValueError):
             cex.cex1_build(0.5, optim.Constant(0.2), c=0.4)  # >= (1-b)/(1+b)
+
+    @pytest.mark.parametrize("beta", [-0.1, 1.0])
+    def test_rejects_beta_outside_unit_interval(self, beta):
+        with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\)"):
+            cex.cex1_build(beta, optim.Constant(0.2))
+
+    def test_rejects_delta_at_half_the_limit(self):
+        # R_t > lam/2 up to the horizon, but R_t tends to lam/2 = 0.1 past it.
+        schedule = optim.Table(tuple(0.2 + 1.0 / (t + 1) for t in range(1000)) + (0.2,))
+        cex.cex1_build(0.5, schedule, delta=0.099, horizon=10)
+        with pytest.raises(ValueError, match="lambda/2"):
+            cex.cex1_build(0.5, schedule, delta=0.1, horizon=10)
 
     @pytest.mark.parametrize("kw, match", [
         ({"r": math.inf}, "finite r"),
@@ -211,6 +225,8 @@ class TestCex1:
         for t in range(40):
             w1, w2 = cex.cex1_predicted_iterate(init, t)
             assert abs(w1 + w2 - 2 * init.r) < 1e-12
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            cex.cex1_predicted_iterate(init, -1)
 
     def test_lazy_extension_equals_a_longer_horizon(self):
         # Past the build horizon Cex1Init extends R by the recursion that
@@ -261,3 +277,20 @@ class TestCex2:
         assert not g.ok  # p0 = 0
         with pytest.raises(ValueError):
             cex.cex2_guard_check(np.eye(2), 0.6, sch, 10)
+
+    @pytest.mark.parametrize("W0, match", [(np.diag([np.nan, 1.0]), "must be finite"),
+                                           (np.array([1.0, 0.5]), "2-d")])
+    def test_guard_check_rejects_invalid_starts(self, W0, match):
+        # The NaN start used to pass (q is NaN at every step); the 1-d one
+        # raised a bare IndexError.
+        with pytest.raises(ValueError, match=match):
+            cex.cex2_guard_check(W0, 0.2, optim.Table((0.1,)), 10)
+
+    # The general loop's numpy warns on the overflowing stepsize.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_guard_check_counts_a_nan_q_as_a_hit(self):
+        # The stepsize overflows: q is [0.5, -inf, nan, ...].  This run used
+        # to pass.
+        g = cex.cex2_guard_check(np.diag([1.0, 0.5]), 0.0, optim.AdaptiveNuclear(1e308), 6,
+                                 method="regmuon")
+        assert not g.ok and g.first_bad_t == 2

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from muonlab import cli, harness, optim
+from muonlab import cli, harness, linalg, optim
 from muonlab import counterexample as cex
 
 
@@ -50,6 +50,19 @@ class TestConfig:
                                        "signmomentum", "efmuon")
         for method in harness.RUN_METHODS:
             harness.run_experiment({**self.BASE, "method": method, "T": 3})
+
+    @pytest.mark.parametrize("override, match", [
+        ({"schedule": {}}, "schedule needs a 'kind' field"),
+        ({"schedule": "invt"}, "schedule needs a 'kind' field"),
+        ({"style": "bogus"}, "unknown style 'bogus'"),
+        ({"c": 0.0}, r"c must lie in \(0, 1\)"),
+        ({"c": 1.0}, r"c must lie in \(0, 1\)"),
+        ({"T": -1}, "T must be nonnegative"),
+        ({"polar": "svd"}, "polar must be 'exact' or 'ns'"),
+    ])
+    def test_rejects_out_of_domain_values(self, override, match):
+        with pytest.raises(harness.ConfigError, match=match):
+            harness.resolve_config({**self.BASE, **override})
 
     def test_rejects_unknown_key(self):
         with pytest.raises(harness.ConfigError, match="unknown config keys"):
@@ -116,6 +129,9 @@ class TestConfig:
         ({"kind": "explicit", "diag": [1, "2"]}, "diag entry must be a number"),
         ({"kind": "random", "scale": True}, "scale must be a number"),
         ({"kind": "explicit", "matrix": [["1", "0"], ["0", "1"]]}, "matrix entries"),
+        ({"kind": "explicit", "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}, "shape mismatch"),
+        ({"kind": "explicit"}, "explicit init needs 'matrix' or 'diag'"),
+        ({"kind": "bogus"}, "unknown init kind 'bogus'"),
     ])
     def test_rejects_bad_init(self, init, match):
         with pytest.raises(harness.ConfigError, match=match):
@@ -590,6 +606,41 @@ class TestCli:
         assert rc == cli.EXIT_CONFIG
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "tr.csv").exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', '[["method", "muon"]]'])
+    def test_run_config_not_an_object_exits_config_error(self, text, tmp_path, capsys):
+        # The first two used to end in a traceback and exit 1; the third ran.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc = cli.main(["run", "--preset", "cex1-appendixE", "--config", str(cfg),
+                       "--out", str(tmp_path / "tr.csv")])
+        assert rc == cli.EXIT_CONFIG
+        assert "config must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "tr.csv").exists()
+
+    def test_run_unwritable_output_exits_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "tr.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 3}))
+        rc = cli.main(["run", "--preset", "cex1-appendixE", "--config", str(cfg),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "polar", "--trials", "2"], "error: numerical failure: diverged\n"),
+        (["run", "--preset", "cex1-appendixE", "--polar", "ns"],
+         "error: numerical failure: step t=0 failed: diverged\n"),
+    ])
+    def test_numerical_failure_exits_3(self, argv, message, tmp_path, capsys, monkeypatch):
+        def diverged(A):
+            raise linalg.NumericalError("diverged")
+
+        monkeypatch.setattr(linalg, "_newton_schulz", diverged)
+        monkeypatch.chdir(tmp_path)  # where run writes its default trace.csv
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == message
+        assert not list(tmp_path.iterdir())
 
     def test_run_bad_config_values(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

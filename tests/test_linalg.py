@@ -58,8 +58,8 @@ class TestReducedSvd:
             linalg.reduced_svd(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             linalg.reduced_svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            linalg.reduced_svd(np.eye(2), tol=0.0)
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            linalg.reduced_svd(np.zeros((0, 2)))
 
 
 class TestPolarExact:
@@ -306,10 +306,6 @@ class TestPolarNewtonSchulz:
     def test_zero_input(self):
         np.testing.assert_array_equal(linalg.polar_newton_schulz(np.zeros((2, 2))), np.zeros((2, 2)))
 
-    def test_bad_iters(self):
-        with pytest.raises(ValueError):
-            linalg.polar_newton_schulz(np.eye(2), iters=0)
-
     @pytest.mark.parametrize("scale", [1e200, 1e154, 1e-170])
     def test_frobenius_overflow_or_underflow(self, scale):
         # Each used to return the zero matrix: the Frobenius norm came out as
@@ -319,7 +315,7 @@ class TestPolarNewtonSchulz:
                                    atol=1e-12)
 
 
-def ns_reference(A, iters=linalg.NEWTON_SCHULZ_DEFAULT_ITERS):
+def ns_reference(A):
     """The 2-d iteration ``polar_newton_schulz`` ran before it became the
     B = 1 case of ``polar_newton_schulz_stack``, kept as the reference."""
     A = linalg.as_matrix(A)
@@ -328,7 +324,7 @@ def ns_reference(A, iters=linalg.NEWTON_SCHULZ_DEFAULT_ITERS):
         return np.zeros_like(A)
     X = A / fro
     limit = linalg.NEWTON_SCHULZ_GROWTH_LIMIT * math.sqrt(min(A.shape))
-    for _ in range(iters):
+    for _ in range(linalg.NEWTON_SCHULZ_DEFAULT_ITERS):
         X = 1.5 * X - 0.5 * (X @ X.T @ X)
         if not np.all(np.isfinite(X)) or np.linalg.norm(X) > limit:
             raise linalg.NumericalError("Newton-Schulz iteration diverged")
@@ -379,13 +375,13 @@ class TestNewtonSchulzStack:
     """Each member of a stack is the B = 1 call, and both are the 2-d
     iteration they replaced, bit for bit."""
 
-    def check_members(self, A, iters=linalg.NEWTON_SCHULZ_DEFAULT_ITERS):
-        got = linalg.polar_newton_schulz_stack(A, iters=iters)
+    def check_members(self, A):
+        got = linalg.polar_newton_schulz_stack(A)
         assert got.shape == A.shape
         for b in range(len(A)):
-            one = linalg.polar_newton_schulz(A[b], iters=iters)
+            one = linalg.polar_newton_schulz(A[b])
             assert_same_bits(got[b], one)
-            assert_same_bits(one, ns_reference(A[b], iters))
+            assert_same_bits(one, ns_reference(A[b]))
 
     @pytest.mark.parametrize("shape", [(2, 2), (5, 3), (3, 5), (1, 4), (4, 1), (8, 8), (33, 17)])
     def test_mixed_members(self, shape):
@@ -400,7 +396,6 @@ class TestNewtonSchulzStack:
         A[6] = 0.0
         A[6, k, k] = rng.standard_normal(k.size)  # diagonal
         self.check_members(A)
-        self.check_members(A, iters=1)
         assert_same_bits(linalg.polar_newton_schulz_stack(A)[[1, 5]], np.zeros((2, m, n)))
 
     def test_frobenius_overflow_or_underflow_member(self):
@@ -453,14 +448,6 @@ class TestNewtonSchulzStack:
             linalg.polar_newton_schulz_stack(A)
         assert str(got.value) == str(ref.value) == "matrix entries must be finite"
 
-    def test_bad_iters(self):
-        A = np.stack([np.eye(2), np.zeros((2, 2))])
-        for iters in (0, -1):
-            with pytest.raises(ValueError, match="iters must be >= 1"):
-                linalg.polar_newton_schulz_stack(A, iters=iters)
-            with pytest.raises(ValueError, match="iters must be >= 1"):
-                linalg.polar_newton_schulz(A[1], iters=iters)
-
     def test_rejects_non_stack(self):
         with pytest.raises(ValueError, match="stack"):
             linalg.polar_newton_schulz_stack(np.eye(2))
@@ -503,6 +490,11 @@ class TestNorm:
             assert fro / np.sqrt(min(A.shape)) <= op + tol
             assert op <= fro + tol
             assert fro <= nuc + tol
+
+    @pytest.mark.parametrize("kind", ["op", "nuc"])
+    def test_matrix_norms_need_a_matrix(self, kind):
+        with pytest.raises(ValueError, match="expected a 2-d array"):
+            linalg.norm(np.ones(3), kind)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("kind", ["op", "nuc"])

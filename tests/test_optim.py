@@ -169,6 +169,11 @@ class TestOptimizerState:
     def test_accepts_numpy_integer_t(self):
         assert optim.OptimizerState(W=np.eye(2), t=np.int64(3)).t == 3
 
+    @pytest.mark.parametrize("beta", [-0.1, 1.0, math.nan])
+    def test_rejects_beta_outside_unit_interval(self, beta):
+        with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\)"):
+            optim.OptimizerState(W=np.eye(2), beta=beta)
+
 
 class TestBasicSteps:
     def test_specgd_zero_gradient(self):
@@ -510,9 +515,9 @@ def trace_bytes(tr):
     return tuple(getattr(tr, col).tobytes() for col in TRACE_COLUMNS)
 
 
-def general_oracle(fn, selection="zero"):
+def general_oracle(fn):
     """fn's oracle as a FunctionOracle, which run's float loop does not take."""
-    return optim.FunctionOracle(fn.value, lambda W: fn.subgradient(W, selection))
+    return optim.FunctionOracle(fn.value, fn.subgradient)
 
 
 @contextlib.contextmanager
@@ -540,7 +545,7 @@ _SCHEDULES = hs.one_of(
 
 @hs.composite
 def diagonal_runs(draw):
-    """(method, KinkyFunction, selection, state factory, T, track_average)."""
+    """(method, KinkyFunction, state factory, T, track_average)."""
     shape = draw(hs.sampled_from(((2, 2), (3, 4), (4, 3))))
     fn = cex.KinkyFunction(c=draw(hs.floats(0.05, 0.95)), m=shape[0], n=shape[1])
     w1 = draw(_ENTRIES)
@@ -557,8 +562,7 @@ def diagonal_runs(draw):
         return optim.OptimizerState(W=W0.copy(), beta=beta, schedule=schedule,
                                     M=M0.copy(), E=E0.copy(), t=t0)
 
-    return (draw(hs.sampled_from(DIAGONAL_METHODS)), fn,
-            draw(hs.sampled_from(("zero", "plus", "minus"))), state0,
+    return (draw(hs.sampled_from(DIAGONAL_METHODS)), fn, state0,
             draw(hs.integers(0, 30)), draw(hs.booleans()))
 
 
@@ -571,11 +575,11 @@ class TestDiagonalRun:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(diagonal_runs())
     def test_equals_general_loop_bit_for_bit(self, case):
-        method, fn, selection, state0, T, track_average = case
+        method, fn, state0, T, track_average = case
         with counting_steps() as calls:
-            fast = optim.run(method, fn.oracle(selection), state0(), T, track_average)
+            fast = optim.run(method, fn.oracle(), state0(), T, track_average)
         assert not calls  # all T steps ran in the float loop
-        general = optim.run(method, general_oracle(fn, selection), state0(), T, track_average)
+        general = optim.run(method, general_oracle(fn), state0(), T, track_average)
         assert trace_bytes(fast) == trace_bytes(general)
 
     @pytest.mark.parametrize("diag, first_failing_T", (((1.0, 1.0), 2), ((1.0, -0.5), 1)))
@@ -861,12 +865,12 @@ def _changed(state0, change):
 def batches(draw):
     """(method, [(KinkyFunction, state factory)], T).
 
-    The members are diagonal_runs' functions and starts; their method,
-    selection, T and track_average are not used.  Some get a Table whose
+    The members are diagonal_runs' functions and starts; their method, T
+    and track_average are not used.  Some get a Table whose
     steps overflow, or an M the float loop refuses.
     """
     members = []
-    for _, fn, _, state0, _, _ in draw(hs.lists(diagonal_runs(), min_size=1, max_size=6)):
+    for _, fn, state0, _, _ in draw(hs.lists(diagonal_runs(), min_size=1, max_size=6)):
         change = draw(hs.sampled_from((None, None, "overflowing Table", "non-diagonal M",
                                        "non-finite M")))
         members.append((fn, _changed(state0, change)))
@@ -1044,6 +1048,11 @@ class TestBound:
             optim.efm_bound(10, **kw)
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             optim.efm_bound_schedule([1.0, 0.5], **kw)
+
+    @pytest.mark.parametrize("lams", [[], [[1.0, 0.5]]])
+    def test_schedule_form_rejects_empty_or_non_vector_stepsizes(self, lams):
+        with pytest.raises(ValueError, match="lams must be a nonempty 1-d sequence"):
+            optim.efm_bound_schedule(lams, 0.5, 0.5, 1.0, 1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_schedule_form_rejects_non_finite_stepsizes(self, bad):
