@@ -356,14 +356,105 @@ print(json.dumps(out))
 """
 
 
-def test_newton_schulz_digests():
+def _child_output(script: str) -> str:
+    """The stdout of ``script`` run in a child process at one BLAS thread."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(linalg.__file__)))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", NS_DIGEST_SCRIPT], env=env,
-                          capture_output=True, text=True, check=True)
-    assert json.loads(done.stdout) == NS_DIGESTS
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_newton_schulz_digests():
+    assert json.loads(_child_output(NS_DIGEST_SCRIPT)) == NS_DIGESTS
+
+
+# SHA-256 of the exact kernels' output bytes, each kernel's outputs hashed in
+# order, recorded while polar_exact, polar_and_nuclear and norm still had
+# per-matrix bodies of their own; held at one BLAS thread as NS_DIGESTS is.
+# Each shape gives eight inputs: two full-rank ones (C order and a transposed
+# view), ranks min(m, n) // 2 and 1, rounded entries (tied singular values), a
+# diagonal with zeros and -0.0 on its diagonal, a diagonal on a -0.0
+# background, and the zero matrix.  The per-call kernels and the stacks of one
+# see each input alone; the stacks of eight see all eight, eight full-rank
+# members and eight diagonal ones.
+EXACT_DIGESTS = {
+    "polar_exact":
+        "741b3faf73f61b6f8e1a2ce8db5443d339b64c2439787cccc384018a3838125b",
+    "polar_and_nuclear":
+        "2b324032dcc53a4c0f16b847f04a8c1ef304b650ae89ceea1015b2bb8e1feb3e",
+    "norm_op":
+        "4891b0dd62ecb982a8c7f9880db00a759d9477d25b864ed6783b871b0ce70f94",
+    "norm_nuc":
+        "55a9f999109df9ad266326d7a199ac3bc3a90b6e631a4d8603552ad54005227f",
+    "polar_exact_stack":
+        "8a079774d7de19789fe85829acd4515507f67d78cbc6de3a3a011ac9ecd1b897",
+    "polar_and_nuclear_stack":
+        "986c928f4e9999085f01dd0a391dac3afbfe096b54f5f5a1cba3465f9ec271f9",
+    "op_norm_stack":
+        "bd7e2b8d9b996029d062855609ce012c8e28439baf86edb68d06799a578bde15",
+    "nuclear_norm_stack":
+        "00ee517dfdd45180c5ce27187865ca95cb0fc22a44542dbdf90c32184193532c",
+}
+EXACT_DIGEST_SCRIPT = """
+import hashlib, json
+import numpy as np
+from muonlab import linalg
+
+def diagonal(rng, m, n, background):
+    D = np.full((m, n), background)
+    k = min(m, n)
+    d = rng.standard_normal(k)
+    d[rng.random(k) < 0.3] = 0.0
+    d[rng.random(k) < 0.3] = -0.0
+    D[np.arange(k), np.arange(k)] = d
+    return D
+
+def inputs(rng, m, n):
+    k = min(m, n)
+    low = lambda r: rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+    return [rng.standard_normal((m, n)), rng.standard_normal((n, m)).T, low(max(1, k // 2)),
+            low(1), np.round(rng.standard_normal((m, n))), diagonal(rng, m, n, 0.0),
+            diagonal(rng, m, n, -0.0), np.zeros((m, n))]
+
+def pair(X, nuc):
+    return [X, np.float64(nuc)]
+
+per_call = {
+    "polar_exact": lambda A: [linalg.polar_exact(A)],
+    "polar_and_nuclear": lambda A: pair(*linalg.polar_and_nuclear(A)),
+    "norm_op": lambda A: [np.float64(linalg.norm(A, "op"))],
+    "norm_nuc": lambda A: [np.float64(linalg.norm(A, "nuc"))],
+}
+stacked = {
+    "polar_exact_stack": lambda S: [linalg.polar_exact_stack(S)],
+    "polar_and_nuclear_stack": lambda S: list(linalg.polar_and_nuclear_stack(S)),
+    "op_norm_stack": lambda S: [linalg.op_norm_stack(S)],
+    "nuclear_norm_stack": lambda S: [linalg.nuclear_norm_stack(S)],
+}
+hashes = {name: hashlib.sha256() for name in [*per_call, *stacked]}
+rng = np.random.default_rng(2025)
+for m, n in ((1, 4), (4, 1), (2, 2), (2, 5), (5, 2), (3, 3), (6, 4), (4, 6), (16, 16),
+             (64, 24), (24, 64), (64, 64), (256, 256)):
+    cases = inputs(rng, m, n)
+    stacks = [A[None] for A in cases]
+    stacks += [np.stack(cases), rng.standard_normal((8, m, n)),
+               np.stack([diagonal(rng, m, n, 0.0) for _ in range(8)])]
+    for name, kernel in per_call.items():
+        for A in cases:
+            for out in kernel(A):
+                hashes[name].update(np.ascontiguousarray(out).tobytes())
+    for name, kernel in stacked.items():
+        for S in stacks:
+            for out in kernel(S):
+                hashes[name].update(np.ascontiguousarray(out).tobytes())
+print(json.dumps({name: h.hexdigest() for name, h in hashes.items()}))
+"""
+
+
+def test_exact_kernel_digests():
+    assert json.loads(_child_output(EXACT_DIGEST_SCRIPT)) == EXACT_DIGESTS
 
 
 def assert_same_bits(got, want):
