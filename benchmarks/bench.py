@@ -43,6 +43,11 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
   microseconds per member (left out where the library has no stack form);
 - ``linalg.polar_newton_schulz`` and ``linalg.polar_exact`` on one Gaussian
   n x n matrix for each n in ``POLAR_SIZES``, in microseconds per call;
+- the other per-call routes of the exact kernels, in microseconds per call:
+  ``polar_exact`` on one diagonal n x n matrix, and ``polar_and_nuclear`` on
+  one Gaussian and one diagonal n x n matrix, for each n in
+  ``EXACT_POLAR_SIZES``; ``norm`` "op" and "nuc" on the same pair for each n
+  in ``EXACT_NORM_SIZES``.  The diagonal of a diagonal one is Gaussian;
 - the four ``linalg`` stack kernels (``polar_exact_stack``,
   ``polar_and_nuclear_stack``, ``op_norm_stack``, ``nuclear_norm_stack``) on
   n x n stacks for each n in ``STACK_CALLS``, in microseconds per call: one
@@ -108,6 +113,11 @@ KERNEL_MN = (4, 4)
 # Matrix sizes of the per-call polar timings, and calls per timing at each.
 POLAR_SIZES = (2, 8, 64, 256)
 POLAR_CALLS = {2: 1000, 8: 1000, 64: 100, 256: 10}
+# Matrix sizes of the other per-call exact-kernel timings, and calls per
+# timing of a diagonal matrix at every size (a dense one takes POLAR_CALLS).
+EXACT_POLAR_SIZES = (2, 256)
+EXACT_NORM_SIZES = (2, 64, 256)
+DIAGONAL_CALLS = 1000
 # Matrix sizes of the linalg stack-kernel timings with calls per timing at
 # each, and their stack sizes.
 STACK_CALLS = {2: 1000, 64: 100}
@@ -273,6 +283,19 @@ def _polar_timings() -> dict:
         for fname in ("polar_newton_schulz", "polar_exact"):
             fn = getattr(linalg, fname)
             timings[f"{fname}[{n}x{n}]"] = _per_unit(_timed(
+                _calls(fn, [(A,)] * calls)), "us_per_call", calls)
+    rows = [("polar_exact", linalg.polar_exact, n, ("diagonal",)) for n in EXACT_POLAR_SIZES]
+    rows += [("polar_and_nuclear", linalg.polar_and_nuclear, n, ("dense", "diagonal"))
+             for n in EXACT_POLAR_SIZES]
+    rows += [(f"norm[{kind}]", lambda A, kind=kind: linalg.norm(A, kind), n,
+              ("dense", "diagonal")) for kind in ("op", "nuc") for n in EXACT_NORM_SIZES]
+    for label, fn, n, forms in rows:
+        for form in forms:
+            if form == "dense":
+                A, calls, name = rng.standard_normal((n, n)), POLAR_CALLS[n], f"{n}x{n}"
+            else:
+                A, calls, name = np.diag(rng.standard_normal(n)), DIAGONAL_CALLS, f"{n}x{n},{form}"
+            timings[f"{label}[{name}]"] = _per_unit(_timed(
                 _calls(fn, [(A,)] * calls)), "us_per_call", calls)
     return timings
 

@@ -260,6 +260,10 @@ def cex1_build(beta, schedule, r: float = 1.0, delta: float = 0.0,
     ``delta`` offsets within the open set of valid starts; it must satisfy
     |delta| < R_t for every t, so it must be 0 when the stepsizes vanish.
     """
+    given = [("beta", beta), ("r", r), ("delta", delta)] + ([] if c is None else [("c", c)])
+    for name, value in given:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, not {value!r}")
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
     if c is None:

@@ -22,19 +22,34 @@ _FRO_UNDERFLOW = math.sqrt(np.finfo(float).tiny)
 # Native float64.  ``A.dtype is _FLOAT64`` is the hot paths' cheap test for
 # it; a byte-swapped float64 array fails it and takes the general path.
 _FLOAT64 = np.dtype(float)
+# The index array of the member of a stack of one.
+_FIRST_MEMBER = np.zeros(1, dtype=np.intp)
+_FIRST_MEMBER.flags.writeable = False
 
 
 class NumericalError(RuntimeError):
     """An iterative kernel failed to converge or diverged."""
 
 
+def _matrix(a, ndim: int = 2) -> np.ndarray:
+    """``a`` as a float64 matrix, or with ``ndim`` 3 a (B, m, n) stack of
+    them, each of positive dimensions; its entries are not checked."""
+    A = np.asarray(a, dtype=float)
+    if A.ndim != ndim:
+        what = "a 2-d array" if ndim == 2 else "a (B, m, n) stack"
+        raise ValueError(f"expected {what}, got shape {A.shape}")
+    if A.shape[-2] < 1 or A.shape[-1] < 1:
+        raise ValueError("matrix dimensions must be positive")
+    return A
+
+
+def _as_stack(a) -> np.ndarray:
+    return _matrix(a, 3)
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-d float64 array, rejecting NaN/Inf entries."""
-    A = np.asarray(a, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {A.shape}")
-    if A.shape[0] < 1 or A.shape[1] < 1:
-        raise ValueError("matrix dimensions must be positive")
+    A = _matrix(a)
     if not _all_finite(A):
         raise ValueError("matrix entries must be finite")
     return A
@@ -53,10 +68,6 @@ def _as_vector(a) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     return v
-
-
-def _offdiag_is_zero(A: np.ndarray) -> bool:
-    return np.count_nonzero(A) == np.count_nonzero(A.diagonal())
 
 
 def _fro(arr: np.ndarray) -> float:
@@ -120,123 +131,113 @@ def polar_exact(A) -> np.ndarray:
     Null directions are zeroed (least Frobenius norm selection), so the
     polar of the zero matrix is zero and the polar of a rectangular
     diagonal matrix is its elementwise sign.  The diagonal case is served
-    by an exact fast path.
+    by an exact fast path.  This is the B = 1 case of ``polar_exact_stack``.
     """
-    A = as_matrix(A)
-    if _offdiag_is_zero(A):
-        return np.sign(A)
-    return _polar_of(reduced_svd(A), A)
+    return _polar_stack(_matrix(A)[None], False)[0][0]
 
 
 def polar_and_nuclear(A) -> tuple:
     """``(polar_exact(A), norm(A, "nuc"))`` from a single SVD.
 
     Diagonal inputs take the same exact fast path as both functions:
-    ``sign(A)`` and the sum of the absolute diagonal entries.
+    ``sign(A)`` and the sum of the absolute diagonal entries.  This is the
+    B = 1 case of ``polar_and_nuclear_stack``.
     """
-    A = as_matrix(A)
-    if _offdiag_is_zero(A):
-        return np.sign(A), float(np.abs(A.diagonal()).sum())
-    f = reduced_svd(A)
-    return _polar_of(f, A), f.nuclear
-
-
-def _polar_of(f: SvdFactors, A: np.ndarray) -> np.ndarray:
-    if f.rank == 0:
-        return np.zeros_like(A)
-    return f.U @ f.Vt
-
-
-def _as_stack(a) -> np.ndarray:
-    A = np.asarray(a, dtype=float)
-    if A.ndim != 3:
-        raise ValueError(f"expected a (B, m, n) stack, got shape {A.shape}")
-    if A.shape[1] < 1 or A.shape[2] < 1:
-        raise ValueError("matrix dimensions must be positive")
-    return A
+    X, nuclear = _polar_stack(_matrix(A)[None], True)
+    return X[0], float(nuclear[0])
 
 
 def _stack_is_diagonal(A: np.ndarray) -> bool:
     """Whether every member of a stack is diagonal, from two counts."""
-    return np.count_nonzero(A) == np.count_nonzero(A.diagonal(axis1=1, axis2=2))
+    return np.count_nonzero(A) == np.count_nonzero(A.diagonal(0, 1, 2))
 
 
 def _svd_members(A: np.ndarray) -> np.ndarray | None:
-    """The indices of the non-diagonal members of a stack, or None if all are
-    diagonal; a stacked SVD gives each of them its 2-d factors bit for bit.
-    A non-finite entry raises as it does per matrix."""
-    if not _all_finite(A):
-        raise ValueError("matrix entries must be finite")
+    """None if every member of a stack is diagonal, else the indices of the
+    non-diagonal members, once every entry is found finite.  A NaN or inf
+    counts as nonzero, so a diagonal stack is zero off its diagonals: its
+    callers test only those, the norms only when one comes out not finite.
+    A stacked SVD gives each member its 2-d factors bit for bit."""
     if _stack_is_diagonal(A):
         return None
-    nz = A != 0  # _offdiag_is_zero of each member
-    return np.flatnonzero(np.count_nonzero(nz, axis=(1, 2))
-                          != np.count_nonzero(nz.diagonal(axis1=1, axis2=2), axis=1))
-
-
-def _polar_stack(A: np.ndarray, nuclear: np.ndarray | None) -> np.ndarray:
-    """The polar factor of each member (and, into ``nuclear``, its nuclear
-    norm), bit for bit as ``polar_exact`` (``polar_and_nuclear``) gives it.
-    A stack of one goes through that function; in a larger one, the members
-    off the ``sign`` fast path share one SVD, truncated as ``reduced_svd`` is."""
+    if not _all_finite(A):
+        raise ValueError("matrix entries must be finite")
     if len(A) == 1:
-        if nuclear is None:
-            return polar_exact(A[0])[None]
-        X, nuclear[0] = polar_and_nuclear(A[0])
-        return X[None]
+        return _FIRST_MEMBER  # its one member, without counting again
+    nz = A != 0
+    return np.flatnonzero(np.count_nonzero(nz, axis=(1, 2))
+                          != np.count_nonzero(nz.diagonal(0, 1, 2), axis=1))
+
+
+def _polar_stack(A: np.ndarray, nuclear: bool) -> tuple:
+    """The polar factor of each member of a stack and, if ``nuclear``, its
+    nuclear norm (else None).  A diagonal member's are its sign and the sum
+    of its absolute diagonal entries.  The others share one SVD, truncated
+    as ``reduced_svd`` is; when they are all the members and of full rank,
+    the factors are ``U @ Vt`` of the stack's own SVD."""
     svd = _svd_members(A)
-    X = np.sign(A)
+    d = A.diagonal(0, 1, 2)
     if svd is None:
-        return X
-    U, s, Vt = _svd(A[svd])
-    full = np.all(s > SVD_TRUNCATION_RTOL * s[:, :1], axis=1)
+        if not _all_finite(d):
+            raise ValueError("matrix entries must be finite")
+        return np.sign(A), np.abs(d).sum(axis=1) if nuclear else None
+    every = len(svd) == len(A)
+    U, s, Vt = _svd(A if every else A[svd])
+    norms = None
+    if nuclear:
+        norms = s.sum(axis=1) if every else np.abs(d).sum(axis=1)
+        if not every:
+            norms[svd] = s.sum(axis=1)
+    full = s[:, -1] > SVD_TRUNCATION_RTOL * s[:, 0]  # s is sorted: no value is cut
+    if every and full.all():
+        return U @ Vt, norms
+    X = np.sign(A)
     X[svd[full]] = U[full] @ Vt[full]
     for j in np.flatnonzero(~full):
         f = _truncated(U[j], s[j], Vt[j])
-        X[svd[j]] = _polar_of(f, A[svd[j]])
-    if nuclear is not None:
-        nuclear[svd] = s.sum(axis=1)
-    return X
+        X[svd[j]] = f.U @ f.Vt
+    return X, norms
 
 
 def polar_exact_stack(A) -> np.ndarray:
-    """``polar_exact`` of each member of a (B, m, n) stack, bit for bit."""
-    return _polar_stack(_as_stack(A), None)
+    """``polar_exact`` of each member of a (B, m, n) stack."""
+    return _polar_stack(_as_stack(A), False)[0]
 
 
 def polar_and_nuclear_stack(A) -> tuple:
-    """``polar_and_nuclear`` of each member of a (B, m, n) stack, bit for bit,
-    as a (B, m, n) stack of polar factors and a (B,) array of nuclear norms."""
-    A = _as_stack(A)
-    nuclear = np.abs(A.diagonal(axis1=1, axis2=2)).sum(axis=1)
-    return _polar_stack(A, nuclear), nuclear
+    """``polar_and_nuclear`` of each member of a (B, m, n) stack, as a
+    (B, m, n) stack of polar factors and a (B,) array of nuclear norms."""
+    return _polar_stack(_as_stack(A), True)
 
 
-def _norm_stack(A, kind: str) -> np.ndarray:
-    """``norm(A[b], kind)`` of each member, for kind "op" or "nuc".  A stack
-    of one goes through ``norm``; in a larger one, the members off its
-    diagonal fast path share one SVD of singular values alone.
-    """
-    A = _as_stack(A)
-    if len(A) == 1:
-        return np.array([norm(A[0], kind)])
+def _norm_stack(A: np.ndarray, kind: str) -> np.ndarray:
+    """The "op" or "nuc" norm of each member of a stack: the largest or the
+    sum of the absolute diagonal entries of a diagonal member, and from one
+    SVD of singular values alone for the others."""
     svd = _svd_members(A)
-    d = np.abs(A.diagonal(axis1=1, axis2=2))
+    if svd is not None and len(svd) == len(A):
+        s = np.linalg.svd(A, compute_uv=False)
+        return s[:, 0] if kind == "op" else s.sum(axis=1)
+    d = np.abs(A.diagonal(0, 1, 2))
     out = d.max(axis=1) if kind == "op" else d.sum(axis=1)
-    if svd is not None:
-        s = np.linalg.svd(A[svd], compute_uv=False)
-        out[svd] = s[:, 0] if kind == "op" else s.sum(axis=1)
+    if svd is None:
+        # A sum that overflows is inf and is returned as it is.
+        if not _all_finite(out) and not _all_finite(d):
+            raise ValueError("matrix entries must be finite")
+        return out
+    s = np.linalg.svd(A[svd], compute_uv=False)
+    out[svd] = s[:, 0] if kind == "op" else s.sum(axis=1)
     return out
 
 
 def op_norm_stack(A) -> np.ndarray:
-    """``norm(A[b], "op")`` of each member of a (B, m, n) stack, bit for bit."""
-    return _norm_stack(A, "op")
+    """``norm(A[b], "op")`` of each member of a (B, m, n) stack."""
+    return _norm_stack(_as_stack(A), "op")
 
 
 def nuclear_norm_stack(A) -> np.ndarray:
-    """``norm(A[b], "nuc")`` of each member of a (B, m, n) stack, bit for bit."""
-    return _norm_stack(A, "nuc")
+    """``norm(A[b], "nuc")`` of each member of a (B, m, n) stack."""
+    return _norm_stack(_as_stack(A), "nuc")
 
 
 def polar_newton_schulz(A) -> np.ndarray:
@@ -305,39 +306,21 @@ def _newton_schulz(A: np.ndarray) -> np.ndarray:
     return X
 
 
-def _non_finite_norm(r: float, arr: np.ndarray, what: str) -> float:
-    """The non-finite norm ``r`` of ``arr``: an error if an entry is not
-    finite, else an overflow, returned as it is.
-
-    Callers test ``r`` first, so finite input pays no scan of its entries.
-    """
-    if not _all_finite(arr):
-        raise ValueError(f"{what} entries must be finite")
-    return r
-
-
 def norm(A, kind: str, p: float | None = None) -> float:
     """Scalar norms used across the package.
 
     kind is one of "fro", "op", "nuc" (matrices) or "l1", "l2", "linf",
     "lp" (vectors, or single-row/column matrices).  "lp" needs a finite
     p >= 1; "linf" is the p = inf norm.  Every kind but "fro" raises
-    ValueError on a NaN or infinite entry.
+    ValueError on a NaN or infinite entry; a norm that overflows is inf.
+    "op" and "nuc" are the B = 1 case of ``op_norm_stack`` and
+    ``nuclear_norm_stack``.
     """
     arr = np.asarray(A, dtype=float)
     if kind == "fro":
         return _fro(arr)
     if kind in ("op", "nuc"):
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-d array, got shape {arr.shape}")
-        if _offdiag_is_zero(arr):
-            d = np.abs(arr.diagonal())
-            r = float(d.max()) if kind == "op" else float(d.sum())
-            return r if math.isfinite(r) else _non_finite_norm(r, arr, "matrix")
-        if not _all_finite(arr):
-            raise ValueError("matrix entries must be finite")
-        s = np.linalg.svd(arr, compute_uv=False)
-        return float(s[0]) if kind == "op" else float(s.sum())
+        return float(_norm_stack(_matrix(arr)[None], kind)[0])
     v = _as_vector(arr)
     if kind == "l1":
         r = float(np.abs(v).sum())
@@ -351,4 +334,7 @@ def norm(A, kind: str, p: float | None = None) -> float:
         r = float((np.abs(v) ** p).sum() ** (1.0 / p))
     else:
         raise ValueError(f"unknown norm kind {kind!r}")
-    return r if math.isfinite(r) else _non_finite_norm(r, v, "vector")
+    # Only a norm that is not finite pays for a scan of the entries.
+    if not math.isfinite(r) and not _all_finite(v):
+        raise ValueError("vector entries must be finite")
+    return r

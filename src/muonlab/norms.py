@@ -51,7 +51,8 @@ class Lp:
     p: float
 
     def __post_init__(self):
-        if not 1 <= self.p < math.inf:
+        if (isinstance(self.p, bool) or not isinstance(self.p, numbers.Real)
+                or not 1 <= self.p < math.inf):
             raise ValueError(f"Lp requires a finite p >= 1 (Linf is p = inf), got {self.p!r}")
 
 

@@ -28,12 +28,17 @@ from . import linalg, norms
 # Stepsize schedules
 
 
-def _stepsize(value, what: str = "stepsize") -> float:
-    """``value`` as a Python float, so every loop multiplies by it in float64.
-    A bool, a non-real value and one not positive and finite raise ValueError.
+def _check_real(value, what: str):
+    """Raise ValueError unless ``value`` is a real number, not a bool.
     ``float`` is tested before the ABC, whose check costs ten times more."""
     if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
         raise ValueError(f"{what} must be a real number, not {value!r}")
+
+
+def _stepsize(value, what: str = "stepsize") -> float:
+    """``value`` as a Python float, so every loop multiplies by it in float64.
+    A bool, a non-real value and one not positive and finite raise ValueError."""
+    _check_real(value, what)
     try:
         value = float(value)
     except OverflowError:
@@ -217,6 +222,7 @@ class OptimizerState:
     polar: object = linalg.polar_exact
 
     def __post_init__(self):
+        _check_real(self.beta, "beta")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
         _check_count(self.t, "t")
@@ -620,7 +626,6 @@ def _run_lockstep(rule: Rule, oracles: list, states: list, T: int) -> list:
 
     W1, W2, lam_col = (np.empty((T + 1, B)) for _ in range(3))  # lam_col[T] becomes NaN
     W1[0], W2[0] = w1, w2
-    worst = np.zeros(B)  # the largest nuclear norm of P; NaN or inf once one is not finite
     with np.errstate(all="ignore"):
         for i in range(T):
             s, d = w1 + w2, w1 - w2
@@ -631,18 +636,17 @@ def _run_lockstep(rule: Rule, oracles: list, states: list, T: int) -> list:
                 lam = np.where(mult, lam * (np.abs(n1) + np.abs(n2)), lam)
             if rule.feedback:
                 p1, p2 = e1 + lam * n1, e2 + lam * n2
-                nuc = np.abs(p1) + np.abs(p2)
-                worst = np.maximum(worst, nuc)
-                scale = nuc / r
+                scale = (np.abs(p1) + np.abs(p2)) / r
                 c1, c2 = scale * np.sign(p1), scale * np.sign(p2)
                 w1, w2, e1, e2 = w1 - c1, w2 - c2, p1 - c1, p2 - c2
             else:
                 w1, w2 = w1 - lam * np.sign(n1), w2 - lam * np.sign(n2)
             m1, m2 = n1, n2
             W1[i + 1], W2[i + 1], lam_col[i] = w1, w2, lam
-    gave_up = ~(worst < math.inf) if rule.feedback else ~np.isfinite(lam_col[:T]).all(axis=0)
+    # _run_diagonal's one test: with feedback, a member keeps on iff its E ends finite.
+    kept = np.isfinite(e1) & np.isfinite(e2) if rule.feedback else np.isfinite(lam_col[:T]).all(0)
     W1, W2, lam_col = W1.T.copy(), W2.T.copy(), lam_col.T.copy()  # a member's records, contiguous
-    return [None if gave_up[b] else _diagonal_trace(oracle, W1[b], W2[b], lam_col[b])
+    return [_diagonal_trace(oracle, W1[b], W2[b], lam_col[b]) if kept[b] else None
             for b, oracle in enumerate(oracles)]
 
 
@@ -651,6 +655,8 @@ def _run_lockstep(rule: Rule, oracles: list, states: list, T: int) -> list:
 
 
 def _check_bound_domain(delta, beta, sigma, dist0):
+    for name, value in (("delta", delta), ("beta", beta), ("sigma", sigma), ("dist0", dist0)):
+        _check_real(value, name)
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     if not 0.0 <= beta < 1.0:

@@ -195,6 +195,14 @@ class TestCex1:
         with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\)"):
             cex.cex1_build(beta, optim.Constant(0.2))
 
+    @pytest.mark.parametrize("field, value", [
+        (field, value) for field in ("beta", "r", "delta", "c") for value in (True, "0.5", None)
+        if (field, value) != ("c", None)])  # c = None asks for the default
+    def test_rejects_parameters_that_are_not_real_numbers(self, field, value):
+        # r = True used to be stored in the construction's Cex1Init.
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            cex.cex1_build(**{"beta": 0.5, "schedule": optim.Constant(0.1), field: value})
+
     def test_rejects_delta_at_half_the_limit(self):
         # R_t > lam/2 up to the horizon, but R_t tends to lam/2 = 0.1 past it.
         schedule = optim.Table(tuple(0.2 + 1.0 / (t + 1) for t in range(1000)) + (0.2,))

@@ -137,7 +137,9 @@ class TestPolarAndNuclear:
 
 
 class TestStacks:
-    """The stack kernels equal their per-matrix counterparts bit for bit."""
+    """Each member of a stack is the stack of one, which is the per-call
+    kernel, bit for bit; ``test_exact_kernel_digests`` pins both to the
+    per-matrix code they replaced."""
 
     def stack(self, rng, m, n):
         members = [np.zeros((m, n)), rng.standard_normal((m, n))]
@@ -246,17 +248,27 @@ class TestStacks:
             assert op[b] == ref_op
             assert nuc[b] == ref_nuc
 
-    @pytest.mark.parametrize("kernel, reference", [
-        ("polar_exact_stack", "polar_exact"), ("polar_and_nuclear_stack", "polar_and_nuclear"),
-        ("op_norm_stack", "norm"), ("nuclear_norm_stack", "norm")])
-    def test_stack_of_one_calls_the_per_matrix_function_once(self, kernel, reference,
-                                                             monkeypatch):
-        A = np.random.default_rng(14).standard_normal((1, 3, 3))
+    @pytest.mark.parametrize("kernel", [
+        linalg.polar_exact, linalg.polar_and_nuclear, lambda A: linalg.norm(A, "op"),
+        lambda A: linalg.norm(A, "nuc"), lambda A: linalg.polar_exact_stack(A[None]),
+        lambda A: linalg.polar_and_nuclear_stack(A[None]),
+        lambda A: linalg.op_norm_stack(A[None]), lambda A: linalg.nuclear_norm_stack(A[None])],
+        ids=["polar_exact", "polar_and_nuclear", "norm-op", "norm-nuc", "polar_exact_stack",
+             "polar_and_nuclear_stack", "op_norm_stack", "nuclear_norm_stack"])
+    @pytest.mark.parametrize("case, svds", [("dense", 1), ("rank-deficient", 1),
+                                            ("rectangular", 1), ("diagonal", 0), ("zero", 0)])
+    def test_one_matrix_takes_one_svd_unless_diagonal(self, kernel, case, svds, monkeypatch):
+        rng = np.random.default_rng(14)
+        A = {"dense": lambda: rng.standard_normal((3, 3)),
+             "rank-deficient": lambda: np.outer(rng.standard_normal(3), rng.standard_normal(3)),
+             "rectangular": lambda: rng.standard_normal((2, 5)),
+             "diagonal": lambda: np.diag([2.0, -0.0, 0.0]),
+             "zero": lambda: np.zeros((3, 2))}[case]()
         calls = []
-        func = getattr(linalg, reference)
-        monkeypatch.setattr(linalg, reference, lambda *a: calls.append(1) or func(*a))
-        getattr(linalg, kernel)(A)
-        assert len(calls) == 1
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        kernel(A)
+        assert len(calls) == svds
 
     @pytest.mark.parametrize("kernel", ["polar_exact_stack", "polar_and_nuclear_stack",
                                         "op_norm_stack", "nuclear_norm_stack"])
@@ -546,6 +558,38 @@ class TestNewtonSchulzStack:
             linalg.polar_newton_schulz_stack(np.ones((2, 0, 3)))
 
 
+class TestIndependentReference:
+    """The exact kernels against scipy's polar factor and numpy's norms."""
+
+    SHAPES = [(2, 2), (5, 3), (3, 5), (16, 16), (40, 12), (12, 40), (64, 64)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_polar_exact_is_scipy_polar(self, shape):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(5):
+            A = rng.standard_normal(shape)  # full rank, almost surely
+            want = scipy_linalg.polar(A)[0]
+            for got in (linalg.polar_exact(A), linalg.polar_and_nuclear(A)[0],
+                        linalg.polar_exact_stack(A[None])[0]):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matrix_norms_are_numpy_norms(self, shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        m, n = shape
+        D = np.zeros(shape)
+        D[np.arange(min(shape)), np.arange(min(shape))] = rng.standard_normal(min(shape))
+        cases = [rng.standard_normal(shape), D, np.zeros(shape),
+                 rng.standard_normal((m, 1)) @ rng.standard_normal((1, n))]
+        for A in cases:
+            for kind, ord_ in (("op", 2), ("nuc", "nuc")):
+                want = np.linalg.norm(A, ord_)
+                assert abs(linalg.norm(A, kind) - want) <= 1e-12 * want
+            assert (abs(linalg.polar_and_nuclear(A)[1] - np.linalg.norm(A, "nuc"))
+                    <= 1e-12 * np.linalg.norm(A, "nuc"))
+
+
 class TestNorm:
     def test_matrix_examples(self):
         A = np.diag([3.0, -4.0])
@@ -586,6 +630,24 @@ class TestNorm:
     def test_matrix_norms_need_a_matrix(self, kind):
         with pytest.raises(ValueError, match="expected a 2-d array"):
             linalg.norm(np.ones(3), kind)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_zero_size_matrices_are_refused_alike(self, shape):
+        # norm(np.zeros((0, 3)), "op") used to raise numpy's "zero-size array
+        # to reduction operation maximum which has no identity", and "nuc"
+        # returned 0.0.
+        A = np.zeros(shape)
+        for call in (lambda: linalg.norm(A, "op"), lambda: linalg.norm(A, "nuc"),
+                     lambda: linalg.polar_exact(A), lambda: linalg.polar_and_nuclear(A),
+                     lambda: linalg.polar_newton_schulz(A), lambda: linalg.reduced_svd(A),
+                     lambda: linalg.as_matrix(A),
+                     lambda: linalg.op_norm_stack(A[None]),
+                     lambda: linalg.nuclear_norm_stack(A[None]),
+                     lambda: linalg.polar_exact_stack(A[None]),
+                     lambda: linalg.polar_and_nuclear_stack(A[None]),
+                     lambda: linalg.polar_newton_schulz_stack(A[None])):
+            with pytest.raises(ValueError, match="^matrix dimensions must be positive$"):
+                call()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("kind", ["op", "nuc"])
@@ -663,7 +725,7 @@ class TestFastKernels:
             for X in (A, A.T, A[::2, ::3], np.asfortranarray(A)):
                 assert linalg._all_finite(X) == bool(np.all(np.isfinite(X)))
 
-    def test_offdiag_is_zero_matches_reference(self):
+    def test_stack_is_diagonal_matches_reference(self):
         def reference(A):
             D = np.zeros(A.shape)
             k = min(A.shape)
@@ -685,4 +747,4 @@ class TestFastKernels:
         big[::2, ::3][np.arange(4), np.arange(4)] = rng.standard_normal(4)
         cases += [big, big[::2, ::3], big.T[::3, ::2], np.asfortranarray(big)]
         for A in cases + [A.T for A in cases]:
-            assert linalg._offdiag_is_zero(A) == reference(A)
+            assert linalg._stack_is_diagonal(A[None]) == reference(A)

@@ -39,6 +39,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="finite p >= 1"):
             norms.Lp(p)
 
+    @pytest.mark.parametrize("p", [True, False, "2", None, 2j])
+    def test_lp_requires_a_real_p(self, p):
+        # Lp(True) used to be taken for L1, and Lp("2") raised a bare TypeError.
+        with pytest.raises(ValueError, match="finite p >= 1"):
+            norms.Lp(p)
+
     @pytest.mark.parametrize("p", [math.inf, math.nan, 0.5, None])
     def test_lp_norm_requires_finite_p_at_least_one(self, p):
         # p = inf used to return 1.0 for [3, -4, 1], and p = nan returned nan.

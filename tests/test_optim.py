@@ -174,6 +174,12 @@ class TestOptimizerState:
         with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\)"):
             optim.OptimizerState(W=np.eye(2), beta=beta)
 
+    @pytest.mark.parametrize("beta", ["0.5", None, False, 0.5j])
+    def test_rejects_beta_that_is_not_a_real_number(self, beta):
+        # beta = "0.5" used to raise a bare TypeError, and False passed as 0.
+        with pytest.raises(ValueError, match="beta must be a real number"):
+            optim.OptimizerState(W=np.eye(2), beta=beta)
+
 
 class TestBasicSteps:
     def test_specgd_zero_gradient(self):
@@ -1037,6 +1043,18 @@ class TestBound:
             kw.update(bad)
             with pytest.raises(ValueError):
                 optim.efm_bound(**kw)
+
+    @pytest.mark.parametrize("field", ["delta", "beta", "sigma", "dist0"])
+    @pytest.mark.parametrize("value", [True, False, "0.5", None])
+    def test_rejects_parameters_that_are_not_real_numbers(self, field, value):
+        # delta = True used to be read as 1: efm_bound(10, True, ...) gave 1.6875.
+        kw = dict(delta=0.5, beta=0.5, sigma=1.0, dist0=1.0)
+        kw[field] = value
+        for bound in (lambda: optim.efm_bound(10, **kw),
+                      lambda: optim.efm_bound_column(10, **kw),
+                      lambda: optim.efm_bound_schedule([1.0, 0.5], **kw)):
+            with pytest.raises(ValueError, match=f"{field} must be a real number"):
+                bound()
 
     @pytest.mark.parametrize("field", ["sigma", "dist0"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
