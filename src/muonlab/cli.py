@@ -96,7 +96,6 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     suite = harness.SUITES[args.suite]
-    kwargs = {}
     if args.trials is not None:
         if args.suite not in harness.TRIAL_ARGS:
             print(f"error: suite {args.suite!r} has no trial count; "
@@ -106,8 +105,7 @@ def cmd_verify(args) -> int:
         if args.trials < 1:
             print("error: --trials must be at least 1", file=sys.stderr)
             return EXIT_CONFIG
-        kwargs[harness.TRIAL_ARGS[args.suite]] = args.trials
-    results = suite(**kwargs)
+    results = suite() if args.trials is None else suite(trials=args.trials)
     failed = 0
     for res in results:
         print(res.line())

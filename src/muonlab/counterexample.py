@@ -155,6 +155,7 @@ class KinkyOracle:
 
 def lipschitz_bound(c: float) -> float:
     """Frobenius Lipschitz constant sqrt(2 (1 + c^2)) <= 2 of the function."""
+    optim._check_real(c, "c")
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie in (0, 1)")
     return math.sqrt(2.0 * (1.0 + c * c))
@@ -184,8 +185,7 @@ def compute_R(schedule, t: int) -> float:
     alternating tail is accelerated by repeated averaging; the head length
     grows until two estimates agree within DEFAULT_TAIL_TOL.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    optim._check_count(t, "t")
     lam = schedule.limit()
     prev = None
     for head in _HEAD_SIZES:
@@ -210,8 +210,7 @@ def compute_R(schedule, t: int) -> float:
 
 def compute_R_sequence(schedule, T: int) -> np.ndarray:
     """R_0 .. R_T via one tail evaluation and the exact recursion R_{t+1} = lam_t - R_t."""
-    if T < 0:
-        raise ValueError("T must be nonnegative")
+    optim._check_count(T, "T")
     return _R_recursion(schedule, compute_R(schedule, 0), T + 1)
 
 
@@ -296,14 +295,14 @@ def cex1_build(beta, schedule, r: float = 1.0, delta: float = 0.0,
 
 def cex1_predicted_iterate(init: Cex1Init, t: int):
     """Closed-form diagonal (w1, w2) of the iterate at step t."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    optim._check_count(t, "t")
     osc = init.delta + (-1) ** (t % 2) * init.R(t)
     return init.r + osc, init.r - osc
 
 
 def cex1_predicted_sequence(init: Cex1Init, T: int) -> np.ndarray:
     """(T+1) x 2 array of predicted diagonals for t = 0 .. T."""
+    optim._check_count(T, "T")
     init.R(T)
     signs = np.where(np.arange(T + 1) % 2 == 0, 1.0, -1.0)
     osc = init.delta + signs * init._R[: T + 1]
@@ -340,6 +339,7 @@ def cex2_guard_check(W0, beta, schedule, T: int, method: str = "muon",
     non-convergence argument consumes; a NaN q_t fails it too.  ``W0`` must
     be a finite matrix (``linalg.as_matrix``).
     """
+    optim._check_real(beta, "beta")
     if not 0.0 <= beta < 0.5:
         raise ValueError("beta must lie in [0, 1/2)")
     if c is None:

@@ -422,7 +422,7 @@ def _spec_draws(rng, spec, trials: int) -> list:
         return [(np.arange(trials), (mats, Z[:, ends[-1]:]))]
     draws = []
     for _ in range(trials):
-        if isinstance(spec, (norms.L1, norms.L2, norms.Linf, norms.Lp)):
+        if isinstance(spec, norms._VECTOR_SPECS):
             draws.append(rng.standard_normal(int(rng.integers(2, 21))))
         else:
             draws.append(rng.standard_normal(rng.integers(2, 8, 2)))
@@ -479,8 +479,7 @@ def suite_compressor(trials: int = 1000) -> list:
     for spec in _basic_specs():
         parts = []
         for idx, W in _spec_draws(rng, spec, trials):
-            dims = W.shape[1] if W.ndim == 2 else W.shape[1:]
-            shrink = 1.0 - norms.compressor_constants(spec, dims).delta
+            shrink = 1.0 - norms.compressor_constants(spec, norms._dims(W, spec)).delta
             lhs = _fro_rows(W - norms.compress_stack(W, spec)).tolist()
             parts.append((idx, [a**2 - shrink * b**2
                                 for a, b in zip(lhs, _fro_rows(W).tolist())]))
@@ -584,7 +583,7 @@ def suite_cex1(T: int = 5000) -> list:
     return results
 
 
-def suite_cex2(n_inits: int = 100, T: int = 2000) -> list:
+def suite_cex2(trials: int = 100, T: int = 2000) -> list:
     rng = np.random.default_rng(23)
     results = []
     for beta in (0.0, 0.2, 0.4):
@@ -597,10 +596,10 @@ def suite_cex2(n_inits: int = 100, T: int = 2000) -> list:
             dps = [0.0]
             q_ok = True
             passes = 0
-            starts = [rng.standard_normal((2, 2)) for _ in range(n_inits)]
+            starts = [rng.standard_normal((2, 2)) for _ in range(trials)]
             states = [optim.OptimizerState(W=W0, beta=beta, schedule=schedule)
                       for W0 in starts]
-            traces = optim.run_batch(method, [fn] * n_inits, states, T)
+            traces = optim.run_batch(method, [fn] * trials, states, T)
             for W0, tr in zip(starts, traces):
                 p0 = W0[0, 0] + W0[1, 1]
                 p, q = tr.sum_diag, tr.diff_diag  # the invariants p_t and q_t
@@ -619,8 +618,8 @@ def suite_cex2(n_inits: int = 100, T: int = 2000) -> list:
                 f"q never hits zero [beta={beta}, {label}]",
                 q_ok, 0.0 if q_ok else 1.0, 0.0))
             results.append(CheckResult(
-                f"floor c|p0| holds in {passes}/{n_inits} runs [beta={beta}, {label}]",
-                passes == n_inits, float(n_inits - passes), 0.0))
+                f"floor c|p0| holds in {passes}/{trials} runs [beta={beta}, {label}]",
+                passes == trials, float(trials - passes), 0.0))
     return results
 
 
@@ -636,14 +635,8 @@ def suite_ef_bound(T: int = 5000) -> list:
     ]
 
 
-# The keyword that sets each suite's trial count; the other suites have none.
-TRIAL_ARGS = {
-    "polar": "trials",
-    "reduction": "trials",
-    "compressor": "trials",
-    "lmo": "trials",
-    "cex2": "n_inits",
-}
+# The suites whose ``trials`` keyword sets a trial count; the others have none.
+TRIAL_ARGS = {"polar", "reduction", "compressor", "lmo", "cex2"}
 
 SUITES = {
     "polar": suite_polar,

@@ -86,8 +86,13 @@ class ProductNormSpec:
     k: int
 
     def __post_init__(self):
+        try:
+            pairs = [(m, n) for m, n in self.layer_dims]
+        except (TypeError, ValueError):
+            raise ValueError(f"layer_dims must be a sequence of (m, n) pairs, "
+                             f"got {self.layer_dims!r}") from None
         dims = tuple((_positive_int(m, "a layer dimension"),
-                      _positive_int(n, "a layer dimension")) for m, n in self.layer_dims)
+                      _positive_int(n, "a layer dimension")) for m, n in pairs)
         object.__setattr__(self, "layer_dims", dims)
         if len(dims) < 1:
             raise ValueError("at least one layer required")
@@ -122,13 +127,6 @@ class ParamPoint:
             raise ValueError("theta entries must be finite")
         self.theta = th
 
-    def conforms(self, spec: ProductNormSpec) -> bool:
-        return (
-            len(self.matrices) == spec.num_layers
-            and all(M.shape == dims for M, dims in zip(self.matrices, spec.layer_dims))
-            and self.theta.shape == (spec.k,)
-        )
-
     def copy(self) -> "ParamPoint":
         return ParamPoint([M.copy() for M in self.matrices], self.theta.copy())
 
@@ -136,9 +134,7 @@ class ParamPoint:
         return ParamPoint([np.zeros_like(M) for M in self.matrices], np.zeros_like(self.theta))
 
     def fro(self) -> float:
-        sq = sum(float(np.sum(M * M)) for M in self.matrices)
-        sq += float(np.dot(self.theta, self.theta))
-        return math.sqrt(sq)
+        return math.sqrt(inner(self, self))
 
     def __add__(self, other: "ParamPoint") -> "ParamPoint":
         return ParamPoint(
@@ -195,17 +191,8 @@ def zeros_like(a):
 
 
 def _conjugate_exponent(p: float) -> float:
-    if p == 1.0:
-        return math.inf
+    """q with 1/p + 1/q = 1, for p > 1."""
     return p / (p - 1.0)
-
-
-def _require_product_point(W, spec: ProductNormSpec) -> ParamPoint:
-    if not isinstance(W, ParamPoint):
-        raise ValueError("product spec requires a ParamPoint")
-    if not W.conforms(spec):
-        raise ValueError("ParamPoint shape does not match the product spec")
-    return W
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +218,9 @@ def _stack(W, spec):
         V = np.asarray(W, dtype=float)
         if V.ndim != 2:
             raise ValueError(f"expected a (B, d) stack of vectors, got shape {V.shape}")
-        return _finite_vectors(V)
+        if not linalg._all_finite(V):  # linalg.norm's check and message
+            raise ValueError("vector entries must be finite")
+        return V
     if isinstance(spec, _MATRIX_SPECS):
         return linalg._as_stack(W)
     if isinstance(spec, ProductNormSpec):
@@ -244,7 +233,7 @@ def _stack(W, spec):
         B = theta.shape[0] if theta.ndim == 2 else -1
         if (theta.shape != (B, spec.k) or len(mats) != spec.num_layers
                 or any(M.shape != (B, *dims) for M, dims in zip(mats, spec.layer_dims))):
-            raise ValueError("stack shapes do not match the product spec")
+            raise ValueError("shapes do not match the product spec")
         # ParamPoint's checks and messages.
         if not all(linalg._all_finite(M) for M in mats):
             raise ValueError("matrix entries must be finite")
@@ -254,26 +243,17 @@ def _stack(W, spec):
     raise ValueError(f"unknown norm spec {spec!r}")
 
 
-def _finite_vectors(V: np.ndarray) -> np.ndarray:
-    # linalg.norm's check and message for the vector kinds.
-    if not linalg._all_finite(V):
-        raise ValueError("vector entries must be finite")
-    return V
-
-
 def _one(W, spec):
-    """The B = 1 stack of a per-call argument."""
+    """The B = 1 stack of a per-call argument, validated by ``_stack``."""
     if isinstance(spec, _VECTOR_SPECS):
-        return _finite_vectors(linalg._as_vector(W)[None])
-    if isinstance(spec, _MATRIX_SPECS):
-        A = np.asarray(W, dtype=float)
-        if A.ndim != 2:
-            raise ValueError(f"expected a 2-d array, got shape {A.shape}")
-        return A[None]
-    if isinstance(spec, ProductNormSpec):
-        W = _require_product_point(W, spec)
-        return [M[None] for M in W.matrices], W.theta[None]
-    raise ValueError(f"unknown norm spec {spec!r}")
+        W = linalg._as_vector(W)[None]
+    elif isinstance(spec, _MATRIX_SPECS):
+        W = linalg._matrix(W)[None]
+    elif isinstance(spec, ProductNormSpec):
+        if not isinstance(W, ParamPoint):
+            raise ValueError("product spec requires a ParamPoint")
+        W = [M[None] for M in W.matrices], W.theta[None]
+    return _stack(W, spec)
 
 
 def _first(X):
@@ -307,12 +287,10 @@ def _lp_rows(V, p: float):
     return np.array([x ** inv for x in (np.abs(V) ** p).sum(axis=1).tolist()])
 
 
-def _lmo_l1_rows(V):
-    # Maximizers live on the coordinates with maximal |w_i|; the least
-    # Euclidean norm element of their convex hull is the centroid.
-    A = np.abs(V)
-    amax = A.max(axis=1) if V.shape[1] else np.zeros(len(V))
-    top = (A >= (amax * (1.0 - TIE_RTOL))[:, None]) & (amax != 0.0)[:, None]
+def _lmo_l1_rows(V, amax: np.ndarray):
+    # Maximizers live on the coordinates with maximal |w_i|, ``amax`` from
+    # _linf_rows; the least Euclidean norm element of their hull is the centroid.
+    top = (np.abs(V) >= (amax * (1.0 - TIE_RTOL))[:, None]) & (amax != 0.0)[:, None]
     X = np.zeros_like(V)
     np.divide(np.sign(V), np.count_nonzero(top, axis=1)[:, None], out=X, where=top)
     return X
@@ -382,41 +360,38 @@ def _primal(W, spec) -> np.ndarray:
     return np.sqrt(_sq(block) + spec.k * _sq(_linf_rows(theta)))
 
 
-def _dual(W, spec) -> np.ndarray:
-    if isinstance(spec, L1):
-        return _linf_rows(W)
-    if isinstance(spec, L2):
-        return _l2_rows(W)
-    if isinstance(spec, Linf):
-        return _l1_rows(W)
+def _dual_spec(spec):
+    """The basic spec whose primal norm is ``spec``'s dual norm: the one table
+    of duality pairs.  Lp's is Lq with 1/p + 1/q = 1, and Lp(1)'s is Linf."""
     if isinstance(spec, Lp):
-        if spec.p == 1.0:
-            return _linf_rows(W)
-        return _lp_rows(W, _conjugate_exponent(spec.p))
-    if isinstance(spec, OperatorNorm):
-        return linalg.nuclear_norm_stack(W)
-    if isinstance(spec, NuclearNorm):
-        return linalg.op_norm_stack(W)
+        return Linf() if spec.p == 1.0 else Lp(_conjugate_exponent(spec.p))
+    pairs = {L1: Linf, L2: L2, Linf: L1, OperatorNorm: NuclearNorm, NuclearNorm: OperatorNorm}
+    return pairs[type(spec)]()
+
+
+def _dual(W, spec) -> np.ndarray:
+    if not isinstance(spec, ProductNormSpec):
+        return _primal(W, _dual_spec(spec))
     mats, theta = W
     y = _product_y([linalg.nuclear_norm_stack(M) for M in mats], spec)
     return _product_dual(y, _l1_rows(theta), spec)
 
 
 def _dual_and_lmo(W, spec) -> tuple:
-    """(dual norm, lmo_min) of each member.  The matrix specs take one SVD
-    per matrix block for both; the vector specs share the Lp norm."""
-    if isinstance(spec, L1) or isinstance(spec, Lp) and spec.p == 1.0:
-        return _linf_rows(W), _lmo_l1_rows(W)
-    if isinstance(spec, L2):
-        n = _l2_rows(W)
-        X = np.zeros_like(W)
-        np.divide(W, n[:, None], out=X, where=(n > 0)[:, None])
-        return n, X
-    if isinstance(spec, Linf):
-        return _l1_rows(W), np.sign(W)
-    if isinstance(spec, Lp):
-        nq = _dual(W, spec)
-        return nq, _lmo_lp_rows(W, spec.p, nq)
+    """(dual norm, lmo_min) of each member.  The vector specs' LMOs are
+    built from the dual norm; the matrix specs take one SVD per matrix block
+    for both."""
+    if isinstance(spec, _VECTOR_SPECS):
+        dn = _dual(W, spec)
+        if isinstance(spec, Linf):
+            return dn, np.sign(W)
+        if isinstance(spec, L2):
+            X = np.zeros_like(W)
+            np.divide(W, dn[:, None], out=X, where=(dn > 0)[:, None])
+            return dn, X
+        if isinstance(spec, Lp) and spec.p != 1.0:
+            return dn, _lmo_lp_rows(W, spec.p, dn)
+        return dn, _lmo_l1_rows(W, dn)  # L1 and Lp(1): dn is the max |entry|
     if isinstance(spec, OperatorNorm):
         X, nuc = linalg.polar_and_nuclear_stack(W)
         return nuc, X

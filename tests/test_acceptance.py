@@ -59,7 +59,7 @@ def test_criterion_2_floor_across_betas_and_schedules():
 
 
 def test_criterion_3_adaptive_floor():
-    results = harness.suite_cex2(n_inits=100, T=2000)
+    results = harness.suite_cex2(trials=100, T=2000)
     report(3, "adaptive-stepsize runs keep p constant, q nonzero, and the "
               "c|p0| floor in 100/100 random starts", all_pass(results))
 

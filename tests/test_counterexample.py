@@ -82,6 +82,12 @@ class TestKinkyFunction:
         with pytest.raises(ValueError):
             cex.lipschitz_bound(1.5)
 
+    @pytest.mark.parametrize("c", ["0.5", True, None])
+    def test_lipschitz_bound_rejects_non_real_c(self, c):
+        # "0.5" and None used to raise TypeError from the comparison.
+        with pytest.raises(ValueError, match="c must be a real number"):
+            cex.lipschitz_bound(c)
+
     def test_lipschitz_values(self):
         assert abs(cex.lipschitz_bound(0.5) - math.sqrt(2.5)) < 1e-15
         assert cex.lipschitz_bound(1e-9) < math.sqrt(2) + 1e-8
@@ -158,6 +164,17 @@ class TestComputeR:
             cex.compute_R(optim.InvT(), -1)
         with pytest.raises(ValueError, match="T must be nonnegative"):
             cex.compute_R_sequence(optim.InvT(), -1)
+
+    @pytest.mark.parametrize("T", [True, 2.0, 1.5, "3"])
+    def test_rejects_non_integer_T(self, T):
+        # True returned R_0 .. R_1, and 2.0 was refused under the internal name n.
+        with pytest.raises(ValueError, match="^T must be nonnegative: a nonnegative integer"):
+            cex.compute_R_sequence(optim.InvT(), T)
+
+    @pytest.mark.parametrize("t", [True, 1.0, "0"])
+    def test_compute_R_rejects_non_integer_t(self, t):
+        with pytest.raises(ValueError, match="^t must be nonnegative: a nonnegative integer"):
+            cex.compute_R(optim.InvT(), t)
 
     def test_rejects_schedule_below_its_limit(self):
         class BelowLimit(optim.Constant):
@@ -236,6 +253,20 @@ class TestCex1:
         with pytest.raises(ValueError, match="t must be nonnegative"):
             cex.cex1_predicted_iterate(init, -1)
 
+    @pytest.mark.parametrize("t", [1.5, True, "1"])
+    def test_predicted_iterate_rejects_non_integer_t(self, t):
+        # 1.5 raised IndexError and True TypeError.
+        init = cex.cex1_build(0.5, optim.InvT(), horizon=10)[2]
+        with pytest.raises(ValueError, match="^t must be nonnegative: a nonnegative integer"):
+            cex.cex1_predicted_iterate(init, t)
+
+    @pytest.mark.parametrize("T", [-1, 2.5, True])
+    def test_predicted_sequence_rejects_bad_T(self, T):
+        # -1 returned an empty array and 2.5 raised IndexError.
+        init = cex.cex1_build(0.5, optim.InvT(), horizon=10)[2]
+        with pytest.raises(ValueError, match="^T must be nonnegative: a nonnegative integer"):
+            cex.cex1_predicted_sequence(init, T)
+
     def test_lazy_extension_equals_a_longer_horizon(self):
         # Past the build horizon Cex1Init extends R by the recursion that
         # compute_R_sequence runs, so both give the same bits.
@@ -293,6 +324,12 @@ class TestCex2:
         # raised a bare IndexError.
         with pytest.raises(ValueError, match=match):
             cex.cex2_guard_check(W0, 0.2, optim.Table((0.1,)), 10)
+
+    @pytest.mark.parametrize("beta", ["0.1", None, True])
+    def test_guard_check_rejects_non_real_beta(self, beta):
+        # "0.1" and None used to raise TypeError from the comparison.
+        with pytest.raises(ValueError, match="beta must be a real number"):
+            cex.cex2_guard_check(np.diag([1.0, 0.5]), beta, optim.Table((0.1,)), 10)
 
     # The general loop's numpy warns on the overflowing stepsize.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -493,7 +493,7 @@ class TestSuitesFailOnNaN:
             return traces
 
         monkeypatch.setattr(optim, "run_batch", with_nan)
-        results = harness.suite_cex2(n_inits=3, T=10)
+        results = harness.suite_cex2(trials=3, T=10)
         self.assert_nan_fails(results[::3])  # the invariant p
         assert not any(r.passed for r in results)  # q and the floor, by count
 

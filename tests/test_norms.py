@@ -69,6 +69,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="layer dimension must be a positive integer"):
             norms.ProductNormSpec(layer_dims=((2, 2), dims), s=1.0, k=1)
 
+    @pytest.mark.parametrize("layer_dims", [5, None, ((2, 2, 2),), ((2,),), ((2, 2), 3)])
+    def test_product_requires_layer_dim_pairs(self, layer_dims):
+        # 5 raised TypeError and (2, 2, 2) "too many values to unpack".
+        with pytest.raises(ValueError, match="^layer_dims must be a sequence of \\(m, n\\) pairs"):
+            norms.ProductNormSpec(layer_dims=layer_dims, s=1.0, k=1)
+
     def test_product_normalises_s_and_k(self):
         spec = norms.ProductNormSpec(layer_dims=((2, 2),), s=2, k=np.int64(3))
         assert type(spec.s) is float and spec.s == 2.0
@@ -630,3 +636,103 @@ class TestStackedNorms:
         norms.compress_stack(W, norms.OperatorNorm())
         norms.dual_norm_stack(W, norms.OperatorNorm())
         assert len(calls) == 3
+
+
+PER_CALL = ["primal_norm", "dual_norm", "lmo_min", "dual_norm_and_lmo", "compress"]
+# The stack form each per-call entry is the B = 1 case of.
+STACK_FORM = {"primal_norm": norms.primal_norm_stack, "dual_norm": norms.dual_norm_stack,
+              "lmo_min": norms.lmo_min_stack, "dual_norm_and_lmo": norms.lmo_min_stack,
+              "compress": norms.compress_stack}
+
+
+def refused_points(spec):
+    """ParamPoints the product ``spec`` refuses: non-finite entries set in
+    place after construction, and layers or theta of the wrong shape."""
+    rng = np.random.default_rng(10)
+
+    def point(dims=spec.layer_dims, k=spec.k):
+        return norms.ParamPoint([rng.standard_normal(d) for d in dims], rng.standard_normal(k))
+
+    bad_theta, bad_layer, nan_theta = point(), point(), point()
+    bad_theta.theta[0] = np.inf
+    bad_layer.matrices[-1][0, 1] = -np.inf
+    nan_theta.theta[-1] = np.nan
+    swapped = [(n, m) for m, n in spec.layer_dims]
+    return [bad_theta, bad_layer, nan_theta, point(dims=swapped), point(k=spec.k + 1),
+            point(dims=spec.layer_dims[:1])]
+
+
+def refused_members(spec):
+    """(per-call argument, its one-member stack) pairs that ``spec`` refuses."""
+    if isinstance(spec, norms.ProductNormSpec):
+        return [(P, ([M[None] for M in P.matrices], P.theta[None])) for P in refused_points(spec)]
+    if isinstance(spec, (norms.OperatorNorm, norms.NuclearNorm)):
+        nan, inf = np.ones((3, 3)), np.eye(3, 4)
+        nan[0, 2], inf[1, 1] = np.nan, np.inf
+        members = [np.zeros((0, 3)), np.zeros((3, 0)), nan, inf]
+    else:
+        nan, inf = np.ones(4), np.ones(4)
+        nan[1], inf[3] = np.nan, -np.inf
+        members = [nan, inf]
+    return [(W, W[None]) for W in members]
+
+
+def other_kinds(spec):
+    """(argument, message) pairs of per-call arguments not of ``spec``'s
+    kind; they raise the per-call coercion's error before any stack exists."""
+    if isinstance(spec, norms.ProductNormSpec):
+        P = refused_points(spec)[0]
+        return [(W, "product spec requires a ParamPoint")
+                for W in (np.zeros((0, 3)), np.ones((3, 4)), (P.matrices, P.theta))]
+    if isinstance(spec, (norms.OperatorNorm, norms.NuclearNorm)):
+        return [(W, f"expected a 2-d array, got shape {W.shape}")
+                for W in (np.ones(3), np.ones((1, 2, 2)))]
+    return [(W, f"expected a vector, got shape {W.shape}")
+            for W in (np.zeros((0, 3)), np.zeros((3, 0)), np.ones((2, 2)))]
+
+
+@pytest.mark.filterwarnings("error")
+class TestPerCallValidation:
+    """Every per-call entry refuses what its stack form refuses, with the same
+    ValueError, because it builds the one-member stack and validates it there."""
+
+    @pytest.mark.parametrize("fname", PER_CALL)
+    @pytest.mark.parametrize("spec", VECTOR_SPECS + MATRIX_SPECS + PRODUCT_SPECS, ids=repr)
+    def test_refuses_as_its_stack_form(self, spec, fname):
+        # At the parent of this test the 0x3 matrix reached the SVD (IndexError
+        # for NuclearNorm), a point with theta set to inf in place had primal
+        # norm inf, and the LMO of one warned on a division.
+        for W, stack in refused_members(spec):
+            with pytest.raises(ValueError) as want:
+                STACK_FORM[fname](stack, spec)
+            with pytest.raises(ValueError) as got:
+                getattr(norms, fname)(W, spec)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("fname", PER_CALL)
+    @pytest.mark.parametrize("spec", VECTOR_SPECS + MATRIX_SPECS + PRODUCT_SPECS, ids=repr)
+    def test_refuses_other_kinds(self, spec, fname):
+        for W, message in other_kinds(spec):
+            with pytest.raises(ValueError) as got:
+                getattr(norms, fname)(W, spec)
+            assert str(got.value) == message
+
+    def test_product_messages(self):
+        spec = PRODUCT_SPECS[0]
+        got = []
+        for P in refused_points(spec):
+            with pytest.raises(ValueError) as exc:
+                norms.compress(P, spec)
+            got.append(str(exc.value))
+        finite = ["theta", "matrix", "theta"]
+        assert got == ([f"{what} entries must be finite" for what in finite]
+                       + ["shapes do not match the product spec"] * 3)
+
+    @pytest.mark.parametrize("spec, dual", [
+        (norms.L1(), norms.Linf()), (norms.L2(), norms.L2()), (norms.Lp(1.0), norms.Linf()),
+        (norms.Lp(1.5), norms.Lp(3.0)),
+        (norms.OperatorNorm(), norms.NuclearNorm())], ids=repr)
+    def test_duality_table(self, spec, dual):
+        assert norms._dual_spec(spec) == dual
+        if not isinstance(spec, norms.Lp) or spec.p > 1.0:
+            assert norms._dual_spec(dual) == spec
