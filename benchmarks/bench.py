@@ -44,9 +44,11 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
 - ``linalg.polar_newton_schulz`` and ``linalg.polar_exact`` on one Gaussian
   n x n matrix for each n in ``POLAR_SIZES``, in microseconds per call;
 - the other per-call routes of the exact kernels, in microseconds per call:
-  ``polar_exact`` on one diagonal n x n matrix, and ``polar_and_nuclear`` on
-  one Gaussian and one diagonal n x n matrix, for each n in
-  ``EXACT_POLAR_SIZES``; ``norm`` "op" and "nuc" on the same pair for each n
+  ``polar_exact`` on one diagonal and one rank-deficient (rank n // 2, at
+  least 1) n x n matrix, and ``polar_and_nuclear`` on one Gaussian and one
+  diagonal n x n matrix, for each n in ``EXACT_POLAR_SIZES``;
+  ``norms.primal_norm`` of ``OperatorNorm`` and ``NuclearNorm`` (rows
+  ``norm[op]`` and ``norm[nuc]``) on a Gaussian and a diagonal one for each n
   in ``EXACT_NORM_SIZES``.  The diagonal of a diagonal one is Gaussian;
 - the four ``linalg`` stack kernels (``polar_exact_stack``,
   ``polar_and_nuclear_stack``, ``op_norm_stack``, ``nuclear_norm_stack``) on
@@ -267,7 +269,7 @@ def _kernel_timings() -> dict:
 
 def _polar_timings() -> dict:
     import numpy as np
-    from muonlab import linalg
+    from muonlab import linalg, norms
 
     rng = np.random.default_rng(0)
     timings = {}
@@ -284,15 +286,22 @@ def _polar_timings() -> dict:
             fn = getattr(linalg, fname)
             timings[f"{fname}[{n}x{n}]"] = _per_unit(_timed(
                 _calls(fn, [(A,)] * calls)), "us_per_call", calls)
-    rows = [("polar_exact", linalg.polar_exact, n, ("diagonal",)) for n in EXACT_POLAR_SIZES]
+    rows = [("polar_exact", linalg.polar_exact, n, ("diagonal", "rank-deficient"))
+            for n in EXACT_POLAR_SIZES]
     rows += [("polar_and_nuclear", linalg.polar_and_nuclear, n, ("dense", "diagonal"))
              for n in EXACT_POLAR_SIZES]
-    rows += [(f"norm[{kind}]", lambda A, kind=kind: linalg.norm(A, kind), n,
-              ("dense", "diagonal")) for kind in ("op", "nuc") for n in EXACT_NORM_SIZES]
+    rows += [(f"norm[{kind}]", lambda A, spec=spec: norms.primal_norm(A, spec), n,
+              ("dense", "diagonal"))
+             for kind, spec in (("op", norms.OperatorNorm()), ("nuc", norms.NuclearNorm()))
+             for n in EXACT_NORM_SIZES]
     for label, fn, n, forms in rows:
         for form in forms:
             if form == "dense":
                 A, calls, name = rng.standard_normal((n, n)), POLAR_CALLS[n], f"{n}x{n}"
+            elif form == "rank-deficient":
+                r = max(1, n // 2)
+                A = rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
+                calls, name = POLAR_CALLS[n], f"{n}x{n},{form}"
             else:
                 A, calls, name = np.diag(rng.standard_normal(n)), DIAGONAL_CALLS, f"{n}x{n},{form}"
             timings[f"{label}[{name}]"] = _per_unit(_timed(

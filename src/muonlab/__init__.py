@@ -4,14 +4,7 @@ and adversarial experiments showing why the plain methods fail on nonsmooth
 convex problems.
 """
 
-from .linalg import (
-    NumericalError,
-    SvdFactors,
-    norm,
-    polar_exact,
-    polar_newton_schulz,
-    reduced_svd,
-)
+from .linalg import NumericalError, polar_exact, polar_newton_schulz
 from .norms import (
     L1,
     L2,

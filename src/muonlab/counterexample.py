@@ -243,6 +243,7 @@ class Cex1Init:
     _R: np.ndarray = field(repr=False, default=None)
 
     def R(self, t: int) -> float:
+        optim._check_count(t, "t")
         if self._R is None or t >= len(self._R):
             self._R = _R_recursion(self.schedule, self.R0, max(2 * (t + 1), 16))
         return float(self._R[t])
@@ -261,8 +262,7 @@ def cex1_build(beta, schedule, r: float = 1.0, delta: float = 0.0,
     """
     given = [("beta", beta), ("r", r), ("delta", delta)] + ([] if c is None else [("c", c)])
     for name, value in given:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, not {value!r}")
+        optim._check_real(value, name)
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
     if c is None:
@@ -295,8 +295,8 @@ def cex1_build(beta, schedule, r: float = 1.0, delta: float = 0.0,
 
 def cex1_predicted_iterate(init: Cex1Init, t: int):
     """Closed-form diagonal (w1, w2) of the iterate at step t."""
-    optim._check_count(t, "t")
-    osc = init.delta + (-1) ** (t % 2) * init.R(t)
+    R = init.R(t)  # checks t
+    osc = init.delta + (-1) ** (t % 2) * R
     return init.r + osc, init.r - osc
 
 

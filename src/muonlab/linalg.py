@@ -1,4 +1,4 @@
-"""Dense matrix kernels: reduced SVD, polar factors, norms.
+"""Dense matrix kernels: SVD, polar factors, operator and nuclear norms.
 
 All operations are pure functions on float64 numpy arrays and are safe to
 call concurrently.
@@ -7,12 +7,11 @@ call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-# The kernels' fixed numeric constants: the relative rank cut of every SVD
-# and the Newton-Schulz iteration count.
+# The kernels' fixed numeric constants: the relative rank cut of the polar
+# factor and the Newton-Schulz iteration count.
 SVD_TRUNCATION_RTOL = 1e-12
 NEWTON_SCHULZ_DEFAULT_ITERS = 12
 NEWTON_SCHULZ_GROWTH_LIMIT = 10.0
@@ -77,52 +76,12 @@ def _fro(arr: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Truncated factors A ~= U @ diag(sigma) @ Vt with rank retained columns.
-
-    ``nuclear`` is the sum of all singular values, before truncation.
-    """
-
-    U: np.ndarray
-    sigma: np.ndarray
-    Vt: np.ndarray
-    rank: int
-    nuclear: float
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.sigma) @ self.Vt
-
-
-def reduced_svd(A) -> SvdFactors:
-    """Reduced SVD with relative rank truncation.
-
-    Singular values <= SVD_TRUNCATION_RTOL * sigma_max are dropped, so the
-    zero matrix has rank 0 and empty factors.
-    """
-    return _truncated(*_svd(as_matrix(A)))
-
-
 def _svd(A: np.ndarray) -> tuple:
     """``np.linalg.svd(A, full_matrices=False)`` of a finite matrix or stack."""
     try:
         return np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-
-
-def _truncated(U: np.ndarray, s: np.ndarray, Vt: np.ndarray) -> SvdFactors:
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > SVD_TRUNCATION_RTOL * s[0]))
-    return SvdFactors(
-        U=np.ascontiguousarray(U[:, :rank]),
-        sigma=s[:rank].copy(),
-        Vt=np.ascontiguousarray(Vt[:rank]),
-        rank=rank,
-        nuclear=float(s.sum()),
-    )
 
 
 def polar_exact(A) -> np.ndarray:
@@ -137,7 +96,7 @@ def polar_exact(A) -> np.ndarray:
 
 
 def polar_and_nuclear(A) -> tuple:
-    """``(polar_exact(A), norm(A, "nuc"))`` from a single SVD.
+    """``(polar_exact(A), ||A||_nuc)`` from a single SVD.
 
     Diagonal inputs take the same exact fast path as both functions:
     ``sign(A)`` and the sum of the absolute diagonal entries.  This is the
@@ -172,9 +131,9 @@ def _svd_members(A: np.ndarray) -> np.ndarray | None:
 def _polar_stack(A: np.ndarray, nuclear: bool) -> tuple:
     """The polar factor of each member of a stack and, if ``nuclear``, its
     nuclear norm (else None).  A diagonal member's are its sign and the sum
-    of its absolute diagonal entries.  The others share one SVD, truncated
-    as ``reduced_svd`` is; when they are all the members and of full rank,
-    the factors are ``U @ Vt`` of the stack's own SVD."""
+    of its absolute diagonal entries.  The others share one SVD; a factor
+    drops the singular values <= SVD_TRUNCATION_RTOL * sigma_max, and when
+    none is dropped and all members share it, the factors are ``U @ Vt``."""
     svd = _svd_members(A)
     d = A.diagonal(0, 1, 2)
     if svd is None:
@@ -194,8 +153,8 @@ def _polar_stack(A: np.ndarray, nuclear: bool) -> tuple:
     X = np.sign(A)
     X[svd[full]] = U[full] @ Vt[full]
     for j in np.flatnonzero(~full):
-        f = _truncated(U[j], s[j], Vt[j])
-        X[svd[j]] = f.U @ f.Vt
+        k = np.count_nonzero(s[j] > SVD_TRUNCATION_RTOL * s[j, 0])
+        X[svd[j]] = U[j][:, :k] @ Vt[j][:k]
     return X, norms
 
 
@@ -231,12 +190,12 @@ def _norm_stack(A: np.ndarray, kind: str) -> np.ndarray:
 
 
 def op_norm_stack(A) -> np.ndarray:
-    """``norm(A[b], "op")`` of each member of a (B, m, n) stack."""
+    """The operator norm of each member of a (B, m, n) stack."""
     return _norm_stack(_as_stack(A), "op")
 
 
 def nuclear_norm_stack(A) -> np.ndarray:
-    """``norm(A[b], "nuc")`` of each member of a (B, m, n) stack."""
+    """The nuclear norm of each member of a (B, m, n) stack."""
     return _norm_stack(_as_stack(A), "nuc")
 
 
@@ -304,37 +263,3 @@ def _newton_schulz(A: np.ndarray) -> np.ndarray:
         if not math.sqrt(np.vecdot(flat, flat).max()) <= limit:
             raise NumericalError("Newton-Schulz iteration diverged")
     return X
-
-
-def norm(A, kind: str, p: float | None = None) -> float:
-    """Scalar norms used across the package.
-
-    kind is one of "fro", "op", "nuc" (matrices) or "l1", "l2", "linf",
-    "lp" (vectors, or single-row/column matrices).  "lp" needs a finite
-    p >= 1; "linf" is the p = inf norm.  Every kind but "fro" raises
-    ValueError on a NaN or infinite entry; a norm that overflows is inf.
-    "op" and "nuc" are the B = 1 case of ``op_norm_stack`` and
-    ``nuclear_norm_stack``.
-    """
-    arr = np.asarray(A, dtype=float)
-    if kind == "fro":
-        return _fro(arr)
-    if kind in ("op", "nuc"):
-        return float(_norm_stack(_matrix(arr)[None], kind)[0])
-    v = _as_vector(arr)
-    if kind == "l1":
-        r = float(np.abs(v).sum())
-    elif kind == "l2":
-        r = _fro(v)
-    elif kind == "linf":
-        r = float(np.abs(v).max()) if v.size else 0.0
-    elif kind == "lp":
-        if p is None or not 1 <= p < math.inf:
-            raise ValueError(f"lp norm requires a finite p >= 1, got {p!r}")
-        r = float((np.abs(v) ** p).sum() ** (1.0 / p))
-    else:
-        raise ValueError(f"unknown norm kind {kind!r}")
-    # Only a norm that is not finite pays for a scan of the entries.
-    if not math.isfinite(r) and not _all_finite(v):
-        raise ValueError("vector entries must be finite")
-    return r

@@ -137,16 +137,14 @@ class ParamPoint:
         return math.sqrt(inner(self, self))
 
     def __add__(self, other: "ParamPoint") -> "ParamPoint":
-        return ParamPoint(
-            [A + B for A, B in zip(self.matrices, other.matrices)],
-            self.theta + other.theta,
-        )
+        _same_shapes(self, other)
+        return ParamPoint([A + B for A, B in zip(self.matrices, other.matrices)],
+                          self.theta + other.theta)
 
     def __sub__(self, other: "ParamPoint") -> "ParamPoint":
-        return ParamPoint(
-            [A - B for A, B in zip(self.matrices, other.matrices)],
-            self.theta - other.theta,
-        )
+        _same_shapes(self, other)
+        return ParamPoint([A - B for A, B in zip(self.matrices, other.matrices)],
+                          self.theta - other.theta)
 
     def __mul__(self, scalar: float) -> "ParamPoint":
         return ParamPoint([scalar * M for M in self.matrices], scalar * self.theta)
@@ -155,6 +153,13 @@ class ParamPoint:
 
     def __neg__(self) -> "ParamPoint":
         return self * -1.0
+
+
+def _same_shapes(a: ParamPoint, b: ParamPoint):
+    """Raise ValueError unless the points' layer shapes and theta lengths match."""
+    x, y = ([M.shape for M in p.matrices] + [p.theta.shape] for p in (a, b))
+    if x != y:
+        raise ValueError(f"ParamPoint shapes do not match: {x} and {y}")
 
 
 @dataclass(frozen=True)
@@ -171,6 +176,7 @@ class CompressorConstants:
 def inner(a, b) -> float:
     """Trace inner product, extended blockwise to ParamPoints."""
     if isinstance(a, ParamPoint):
+        _same_shapes(a, b)
         total = sum(float(np.sum(A * B)) for A, B in zip(a.matrices, b.matrices))
         return total + float(np.dot(a.theta, b.theta))
     return float(np.sum(np.asarray(a, float) * np.asarray(b, float)))
@@ -178,10 +184,10 @@ def inner(a, b) -> float:
 
 def fro(a) -> float:
     if type(a) is np.ndarray and a.dtype is linalg._FLOAT64:
-        return linalg._fro(a)  # what linalg.norm(a, "fro") returns, without its dispatch
+        return linalg._fro(a)  # the fallback's result, without its type tests
     if isinstance(a, ParamPoint):
         return a.fro()
-    return linalg.norm(a, "fro")
+    return linalg._fro(np.asarray(a, dtype=float))
 
 
 def zeros_like(a):
@@ -218,7 +224,7 @@ def _stack(W, spec):
         V = np.asarray(W, dtype=float)
         if V.ndim != 2:
             raise ValueError(f"expected a (B, d) stack of vectors, got shape {V.shape}")
-        if not linalg._all_finite(V):  # linalg.norm's check and message
+        if not linalg._all_finite(V):
             raise ValueError("vector entries must be finite")
         return V
     if isinstance(spec, _MATRIX_SPECS):
@@ -273,7 +279,9 @@ def _l1_rows(V):
 
 
 def _l2_rows(V):
-    # linalg._fro of each row: vecdot is ndarray.dot row by row, bit for bit.
+    # linalg._fro of each row: vecdot is ndarray.dot row by row, bit for bit, on
+    # rows made contiguous as _fro's ravel makes them (strided, it sums otherwise).
+    V = np.ascontiguousarray(V)
     return np.sqrt(np.vecdot(V, V))
 
 
@@ -282,7 +290,7 @@ def _linf_rows(V):
 
 
 def _lp_rows(V, p: float):
-    """``linalg.norm(v, "lp", p=p)`` of each row, the outer power per member."""
+    """||v||_p of each row, the outer power taken per member as a Python float."""
     inv = 1.0 / p
     return np.array([x ** inv for x in (np.abs(V) ** p).sum(axis=1).tolist()])
 
@@ -310,8 +318,8 @@ def _nuclear_ball(A: np.ndarray) -> tuple:
     if not linalg._all_finite(A):
         raise ValueError("matrix entries must be finite")
     U, s, Vt = linalg._svd(A)
-    # The zero matrix (rank 0 in reduced_svd) maps to 0; others average the
-    # dyads of their top singular values.
+    # The zero matrix maps to 0; others average the dyads of their top
+    # singular values.
     s0 = s[:, 0]
     top = (s >= (s0 * (1.0 - TIE_RTOL))[:, None]) & (s0 != 0.0)[:, None]
     k = np.count_nonzero(top, axis=1)

@@ -122,7 +122,7 @@ class AdaptiveNuclear:
     def value(self, t: int, momentum=None) -> float:
         if momentum is None:
             raise ValueError("AdaptiveNuclear needs the momentum buffer")
-        return self.base * linalg.norm(momentum, "nuc")
+        return self.base * norms.primal_norm(momentum, norms.NuclearNorm())
 
     def limit(self) -> float:
         raise ValueError("AdaptiveNuclear has no offline limit")
@@ -316,7 +316,7 @@ def step(rule: Rule, state: OptimizerState, oracle):
     if rule.lmo == "product":
         dn, X = norms.dual_norm_and_lmo(M, state.spec)
     elif rule.lmo == "polar":
-        dn = linalg.norm(M, "nuc") if scale else None
+        dn = norms.primal_norm(M, norms.NuclearNorm()) if scale else None
         X = state.polar(M)
     else:
         X = np.sign(M)

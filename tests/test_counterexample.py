@@ -260,6 +260,15 @@ class TestCex1:
         with pytest.raises(ValueError, match="^t must be nonnegative: a nonnegative integer"):
             cex.cex1_predicted_iterate(init, t)
 
+    @pytest.mark.parametrize("t", [-1, 1.5, True, "2"])
+    def test_R_rejects_bad_t(self, t):
+        # -1 returned the last cached R (0.0475), 1.5 raised IndexError, and
+        # True and "2" TypeError.
+        init = cex.cex1_build(0.5, optim.InvT(), horizon=10)[2]
+        with pytest.raises(ValueError, match="^t must be nonnegative: a nonnegative integer"):
+            init.R(t)
+        assert init.R(np.int64(3)) == init.R(3) == cex.compute_R_sequence(optim.InvT(), 10)[3]
+
     @pytest.mark.parametrize("T", [-1, 2.5, True])
     def test_predicted_sequence_rejects_bad_T(self, T):
         # -1 returned an empty array and 2.5 raised IndexError.
