@@ -3,7 +3,8 @@
 Times, each as the median, minimum and maximum of ``REPEATS`` runs:
 
 - ``harness.write_csv`` on the ``efm-appendixE`` trace (all ten columns
-  filled) at T = 5000 and T = 50 000;
+  filled) at T = 5000 and T = 50 000, and on the ``cex1-appendixE`` trace
+  (its ``bound`` column NaN) at T = 5000, in microseconds per row;
 - the least-Frobenius grid of ``suite_lmo``, as ``suite_lmo(trials=1)``: the
   grid's 20 x 400 candidates do not depend on ``trials``, and at one trial the
   other sixteen checks take one sample each;
@@ -416,13 +417,14 @@ def measure() -> dict:
 
     timings = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for T in (5000, 50_000):
-            cfg = {**harness.PRESETS["efm-appendixE"](), "T": T}
-            trace, bound, _ = harness.run_experiment(cfg)
-            path = os.path.join(tmp, f"efm-{T}.csv")
-            timings[f"write_csv[T={T}]"] = _timed(
-                lambda: harness.write_csv(path, trace, bound))
-            timings[f"write_csv[T={T}]"]["bytes"] = os.path.getsize(path)
+        for name, T in (("efm-appendixE", 5000), ("efm-appendixE", 50_000),
+                        ("cex1-appendixE", 5000)):
+            trace, bound, _ = harness.run_experiment({**harness.PRESETS[name](), "T": T})
+            path = os.path.join(tmp, f"{name}-{T}.csv")
+            key = f"write_csv[{name},T={T}]"
+            timings[key] = _per_unit(_timed(lambda: harness.write_csv(path, trace, bound)),
+                                     "us_per_row", T + 1)
+            timings[key]["bytes"] = os.path.getsize(path)
         for name in sorted(harness.PRESETS):
             def run(name=name):
                 with contextlib.redirect_stdout(io.StringIO()):
@@ -460,7 +462,8 @@ def main(argv=None) -> int:
         fh.write("\n")
     for name, t in record["runs"][args.label]["timings"].items():
         per = next((f"  {t[k]:8.2f} {k}" for k in ("us_per_step", "us_per_call", "us_per_member",
-                                                   "us_per_member_step") if k in t), "")
+                                                   "us_per_member_step", "us_per_row")
+                    if k in t), "")
         print(f"{name:44s} {t['median_ms']:10.2f} ms{per}")
     return 0
 

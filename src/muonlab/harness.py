@@ -4,6 +4,7 @@ suites behind the command line interface and the acceptance tests.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -233,16 +234,119 @@ def run_experiment(raw_config: dict):
     return trace, bound, cfg
 
 
+# ---------------------------------------------------------------------------
+# CSV cells: "%.17g" % x, formatted in numpy
+#
+# A cell with 1e-6 <= |x| < 1e15 has a decimal exponent E in [-6, 14], so
+# |x| * 10**(16 - E) takes only the powers 10**2 .. 10**22, all exact doubles.
+# Dekker's two-product gives that product exactly as hi + lo, and hi >= 2**53
+# is an even integer, so N = hi + rint(lo) is it rounded to an integer, ties
+# to even, as "%.17g" rounds.  E comes from log10 and is only an estimate; a
+# cell is taken only where 10**16 < N < 10**17, which proves E right.  Every
+# other cell (zeros, NaN, infinities, subnormals, the rest of the range and N
+# on a decade edge) goes through "%.17g" itself, NaN as its constant "nan".
+
+_POW10 = np.array([float(10**k) for k in range(23)])
+
+
+def _veltkamp(a):
+    """``a`` as hi + lo, each of at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+# A cell is laid out in _CELL bytes: a sign, the text in columns 1..22 (the
+# "e-0X" of an exponent form in 19..22) or a "%.17g" text in 0..23, then the
+# separator.  The bytes left NUL are deleted when the block is joined.
+_CELL = 25
+_BLOCK_ROWS = 1024
+
+
+@functools.cache
+def _digit_groups() -> np.ndarray:
+    """The four ASCII digits of each of 0..9999 as one uint32, then the same
+    with their trailing zeros as NUL bytes."""
+    v = np.arange(10_000)[:, None]
+    p = np.array([1000, 100, 10, 1])
+    digits = (v // p % 10 + 48).astype(np.uint8)
+    stripped = np.where(v % (10 * p) == 0, 0, digits).astype(np.uint8)
+    return np.concatenate([digits, stripped]).view(np.uint32).ravel()
+
+
+def _csv_block(cells: np.ndarray) -> bytes:
+    """The CSV lines of a (rows, columns) float64 block, each cell as
+    ``"%.17g" % cell`` would write it."""
+    x = cells.ravel()
+    a = np.abs(x)
+    exact = (a >= 1e-6) & (a < 1e15)  # False for NaN
+    a = np.where(exact, a, 1.0)
+    E = np.clip(np.floor(np.log10(a)), -6, 14).astype(np.intp)
+    k = 16 - E
+    hi = a * _POW10[k]
+    ah, al = _veltkamp(a)
+    ph, pl = _POW10_HI[k], _POW10_LO[k]
+    lo = al * pl - (((hi - ah * ph) - al * ph) - ah * pl)
+    N = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    exact &= (N > 10**16) & (N < 10**17)
+    # Sorted by E, the exact cells of one exponent are one slice; NaN (15)
+    # and the "%.17g" cells (16) come last.
+    key = np.where(exact, E, np.where(np.isnan(x), 15, 16)).astype(np.int8)
+    order = np.argsort(key, kind="stable")
+    x = x[order]
+    bounds = np.searchsorted(key[order], np.arange(-6, 17)).tolist()
+    n_exact, n_special = bounds[21], bounds[22]
+    # The 17 digits of N from five groups: the first digit, then four of four.
+    head, tail = np.divmod(N[order[:n_exact]], 10**8)
+    first, head = np.divmod(head.astype(np.int32), 10**8)
+    groups = [first, *np.divmod(head, 10**4), *np.divmod(tail.astype(np.int32), 10**4)]
+    table, zeros_after = _digit_groups(), True
+    G = np.empty((n_exact, 5), np.uint32)
+    for i in range(4, -1, -1):  # trailing zeros of N become NUL
+        G[:, i] = table[groups[i] + 10_000 * zeros_after]
+        zeros_after = zeros_after & (groups[i] == 0)
+    digits = G.view(np.uint8)[:, 3:]
+    S = np.zeros((x.size, _CELL), np.uint8)
+    for e, start, stop in zip(range(-6, 15), bounds, bounds[1:]):
+        if start == stop:
+            continue
+        d, s = digits[start:stop], S[start:stop]
+        if -4 <= e < 0:  # 0.000ddd
+            s[:, 1:3] = (48, 46)
+            s[:, 3:2 - e] = 48
+            s[:, 2 - e:19 - e] = d
+            continue
+        p = max(e, 0)  # digits up to d[p] are the integer part, kept whole
+        s[:, 1:p + 2] = d[:, :p + 1] | 48
+        s[:, p + 2] = np.where(d[:, p + 1] == 0, 0, 46)
+        s[:, p + 3:19] = d[:, p + 1:]
+        if e < 0:
+            s[:, 19:23] = (101, 45, 48, 48 - e)  # e-05, e-06
+    S[:n_exact, 0] = np.where(x[:n_exact] < 0, 45, 0)
+    S[n_exact:n_special, :3] = (110, 97, 110)
+    texts = ["%.17g" % v for v in x[n_special:].tolist()]
+    S[n_special:, :24] = np.array(texts, dtype="S24").view(np.uint8).reshape(-1, 24)
+    out = np.empty_like(S)
+    row = np.dtype((np.void, _CELL))
+    out.view(row)[order] = S.view(row)
+    out.reshape(*cells.shape, _CELL)[:, :, -1] = [44] * (cells.shape[1] - 1) + [10]
+    return out.tobytes().translate(None, b"\0")
+
+
 def write_csv(path: str, trace: optim.Trace, bound: np.ndarray):
-    """CSV with fixed columns, 17 significant digits, LF endings."""
-    columns = (trace.t, trace.lam, trace.f, trace.w11, trace.w22, trace.sum_diag,
-               trace.diff_diag, trace.grad_fro, trace.favg, bound)
-    row = ",".join(["%.17g"] * len(CSV_COLUMNS))
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(row % values for values in zip(*(np.asarray(c).tolist() for c in columns),
-                                                strict=True))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """CSV with fixed columns, 17 significant digits, LF endings: every cell
+    as ``"%.17g" % cell``, written in blocks of ``_BLOCK_ROWS`` rows."""
+    columns = [np.asarray(c, dtype=float) for c in (
+        trace.t, trace.lam, trace.f, trace.w11, trace.w22, trace.sum_diag,
+        trace.diff_diag, trace.grad_fro, trace.favg, bound)]
+    if len({len(c) for c in columns}) != 1:
+        raise ValueError(f"CSV columns differ in length: {[len(c) for c in columns]}")
+    cells = np.column_stack(columns)
+    with open(path, "wb") as fh:
+        fh.write((",".join(CSV_COLUMNS) + "\n").encode())
+        for start in range(0, len(cells), _BLOCK_ROWS):
+            fh.write(_csv_block(cells[start:start + _BLOCK_ROWS]))
 
 
 def write_sidecar(path: str, cfg: dict):

@@ -136,12 +136,20 @@ class ParamPoint:
     def fro(self) -> float:
         return math.sqrt(inner(self, self))
 
+    # numpy defers to these methods, so an array operand meets the
+    # NotImplemented below and Python raises its usual TypeError.
+    __array_ufunc__ = None
+
     def __add__(self, other: "ParamPoint") -> "ParamPoint":
+        if not isinstance(other, ParamPoint):
+            return NotImplemented
         _same_shapes(self, other)
         return ParamPoint([A + B for A, B in zip(self.matrices, other.matrices)],
                           self.theta + other.theta)
 
     def __sub__(self, other: "ParamPoint") -> "ParamPoint":
+        if not isinstance(other, ParamPoint):
+            return NotImplemented
         _same_shapes(self, other)
         return ParamPoint([A - B for A, B in zip(self.matrices, other.matrices)],
                           self.theta - other.theta)
@@ -175,6 +183,9 @@ class CompressorConstants:
 
 def inner(a, b) -> float:
     """Trace inner product, extended blockwise to ParamPoints."""
+    if isinstance(a, ParamPoint) != isinstance(b, ParamPoint):
+        raise TypeError(f"inner of a ParamPoint needs two ParamPoints, "
+                        f"got {type(a).__name__} and {type(b).__name__}")
     if isinstance(a, ParamPoint):
         _same_shapes(a, b)
         total = sum(float(np.sum(A * B)) for A, B in zip(a.matrices, b.matrices))
@@ -357,13 +368,13 @@ def _primal(W, spec) -> np.ndarray:
     if isinstance(spec, Lp):
         return _lp_rows(W, spec.p)
     if isinstance(spec, OperatorNorm):
-        return linalg.op_norm_stack(W)
+        return linalg._norm_stack(W, "op")
     if isinstance(spec, NuclearNorm):
-        return linalg.nuclear_norm_stack(W)
+        return linalg._norm_stack(W, "nuc")
     mats, theta = W
     block = None
     for M, d in zip(mats, spec.d):
-        b = math.sqrt(d / spec.s) * linalg.op_norm_stack(M)
+        b = math.sqrt(d / spec.s) * linalg._norm_stack(M, "op")
         block = b if block is None else np.maximum(block, b)
     return np.sqrt(_sq(block) + spec.k * _sq(_linf_rows(theta)))
 
@@ -381,7 +392,7 @@ def _dual(W, spec) -> np.ndarray:
     if not isinstance(spec, ProductNormSpec):
         return _primal(W, _dual_spec(spec))
     mats, theta = W
-    y = _product_y([linalg.nuclear_norm_stack(M) for M in mats], spec)
+    y = _product_y([linalg._norm_stack(M, "nuc") for M in mats], spec)
     return _product_dual(y, _l1_rows(theta), spec)
 
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from muonlab import cli, harness, linalg, optim
 from muonlab import counterexample as cex
@@ -318,6 +320,75 @@ class TestWriteCsv:
         trace, bound = _awkward_trace()
         with pytest.raises(ValueError):
             harness.write_csv(str(tmp_path / "short.csv"), trace, bound[:-1])
+
+
+def _assert_cells_match(values, columns=1):
+    """``harness._csv_block`` writes each of ``values`` as ``"%.17g" % v``."""
+    cells = np.asarray(values, dtype=float).reshape(-1, columns)
+    got = harness._csv_block(cells).decode("ascii").replace("\n", ",").split(",")[:-1]
+    for v, text in zip(cells.ravel().tolist(), got, strict=True):
+        assert text == "%.17g" % v, (v.hex(), text)
+
+
+def _ties(rng, n):
+    """Doubles exactly halfway between two 17-digit decimals, ``n`` per
+    exponent E in -6..14: odd j * 2**(E - 17) in [10**E, 10**(E + 1))."""
+    out = []
+    for e in range(-6, 15):
+        scale = 2.0 ** (e - 17)
+        lo, hi = math.ceil(10.0**e / scale), math.floor(10.0 ** (e + 1) / scale)
+        j = rng.integers(lo // 2, (hi - 1) // 2, n) * 2 + 1
+        out.append(j * scale)
+    return np.concatenate(out)
+
+
+class TestCsvCells:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(hs.lists(hs.floats(), min_size=1, max_size=40))
+    def test_equals_percent_17g(self, values):
+        # st.floats() draws NaN (with payloads and sign), infinities, zeros
+        # and subnormals beside ordinary values.
+        _assert_cells_match(values)
+
+    def test_powers_of_ten_and_neighbours(self):
+        p = np.array([10.0**e for e in range(-8, 18)])
+        for v in (p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)):
+            _assert_cells_match(np.concatenate([v, -v]))
+
+    def test_edges_of_the_exact_range(self):
+        v = []
+        for edge in (1e-6, 1e15):
+            for side in (0.0, np.inf):
+                x = edge
+                for _ in range(4):
+                    x = np.nextafter(x, side)
+                    v.append(x)
+            v.append(edge)
+        v = np.array(v)
+        _assert_cells_match(np.concatenate([v, -v]), columns=2)
+
+    def test_exact_ties_round_to_even(self):
+        rng = np.random.default_rng(3)
+        ints = rng.integers(10**14, 10**15, 500).astype(float)
+        odd = (2 * rng.integers(0, 4, 500) + 1) / 8.0
+        _assert_cells_match(ints + odd, columns=10)
+        _assert_cells_match(_ties(rng, 20), columns=7)
+
+    def test_awkward_trace_values(self):
+        trace, bound = _awkward_trace()
+        _assert_cells_match(np.concatenate([trace.f, bound]), columns=3)
+
+    def test_one_block_per_1024_rows(self, tmp_path):
+        # Rows split across blocks are written whole and in order.
+        rng = np.random.default_rng(9)
+        n = 2 * harness._BLOCK_ROWS + 5
+        cols = {k: rng.standard_normal(n) * 10.0 ** rng.integers(-9, 17, n)
+                for k in ("lam", "f", "w11", "w22", "grad_fro", "favg")}
+        trace = optim.Trace(t=np.arange(n, dtype=float), **cols)
+        bound = rng.standard_normal(n)
+        out = tmp_path / "blocks.csv"
+        harness.write_csv(str(out), trace, bound)
+        assert out.read_bytes() == _per_row_csv(trace, bound).encode("utf-8")
 
 
 def _grid_loop(rng, base, Up, Vp, samples):

@@ -36,6 +36,29 @@ class TestParamPoint:
                 with pytest.raises(ValueError, match="^ParamPoint shapes do not match"):
                     op()
 
+    @pytest.mark.parametrize("other", [np.eye(2), 1.0, [np.eye(2)]],
+                             ids=["ndarray", "float", "list"])
+    def test_add_and_sub_refuse_other_types(self, other):
+        # A non-point operand used to reach other.matrices: AttributeError.
+        a = norms.ParamPoint([np.eye(2)], np.array([1.0, 2.0]))
+        for op in (lambda: a + other, lambda: other + a, lambda: a - other,
+                   lambda: other - a):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_scalar_products_still_defer_to_the_point(self):
+        a = norms.ParamPoint([np.eye(2)], np.array([1.0, 2.0]))
+        for p in (np.float64(2.0) * a, a * np.float64(2.0), 2.0 * a):
+            assert isinstance(p, norms.ParamPoint)
+            np.testing.assert_array_equal(p.theta, [2.0, 4.0])
+
+    def test_inner_refuses_one_point(self):
+        # inner(array, point) used to fail in float() with numpy's message.
+        a = norms.ParamPoint([np.eye(2)], np.array([1.0, 2.0]))
+        for x, y in ((np.eye(2), a), (a, np.eye(2))):
+            with pytest.raises(TypeError, match="ParamPoint.*ndarray|ndarray.*ParamPoint"):
+                norms.inner(x, y)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             norms.ParamPoint([np.eye(2)], np.array([[1.0]]))
