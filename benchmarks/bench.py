@@ -19,8 +19,13 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
 - ``optim.run`` of zero steps (``muon``, ``Table``), in microseconds per
   call: the fixed cost of a run, the float loop's dispatch and post-pass;
 - ``optim.run`` shaped like a ``cex-sweep`` item of ``perfbench``: ``muon``
-  with a ``Table`` for ``SWEEP_T`` steps from a dense 2x2 start, the
-  function and its oracle built for every run, in microseconds per call;
+  with a ``Table`` and ``regmuon`` with ``AdaptiveNuclear(0.05)`` for
+  ``SWEEP_T`` steps from a dense 2x2 start, the function and its oracle
+  built for every run, in microseconds per call;
+- ``optim.run`` for ``LONG_T`` steps without the running average:
+  ``regmuon`` with ``AdaptiveNuclear(0.05)`` and ``muon`` with
+  ``Constant(0.2)``, which stop their float loop once the state repeats,
+  in microseconds per step;
 - ``optim.offline_stepsizes`` of ``InvT``, ``InvSqrtT`` and a ``Table`` for
   ``OFFLINE_N`` steps, in microseconds per call;
 - ``optim.run_batch`` on that function for ``BATCH_T`` steps at each batch
@@ -101,6 +106,8 @@ EMPTY_RUNS = 2000
 # calls per timing of the offline-stepsize rows.
 SWEEP_T = 1000
 SWEEP_RUNS = 200
+# Steps per timing of the long-horizon run rows.
+LONG_T = 100_000
 OFFLINE_N = 5000
 OFFLINE_CALLS = 200
 # Batch sizes and horizon of the run_batch timings.
@@ -189,15 +196,25 @@ def _step_timings() -> dict:
     timings["run[muon+Table,T=0]"] = _per_unit(_timed(
         _calls(optim.run, [("muon", oracle, state, 0, False)] * EMPTY_RUNS)),
         "us_per_call", EMPTY_RUNS)
-    sweep_state = optim.OptimizerState(W=np.random.default_rng(1).standard_normal((2, 2)),
-                                       beta=0.2, schedule=optim.Table(table.values[:SWEEP_T]))
+    W_sweep = np.random.default_rng(1).standard_normal((2, 2))
+    for label, method, schedule in (
+            ("muon+Table", "muon", optim.Table(table.values[:SWEEP_T])),
+            ("regmuon+AdaptiveNuclear", "regmuon", optim.AdaptiveNuclear(0.05))):
+        sweep_state = optim.OptimizerState(W=W_sweep, beta=0.2, schedule=schedule)
 
-    def sweep_runs():
-        for _ in range(SWEEP_RUNS):
-            optim.run("muon", cex.KinkyFunction(c=0.3).oracle(), sweep_state, SWEEP_T,
-                      track_average=False)
-    timings[f"run[muon+Table,T={SWEEP_T}]+oracle"] = _per_unit(
-        _timed(sweep_runs), "us_per_call", SWEEP_RUNS)
+        def sweep_runs(method=method, sweep_state=sweep_state):
+            for _ in range(SWEEP_RUNS):
+                optim.run(method, cex.KinkyFunction(c=0.3).oracle(), sweep_state, SWEEP_T,
+                          track_average=False)
+        timings[f"run[{label},T={SWEEP_T}]+oracle"] = _per_unit(
+            _timed(sweep_runs), "us_per_call", SWEEP_RUNS)
+    for label, method, schedule in (
+            ("regmuon+AdaptiveNuclear", "regmuon", optim.AdaptiveNuclear(0.05)),
+            ("muon+Constant(0.2)", "muon", optim.Constant(0.2))):
+        long_state = optim.OptimizerState(W=W_sweep, beta=0.2, schedule=schedule)
+        timings[f"run[{label},T={LONG_T}]"] = _per_unit(_timed(
+            lambda: optim.run(method, fn.oracle(), long_state, LONG_T, track_average=False)),
+            "us_per_step", LONG_T)
     offline_table = optim.Table(tuple(np.random.default_rng(2).uniform(0.01, 0.3, OFFLINE_N)))
     for label, schedule in (("InvT", optim.InvT()), ("InvSqrtT", optim.InvSqrtT()),
                             ("Table", offline_table)):

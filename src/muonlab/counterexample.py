@@ -215,11 +215,16 @@ def compute_R_sequence(schedule, T: int) -> np.ndarray:
 
 
 def _R_recursion(schedule, R0: float, n: int) -> np.ndarray:
-    """R_0 .. R_{n-1} from R_0 by the float recursion R_{t+1} = lam_t - R_t."""
-    R = [float(R0)]
-    for lam in optim.offline_stepsizes(schedule, 0, n - 1).tolist():
-        R.append(lam - R[-1])
-    return np.array(R)
+    """R_0 .. R_{n-1} from a finite R_0 by the float recursion
+    R_{t+1} = lam_t - R_t, bit for bit: (-1)^t R_t is the running sum of R_0,
+    -lam_0, +lam_1, ..., each addition the subtraction or its exact negation.
+    Adding 0.0 turns the -0.0 of lam_t = R_t into the recursion's +0.0."""
+    terms = np.concatenate(([R0], optim.offline_stepsizes(schedule, 0, n - 1)))
+    terms[1::2] *= -1.0
+    R = np.cumsum(terms)
+    R[1::2] *= -1.0
+    R[1:] += 0.0
+    return R
 
 
 # ---------------------------------------------------------------------------

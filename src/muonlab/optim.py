@@ -479,15 +479,27 @@ def _run_diagonal(rule: Rule, oracle, state: OptimizerState, T: int,
     the loop finds that: an offline stepsize is finite, a recorded one is
     tested, and with feedback E ends not finite iff a nuclear norm of P was
     not.  ``run`` then runs its own loop, with the NaNs and errors of ``step``.
+
+    Without the running mean, a coefficient constant from step ``steady`` < T
+    on (Constant, AdaptiveNuclear, a Table's last value) makes each later
+    step a function of (w1, w2, m1, m2, e1, e2), packed every _CHUNK steps.
+    Bytes equal to a state kept Brent-style mean the run repeats: the rest of
+    its records is the last period again, and a kept E non-finite iff the last.
     """
     schedule, t0 = state.schedule, state.t
-    adaptive = type(schedule) is AdaptiveNuclear
+    kind = type(schedule)
+    adaptive = kind is AdaptiveNuclear
     mult = rule.scaled or adaptive  # the stepsize has a ||M||_nuc factor
     # T + 1 offline stepsizes, the Trace's lam column.  The loop reads the
-    # first T as floats: a Table's own while they last, else the array's.
+    # first ``steady`` as floats: a Table's own while they last, else the
+    # array's; then chunks of the constant one.
     lams = None if adaptive else offline_stepsizes(schedule, t0, T + 1)
-    coef = [schedule.base] * T if adaptive else schedule.values[t0:t0 + T] \
-        if type(schedule) is Table and t0 + T <= len(schedule.values) else lams[:T].tolist()
+    steady = T if track_average or kind is InvT or kind is InvSqrtT else \
+        min(max(len(schedule.values) - 1 - t0, 0) if kind is Table else 0, T)
+    coef = [schedule.base] * steady if adaptive else schedule.values[t0:t0 + steady] \
+        if kind is Table and t0 + steady <= len(schedule.values) else lams[:steady].tolist()
+    chunk = [schedule.base if adaptive else float(lams[T])] * _CHUNK
+    done, kept, kept_at, span, period = 0, None, steady, 0, 0
     momentum = rule.momentum and state.beta != 0.0
     beta, one_minus_beta = float(state.beta), float(1.0 - state.beta)
     rows = [(one_minus_beta * g1, one_minus_beta * g2) for g1, g2 in oracle.rows] \
@@ -499,42 +511,65 @@ def _run_diagonal(rule: Rule, oracle, state: OptimizerState, T: int,
     e1, e2 = float(state.E[0, 0]), float(state.E[1, 1])
     a1, a2, j = w1, w2, 1.0  # the running mean of j iterates
     w11, w22, a11, a22, lam_col = [w1], [w2], [a1], [a2], []
-    for lam in coef:
-        s, d = w1 + w2, w1 - w2
-        R = Rp if s > 0 else Rn if s < 0 else Rz
-        g1, g2 = R[2] if d > 0 else R[0] if d < 0 else R[1]
-        if momentum:
-            m1, m2 = beta * m1 + g1, beta * m2 + g2
-        else:
-            m1, m2 = g1, g2
-        if mult:
-            lam = lam * (abs(m1) + abs(m2))
-            lam_col.append(lam)
-        if feedback:
-            p1, p2 = e1 + lam * m1, e2 + lam * m2
-            scale = (abs(p1) + abs(p2)) / r
-            c1 = scale if p1 > 0 else -scale if p1 < 0 else 0.0
-            c2 = scale if p2 > 0 else -scale if p2 < 0 else 0.0
-            w1, w2, e1, e2 = w1 - c1, w2 - c2, p1 - c1, p2 - c2
-        else:
-            w1 = w1 - lam if m1 > 0 else w1 + lam if m1 < 0 else w1
-            w2 = w2 - lam if m2 > 0 else w2 + lam if m2 < 0 else w2
-        w11.append(w1)
-        w22.append(w2)
-        if track_average:
-            j += 1.0
-            k = 1.0 / j
-            a1, a2 = a1 + k * (w1 - a1), a2 + k * (w2 - a2)
-            a11.append(a1)
-            a22.append(a2)
-    if mult:
-        lam_col.append(0.0)  # the final row's entry
-        lams = _floats(lam_col)
+    while True:
+        for lam in coef:
+            s, d = w1 + w2, w1 - w2
+            R = Rp if s > 0 else Rn if s < 0 else Rz
+            g1, g2 = R[2] if d > 0 else R[0] if d < 0 else R[1]
+            if momentum:
+                m1, m2 = beta * m1 + g1, beta * m2 + g2
+            else:
+                m1, m2 = g1, g2
+            if mult:
+                lam = lam * (abs(m1) + abs(m2))
+                lam_col.append(lam)
+            if feedback:
+                p1, p2 = e1 + lam * m1, e2 + lam * m2
+                scale = (abs(p1) + abs(p2)) / r
+                c1 = scale if p1 > 0 else -scale if p1 < 0 else 0.0
+                c2 = scale if p2 > 0 else -scale if p2 < 0 else 0.0
+                w1, w2, e1, e2 = w1 - c1, w2 - c2, p1 - c1, p2 - c2
+            else:
+                w1 = w1 - lam if m1 > 0 else w1 + lam if m1 < 0 else w1
+                w2 = w2 - lam if m2 > 0 else w2 + lam if m2 < 0 else w2
+            w11.append(w1)
+            w22.append(w2)
+            if track_average:
+                j += 1.0
+                k = 1.0 / j
+                a1, a2 = a1 + k * (w1 - a1), a2 + k * (w2 - a2)
+                a11.append(a1)
+                a22.append(a2)
+        done += len(coef)
+        if done == T:
+            break
+        key = _STATE.pack(w1, w2, m1, m2, e1, e2)  # bytes: -0.0 is not 0.0
+        if key == kept:
+            period = done - kept_at
+            break
+        if done - kept_at >= span:
+            kept, kept_at, span = key, done, 2 * span + _CHUNK
+        coef = chunk if T - done >= _CHUNK else chunk[:T - done]
+    if mult and not period:
+        lam_col.append(0.0)  # the final row's entry (after a repeat, a recorded one)
+    W1, W2, *recorded = (_repeat_period(xs, period, T + 1) if period else _floats(xs)
+                         for xs in ((w11, w22, lam_col) if mult else (w11, w22)))
+    lams = recorded[0] if mult else lams
     if not (math.isfinite(e1) and math.isfinite(e2) if feedback
             else not mult or linalg._all_finite(lams)):
         return None
     means = (_floats(a11), _floats(a22)) if track_average else None
-    return _diagonal_trace(oracle, _floats(w11), _floats(w22), lams, means)
+    return _diagonal_trace(oracle, W1, W2, lams, means)
+
+
+# Steps per chunk of _run_diagonal's steady tail, and its packed state.
+_CHUNK, _STATE = 32, struct.Struct("6d")
+
+
+def _repeat_period(records: list, period: int, n: int) -> np.ndarray:
+    """``records`` as a float64 array of n entries, its last ``period`` repeating."""
+    head = _floats(records)
+    return np.concatenate((head, np.resize(head[len(head) - period:], n - len(head))))
 
 
 def _floats(xs: list) -> np.ndarray:
@@ -700,7 +735,10 @@ def efm_bound_column(T: int, delta: float, beta: float, sigma: float,
     bit for bit, with the domain check and the T-free factors done once."""
     _check_count(T, "T")
     dist0_sq, noise = _bound_factors(delta, beta, sigma, dist0)
-    return np.array([_bound_at(t, dist0_sq, noise) for t in range(T + 1)])
+    t1 = np.arange(1.0, T + 2.0)
+    # _bound_at's association; math.log, as np.log may differ in the last bit.
+    log, root = np.fromiter(map(math.log, t1.tolist()), float, T + 1), np.sqrt(t1)
+    return dist0_sq / (2.0 * root) + noise * (1.0 + log) / root
 
 
 def _check_nonincreasing(lams: np.ndarray):

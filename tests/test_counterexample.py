@@ -185,6 +185,41 @@ class TestComputeR:
             cex.compute_R(BelowLimit(0.1), 0)
 
 
+def _R_loop(schedule, R0, n):
+    """The float recursion R_{t+1} = lam_t - R_t as a Python loop."""
+    R = [float(R0)]
+    for lam in optim.offline_stepsizes(schedule, 0, n - 1).tolist():
+        R.append(lam - R[-1])
+    return np.array(R)
+
+
+class TestRRecursion:
+    """_R_recursion's signed running sum against the loop, bit for bit."""
+
+    SCHEDULES = (optim.Constant(0.2), optim.InvT(), optim.InvSqrtT(),
+                 optim.Table(tuple(np.sort(np.random.default_rng(19).uniform(0.05, 0.4, 64))[::-1])))
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=repr)
+    @pytest.mark.parametrize("n", [1, 2, 3, 5001])
+    @pytest.mark.parametrize("R0", [-0.0, 1e-300])
+    def test_equals_the_loop(self, schedule, n, R0):
+        R = cex._R_recursion(schedule, R0, n)
+        assert R.dtype == np.float64 and R.tobytes() == _R_loop(schedule, R0, n).tobytes()
+
+    def test_exact_zeros_are_positive(self):
+        # R_0 = lam: every odd R_t is lam - lam, +0.0 in the loop, where the
+        # sign flip of the running sum gives -0.0.
+        expected = _R_loop(optim.Constant(0.2), 0.2, 101)
+        assert np.count_nonzero(expected == 0.0) == 50
+        assert cex._R_recursion(optim.Constant(0.2), 0.2, 101).tobytes() == expected.tobytes()
+
+    def test_cex1_init_R_values_equal_the_loop(self):
+        for schedule in self.SCHEDULES:
+            _, _, init = cex.cex1_build(0.5, schedule, horizon=200)
+            assert init._R.tobytes() == _R_loop(schedule, init.R0, 201).tobytes()
+            assert init.R(300) == _R_loop(schedule, init.R0, 602)[300]
+
+
 class TestCex1:
     def test_appendix_style_build(self):
         beta = 0.9

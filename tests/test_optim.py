@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from muonlab import counterexample as cex
@@ -845,6 +845,120 @@ class TestDiagonalTrace:
         assert [trace_bytes(tr) for tr in self.traces(method, schedule)] == expected
 
 
+@contextlib.contextmanager
+def counting_repeats():
+    """A list that gets (records, period) per call of optim._repeat_period,
+    which still runs: one call per column a float loop fills by its period."""
+    calls = []
+    repeat = optim._repeat_period
+
+    def counting(records, period, n):
+        calls.append((len(records), period))
+        return repeat(records, period, n)
+
+    with mock.patch.object(optim, "_repeat_period", counting):
+        yield calls
+
+
+@hs.composite
+def steady_runs(draw):
+    """(method, KinkyFunction, state factory, T) of a run whose stepsize
+    coefficient is constant from some step before T."""
+    fn = cex.KinkyFunction(c=draw(hs.floats(0.05, 0.95)))
+    w1 = draw(_ENTRIES)
+    w2 = draw(hs.one_of(hs.just(w1), hs.just(-w1), _ENTRIES))
+    T = draw(hs.integers(200, 3000))
+    schedule = draw(hs.one_of(
+        hs.floats(0.01, 2.0).map(optim.Constant),
+        hs.floats(0.01, 1.0).map(optim.AdaptiveNuclear),
+        hs.lists(hs.floats(0.01, 2.0), min_size=1, max_size=T - 1).map(
+            lambda v: optim.Table(tuple(v)))))
+    beta = draw(hs.sampled_from((0.0, 0.2, 0.5, 0.9)))
+
+    def state0():
+        return optim.OptimizerState(W=np.diag([w1, w2]), beta=beta, schedule=schedule)
+
+    return draw(hs.sampled_from(DIAGONAL_METHODS)), fn, state0, T
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestCycleExit:
+    """The float loop's early exit once its state repeats, without the running mean."""
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(steady_runs())
+    def test_equals_general_loop_and_batch_bit_for_bit(self, case):
+        method, fn, state0, T = case
+        fast = optim.run(method, fn.oracle(), state0(), T, track_average=False)
+        expected = trace_bytes(fast)
+        assert trace_bytes(optim.run(method, general_oracle(fn), state0(), T,
+                                     track_average=False)) == expected
+        assert trace_bytes(optim.run_batch(method, [fn], [state0()], T)[0]) == expected
+
+    def test_taken_by_a_cex_sweep_regmuon_run(self):
+        fn = cex.KinkyFunction(c=0.3)
+
+        def state0():
+            W0 = np.random.default_rng(5).standard_normal((2, 2))
+            return optim.OptimizerState(W=W0, beta=0.2, schedule=optim.AdaptiveNuclear(0.05))
+
+        with counting_repeats() as calls:
+            fast = optim.run("regmuon", fn.oracle(), state0(), 1000, track_average=False)
+        # W1, W2 and the recorded stepsizes, after at most 200 of the 1000 steps.
+        assert len(calls) == 3 and calls[0][0] <= 201
+        assert trace_bytes(fast) == trace_bytes(
+            optim.run("regmuon", general_oracle(fn), state0(), 1000, track_average=False))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9])
+    def test_taken_by_a_cex1_constant_run(self, beta):
+        fn, W0, init = cex.cex1_build(beta, optim.Constant(0.2), horizon=1000)
+
+        def state0():
+            return optim.OptimizerState(W=W0.copy(), beta=beta, schedule=optim.Constant(0.2))
+
+        with counting_repeats() as calls:
+            fast = optim.run("muon", fn.oracle(), state0(), 1000, track_average=False)
+        assert len(calls) == 2 and calls[0][0] <= 500
+        assert trace_bytes(fast) == trace_bytes(
+            optim.run("muon", general_oracle(fn), state0(), 1000, track_average=False))
+        pred = cex.cex1_predicted_sequence(init, 1000)
+        assert np.max(np.abs(fast.w11 - pred[:, 0])) <= 1e-10
+
+    @pytest.mark.parametrize("schedule", [optim.InvT(), optim.Table(tuple(np.linspace(0.3, 0.1,
+                                                                                      1001)))],
+                             ids=repr)
+    def test_not_taken_before_the_coefficient_is_constant(self, schedule):
+        fn = cex.KinkyFunction(c=0.3)
+        st = optim.OptimizerState(W=np.diag([1.0, -0.5]), beta=0.5, schedule=schedule)
+        with counting_repeats() as calls:
+            optim.run("muon", fn.oracle(), st, 1000, track_average=False)
+        assert not calls
+
+    def test_not_taken_with_the_running_mean(self):
+        fn = cex.KinkyFunction(c=0.3)
+        st = optim.OptimizerState(W=np.diag([1.0, -0.5]), schedule=optim.Constant(0.2))
+        with counting_repeats() as calls:
+            tr = optim.run("muon", fn.oracle(), st, 1000)
+        assert not calls and not np.isnan(tr.favg).any()
+
+    @pytest.mark.parametrize("method", DIAGONAL_METHODS)
+    def test_states_that_differ_in_the_sign_of_a_zero_do_not_match(self, method):
+        # From W = 0 with M = E = -0.0 every step keeps W at 0 and makes M
+        # and E +0.0: the state after 32 steps equals the start as floats,
+        # not as bytes.  The repeat is found between steps 32 and 64.
+        fn = cex.KinkyFunction(c=0.3)
+
+        def state0():
+            return optim.OptimizerState(W=np.zeros((2, 2)), beta=0.5, M=np.diag([-0.0, -0.0]),
+                                        E=np.diag([-0.0, -0.0]), schedule=optim.Constant(0.2))
+
+        with counting_repeats() as calls:
+            fast = optim.run(method, fn.oracle(), state0(), 200, track_average=False)
+        assert calls and all(n == 65 and period == 32 for n, period in calls[:2])
+        assert trace_bytes(fast) == trace_bytes(
+            optim.run(method, general_oracle(fn), state0(), 200, track_average=False))
+
+
 def result_or_error(fn):
     """fn()'s trace bytes, or the type and message of what it raised."""
     try:
@@ -1091,6 +1205,17 @@ class TestBound:
         args = (0.5, 0.9, 2.0 ** 0.5 * 1.1, 1.7)
         column = optim.efm_bound_column(T, *args)
         expected = np.array([optim.efm_bound(t, *args) for t in range(T + 1)])
+        assert column.shape == (T + 1,) and column.tobytes() == expected.tobytes()
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @example(20_000, 0.3, 0.5, 1.5, 2.0)
+    @given(hs.integers(0, 20_000), hs.floats(1e-6, 1.0), hs.floats(0.0, 0.999),
+           hs.floats(0.0, 10.0), hs.floats(0.0, 10.0))
+    def test_column_equals_per_row_bound_at_random_parameters(self, T, delta, beta, sigma,
+                                                              dist0):
+        column = optim.efm_bound_column(T, delta, beta, sigma, dist0)
+        expected = np.array([optim.efm_bound(t, delta, beta, sigma, dist0)
+                             for t in range(T + 1)])
         assert column.shape == (T + 1,) and column.tobytes() == expected.tobytes()
 
     def test_column_domain(self):
