@@ -10,12 +10,13 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
   other sixteen checks take one sample each;
 - ``muonlab verify`` for every suite, output discarded;
 - ``optim.run`` on the 2x2 counterexample function for ``STEP_T`` steps, in
-  microseconds per step, for each rule but the product ones: ``regmuon``
-  with ``AdaptiveNuclear(0.05)``, ``efmuon`` with ``InvSqrtT`` and the
-  running average, and the others with a ``Table`` and, as in ``verify
-  cex2``, without it.  These take ``run``'s float loop where the library has
-  one; one more row runs ``muon`` through a ``FunctionOracle`` of the same
-  function, which keeps the general loop measured;
+  microseconds per step, for each rule but the product ones: ``efmuon`` with
+  ``InvSqrtT`` and the running average, and the others with a ``Table`` of
+  ``STEP_T`` stepsizes and, as in ``verify cex2``, without it.  A run under
+  a stepsize that varies to the end never repeats its state, so each of
+  these takes ``run``'s float loop to T where the library has one; one more
+  row runs ``muon`` through a ``FunctionOracle`` of the same function, which
+  keeps the general loop measured;
 - ``optim.run`` of zero steps (``muon``, ``Table``), in microseconds per
   call: the fixed cost of a run, the float loop's dispatch and post-pass;
 - ``optim.run`` shaped like a ``cex-sweep`` item of ``perfbench``: ``muon``
@@ -181,7 +182,7 @@ def _step_timings() -> dict:
     for label, method, schedule, track_average, oracle in (
             ("specgd+Table", "specgd", table, False, None),
             ("muon+Table", "muon", table, False, None),
-            ("regmuon+AdaptiveNuclear", "regmuon", optim.AdaptiveNuclear(0.05), False, None),
+            ("regmuon+Table", "regmuon", table, False, None),
             ("signgd+Table", "signgd", table, False, None),
             ("signmomentum+Table", "signmomentum", table, False, None),
             ("efmuon+InvSqrtT+average", "efmuon", optim.InvSqrtT(), True, None),

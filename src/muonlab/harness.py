@@ -142,8 +142,9 @@ def resolve_config(raw: dict) -> dict:
     cfg["c"] = _real(cfg["c"], "c")
     if not 0.0 < cfg["c"] < 1.0:
         raise ConfigError("c must lie in (0, 1)")
-    if cfg["T"] < 0:
-        raise ConfigError("T must be nonnegative")
+    for key in ("seed", "T"):
+        if cfg[key] < 0:
+            raise ConfigError(f"{key} must be nonnegative")
     if cfg["polar"] not in ("exact", "ns"):
         raise ConfigError("polar must be 'exact' or 'ns'")
     if cfg["method"] == "efmuon" and cfg["polar"] == "ns":
@@ -386,32 +387,31 @@ def suite_polar(trials: int = 500) -> list:
     # Well-conditioned inputs (U * s) @ V^T with orthonormal U, V from QR and
     # singular values in [0.5, 2], so the condition number stays under 4.
     # The draws come in trial order: the shape, the two Gaussians, then s.
-    draws = []
-    for _ in range(trials):
-        m, n = rng.integers(2, 9, 2)
+    groups = {}  # (m, n) -> its trials' (index, G, H, s), in order of first appearance
+    for i in range(trials):
+        m, n = int(rng.integers(2, 9)), int(rng.integers(2, 9))
         r = min(m, n)
-        draws.append((rng.standard_normal((m, r)), rng.standard_normal((n, r)),
-                      rng.uniform(0.5, 2.0, r)))
+        G, H = rng.standard_normal((m, r)), rng.standard_normal((n, r))
+        groups.setdefault((m, n), []).append((i, G, H, rng.uniform(0.5, 2.0, r)))
     errs = []
-    for idx in _group_by((G.shape, H.shape) for G, H, _ in draws):
-        G, H, s = (np.stack([draws[i][j] for i in idx]) for j in range(3))
+    for group in groups.values():
+        idx, G, H, s = map(np.array, zip(*group))
         U, V = np.linalg.qr(G)[0], np.linalg.qr(H)[0]
         A = (U * s[:, None, :]) @ V.mT
         D = linalg.polar_newton_schulz_stack(A) - linalg.polar_exact_stack(A)
         errs.append((idx, _fro_rows(D)))  # np.linalg.norm of each member
     worst_ns = _worst(0.0, trials, errs)
-    diags = []
+    diags = {}  # (m, n) -> the diagonals of that shape
     for _ in range(200):
-        m, n = rng.integers(2, 7, 2)
+        m, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         vals = rng.standard_normal(min(m, n))
         vals[rng.random(vals.size) < 0.3] = 0.0
-        diags.append((m, n, vals))
+        diags.setdefault((m, n), []).append(vals)
     diag_errs = [0.0]
-    for idx in _group_by((m, n) for m, n, _ in diags):
-        m, n, _ = diags[idx[0]]
-        D = np.zeros((len(idx), m, n))
+    for (m, n), vals in diags.items():
+        D = np.zeros((len(vals), m, n))
         k = np.arange(min(m, n))
-        D[:, k, k] = [diags[i][2] for i in idx]
+        D[:, k, k] = vals
         diag_errs.append(float(np.max(np.abs(linalg.polar_exact_stack(D) - np.sign(D)))))
     worst_diag = _max(diag_errs)
     return [
@@ -442,67 +442,57 @@ def _reduction_trials(rng, trials: int) -> list:
         schedule = [optim.Constant(float(rng.uniform(0.01, 0.5))),
                     optim.InvT(), optim.InvSqrtT()][int(rng.integers(0, 3))]
         k = int(rng.integers(2, 6))
-        a = rng.uniform(0.2, 2.0, k)
-        U = rng.standard_normal((k, d))
-        b = rng.standard_normal(k)
-        out.append(_ReductionTrial(beta, schedule, a, U, b, rng.standard_normal(d)))
+        out.append(_ReductionTrial(beta, schedule, rng.uniform(0.2, 2.0, k),
+                                   rng.standard_normal((k, d)), rng.standard_normal(k),
+                                   rng.standard_normal(d)))
     return out
 
 
 def _reduction_lockstep(trials: list, steps: int) -> tuple:
     """Signed momentum on each trial's f, and Muon on f of the diagonal of a
-    d x d matrix started at diag(w0), run in lock-step.
+    d x d matrix started at diag(w0): ``optim._lockstep`` with ``np.sign`` on
+    the (B, d) vectors and with ``linalg.polar_exact_stack`` on the (B, d, d)
+    matrices.  The trials share one (k, d).
 
-    The trials share one (k, d).  Returns the iterates after each step, a
-    (steps, B, d) and a (steps, B, d, d) array, and the final momenta, a
-    (B, d) and a (B, d, d) array; member b's are those of
-    ``step_signmomentum`` and ``step_muon`` loops bit for bit
-    (TestReductionLockstep in tests/test_harness.py is the contract).
+    Returns the iterates after each step, a (steps, B, d) and a (steps, B, d,
+    d) array, and the final momenta, a (B, d) and a (B, d, d) array; member
+    b's are those of ``step_signmomentum`` and ``step_muon`` loops bit for
+    bit (TestReductionLockstep in tests/test_harness.py is the contract).
     """
-    B, d = len(trials), trials[0].w0.size
-    a = np.stack([t.a for t in trials])
-    U = np.stack([t.U for t in trials])
-    b = np.stack([t.b for t in trials])
-    beta = np.array([t.beta for t in trials])[:, None]
-    one_minus_beta = 1.0 - beta
-    # Each member's offline stepsizes, lam[i, b] at step i.
-    lam = np.array([optim.offline_stepsizes(t.schedule, 0, steps) for t in trials]).T
-    diag = np.arange(d)
+    a, U, b, w, beta = (np.array([getattr(t, key) for t in trials])
+                        for key in ("a", "U", "b", "w0", "beta"))
+    coef = np.array([optim.offline_stepsizes(t.schedule, 0, steps) for t in trials]).T
+    k, one_minus_beta = np.arange(w.shape[1]), (1.0 - beta)[:, None]
+    G, W = np.zeros((2, *w.shape, len(k)))  # (B, d, d) stacks: G's diagonal is written
+    W[:, k, k] = w
 
-    def subgrad(w):
-        # (a * sign(U @ w + b)) @ U of each row of w, as the same matmuls.
+    def evaluate(w):
+        # (1 - beta) (a * sign(U @ w + b)) @ U of each row of w, as the same matmuls.
         z = (U @ w[:, :, None])[:, :, 0] + b
-        return ((a * np.sign(z))[:, None, :] @ U)[:, 0]
+        return one_minus_beta * ((a * np.sign(z))[:, None, :] @ U)[:, 0]
+
+    def evaluate_diagonal(W):
+        G[:, k, k] = evaluate(W[:, k, k])
+        return G
 
     # The momenta start at zero, so for beta = 0 beta * M is a zero and
     # beta * M + (1 - beta) * G is G, as optim.step reads it, up to the
     # sign of a zero entry, which np.sign reads as 0 either way.
-    w = np.stack([t.w0 for t in trials])
-    m = np.zeros_like(w)
-    W = np.zeros((B, d, d))
-    W[:, diag, diag] = w
-    M, G = np.zeros_like(W), np.zeros_like(W)  # G is diagonal: only its diagonal is written
-    vec, mat = np.empty((steps, B, d)), np.empty((steps, B, d, d))
-    for i in range(steps):
-        m = beta * m + one_minus_beta * subgrad(w)
-        w = w - lam[i][:, None] * np.sign(m)
-        G[:, diag, diag] = subgrad(W[:, diag, diag])
-        M = beta[:, :, None] * M + one_minus_beta[:, :, None] * G
-        W = W - lam[i][:, None, None] * linalg.polar_exact_stack(M)
-        vec[i], mat[i] = w, W
-    return vec, mat, m, M
+    vec, _, m, _ = optim._lockstep(evaluate, np.sign, w, np.zeros_like(w), None, beta, coef)
+    mat, _, M, _ = optim._lockstep(evaluate_diagonal, linalg.polar_exact_stack, W,
+                                   np.zeros_like(W), None, beta, coef)
+    return vec[1:], mat[1:], m, M
 
 
 def suite_reduction(trials: int = 50, steps: int = 100) -> list:
-    rng = np.random.default_rng(11)
-    draws = _reduction_trials(rng, trials)
+    draws = _reduction_trials(np.random.default_rng(11), trials)
     worst = [0.0]
     for idx in _group_by(t.U.shape for t in draws):
         vec, mat, _, _ = _reduction_lockstep([draws[i] for i in idx], steps)
-        d = vec.shape[-1]
-        diag = mat[..., np.arange(d), np.arange(d)]
+        k = np.arange(vec.shape[-1])
+        diag = mat[..., k, k]
         off = mat.copy()
-        off[..., np.arange(d), np.arange(d)] -= diag
+        off[..., k, k] -= diag
         worst += [np.max(np.abs(diag - vec)), np.max(np.abs(off))]
     # np.max keeps a NaN, which max() over Python floats could drop.
     worst = float(np.max(worst))
@@ -524,14 +514,12 @@ def _spec_draws(rng, spec, trials: int) -> list:
         mats = [Z[:, end - m * n:end].reshape(trials, m, n)
                 for end, (m, n) in zip(ends, spec.layer_dims)]
         return [(np.arange(trials), (mats, Z[:, ends[-1]:]))]
-    draws = []
-    for _ in range(trials):
-        if isinstance(spec, norms._VECTOR_SPECS):
-            draws.append(rng.standard_normal(int(rng.integers(2, 21))))
-        else:
-            draws.append(rng.standard_normal(rng.integers(2, 8, 2)))
-    return [(idx, np.stack([draws[i] for i in idx]))
-            for idx in _group_by(W.shape for W in draws)]
+    hi, dims = (21, 1) if isinstance(spec, norms._VECTOR_SPECS) else (8, 2)
+    groups = {}  # shape -> its (trial, member) pairs, in order of first appearance
+    for i in range(trials):
+        shape = tuple(int(rng.integers(2, hi)) for _ in range(dims))
+        groups.setdefault(shape, []).append((i, rng.standard_normal(shape)))
+    return [tuple(map(np.array, zip(*group))) for group in groups.values()]
 
 
 def _inner_rows(A, B) -> np.ndarray:
@@ -697,12 +685,9 @@ def suite_cex2(trials: int = 100, T: int = 2000) -> list:
         for label, method, schedule in (
                 ("regmuon+adaptive", "regmuon", optim.AdaptiveNuclear(0.05)),
                 ("muon+table", "muon", table)):
-            dps = [0.0]
-            q_ok = True
-            passes = 0
+            dps, q_ok, passes = [0.0], True, 0
             starts = [rng.standard_normal((2, 2)) for _ in range(trials)]
-            states = [optim.OptimizerState(W=W0, beta=beta, schedule=schedule)
-                      for W0 in starts]
+            states = [optim.OptimizerState(W=W0, beta=beta, schedule=schedule) for W0 in starts]
             traces = optim.run_batch(method, [fn] * trials, states, T)
             for W0, tr in zip(starts, traces):
                 p0 = W0[0, 0] + W0[1, 1]
@@ -712,8 +697,7 @@ def suite_cex2(trials: int = 100, T: int = 2000) -> list:
                 ok_q = bool(np.all(np.abs(q) > 0.0))  # a NaN q fails too
                 q_ok = q_ok and ok_q
                 margin = float(np.min(tr.f)) - c * abs(p0)
-                if dp <= 1e-12 and ok_q and margin >= -1e-12:
-                    passes += 1
+                passes += dp <= 1e-12 and ok_q and margin >= -1e-12
             worst_p = _max(dps)
             results.append(CheckResult(
                 f"invariant p constant [beta={beta}, {label}]",

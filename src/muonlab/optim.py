@@ -433,7 +433,8 @@ def _counterexample():
 
 def _runs_on_diagonal(rule: Rule, oracle, state: OptimizerState) -> bool:
     """Whether the float loop may run ``rule`` from ``state``: the one
-    predicate for ``run``'s ``_run_diagonal`` and ``run_batch``'s lock-step.
+    predicate for ``run``'s ``_run_diagonal`` and for the members that
+    ``run_batch`` steps on ``_lockstep`` (``run`` takes the others).
 
     The oracle must be a KinkyFunction's own KinkyOracle; the rule's LMO the
     exact polar factor or the sign; the schedule of a type in
@@ -601,11 +602,11 @@ def run_batch(method, fns, states, T: int) -> list:
     zip(fns, states)]``, bit for bit, with the float loops run in lock-step.
 
     The members ``_runs_on_diagonal`` accepts run ``_run_diagonal``'s
-    recurrence together (``_run_lockstep``): a step costs a fixed number of
-    numpy calls for the whole batch.  Every other member, and every member
-    where the float loop gives up, is run by ``run``; so its Trace and its
-    errors are ``run``'s, and the first member whose run raises makes the
-    batch raise.
+    recurrence together on ``_lockstep``, the one lock-step engine (through
+    ``_run_lockstep``): a step costs a fixed number of numpy calls for the
+    whole batch.  Every other member, and every member where the float loop
+    gives up, is run by ``run``; so its Trace and its errors are ``run``'s,
+    and the first member whose run raises makes the batch raise.
     """
     _check_count(T, "T")
     if method not in RULES:
@@ -627,62 +628,76 @@ def run_batch(method, fns, states, T: int) -> list:
 
 
 def _run_lockstep(rule: Rule, oracles: list, states: list, T: int) -> list:
-    """``_run_diagonal`` for B >= 1 members at once, on (B,) float64 arrays:
-    each member's Trace, or None where ``_run_diagonal`` gives up.
+    """``_run_diagonal`` for B >= 1 members at once: ``_lockstep`` on the
+    (B, 2) stack of their first two diagonal entries, each numpy operation
+    elementwise the float loop's.  Returns each member's Trace, or None where
+    ``_run_diagonal`` gives up.
 
-    Each numpy operation is, elementwise, the float loop's operation.  A
-    member without momentum (or with beta = 0) gets beta = 0 and 1 - beta =
-    1: beta * m + (1 - beta) * g is then g bit for bit, as m is finite and no
-    subgradient entry is -0.0.  (1 - beta) * g is taken once per row.
+    A member without momentum gets beta = 0 and 1 - beta = 1, as one at
+    beta = 0: beta * m + (1 - beta) * g is then g bit for bit (m is finite,
+    no subgradient entry is -0.0), (1 - beta) * g taken once per row.  A
+    stepsize without a ||M||_nuc factor is scaled by 1.0, which keeps its bits.
     """
-    _signs = _counterexample()._signs
-    B = len(states)
-    coef = np.empty((T, B))  # each step's stepsize before any nuclear-norm factor
-    offline, start, rows = {}, [], []
+    _signs, B = _counterexample()._signs, len(states)
+    coef, offline, start = np.empty((T, B)), {}, []  # coef: stepsizes before any ||M||_nuc
     for b, (oracle, st) in enumerate(zip(oracles, states)):
-        if type(st.schedule) is AdaptiveNuclear:
-            coef[:, b] = st.schedule.base
-        else:
-            key = (id(st.schedule), st.t)
-            if key not in offline:
-                offline[key] = offline_stepsizes(st.schedule, st.t, T)
-            coef[:, b] = offline[key]
-        momentum = rule.momentum and st.beta != 0.0
-        betas = (float(st.beta), float(1.0 - st.beta)) if momentum else (0.0, 1.0)
+        adaptive, key = type(st.schedule) is AdaptiveNuclear, (id(st.schedule), st.t)
+        if key not in offline:  # one array per schedule and start
+            offline[key] = (st.schedule.base if adaptive
+                            else offline_stepsizes(st.schedule, st.t, T))
+        coef[:, b] = offline[key]
+        betas = (float(st.beta), float(1.0 - st.beta)) if rule.momentum else (0.0, 1.0)
         start.append((st.W[0, 0], st.W[1, 1], st.M[0, 0], st.M[1, 1], st.E[0, 0], st.E[1, 1],
-                      *betas, min(oracle.fn.m, oracle.fn.n)))
-        rows.append(oracle.rows)
-    w1, w2, m1, m2, e1, e2, beta, one_minus_beta, r = np.array(start).T
-    G1, G2 = (one_minus_beta[:, None, None] * np.array(rows)).reshape(9 * B, 2).T.copy()
+                      *betas, min(oracle.fn.m, oracle.fn.n), rule.scaled or adaptive))
+    start = np.array(start)
+    beta, one_minus_beta, r, mult = start[:, 6:].T  # mult: the stepsize has a ||M||_nuc factor
+    G = (one_minus_beta[:, None, None] * np.array([o.rows for o in oracles])).reshape(9 * B, 2)
     row0 = 9 * np.arange(B) + 4  # member b's row of the zero sign class
-    # The members whose stepsize has a ||M||_nuc factor.
-    mult = np.array([rule.scaled or type(st.schedule) is AdaptiveNuclear for st in states])
-    any_mult = bool(mult.any())
 
-    W1, W2, lam_col = (np.empty((T + 1, B)) for _ in range(3))  # lam_col[T] becomes NaN
-    W1[0], W2[0] = w1, w2
-    with np.errstate(all="ignore"):
-        for i in range(T):
-            s, d = w1 + w2, w1 - w2
-            k = row0 + 3 * _signs(s) + _signs(d)
-            n1, n2 = beta * m1 + G1.take(k), beta * m2 + G2.take(k)
-            lam = coef[i]
-            if any_mult:
-                lam = np.where(mult, lam * (np.abs(n1) + np.abs(n2)), lam)
-            if rule.feedback:
-                p1, p2 = e1 + lam * n1, e2 + lam * n2
-                scale = (np.abs(p1) + np.abs(p2)) / r
-                c1, c2 = scale * np.sign(p1), scale * np.sign(p2)
-                w1, w2, e1, e2 = w1 - c1, w2 - c2, p1 - c1, p2 - c2
-            else:
-                w1, w2 = w1 - lam * np.sign(n1), w2 - lam * np.sign(n2)
-            m1, m2 = n1, n2
-            W1[i + 1], W2[i + 1], lam_col[i] = w1, w2, lam
+    def evaluate(W):
+        return G.take(row0 + 3 * _signs(W[:, 0] + W[:, 1]) + _signs(W[:, 0] - W[:, 1]), 0)
+
+    def l1(A):  # |a1| + |a2| of each member: the nuclear norm of its diagonal
+        return np.add(*np.abs(A).T)
+
+    scale = None if not mult.any() else l1 if mult.all() else lambda M: np.where(mult, l1(M), 1.0)
+    compress = (lambda P: (l1(P) / r)[:, None] * np.sign(P)) if rule.feedback else None
+    Ws, lams, _, E = _lockstep(evaluate, np.sign, start[:, 0:2], start[:, 2:4], start[:, 4:6],
+                               beta, coef, scale, compress)
     # _run_diagonal's one test: with feedback, a member keeps on iff its E ends finite.
-    kept = np.isfinite(e1) & np.isfinite(e2) if rule.feedback else np.isfinite(lam_col[:T]).all(0)
-    W1, W2, lam_col = W1.T.copy(), W2.T.copy(), lam_col.T.copy()  # a member's records, contiguous
+    kept = np.isfinite(E).all(1) if rule.feedback else np.isfinite(lams).all(0)
+    # A member's records, contiguous; its last stepsize is a slot for the final NaN.
+    (W1, W2), lam_col = Ws.T.copy(), np.vstack((lams, np.zeros(B))).T.copy()
     return [_diagonal_trace(oracle, W1[b], W2[b], lam_col[b]) if kept[b] else None
             for b, oracle in enumerate(oracles)]
+
+
+def _lockstep(evaluate, lmo, W, M, E, beta, coef, scale=None, compress=None) -> tuple:
+    """T steps of the momentum rule on B members in lock-step: (B, ...) stacks
+    W, M and E, a (B,) ``beta`` and (T, B) stepsizes ``coef``.
+
+    Step i: M <- beta M + evaluate(W), ``evaluate`` returning (1 - beta) G;
+    lam = coef[i], times ``scale(M)`` if given; W <- W - lam lmo(M), or with
+    ``compress`` P = E + lam M, W <- W - C(P) and E <- P - C(P), numpy's
+    warnings off.  Returns W_0 .. W_T, a (T + 1, B, ...) array, the (T, B)
+    lams and the final M and E.
+    """
+    T, B = coef.shape
+    col = (B,) + (1,) * (W.ndim - 1)  # a per-member factor against the stack
+    beta = np.broadcast_to(beta.reshape(col), W.shape).copy()  # not B short broadcast loops
+    Ws, lams = np.empty((T + 1, *W.shape)), np.empty((T, B))
+    Ws[0] = W
+    with np.errstate(all="ignore"):
+        for i in range(T):
+            M = beta * M + evaluate(W)
+            lam = coef[i] if scale is None else coef[i] * scale(M)
+            if compress is None:
+                W = W - lam.reshape(col) * lmo(M)
+            else:
+                C = compress(P := E + lam.reshape(col) * M)
+                W, E = W - C, P - C
+            Ws[i + 1], lams[i] = W, lam
+    return Ws, lams, M, E
 
 
 # ---------------------------------------------------------------------------

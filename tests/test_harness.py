@@ -60,6 +60,8 @@ class TestConfig:
         ({"c": 0.0}, r"c must lie in \(0, 1\)"),
         ({"c": 1.0}, r"c must lie in \(0, 1\)"),
         ({"T": -1}, "T must be nonnegative"),
+        ({"seed": -3}, "seed must be nonnegative"),
+        ({"seed": -3, "init": {"kind": "random"}}, "seed must be nonnegative"),
         ({"polar": "svd"}, "polar must be 'exact' or 'ns'"),
     ])
     def test_rejects_out_of_domain_values(self, override, match):
@@ -624,6 +626,22 @@ class TestCli:
                        "--out", str(tmp_path / "tr.csv")])
         assert rc == cli.EXIT_CONFIG
         assert "a run takes one of" in capsys.readouterr().err
+        assert not (tmp_path / "tr.csv").exists()
+
+    @pytest.mark.parametrize("args, init", [
+        (["--seed", "-3"], "cex1"),
+        (["--seed", "-3"], "random"),
+        ([], "random"),  # the seed from the config
+    ])
+    def test_run_negative_seed_exits_config_error(self, args, init, tmp_path, capsys):
+        # A cex1 run used to write the negative seed to its sidecar, and a
+        # random one to die in numpy's seeding.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"init": {"kind": init}, "seed": -3 if not args else 0}))
+        rc = cli.main(["run", "--preset", "cex1-appendixE", "--config", str(cfg),
+                       "--out", str(tmp_path / "tr.csv"), *args])
+        assert rc == cli.EXIT_CONFIG
+        assert "seed must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "tr.csv").exists()
 
     @pytest.mark.parametrize("init", [

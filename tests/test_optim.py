@@ -1110,6 +1110,43 @@ class TestRunBatch:
                 assert_same_trace(tr, optim.run(method, fn.oracle(), st, 0, track_average=False))
 
 
+class TestLockstep:
+    """The lock-step engine on dense stacks: with ``polar_exact_stack`` as
+    the LMO, each member equals a ``step_muon`` loop bit for bit."""
+
+    T = 30
+
+    @pytest.mark.parametrize("n", (2, 3, 8))
+    @pytest.mark.parametrize("B", (1, 8))
+    def test_dense_muon_members_equal_step_muon_loops(self, n, B):
+        # f(W) = ||W - A||_1 from a dense start, each member with its own
+        # target, beta and schedule.
+        rng = np.random.default_rng(10 * n + B)
+        A, W0 = rng.standard_normal((B, n, n)), rng.standard_normal((B, n, n))
+        beta = rng.uniform(0.1, 0.9, B)
+        kinds = (optim.InvSqrtT(), optim.Constant(0.05),
+                 optim.Table(tuple(rng.uniform(0.01, 0.3, self.T // 2))))
+        schedules = [kinds[b % 3] for b in range(B)]
+        coef = np.array([optim.offline_stepsizes(s, 0, self.T) for s in schedules]).T
+        one_minus_beta = (1.0 - beta)[:, None, None]
+        Ws, lams, M, _ = optim._lockstep(lambda W: one_minus_beta * np.sign(W - A),
+                                         linalg.polar_exact_stack, W0, np.zeros_like(W0),
+                                         None, beta, coef)
+        assert Ws.shape == (self.T + 1, B, n, n) and lams.shape == (self.T, B)
+        for b in range(B):
+            oracle = optim.FunctionOracle(lambda W: float(np.abs(W - A[b]).sum()),
+                                          lambda W: np.sign(W - A[b]))
+            st = optim.OptimizerState(W=W0[b], beta=float(beta[b]), schedule=schedules[b])
+            iterates, steps = [st.W], []
+            for _ in range(self.T):
+                st, info = optim.step_muon(st, oracle)
+                iterates.append(st.W)
+                steps.append(info.lam)
+            assert Ws[:, b].tobytes() == np.array(iterates).tobytes()
+            assert lams[:, b].tobytes() == np.array(steps).tobytes()
+            assert M[b].tobytes() == st.M.tobytes()
+
+
 class TestStepCounts:
     """T (the number of steps) must be a nonnegative integer, as the state's t."""
 
