@@ -36,6 +36,12 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
   the library refuses with ``ValueError`` is left out;
 - one ``evaluate`` of that function's oracle, and one ``KinkyFunction.oracle()``
   construction, in microseconds per call;
+- the inputs a ``cex-sweep`` item of ``perfbench`` builds before its run, in
+  microseconds per call: ``OptimizerState(...)`` from a dense 2x2 start and
+  ``KinkyFunction(c)``;
+- ``KinkyOracle.grad_fro``, the gradient-norm column of a float-loop run's
+  post-pass, on the diagonals of a ``muon`` run with a ``Table`` for each T
+  in ``GRAD_FRO_T``, in microseconds per call;
 - ``counterexample.cex1_build`` at horizon ``CEX1_HORIZON`` with ``InvT`` and
   with ``Constant(0.2)``, in microseconds per call;
 - ``muonlab run`` for each preset, CSV and sidecar written, in microseconds
@@ -114,9 +120,12 @@ OFFLINE_CALLS = 200
 # Batch sizes and horizon of the run_batch timings.
 BATCH_SIZES = (1, 10, 100, 1000)
 BATCH_T = 1000
-# Oracle constructions per timing, and the horizon of the cex1_build timings.
+# Constructions and grad_fro calls per timing, and the horizon of the
+# cex1_build timings.
 ORACLE_BUILDS = 1000
 CEX1_HORIZON = 5000
+# Horizons of the runs whose diagonals the grad_fro timings read.
+GRAD_FRO_T = (0, 1000)
 # Members per norm-kernel timing, vector length and matrix shape.
 KERNEL_B = 100
 KERNEL_D = 10
@@ -226,6 +235,17 @@ def _step_timings() -> dict:
         _calls(oracle.evaluate, [(W,)] * ORACLE_CALLS)), "us_per_call", ORACLE_CALLS)
     timings["KinkyFunction.oracle"] = _per_unit(_timed(
         _calls(fn.oracle, [()] * ORACLE_BUILDS)), "us_per_call", ORACLE_BUILDS)
+    for label, build in (
+            ("OptimizerState(...)",
+             lambda: optim.OptimizerState(W=W_sweep, beta=0.2, schedule=table)),
+            ("KinkyFunction(c)", lambda: cex.KinkyFunction(c=0.3))):
+        timings[label] = _per_unit(_timed(_calls(build, [()] * ORACLE_BUILDS)),
+                                   "us_per_call", ORACLE_BUILDS)
+    tr = optim.run("muon", oracle, state, max(GRAD_FRO_T), track_average=False)
+    for T in GRAD_FRO_T:
+        S, D = tr.sum_diag[:T + 1], tr.diff_diag[:T + 1]
+        timings[f"KinkyOracle.grad_fro[T={T}]"] = _per_unit(_timed(
+            _calls(oracle.grad_fro, [(S, D)] * ORACLE_BUILDS)), "us_per_call", ORACLE_BUILDS)
     for schedule in (optim.InvT(), optim.Constant(0.2)):
         timings[f"cex1_build[{schedule!r},horizon={CEX1_HORIZON}]"] = _per_unit(_timed(
             lambda: cex.cex1_build(0.5, schedule, horizon=CEX1_HORIZON)), "us_per_call", 1)

@@ -347,6 +347,9 @@ def cex2_guard_check(W0, beta, schedule, T: int, method: str = "muon",
     optim._check_real(beta, "beta")
     if not 0.0 <= beta < 0.5:
         raise ValueError("beta must lie in [0, 1/2)")
+    optim._check_count(T, "T")
+    if method not in optim.RULES:
+        raise ValueError(f"unknown method {method!r}")
     if c is None:
         c = AUTO_C["cex2"](beta)
     W0 = linalg.as_matrix(W0)

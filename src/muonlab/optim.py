@@ -778,4 +778,4 @@ def efm_bound_schedule(lams, delta: float, beta: float, sigma: float, dist0: flo
     coeff = _bound_coeff(delta, beta)
     T1 = lams.size
     tail = lams[-1] * T1
-    return dist0**2 / (2.0 * tail) + sigma**2 * coeff * float(np.sum(lams**2)) / tail
+    return float(dist0**2 / (2.0 * tail) + sigma**2 * coeff * float(np.sum(lams**2)) / tail)

@@ -361,6 +361,17 @@ class TestCex2:
         with pytest.raises(ValueError):
             cex.cex2_guard_check(np.eye(2), 0.6, sch, 10)
 
+    @pytest.mark.parametrize("W0", [np.zeros((2, 2)), np.diag([1.0, 0.5])])
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"T": -5}, "T must be nonnegative"), ({"T": 2.5}, "T must be nonnegative"),
+        ({"T": True}, "T must be nonnegative"), ({"method": "bogus"}, "unknown method")])
+    def test_guard_check_validates_t_and_method_before_p0(self, W0, kwargs, match):
+        # With p0 = 0 the check used to return Cex2Guard(T=-5, ok=False, ...)
+        # before it looked at T or the method.
+        args = {"T": 10, "method": "muon", **kwargs}
+        with pytest.raises(ValueError, match=match):
+            cex.cex2_guard_check(W0, 0.2, optim.Constant(0.1), **args)
+
     @pytest.mark.parametrize("W0, match", [(np.diag([np.nan, 1.0]), "must be finite"),
                                            (np.array([1.0, 0.5]), "2-d")])
     def test_guard_check_rejects_invalid_starts(self, W0, match):

@@ -426,17 +426,16 @@ class TestLeastFrobeniusGrid:
             assert stacked.bit_generator.state == loop.bit_generator.state
 
 
-def _scalar_reduction(trial, steps):
+def _scalar_reduction(beta, schedule, a, U, b, w0, steps):
     """The per-trial loop suite_reduction ran before the lock-step engine:
     the iterates of step_signmomentum on f and of step_muon on f(diag W),
     then their final momenta."""
-    a, U, b = trial.a, trial.U, trial.b
     vec = optim.FunctionOracle(lambda w: float(a @ np.abs(U @ w + b)),
                                lambda w: (a * np.sign(U @ w + b)) @ U)
     mat = optim.FunctionOracle(lambda W: vec.fn(np.diagonal(W)),
                                lambda W: np.diag(vec.subgrad(np.diagonal(W))))
-    sm = optim.OptimizerState(W=trial.w0.copy(), beta=trial.beta, schedule=trial.schedule)
-    mu = optim.OptimizerState(W=np.diag(trial.w0), beta=trial.beta, schedule=trial.schedule)
+    sm = optim.OptimizerState(W=w0.copy(), beta=float(beta), schedule=schedule)
+    mu = optim.OptimizerState(W=np.diag(w0), beta=float(beta), schedule=schedule)
     ws, Ws = [], []
     for _ in range(steps):
         sm, _ = optim.step_signmomentum(sm, vec)
@@ -446,6 +445,42 @@ def _scalar_reduction(trial, steps):
     return np.array(ws), np.array(Ws), sm.M, mu.M
 
 
+def _stacked(members):
+    """One group of ``_reduction_lockstep`` arguments from per-trial
+    (beta, schedule, a, U, b, w0) tuples that share one U shape."""
+    ((_, _, *group),) = harness._grouped((m[3].shape, *m) for m in members)
+    return group
+
+
+class TestGrouped:
+    def test_keys_in_first_appearance_and_indices_in_trial_order(self):
+        draws = [("b", 1.0), ("a", 2.0), ("b", 3.0), ("c", 4.0), ("a", 5.0), ("b", 6.0)]
+        got = harness._grouped(iter(draws))
+        assert [key for key, *_ in got] == ["b", "a", "c"]
+        for key, idx, values in got:
+            assert idx.tolist() == [i for i, d in enumerate(draws) if d[0] == key]
+            assert values.tolist() == [draws[i][1] for i in idx]
+
+    def test_stacks_each_field(self):
+        rng = np.random.default_rng(0)
+        draws = [((2, 3), rng.standard_normal((2, 3)), float(i), optim.InvT())
+                 for i in range(3)]
+        ((key, idx, W, beta, schedules),) = harness._grouped(draws)
+        assert key == (2, 3) and idx.tolist() == [0, 1, 2]
+        assert W.shape == (3, 2, 3) and W.tobytes() == np.array([d[1] for d in draws]).tobytes()
+        assert beta.dtype == float and beta.tolist() == [0.0, 1.0, 2.0]
+        assert schedules.shape == (3,) and list(schedules) == [d[3] for d in draws]
+
+    def test_group_of_one(self):
+        A = np.arange(6.0).reshape(2, 3)
+        got = harness._grouped([("x", A, 0.5), ("y", -A, 0.25)])
+        assert [key for key, *_ in got] == ["x", "y"]
+        for (_, idx, W, beta), sign in zip(got, (1, -1)):
+            assert W.shape == (1, 2, 3) and (W[0] == sign * A).all()
+            assert beta.shape == (1,) and len(idx) == 1
+        assert harness._grouped([]) == []
+
+
 class TestReductionLockstep:
     """Each member of the lock-step reduction run equals the scalar
     step_signmomentum and step_muon loops bit for bit, as TestRunBatch holds
@@ -453,19 +488,20 @@ class TestReductionLockstep:
 
     STEPS = 60
 
-    def check(self, trials):
+    def check(self, group):
         # The iterates read only the sign of the momentum, so the final
         # momenta are compared too.
-        got = harness._reduction_lockstep(trials, self.STEPS)
-        for b, trial in enumerate(trials):
-            want = _scalar_reduction(trial, self.STEPS)
+        got = harness._reduction_lockstep(*group, self.STEPS)
+        for b, member in enumerate(zip(*group)):
+            want = _scalar_reduction(*member, self.STEPS)
             got_b = (got[0][:, b], got[1][:, b], got[2][b], got[3][b])
             for g, w in zip(got_b, want):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     def groups(self):
-        trials = harness._reduction_trials(np.random.default_rng(11), 50)
-        return [[trials[i] for i in idx] for idx in harness._group_by(t.U.shape for t in trials)]
+        rng = np.random.default_rng(11)
+        return [group for _, _, *group
+                in harness._grouped(harness._reduction_draw(rng) for _ in range(50))]
 
     def test_suite_groups(self):
         groups = self.groups()
@@ -473,25 +509,26 @@ class TestReductionLockstep:
         schedules = set()
         for group in groups[:6]:
             self.check(group)
-            schedules |= {type(t.schedule) for t in group}
+            schedules |= {type(s) for s in group[1]}
         assert schedules == {optim.Constant, optim.InvT, optim.InvSqrtT}
 
     def test_beta_zero_member_and_group_of_one(self):
-        group = max(self.groups(), key=len)
+        group = list(zip(*max(self.groups(), key=lambda g: len(g[0]))))
         assert len(group) >= 3
-        mixed = [group[0], dataclasses.replace(group[1], beta=0.0), group[2],
-                 dataclasses.replace(group[0], beta=0.0, w0=-group[0].w0)]
-        self.check(mixed)
-        self.check(mixed[1:2])
-        self.check(group[2:3])
+        (beta0, *rest0), (_, *rest1) = group[0], group[1]
+        mixed = [group[0], (0.0, *rest1), group[2], (0.0, *rest0[:4], -rest0[4])]
+        assert beta0 != 0.0
+        self.check(_stacked(mixed))
+        self.check(_stacked(mixed[1:2]))
+        self.check(_stacked(group[2:3]))
 
     def test_suite_reports_a_nan(self, monkeypatch):
         # A NaN iterate fails the check; max() over Python floats could
         # have dropped it.
         lockstep = harness._reduction_lockstep
 
-        def with_nan(trials, steps):
-            vec, mat, m, M = lockstep(trials, steps)
+        def with_nan(*args):
+            vec, mat, m, M = lockstep(*args)
             vec[-1, 0, 0] = np.nan
             return vec, mat, m, M
 
@@ -569,6 +606,41 @@ class TestSuitesFailOnNaN:
         results = harness.suite_cex2(trials=3, T=10)
         self.assert_nan_fails(results[::3])  # the invariant p
         assert not any(r.passed for r in results)  # q and the floor, by count
+
+
+class TestPassRule:
+    """A check passes exactly when ``observed <= required``; each check states
+    its tolerance once, as ``required``."""
+
+    SMALL = {"polar": {"trials": 6}, "reduction": {"trials": 4, "steps": 3},
+             "compressor": {"trials": 6}, "lmo": {"trials": 2}, "cex1": {"T": 20},
+             "cex2": {"trials": 3, "T": 10}, "ef-bound": {"T": 20}}
+
+    def test_passed_is_not_a_field(self):
+        assert [f.name for f in dataclasses.fields(harness.CheckResult)] == \
+            ["name", "observed", "required"]
+        assert not harness.CheckResult("nan", math.nan, math.inf).passed
+
+    @pytest.mark.parametrize("suite", sorted(harness.SUITES))
+    def test_every_suite_follows_the_rule(self, suite):
+        results = harness.SUITES[suite](**self.SMALL[suite])
+        assert results
+        for r in results:
+            assert r.passed is (r.observed <= r.required), r.line()
+            assert r.line().startswith("PASS " if r.passed else "FAIL ")
+
+    def test_ef_bound_final_f_is_strictly_below(self, monkeypatch):
+        run_experiment = harness.run_experiment
+        for final, passed in ((0.05, False), (math.nextafter(0.05, 0.0), True)):
+            def pinned(cfg, final=final):
+                trace, bound, rcfg = run_experiment(cfg)
+                trace.f[-1] = final
+                return trace, bound, rcfg
+
+            monkeypatch.setattr(harness, "run_experiment", pinned)
+            result = harness.suite_ef_bound(T=20)[0]
+            assert result.observed == final and result.passed is passed
+            assert result.line().endswith("required <= 5.000e-02")
 
 
 class TestCli:

@@ -1261,6 +1261,15 @@ class TestBound:
         with pytest.raises(ValueError, match="sigma must be finite"):
             optim.efm_bound_column(3, 0.5, 0.5, math.nan, 1.0)
 
+    @pytest.mark.parametrize("args, bits", [
+        ((1.0 / np.sqrt(np.arange(101) + 1.0), 0.5, 0.3, 2.0, 1.0), "0x1.f492c0edcfbefp+2"),
+        (([0.3, 0.2, 0.2, 0.1], 1.0, 0.0, 1.5, 0.7), "0x1.1e66666666666p+0"),
+        (([1.0], 0.25, 0.9, 0.0, 3.0), "0x1.2000000000000p+2")])
+    def test_schedule_form_returns_a_python_float(self, args, bits):
+        # It used to return an np.float64 with these bits; efm_bound returns a float.
+        value = optim.efm_bound_schedule(*args)
+        assert type(value) is float and value.hex() == bits
+
     def test_schedule_form_dominated_by_special_case(self):
         # with lam_t = 1/sqrt(t+1), sum lam^2 <= 1 + log(T+1)
         for T in (0, 10, 500):
