@@ -58,16 +58,19 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
   n x n matrix for each n in ``POLAR_SIZES``, in microseconds per call;
 - the other per-call routes of the exact kernels, in microseconds per call:
   ``polar_exact`` on one diagonal and one rank-deficient (rank n // 2, at
-  least 1) n x n matrix, and ``polar_and_nuclear`` on one Gaussian and one
-  diagonal n x n matrix, for each n in ``EXACT_POLAR_SIZES``;
+  least 1) n x n matrix, and ``norms.dual_norm_and_lmo`` of ``OperatorNorm``
+  (the polar factor and the nuclear norm from one SVD, rows
+  ``dual_norm_and_lmo[op]``) on one Gaussian and one diagonal n x n matrix,
+  for each n in ``EXACT_POLAR_SIZES``;
   ``norms.primal_norm`` of ``OperatorNorm`` and ``NuclearNorm`` (rows
   ``norm[op]`` and ``norm[nuc]``) on a Gaussian and a diagonal one for each n
   in ``EXACT_NORM_SIZES``.  The diagonal of a diagonal one is Gaussian;
-- the four ``linalg`` stack kernels (``polar_exact_stack``,
-  ``polar_and_nuclear_stack``, ``op_norm_stack``, ``nuclear_norm_stack``) on
-  n x n stacks for each n in ``STACK_CALLS``, in microseconds per call: one
-  Gaussian member (B = 1), and B = 8 with one Gaussian member among
-  diagonal ones;
+- the four stack kernels of the exact polar factor and the matrix norms
+  (``linalg.polar_exact_stack``, ``linalg.polar_and_nuclear_stack``, and
+  ``norms.primal_norm_stack`` of ``OperatorNorm`` and ``NuclearNorm``, rows
+  ``norm_stack[op]`` and ``norm_stack[nuc]``) on n x n stacks for each n in
+  ``STACK_CALLS``, in microseconds per call: one Gaussian member (B = 1), and
+  B = 8 with one Gaussian member among diagonal ones;
 - each ``optim.step_*`` entry, called in a loop, in microseconds per step:
   ``STEP_T`` steps on the 2x2 counterexample function from a diagonal start
   (the product rules on a one-layer 2x2 ``ProductNormSpec`` point), and
@@ -138,12 +141,10 @@ POLAR_CALLS = {2: 1000, 8: 1000, 64: 100, 256: 10}
 EXACT_POLAR_SIZES = (2, 256)
 EXACT_NORM_SIZES = (2, 64, 256)
 DIAGONAL_CALLS = 1000
-# Matrix sizes of the linalg stack-kernel timings with calls per timing at
+# Matrix sizes of the stack-kernel timings with calls per timing at
 # each, and their stack sizes.
 STACK_CALLS = {2: 1000, 64: 100}
 STACK_SIZES = (1, 8)
-STACK_KERNELS = ("polar_exact_stack", "polar_and_nuclear_stack", "op_norm_stack",
-                 "nuclear_norm_stack")
 # The step entries, named here so that the script also runs on commits
 # without optim.RULES, and the dense set-up of their timings.
 STEP_METHODS = ("specgd", "muon", "regmuon", "signgd", "signmomentum", "efmuon",
@@ -327,7 +328,8 @@ def _polar_timings() -> dict:
                 _calls(fn, [(A,)] * calls)), "us_per_call", calls)
     rows = [("polar_exact", linalg.polar_exact, n, ("diagonal", "rank-deficient"))
             for n in EXACT_POLAR_SIZES]
-    rows += [("polar_and_nuclear", linalg.polar_and_nuclear, n, ("dense", "diagonal"))
+    rows += [("dual_norm_and_lmo[op]", lambda A, spec=norms.OperatorNorm():
+              norms.dual_norm_and_lmo(A, spec), n, ("dense", "diagonal"))
              for n in EXACT_POLAR_SIZES]
     rows += [(f"norm[{kind}]", lambda A, spec=spec: norms.primal_norm(A, spec), n,
               ("dense", "diagonal"))
@@ -350,8 +352,12 @@ def _polar_timings() -> dict:
 
 def _stack_timings() -> dict:
     import numpy as np
-    from muonlab import linalg
+    from muonlab import linalg, norms
 
+    kernels = {"polar_exact_stack": linalg.polar_exact_stack,
+               "polar_and_nuclear_stack": linalg.polar_and_nuclear_stack,
+               "norm_stack[op]": lambda A: norms.primal_norm_stack(A, norms.OperatorNorm()),
+               "norm_stack[nuc]": lambda A: norms.primal_norm_stack(A, norms.NuclearNorm())}
     rng = np.random.default_rng(0)
     timings = {}
     for n, calls in STACK_CALLS.items():
@@ -359,9 +365,8 @@ def _stack_timings() -> dict:
             A = np.zeros((B, n, n))
             A[:, np.arange(n), np.arange(n)] = rng.standard_normal((B, n))
             A[B // 2] = rng.standard_normal((n, n))  # the lone non-diagonal member
-            for fname in STACK_KERNELS:
-                fn = getattr(linalg, fname)
-                timings[f"{fname}[{n}x{n},B={B}]"] = _per_unit(_timed(
+            for label, fn in kernels.items():
+                timings[f"{label}[{n}x{n},B={B}]"] = _per_unit(_timed(
                     _calls(fn, [(A,)] * calls)), "us_per_call", calls)
     return timings
 

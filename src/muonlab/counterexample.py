@@ -29,6 +29,9 @@ AUTO_C = {
     "appendix_e": lambda beta: (1.0 - beta) / (2.0 * (1.0 + beta)),
 }
 
+# The rules that run on a KinkyFunction: the product-norm ones need a ProductNormSpec.
+RUN_METHODS = tuple(name for name, rule in optim.RULES.items() if rule.lmo != "product")
+
 
 def _sign(x: float) -> float:
     """sign(x), with sign(0) = 0 at a kink; a NaN falls in the zero class."""
@@ -348,8 +351,8 @@ def cex2_guard_check(W0, beta, schedule, T: int, method: str = "muon",
     if not 0.0 <= beta < 0.5:
         raise ValueError("beta must lie in [0, 1/2)")
     optim._check_count(T, "T")
-    if method not in optim.RULES:
-        raise ValueError(f"unknown method {method!r}")
+    if method not in RUN_METHODS:
+        raise ValueError(f"unknown method {method!r}; a run takes one of {', '.join(RUN_METHODS)}")
     if c is None:
         c = AUTO_C["cex2"](beta)
     W0 = linalg.as_matrix(W0)

@@ -42,10 +42,6 @@ def _matrix(a, ndim: int = 2) -> np.ndarray:
     return A
 
 
-def _as_stack(a) -> np.ndarray:
-    return _matrix(a, 3)
-
-
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-d float64 array, rejecting NaN/Inf entries."""
     A = _matrix(a)
@@ -93,17 +89,6 @@ def polar_exact(A) -> np.ndarray:
     by an exact fast path.  This is the B = 1 case of ``polar_exact_stack``.
     """
     return _polar_stack(_matrix(A)[None], False)[0][0]
-
-
-def polar_and_nuclear(A) -> tuple:
-    """``(polar_exact(A), ||A||_nuc)`` from a single SVD.
-
-    Diagonal inputs take the same exact fast path as both functions:
-    ``sign(A)`` and the sum of the absolute diagonal entries.  This is the
-    B = 1 case of ``polar_and_nuclear_stack``.
-    """
-    X, nuclear = _polar_stack(_matrix(A)[None], True)
-    return X[0], float(nuclear[0])
 
 
 def _stack_is_diagonal(A: np.ndarray) -> bool:
@@ -160,13 +145,13 @@ def _polar_stack(A: np.ndarray, nuclear: bool) -> tuple:
 
 def polar_exact_stack(A) -> np.ndarray:
     """``polar_exact`` of each member of a (B, m, n) stack."""
-    return _polar_stack(_as_stack(A), False)[0]
+    return _polar_stack(_matrix(A, 3), False)[0]
 
 
 def polar_and_nuclear_stack(A) -> tuple:
-    """``polar_and_nuclear`` of each member of a (B, m, n) stack, as a
-    (B, m, n) stack of polar factors and a (B,) array of nuclear norms."""
-    return _polar_stack(_as_stack(A), True)
+    """``polar_exact`` and the nuclear norm of each member of a (B, m, n)
+    stack from one SVD, as a (B, m, n) stack and a (B,) array."""
+    return _polar_stack(_matrix(A, 3), True)
 
 
 def _norm_stack(A: np.ndarray, kind: str) -> np.ndarray:
@@ -187,16 +172,6 @@ def _norm_stack(A: np.ndarray, kind: str) -> np.ndarray:
     s = np.linalg.svd(A[svd], compute_uv=False)
     out[svd] = s[:, 0] if kind == "op" else s.sum(axis=1)
     return out
-
-
-def op_norm_stack(A) -> np.ndarray:
-    """The operator norm of each member of a (B, m, n) stack."""
-    return _norm_stack(_as_stack(A), "op")
-
-
-def nuclear_norm_stack(A) -> np.ndarray:
-    """The nuclear norm of each member of a (B, m, n) stack."""
-    return _norm_stack(_as_stack(A), "nuc")
 
 
 def polar_newton_schulz(A) -> np.ndarray:
@@ -221,7 +196,7 @@ def polar_newton_schulz_stack(A) -> np.ndarray:
     A non-finite member raises ``as_matrix``'s ValueError; a diverging one,
     NumericalError.
     """
-    A = _as_stack(A)
+    A = _matrix(A, 3)
     if not _all_finite(A):
         raise ValueError("matrix entries must be finite")
     return _newton_schulz(A)

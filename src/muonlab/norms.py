@@ -239,7 +239,7 @@ def _stack(W, spec):
             raise ValueError("vector entries must be finite")
         return V
     if isinstance(spec, _MATRIX_SPECS):
-        return linalg._as_stack(W)
+        return linalg._matrix(W, 3)
     if isinstance(spec, ProductNormSpec):
         try:
             mats, theta = W

@@ -283,7 +283,7 @@ def _operator_compressor(P):
     ||P - C(P)||_F^2 <= (1 - 1/r) ||P||_F^2 needs it, and the Newton-Schulz
     iteration can leave singular values near 0.
     """
-    X, nuc = linalg.polar_and_nuclear(P)
+    nuc, X = norms.dual_norm_and_lmo(P, norms.OperatorNorm())
     # nuc / r, not norms.compress's alpha**2 * nuc: for r = 2,
     # (1/sqrt(2))**2 = 0.4999999999999999, which changes the efm-appendixE
     # preset CSV.
@@ -727,11 +727,10 @@ def _bound_factors(delta, beta, sigma, dist0) -> tuple:
     return dist0**2, sigma**2 * _bound_coeff(delta, beta)
 
 
-def _bound_at(T: int, dist0_sq: float, noise: float) -> float:
+def _bound_at(root, log, dist0_sq: float, noise: float):
     # ((sigma^2 coeff) (1 + log(T+1))) / sqrt(T+1): this association gives
     # the values the efm-appendixE preset digest was recorded with.
-    root = math.sqrt(T + 1.0)
-    return dist0_sq / (2.0 * root) + noise * (1.0 + math.log(T + 1.0)) / root
+    return dist0_sq / (2.0 * root) + noise * (1.0 + log) / root
 
 
 def efm_bound(T: int, delta: float, beta: float, sigma: float, dist0: float) -> float:
@@ -741,7 +740,8 @@ def efm_bound(T: int, delta: float, beta: float, sigma: float, dist0: float) -> 
       + sigma^2 (2 sqrt(1-delta)/delta + beta/(1-beta) + 1/2) (1 + log(T+1)) / sqrt(T+1)
     """
     _check_count(T, "T")
-    return _bound_at(T, *_bound_factors(delta, beta, sigma, dist0))
+    factors = _bound_factors(delta, beta, sigma, dist0)
+    return _bound_at(math.sqrt(T + 1.0), math.log(T + 1.0), *factors)
 
 
 def efm_bound_column(T: int, delta: float, beta: float, sigma: float,
@@ -749,11 +749,10 @@ def efm_bound_column(T: int, delta: float, beta: float, sigma: float,
     """``[efm_bound(t, delta, beta, sigma, dist0) for t in range(T + 1)]``,
     bit for bit, with the domain check and the T-free factors done once."""
     _check_count(T, "T")
-    dist0_sq, noise = _bound_factors(delta, beta, sigma, dist0)
+    factors = _bound_factors(delta, beta, sigma, dist0)
     t1 = np.arange(1.0, T + 2.0)
-    # _bound_at's association; math.log, as np.log may differ in the last bit.
-    log, root = np.fromiter(map(math.log, t1.tolist()), float, T + 1), np.sqrt(t1)
-    return dist0_sq / (2.0 * root) + noise * (1.0 + log) / root
+    # math.log per row, as np.log may differ in the last bit.
+    return _bound_at(np.sqrt(t1), np.fromiter(map(math.log, t1.tolist()), float, T + 1), *factors)
 
 
 def _check_nonincreasing(lams: np.ndarray):

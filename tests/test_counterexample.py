@@ -364,10 +364,14 @@ class TestCex2:
     @pytest.mark.parametrize("W0", [np.zeros((2, 2)), np.diag([1.0, 0.5])])
     @pytest.mark.parametrize("kwargs, match", [
         ({"T": -5}, "T must be nonnegative"), ({"T": 2.5}, "T must be nonnegative"),
-        ({"T": True}, "T must be nonnegative"), ({"method": "bogus"}, "unknown method")])
+        ({"T": True}, "T must be nonnegative"), ({"method": "bogus"}, "unknown method"),
+        ({"method": "muonmax"}, "a run takes one of"),
+        ({"method": "efmuonmax"}, "a run takes one of")])
     def test_guard_check_validates_t_and_method_before_p0(self, W0, kwargs, match):
         # With p0 = 0 the check used to return Cex2Guard(T=-5, ok=False, ...)
-        # before it looked at T or the method.
+        # before it looked at T or the method.  The product-norm rules, which
+        # need a ProductNormSpec point, got through the method check: with
+        # p0 = 0 as a failed guard, and otherwise as optim.run's ValueError.
         args = {"T": 10, "method": "muon", **kwargs}
         with pytest.raises(ValueError, match=match):
             cex.cex2_guard_check(W0, 0.2, optim.Constant(0.1), **args)

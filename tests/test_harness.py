@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 from pathlib import Path
@@ -45,12 +46,12 @@ class TestConfig:
         # only after the run had started; "efm" is no longer a method.
         with pytest.raises(harness.ConfigError, match="a run takes one of") as exc:
             harness.resolve_config({**self.BASE, "method": method})
-        assert all(name in str(exc.value) for name in harness.RUN_METHODS)
+        assert all(name in str(exc.value) for name in cex.RUN_METHODS)
 
     def test_run_methods(self):
-        assert harness.RUN_METHODS == ("specgd", "muon", "regmuon", "signgd",
-                                       "signmomentum", "efmuon")
-        for method in harness.RUN_METHODS:
+        assert cex.RUN_METHODS == ("specgd", "muon", "regmuon", "signgd",
+                                   "signmomentum", "efmuon")
+        for method in cex.RUN_METHODS:
             harness.run_experiment({**self.BASE, "method": method, "T": 3})
 
     @pytest.mark.parametrize("override, match", [
@@ -831,6 +832,21 @@ class TestCli:
         assert rc == cli.EXIT_CONFIG
         assert "no trial count" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("suite", sorted(harness.SUITES))
+    def test_verify_trials_accepted_exactly_where_the_suite_takes_trials(
+            self, suite, monkeypatch, capsys):
+        # The suite is swapped for a stub whose signature hides its own, as
+        # perfbench's tracing wrappers do: TRIAL_ARGS was taken at import.
+        takes = "trials" in inspect.signature(harness.SUITES[suite]).parameters
+        calls = []
+        monkeypatch.setitem(harness.SUITES, suite, lambda **kw: calls.append(kw) or [])
+        rc = cli.main(["verify", suite, "--trials", "2"])
+        if takes:
+            assert (rc, calls) == (cli.EXIT_OK, [{"trials": 2}])
+        else:
+            assert (rc, calls) == (cli.EXIT_CONFIG, [])
+            assert "no trial count" in capsys.readouterr().err
 
     def test_verify_trials_must_be_positive(self, capsys):
         assert cli.main(["verify", "polar", "--trials", "0"]) == cli.EXIT_CONFIG

@@ -10,6 +10,12 @@ import pytest
 from muonlab import linalg, norms
 
 OP, NUC = norms.OperatorNorm(), norms.NuclearNorm()
+# The stack kernels of the polar factor and the two matrix norms.
+STACK_KERNELS = [linalg.polar_exact_stack, linalg.polar_and_nuclear_stack,
+                 lambda S: norms.primal_norm_stack(S, OP),
+                 lambda S: norms.primal_norm_stack(S, NUC)]
+STACK_KERNEL_IDS = ["polar_exact_stack", "polar_and_nuclear_stack", "norm_stack-op",
+                    "norm_stack-nuc"]
 
 
 def rand_matrix(rng, m=None, n=None):
@@ -30,13 +36,13 @@ class TestPolarExact:
         # u v^T from the top singular pair u = (0.6, 0.8), v = (1, 0); the
         # nuclear norm is the one singular value 5.
         A = np.array([[3.0, 0.0], [4.0, 0.0]])
-        X, nuc = linalg.polar_and_nuclear(A)
+        nuc, X = norms.dual_norm_and_lmo(A, OP)
         np.testing.assert_allclose(X, [[0.6, 0.0], [0.8, 0.0]], atol=1e-14)
         np.testing.assert_array_equal(X, linalg.polar_exact(A))
         assert abs(nuc - 5.0) <= 1e-14
 
     def test_rejects_bad_input(self):
-        for kernel in (linalg.polar_exact, linalg.polar_and_nuclear):
+        for kernel in (linalg.polar_exact, lambda A: norms.dual_norm_and_lmo(A, OP)):
             with pytest.raises(ValueError, match="expected a 2-d array"):
                 kernel(np.array([1.0, 2.0]))
             with pytest.raises(ValueError, match="^matrix entries must be finite$"):
@@ -70,6 +76,9 @@ class TestPolarExact:
 
 
 class TestPolarAndNuclear:
+    """The operator norm's dual norm and LMO, the nuclear norm and the polar
+    factor, from one SVD."""
+
     def reference(self, A):
         return linalg.polar_exact(A), norms.primal_norm(A, NUC)
 
@@ -84,7 +93,7 @@ class TestPolarAndNuclear:
             D[np.arange(d), np.arange(d)] = rng.standard_normal(d)
             cases.append(D)
         for A in cases:
-            X, nuc = linalg.polar_and_nuclear(A)
+            nuc, X = norms.dual_norm_and_lmo(A, OP)
             P, ref = self.reference(A)
             np.testing.assert_array_equal(X, P)
             assert nuc == ref
@@ -96,7 +105,7 @@ class TestPolarAndNuclear:
                   for m, n in ((5, 5), (6, 3), (3, 7))]
         cases += [rng.standard_normal((9, 4)), rng.standard_normal((4, 9))]
         for A in cases:
-            X, nuc = linalg.polar_and_nuclear(A)
+            nuc, X = norms.dual_norm_and_lmo(A, OP)
             P, ref = self.reference(A)
             assert np.linalg.norm(X - P) <= 1e-12 * max(1.0, np.linalg.norm(P))
             assert abs(nuc - ref) <= 1e-12 * ref
@@ -105,7 +114,7 @@ class TestPolarAndNuclear:
         # The second singular value, about 1e-14 of the first, is cut from the
         # polar factor (rank 1) but counts in the nuclear norm.
         A = np.diag([1.0, 1e-14]) @ np.array([[1.0, 1.0], [1.0, -1.0]])
-        X, nuc = linalg.polar_and_nuclear(A)
+        nuc, X = norms.dual_norm_and_lmo(A, OP)
         assert abs(np.linalg.norm(X) ** 2 - 1.0) <= 1e-12
         assert nuc > norms.primal_norm(A, OP)
         assert abs(nuc - norms.primal_norm(A, NUC)) <= 1e-12 * nuc
@@ -129,7 +138,7 @@ class TestStacks:
     @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (6, 4), (20, 20)])
     def test_members_match(self, shape):
         A = self.stack(np.random.default_rng(8), *shape)
-        X, nuc = linalg.polar_exact_stack(A), linalg.nuclear_norm_stack(A)
+        X, nuc = linalg.polar_exact_stack(A), norms.primal_norm_stack(A, NUC)
         for b in range(len(A)):
             np.testing.assert_array_equal(X[b], linalg.polar_exact(A[b]))
             assert nuc[b] == norms.primal_norm(A[b], NUC)
@@ -147,20 +156,19 @@ class TestStacks:
         # A non-finite diagonal entry raises, per call and in a stack, as a
         # non-finite entry off the diagonal does.
         for bad in (np.diag([np.inf, 1.0]), np.diag([np.nan, 1.0])):
-            for spec, stacked in ((NUC, linalg.nuclear_norm_stack),
-                                  (OP, linalg.op_norm_stack)):
+            for spec in (NUC, OP):
                 with pytest.raises(ValueError, match="^matrix entries must be finite$"):
                     norms.primal_norm(bad, spec)
                 with pytest.raises(ValueError, match="^matrix entries must be finite$"):
-                    stacked(np.stack([np.diag([2.0, 1.0]), bad]))
+                    norms.primal_norm_stack(np.stack([np.diag([2.0, 1.0]), bad]), spec)
 
     def test_rejects_non_stack(self):
         with pytest.raises(ValueError):
             linalg.polar_exact_stack(np.eye(2))
         with pytest.raises(ValueError):
-            linalg.nuclear_norm_stack(np.eye(2))
+            norms.primal_norm_stack(np.eye(2), NUC)
         with pytest.raises(ValueError, match="dimensions must be positive"):
-            linalg.op_norm_stack(np.ones((2, 0, 3)))
+            norms.primal_norm_stack(np.ones((2, 0, 3)), OP)
 
     def mixed(self, rng, m, n):
         """Full-rank, rank-deficient, diagonal and zero members of one shape."""
@@ -178,9 +186,9 @@ class TestStacks:
         A = self.mixed(np.random.default_rng(10), *shape)
         X = linalg.polar_exact_stack(A)
         P, nuc_uv = linalg.polar_and_nuclear_stack(A)
-        op, nuc = linalg.op_norm_stack(A), linalg.nuclear_norm_stack(A)
+        op, nuc = norms.primal_norm_stack(A, OP), norms.primal_norm_stack(A, NUC)
         for b in range(len(A)):
-            ref_P, ref_nuc = linalg.polar_and_nuclear(A[b])
+            ref_nuc, ref_P = norms.dual_norm_and_lmo(A[b], OP)
             assert X[b].tobytes() == linalg.polar_exact(A[b]).tobytes()
             assert P[b].tobytes() == ref_P.tobytes()
             assert nuc_uv[b] == ref_nuc
@@ -192,8 +200,7 @@ class TestStacks:
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-        for kernel in (linalg.polar_exact_stack, linalg.polar_and_nuclear_stack,
-                       linalg.op_norm_stack, linalg.nuclear_norm_stack):
+        for kernel in STACK_KERNELS:
             kernel(A)
         assert len(calls) == 4
 
@@ -205,17 +212,18 @@ class TestStacks:
                  [np.diag([2.0, -1.0, 0.0]), np.outer(rng.standard_normal(3),
                                                       rng.standard_normal(3))]),
              "mixed": lambda: self.mixed(rng, 4, 3)}[case]()
-        ref = [(linalg.polar_exact(M), *linalg.polar_and_nuclear(M),
+        ref = [(linalg.polar_exact(M), *norms.dual_norm_and_lmo(M, OP)[::-1],
                 norms.primal_norm(M, OP), norms.primal_norm(M, NUC)) for M in A]
 
         def refuse(*args, **kwargs):
             raise AssertionError("a per-matrix function was called")
 
-        for name in ("polar_exact", "polar_and_nuclear"):
-            monkeypatch.setattr(linalg, name, refuse)
+        monkeypatch.setattr(linalg, "polar_exact", refuse)
+        for name in ("primal_norm", "dual_norm_and_lmo"):
+            monkeypatch.setattr(norms, name, refuse)
         X = linalg.polar_exact_stack(A)
         P, nuc_uv = linalg.polar_and_nuclear_stack(A)
-        op, nuc = linalg.op_norm_stack(A), linalg.nuclear_norm_stack(A)
+        op, nuc = norms.primal_norm_stack(A, OP), norms.primal_norm_stack(A, NUC)
         for b, (ref_X, ref_P, ref_nuc_uv, ref_op, ref_nuc) in enumerate(ref):
             assert X[b].tobytes() == ref_X.tobytes()
             assert P[b].tobytes() == ref_P.tobytes()
@@ -224,12 +232,14 @@ class TestStacks:
             assert nuc[b] == ref_nuc
 
     @pytest.mark.parametrize("kernel", [
-        linalg.polar_exact, linalg.polar_and_nuclear, lambda A: norms.primal_norm(A, OP),
-        lambda A: norms.primal_norm(A, NUC), lambda A: linalg.polar_exact_stack(A[None]),
+        linalg.polar_exact, lambda A: norms.dual_norm_and_lmo(A, OP),
+        lambda A: norms.primal_norm(A, OP), lambda A: norms.primal_norm(A, NUC),
+        lambda A: linalg.polar_exact_stack(A[None]),
         lambda A: linalg.polar_and_nuclear_stack(A[None]),
-        lambda A: linalg.op_norm_stack(A[None]), lambda A: linalg.nuclear_norm_stack(A[None])],
-        ids=["polar_exact", "polar_and_nuclear", "norm-op", "norm-nuc", "polar_exact_stack",
-             "polar_and_nuclear_stack", "op_norm_stack", "nuclear_norm_stack"])
+        lambda A: norms.primal_norm_stack(A[None], OP),
+        lambda A: norms.primal_norm_stack(A[None], NUC)],
+        ids=["polar_exact", "dual_norm_and_lmo-op", "norm-op", "norm-nuc", "polar_exact_stack",
+             "polar_and_nuclear_stack", "norm_stack-op", "norm_stack-nuc"])
     @pytest.mark.parametrize("case, svds", [("dense", 1), ("rank-deficient", 1),
                                             ("rectangular", 1), ("diagonal", 0), ("zero", 0)])
     def test_one_matrix_takes_one_svd_unless_diagonal(self, kernel, case, svds, monkeypatch):
@@ -245,8 +255,7 @@ class TestStacks:
         kernel(A)
         assert len(calls) == svds
 
-    @pytest.mark.parametrize("kernel", ["polar_exact_stack", "polar_and_nuclear_stack",
-                                        "op_norm_stack", "nuclear_norm_stack"])
+    @pytest.mark.parametrize("kernel", STACK_KERNELS, ids=STACK_KERNEL_IDS)
     @pytest.mark.parametrize("entry", [(0, 1), (1, 1)])
     def test_non_finite_member_raises_before_any_svd(self, kernel, entry, monkeypatch):
         A = self.mixed(np.random.default_rng(15), 3, 3)
@@ -255,21 +264,21 @@ class TestStacks:
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         with pytest.raises(ValueError, match="^matrix entries must be finite$"):
-            getattr(linalg, kernel)(A)
+            kernel(A)
         assert calls == []
 
-    @pytest.mark.parametrize("kernel", ["op_norm_stack", "nuclear_norm_stack",
-                                        "polar_and_nuclear_stack"])
-    def test_non_finite_member_raises_as_the_reference(self, kernel):
+    @pytest.mark.parametrize("kernel, reference", [
+        (lambda S: norms.primal_norm_stack(S, OP), lambda M: norms.primal_norm(M, OP)),
+        (lambda S: norms.primal_norm_stack(S, NUC), lambda M: norms.primal_norm(M, NUC)),
+        (linalg.polar_and_nuclear_stack, lambda M: norms.dual_norm_and_lmo(M, OP))],
+        ids=["norm_stack-op", "norm_stack-nuc", "polar_and_nuclear_stack"])
+    def test_non_finite_member_raises_as_the_reference(self, kernel, reference):
         A = self.mixed(np.random.default_rng(13), 3, 3)
         A[3, 0, 1] = np.nan
-        reference = {"op_norm_stack": lambda M: norms.primal_norm(M, OP),
-                     "nuclear_norm_stack": lambda M: norms.primal_norm(M, NUC),
-                     "polar_and_nuclear_stack": linalg.polar_and_nuclear}[kernel]
         with pytest.raises(Exception) as ref:
             reference(A[3])
         with pytest.raises(type(ref.value)) as got:
-            getattr(linalg, kernel)(A)
+            kernel(A)
         assert str(got.value) == str(ref.value)
 
 
@@ -358,9 +367,10 @@ def test_newton_schulz_digests():
 
 
 # SHA-256 of the exact kernels' output bytes, each kernel's outputs hashed in
-# order, recorded while polar_exact, polar_and_nuclear and the operator and
-# nuclear norms (now taken through norms.primal_norm) still had per-matrix
-# bodies of their own; held at one BLAS thread as NS_DIGESTS is.
+# order, recorded while polar_exact, the polar factor with the nuclear norm
+# (now norms.dual_norm_and_lmo of OperatorNorm) and the operator and nuclear
+# norms (now norms.primal_norm) still had per-matrix bodies of their own; held
+# at one BLAS thread as NS_DIGESTS is.
 # Each shape gives eight inputs: two full-rank ones (C order and a transposed
 # view), ranks min(m, n) // 2 and 1, rounded entries (tied singular values), a
 # diagonal with zeros and -0.0 on its diagonal, a diagonal on a -0.0
@@ -370,7 +380,7 @@ def test_newton_schulz_digests():
 EXACT_DIGESTS = {
     "polar_exact":
         "741b3faf73f61b6f8e1a2ce8db5443d339b64c2439787cccc384018a3838125b",
-    "polar_and_nuclear":
+    "dual_norm_and_lmo_op":
         "2b324032dcc53a4c0f16b847f04a8c1ef304b650ae89ceea1015b2bb8e1feb3e",
     "norm_op":
         "4891b0dd62ecb982a8c7f9880db00a759d9477d25b864ed6783b871b0ce70f94",
@@ -380,9 +390,9 @@ EXACT_DIGESTS = {
         "8a079774d7de19789fe85829acd4515507f67d78cbc6de3a3a011ac9ecd1b897",
     "polar_and_nuclear_stack":
         "986c928f4e9999085f01dd0a391dac3afbfe096b54f5f5a1cba3465f9ec271f9",
-    "op_norm_stack":
+    "norm_op_stack":
         "bd7e2b8d9b996029d062855609ce012c8e28439baf86edb68d06799a578bde15",
-    "nuclear_norm_stack":
+    "norm_nuc_stack":
         "00ee517dfdd45180c5ce27187865ca95cb0fc22a44542dbdf90c32184193532c",
 }
 EXACT_DIGEST_SCRIPT = """
@@ -411,15 +421,16 @@ def pair(X, nuc):
 
 per_call = {
     "polar_exact": lambda A: [linalg.polar_exact(A)],
-    "polar_and_nuclear": lambda A: pair(*linalg.polar_and_nuclear(A)),
+    "dual_norm_and_lmo_op":
+        lambda A: pair(*norms.dual_norm_and_lmo(A, norms.OperatorNorm())[::-1]),
     "norm_op": lambda A: [np.float64(norms.primal_norm(A, norms.OperatorNorm()))],
     "norm_nuc": lambda A: [np.float64(norms.primal_norm(A, norms.NuclearNorm()))],
 }
 stacked = {
     "polar_exact_stack": lambda S: [linalg.polar_exact_stack(S)],
     "polar_and_nuclear_stack": lambda S: list(linalg.polar_and_nuclear_stack(S)),
-    "op_norm_stack": lambda S: [linalg.op_norm_stack(S)],
-    "nuclear_norm_stack": lambda S: [linalg.nuclear_norm_stack(S)],
+    "norm_op_stack": lambda S: [norms.primal_norm_stack(S, norms.OperatorNorm())],
+    "norm_nuc_stack": lambda S: [norms.primal_norm_stack(S, norms.NuclearNorm())],
 }
 hashes = {name: hashlib.sha256() for name in [*per_call, *stacked]}
 rng = np.random.default_rng(2025)
@@ -547,7 +558,7 @@ class TestIndependentReference:
         for _ in range(5):
             A = rng.standard_normal(shape)  # full rank, almost surely
             want = scipy_linalg.polar(A)[0]
-            for got in (linalg.polar_exact(A), linalg.polar_and_nuclear(A)[0],
+            for got in (linalg.polar_exact(A), norms.dual_norm_and_lmo(A, OP)[1],
                         linalg.polar_exact_stack(A[None])[0]):
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -560,12 +571,11 @@ class TestIndependentReference:
         cases = [rng.standard_normal(shape), D, np.zeros(shape),
                  rng.standard_normal((m, 1)) @ rng.standard_normal((1, n))]
         for A in cases:
-            for spec, stacked, ord_ in ((OP, linalg.op_norm_stack, 2),
-                                        (NUC, linalg.nuclear_norm_stack, "nuc")):
+            for spec, ord_ in ((OP, 2), (NUC, "nuc")):
                 want = np.linalg.norm(A, ord_)
-                for got in (norms.primal_norm(A, spec), stacked(A[None])[0]):
+                for got in (norms.primal_norm(A, spec), norms.primal_norm_stack(A[None], spec)[0]):
                     assert abs(got - want) <= 1e-12 * want
-            assert (abs(linalg.polar_and_nuclear(A)[1] - np.linalg.norm(A, "nuc"))
+            assert (abs(norms.dual_norm_and_lmo(A, OP)[0] - np.linalg.norm(A, "nuc"))
                     <= 1e-12 * np.linalg.norm(A, "nuc"))
 
 
@@ -620,11 +630,11 @@ class TestNorm:
         # identity", and the nuclear norm returned 0.0.
         A = np.zeros(shape)
         for call in (lambda: norms.primal_norm(A, OP), lambda: norms.primal_norm(A, NUC),
-                     lambda: linalg.polar_exact(A), lambda: linalg.polar_and_nuclear(A),
+                     lambda: linalg.polar_exact(A), lambda: norms.dual_norm_and_lmo(A, OP),
                      lambda: linalg.polar_newton_schulz(A),
                      lambda: linalg.as_matrix(A),
-                     lambda: linalg.op_norm_stack(A[None]),
-                     lambda: linalg.nuclear_norm_stack(A[None]),
+                     lambda: norms.primal_norm_stack(A[None], OP),
+                     lambda: norms.primal_norm_stack(A[None], NUC),
                      lambda: linalg.polar_exact_stack(A[None]),
                      lambda: linalg.polar_and_nuclear_stack(A[None]),
                      lambda: linalg.polar_newton_schulz_stack(A[None])):

@@ -351,9 +351,18 @@ def ref_vector_norm(v, spec):
 
 
 def ref_matrix_norm(M, spec):
-    kernel = {norms.OperatorNorm: linalg.op_norm_stack,
-              norms.NuclearNorm: linalg.nuclear_norm_stack}[type(spec)]
-    return float(kernel(np.asarray(M)[None])[0])
+    """The largest or the sum of the absolute diagonal entries of a diagonal
+    matrix, else of its singular values alone."""
+    M = linalg.as_matrix(M)
+    d = np.abs(np.diagonal(M))
+    s = d if np.count_nonzero(M) == np.count_nonzero(d) else np.linalg.svd(M, compute_uv=False)
+    return float(s.max() if isinstance(spec, norms.OperatorNorm) else s.sum())
+
+
+def _ref_polar_and_nuclear(M):
+    """The polar factor and the nuclear norm of one matrix, from the stack."""
+    X, nuc = linalg.polar_and_nuclear_stack(np.asarray(M)[None])
+    return X[0], float(nuc[0])
 
 
 def _ref_nuclear_ball(W):
@@ -367,7 +376,7 @@ def _ref_nuclear_ball(W):
 
 
 def _ref_product_dual_and_lmo(W, spec):
-    parts = [linalg.polar_and_nuclear(M) for M in W.matrices]
+    parts = [_ref_polar_and_nuclear(M) for M in W.matrices]
     y = sum(nuc / math.sqrt(d) for (_, nuc), d in zip(parts, spec.d))
     l1 = float(np.linalg.norm(W.theta, 1))
     dn = math.sqrt(spec.s * y**2 + l1**2 / spec.k)
@@ -437,7 +446,7 @@ def ref_lmo(W, spec):
 
 def ref_dual_and_lmo(W, spec):
     if isinstance(spec, norms.OperatorNorm):
-        X, nuc = linalg.polar_and_nuclear(W)
+        X, nuc = _ref_polar_and_nuclear(W)
         return nuc, X
     if isinstance(spec, norms.NuclearNorm):
         return _ref_nuclear_ball(linalg.as_matrix(W))
