@@ -50,7 +50,6 @@ from .counterexample import (
     Cex2Guard,
     KinkyFunction,
     cex1_build,
-    cex1_predicted_iterate,
     cex1_predicted_sequence,
     cex2_guard_check,
     compute_R,

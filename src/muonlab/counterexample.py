@@ -70,33 +70,20 @@ class KinkyFunction:
         the one expression of the objective."""
         return self.c * abs(s) + abs(d)
 
-    def diag_value(self, w1: float, w2: float) -> float:
+    def value(self, W) -> float:
+        w1, w2 = float(W[0, 0]), float(W[1, 1])
         return self.sd_value(w1 + w2, w1 - w2)
 
-    def value(self, W) -> float:
-        return self.diag_value(float(W[0, 0]), float(W[1, 1]))
-
-    def diag_subgradient(self, w) -> np.ndarray:
-        """Subgradient c*s1*(1,1) + s2*(1,-1), s1 = sign(w1+w2), s2 = sign(w1-w2),
-        with sign(0) = 0 at the kinks."""
-        w = np.asarray(w, float)
-        return np.array(self._diag_pair(w[0], w[1]))
-
     def subgradient(self, W) -> np.ndarray:
-        G = np.zeros((self.m, self.n))
-        G[0, 0], G[1, 1] = self._diag_pair(float(W[0, 0]), float(W[1, 1]))
-        return G
-
-    def _diag_pair(self, w1, w2) -> tuple:
+        """c*s1*(E11+E22) + s2*(E11-E22), s1 = sign(w1+w2), s2 = sign(w1-w2), sign(0) = 0."""
+        w1, w2 = float(W[0, 0]), float(W[1, 1])
         s1, s2 = _sign(w1 + w2), _sign(w1 - w2)
-        return self.c * s1 + s2, self.c * s1 - s2
+        G = np.zeros((self.m, self.n))
+        G[0, 0], G[1, 1] = self.c * s1 + s2, self.c * s1 - s2
+        return G
 
     def oracle(self) -> KinkyOracle:
         return KinkyOracle(self)
-
-    def diag_oracle(self) -> optim.FunctionOracle:
-        return optim.FunctionOracle(lambda w: self.diag_value(w[0], w[1]),
-                                    self.diag_subgradient)
 
 
 def _subgradients(fn: KinkyFunction) -> tuple:
@@ -248,13 +235,7 @@ class Cex1Init:
     delta: float
     lambda_inf: float
     R0: float
-    _R: np.ndarray = field(repr=False, default=None)
-
-    def R(self, t: int) -> float:
-        optim._check_count(t, "t")
-        if self._R is None or t >= len(self._R):
-            self._R = _R_recursion(self.schedule, self.R0, max(2 * (t + 1), 16))
-        return float(self._R[t])
+    _R: np.ndarray = field(repr=False)
 
 
 def cex1_build(beta, schedule, r: float = 1.0, delta: float = 0.0,
@@ -301,19 +282,13 @@ def cex1_build(beta, schedule, r: float = 1.0, delta: float = 0.0,
     return fn, W0, init
 
 
-def cex1_predicted_iterate(init: Cex1Init, t: int):
-    """Closed-form diagonal (w1, w2) of the iterate at step t."""
-    R = init.R(t)  # checks t
-    osc = init.delta + (-1) ** (t % 2) * R
-    return init.r + osc, init.r - osc
-
-
 def cex1_predicted_sequence(init: Cex1Init, T: int) -> np.ndarray:
-    """(T+1) x 2 array of predicted diagonals for t = 0 .. T."""
+    """(T+1) x 2 array of predicted diagonals for t = 0 .. T.  Past the build
+    horizon R_t comes from ``_R_recursion``, whose prefix has the same bits."""
     optim._check_count(T, "T")
-    init.R(T)
+    R = init._R if T < len(init._R) else _R_recursion(init.schedule, init.R0, T + 1)
     signs = np.where(np.arange(T + 1) % 2 == 0, 1.0, -1.0)
-    osc = init.delta + signs * init._R[: T + 1]
+    osc = init.delta + signs * R[: T + 1]
     return np.column_stack([init.r + osc, init.r - osc])
 
 

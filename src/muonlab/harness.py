@@ -125,6 +125,8 @@ def resolve_config(raw: dict) -> dict:
         if isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, np.integer)):
             raise ConfigError(f"{key} must be an integer")
         cfg[key] = int(cfg[key])
+    if cfg["m"] < 2 or cfg["n"] < 2:
+        raise ConfigError("m and n must be at least 2")
     if not isinstance(cfg["track_average"], bool):
         raise ConfigError("track_average must be true or false")
     beta = _real(cfg["beta"], "beta")

@@ -21,9 +21,6 @@ _FRO_UNDERFLOW = math.sqrt(np.finfo(float).tiny)
 # Native float64.  ``A.dtype is _FLOAT64`` is the hot paths' cheap test for
 # it; a byte-swapped float64 array fails it and takes the general path.
 _FLOAT64 = np.dtype(float)
-# The index array of the member of a stack of one.
-_FIRST_MEMBER = np.zeros(1, dtype=np.intp)
-_FIRST_MEMBER.flags.writeable = False
 
 
 class NumericalError(RuntimeError):
@@ -106,8 +103,6 @@ def _svd_members(A: np.ndarray) -> np.ndarray | None:
         return None
     if not _all_finite(A):
         raise ValueError("matrix entries must be finite")
-    if len(A) == 1:
-        return _FIRST_MEMBER  # its one member, without counting again
     nz = A != 0
     return np.flatnonzero(np.count_nonzero(nz, axis=(1, 2))
                           != np.count_nonzero(nz.diagonal(0, 1, 2), axis=1))

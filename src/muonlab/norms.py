@@ -127,9 +127,6 @@ class ParamPoint:
             raise ValueError("theta entries must be finite")
         self.theta = th
 
-    def copy(self) -> "ParamPoint":
-        return ParamPoint([M.copy() for M in self.matrices], self.theta.copy())
-
     def zeros_like(self) -> "ParamPoint":
         return ParamPoint([np.zeros_like(M) for M in self.matrices], np.zeros_like(self.theta))
 

@@ -392,6 +392,10 @@ def run(method, oracle, state0, T: int, track_average: bool = True) -> Trace:
     _check_count(T, "T")
     if method not in RULES:
         raise ValueError(f"unknown method {method!r}")
+    if not isinstance(track_average, bool):
+        raise ValueError(f"track_average must be a bool, not {track_average!r}")
+    if state0.schedule is None:
+        raise ValueError("state0.schedule is None: a run needs a stepsize schedule")
     rule, step_fn = RULES[method], STEP_FUNCTIONS[method]
 
     if _runs_on_diagonal(rule, oracle, state0):

@@ -11,11 +11,11 @@ class TestKinkyFunction:
     def test_values(self):
         fn = cex.KinkyFunction(c=0.5)
         assert fn.value(np.zeros((2, 2))) == 0.0
-        assert fn.diag_value(1.0, 1.0) == 1.0
+        assert fn.value(np.diag([1.0, 1.0])) == 1.0
         beta = 0.9
         c = (1 - beta) / (2 * (1 + beta))
         fn = cex.KinkyFunction(c=c)
-        got = fn.diag_value(1 + math.log(2), 1 - math.log(2))
+        got = fn.value(np.diag([1 + math.log(2), 1 - math.log(2)]))
         assert abs(got - (2 * c + 2 * math.log(2))) < 1e-14
 
     def test_c_is_stored_as_a_float(self):
@@ -38,7 +38,10 @@ class TestKinkyFunction:
         fn = cex.KinkyFunction(c=0.3, m=3, n=4)
         for _ in range(20):
             W = rng.standard_normal((3, 4))
-            assert fn.value(W) == fn.diag_value(W[0, 0], W[1, 1])
+            D = np.zeros((3, 4))
+            D[0, 0], D[1, 1] = W[0, 0], W[1, 1]
+            s, d = W[0, 0] + W[1, 1], W[0, 0] - W[1, 1]
+            assert fn.value(W) == fn.value(D) == fn.sd_value(s, d)
 
     def test_subgradient_examples(self):
         fn = cex.KinkyFunction(c=0.5)
@@ -60,8 +63,8 @@ class TestKinkyFunction:
 
     def test_kink_selections(self):
         fn = cex.KinkyFunction(c=0.5)
-        w = np.array([1.0, 1.0])  # on the |w1 - w2| kink, where sign(0) = 0
-        np.testing.assert_allclose(fn.diag_subgradient(w), [0.5, 0.5])
+        W = np.diag([1.0, 1.0])  # on the |w1 - w2| kink, where sign(0) = 0
+        np.testing.assert_allclose(fn.subgradient(W), np.diag([0.5, 0.5]))
 
     def test_subgradient_inequality(self):
         rng = np.random.default_rng(22)
@@ -213,11 +216,15 @@ class TestRRecursion:
         assert np.count_nonzero(expected == 0.0) == 50
         assert cex._R_recursion(optim.Constant(0.2), 0.2, 101).tobytes() == expected.tobytes()
 
-    def test_cex1_init_R_values_equal_the_loop(self):
+    def test_cex1_R_values_equal_the_loop(self):
+        # R_t up to the build horizon and past it, through the prediction.
         for schedule in self.SCHEDULES:
             _, _, init = cex.cex1_build(0.5, schedule, horizon=200)
             assert init._R.tobytes() == _R_loop(schedule, init.R0, 201).tobytes()
-            assert init.R(300) == _R_loop(schedule, init.R0, 602)[300]
+            signs = np.where(np.arange(301) % 2 == 0, 1.0, -1.0)
+            osc = init.delta + signs * _R_loop(schedule, init.R0, 301)
+            expected = np.column_stack([init.r + osc, init.r - osc])
+            assert cex.cex1_predicted_sequence(init, 300).tobytes() == expected.tobytes()
 
 
 class TestCex1:
@@ -274,35 +281,30 @@ class TestCex1:
             with pytest.raises(ValueError, match=match):
                 cex.cex1_build(0.5, schedule, **kw)
 
-    def test_predicted_iterate(self):
+    def test_predicted_sequence(self):
         beta = 0.9
         fn, W0, init = cex.cex1_build(beta, optim.InvT())
-        w1, w2 = cex.cex1_predicted_iterate(init, 0)
-        assert (w1, w2) == (W0[0, 0], W0[1, 1])
-        w1, w2 = cex.cex1_predicted_iterate(init, 1)
-        assert abs(w1 - math.log(2)) < 1e-12
-        assert abs(w2 - (2 - math.log(2))) < 1e-12
-        for t in range(40):
-            w1, w2 = cex.cex1_predicted_iterate(init, t)
-            assert abs(w1 + w2 - 2 * init.r) < 1e-12
-        with pytest.raises(ValueError, match="t must be nonnegative"):
-            cex.cex1_predicted_iterate(init, -1)
+        pred = cex.cex1_predicted_sequence(init, 39)
+        assert (pred[0, 0], pred[0, 1]) == (W0[0, 0], W0[1, 1])
+        assert abs(pred[1, 0] - math.log(2)) < 1e-12
+        assert abs(pred[1, 1] - (2 - math.log(2))) < 1e-12
+        assert np.max(np.abs(pred[:, 0] + pred[:, 1] - 2 * init.r)) < 1e-12
 
-    @pytest.mark.parametrize("t", [1.5, True, "1"])
-    def test_predicted_iterate_rejects_non_integer_t(self, t):
-        # 1.5 raised IndexError and True TypeError.
+    def test_predicted_sequence_reads_R(self):
+        # A numpy integer T is a count; row t holds r +- (delta + (-1)^t R_t).
         init = cex.cex1_build(0.5, optim.InvT(), horizon=10)[2]
-        with pytest.raises(ValueError, match="^t must be nonnegative: a nonnegative integer"):
-            cex.cex1_predicted_iterate(init, t)
+        pred = cex.cex1_predicted_sequence(init, np.int64(3))
+        assert pred.tobytes() == cex.cex1_predicted_sequence(init, 3).tobytes()
+        R = cex.compute_R_sequence(optim.InvT(), 3)
+        osc = init.delta + np.array([1.0, -1.0, 1.0, -1.0]) * R
+        assert pred.tobytes() == np.column_stack([init.r + osc, init.r - osc]).tobytes()
 
-    @pytest.mark.parametrize("t", [-1, 1.5, True, "2"])
-    def test_R_rejects_bad_t(self, t):
-        # -1 returned the last cached R (0.0475), 1.5 raised IndexError, and
-        # True and "2" TypeError.
+    @pytest.mark.parametrize("T", [1.5, "1", "2"])
+    def test_predicted_sequence_rejects_non_integer_T(self, T):
+        # -1 and True are in test_predicted_sequence_rejects_bad_T.
         init = cex.cex1_build(0.5, optim.InvT(), horizon=10)[2]
-        with pytest.raises(ValueError, match="^t must be nonnegative: a nonnegative integer"):
-            init.R(t)
-        assert init.R(np.int64(3)) == init.R(3) == cex.compute_R_sequence(optim.InvT(), 10)[3]
+        with pytest.raises(ValueError, match="^T must be nonnegative: a nonnegative integer"):
+            cex.cex1_predicted_sequence(init, T)
 
     @pytest.mark.parametrize("T", [-1, 2.5, True])
     def test_predicted_sequence_rejects_bad_T(self, T):

@@ -732,6 +732,18 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "tr.config.json").exists()
 
+    @pytest.mark.parametrize("dims", [{"m": 1}, {"n": 1}, {"m": 1, "n": 1}, {"m": 0}])
+    def test_run_matrix_under_2x2_exits_config_error(self, dims, tmp_path, capsys):
+        # An explicit diag on such a matrix used to crash with an IndexError
+        # traceback and exit 1, the code of a failed property check.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**dims, "init": {"kind": "explicit", "diag": [1, 2]}}))
+        rc = cli.main(["run", "--preset", "cex1-appendixE", "--config", str(cfg),
+                       "--out", str(tmp_path / "tr.csv")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: m and n must be at least 2\n"
+        assert not (tmp_path / "tr.csv").exists()
+
     @pytest.mark.parametrize("bound", [{"delta": True}, {"sigma": "2"}, [1], {"foo": 1}])
     def test_run_bad_bound_exits_config_error(self, bound, tmp_path, capsys):
         # {"delta": true} and {"foo": 1} used to run; the other two died with

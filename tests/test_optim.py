@@ -16,6 +16,14 @@ def kinky_oracle(c=0.5):
     return cex.KinkyFunction(c=c).oracle()
 
 
+def diagonal_oracle(c):
+    """The counterexample function on the 2-vector (w1, w2) of its leading
+    diagonal, with the diagonal of its subgradient."""
+    fn = cex.KinkyFunction(c=c)
+    return optim.FunctionOracle(lambda w: fn.value(np.diag(w)),
+                                lambda w: np.diagonal(fn.subgradient(np.diag(w))).copy())
+
+
 def state(W, beta=0.0, schedule=None, **kw):
     return optim.OptimizerState(W=np.asarray(W, float), beta=beta,
                                 schedule=schedule or optim.Constant(0.1), **kw)
@@ -241,14 +249,14 @@ class TestBasicSteps:
         st2, _ = optim.step_signgd(st, oracle)
         np.testing.assert_array_equal(st2.W, st.W)
 
-        oracle = cex.KinkyFunction(c=0.5).diag_oracle()
+        oracle = diagonal_oracle(0.5)
         st = state(np.array([2.0, 1.0]), schedule=optim.Constant(0.1))
         st2, info = optim.step_signgd(st, oracle)
         np.testing.assert_allclose(st2.W, [1.9, 1.1], atol=1e-15)
         np.testing.assert_allclose(info.grad, [1.5, -0.5])
 
     def test_signmomentum_beta_zero_is_signgd(self):
-        oracle = cex.KinkyFunction(c=0.4).diag_oracle()
+        oracle = diagonal_oracle(0.4)
         w0 = np.array([0.3, -1.2])
         a, _ = optim.step_signgd(state(w0.copy()), oracle)
         b, _ = optim.step_signmomentum(state(w0.copy()), oracle)
@@ -446,6 +454,21 @@ class TestRun:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             optim.run("nope", kinky_oracle(), state(np.eye(2)), 1)
+
+    @pytest.mark.parametrize("track_average", ["no", 1, None, np.bool_(True)])
+    def test_rejects_track_average_that_is_not_a_bool(self, track_average):
+        # A truthy string such as "no" used to track the mean.
+        with pytest.raises(ValueError, match="^track_average must be a bool"):
+            optim.run("muon", kinky_oracle(), state(np.eye(2)), 1, track_average=track_average)
+
+    def test_rejects_a_state_without_a_schedule(self):
+        # The OptimizerState default used to raise AttributeError from inside
+        # the loop; run_batch hands such a member to run.
+        st = optim.OptimizerState(W=np.diag([1.0, 2.0]))
+        for call in (lambda: optim.run("muon", kinky_oracle(), st, 1),
+                     lambda: optim.run_batch("muon", [cex.KinkyFunction(c=0.5)], [st], 1)):
+            with pytest.raises(ValueError, match="^state0.schedule is None"):
+                call()
 
     def test_noisy_iterates_do_not_depend_on_track_average(self):
         def noisy_run(track_average):
