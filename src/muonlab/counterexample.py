@@ -148,6 +148,7 @@ def lipschitz_bound(c: float) -> float:
     optim._check_real(c, "c")
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie in (0, 1)")
+    c = float(c)
     return math.sqrt(2.0 * (1.0 + c * c))
 
 
@@ -254,6 +255,7 @@ def cex1_build(beta, schedule, r: float = 1.0, delta: float = 0.0,
         optim._check_real(value, name)
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
+    beta = float(beta)
     if c is None:
         c = AUTO_C["cex1"](beta)
     if not c < (1.0 - beta) / (1.0 + beta):
@@ -262,6 +264,7 @@ def cex1_build(beta, schedule, r: float = 1.0, delta: float = 0.0,
         raise ValueError("need a finite r >= 1")
     if not math.isfinite(delta):
         raise ValueError("delta must be finite")
+    r, delta = float(r), float(delta)
     lam = schedule.limit()
     R = compute_R_sequence(schedule, horizon)
     if lam == 0.0:

@@ -78,11 +78,27 @@ def _finite(value, what: str) -> float:
     return x
 
 
+# The keys each kind of ``schedule`` and ``init`` block takes besides "kind".
+SCHEDULE_KEYS = {"constant": {"lam"}, "invt": set(), "invsqrt": set(),
+                 "table": {"values"}, "adaptive_nuclear": {"base"}}
+INIT_KEYS = {"cex1": {"r", "delta"}, "random": {"scale"}, "explicit": {"matrix", "diag"}}
+
+
+def _kind(spec: dict, kinds: dict, what: str) -> str:
+    """The kind of a ``what`` block, one of ``kinds``, whose keys it must keep to."""
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    unknown = sorted(set(spec) - kinds[kind] - {"kind"})
+    if unknown:
+        raise ConfigError(f"{what} {kind!r} has unknown keys {unknown}")
+    return kind
+
+
 def build_schedule(spec: dict):
-    try:
-        kind = spec["kind"]
-    except (TypeError, KeyError):
-        raise ConfigError("schedule needs a 'kind' field") from None
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigError("schedule needs a 'kind' field")
+    kind = _kind(spec, SCHEDULE_KEYS, "schedule")
     try:
         if kind == "constant":
             return optim.Constant(_finite(spec["lam"], "lam"))
@@ -92,11 +108,9 @@ def build_schedule(spec: dict):
             return optim.InvSqrtT()
         if kind == "table":
             return optim.Table(tuple(_finite(v, "table value") for v in spec["values"]))
-        if kind == "adaptive_nuclear":
-            return optim.AdaptiveNuclear(_finite(spec["base"], "base"))
+        return optim.AdaptiveNuclear(_finite(spec["base"], "base"))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad schedule spec: {exc}") from exc
-    raise ConfigError(f"unknown schedule kind {kind!r}")
 
 
 CONFIG_KEYS = frozenset((
@@ -158,7 +172,7 @@ def _build_init(cfg: dict, schedule):
     if not isinstance(init, dict):
         raise ConfigError(f"init must be an object with a 'kind', got {init!r}")
     m, n = cfg["m"], cfg["n"]
-    kind = init.get("kind")
+    kind = _kind(init, INIT_KEYS, "init")
     if kind == "cex1":
         _, W0, _ = cex.cex1_build(
             cfg["beta"], schedule,
@@ -169,24 +183,24 @@ def _build_init(cfg: dict, schedule):
     if kind == "random":
         rng = np.random.default_rng(cfg["seed"])
         return _finite(init.get("scale", 1.0), "scale") * rng.standard_normal((m, n))
-    if kind == "explicit":
-        if "matrix" in init:
-            if np.asarray(init["matrix"]).dtype.kind not in "iuf":
-                raise ConfigError("matrix entries must be numbers")
-            W0 = linalg.as_matrix(init["matrix"])
-            if W0.shape != (m, n):
-                raise ConfigError("explicit matrix shape mismatch")
-            return W0
-        if "diag" in init:
-            diag = init["diag"]
-            if not isinstance(diag, (list, tuple)) or len(diag) != 2:
-                raise ConfigError(f"diag must be a list of two numbers, got {diag!r}")
-            W0 = np.zeros((m, n))
-            W0[0, 0] = _finite(diag[0], "diag entry")
-            W0[1, 1] = _finite(diag[1], "diag entry")
-            return W0
-        raise ConfigError("explicit init needs 'matrix' or 'diag'")
-    raise ConfigError(f"unknown init kind {kind!r}")
+    if ("matrix" in init) == ("diag" in init):
+        raise ConfigError("explicit init needs 'matrix' or 'diag', and not both")
+    if "matrix" in init:
+        if np.asarray(init["matrix"]).dtype.kind not in "iuf":
+            raise ConfigError("matrix entries must be numbers")
+        for entry in np.asarray(init["matrix"], dtype=object).flat:
+            _real(entry, "matrix entry")  # a JSON true passes the dtype test as an int
+        W0 = linalg.as_matrix(init["matrix"])
+        if W0.shape != (m, n):
+            raise ConfigError("explicit matrix shape mismatch")
+        return W0
+    diag = init["diag"]
+    if not isinstance(diag, (list, tuple)) or len(diag) != 2:
+        raise ConfigError(f"diag must be a list of two numbers, got {diag!r}")
+    W0 = np.zeros((m, n))
+    W0[0, 0] = _finite(diag[0], "diag entry")
+    W0[1, 1] = _finite(diag[1], "diag entry")
+    return W0
 
 
 BOUND_KEYS = frozenset(("delta", "sigma", "dist0"))
@@ -379,12 +393,12 @@ class CheckResult:
 
 
 def _grouped(draws) -> list:
-    """The (key, *fields) tuples of ``draws``, in trial order, stacked by key:
-    one (key, indices, *fields) per key in order of first appearance, with
-    ``indices`` the members' trials and each field an ``np.array`` of theirs."""
+    """The (key, *fields) tuples of ``draws`` stacked by key: one (key,
+    *fields) per key in order of first appearance, each field an ``np.array``
+    of its members' values in draw order."""
     groups = {}
-    for i, (key, *fields) in enumerate(draws):
-        groups.setdefault(key, []).append((i, *fields))
+    for key, *fields in draws:
+        groups.setdefault(key, []).append(fields)
     return [(key, *map(np.array, zip(*members))) for key, members in groups.items()]
 
 
@@ -406,23 +420,21 @@ def suite_polar(trials: int = 500) -> list:
         vals[rng.random(vals.size) < 0.3] = 0.0
         return (m, n), vals
 
-    errs = []
-    for _, idx, G, H, s in _grouped(draw() for _ in range(trials)):
+    errs = [0.0]
+    for _, G, H, s in _grouped(draw() for _ in range(trials)):
         U, V = np.linalg.qr(G)[0], np.linalg.qr(H)[0]
         A = (U * s[:, None, :]) @ V.mT
         D = linalg.polar_newton_schulz_stack(A) - linalg.polar_exact_stack(A)
-        errs.append((idx, _fro_rows(D)))  # np.linalg.norm of each member
-    worst_ns = _worst(0.0, trials, errs)
+        errs.extend(_fro_rows(D))  # np.linalg.norm of each member
     diag_errs = [0.0]
-    for (m, n), _, vals in _grouped(draw_diagonal() for _ in range(200)):
+    for (m, n), vals in _grouped(draw_diagonal() for _ in range(200)):
         D = np.zeros((len(vals), m, n))
         k = np.arange(min(m, n))
         D[:, k, k] = vals
-        diag_errs.append(float(np.max(np.abs(linalg.polar_exact_stack(D) - np.sign(D)))))
-    worst_diag = _max(diag_errs)
+        diag_errs.append(np.max(np.abs(linalg.polar_exact_stack(D) - np.sign(D))))
     return [
-        CheckResult("newton-schulz vs exact polar", worst_ns, 1e-4),
-        CheckResult("polar of diagonal equals sign", worst_diag, 0.0),
+        CheckResult("newton-schulz vs exact polar", _max(errs), 1e-4),
+        CheckResult("polar of diagonal equals sign", _max(diag_errs), 0.0),
     ]
 
 
@@ -476,24 +488,21 @@ def _reduction_lockstep(beta, schedules, a, U, b, w0, steps: int) -> tuple:
 def suite_reduction(trials: int = 50, steps: int = 100) -> list:
     rng = np.random.default_rng(11)
     worst = [0.0]
-    for _, _, *group in _grouped(_reduction_draw(rng) for _ in range(trials)):
+    for _, *group in _grouped(_reduction_draw(rng) for _ in range(trials)):
         vec, mat, _, _ = _reduction_lockstep(*group, steps)
         k = np.arange(vec.shape[-1])
         diag = mat[..., k, k]
         off = mat.copy()
         off[..., k, k] -= diag
         worst += [np.max(np.abs(diag - vec)), np.max(np.abs(off))]
-    # np.max keeps a NaN, which max() over Python floats could drop.
-    worst = float(np.max(worst))
-    return [CheckResult("momentum spectral vs signed momentum on diagonals", worst, 1e-12)]
+    return [CheckResult("momentum spectral vs signed momentum on diagonals", _max(worst), 1e-12)]
 
 
 def _spec_draws(rng, spec, trials: int) -> list:
     """The suites' ``trials`` random arguments for ``spec``, grouped by shape.
 
-    Returns (indices, stack) pairs, ``indices`` giving each member's trial.
-    The draws come from ``rng`` in trial order: a vector length or matrix
-    shape, then its entries; a product point's layers and theta come from
+    Returns one stack per shape.  The draws come from ``rng`` in trial order:
+    a shape, then its entries; a product point's layers and theta come from
     one ``standard_normal`` call, the same stream as one call per block.
     """
     if isinstance(spec, norms.ProductNormSpec):
@@ -501,14 +510,14 @@ def _spec_draws(rng, spec, trials: int) -> list:
         Z = rng.standard_normal((trials, int(ends[-1]) + spec.k))
         mats = [Z[:, end - m * n:end].reshape(trials, m, n)
                 for end, (m, n) in zip(ends, spec.layer_dims)]
-        return [(np.arange(trials), (mats, Z[:, ends[-1]:]))]
+        return [(mats, Z[:, ends[-1]:])]
     hi, dims = (21, 1) if isinstance(spec, norms._VECTOR_SPECS) else (8, 2)
 
     def draw():
         shape = tuple(int(rng.integers(2, hi)) for _ in range(dims))
         return shape, rng.standard_normal(shape)
 
-    return [(idx, W) for _, idx, W in _grouped(draw() for _ in range(trials))]
+    return [W for _, W in _grouped(draw() for _ in range(trials))]
 
 
 def _inner_rows(A, B) -> np.ndarray:
@@ -530,19 +539,10 @@ def _fro_rows(A) -> np.ndarray:
     return linalg._fro_members(A)
 
 
-def _max(values: list) -> float:
-    """Python ``max`` of ``values`` in order, but NaN if any of them is NaN:
-    ``max`` drops a NaN that does not come first, and a check would pass."""
-    return math.nan if any(map(math.isnan, values)) else max(values)
-
-
-def _worst(start: float, trials: int, parts) -> float:
-    """``_max`` over ``start`` and the per-member values of ``parts``, a list
-    of (indices, values) pairs, taken in trial order as the per-trial loop did."""
-    values = np.empty(trials)
-    for idx, v in parts:
-        values[idx] = v
-    return _max([start, *values.tolist()])
+def _max(values) -> float:
+    """The worst of a check's values: ``np.max`` keeps a NaN, which Python ``max``
+    may drop, and no value is -0.0, so their order cannot change the bits."""
+    return float(np.max(values))
 
 
 def _basic_specs():
@@ -558,26 +558,24 @@ def suite_compressor(trials: int = 1000) -> list:
     rng = np.random.default_rng(13)
     results = []
     for spec in _basic_specs():
-        parts = []
-        for idx, W in _spec_draws(rng, spec, trials):
+        margins = [-np.inf]
+        for W in _spec_draws(rng, spec, trials):
             shrink = 1.0 - norms.compressor_constants(spec, norms._dims(W, spec)).delta
             lhs = _fro_rows(W - norms.compress_stack(W, spec)).tolist()
-            parts.append((idx, [a**2 - shrink * b**2
-                                for a, b in zip(lhs, _fro_rows(W).tolist())]))
-        worst = _worst(-np.inf, trials, parts)
+            margins += [a**2 - shrink * b**2 for a, b in zip(lhs, _fro_rows(W).tolist())]
         results.append(CheckResult(
-            f"compression contraction [{type(spec).__name__}]", worst, norms.CONTRACTION_SLACK))
+            f"compression contraction [{type(spec).__name__}]", _max(margins),
+            norms.CONTRACTION_SLACK))
     spec = _product_spec()
     alpha_sq = norms.compressor_constants(spec).alpha ** 2
-    parts = []
-    for idx, W in _spec_draws(rng, spec, trials):
+    margins = [-np.inf]
+    for W in _spec_draws(rng, spec, trials):
         (mats, theta), (C, c) = W, norms.compress_stack(W, spec)
         lhs = _fro_rows(([M - D for M, D in zip(mats, C)], theta - c)).tolist()
         rhs = zip(_fro_rows(W).tolist(), norms.dual_norm_stack(W, spec).tolist())
-        parts.append((idx, [a**2 - (b**2 - alpha_sq * c**2) for a, (b, c) in zip(lhs, rhs)]))
-    worst = _worst(-np.inf, trials, parts)
+        margins += [a**2 - (b**2 - alpha_sq * c**2) for a, (b, c) in zip(lhs, rhs)]
     results.append(CheckResult(
-        "compression contraction [Product, proof-line]", worst, norms.CONTRACTION_SLACK))
+        "compression contraction [Product, proof-line]", _max(margins), norms.CONTRACTION_SLACK))
     return results
 
 
@@ -601,18 +599,16 @@ def suite_lmo(trials: int = 1000) -> list:
     rng = np.random.default_rng(17)
     results = []
     for spec in _basic_specs() + [_product_spec()]:
-        pair, primal = [], []
-        for idx, W in _spec_draws(rng, spec, trials):
+        pair, primal = [0.0], [0.0]
+        for W in _spec_draws(rng, spec, trials):
             X = norms.lmo_min_stack(W, spec)
-            pair.append((idx, np.abs(_inner_rows(W, X) - norms.dual_norm_stack(W, spec))))
-            primal.append((idx, norms.primal_norm_stack(X, spec)))
-        worst_pair = _worst(0.0, trials, pair)
-        worst_primal = _worst(0.0, trials, primal)
+            pair.extend(np.abs(_inner_rows(W, X) - norms.dual_norm_stack(W, spec)))
+            primal.extend(norms.primal_norm_stack(X, spec))
         results.append(CheckResult(
-            f"lmo pairing equals dual norm [{type(spec).__name__}]", worst_pair,
+            f"lmo pairing equals dual norm [{type(spec).__name__}]", _max(pair),
             norms.PAIRING_TOL))
         results.append(CheckResult(
-            f"lmo stays in the unit ball [{type(spec).__name__}]", worst_primal,
+            f"lmo stays in the unit ball [{type(spec).__name__}]", _max(primal),
             1.0 + norms.PRIMAL_NORM_SLACK))
 
     # Least-Frobenius optimality on rank-deficient 3x3 inputs: brute-force
@@ -629,9 +625,8 @@ def suite_lmo(trials: int = 1000) -> list:
         best = _least_frobenius_grid(rng, U[:, :rank] @ V[:, :rank].T,
                                      U[:, rank:], V[:, rank:], 400)
         gaps.append(float(np.linalg.norm(X)) - best)
-    worst_gap = _max(gaps)
     results.append(CheckResult(
-        "lmo least-Frobenius vs brute force (rank-deficient 3x3)", worst_gap, 1e-8))
+        "lmo least-Frobenius vs brute force (rank-deficient 3x3)", _max(gaps), 1e-8))
     return results
 
 
@@ -647,8 +642,7 @@ def suite_cex1(T: int = 5000) -> list:
             state = optim.OptimizerState(W=W0, beta=beta, schedule=schedule)
             tr = optim.run("muon", fn.oracle(), state, T, track_average=False)
             pred = cex.cex1_predicted_sequence(init, T)
-            dev = _max([float(np.max(np.abs(tr.w11 - pred[:, 0]))),
-                        float(np.max(np.abs(tr.w22 - pred[:, 1])))])
+            dev = _max(np.abs(np.column_stack((tr.w11, tr.w22)) - pred))
             floor = cex.cex1_floor(init, fn)
             results.append(CheckResult(
                 f"oscillation matches closed form [beta={beta}, {label}]", dev, 1e-10))
@@ -682,9 +676,8 @@ def suite_cex2(trials: int = 100, T: int = 2000) -> list:
                 q_ok = q_ok and ok_q
                 margin = float(np.min(tr.f)) - c * abs(p0)
                 passes += dp <= tol and ok_q and margin >= -tol
-            worst_p = _max(dps)
             results.append(CheckResult(
-                f"invariant p constant [beta={beta}, {label}]", worst_p, tol))
+                f"invariant p constant [beta={beta}, {label}]", _max(dps), tol))
             results.append(CheckResult(
                 f"q never hits zero [beta={beta}, {label}]", 0.0 if q_ok else 1.0, 0.0))
             results.append(CheckResult(

@@ -54,6 +54,7 @@ class Lp:
         if (isinstance(self.p, bool) or not isinstance(self.p, numbers.Real)
                 or not 1 <= self.p < math.inf):
             raise ValueError(f"Lp requires a finite p >= 1 (Linf is p = inf), got {self.p!r}")
+        object.__setattr__(self, "p", float(self.p))
 
 
 @dataclass(frozen=True)

@@ -708,7 +708,8 @@ def _lockstep(evaluate, lmo, W, M, E, beta, coef, scale=None, compress=None) -> 
 # Convergence bound
 
 
-def _check_bound_domain(delta, beta, sigma, dist0):
+def _check_bound_domain(delta, beta, sigma, dist0) -> tuple:
+    """The four parameters as Python floats, once they lie in the bound's domain."""
     for name, value in (("delta", delta), ("beta", beta), ("sigma", sigma), ("dist0", dist0)):
         _check_real(value, name)
     if not 0.0 < delta <= 1.0:
@@ -719,6 +720,7 @@ def _check_bound_domain(delta, beta, sigma, dist0):
         raise ValueError("sigma must be finite and nonnegative")
     if not 0.0 <= dist0 < math.inf:
         raise ValueError("dist0 must be finite and nonnegative")
+    return float(delta), float(beta), float(sigma), float(dist0)
 
 
 def _bound_coeff(delta: float, beta: float) -> float:
@@ -727,7 +729,7 @@ def _bound_coeff(delta: float, beta: float) -> float:
 
 def _bound_factors(delta, beta, sigma, dist0) -> tuple:
     """(dist0^2, sigma^2 coeff), the T-free factors of ``efm_bound``."""
-    _check_bound_domain(delta, beta, sigma, dist0)
+    delta, beta, sigma, dist0 = _check_bound_domain(delta, beta, sigma, dist0)
     return dist0**2, sigma**2 * _bound_coeff(delta, beta)
 
 
@@ -770,7 +772,7 @@ def efm_bound_schedule(lams, delta: float, beta: float, sigma: float, dist0: flo
     dist0^2 / (2 lam_T (T+1))
       + sigma^2 (2 sqrt(1-delta)/delta + beta/(1-beta) + 1/2) sum(lam_t^2) / (lam_T (T+1))
     """
-    _check_bound_domain(delta, beta, sigma, dist0)
+    delta, beta, sigma, dist0 = _check_bound_domain(delta, beta, sigma, dist0)
     lams = np.asarray(lams, float)
     if lams.ndim != 1 or lams.size < 1:
         raise ValueError("lams must be a nonempty 1-d sequence")

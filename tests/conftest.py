@@ -1,5 +1,9 @@
+import functools
+import inspect
 import sys
 import warnings
+
+import pytest
 
 # When a hypothesis test fails, hypothesis's pytest plugin imports this
 # module, and with libcst installed the import warns (DeprecationWarning from
@@ -13,6 +17,25 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching
     except ImportError:
         pass
+
+
+@pytest.fixture(scope="session")
+def suite_results():
+    """``harness.SUITES[suite](**kwargs)`` as a tuple, computed once per session
+    for each suite and its arguments with the defaults filled in, so a call
+    that spells out a default shares the run of one that leaves it out."""
+    from muonlab import harness
+
+    @functools.cache
+    def run(suite, arguments):
+        return tuple(harness.SUITES[suite](**dict(arguments)))
+
+    def results(suite, **kwargs):
+        bound = inspect.signature(harness.SUITES[suite]).bind(**kwargs)
+        bound.apply_defaults()
+        return run(suite, tuple(bound.arguments.items()))
+
+    return results
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -58,38 +58,38 @@ def test_criterion_2_floor_across_betas_and_schedules():
               "under constant and 1/(t+1) stepsizes", ok)
 
 
-def test_criterion_3_adaptive_floor():
-    results = harness.suite_cex2(trials=100, T=2000)
+def test_criterion_3_adaptive_floor(suite_results):
+    results = suite_results("cex2", trials=100, T=2000)
     report(3, "adaptive-stepsize runs keep p constant, q nonzero, and the "
               "c|p0| floor in 100/100 random starts", all_pass(results))
 
 
-def test_criterion_4_error_feedback_fix():
-    results = harness.suite_ef_bound(T=5000)
+def test_criterion_4_error_feedback_fix(suite_results):
+    results = suite_results("ef-bound", T=5000)
     report(4, "error feedback converges below 0.05 and the averaged iterate "
               "stays under the theoretical bound", all_pass(results))
 
 
-def test_criterion_5_reduction():
-    results = harness.suite_reduction(trials=50, steps=100)
+def test_criterion_5_reduction(suite_results):
+    results = suite_results("reduction", trials=50, steps=100)
     report(5, "momentum spectral descent equals signed momentum on diagonal "
               "problems within 1e-12", all_pass(results))
 
 
-def test_criterion_6_compressor_contraction():
-    results = harness.suite_compressor(trials=1000)
+def test_criterion_6_compressor_contraction(suite_results):
+    results = suite_results("compressor", trials=1000)
     report(6, "every compressor satisfies its contraction inequality on "
               "1000 random inputs", all_pass(results))
 
 
-def test_criterion_7_lmo_duality():
-    results = harness.suite_lmo(trials=1000)
+def test_criterion_7_lmo_duality(suite_results):
+    results = suite_results("lmo", trials=1000)
     report(7, "LMO pairing equals the dual norm, stays in the unit ball, "
               "and is the least-Frobenius maximizer", all_pass(results))
 
 
-def test_criterion_8_polar_correctness():
-    results = harness.suite_polar(trials=500)
+def test_criterion_8_polar_correctness(suite_results):
+    results = suite_results("polar", trials=500)
     report(8, "exact polar equals sign on diagonals; iterative polar within "
               "1e-4 on 500 well-conditioned inputs", all_pass(results))
 

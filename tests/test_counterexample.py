@@ -91,6 +91,11 @@ class TestKinkyFunction:
         with pytest.raises(ValueError, match="c must be a real number"):
             cex.lipschitz_bound(c)
 
+    def test_lipschitz_bound_computes_in_double_precision(self):
+        # A np.float32 c used to give 1.4764823286301811.
+        got = cex.lipschitz_bound(np.float32(0.3))
+        assert type(got) is float and got == cex.lipschitz_bound(float(np.float32(0.3)))
+
     def test_lipschitz_values(self):
         assert abs(cex.lipschitz_bound(0.5) - math.sqrt(2.5)) < 1e-15
         assert cex.lipschitz_bound(1e-9) < math.sqrt(2) + 1e-8
@@ -248,6 +253,20 @@ class TestCex1:
             cex.cex1_build(0.5, optim.Constant(0.2), r=0.5)
         with pytest.raises(ValueError):
             cex.cex1_build(0.5, optim.Constant(0.2), c=0.4)  # >= (1-b)/(1+b)
+
+    def test_stores_python_floats(self):
+        # r = np.float32(1.3) used to be stored as given, and cex1_floor
+        # returned np.float32(0.65).
+        f32 = dict(beta=np.float32(0.5), r=np.float32(1.3), delta=np.float32(0.05))
+        fn, W0, init = cex.cex1_build(schedule=optim.Constant(0.2), **f32)
+        want_fn, want_W0, want = cex.cex1_build(
+            schedule=optim.Constant(0.2), **{k: float(v) for k, v in f32.items()})
+        for field in f32:
+            assert type(getattr(init, field)) is float
+            assert getattr(init, field) == getattr(want, field)
+        assert W0.tobytes() == want_W0.tobytes() and fn == want_fn
+        floor = cex.cex1_floor(init, fn)
+        assert type(floor) is float and floor == cex.cex1_floor(want, want_fn)
 
     @pytest.mark.parametrize("beta", [-0.1, 1.0])
     def test_rejects_beta_outside_unit_interval(self, beta):

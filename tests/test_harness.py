@@ -449,25 +449,24 @@ def _scalar_reduction(beta, schedule, a, U, b, w0, steps):
 def _stacked(members):
     """One group of ``_reduction_lockstep`` arguments from per-trial
     (beta, schedule, a, U, b, w0) tuples that share one U shape."""
-    ((_, _, *group),) = harness._grouped((m[3].shape, *m) for m in members)
+    ((_, *group),) = harness._grouped((m[3].shape, *m) for m in members)
     return group
 
 
 class TestGrouped:
-    def test_keys_in_first_appearance_and_indices_in_trial_order(self):
+    def test_keys_in_first_appearance_and_members_in_draw_order(self):
         draws = [("b", 1.0), ("a", 2.0), ("b", 3.0), ("c", 4.0), ("a", 5.0), ("b", 6.0)]
         got = harness._grouped(iter(draws))
         assert [key for key, *_ in got] == ["b", "a", "c"]
-        for key, idx, values in got:
-            assert idx.tolist() == [i for i, d in enumerate(draws) if d[0] == key]
-            assert values.tolist() == [draws[i][1] for i in idx]
+        for key, values in got:
+            assert values.tolist() == [v for k, v in draws if k == key]
 
     def test_stacks_each_field(self):
         rng = np.random.default_rng(0)
         draws = [((2, 3), rng.standard_normal((2, 3)), float(i), optim.InvT())
                  for i in range(3)]
-        ((key, idx, W, beta, schedules),) = harness._grouped(draws)
-        assert key == (2, 3) and idx.tolist() == [0, 1, 2]
+        ((key, W, beta, schedules),) = harness._grouped(draws)
+        assert key == (2, 3)
         assert W.shape == (3, 2, 3) and W.tobytes() == np.array([d[1] for d in draws]).tobytes()
         assert beta.dtype == float and beta.tolist() == [0.0, 1.0, 2.0]
         assert schedules.shape == (3,) and list(schedules) == [d[3] for d in draws]
@@ -476,9 +475,9 @@ class TestGrouped:
         A = np.arange(6.0).reshape(2, 3)
         got = harness._grouped([("x", A, 0.5), ("y", -A, 0.25)])
         assert [key for key, *_ in got] == ["x", "y"]
-        for (_, idx, W, beta), sign in zip(got, (1, -1)):
+        for (_, W, beta), sign in zip(got, (1, -1)):
             assert W.shape == (1, 2, 3) and (W[0] == sign * A).all()
-            assert beta.shape == (1,) and len(idx) == 1
+            assert beta.shape == (1,)
         assert harness._grouped([]) == []
 
 
@@ -501,7 +500,7 @@ class TestReductionLockstep:
 
     def groups(self):
         rng = np.random.default_rng(11)
-        return [group for _, _, *group
+        return [group for _, *group
                 in harness._grouped(harness._reduction_draw(rng) for _ in range(50))]
 
     def test_suite_groups(self):
@@ -756,6 +755,47 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: bound ")
         assert not (tmp_path / "tr.csv").exists()
         assert not (tmp_path / "tr.config.json").exists()
+
+    @pytest.mark.parametrize("override, error", [
+        ({"init": {"kind": "cex1", "R": 2.0}}, "init 'cex1' has unknown keys ['R']"),
+        ({"init": {"kind": "random", "scael": 5}}, "init 'random' has unknown keys ['scael']"),
+        ({"init": {"kind": "explicit", "diag": [1, 2], "scale": 2}},
+         "init 'explicit' has unknown keys ['scale']"),
+        ({"init": {"kind": "explicit", "diag": [1, 2], "matrix": [[1, 0], [0, 2]]}},
+         "explicit init needs 'matrix' or 'diag', and not both"),
+        ({"schedule": {"kind": "constant", "lam": 0.1, "values": [0.5]}},
+         "schedule 'constant' has unknown keys ['values']"),
+        ({"schedule": {"kind": "table", "values": [0.5], "lam": 0.1}},
+         "schedule 'table' has unknown keys ['lam']"),
+        ({"schedule": {"kind": "adaptive_nuclear", "base": 0.05, "bsae": 1}},
+         "schedule 'adaptive_nuclear' has unknown keys ['bsae']"),
+        ({"schedule": {"kind": "invt", "lam": 0.1}}, "schedule 'invt' has unknown keys ['lam']"),
+        ({"schedule": {"kind": "invsqrt", "base": 0.05, "x": 0}},
+         "schedule 'invsqrt' has unknown keys ['base', 'x']"),
+    ])
+    def test_run_unknown_schedule_or_init_key_exits_config_error(
+            self, override, error, tmp_path, capsys):
+        # Each of these used to run: the unknown key was ignored, and an
+        # explicit init with both a matrix and a diag took the matrix.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 3, **override}))
+        rc = cli.main(["run", "--preset", "cex1-appendixE", "--config", str(cfg),
+                       "--out", str(tmp_path / "tr.csv")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "tr.csv").exists()
+
+    @pytest.mark.parametrize("matrix", [[[1, 0], [0, True]], [[False, 0.5], [0, 1]]])
+    def test_run_boolean_matrix_entry_exits_config_error(self, matrix, tmp_path, capsys):
+        # [[1, 0], [0, true]] used to run with W22 = 1, as the mixed list
+        # makes an int64 array; a diag entry of true was already refused.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 3, "init": {"kind": "explicit", "matrix": matrix}}))
+        rc = cli.main(["run", "--preset", "cex1-appendixE", "--config", str(cfg),
+                       "--out", str(tmp_path / "tr.csv")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: matrix entry must be a number, got ")
+        assert not (tmp_path / "tr.csv").exists()
 
     @pytest.mark.parametrize("flag, value", [("--sigma", "nan"), ("--dist0", "inf")])
     def test_bound_non_finite_exits_config_error(self, flag, value, capsys):

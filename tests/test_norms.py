@@ -79,6 +79,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="finite p >= 1"):
             norms.Lp(p)
 
+    def test_lp_stores_p_as_a_python_float(self):
+        # Lp(np.float32(3.0)) used to keep p in single precision, and its
+        # primal norm of [1, 2, 3] read 3.301927328109741.
+        spec = norms.Lp(np.float32(3.0))
+        assert type(spec.p) is float
+        w = np.array([1.0, 2.0, 3.0])
+        assert norms.primal_norm(w, spec) == norms.primal_norm(w, norms.Lp(3.0))
+        assert norms.primal_norm(w, spec) == 3.3019272488946263
+
     def test_lp_one_is_l1(self):
         w = np.array([2.0, -2.0, 1.0])
         assert norms.dual_norm(w, norms.Lp(1.0)) == norms.dual_norm(w, norms.L1())

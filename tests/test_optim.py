@@ -1230,6 +1230,20 @@ class TestBound:
             with pytest.raises(ValueError, match=f"{field} must be a real number"):
                 bound()
 
+    @pytest.mark.parametrize("field", ["delta", "beta", "sigma", "dist0"])
+    def test_computes_in_double_precision(self, field):
+        # A np.float32 parameter used to carry through in single precision:
+        # efm_bound(100, np.float32(0.3), 0.9, 1.3, 2.1) gave np.float32(14.456494).
+        kw = dict(delta=0.3, beta=0.9, sigma=1.3, dist0=2.1)
+        f32 = {**kw, field: np.float32(kw[field])}
+        f64 = {**kw, field: float(np.float32(kw[field]))}
+        got, want = optim.efm_bound(100, **f32), optim.efm_bound(100, **f64)
+        assert type(got) is float and got == want
+        column = optim.efm_bound_column(3, **f32)
+        assert column.tobytes() == optim.efm_bound_column(3, **f64).tobytes()
+        got = optim.efm_bound_schedule([0.5, 0.4], **f32)
+        assert type(got) is float and got == optim.efm_bound_schedule([0.5, 0.4], **f64)
+
     @pytest.mark.parametrize("field", ["sigma", "dist0"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_sigma_and_dist0(self, field, value):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from muonlab import cli, harness
+from muonlab import cli
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "verify"
 SUITES = ("polar", "reduction", "compressor", "lmo", "cex1", "cex2", "ef-bound")
@@ -36,7 +36,7 @@ def test_verify_output_matches_golden(suite, capsys):
 
 
 @pytest.mark.parametrize("suite", SUITES)
-def test_observed_values_match_recorded_bits(suite):
+def test_observed_values_match_recorded_bits(suite, suite_results):
     recorded = json.loads((GOLDEN / "observed-hex.json").read_text(encoding="utf-8"))[suite]
-    got = [[r.name, float(r.observed).hex()] for r in harness.SUITES[suite]()]
+    got = [[r.name, float(r.observed).hex()] for r in suite_results(suite)]
     assert got == recorded
