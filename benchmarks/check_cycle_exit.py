@@ -20,6 +20,11 @@ schedules whose coefficient becomes constant: ``Constant``,
 ``MAX_T``; starts include the kinks w1 = +-w2, +-0.0 and non-finite
 entries, and some runs start at t0 > 0 or with nonzero M and E.
 
+The stepsize has one ||M||_nuc factor, whether the rule (``regmuon``), the
+schedule (``AdaptiveNuclear``) or both ask for it, so each ``muon`` and
+``regmuon`` run under ``AdaptiveNuclear(base)`` is also compared with the
+float loop's ``regmuon`` run under ``Constant(base)`` from the same state.
+
 Prints how many runs took the early exit; exits 1 if that is 0 or if any
 run mismatches.  Run it from the root of a source checkout::
 
@@ -28,6 +33,7 @@ run mismatches.  Run it from the root of a source checkout::
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import time
 import warnings
@@ -44,6 +50,8 @@ MAX_T = 5000
 BETAS = (0.0, 0.2, 0.5, 0.9)
 COLUMNS = ("t", "lam", "f", "w11", "w22", "grad_fro", "favg")
 SPECIAL = (0.0, -0.0, 0.7, -0.7, np.nan, np.inf, -np.inf, 5e-324)
+# The rules that run as regmuon under Constant(base) when under AdaptiveNuclear(base).
+AS_REGMUON = ("muon", "regmuon")
 
 
 def _trace_bytes(tr) -> tuple:
@@ -89,7 +97,7 @@ def setups(seed: int = SEED):
 def main() -> int:
     warnings.simplefilter("ignore", RuntimeWarning)  # the general loop on non-finite starts
     repeat = optim._repeat_period
-    count, took, bad = 0, 0, []
+    count, took, bad, twins, bad_twins = 0, 0, [], 0, []
     start = time.perf_counter()
     for label, method, fn, state0, T in setups():
         calls = []  # one item per column the float loop filled by its period
@@ -103,12 +111,20 @@ def main() -> int:
         batch = _trace_bytes(optim.run_batch(method, [fn], [state0()], T)[0])
         if not fast == general == batch:
             bad.append(label)
+        st = state0()
+        if type(st.schedule) is optim.AdaptiveNuclear and method in AS_REGMUON:
+            st = dataclasses.replace(st, schedule=optim.Constant(st.schedule.base))
+            twins += 1
+            if _trace_bytes(optim.run("regmuon", fn.oracle(), st, T,
+                                      track_average=False)) != fast:
+                bad_twins.append(label)
     print(f"{count} runs compared with the general loop and run_batch in "
           f"{time.perf_counter() - start:.1f} s: {took} took the early exit, "
-          f"{len(bad)} mismatched")
-    for label in bad[:10]:
+          f"{len(bad)} mismatched; {twins} AdaptiveNuclear runs compared with regmuon "
+          f"under Constant(base): {len(bad_twins)} mismatched")
+    for label in (bad + bad_twins)[:10]:
         print(f"  mismatch: {label}")
-    return 1 if bad or took == 0 else 0
+    return 1 if bad or bad_twins or took == 0 else 0
 
 
 if __name__ == "__main__":

@@ -24,9 +24,9 @@ _EULER_LEVELS = 48
 # "cex2" are the two constructions' defaults, "appendix_e" the paper's
 # experiments.  A config's "c": "auto" reads it too.
 AUTO_C = {
-    "cex1": lambda beta: (1.0 - beta) / 2.0,
-    "cex2": lambda beta: 0.5 - beta,
-    "appendix_e": lambda beta: (1.0 - beta) / (2.0 * (1.0 + beta)),
+    "cex1": lambda beta: (1.0 - float(beta)) / 2.0,
+    "cex2": lambda beta: 0.5 - float(beta),
+    "appendix_e": lambda beta: (1.0 - float(beta)) / (2.0 * (1.0 + float(beta))),
 }
 
 # The rules that run on a KinkyFunction: the product-norm ones need a ProductNormSpec.

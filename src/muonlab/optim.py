@@ -16,7 +16,6 @@ import functools
 import math
 import numbers
 import struct
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,21 +27,23 @@ from . import linalg, norms
 # Stepsize schedules
 
 
-def _check_real(value, what: str):
-    """Raise ValueError unless ``value`` is a real number, not a bool.
-    ``float`` is tested before the ABC, whose check costs ten times more."""
+def _check_real(value, what: str) -> float:
+    """Raise ValueError unless ``value`` is a real number, not a bool; return
+    it as a Python float (inf where it overflows one), so every loop computes
+    with it in float64.  ``float`` is tested before the ABC, whose check costs
+    ten times more."""
     if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
         raise ValueError(f"{what} must be a real number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def _stepsize(value, what: str = "stepsize") -> float:
-    """``value`` as a Python float, so every loop multiplies by it in float64.
-    A bool, a non-real value and one not positive and finite raise ValueError."""
-    _check_real(value, what)
-    try:
-        value = float(value)
-    except OverflowError:
-        value = math.inf
+    """``value`` as a Python float (see ``_check_real``).  A bool, a non-real
+    value and one not positive and finite raise ValueError."""
+    value = _check_real(value, what)
     if not 0 < value < math.inf:
         raise ValueError(f"{what} must be positive and finite")
     return value
@@ -112,7 +113,7 @@ class Table:
 
 @dataclass(frozen=True)
 class AdaptiveNuclear:
-    """lambda_t = base * ||M_t||_nuc, an offline function of past subgradients."""
+    """lambda_t = base, which ``step`` multiplies by ||M_t||_nuc."""
 
     base: float
 
@@ -120,9 +121,7 @@ class AdaptiveNuclear:
         object.__setattr__(self, "base", _stepsize(self.base, "base stepsize"))
 
     def value(self, t: int, momentum=None) -> float:
-        if momentum is None:
-            raise ValueError("AdaptiveNuclear needs the momentum buffer")
-        return self.base * norms.primal_norm(momentum, norms.NuclearNorm())
+        return self.base
 
     def limit(self) -> float:
         raise ValueError("AdaptiveNuclear has no offline limit")
@@ -130,15 +129,15 @@ class AdaptiveNuclear:
 
 def offline_stepsizes(schedule, t0: int, n: int) -> np.ndarray:
     """``[schedule.value(t) for t in range(t0, t0 + n)]`` as a new float64
-    array, bit for bit: an exact Constant is a fill, a Table a clamped slice
-    of its read-only ``_array``, InvT and InvSqrtT their expressions on the
-    float range t0 + 1 .. t0 + n (exact to 2**53; IEEE / and sqrt round as
-    Python's do).  Other schedules are asked step by step (AdaptiveNuclear raises)."""
+    array, bit for bit: an exact Constant or AdaptiveNuclear is a fill, a
+    Table a clamped slice of its read-only ``_array``, InvT and InvSqrtT their
+    expressions on the float range t0 + 1 .. t0 + n (exact to 2**53; IEEE /
+    and sqrt round as Python's do).  Other schedules are asked step by step."""
     _check_count(t0, "t0")
     _check_count(n, "n")
     kind = type(schedule)
-    if kind is Constant:
-        return np.full(n, schedule.lam)
+    if kind is Constant or kind is AdaptiveNuclear:
+        return np.full(n, schedule.value(t0))
     if kind is Table:
         head = schedule._array[t0:t0 + n]
         return np.concatenate((head, np.full(n - len(head), schedule.values[-1])))
@@ -171,10 +170,9 @@ class NoisyOracle:
 
     def __init__(self, base, noise_std: float, seed: int = 0):
         if (isinstance(noise_std, bool) or not isinstance(noise_std, numbers.Real)
-                or not 0 <= noise_std <= sys.float_info.max):
+                or not 0 <= _check_real(noise_std, "noise_std") < math.inf):
             raise ValueError(f"noise_std must be nonnegative and finite, not {noise_std!r}")
-        self.base = base
-        self.noise_std = noise_std
+        self.base, self.noise_std = base, float(noise_std)
         self.rng = np.random.default_rng(seed)
 
     def evaluate(self, W):
@@ -222,7 +220,7 @@ class OptimizerState:
     polar: object = linalg.polar_exact
 
     def __post_init__(self):
-        _check_real(self.beta, "beta")
+        self.beta = _check_real(self.beta, "beta")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
         _check_count(self.t, "t")
@@ -295,33 +293,35 @@ def step(rule: Rule, state: OptimizerState, oracle):
     """One step of ``rule`` from ``state``; returns (new state, StepInfo).
 
     M' = beta M + (1 - beta) G (G itself without momentum or at beta = 0)
-    and lam_t = schedule(t, M').  Without feedback W' = W - lam lmo(M'), with
-    lam = lam_t ||M'||_* for a scaled rule (lam_t under AdaptiveNuclear, which
-    already carries ||M'||_nuc), else lam_t.  With feedback P = E + lam_t M',
-    W' = W - C(P) and E' = P - C(P), C being ``_operator_compressor`` or
-    ``norms.compress``.  ``StepInfo.lam`` is lam, or lam_t with feedback.
+    and lam_t = schedule(t); lam = lam_t ||M'||_* for a scaled rule or under
+    AdaptiveNuclear (the nuclear norm but for the product rule's own dual
+    norm), else lam_t.  Without feedback W' = W - lam lmo(M'); with feedback
+    P = E + lam M', W' = W - C(P) and E' = P - C(P), C being
+    ``_operator_compressor`` or ``norms.compress``.  ``StepInfo.lam`` is lam.
     """
     if rule.lmo == "product" and not isinstance(state.spec, norms.ProductNormSpec):
         raise ValueError("the product-norm rules require a ProductNormSpec")
+    if rule.lmo == "product" and isinstance(state.schedule, AdaptiveNuclear):
+        raise ValueError("muonmax and efmuonmax take no AdaptiveNuclear schedule")
     value, G = oracle.evaluate(state.W)
     beta = state.beta
     M = beta * state.M + (1.0 - beta) * G if rule.momentum and beta != 0.0 else G
-    lam = state.schedule.value(state.t, momentum=M)
+    lam = state.schedule.value(state.t)
+    if rule.scaled or isinstance(state.schedule, AdaptiveNuclear):  # the ||M'||_* factor
+        if rule.lmo == "product":
+            dn, X = norms.dual_norm_and_lmo(M, state.spec)
+        else:
+            dn = norms.primal_norm(M, norms.NuclearNorm())
+        lam = lam * dn
     if rule.feedback:
         P = state.E + lam * M
         C = norms.compress(P, state.spec) if rule.lmo == "product" else _operator_compressor(P)
         return (_advance(state, W=state.W - C, M=M, E=P - C, t=state.t + 1),
                 StepInfo(value, G, lam))
-    scale = rule.scaled and not isinstance(state.schedule, AdaptiveNuclear)
-    if rule.lmo == "product":
-        dn, X = norms.dual_norm_and_lmo(M, state.spec)
-    elif rule.lmo == "polar":
-        dn = norms.primal_norm(M, norms.NuclearNorm()) if scale else None
+    if rule.lmo == "polar":  # muonmax, the product rule, took X with its dual norm
         X = state.polar(M)
-    else:
+    elif rule.lmo == "sign":
         X = np.sign(M)
-    if scale:
-        lam = lam * dn
     return _advance(state, W=state.W - lam * X, M=M, t=state.t + 1), StepInfo(value, G, lam)
 
 
@@ -424,7 +424,7 @@ def run(method, oracle, state0, T: int, track_average: bool = True) -> Trace:
 
 
 # The schedules _run_diagonal computes as ``step`` does.  Exact types: a
-# subclass may make value() read the momentum.
+# subclass's value() may differ from the stepsizes offline_stepsizes fills in.
 _DIAGONAL_SCHEDULES = (Constant, InvT, InvSqrtT, Table, AdaptiveNuclear)
 
 
@@ -493,17 +493,16 @@ def _run_diagonal(rule: Rule, oracle, state: OptimizerState, T: int,
     """
     schedule, t0 = state.schedule, state.t
     kind = type(schedule)
-    adaptive = kind is AdaptiveNuclear
-    mult = rule.scaled or adaptive  # the stepsize has a ||M||_nuc factor
-    # T + 1 offline stepsizes, the Trace's lam column.  The loop reads the
-    # first ``steady`` as floats: a Table's own while they last, else the
-    # array's; then chunks of the constant one.
-    lams = None if adaptive else offline_stepsizes(schedule, t0, T + 1)
+    mult = rule.scaled or isinstance(schedule, AdaptiveNuclear)  # a ||M||_nuc factor
+    # T + 1 offline stepsizes, the Trace's lam column without ``mult``.  The
+    # loop reads the first ``steady`` as floats: a Table's own while they
+    # last, else the array's; then chunks of the constant one.
+    lams = offline_stepsizes(schedule, t0, T + 1)
     steady = T if track_average or kind is InvT or kind is InvSqrtT else \
         min(max(len(schedule.values) - 1 - t0, 0) if kind is Table else 0, T)
-    coef = [schedule.base] * steady if adaptive else schedule.values[t0:t0 + steady] \
-        if kind is Table and t0 + steady <= len(schedule.values) else lams[:steady].tolist()
-    chunk = [schedule.base if adaptive else float(lams[T])] * _CHUNK
+    coef = schedule.values[t0:t0 + steady] if kind is Table and \
+        t0 + steady <= len(schedule.values) else lams[:steady].tolist()
+    chunk = [float(lams[T])] * _CHUNK
     done, kept, kept_at, span, period = 0, None, steady, 0, 0
     momentum = rule.momentum and state.beta != 0.0
     beta, one_minus_beta = float(state.beta), float(1.0 - state.beta)
@@ -645,14 +644,14 @@ def _run_lockstep(rule: Rule, oracles: list, states: list, T: int) -> list:
     _signs, B = _counterexample()._signs, len(states)
     coef, offline, start = np.empty((T, B)), {}, []  # coef: stepsizes before any ||M||_nuc
     for b, (oracle, st) in enumerate(zip(oracles, states)):
-        adaptive, key = type(st.schedule) is AdaptiveNuclear, (id(st.schedule), st.t)
+        key = (id(st.schedule), st.t)
         if key not in offline:  # one array per schedule and start
-            offline[key] = (st.schedule.base if adaptive
-                            else offline_stepsizes(st.schedule, st.t, T))
+            offline[key] = offline_stepsizes(st.schedule, st.t, T)
         coef[:, b] = offline[key]
         betas = (float(st.beta), float(1.0 - st.beta)) if rule.momentum else (0.0, 1.0)
         start.append((st.W[0, 0], st.W[1, 1], st.M[0, 0], st.M[1, 1], st.E[0, 0], st.E[1, 1],
-                      *betas, min(oracle.fn.m, oracle.fn.n), rule.scaled or adaptive))
+                      *betas, min(oracle.fn.m, oracle.fn.n),
+                      rule.scaled or isinstance(st.schedule, AdaptiveNuclear)))
     start = np.array(start)
     beta, one_minus_beta, r, mult = start[:, 6:].T  # mult: the stepsize has a ||M||_nuc factor
     G = (one_minus_beta[:, None, None] * np.array([o.rows for o in oracles])).reshape(9 * B, 2)

@@ -268,6 +268,12 @@ class TestCex1:
         floor = cex.cex1_floor(init, fn)
         assert type(floor) is float and floor == cex.cex1_floor(want, want_fn)
 
+    @pytest.mark.parametrize("style", cex.AUTO_C)
+    def test_auto_c_computes_in_double_precision(self, style):
+        # A np.float32 beta used to give a np.float32 c.
+        c = cex.AUTO_C[style](np.float32(0.3))
+        assert type(c) is float and c == cex.AUTO_C[style](float(np.float32(0.3)))
+
     @pytest.mark.parametrize("beta", [-0.1, 1.0])
     def test_rejects_beta_outside_unit_interval(self, beta):
         with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\)"):

@@ -46,8 +46,6 @@ class TestSchedules:
         with pytest.raises(ValueError):
             optim.Table((0.1, -0.1))
         with pytest.raises(ValueError):
-            optim.AdaptiveNuclear(0.05).value(0)
-        with pytest.raises(ValueError):
             optim.AdaptiveNuclear(0.05).limit()
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -77,8 +75,12 @@ class TestSchedules:
             assert type(stored(sch)) is float and stored(sch) == float(value)
 
     def test_adaptive_nuclear(self):
+        # The schedule is its base; step multiplies it by ||M||_nuc = 3 + 4.
         sch = optim.AdaptiveNuclear(0.1)
-        assert abs(sch.value(3, momentum=np.diag([3.0, -4.0])) - 0.7) < 1e-15
+        assert sch.value(3) == 0.1
+        oracle = optim.FunctionOracle(lambda W: 0.0, lambda W: np.diag([3.0, -4.0]))
+        _, info = optim.step_muon(state(np.zeros((2, 2)), schedule=sch), oracle)
+        assert abs(info.lam - 0.7) < 1e-15
 
 
 class HalvingConstant(optim.Constant):
@@ -102,6 +104,7 @@ _OFFLINE_SCHEDULES = hs.one_of(
         lambda v: optim.Table(tuple(v))),
     hs.lists(hs.floats(0.01, 2.0), min_size=1, max_size=6).map(
         lambda v: TableSubclass(tuple(v))),
+    hs.floats(0.01, 2.0).map(optim.AdaptiveNuclear),
 )
 
 
@@ -121,6 +124,7 @@ class TestOfflineStepsizes:
     # InvT range that crosses 2**53, where floats stop being exact integers.
     CASES = {
         "Constant": (optim.Constant(0.3), 2, 7),
+        "AdaptiveNuclear": (optim.AdaptiveNuclear(0.3), 2, 7),
         "InvT": (optim.InvT(), 5, 1000),
         "InvSqrtT": (optim.InvSqrtT(), 5, 1000),
         "InvT past 2**53": (optim.InvT(), 2**53 - 1, 6),
@@ -144,11 +148,6 @@ class TestOfflineStepsizes:
         got[:] = -1.0
         assert table.values == self.TABLE
         assert optim.offline_stepsizes(table, 0, 4).tolist() == list(self.TABLE)
-
-    def test_adaptive_nuclear_raises_as_value_does(self):
-        assert optim.offline_stepsizes(optim.AdaptiveNuclear(0.1), 3, 0).tolist() == []
-        with pytest.raises(ValueError, match="momentum"):
-            optim.offline_stepsizes(optim.AdaptiveNuclear(0.1), 3, 2)
 
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError, match="t0"):
@@ -187,6 +186,24 @@ class TestOptimizerState:
         # beta = "0.5" used to raise a bare TypeError, and False passed as 0.
         with pytest.raises(ValueError, match="beta must be a real number"):
             optim.OptimizerState(W=np.eye(2), beta=beta)
+
+    def test_float32_beta_is_stored_as_a_python_float(self):
+        # A np.float32 beta used to be kept, so 1 - beta was computed in
+        # float32.  Every loop now runs as with the float64 beta of its value.
+        beta = np.float32(0.3)
+        assert type(optim.OptimizerState(W=np.eye(2), beta=beta).beta) is float
+        fn = cex.KinkyFunction(c=0.3)
+
+        def state0(b=beta):
+            return optim.OptimizerState(W=np.diag([1.3, -0.45]), beta=b,
+                                        schedule=optim.Constant(0.05))
+
+        for method in DIAGONAL_METHODS:
+            (batch,) = optim.run_batch(method, [fn], [state0()], 60)
+            runs = ((fn.oracle(), state0()), (general_oracle(fn), state0()),
+                    (fn.oracle(), state0(float(beta))))
+            assert {trace_bytes(optim.run(method, oracle, st, 60, track_average=False))
+                    for oracle, st in runs} == {trace_bytes(batch)}
 
 
 class TestBasicSteps:
@@ -242,6 +259,19 @@ class TestBasicSteps:
             a, _ = optim.step_regmuon(a, oracle)
             b, _ = optim.step_muon(b, oracle)
         np.testing.assert_array_equal(a.W, b.W)
+        # The stepsize has one ||M||_nuc factor, from the rule, the schedule
+        # or both, in the general loop, the float loop and run_batch alike.
+        fn, starts = cex.KinkyFunction(c=0.3), (W0, np.diag([1.3, -0.45]), np.diag([0.7, 0.7]))
+        traces = []
+        for method, schedule in (("muon", optim.AdaptiveNuclear(0.05)),
+                                 ("regmuon", optim.Constant(0.05)),
+                                 ("regmuon", optim.AdaptiveNuclear(0.05))):
+            states = [state(W, beta=0.5, schedule=schedule) for W in starts]
+            for oracle in (fn.oracle(), general_oracle(fn)):
+                traces.append([trace_bytes(optim.run(method, oracle, st, 200, track_average=False))
+                               for st in states])
+            traces.append(list(map(trace_bytes, optim.run_batch(method, [fn] * 3, states, 200))))
+        assert all(t == traces[0] for t in traces)
 
     def test_sign_steps(self):
         oracle = optim.FunctionOracle(lambda w: 0.0, lambda w: np.zeros_like(w))
@@ -422,6 +452,14 @@ class TestProductSteps:
         with pytest.raises(ValueError):
             optim.step_muonmax(st, self.oracle())
 
+    @pytest.mark.parametrize("method", ["muonmax", "efmuonmax"])
+    def test_adaptive_nuclear_refused(self, method):
+        # Used to raise TypeError from the nuclear norm of a ParamPoint.
+        W0 = norms.ParamPoint([np.diag([2.0, -3.0])], np.zeros(1))
+        st = optim.OptimizerState(W=W0, schedule=optim.AdaptiveNuclear(0.1), spec=self.spec())
+        with pytest.raises(ValueError, match="muonmax and efmuonmax take no AdaptiveNuclear"):
+            optim.STEP_FUNCTIONS[method](st, self.oracle())
+
 
 class TestRun:
     def test_one_step_matches_manual(self):
@@ -488,6 +526,16 @@ class TestRun:
         # OverflowError at the first evaluate.
         with pytest.raises(ValueError, match="noise_std must be nonnegative and finite"):
             optim.NoisyOracle(kinky_oracle(), noise_std)
+
+    def test_noisy_oracle_stores_a_float32_noise_std_as_a_python_float(self):
+        # A np.float32 used to warn of an overflow in its range check and was
+        # stored as given; the noise keeps its bits.
+        std, W = np.float32(0.1), np.diag([1.0, -0.5])
+        oracle = optim.NoisyOracle(kinky_oracle(0.3), std, seed=4)
+        assert type(oracle.noise_std) is float and oracle.noise_std == std
+        G = kinky_oracle(0.3).evaluate(W)[1]
+        noisy = G + std * np.random.default_rng(4).standard_normal(G.shape)
+        assert oracle.evaluate(W)[1].tobytes() == noisy.tobytes()
 
     def test_oracle_with_evaluate_only(self):
         class EvaluateOnly:
