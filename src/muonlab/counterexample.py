@@ -53,13 +53,12 @@ class KinkyFunction:
     def __post_init__(self):
         # Stored as a Python float and ints, so f and its subgradient compute
         # in float64 whatever real type c was given as (np.float32, say).
-        for name, kind, cast, what in (("c", numbers.Real, float, "a real number"),
-                                       ("m", numbers.Integral, int, "an integer"),
-                                       ("n", numbers.Integral, int, "an integer")):
+        object.__setattr__(self, "c", optim._check_real(self.c, "c"))
+        for name in ("m", "n"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} must be {what}, not {value!r}")
-            object.__setattr__(self, name, cast(value))
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 0.0 < self.c < 1.0:
             raise ValueError("c must lie in (0, 1)")
         if self.m < 2 or self.n < 2:
@@ -145,10 +144,9 @@ class KinkyOracle:
 
 def lipschitz_bound(c: float) -> float:
     """Frobenius Lipschitz constant sqrt(2 (1 + c^2)) <= 2 of the function."""
-    optim._check_real(c, "c")
+    c = optim._check_real(c, "c")
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie in (0, 1)")
-    c = float(c)
     return math.sqrt(2.0 * (1.0 + c * c))
 
 
@@ -250,12 +248,11 @@ def cex1_build(beta, schedule, r: float = 1.0, delta: float = 0.0,
     ``delta`` offsets within the open set of valid starts; it must satisfy
     |delta| < R_t for every t, so it must be 0 when the stepsizes vanish.
     """
-    given = [("beta", beta), ("r", r), ("delta", delta)] + ([] if c is None else [("c", c)])
-    for name, value in given:
-        optim._check_real(value, name)
+    beta, r = optim._check_real(beta, "beta"), optim._check_real(r, "r")
+    delta = optim._check_real(delta, "delta")
+    c = None if c is None else optim._check_real(c, "c")
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
-    beta = float(beta)
     if c is None:
         c = AUTO_C["cex1"](beta)
     if not c < (1.0 - beta) / (1.0 + beta):
@@ -264,7 +261,6 @@ def cex1_build(beta, schedule, r: float = 1.0, delta: float = 0.0,
         raise ValueError("need a finite r >= 1")
     if not math.isfinite(delta):
         raise ValueError("delta must be finite")
-    r, delta = float(r), float(delta)
     lam = schedule.limit()
     R = compute_R_sequence(schedule, horizon)
     if lam == 0.0:
@@ -325,7 +321,7 @@ def cex2_guard_check(W0, beta, schedule, T: int, method: str = "muon",
     non-convergence argument consumes; a NaN q_t fails it too.  ``W0`` must
     be a finite matrix (``linalg.as_matrix``).
     """
-    optim._check_real(beta, "beta")
+    beta = optim._check_real(beta, "beta")
     if not 0.0 <= beta < 0.5:
         raise ValueError("beta must lie in [0, 1/2)")
     optim._check_count(T, "T")

@@ -8,7 +8,6 @@ import functools
 import inspect
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
@@ -64,10 +63,11 @@ PRESETS = {
 }
 
 def _real(value, what: str) -> float:
-    """A config number: any real but a bool; strings such as "0.5" are refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """A config number (``norms._real``); a bool or a string such as "0.5" is refused."""
+    x = norms._real(value)
+    if x is None:
         raise ConfigError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    return x
 
 
 def _finite(value, what: str) -> float:
@@ -186,10 +186,8 @@ def _build_init(cfg: dict, schedule):
     if ("matrix" in init) == ("diag" in init):
         raise ConfigError("explicit init needs 'matrix' or 'diag', and not both")
     if "matrix" in init:
-        if np.asarray(init["matrix"]).dtype.kind not in "iuf":
-            raise ConfigError("matrix entries must be numbers")
-        for entry in np.asarray(init["matrix"], dtype=object).flat:
-            _real(entry, "matrix entry")  # a JSON true passes the dtype test as an int
+        for entry in np.asarray(init["matrix"], dtype=object).flat:  # a ragged row is an entry
+            _finite(entry, "matrix entry")
         W0 = linalg.as_matrix(init["matrix"])
         if W0.shape != (m, n):
             raise ConfigError("explicit matrix shape mismatch")
@@ -222,7 +220,7 @@ def _resolve_bound(cfg: dict, W0: np.ndarray) -> dict:
     }
     b.update((key, _real(value, f"bound {key}")) for key, value in spec.items())
     try:
-        optim._check_bound_domain(b["delta"], cfg["beta"], b["sigma"], b["dist0"])
+        optim._bound_factors(b["delta"], cfg["beta"], b["sigma"], b["dist0"])
     except ValueError as exc:
         raise ConfigError(f"bound {exc}") from None
     return b

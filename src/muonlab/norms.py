@@ -51,10 +51,10 @@ class Lp:
     p: float
 
     def __post_init__(self):
-        if (isinstance(self.p, bool) or not isinstance(self.p, numbers.Real)
-                or not 1 <= self.p < math.inf):
+        p = _real(self.p)
+        if p is None or not 1 <= p < math.inf:
             raise ValueError(f"Lp requires a finite p >= 1 (Linf is p = inf), got {self.p!r}")
-        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "p", p)
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,18 @@ class OperatorNorm:
 @dataclass(frozen=True)
 class NuclearNorm:
     pass
+
+
+def _real(value) -> float | None:
+    """The one parse of a real parameter: ``value`` as a Python float, None for
+    a bool or a non-real.  An integer that overflows a float is inf, signed by
+    ``value > 0`` (math.copysign overflows too); ``float`` skips the ABC check."""
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _positive_int(value, what: str) -> int:
@@ -97,10 +109,10 @@ class ProductNormSpec:
         object.__setattr__(self, "layer_dims", dims)
         if len(dims) < 1:
             raise ValueError("at least one layer required")
-        if (isinstance(self.s, bool) or not isinstance(self.s, numbers.Real)
-                or not 0 < self.s < math.inf):
+        s = _real(self.s)
+        if s is None or not 0 < s < math.inf:
             raise ValueError(f"scale s must be positive and finite, got {self.s!r}")
-        object.__setattr__(self, "s", float(self.s))
+        object.__setattr__(self, "s", s)
         object.__setattr__(self, "k", _positive_int(self.k, "k"))
 
     @property

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import struct
 from dataclasses import dataclass
 
@@ -28,16 +27,12 @@ from . import linalg, norms
 
 
 def _check_real(value, what: str) -> float:
-    """Raise ValueError unless ``value`` is a real number, not a bool; return
-    it as a Python float (inf where it overflows one), so every loop computes
-    with it in float64.  ``float`` is tested before the ABC, whose check costs
-    ten times more."""
-    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
+    """``value`` as a Python float (``norms._real``), so every loop computes
+    with it in float64; a bool or a non-real value raises ValueError."""
+    x = norms._real(value)
+    if x is None:
         raise ValueError(f"{what} must be a real number, not {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
+    return x
 
 
 def _stepsize(value, what: str = "stepsize") -> float:
@@ -169,10 +164,10 @@ class NoisyOracle:
     """Wraps a base oracle with seeded additive Gaussian noise on the subgradient."""
 
     def __init__(self, base, noise_std: float, seed: int = 0):
-        if (isinstance(noise_std, bool) or not isinstance(noise_std, numbers.Real)
-                or not 0 <= _check_real(noise_std, "noise_std") < math.inf):
+        std = norms._real(noise_std)
+        if std is None or not 0 <= std < math.inf:
             raise ValueError(f"noise_std must be nonnegative and finite, not {noise_std!r}")
-        self.base, self.noise_std = base, float(noise_std)
+        self.base, self.noise_std = base, std
         self.rng = np.random.default_rng(seed)
 
     def evaluate(self, W):
@@ -707,10 +702,11 @@ def _lockstep(evaluate, lmo, W, M, E, beta, coef, scale=None, compress=None) -> 
 # Convergence bound
 
 
-def _check_bound_domain(delta, beta, sigma, dist0) -> tuple:
-    """The four parameters as Python floats, once they lie in the bound's domain."""
-    for name, value in (("delta", delta), ("beta", beta), ("sigma", sigma), ("dist0", dist0)):
-        _check_real(value, name)
+def _bound_factors(delta, beta, sigma, dist0) -> tuple:
+    """(dist0^2, sigma^2 coeff), the T-free factors of ``efm_bound``, once the
+    four parameters, parsed by ``_check_real``, lie in the bound's domain."""
+    delta, beta = _check_real(delta, "delta"), _check_real(beta, "beta")
+    sigma, dist0 = _check_real(sigma, "sigma"), _check_real(dist0, "dist0")
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     if not 0.0 <= beta < 1.0:
@@ -719,17 +715,16 @@ def _check_bound_domain(delta, beta, sigma, dist0) -> tuple:
         raise ValueError("sigma must be finite and nonnegative")
     if not 0.0 <= dist0 < math.inf:
         raise ValueError("dist0 must be finite and nonnegative")
-    return float(delta), float(beta), float(sigma), float(dist0)
+    return dist0**2, sigma**2 * (2.0 * math.sqrt(1.0 - delta) / delta + beta / (1.0 - beta) + 0.5)
 
 
-def _bound_coeff(delta: float, beta: float) -> float:
-    return 2.0 * math.sqrt(1.0 - delta) / delta + beta / (1.0 - beta) + 0.5
-
-
-def _bound_factors(delta, beta, sigma, dist0) -> tuple:
-    """(dist0^2, sigma^2 coeff), the T-free factors of ``efm_bound``."""
-    delta, beta, sigma, dist0 = _check_bound_domain(delta, beta, sigma, dist0)
-    return dist0**2, sigma**2 * _bound_coeff(delta, beta)
+def _steps_plus_one(T) -> float:
+    """T + 1 as a float, for a step count T; a T + 1 past the floats raises ValueError."""
+    _check_count(T, "T")
+    try:
+        return T + 1.0
+    except OverflowError:
+        raise ValueError("T must be finite: T + 1 overflows a float") from None
 
 
 def _bound_at(root, log, dist0_sq: float, noise: float):
@@ -744,18 +739,18 @@ def efm_bound(T: int, delta: float, beta: float, sigma: float, dist0: float) -> 
     dist0^2 / (2 sqrt(T+1))
       + sigma^2 (2 sqrt(1-delta)/delta + beta/(1-beta) + 1/2) (1 + log(T+1)) / sqrt(T+1)
     """
-    _check_count(T, "T")
+    t1 = _steps_plus_one(T)
     factors = _bound_factors(delta, beta, sigma, dist0)
-    return _bound_at(math.sqrt(T + 1.0), math.log(T + 1.0), *factors)
+    return _bound_at(math.sqrt(t1), math.log(t1), *factors)
 
 
 def efm_bound_column(T: int, delta: float, beta: float, sigma: float,
                      dist0: float) -> np.ndarray:
     """``[efm_bound(t, delta, beta, sigma, dist0) for t in range(T + 1)]``,
     bit for bit, with the domain check and the T-free factors done once."""
-    _check_count(T, "T")
+    stop = _steps_plus_one(T) + 1.0
     factors = _bound_factors(delta, beta, sigma, dist0)
-    t1 = np.arange(1.0, T + 2.0)
+    t1 = np.arange(1.0, stop)
     # math.log per row, as np.log may differ in the last bit.
     return _bound_at(np.sqrt(t1), np.fromiter(map(math.log, t1.tolist()), float, T + 1), *factors)
 
@@ -771,7 +766,7 @@ def efm_bound_schedule(lams, delta: float, beta: float, sigma: float, dist0: flo
     dist0^2 / (2 lam_T (T+1))
       + sigma^2 (2 sqrt(1-delta)/delta + beta/(1-beta) + 1/2) sum(lam_t^2) / (lam_T (T+1))
     """
-    delta, beta, sigma, dist0 = _check_bound_domain(delta, beta, sigma, dist0)
+    dist0_sq, noise = _bound_factors(delta, beta, sigma, dist0)
     lams = np.asarray(lams, float)
     if lams.ndim != 1 or lams.size < 1:
         raise ValueError("lams must be a nonempty 1-d sequence")
@@ -779,7 +774,5 @@ def efm_bound_schedule(lams, delta: float, beta: float, sigma: float, dist0: flo
     if not np.all((lams > 0) & (lams < math.inf)):
         raise ValueError("stepsizes must be finite and positive")
     _check_nonincreasing(lams)
-    coeff = _bound_coeff(delta, beta)
-    T1 = lams.size
-    tail = lams[-1] * T1
-    return float(dist0**2 / (2.0 * tail) + sigma**2 * coeff * float(np.sum(lams**2)) / tail)
+    tail = lams[-1] * lams.size
+    return float(dist0_sq / (2.0 * tail) + noise * float(np.sum(lams**2)) / tail)

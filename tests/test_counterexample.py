@@ -6,6 +6,9 @@ import pytest
 from muonlab import counterexample as cex
 from muonlab import optim
 
+# An integer too large for a float, of either sign, with short test ids.
+HUGE = [pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400")]
+
 
 class TestKinkyFunction:
     def test_values(self):
@@ -78,12 +81,15 @@ class TestKinkyFunction:
                 assert fn.value(V) >= fW + np.sum(G * (V - W)) - 1e-12
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            cex.KinkyFunction(c=0.0)
+        # KinkyFunction(c=10**400) used to raise OverflowError.
+        for c in (0.0, 10**400, -10**400):
+            with pytest.raises(ValueError, match=r"c must lie in \(0, 1\)"):
+                cex.KinkyFunction(c=c)
         with pytest.raises(ValueError):
             cex.KinkyFunction(c=0.5, m=1)
-        with pytest.raises(ValueError):
-            cex.lipschitz_bound(1.5)
+        for c in (1.5, 10**400, -10**400):
+            with pytest.raises(ValueError, match=r"c must lie in \(0, 1\)"):
+                cex.lipschitz_bound(c)
 
     @pytest.mark.parametrize("c", ["0.5", True, None])
     def test_lipschitz_bound_rejects_non_real_c(self, c):
@@ -274,7 +280,7 @@ class TestCex1:
         c = cex.AUTO_C[style](np.float32(0.3))
         assert type(c) is float and c == cex.AUTO_C[style](float(np.float32(0.3)))
 
-    @pytest.mark.parametrize("beta", [-0.1, 1.0])
+    @pytest.mark.parametrize("beta", [-0.1, 1.0, *HUGE])
     def test_rejects_beta_outside_unit_interval(self, beta):
         with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\)"):
             cex.cex1_build(beta, optim.Constant(0.2))
@@ -299,9 +305,14 @@ class TestCex1:
         ({"r": math.nan}, "finite r"),
         ({"delta": math.nan}, "delta must be finite"),
         ({"delta": -math.inf}, "delta must be finite"),
+        ({"r": 10**400}, "finite r"),
+        ({"r": -10**400}, "finite r"),
+        ({"delta": 10**400}, "delta must be finite"),
+        ({"delta": -10**400}, "delta must be finite"),
     ])
     def test_rejects_non_finite_r_and_delta(self, kw, match):
-        # r = inf and delta = nan used to build a start with inf or NaN entries.
+        # r = inf and delta = nan used to build a start with inf or NaN
+        # entries; r = 10**400 and delta = 10**400 raised OverflowError.
         for schedule in (optim.Constant(0.2), optim.InvT()):
             with pytest.raises(ValueError, match=match):
                 cex.cex1_build(0.5, schedule, **kw)

@@ -12,6 +12,9 @@ from hypothesis import strategies as hs
 from muonlab import cli, harness, linalg, optim
 from muonlab import counterexample as cex
 
+# An integer too large for a float, of either sign, with short test ids.
+HUGE = [pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400")]
+
 
 class TestConfig:
     def test_auto_c_by_style(self):
@@ -60,6 +63,10 @@ class TestConfig:
         ({"style": "bogus"}, "unknown style 'bogus'"),
         ({"c": 0.0}, r"c must lie in \(0, 1\)"),
         ({"c": 1.0}, r"c must lie in \(0, 1\)"),
+        ({"c": 10**400}, r"c must lie in \(0, 1\)"),
+        ({"c": -10**400}, r"c must lie in \(0, 1\)"),
+        ({"beta": 10**400}, r"beta must lie in \[0, 1\)"),
+        ({"beta": -10**400}, r"beta must lie in \[0, 1\)"),
         ({"T": -1}, "T must be nonnegative"),
         ({"seed": -3}, "seed must be nonnegative"),
         ({"seed": -3, "init": {"kind": "random"}}, "seed must be nonnegative"),
@@ -133,7 +140,8 @@ class TestConfig:
         ({"kind": "explicit", "diag": [1, 2, 3]}, "diag must be a list of two numbers"),
         ({"kind": "explicit", "diag": [1, "2"]}, "diag entry must be a number"),
         ({"kind": "random", "scale": True}, "scale must be a number"),
-        ({"kind": "explicit", "matrix": [["1", "0"], ["0", "1"]]}, "matrix entries"),
+        ({"kind": "explicit", "matrix": [["1", "0"], ["0", "1"]]},
+         "matrix entry must be a number, got '1'"),
         ({"kind": "explicit", "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}, "shape mismatch"),
         ({"kind": "explicit"}, "explicit init needs 'matrix' or 'diag'"),
         ({"kind": "bogus"}, "unknown init kind 'bogus'"),
@@ -149,6 +157,8 @@ class TestConfig:
         (None, "bound must be an object"),
         ({"foo": 1}, r"bound has unknown keys \['foo'\]"),
         ({"delta": 2}, r"bound delta must lie in \(0, 1\]"),
+        ({"delta": 10**400}, r"bound delta must lie in \(0, 1\]"),
+        ({"delta": -10**400}, r"bound delta must lie in \(0, 1\]"),
         ({"sigma": -1.0}, "bound sigma must be finite and nonnegative"),
         ({"dist0": math.inf}, "bound dist0 must be finite and nonnegative"),
     ])
@@ -157,7 +167,7 @@ class TestConfig:
         with pytest.raises(harness.ConfigError, match=match):
             harness.run_experiment(cfg)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, *HUGE])
     @pytest.mark.parametrize("field, config", [
         ("lam", lambda v: {"schedule": {"kind": "constant", "lam": v}}),
         ("base", lambda v: {"schedule": {"kind": "adaptive_nuclear", "base": v}}),
@@ -167,9 +177,15 @@ class TestConfig:
         ("scale", lambda v: {"init": {"kind": "random", "scale": v}}),
         ("diag entry", lambda v: {"init": {"kind": "explicit", "diag": [v, 0.5]}}),
         ("diag entry", lambda v: {"init": {"kind": "explicit", "diag": [0.5, v]}}),
-    ], ids=["lam", "base", "table", "r", "delta", "scale", "diag0", "diag1"])
+        ("matrix entry", lambda v: {"init": {"kind": "explicit", "matrix": [[0.5, 0], [0, v]]}}),
+        ("bound sigma", lambda v: {"bound": {"sigma": v}}),
+        ("bound dist0", lambda v: {"bound": {"dist0": v}}),
+    ], ids=["lam", "base", "table", "r", "delta", "scale", "diag0", "diag1", "matrix",
+            "sigma", "dist0"])
     def test_rejects_non_finite_numbers(self, field, config, value):
-        # JSON's NaN and Infinity used to run and write NaN or inf rows.
+        # JSON's NaN and Infinity used to run and write NaN or inf rows, a
+        # 400-digit integer raised OverflowError (a matrix entry was refused
+        # as not a number) and a non-finite matrix entry raised a bare ValueError.
         with pytest.raises(harness.ConfigError, match=f"{field} must be finite"):
             harness.run_experiment({**self.BASE, **config(value)})
 
@@ -797,8 +813,10 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: matrix entry must be a number, got ")
         assert not (tmp_path / "tr.csv").exists()
 
-    @pytest.mark.parametrize("flag, value", [("--sigma", "nan"), ("--dist0", "inf")])
+    @pytest.mark.parametrize("flag, value", [("--sigma", "nan"), ("--dist0", "inf"),
+                                             pytest.param("--T", "1" + "0" * 400, id="10**400")])
     def test_bound_non_finite_exits_config_error(self, flag, value, capsys):
+        # --T 10**400 used to end in an OverflowError traceback and exit 1.
         argv = {"--T": "10", "--delta": "0.5", "--beta": "0.5", "--sigma": "1", "--dist0": "1"}
         argv[flag] = value
         rc = cli.main(["bound", *(x for kv in argv.items() for x in kv)])
@@ -811,10 +829,12 @@ class TestCli:
         {"schedule": {"kind": "constant", "lam": math.inf}},
         {"init": {"kind": "explicit", "diag": [math.nan, 0.5]}},
         {"init": {"kind": "cex1", "r": math.inf}},
+        {"schedule": {"kind": "constant", "lam": 10**400}},
+        {"init": {"kind": "explicit", "diag": [-10**400, 0.5]}},
     ])
     def test_run_non_finite_number_exits_config_error(self, override, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(override))  # written as JSON NaN / Infinity
+        cfg.write_text(json.dumps(override))  # JSON NaN / Infinity, or a 400-digit integer
         rc = cli.main(["run", "--preset", "cex1-appendixE", "--config", str(cfg),
                        "--out", str(tmp_path / "tr.csv")])
         assert rc == cli.EXIT_CONFIG

@@ -5,6 +5,9 @@ import pytest
 
 from muonlab import linalg, norms
 
+# An integer too large for a float, of either sign, with short test ids.
+HUGE = [pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400")]
+
 
 def product_spec():
     return norms.ProductNormSpec(layer_dims=((2, 2),), s=1.0, k=1)
@@ -72,10 +75,11 @@ class TestParamPoint:
 
 class TestSpecValidation:
     @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan, 0.5, 0.0,
-                                   True, False, "2", None, 2j])
+                                   True, False, "2", None, 2j, *HUGE])
     def test_lp_requires_finite_p_at_least_one(self, p):
         # Lp(inf) used to be accepted and give NaN duals, LMOs and compressions;
-        # Lp(True) was taken for L1, and Lp("2") raised a bare TypeError.
+        # Lp(True) was taken for L1, Lp("2") raised a bare TypeError and
+        # Lp(10**400) an OverflowError.
         with pytest.raises(ValueError, match="finite p >= 1"):
             norms.Lp(p)
 
@@ -93,9 +97,11 @@ class TestSpecValidation:
         assert norms.dual_norm(w, norms.Lp(1.0)) == norms.dual_norm(w, norms.L1())
         np.testing.assert_array_equal(norms.lmo_min(w, norms.Lp(1.0)), norms.lmo_min(w, norms.L1()))
 
-    @pytest.mark.parametrize("s", [math.inf, math.nan, 0.0, -1.0, True, "1.5", None])
+    @pytest.mark.parametrize("s", [math.inf, math.nan, 0.0, -1.0, True, "1.5", None,
+                                   *HUGE])
     def test_product_requires_finite_positive_s(self, s):
-        # s = inf used to be accepted, with alpha = delta = 0.0.
+        # s = inf used to be accepted, with alpha = delta = 0.0; s = 10**400
+        # raised OverflowError.
         with pytest.raises(ValueError, match="scale s"):
             norms.ProductNormSpec(layer_dims=((2, 2),), s=s, k=1)
 

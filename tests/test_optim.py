@@ -11,6 +11,9 @@ from hypothesis import strategies as hs
 from muonlab import counterexample as cex
 from muonlab import linalg, norms, optim
 
+# An integer too large for a float, of either sign, with short test ids.
+HUGE = [pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400")]
+
 
 def kinky_oracle(c=0.5):
     return cex.KinkyFunction(c=c).oracle()
@@ -176,7 +179,7 @@ class TestOptimizerState:
     def test_accepts_numpy_integer_t(self):
         assert optim.OptimizerState(W=np.eye(2), t=np.int64(3)).t == 3
 
-    @pytest.mark.parametrize("beta", [-0.1, 1.0, math.nan])
+    @pytest.mark.parametrize("beta", [-0.1, 1.0, math.nan, *HUGE])
     def test_rejects_beta_outside_unit_interval(self, beta):
         with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\)"):
             optim.OptimizerState(W=np.eye(2), beta=beta)
@@ -1242,6 +1245,12 @@ class TestStepCounts:
     def test_numpy_integer_T_is_accepted(self, call):
         assert self.CALLS[call](np.int64(3)) == self.CALLS[call](3)
 
+    @pytest.mark.parametrize("call", ["efm_bound", "efm_bound_column"])
+    def test_bound_refuses_T_whose_successor_overflows_a_float(self, call):
+        # Both used to raise OverflowError from T + 1.0.
+        with pytest.raises(ValueError, match="T must be finite"):
+            self.CALLS[call](10**400)
+
 
 class TestBound:
     def test_hand_example(self):
@@ -1293,13 +1302,16 @@ class TestBound:
         assert type(got) is float and got == optim.efm_bound_schedule([0.5, 0.4], **f64)
 
     @pytest.mark.parametrize("field", ["sigma", "dist0"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, *HUGE])
     def test_rejects_non_finite_sigma_and_dist0(self, field, value):
-        # Both used to pass the sign check and come out as a nan or inf bound.
+        # Both used to pass the sign check and come out as a nan or inf
+        # bound; 10**400 raised OverflowError.
         kw = dict(delta=0.5, beta=0.5, sigma=1.0, dist0=1.0)
         kw[field] = value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             optim.efm_bound(10, **kw)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            optim.efm_bound_column(10, **kw)
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             optim.efm_bound_schedule([1.0, 0.5], **kw)
 
