@@ -3,7 +3,7 @@
 Subcommands: ``run`` (execute an experiment and write a CSV trace),
 ``verify`` (property-check suites), ``bound`` (print the convergence bound).
 Exit codes: 0 success, 1 property failure, 2 config error (or an output
-that cannot be written), 3 numerical failure.
+that cannot be written or allocated), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -44,10 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="print the error-feedback convergence bound")
     p_bound.add_argument("--T", type=int, required=True)
-    p_bound.add_argument("--delta", type=float, required=True)
-    p_bound.add_argument("--beta", type=float, required=True)
-    p_bound.add_argument("--sigma", type=float, required=True)
-    p_bound.add_argument("--dist0", type=float, required=True)
+    for name in ("delta", "beta", "sigma", "dist0"):
+        p_bound.add_argument(f"--{name}", type=float, required=True)
     return parser
 
 
@@ -60,12 +58,12 @@ def cmd_run(args) -> int:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
         except json.JSONDecodeError as exc:
             print(f"error: config parse failure at line {exc.lineno}, "
                   f"column {exc.colno}: {exc.msg}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (OSError, ValueError) as exc:  # bad UTF-8, or an integer past 4300 digits
+            print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         if not isinstance(loaded, dict):
             print(f"error: config must be a JSON object, not {type(loaded).__name__}",
@@ -132,6 +130,9 @@ def main(argv=None) -> int:
     except linalg.NumericalError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:  # a run, CSV or suite too large for this machine
+        print(f"error: cannot allocate: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -42,17 +42,10 @@ def _preset_cex1():
 
 def _preset_efm():
     return {
+        **_preset_cex1(),
         "method": "efmuon",
-        "beta": 0.9,
-        "c": "auto",
-        "style": "appendix_e",
         "schedule": {"kind": "invsqrt"},
-        "T": 5000,
         "init": {"kind": "explicit", "diag": [1.0 + math.log(2.0), 1.0 - math.log(2.0)]},
-        "m": 2, "n": 2,
-        "seed": 0,
-        "polar": "exact",
-        "track_average": True,
         "bound": {},
     }
 
@@ -66,7 +59,7 @@ def _real(value, what: str) -> float:
     """A config number (``norms._real``); a bool or a string such as "0.5" is refused."""
     x = norms._real(value)
     if x is None:
-        raise ConfigError(f"{what} must be a number, got {value!r}")
+        raise ConfigError(f"{what} must be a number, got {norms._shown(value)}")
     return x
 
 
@@ -74,7 +67,7 @@ def _finite(value, what: str) -> float:
     """A finite config number; JSON's NaN and Infinity are refused."""
     x = _real(value, what)
     if not math.isfinite(x):
-        raise ConfigError(f"{what} must be finite, got {value!r}")
+        raise ConfigError(f"{what} must be finite, got {norms._shown(value)}")
     return x
 
 
@@ -88,7 +81,7 @@ def _kind(spec: dict, kinds: dict, what: str) -> str:
     """The kind of a ``what`` block, one of ``kinds``, whose keys it must keep to."""
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in kinds:
-        raise ConfigError(f"unknown {what} kind {kind!r}")
+        raise ConfigError(f"unknown {what} kind {norms._shown(kind)}")
     unknown = sorted(set(spec) - kinds[kind] - {"kind"})
     if unknown:
         raise ConfigError(f"{what} {kind!r} has unknown keys {unknown}")
@@ -158,6 +151,8 @@ def resolve_config(raw: dict) -> dict:
     for key in ("seed", "T"):
         if cfg[key] < 0:
             raise ConfigError(f"{key} must be nonnegative")
+    if cfg["T"] >= 2**53:
+        raise ConfigError("T must be below 2**53, where the float t column stops being exact")
     if cfg["polar"] not in ("exact", "ns"):
         raise ConfigError("polar must be 'exact' or 'ns'")
     if cfg["method"] == "efmuon" and cfg["polar"] == "ns":
@@ -170,7 +165,7 @@ def resolve_config(raw: dict) -> dict:
 def _build_init(cfg: dict, schedule):
     init = cfg["init"]
     if not isinstance(init, dict):
-        raise ConfigError(f"init must be an object with a 'kind', got {init!r}")
+        raise ConfigError(f"init must be an object with a 'kind', got {norms._shown(init)}")
     m, n = cfg["m"], cfg["n"]
     kind = _kind(init, INIT_KEYS, "init")
     if kind == "cex1":
@@ -194,7 +189,7 @@ def _build_init(cfg: dict, schedule):
         return W0
     diag = init["diag"]
     if not isinstance(diag, (list, tuple)) or len(diag) != 2:
-        raise ConfigError(f"diag must be a list of two numbers, got {diag!r}")
+        raise ConfigError(f"diag must be a list of two numbers, got {norms._shown(diag)}")
     W0 = np.zeros((m, n))
     W0[0, 0] = _finite(diag[0], "diag entry")
     W0[1, 1] = _finite(diag[1], "diag entry")
@@ -209,7 +204,7 @@ def _resolve_bound(cfg: dict, W0: np.ndarray) -> dict:
     domain of ``optim.efm_bound``."""
     spec = cfg["bound"]
     if not isinstance(spec, dict):
-        raise ConfigError(f"bound must be an object, got {spec!r}")
+        raise ConfigError(f"bound must be an object, got {norms._shown(spec)}")
     unknown = sorted(set(spec) - BOUND_KEYS)
     if unknown:
         raise ConfigError(f"bound has unknown keys {unknown}")
@@ -423,7 +418,7 @@ def suite_polar(trials: int = 500) -> list:
         U, V = np.linalg.qr(G)[0], np.linalg.qr(H)[0]
         A = (U * s[:, None, :]) @ V.mT
         D = linalg.polar_newton_schulz_stack(A) - linalg.polar_exact_stack(A)
-        errs.extend(_fro_rows(D))  # np.linalg.norm of each member
+        errs.extend(norms.fro_stack(D))  # np.linalg.norm of each member
     diag_errs = [0.0]
     for (m, n), vals in _grouped(draw_diagonal() for _ in range(200)):
         D = np.zeros((len(vals), m, n))
@@ -518,25 +513,6 @@ def _spec_draws(rng, spec, trials: int) -> list:
     return [W for _, W in _grouped(draw() for _ in range(trials))]
 
 
-def _inner_rows(A, B) -> np.ndarray:
-    """``norms.inner`` of each pair of members of two stacks, bit for bit."""
-    if isinstance(A, tuple):
-        (mats_a, theta_a), (mats_b, theta_b) = A, B
-        total = None
-        for X, Y in zip(mats_a, mats_b):
-            term = _inner_rows(X, Y)
-            total = term if total is None else total + term
-        return total + np.vecdot(theta_a, theta_b)
-    return (A * B).reshape(len(A), -1).sum(axis=1)
-
-
-def _fro_rows(A) -> np.ndarray:
-    """``norms.fro`` of each member of a stack, bit for bit."""
-    if isinstance(A, tuple):
-        return np.sqrt(_inner_rows(A, A))  # ParamPoint.fro
-    return linalg._fro_members(A)
-
-
 def _max(values) -> float:
     """The worst of a check's values: ``np.max`` keeps a NaN, which Python ``max``
     may drop, and no value is -0.0, so their order cannot change the bits."""
@@ -559,8 +535,8 @@ def suite_compressor(trials: int = 1000) -> list:
         margins = [-np.inf]
         for W in _spec_draws(rng, spec, trials):
             shrink = 1.0 - norms.compressor_constants(spec, norms._dims(W, spec)).delta
-            lhs = _fro_rows(W - norms.compress_stack(W, spec)).tolist()
-            margins += [a**2 - shrink * b**2 for a, b in zip(lhs, _fro_rows(W).tolist())]
+            lhs = norms.fro_stack(W - norms.compress_stack(W, spec)).tolist()
+            margins += [a**2 - shrink * b**2 for a, b in zip(lhs, norms.fro_stack(W).tolist())]
         results.append(CheckResult(
             f"compression contraction [{type(spec).__name__}]", _max(margins),
             norms.CONTRACTION_SLACK))
@@ -569,8 +545,8 @@ def suite_compressor(trials: int = 1000) -> list:
     margins = [-np.inf]
     for W in _spec_draws(rng, spec, trials):
         (mats, theta), (C, c) = W, norms.compress_stack(W, spec)
-        lhs = _fro_rows(([M - D for M, D in zip(mats, C)], theta - c)).tolist()
-        rhs = zip(_fro_rows(W).tolist(), norms.dual_norm_stack(W, spec).tolist())
+        lhs = norms.fro_stack(([M - D for M, D in zip(mats, C)], theta - c)).tolist()
+        rhs = zip(norms.fro_stack(W).tolist(), norms.dual_norm_stack(W, spec).tolist())
         margins += [a**2 - (b**2 - alpha_sq * c**2) for a, (b, c) in zip(lhs, rhs)]
     results.append(CheckResult(
         "compression contraction [Product, proof-line]", _max(margins), norms.CONTRACTION_SLACK))
@@ -582,15 +558,14 @@ def _least_frobenius_grid(rng, base, Up, Vp, samples: int) -> float:
     of E uniform on [-1, 1]^(k x k), each scaled into the operator-norm ball.
 
     The draws come from one ``rng.uniform`` call, the same stream as one call
-    per draw.  ``vecdot`` gives each candidate's norm bit for bit as
+    per draw.  ``norms.fro_stack`` gives each candidate's norm bit for bit as
     ``np.linalg.norm`` on it alone; ``einsum`` and ``sum`` do not.
     """
     k = Up.shape[1]
     E = rng.uniform(-1.0, 1.0, (samples, k, k))
     op = np.linalg.norm(E, 2, axis=(1, 2))
     E = np.where((op > 1.0)[:, None, None], E / op[:, None, None], E)
-    cand = (base + Up @ E @ Vp.T).reshape(samples, -1)
-    return float(np.min(np.sqrt(np.vecdot(cand, cand))))
+    return float(np.min(norms.fro_stack(base + Up @ E @ Vp.T)))
 
 
 def suite_lmo(trials: int = 1000) -> list:
@@ -600,7 +575,7 @@ def suite_lmo(trials: int = 1000) -> list:
         pair, primal = [0.0], [0.0]
         for W in _spec_draws(rng, spec, trials):
             X = norms.lmo_min_stack(W, spec)
-            pair.extend(np.abs(_inner_rows(W, X) - norms.dual_norm_stack(W, spec)))
+            pair.extend(np.abs(norms.inner_stack(W, X) - norms.dual_norm_stack(W, spec)))
             primal.extend(norms.primal_norm_stack(X, spec))
         results.append(CheckResult(
             f"lmo pairing equals dual norm [{type(spec).__name__}]", _max(pair),

@@ -198,8 +198,8 @@ def polar_newton_schulz_stack(A) -> np.ndarray:
 
 
 def _fro_members(A: np.ndarray) -> np.ndarray:
-    """``_fro`` of each member of a stack: vecdot is ndarray.dot row by row."""
-    flat = A.reshape(len(A), -1)
+    """``_fro`` of each member of a stack: vecdot is ndarray.dot on each contiguous row."""
+    flat = np.ascontiguousarray(A).reshape(len(A), -1)
     return np.sqrt(np.vecdot(flat, flat))
 
 
@@ -229,7 +229,6 @@ def _newton_schulz(A: np.ndarray) -> np.ndarray:
         X = 1.5 * X - 0.5 * (X @ X.mT @ X)
         # The largest member norm, NaN or inf if any entry is not finite:
         # one test of both checks.
-        flat = X.reshape(len(X), -1)
-        if not math.sqrt(np.vecdot(flat, flat).max()) <= limit:
+        if not _fro_members(X).max() <= limit:
             raise NumericalError("Newton-Schulz iteration diverged")
     return X

@@ -53,7 +53,7 @@ class Lp:
     def __post_init__(self):
         p = _real(self.p)
         if p is None or not 1 <= p < math.inf:
-            raise ValueError(f"Lp requires a finite p >= 1 (Linf is p = inf), got {self.p!r}")
+            raise ValueError(f"Lp requires a finite p >= 1 (Linf is p = inf), got {_shown(self.p)}")
         object.__setattr__(self, "p", p)
 
 
@@ -79,10 +79,19 @@ def _real(value) -> float | None:
         return math.inf if value > 0 else -math.inf
 
 
+def _shown(value) -> str:
+    """A refused value's repr, but an integer past the floats' range as its digit count."""
+    if not isinstance(value, int) or math.isfinite(_real(value) or 0.0):
+        return repr(value)
+    digits = int((abs(value).bit_length() - 1) * math.log10(2)) + 1  # or one short
+    digits += abs(value) >= 10**digits
+    return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+
+
 def _positive_int(value, what: str) -> int:
     """``value`` as an int; a bool, a non-integer or one below 1 raises ValueError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+        raise ValueError(f"{what} must be a positive integer, got {_shown(value)}")
     return int(value)
 
 
@@ -103,7 +112,7 @@ class ProductNormSpec:
             pairs = [(m, n) for m, n in self.layer_dims]
         except (TypeError, ValueError):
             raise ValueError(f"layer_dims must be a sequence of (m, n) pairs, "
-                             f"got {self.layer_dims!r}") from None
+                             f"got {_shown(self.layer_dims)}") from None
         dims = tuple((_positive_int(m, "a layer dimension"),
                       _positive_int(n, "a layer dimension")) for m, n in pairs)
         object.__setattr__(self, "layer_dims", dims)
@@ -111,7 +120,7 @@ class ProductNormSpec:
             raise ValueError("at least one layer required")
         s = _real(self.s)
         if s is None or not 0 < s < math.inf:
-            raise ValueError(f"scale s must be positive and finite, got {self.s!r}")
+            raise ValueError(f"scale s must be positive and finite, got {_shown(self.s)}")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "k", _positive_int(self.k, "k"))
 
@@ -144,7 +153,11 @@ class ParamPoint:
         return ParamPoint([np.zeros_like(M) for M in self.matrices], np.zeros_like(self.theta))
 
     def fro(self) -> float:
-        return math.sqrt(inner(self, self))
+        return float(fro_stack(self._stacked())[0])
+
+    def _stacked(self) -> tuple:
+        """The B = 1 product stack (matrices, theta) of this point."""
+        return [M[None] for M in self.matrices], self.theta[None]
 
     # numpy defers to these methods, so an array operand meets the
     # NotImplemented below and Python raises its usual TypeError.
@@ -191,16 +204,35 @@ class CompressorConstants:
     delta: float
 
 
+def inner_stack(A, B) -> np.ndarray:
+    """``inner`` of each pair of members of two stacks, as a (B,) array: each
+    member summed over its own axes, as ``np.sum`` sums it alone; a product
+    stack's layers from 0.0, as ``sum`` adds them, then theta's row dots, a
+    vector of stride <= 0 copied first, as np.dot copies it."""
+    if isinstance(A, tuple):
+        layers = sum((inner_stack(X, Y) for X, Y in zip(A[0], B[0])), 0.0)
+        a, b = (np.asarray(W[1], dtype=float) for W in (A, B))
+        return layers + np.vecdot(*(T if T.strides[-1] > 0 else T.copy() for T in (a, b)))
+    P = np.asarray(A, dtype=float) * np.asarray(B, dtype=float)
+    return np.sum(P, axis=tuple(range(1, P.ndim)))
+
+
+def fro_stack(A) -> np.ndarray:
+    """``fro`` of each member of a stack, as a (B,) array."""
+    if isinstance(A, tuple):
+        return np.sqrt(inner_stack(A, A))
+    return linalg._fro_members(np.asarray(A, dtype=float))
+
+
 def inner(a, b) -> float:
-    """Trace inner product, extended blockwise to ParamPoints."""
+    """Trace inner product, extended blockwise to ParamPoints: inner_stack at B = 1."""
     if isinstance(a, ParamPoint) != isinstance(b, ParamPoint):
         raise TypeError(f"inner of a ParamPoint needs two ParamPoints, "
                         f"got {type(a).__name__} and {type(b).__name__}")
     if isinstance(a, ParamPoint):
         _same_shapes(a, b)
-        total = sum(float(np.sum(A * B)) for A, B in zip(a.matrices, b.matrices))
-        return total + float(np.dot(a.theta, b.theta))
-    return float(np.sum(np.asarray(a, float) * np.asarray(b, float)))
+        return float(inner_stack(a._stacked(), b._stacked())[0])
+    return float(inner_stack(np.asarray(a, float)[None], np.asarray(b, float)[None])[0])
 
 
 def fro(a) -> float:
@@ -279,7 +311,7 @@ def _one(W, spec):
     elif isinstance(spec, ProductNormSpec):
         if not isinstance(W, ParamPoint):
             raise ValueError("product spec requires a ParamPoint")
-        W = [M[None] for M in W.matrices], W.theta[None]
+        W = W._stacked()
     return _stack(W, spec)
 
 
@@ -297,13 +329,6 @@ def _sq(x: np.ndarray) -> np.ndarray:
 
 def _l1_rows(V):
     return np.abs(V).sum(axis=1)
-
-
-def _l2_rows(V):
-    # linalg._fro of each row: vecdot is ndarray.dot row by row, bit for bit, on
-    # rows made contiguous as _fro's ravel makes them (strided, it sums otherwise).
-    V = np.ascontiguousarray(V)
-    return np.sqrt(np.vecdot(V, V))
 
 
 def _linf_rows(V):
@@ -372,7 +397,7 @@ def _primal(W, spec) -> np.ndarray:
     if isinstance(spec, L1):
         return _l1_rows(W)
     if isinstance(spec, L2):
-        return _l2_rows(W)
+        return fro_stack(W)
     if isinstance(spec, Linf):
         return _linf_rows(W)
     if isinstance(spec, Lp):

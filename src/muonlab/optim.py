@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, norms
+from .norms import _shown
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +32,7 @@ def _check_real(value, what: str) -> float:
     with it in float64; a bool or a non-real value raises ValueError."""
     x = norms._real(value)
     if x is None:
-        raise ValueError(f"{what} must be a real number, not {value!r}")
+        raise ValueError(f"{what} must be a real number, not {_shown(value)}")
     return x
 
 
@@ -47,7 +48,7 @@ def _stepsize(value, what: str = "stepsize") -> float:
 def _check_count(value, what: str):
     """Raise ValueError unless ``value`` is an int or numpy integer >= 0, not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{what} must be nonnegative: a nonnegative integer, not {value!r}")
+        raise ValueError(f"{what} must be nonnegative: a nonnegative integer, not {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -123,20 +124,22 @@ class AdaptiveNuclear:
 
 
 def offline_stepsizes(schedule, t0: int, n: int) -> np.ndarray:
-    """``[schedule.value(t) for t in range(t0, t0 + n)]`` as a new float64
-    array, bit for bit: an exact Constant or AdaptiveNuclear is a fill, a
+    """``[schedule.value(t) for t in range(t0, t0 + n)]`` as a new float64 array,
+    bit for bit, for t0 + n <= 2**53: an exact Constant or AdaptiveNuclear is a fill, a
     Table a clamped slice of its read-only ``_array``, InvT and InvSqrtT their
-    expressions on the float range t0 + 1 .. t0 + n (exact to 2**53; IEEE /
-    and sqrt round as Python's do).  Other schedules are asked step by step."""
+    expressions on the float range t0 + 1 .. t0 + n (IEEE / and sqrt round as
+    Python's do).  Other schedules are asked step by step."""
     _check_count(t0, "t0")
     _check_count(n, "n")
+    if t0 + n > 2**53:
+        raise ValueError("t0 + n must be at most 2**53, where floats stop being exact integers")
     kind = type(schedule)
     if kind is Constant or kind is AdaptiveNuclear:
         return np.full(n, schedule.value(t0))
     if kind is Table:
         head = schedule._array[t0:t0 + n]
         return np.concatenate((head, np.full(n - len(head), schedule.values[-1])))
-    if (kind is InvT or kind is InvSqrtT) and t0 + n <= 2**53:
+    if kind is InvT or kind is InvSqrtT:
         t1 = np.arange(t0 + 1, t0 + n + 1, dtype=float)
         return 1.0 / (t1 if kind is InvT else np.sqrt(t1))
     return np.array([schedule.value(t) for t in range(t0, t0 + n)], float)
@@ -166,7 +169,7 @@ class NoisyOracle:
     def __init__(self, base, noise_std: float, seed: int = 0):
         std = norms._real(noise_std)
         if std is None or not 0 <= std < math.inf:
-            raise ValueError(f"noise_std must be nonnegative and finite, not {noise_std!r}")
+            raise ValueError(f"noise_std must be nonnegative and finite, not {_shown(noise_std)}")
         self.base, self.noise_std = base, std
         self.rng = np.random.default_rng(seed)
 

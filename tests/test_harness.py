@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -71,10 +72,26 @@ class TestConfig:
         ({"seed": -3}, "seed must be nonnegative"),
         ({"seed": -3, "init": {"kind": "random"}}, "seed must be nonnegative"),
         ({"polar": "svd"}, "polar must be 'exact' or 'ns'"),
+        ({"T": 2**53}, r"T must be below 2\*\*53"),
+        ({"T": 10**400}, r"T must be below 2\*\*53"),
     ])
     def test_rejects_out_of_domain_values(self, override, match):
         with pytest.raises(harness.ConfigError, match=match):
             harness.resolve_config({**self.BASE, **override})
+
+    def test_accepts_T_below_2_53(self):
+        assert harness.resolve_config({**self.BASE, "T": 2**53 - 1})["T"] == 2**53 - 1
+
+    def test_refused_huge_integers_show_their_digit_count(self):
+        # Their messages used to print every digit, and past 4300 digits the
+        # repr itself raised in place of the ConfigError.
+        for value, shown in ((10**5000, "an integer of 5001 digits"),
+                             (-10**400, "a negative integer of 401 digits")):
+            with pytest.raises(harness.ConfigError) as exc:
+                harness.resolve_config({**self.BASE, "schedule": {"kind": "constant", "lam": value}})
+            assert str(exc.value) == f"bad schedule spec: lam must be finite, got {shown}"
+            with pytest.raises(harness.ConfigError, match=f"got {shown}$"):
+                harness.run_experiment({**self.BASE, "init": value})
 
     def test_rejects_unknown_key(self):
         with pytest.raises(harness.ConfigError, match="unknown config keys"):
@@ -840,6 +857,55 @@ class TestCli:
         assert rc == cli.EXIT_CONFIG
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "tr.csv").exists()
+
+    @pytest.mark.parametrize("preset", sorted(harness.PRESETS))
+    @pytest.mark.parametrize("T", [pytest.param(2**53, id="2**53"),
+                                   pytest.param(10**400, id="10**400")])
+    def test_run_T_from_2_53_exits_config_error(self, preset, T, tmp_path, capsys):
+        # A 400-digit T under cex1-appendixE used to run on past 60 s in
+        # offline_stepsizes, and T = 10**13 under efm-appendixE failed to
+        # allocate its stepsizes in a traceback.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": T}))
+        start = time.perf_counter()
+        rc = cli.main(["run", "--preset", preset, "--config", str(cfg),
+                       "--out", str(tmp_path / "tr.csv")])
+        assert time.perf_counter() - start < 1.0
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: T must be below 2**53, where the float t column stops being exact\n")
+        assert not (tmp_path / "tr.csv").exists()
+
+    @pytest.mark.parametrize("text, error", [
+        (b'{"beta": 1' + b"0" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+        (b'{"beta": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["5001-digit integer", "bad UTF-8"])
+    def test_run_unparsable_config_exits_config_error(self, text, error, tmp_path, capsys):
+        # json.load's ValueError (not a JSONDecodeError) used to end in a
+        # traceback and exit 1.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text)
+        rc = cli.main(["run", "--preset", "cex1-appendixE", "--config", str(cfg),
+                       "--out", str(tmp_path / "tr.csv")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_CONFIG
+        assert err.startswith(f"error: cannot read config: {error}") and err.count("\n") == 1
+        assert not (tmp_path / "tr.csv").exists()
+
+    @pytest.mark.parametrize("where", ["run_experiment", "write_csv"])
+    def test_run_that_cannot_allocate_exits_config_error(self, where, tmp_path, capsys,
+                                                         monkeypatch):
+        # Stands in for an allocation too large for the machine, which used to
+        # end in an _ArrayMemoryError traceback and exit 1.
+        def cannot_allocate(*args):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(harness, where, cannot_allocate)
+        rc = cli.main(["run", "--preset", "efm-appendixE", "--out", str(tmp_path / "tr.csv")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: cannot allocate: Unable to allocate 72.8 TiB for an array\n")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("text", ["[1, 2]", '"x"', '[["method", "muon"]]'])
     def test_run_config_not_an_object_exits_config_error(self, text, tmp_path, capsys):

@@ -83,6 +83,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="finite p >= 1"):
             norms.Lp(p)
 
+    def test_refused_huge_integers_show_their_digit_count(self):
+        # Their messages used to print every digit, and past 4300 digits the
+        # repr raised its own ValueError in place of the spec's message.
+        with pytest.raises(ValueError, match=r"^Lp requires a finite p >= 1 \(Linf is p = inf\), "
+                                             r"got an integer of 5001 digits$"):
+            norms.Lp(10**5000)
+        with pytest.raises(ValueError, match="got a negative integer of 401 digits$"):
+            norms.ProductNormSpec(layer_dims=((2, 2),), s=-10**400, k=1)
+        with pytest.raises(ValueError, match="^k must be a positive integer, got a negative "
+                                             "integer of 5001 digits$"):
+            norms.ProductNormSpec(layer_dims=((2, 2),), s=1.0, k=-10**5000)
+        with pytest.raises(ValueError, match="pairs, got an integer of 5001 digits$"):
+            norms.ProductNormSpec(layer_dims=10**5000, s=1.0, k=1)
+        # Below the float range a refused value keeps its repr.
+        with pytest.raises(ValueError, match=f"got {-10**300}$"):
+            norms.ProductNormSpec(layer_dims=((2, 2),), s=-10**300, k=1)
+
     def test_lp_stores_p_as_a_python_float(self):
         # Lp(np.float32(3.0)) used to keep p in single precision, and its
         # primal norm of [1, 2, 3] read 3.301927328109741.
@@ -335,6 +352,38 @@ class TestFastKernels:
                 assert norms.fro(X) == float(np.linalg.norm(X))
             for X in (A, A[1]):  # not an ndarray: coerced, then the same kernel
                 assert norms.fro(X.tolist()) == float(np.linalg.norm(X))
+
+    def test_inner_bit_equal_to_its_per_call_sums(self):
+        # The two expressions per-call inner used before it became the B = 1
+        # case of inner_stack.  A C-order reshape of a Fortran-ordered or
+        # strided member would sum its products in another order, and vecdot
+        # reads a reversed or broadcast theta otherwise than np.dot.
+        def per_call(a, b):
+            if isinstance(a, norms.ParamPoint):
+                total = sum(float(np.sum(A * B)) for A, B in zip(a.matrices, b.matrices))
+                return total + float(np.dot(a.theta, b.theta))
+            return float(np.sum(np.asarray(a, float) * np.asarray(b, float)))
+
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            A = rng.standard_normal((40, 57)) * np.logspace(-8, 8, 57)
+            B = rng.standard_normal((40, 57))
+            for X, Y in ((A, B), (np.asfortranarray(A), np.asfortranarray(B)),
+                         (np.asfortranarray(A), B), (A.T, B.T), (A[::2, ::3], B[::2, ::3]),
+                         (A[::-1, ::-2], B[::-1, ::-2]), (A[1], B[1]), (A[:, 2], B[:, 2]),
+                         (A[3, ::-1], B[3]), (A[4, 0], B[5, 1])):
+                got = norms.inner(X, Y)
+                assert type(got) is float
+                assert_bits(np.float64(got), np.float64(per_call(X, Y)))
+            theta, layer = A[10, :37], A[:30, :20]
+            for th in (theta, theta[::-1], A[:37, 4], np.broadcast_to(A[11, 0], 37), theta[:1]):
+                for mats in ([np.asfortranarray(layer), A[30:, 3:9]], [layer.T, A[30:34, :2]]):
+                    p = norms.ParamPoint(mats, th)
+                    q = norms.ParamPoint([rng.standard_normal(M.shape) for M in mats],
+                                         rng.standard_normal(th.shape))
+                    for x, y in ((p, q), (p, p), (q, p)):
+                        assert_bits(np.float64(norms.inner(x, y)), np.float64(per_call(x, y)))
+                    assert_bits(np.float64(p.fro()), np.float64(math.sqrt(per_call(p, p))))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_param_point_rejects_non_finite_theta(self, bad):
@@ -599,6 +648,23 @@ class TestStackedNorms:
                 per_call = getattr(norms, fname)(Wb, spec)
                 assert_bits(per_call, REFERENCE[fname](Wb, spec))
                 assert_bits(stack_member(stacked, b), per_call)
+                checked += 1
+        assert checked > 700
+
+    def test_inner_and_fro_stacks_match_per_call(self):
+        rng = np.random.default_rng(6)
+        checked = 0
+        for spec, W in all_cases():
+            if isinstance(W, tuple):
+                V = [rng.standard_normal(M.shape) for M in W[0]], rng.standard_normal(W[1].shape)
+            else:
+                V = rng.standard_normal(W.shape)
+            inner, fro = norms.inner_stack(W, V), norms.fro_stack(W)
+            assert inner.shape == fro.shape == (size(W),)
+            for b in range(size(W)):
+                Wb, Vb = member(W, spec, b), member(V, spec, b)
+                assert_bits(inner[b], np.float64(norms.inner(Wb, Vb)))
+                assert_bits(fro[b], np.float64(norms.fro(Wb)))
                 checked += 1
         assert checked > 700
 

@@ -124,13 +124,13 @@ class TestOfflineStepsizes:
     TABLE = (0.3, 0.25, 0.25, 0.1)
 
     # (schedule, t0, n): a Table's t0 inside, at and past its end, and an
-    # InvT range that crosses 2**53, where floats stop being exact integers.
+    # InvT range that ends at 2**53, the last step whose float t + 1 is exact.
     CASES = {
         "Constant": (optim.Constant(0.3), 2, 7),
         "AdaptiveNuclear": (optim.AdaptiveNuclear(0.3), 2, 7),
         "InvT": (optim.InvT(), 5, 1000),
         "InvSqrtT": (optim.InvSqrtT(), 5, 1000),
-        "InvT past 2**53": (optim.InvT(), 2**53 - 1, 6),
+        "InvT up to 2**53": (optim.InvT(), 2**53 - 6, 6),
         "Table, t0 inside": (optim.Table(TABLE), 1, 6),
         "Table, t0 at the end": (optim.Table(TABLE), 4, 3),
         "Table, t0 past the end": (optim.Table(TABLE), 9, 3),
@@ -156,7 +156,7 @@ class TestOfflineStepsizes:
         with pytest.raises(ValueError, match="t0"):
             optim.offline_stepsizes(optim.Table((0.1, 0.2)), -1, 2)
 
-    @pytest.mark.parametrize("bad", [-1, True, 2.0, "3"])
+    @pytest.mark.parametrize("bad", [-1, True, 2.0, "3", pytest.param(-10**5000, id="-10**5000")])
     def test_t0_and_n_must_be_nonnegative_integers(self, bad):
         with pytest.raises(ValueError, match="t0 must be nonnegative: a nonnegative integer"):
             optim.offline_stepsizes(optim.InvT(), bad, 2)
@@ -166,6 +166,19 @@ class TestOfflineStepsizes:
     def test_numpy_integers_are_accepted(self):
         got = optim.offline_stepsizes(optim.InvT(), np.int64(2), np.int64(3))
         assert got.tolist() == [1 / 3, 1 / 4, 1 / 5]
+
+    @pytest.mark.parametrize("schedule, t0, n", [
+        (optim.InvT(), 2**53 - 5, 6),
+        (optim.InvSqrtT(), 0, 2**53 + 1),
+        (optim.Constant(0.1), 2**53, 1),
+        (optim.Table((0.2, 0.1)), 10**400, 0),
+        (optim.AdaptiveNuclear(0.1), 0, 10**13 * 2**40),
+    ], ids=["InvT", "InvSqrtT", "Constant", "Table", "AdaptiveNuclear"])
+    def test_refuses_a_range_past_2_53(self, schedule, t0, n):
+        # InvT past 2**53 used to be asked step by step in a list comprehension,
+        # and a long range allocated, or failed to allocate, all its floats.
+        with pytest.raises(ValueError, match=r"t0 \+ n must be at most 2\*\*53"):
+            optim.offline_stepsizes(schedule, t0, n)
 
 
 class TestOptimizerState:
@@ -523,7 +536,7 @@ class TestRun:
         assert np.all(np.isfinite(on.favg)) and np.all(np.isnan(off.favg))
 
     @pytest.mark.parametrize("noise_std", [math.nan, math.inf, 10**400, -0.1, True, "0.5",
-                                           None])
+                                           None, pytest.param(10**5000, id="10**5000")])
     def test_noisy_oracle_refuses_bad_noise_std(self, noise_std):
         # NaN and inf used to give NaN and inf subgradients, and 10**400 an
         # OverflowError at the first evaluate.
