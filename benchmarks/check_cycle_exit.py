@@ -13,20 +13,24 @@ repeating the last period (``optim._run_diagonal``).  This script runs
 - ``optim.run_batch`` of the one member (the lock-step engine, which has no
   early exit);
 
-and compares every Trace column as bytes.  The set-ups cycle through every
-rule but the product ones, beta in {0, 0.2, 0.5, 0.9}, and the three
+and compares every Trace column as bytes.  The set-ups cycle through the
+rules of ``cex.RUN_METHODS``, beta in {0, 0.2, 0.5, 0.9}, and the three
 schedules whose coefficient becomes constant: ``Constant``,
 ``AdaptiveNuclear`` and a ``Table`` shorter than T.  T runs up to
 ``MAX_T``; starts include the kinks w1 = +-w2, +-0.0 and non-finite
-entries, and some runs start at t0 > 0 or with nonzero M and E.
+entries, and some runs start at t0 > 0 or with nonzero M and E.  A run
+drawn with an odd t0 starts at ``np.int16(32767 - t0)`` instead, so its
+t0 + T passes the type's maximum: each loop must count in the Python int
+the state keeps, not in the wrapping numpy type.
 
 The stepsize has one ||M||_nuc factor, whether the rule (``regmuon``), the
 schedule (``AdaptiveNuclear``) or both ask for it, so each ``muon`` and
 ``regmuon`` run under ``AdaptiveNuclear(base)`` is also compared with the
 float loop's ``regmuon`` run under ``Constant(base)`` from the same state.
 
-Prints how many runs took the early exit; exits 1 if that is 0 or if any
-run mismatches.  Run it from the root of a source checkout::
+Prints how many runs took the early exit and how many counted past
+``INT16_MAX``; exits 1 if no run took the early exit or if any run
+mismatches.  Run it from the root of a source checkout::
 
     PYTHONPATH=src python3 benchmarks/check_cycle_exit.py
 """
@@ -50,6 +54,7 @@ MAX_T = 5000
 BETAS = (0.0, 0.2, 0.5, 0.9)
 COLUMNS = ("t", "lam", "f", "w11", "w22", "grad_fro", "favg")
 SPECIAL = (0.0, -0.0, 0.7, -0.7, np.nan, np.inf, -np.inf, 5e-324)
+INT16_MAX = int(np.iinfo(np.int16).max)
 # The rules that run as regmuon under Constant(base) when under AdaptiveNuclear(base).
 AS_REGMUON = ("muon", "regmuon")
 
@@ -61,7 +66,7 @@ def _trace_bytes(tr) -> tuple:
 def setups(seed: int = SEED):
     """(label, method, KinkyFunction, state factory, T) for each run."""
     rng = np.random.default_rng(seed)
-    methods = [name for name, rule in optim.RULES.items() if rule.lmo != "product"]
+    methods = cex.RUN_METHODS
     for i in range(RUNS):
         method = methods[i % len(methods)]
         beta = BETAS[i // len(methods) % len(BETAS)]
@@ -84,20 +89,22 @@ def setups(seed: int = SEED):
         if rng.integers(5):
             m1 = m2 = e1 = e2 = 0.0
         t0 = int(rng.integers(0, 20)) if rng.integers(7) == 0 else 0
+        if t0 % 2:  # from the draw above, so the other runs keep their set-ups
+            t0 = np.int16(INT16_MAX - t0)
         W0, M0, E0 = np.diag([w1, w2]), np.diag([m1, m2]), np.diag([e1, e2])
 
         def state0(W0=W0, M0=M0, E0=E0, beta=beta, schedule=schedule, t0=t0):
             return optim.OptimizerState(W=W0.copy(), beta=beta, schedule=schedule,
                                         M=M0.copy(), E=E0.copy(), t=t0)
 
-        yield (f"{method} beta={beta} {kind} T={T} t0={t0} W0=({w1!r}, {w2!r})",
+        yield (f"{method} beta={beta} {kind} T={T} t0={t0!r} W0=({w1!r}, {w2!r})",
                method, fn, state0, T)
 
 
 def main() -> int:
     warnings.simplefilter("ignore", RuntimeWarning)  # the general loop on non-finite starts
     repeat = optim._repeat_period
-    count, took, bad, twins, bad_twins = 0, 0, [], 0, []
+    count, took, wide, bad, twins, bad_twins = 0, 0, 0, [], 0, []
     start = time.perf_counter()
     for label, method, fn, state0, T in setups():
         calls = []  # one item per column the float loop filled by its period
@@ -106,6 +113,7 @@ def main() -> int:
             fast = _trace_bytes(optim.run(method, fn.oracle(), state0(), T,
                                           track_average=False))
         count, took = count + 1, took + bool(calls)
+        wide += state0().t + T > INT16_MAX
         general = _trace_bytes(optim.run(method, optim.FunctionOracle(fn.value, fn.subgradient),
                                          state0(), T, track_average=False))
         batch = _trace_bytes(optim.run_batch(method, [fn], [state0()], T)[0])
@@ -120,6 +128,7 @@ def main() -> int:
                 bad_twins.append(label)
     print(f"{count} runs compared with the general loop and run_batch in "
           f"{time.perf_counter() - start:.1f} s: {took} took the early exit, "
+          f"{wide} started at a np.int16 t0 and counted past its maximum, "
           f"{len(bad)} mismatched; {twins} AdaptiveNuclear runs compared with regmuon "
           f"under Constant(base): {len(bad_twins)} mismatched")
     for label in (bad + bad_twins)[:10]:

@@ -7,12 +7,11 @@ them against simulation traces.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, optim
+from . import linalg, norms, optim
 
 DEFAULT_TAIL_TOL = 1e-12
 
@@ -54,11 +53,10 @@ class KinkyFunction:
         # Stored as a Python float and ints, so f and its subgradient compute
         # in float64 whatever real type c was given as (np.float32, say).
         object.__setattr__(self, "c", optim._check_real(self.c, "c"))
-        for name in ("m", "n"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-            object.__setattr__(self, name, int(value))
+        for name, value in (("m", self.m), ("n", self.n)):
+            if (count := norms._integer(value)) is None:
+                raise ValueError(f"{name} must be an integer, not {norms._shown(value)}")
+            object.__setattr__(self, name, count)
         if not 0.0 < self.c < 1.0:
             raise ValueError("c must lie in (0, 1)")
         if self.m < 2 or self.n < 2:
@@ -174,7 +172,7 @@ def compute_R(schedule, t: int) -> float:
     alternating tail is accelerated by repeated averaging; the head length
     grows until two estimates agree within DEFAULT_TAIL_TOL.
     """
-    optim._check_count(t, "t")
+    t = optim._check_count(t, "t")
     lam = schedule.limit()
     prev = None
     for head in _HEAD_SIZES:
@@ -199,7 +197,7 @@ def compute_R(schedule, t: int) -> float:
 
 def compute_R_sequence(schedule, T: int) -> np.ndarray:
     """R_0 .. R_T via one tail evaluation and the exact recursion R_{t+1} = lam_t - R_t."""
-    optim._check_count(T, "T")
+    T = optim._check_count(T, "T")
     return _R_recursion(schedule, compute_R(schedule, 0), T + 1)
 
 
@@ -267,7 +265,7 @@ def cex1_build(beta, schedule, r: float = 1.0, delta: float = 0.0,
         if delta != 0.0:
             raise ValueError("delta must be 0 when the stepsizes vanish")
     else:
-        bad = np.nonzero(abs(delta) >= R[: horizon + 1])[0]
+        bad = np.nonzero(abs(delta) >= R)[0]  # R_0 .. R_horizon
         if bad.size:
             raise ValueError(f"|delta| >= R_t at t={bad[0]} (R={R[bad[0]]:.6g})")
         if abs(delta) >= lam / 2.0:
@@ -284,7 +282,7 @@ def cex1_build(beta, schedule, r: float = 1.0, delta: float = 0.0,
 def cex1_predicted_sequence(init: Cex1Init, T: int) -> np.ndarray:
     """(T+1) x 2 array of predicted diagonals for t = 0 .. T.  Past the build
     horizon R_t comes from ``_R_recursion``, whose prefix has the same bits."""
-    optim._check_count(T, "T")
+    T = optim._check_count(T, "T")
     R = init._R if T < len(init._R) else _R_recursion(init.schedule, init.R0, T + 1)
     signs = np.where(np.arange(T + 1) % 2 == 0, 1.0, -1.0)
     osc = init.delta + signs * R[: T + 1]
@@ -324,7 +322,7 @@ def cex2_guard_check(W0, beta, schedule, T: int, method: str = "muon",
     beta = optim._check_real(beta, "beta")
     if not 0.0 <= beta < 0.5:
         raise ValueError("beta must lie in [0, 1/2)")
-    optim._check_count(T, "T")
+    T = optim._check_count(T, "T")
     if method not in RUN_METHODS:
         raise ValueError(f"unknown method {method!r}; a run takes one of {', '.join(RUN_METHODS)}")
     if c is None:

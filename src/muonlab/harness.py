@@ -129,9 +129,9 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"unknown method {cfg['method']!r}; "
                           f"a run takes one of {', '.join(cex.RUN_METHODS)}")
     for key in ("m", "n", "seed", "T"):
-        if isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, np.integer)):
+        if (value := norms._integer(cfg[key])) is None:
             raise ConfigError(f"{key} must be an integer")
-        cfg[key] = int(cfg[key])
+        cfg[key] = value
     if cfg["m"] < 2 or cfg["n"] < 2:
         raise ConfigError("m and n must be at least 2")
     if not isinstance(cfg["track_average"], bool):
@@ -563,7 +563,7 @@ def _least_frobenius_grid(rng, base, Up, Vp, samples: int) -> float:
     """
     k = Up.shape[1]
     E = rng.uniform(-1.0, 1.0, (samples, k, k))
-    op = np.linalg.norm(E, 2, axis=(1, 2))
+    op = norms.primal_norm_stack(E, norms.OperatorNorm())
     E = np.where((op > 1.0)[:, None, None], E / op[:, None, None], E)
     return float(np.min(norms.fro_stack(base + Up @ E @ Vp.T)))
 
@@ -597,7 +597,7 @@ def suite_lmo(trials: int = 1000) -> list:
         X = norms.lmo_min(A, spec)
         best = _least_frobenius_grid(rng, U[:, :rank] @ V[:, :rank].T,
                                      U[:, rank:], V[:, rank:], 400)
-        gaps.append(float(np.linalg.norm(X)) - best)
+        gaps.append(norms.fro(X) - best)
     results.append(CheckResult(
         "lmo least-Frobenius vs brute force (rank-deficient 3x3)", _max(gaps), 1e-8))
     return results

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,11 +89,19 @@ def _shown(value) -> str:
     return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
 
 
+def _integer(value) -> int | None:
+    """The one integer parse: ``operator.index(value)``, None for a bool or a non-integer."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
+
+
 def _positive_int(value, what: str) -> int:
-    """``value`` as an int; a bool, a non-integer or one below 1 raises ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+    """``_integer(value)``; a bool, a non-integer or an int below 1 raises ValueError."""
+    if (n := _integer(value)) is None or n < 1:
         raise ValueError(f"{what} must be a positive integer, got {_shown(value)}")
-    return int(value)
+    return n
 
 
 @dataclass(frozen=True)
@@ -545,12 +554,6 @@ def dual_norm_and_lmo(W, spec) -> tuple:
     return float(dn[0]), _first(X)
 
 
-def _vector_dim(dims) -> int:
-    if dims is None:
-        raise ValueError("vector specs need the dimension d")
-    return _positive_int(dims, "the dimension d")
-
-
 def _matrix_rank(dims) -> int:
     """min(m, n) of a matrix shape (m, n) of positive integers."""
     try:
@@ -566,17 +569,15 @@ def compressor_constants(spec, dims=None) -> CompressorConstants:
     ``dims`` is the vector length d for L1/L2/Linf/Lp, the matrix shape
     (m, n) for Operator/Nuclear, and ignored for the product spec.
     """
-    if isinstance(spec, L1):
-        d = _vector_dim(dims)
-        return CompressorConstants(1.0, 1.0 / d)
     if isinstance(spec, L2):
         return CompressorConstants(1.0, 1.0)
-    if isinstance(spec, Linf):
-        d = _vector_dim(dims)
-        return CompressorConstants(1.0 / math.sqrt(d), 1.0 / d)
-    if isinstance(spec, Lp):
-        d = _vector_dim(dims)
-        alpha = d ** min(0.0, 1.0 / spec.p - 0.5)
+    if isinstance(spec, _VECTOR_SPECS):
+        d = _positive_int(dims, "the dimension d")
+        if isinstance(spec, L1):
+            return CompressorConstants(1.0, 1.0 / d)
+        if isinstance(spec, Linf):
+            return CompressorConstants(1.0 / math.sqrt(d), 1.0 / d)
+        alpha = d ** min(0.0, 1.0 / spec.p - 0.5)  # Lp
         delta = d ** (-2.0 * abs(1.0 / spec.p - 0.5))
         return CompressorConstants(alpha, delta)
     if isinstance(spec, NuclearNorm):

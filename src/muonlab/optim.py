@@ -45,10 +45,11 @@ def _stepsize(value, what: str = "stepsize") -> float:
     return value
 
 
-def _check_count(value, what: str):
-    """Raise ValueError unless ``value`` is an int or numpy integer >= 0, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+def _check_count(value, what: str) -> int:
+    """``norms._integer(value)``; a bool, a non-integer or an int below 0 raises ValueError."""
+    if (n := norms._integer(value)) is None or n < 0:
         raise ValueError(f"{what} must be nonnegative: a nonnegative integer, not {_shown(value)}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -129,8 +130,7 @@ def offline_stepsizes(schedule, t0: int, n: int) -> np.ndarray:
     Table a clamped slice of its read-only ``_array``, InvT and InvSqrtT their
     expressions on the float range t0 + 1 .. t0 + n (IEEE / and sqrt round as
     Python's do).  Other schedules are asked step by step."""
-    _check_count(t0, "t0")
-    _check_count(n, "n")
+    t0, n = _check_count(t0, "t0"), _check_count(n, "n")
     if t0 + n > 2**53:
         raise ValueError("t0 + n must be at most 2**53, where floats stop being exact integers")
     kind = type(schedule)
@@ -221,7 +221,7 @@ class OptimizerState:
         self.beta = _check_real(self.beta, "beta")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
-        _check_count(self.t, "t")
+        self.t = _check_count(self.t, "t")
         self.M = norms.zeros_like(self.W) if self.M is None else self.M
         self.E = norms.zeros_like(self.W) if self.E is None else self.E
 
@@ -387,7 +387,7 @@ def run(method, oracle, state0, T: int, track_average: bool = True) -> Trace:
     off the favg column is NaN.  A run on a counterexample function's own
     oracle takes ``_run_diagonal`` where it applies; the Trace is the same.
     """
-    _check_count(T, "T")
+    T = _check_count(T, "T")
     if method not in RULES:
         raise ValueError(f"unknown method {method!r}")
     if not isinstance(track_average, bool):
@@ -609,7 +609,7 @@ def run_batch(method, fns, states, T: int) -> list:
     gives up, is run by ``run``; so its Trace and its errors are ``run``'s,
     and the first member whose run raises makes the batch raise.
     """
-    _check_count(T, "T")
+    T = _check_count(T, "T")
     if method not in RULES:
         raise ValueError(f"unknown method {method!r}")
     fns, states = list(fns), list(states)
@@ -723,7 +723,7 @@ def _bound_factors(delta, beta, sigma, dist0) -> tuple:
 
 def _steps_plus_one(T) -> float:
     """T + 1 as a float, for a step count T; a T + 1 past the floats raises ValueError."""
-    _check_count(T, "T")
+    T = _check_count(T, "T")
     try:
         return T + 1.0
     except OverflowError:
@@ -755,7 +755,7 @@ def efm_bound_column(T: int, delta: float, beta: float, sigma: float,
     factors = _bound_factors(delta, beta, sigma, dist0)
     t1 = np.arange(1.0, stop)
     # math.log per row, as np.log may differ in the last bit.
-    return _bound_at(np.sqrt(t1), np.fromiter(map(math.log, t1.tolist()), float, T + 1), *factors)
+    return _bound_at(np.sqrt(t1), np.fromiter(map(math.log, t1.tolist()), float, len(t1)), *factors)
 
 
 def _check_nonincreasing(lams: np.ndarray):

@@ -27,10 +27,13 @@ class TestKinkyFunction:
             assert type(fn.c) is float and fn.c == float(c)
         fn = cex.KinkyFunction(c=0.3, m=np.int64(3), n=4)
         assert type(fn.m) is int and (fn.m, fn.n) == (3, 4)
+        fn = cex.KinkyFunction(c=0.3, m=np.array(3), n=np.uint8(4))
+        assert (type(fn.m), type(fn.n)) == (int, int) and (fn.m, fn.n) == (3, 4)
 
     @pytest.mark.parametrize("kw", [dict(c=True), dict(c="0.3"), dict(c=0.3 + 0j),
                                     dict(c=0.3, m=2.5), dict(c=0.3, n=3.0),
-                                    dict(c=0.3, m=True), dict(c=0.3, n="3")])
+                                    dict(c=0.3, m=True), dict(c=0.3, n="3"),
+                                    dict(c=0.3, m=np.True_), dict(c=0.3, n=np.array(3.0))])
     def test_refuses_non_real_c_and_non_integer_shape(self, kw):
         # m = 2.5 used to pass and then fail in np.zeros.
         with pytest.raises(ValueError, match="must be"):
@@ -168,6 +171,13 @@ class TestComputeR:
         for t in range(50):
             assert R[t + 1] == optim.InvT().value(t) - R[t]
         assert abs(R[0] - math.log(2)) < 1e-12
+        # A numpy integer t or T is its Python int: compute_R from
+        # np.int8(120) raised OverflowError, its head range passing the
+        # type's maximum.
+        for sch in (optim.InvT(), optim.Table((0.5, 0.4, 0.3))):
+            assert cex.compute_R(sch, np.int8(120)) == cex.compute_R(sch, 120)
+            assert cex.compute_R_sequence(sch, np.int8(127)).tobytes() == \
+                cex.compute_R_sequence(sch, 127).tobytes()
 
     def test_rejects_increasing_schedule(self):
         with pytest.raises(ValueError):
@@ -334,6 +344,13 @@ class TestCex1:
         R = cex.compute_R_sequence(optim.InvT(), 3)
         osc = init.delta + np.array([1.0, -1.0, 1.0, -1.0]) * R
         assert pred.tobytes() == np.column_stack([init.r + osc, init.r - osc]).tobytes()
+        # np.int8(127) wrapped at T + 1, and the prediction was a (0, 2) array.
+        for T in (np.int8(127), np.uint8(255)):
+            assert cex.cex1_predicted_sequence(init, T).tobytes() == \
+                cex.cex1_predicted_sequence(init, int(T)).tobytes()
+        # The build's horizon is a count too.
+        built = cex.cex1_build(0.5, optim.Constant(0.2), delta=0.05, horizon=np.int8(127))[2]
+        assert built._R.tobytes() == cex.compute_R_sequence(optim.Constant(0.2), 127).tobytes()
 
     @pytest.mark.parametrize("T", [1.5, "1", "2"])
     def test_predicted_sequence_rejects_non_integer_T(self, T):
@@ -396,6 +413,10 @@ class TestCex2:
         assert not g.ok and g.first_bad_t == 0  # q0 = 0
         g = cex.cex2_guard_check(np.diag([1.0, -1.0]), 0.2, sch, 100)
         assert not g.ok  # p0 = 0
+        # A numpy integer T is its Python int; np.int8(127) + 1 wrapped in run.
+        g = cex.cex2_guard_check(np.diag([1.0, 0.5]), 0.2, sch, np.int8(127))
+        assert g == cex.cex2_guard_check(np.diag([1.0, 0.5]), 0.2, sch, 127)
+        assert type(g.T) is int
         with pytest.raises(ValueError):
             cex.cex2_guard_check(np.eye(2), 0.6, sch, 10)
 

@@ -102,7 +102,7 @@ class TestConfig:
             harness.resolve_config({**self.BASE, "track_average": "false"})
 
     @pytest.mark.parametrize("key", ["m", "n", "seed", "T"])
-    @pytest.mark.parametrize("value", [True, 2.0, "2"])
+    @pytest.mark.parametrize("value", [True, 2.0, "2", pytest.param(np.True_, id="np.True_")])
     def test_rejects_non_integer_sizes_and_seed(self, key, value):
         with pytest.raises(harness.ConfigError, match=key):
             harness.resolve_config({**self.BASE, key: value})
@@ -149,6 +149,8 @@ class TestConfig:
                                       "track_average": False})
         assert cfg["m"] == 3 and type(cfg["m"]) is int
         assert cfg["track_average"] is False
+        cfg = harness.resolve_config({**self.BASE, "T": np.uint8(255), "n": np.array(3)})
+        assert (cfg["T"], cfg["n"]) == (255, 3) and type(cfg["T"]) is type(cfg["n"]) is int
 
     @pytest.mark.parametrize("init, match", [
         ("cex1", "init must be an object"),

@@ -122,7 +122,9 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="scale s"):
             norms.ProductNormSpec(layer_dims=((2, 2),), s=s, k=1)
 
-    @pytest.mark.parametrize("k", [0, -1, 1.5, 2.0, True, "2", None])
+    @pytest.mark.parametrize("k", [0, -1, 1.5, 2.0, True, "2", None,
+                                   pytest.param(np.True_, id="np.True_"),
+                                   pytest.param(np.array(2.0), id="0-d float array")])
     def test_product_requires_integer_k(self, k):
         with pytest.raises(ValueError, match="k must be a positive integer"):
             norms.ProductNormSpec(layer_dims=((2, 2),), s=1.0, k=k)
@@ -144,6 +146,9 @@ class TestSpecValidation:
         assert type(spec.s) is float and spec.s == 2.0
         assert type(spec.k) is int and spec.k == 3
         assert spec == norms.ProductNormSpec(layer_dims=((2, 2),), s=2.0, k=3)
+        spec = norms.ProductNormSpec(layer_dims=((np.int8(2), np.array(3)),), s=2, k=np.array(3))
+        assert spec.layer_dims == ((2, 3),) and type(spec.layer_dims[0][1]) is int
+        assert type(spec.k) is int and spec.k == 3
 
 
 class TestDualNorm:
@@ -238,15 +243,20 @@ class TestCompressorConstants:
         cc = norms.compressor_constants(norms.Linf(), 9)
         assert cc.alpha == 1.0 / 3.0 and cc.delta == 1.0 / 9.0
         assert norms.compressor_constants(norms.L1(), 4).delta == 0.25
+        for d in (np.int8(8), np.array(8)):  # a numpy integer d is its Python int
+            assert norms.compressor_constants(norms.Lp(3.0), d) == \
+                norms.compressor_constants(norms.Lp(3.0), 8)
         assert norms.compressor_constants(norms.NuclearNorm(), (3, 5)).delta == 1.0 / 3.0
         cc = norms.compressor_constants(norms.Lp(3.0), 8)
         assert abs(cc.alpha - 8 ** (1 / 3 - 0.5)) < 1e-15
         assert abs(cc.delta - 8 ** (-2 * abs(1 / 3 - 0.5))) < 1e-15
 
     @pytest.mark.parametrize("spec", [norms.L1(), norms.Linf(), norms.Lp(3.0)])
-    @pytest.mark.parametrize("d", [0, -1, 2.5, True, "4"])
+    @pytest.mark.parametrize("d", [0, -1, 2.5, True, "4", None,
+                                   pytest.param(np.True_, id="np.True_")])
     def test_vector_dims_must_be_a_positive_integer(self, spec, d):
-        # 0 used to raise ZeroDivisionError, and 2.5 became 2.
+        # 0 used to raise ZeroDivisionError, and 2.5 became 2; a missing d
+        # is refused as any other non-integer.
         with pytest.raises(ValueError, match="dimension d must be a positive integer"):
             norms.compressor_constants(spec, d)
 

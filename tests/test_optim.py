@@ -166,6 +166,16 @@ class TestOfflineStepsizes:
     def test_numpy_integers_are_accepted(self):
         got = optim.offline_stepsizes(optim.InvT(), np.int64(2), np.int64(3))
         assert got.tolist() == [1 / 3, 1 / 4, 1 / 5]
+        # Each count is its Python int: np.int8(126) + 1 wrapped to -128 and
+        # gave negative stepsizes.
+        got = optim.offline_stepsizes(optim.InvT(), np.int8(126), 3)
+        assert got.tolist() == [1 / 127, 1 / 128, 1 / 129]
+        for schedule in (optim.InvT(), optim.InvSqrtT(), optim.Table(self.TABLE),
+                         HalvingConstant(0.5)):
+            for t0, n in ((np.int8(126), 3), (np.array(126), np.uint8(3)),
+                          (np.int16(32760), np.int8(20))):
+                want = optim.offline_stepsizes(schedule, int(t0), int(n))
+                assert optim.offline_stepsizes(schedule, t0, n).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("schedule, t0, n", [
         (optim.InvT(), 2**53 - 5, 6),
@@ -182,7 +192,8 @@ class TestOfflineStepsizes:
 
 
 class TestOptimizerState:
-    @pytest.mark.parametrize("t", [-1, 1.5, True])
+    @pytest.mark.parametrize("t", [-1, 1.5, True, pytest.param(np.True_, id="np.True_"),
+                                   pytest.param(np.array(1.0), id="0-d float array")])
     def test_rejects_t_that_is_not_a_nonnegative_integer(self, t):
         # t = -1 used to raise ZeroDivisionError in run under InvT and
         # InvSqrtT, and a Table read its last stepsize first.
@@ -190,7 +201,29 @@ class TestOptimizerState:
             optim.OptimizerState(W=np.eye(2), schedule=optim.InvT(), t=t)
 
     def test_accepts_numpy_integer_t(self):
-        assert optim.OptimizerState(W=np.eye(2), t=np.int64(3)).t == 3
+        # t is kept as the Python int, as a 0-d integer array's is.
+        for t in (np.int64(3), np.array(3)):
+            st = optim.OptimizerState(W=np.eye(2), t=t)
+            assert type(st.t) is int and st.t == 3
+        # The loops counted in the numpy type, which wraps at its maximum:
+        # from np.int8(126) under InvT the float loop, the general loop and
+        # run_batch gave wrong, unequal stepsizes, and from np.int16(32760)
+        # the general loop raised IndexError on the Table.
+        fn = cex.KinkyFunction(c=0.3)
+
+        def traces(method, schedule, t0):
+            def state0():
+                return optim.OptimizerState(W=np.diag([1.3, -0.45]), beta=0.4,
+                                            schedule=schedule, t=t0)
+
+            return [trace_bytes(optim.run(method, oracle, state0(), 20, track_average=False))
+                    for oracle in (fn.oracle(), general_oracle(fn))] + \
+                [trace_bytes(optim.run_batch(method, [fn], [state0()], 20)[0])]
+
+        for schedule, t in ((optim.InvT(), np.int8(126)),
+                            (optim.Table((0.5, 0.25)), np.int16(32760))):
+            for method in DIAGONAL_METHODS:
+                assert traces(method, schedule, t) == traces(method, schedule, int(t))
 
     @pytest.mark.parametrize("beta", [-0.1, 1.0, math.nan, *HUGE])
     def test_rejects_beta_outside_unit_interval(self, beta):
@@ -600,8 +633,8 @@ def mixed_batch(seed, n=15, shape=(2, 2)):
     return fns, states
 
 
-# The rules run's float loop takes on a KinkyOracle: all but the product ones.
-DIAGONAL_METHODS = tuple(name for name, rule in optim.RULES.items() if rule.lmo != "product")
+# The rules run's float loop takes on a KinkyOracle: those that run on a KinkyFunction.
+DIAGONAL_METHODS = cex.RUN_METHODS
 
 
 def trace_bytes(tr):
@@ -1247,7 +1280,9 @@ class TestStepCounts:
     }
 
     @pytest.mark.parametrize("call", CALLS)
-    @pytest.mark.parametrize("T", [-1, True, False, 2.0, 2.5, "3"])
+    @pytest.mark.parametrize("T", [-1, True, False, 2.0, 2.5, "3",
+                                   pytest.param(np.True_, id="np.True_"),
+                                   pytest.param(np.array(2.0), id="0-d float array")])
     def test_rejects_T_that_is_not_a_nonnegative_integer(self, call, T):
         # run took one step for True, run_batch raised TypeError, run with
         # 2.0 failed inside numpy and efm_bound(2.5, ...) returned a number.
@@ -1256,7 +1291,11 @@ class TestStepCounts:
 
     @pytest.mark.parametrize("call", CALLS)
     def test_numpy_integer_T_is_accepted(self, call):
-        assert self.CALLS[call](np.int64(3)) == self.CALLS[call](3)
+        # T is its Python int.  T + 1 wrapped in the numpy type: run and
+        # run_batch raised ValueError at np.int8(127) and IndexError at
+        # np.uint8(255), and efm_bound_column a broadcast ValueError.
+        for T in (np.int64(3), np.int8(127), np.uint8(255), np.array(3)):
+            assert self.CALLS[call](T) == self.CALLS[call](int(T))
 
     @pytest.mark.parametrize("call", ["efm_bound", "efm_bound_column"])
     def test_bound_refuses_T_whose_successor_overflows_a_float(self, call):
