@@ -21,8 +21,8 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
   call: the fixed cost of a run, the float loop's dispatch and post-pass;
 - ``optim.run`` shaped like a ``cex-sweep`` item of ``perfbench``: ``muon``
   with a ``Table`` and ``regmuon`` with ``AdaptiveNuclear(0.05)`` for
-  ``SWEEP_T`` steps from a dense 2x2 start, the function and its oracle
-  built for every run, in microseconds per call;
+  ``SWEEP_T`` steps from a dense 2x2 start, the function built for every
+  run, in microseconds per call;
 - ``optim.run`` for ``LONG_T`` steps without the running average:
   ``regmuon`` with ``AdaptiveNuclear(0.05)`` and ``muon`` with
   ``Constant(0.2)``, which stop their float loop once the state repeats,
@@ -34,12 +34,13 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
   ``Table`` and ``regmuon`` with ``AdaptiveNuclear(0.05)``, as in ``verify
   cex2``, and ``efmuon`` with ``InvSqrtT``, from dense 2x2 starts.  A set-up
   the library refuses with ``ValueError`` is left out;
-- one ``evaluate`` of that function's oracle, and one ``KinkyFunction.oracle()``
-  construction, in microseconds per call;
+- one ``evaluate`` of that function's oracle, in microseconds per call;
 - the inputs a ``cex-sweep`` item of ``perfbench`` builds before its run, in
-  microseconds per call: ``OptimizerState(...)`` from a dense 2x2 start and
-  ``KinkyFunction(c)``;
-- ``KinkyOracle.grad_fro``, the gradient-norm column of a float-loop run's
+  microseconds per call: ``OptimizerState(...)`` from a dense 2x2 start,
+  ``KinkyFunction(c)``, and ``KinkyFunction(c).oracle()``, the oracle an
+  item runs on, which includes the build of the function's nine-row
+  subgradient table whichever of the two calls makes it;
+- ``KinkyFunction.grad_fro``, the gradient-norm column of a float-loop run's
   post-pass, on the diagonals of a ``muon`` run with a ``Table`` for each T
   in ``GRAD_FRO_T``, in microseconds per call;
 - ``counterexample.cex1_build`` at horizon ``CEX1_HORIZON`` with ``InvT`` and
@@ -234,18 +235,17 @@ def _step_timings() -> dict:
             "us_per_call", OFFLINE_CALLS)
     timings["oracle.evaluate"] = _per_unit(_timed(
         _calls(oracle.evaluate, [(W,)] * ORACLE_CALLS)), "us_per_call", ORACLE_CALLS)
-    timings["KinkyFunction.oracle"] = _per_unit(_timed(
-        _calls(fn.oracle, [()] * ORACLE_BUILDS)), "us_per_call", ORACLE_BUILDS)
     for label, build in (
             ("OptimizerState(...)",
              lambda: optim.OptimizerState(W=W_sweep, beta=0.2, schedule=table)),
-            ("KinkyFunction(c)", lambda: cex.KinkyFunction(c=0.3))):
+            ("KinkyFunction(c)", lambda: cex.KinkyFunction(c=0.3)),
+            ("KinkyFunction(c).oracle()", lambda: cex.KinkyFunction(c=0.3).oracle())):
         timings[label] = _per_unit(_timed(_calls(build, [()] * ORACLE_BUILDS)),
                                    "us_per_call", ORACLE_BUILDS)
     tr = optim.run("muon", oracle, state, max(GRAD_FRO_T), track_average=False)
     for T in GRAD_FRO_T:
         S, D = tr.sum_diag[:T + 1], tr.diff_diag[:T + 1]
-        timings[f"KinkyOracle.grad_fro[T={T}]"] = _per_unit(_timed(
+        timings[f"KinkyFunction.grad_fro[T={T}]"] = _per_unit(_timed(
             _calls(oracle.grad_fro, [(S, D)] * ORACLE_BUILDS)), "us_per_call", ORACLE_BUILDS)
     for schedule in (optim.InvT(), optim.Constant(0.2)):
         timings[f"cex1_build[{schedule!r},horizon={CEX1_HORIZON}]"] = _per_unit(_timed(

@@ -43,6 +43,13 @@ class KinkyFunction:
 
     Convex and Lipschitz, minimized exactly when W11 = W22 = 0, with
     inf f = 0.  Entries outside the leading 2x2 diagonal are ignored.
+
+    The function is its own subgradient oracle: ``evaluate(W)`` is
+    ``(value(W), subgradient(W))`` bit for bit.  The subgradient depends on W
+    only through the signs s1 of w1 + w2 and s2 of w1 - w2, so ``evaluate``
+    reads the leading diagonal once and copies one of nine subgradients,
+    built with the function and read-only; a NaN falls in the class of a
+    zero, as in ``_sign``.
     """
 
     c: float
@@ -61,6 +68,23 @@ class KinkyFunction:
             raise ValueError("c must lie in (0, 1)")
         if self.m < 2 or self.n < 2:
             raise ValueError("need m, n >= 2")
+        # Each sign class's subgradient, row 3 * (s1 + 1) + (s2 + 1), by
+        # ``subgradient``'s own expressions: ``rows``, its (G[0, 0], G[1, 1])
+        # as floats, for the float loops of ``optim.run`` and ``run_batch``;
+        # ``_table``, the nine as a (9, m, n) stack, and ``_table_fro``, their
+        # ``norms.fro`` (``linalg._fro_members``), both read-only.
+        signs = (-1.0, 0.0, 1.0)
+        rows = tuple((self.c * s1 + s2, self.c * s1 - s2) for s1 in signs for s2 in signs)
+        G = np.zeros((9, self.m, self.n))
+        G[:, 0, 0], G[:, 1, 1] = zip(*rows)
+        fro = linalg._fro_members(G)
+        G.flags.writeable = fro.flags.writeable = False
+        for name, value in (("rows", rows), ("_table", G), ("_table_fro", fro)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # A copy or an unpickled function builds its own read-only table.
+        return type(self), (self.c, self.m, self.n)
 
     def sd_value(self, s, d):
         """c|s| + |d| at s = w1 + w2 and d = w1 - w2, floats or arrays alike:
@@ -79,52 +103,9 @@ class KinkyFunction:
         G[0, 0], G[1, 1] = self.c * s1 + s2, self.c * s1 - s2
         return G
 
-    def oracle(self) -> KinkyOracle:
-        return KinkyOracle(self)
-
-
-def _subgradients(fn: KinkyFunction) -> tuple:
-    """The nine subgradients of ``fn`` as a (9, m, n) stack, row
-    3 * (s1 + 1) + (s2 + 1), their Frobenius norms, shape (9,), and each
-    row's (G[0, 0], G[1, 1]) as a pair of floats.
-
-    The subgradient depends on W only through the signs s1 of w1 + w2 and s2
-    of w1 - w2; row k is ``fn.subgradient`` at any W of that sign class, by
-    its own expressions.  Sign 0 is the class of a zero (and of a NaN).
-    ``linalg._fro_members`` is ``norms.fro`` of each row.
-    """
-    signs = (-1.0, 0.0, 1.0)
-    pairs = tuple((fn.c * s1 + s2, fn.c * s1 - s2) for s1 in signs for s2 in signs)
-    G = np.zeros((9, fn.m, fn.n))
-    G[:, 0, 0], G[:, 1, 1] = zip(*pairs)
-    return G, linalg._fro_members(G), pairs
-
-
-def _signs(x: np.ndarray) -> np.ndarray:
-    """``_sign(x)`` elementwise, as integers; NaN maps to 0."""
-    return np.subtract(x > 0, x < 0, dtype=np.intp)
-
-
-class KinkyOracle:
-    """The subgradient oracle of a KinkyFunction: ``evaluate(W)`` is
-    ``(fn.value(W), fn.subgradient(W))`` bit for bit.
-
-    ``evaluate`` reads the leading diagonal once and computes the value by
-    ``fn.sd_value``.  The subgradient is a copy of one of the nine from
-    ``_subgradients``, picked by the sign classes of w1 + w2 and w1 - w2.
-    A NaN falls in the class of a zero, as in ``_sign``.  ``rows`` holds the
-    nine's ``(G[0, 0], G[1, 1])`` as floats, for the float loops of
-    ``optim.run`` and ``optim.run_batch``, and ``fro`` their Frobenius norms.
-    """
-
-    __slots__ = ("fn", "_table", "rows", "fro")
-
-    def __init__(self, fn: KinkyFunction):
-        self.fn = fn
-        self._table, self.fro, self.rows = _subgradients(fn)
-
-    def value(self, W) -> float:
-        return self.fn.value(W)
+    def oracle(self) -> KinkyFunction:
+        """The function itself: it implements the oracle protocol."""
+        return self
 
     def evaluate(self, W):
         w1 = float(W[0, 0])
@@ -132,12 +113,17 @@ class KinkyOracle:
         s = w1 + w2
         d = w1 - w2
         k = 3 * ((s > 0) - (s < 0)) + (d > 0) - (d < 0) + 4
-        return self.fn.sd_value(s, d), self._table[k].copy()
+        return self.sd_value(s, d), self._table[k].copy()
 
     def grad_fro(self, s: np.ndarray, d: np.ndarray) -> np.ndarray:
         """``norms.fro`` of the subgradient ``evaluate`` returns at each
         diagonal with w1 + w2 = s[i] and w1 - w2 = d[i]."""
-        return self.fro.take(3 * _signs(s) + _signs(d) + 4)
+        return self._table_fro.take(3 * _signs(s) + _signs(d) + 4)
+
+
+def _signs(x: np.ndarray) -> np.ndarray:
+    """``_sign(x)`` elementwise, as integers; NaN maps to 0."""
+    return np.subtract(x > 0, x < 0, dtype=np.intp)
 
 
 def lipschitz_bound(c: float) -> float:

@@ -396,6 +396,7 @@ def _grouped(draws) -> list:
 
 
 def suite_polar(trials: int = 500) -> list:
+    trials = norms._positive_int(trials, "trials")
     rng = np.random.default_rng(7)
 
     # Well-conditioned inputs (U * s) @ V^T with orthonormal U, V from QR and
@@ -479,6 +480,7 @@ def _reduction_lockstep(beta, schedules, a, U, b, w0, steps: int) -> tuple:
 
 
 def suite_reduction(trials: int = 50, steps: int = 100) -> list:
+    trials, steps = norms._positive_int(trials, "trials"), norms._positive_int(steps, "steps")
     rng = np.random.default_rng(11)
     worst = [0.0]
     for _, *group in _grouped(_reduction_draw(rng) for _ in range(trials)):
@@ -529,6 +531,7 @@ def _product_spec():
 
 
 def suite_compressor(trials: int = 1000) -> list:
+    trials = norms._positive_int(trials, "trials")
     rng = np.random.default_rng(13)
     results = []
     for spec in _basic_specs():
@@ -569,6 +572,7 @@ def _least_frobenius_grid(rng, base, Up, Vp, samples: int) -> float:
 
 
 def suite_lmo(trials: int = 1000) -> list:
+    trials = norms._positive_int(trials, "trials")
     rng = np.random.default_rng(17)
     results = []
     for spec in _basic_specs() + [_product_spec()]:
@@ -626,6 +630,7 @@ def suite_cex1(T: int = 5000) -> list:
 
 
 def suite_cex2(trials: int = 100, T: int = 2000) -> list:
+    trials = norms._positive_int(trials, "trials")
     rng = np.random.default_rng(23)
     results = []
     tol = 1e-12  # on |p_t - p_0|, and on how far min f_t may fall below c |p_0|

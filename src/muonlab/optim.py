@@ -164,14 +164,15 @@ class FunctionOracle:
 
 
 class NoisyOracle:
-    """Wraps a base oracle with seeded additive Gaussian noise on the subgradient."""
+    """Wraps a base oracle with seeded additive Gaussian noise on the
+    subgradient; ``seed`` is a nonnegative integer (``_check_count``)."""
 
     def __init__(self, base, noise_std: float, seed: int = 0):
         std = norms._real(noise_std)
         if std is None or not 0 <= std < math.inf:
             raise ValueError(f"noise_std must be nonnegative and finite, not {_shown(noise_std)}")
         self.base, self.noise_std = base, std
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(_check_count(seed, "seed"))
 
     def evaluate(self, W):
         value, G = self.base.evaluate(W)
@@ -384,8 +385,8 @@ def run(method, oracle, state0, T: int, track_average: bool = True) -> Trace:
     Records T + 1 rows.  The favg and final-value rows read the objective
     through the oracle's ``value`` (see ``_value``), so a noisy oracle's
     subgradients do not depend on ``track_average``.  With ``track_average``
-    off the favg column is NaN.  A run on a counterexample function's own
-    oracle takes ``_run_diagonal`` where it applies; the Trace is the same.
+    off the favg column is NaN.  A run on a counterexample function, its own
+    oracle, takes ``_run_diagonal`` where it applies; the Trace is the same.
     """
     T = _check_count(T, "T")
     if method not in RULES:
@@ -438,13 +439,12 @@ def _runs_on_diagonal(rule: Rule, oracle, state: OptimizerState) -> bool:
     predicate for ``run``'s ``_run_diagonal`` and for the members that
     ``run_batch`` steps on ``_lockstep`` (``run`` takes the others).
 
-    The oracle must be a KinkyFunction's own KinkyOracle; the rule's LMO the
-    exact polar factor or the sign; the schedule of a type in
+    The oracle must be a KinkyFunction, of exactly that type; the rule's LMO
+    the exact polar factor or the sign; the schedule of a type in
     _DIAGONAL_SCHEDULES; W, M and E native float64 arrays of the function's
     shape, M and E finite and zero off their first two diagonal entries.
     """
-    cex = _counterexample()
-    if type(oracle) is not cex.KinkyOracle or type(oracle.fn) is not cex.KinkyFunction:
+    if type(oracle) is not _counterexample().KinkyFunction:
         return False
     # A state built with the default keeps the function linalg defined, even
     # after linalg.polar_exact has been rebound (to a tracing wrapper, say).
@@ -453,7 +453,7 @@ def _runs_on_diagonal(rule: Rule, oracle, state: OptimizerState) -> bool:
         return False
     if type(state.schedule) not in _DIAGONAL_SCHEDULES:
         return False
-    shape = (oracle.fn.m, oracle.fn.n)
+    shape = (oracle.m, oracle.n)
     for A in (state.W, state.M, state.E):
         if type(A) is not np.ndarray or A.dtype is not linalg._FLOAT64 or A.shape != shape:
             return False
@@ -462,7 +462,7 @@ def _runs_on_diagonal(rule: Rule, oracle, state: OptimizerState) -> bool:
                for A in (state.M, state.E))
 
 
-def _run_diagonal(rule: Rule, oracle, state: OptimizerState, T: int,
+def _run_diagonal(rule: Rule, fn, state: OptimizerState, T: int,
                   track_average: bool) -> Trace | None:
     """``run``'s loop on the first two diagonal entries of W, M and E, as floats.
 
@@ -504,10 +504,10 @@ def _run_diagonal(rule: Rule, oracle, state: OptimizerState, T: int,
     done, kept, kept_at, span, period = 0, None, steady, 0, 0
     momentum = rule.momentum and state.beta != 0.0
     beta, one_minus_beta = float(state.beta), float(1.0 - state.beta)
-    rows = [(one_minus_beta * g1, one_minus_beta * g2) for g1, g2 in oracle.rows] \
-        if momentum else oracle.rows
+    rows = [(one_minus_beta * g1, one_minus_beta * g2) for g1, g2 in fn.rows] \
+        if momentum else fn.rows
     Rn, Rz, Rp = rows[0:3], rows[3:6], rows[6:9]  # by the sign of w1 + w2
-    feedback, r = rule.feedback, min(oracle.fn.m, oracle.fn.n)
+    feedback, r = rule.feedback, min(fn.m, fn.n)
     w1, w2 = float(state.W[0, 0]), float(state.W[1, 1])
     m1, m2 = float(state.M[0, 0]), float(state.M[1, 1])
     e1, e2 = float(state.E[0, 0]), float(state.E[1, 1])
@@ -561,7 +561,7 @@ def _run_diagonal(rule: Rule, oracle, state: OptimizerState, T: int,
             else not mult or linalg._all_finite(lams)):
         return None
     means = (_floats(a11), _floats(a22)) if track_average else None
-    return _diagonal_trace(oracle, W1, W2, lams, means)
+    return _diagonal_trace(fn, W1, W2, lams, means)
 
 
 # Steps per chunk of _run_diagonal's steady tail, and its packed state.
@@ -582,16 +582,15 @@ def _floats(xs: list) -> np.ndarray:
     return out
 
 
-def _diagonal_trace(oracle, W1, W2, lam, means=None) -> Trace:
+def _diagonal_trace(fn, W1, W2, lam, means=None) -> Trace:
     """The Trace of a float loop's T steps, whose columns are its records:
     W1 and W2, the first two diagonal entries of W_0 .. W_T; ``lam``, the T
     stepsizes and a slot for the final NaN; the means' entries, if given.
     f, favg and grad_fro are derived, numpy's warnings off as the floats' are."""
-    fn = oracle.fn
     with np.errstate(all="ignore"):
         S, D = W1 + W2, W1 - W2
         f = fn.sd_value(S, D)
-        grad_fro = oracle.grad_fro(S, D)
+        grad_fro = fn.grad_fro(S, D)
         favg = np.full(len(W1), np.nan) if means is None else \
             fn.sd_value(means[0] + means[1], means[0] - means[1])
     lam[-1] = grad_fro[-1] = np.nan
@@ -618,17 +617,15 @@ def run_batch(method, fns, states, T: int) -> list:
     if not all(isinstance(fn, _counterexample().KinkyFunction) for fn in fns):
         raise ValueError("run_batch takes KinkyFunction objects")
     rule = RULES[method]
-    built = {fn: fn.oracle() for fn in dict.fromkeys(fns)}  # one oracle per distinct function
-    oracles = [built[fn] for fn in fns]
-    lockstep = [b for b, (oracle, st) in enumerate(zip(oracles, states))
-                if _runs_on_diagonal(rule, oracle, st)]
-    ran = dict(zip(lockstep, _run_lockstep(rule, [oracles[b] for b in lockstep],
+    lockstep = [b for b, (fn, st) in enumerate(zip(fns, states))
+                if _runs_on_diagonal(rule, fn, st)]
+    ran = dict(zip(lockstep, _run_lockstep(rule, [fns[b] for b in lockstep],
                                            [states[b] for b in lockstep], T) if lockstep else []))
-    return [ran[b] if ran.get(b) is not None else run(method, oracle, st, T, track_average=False)
-            for b, (oracle, st) in enumerate(zip(oracles, states))]
+    return [ran[b] if ran.get(b) is not None else run(method, fn, st, T, track_average=False)
+            for b, (fn, st) in enumerate(zip(fns, states))]
 
 
-def _run_lockstep(rule: Rule, oracles: list, states: list, T: int) -> list:
+def _run_lockstep(rule: Rule, fns: list, states: list, T: int) -> list:
     """``_run_diagonal`` for B >= 1 members at once: ``_lockstep`` on the
     (B, 2) stack of their first two diagonal entries, each numpy operation
     elementwise the float loop's.  Returns each member's Trace, or None where
@@ -641,18 +638,18 @@ def _run_lockstep(rule: Rule, oracles: list, states: list, T: int) -> list:
     """
     _signs, B = _counterexample()._signs, len(states)
     coef, offline, start = np.empty((T, B)), {}, []  # coef: stepsizes before any ||M||_nuc
-    for b, (oracle, st) in enumerate(zip(oracles, states)):
+    for b, (fn, st) in enumerate(zip(fns, states)):
         key = (id(st.schedule), st.t)
         if key not in offline:  # one array per schedule and start
             offline[key] = offline_stepsizes(st.schedule, st.t, T)
         coef[:, b] = offline[key]
         betas = (float(st.beta), float(1.0 - st.beta)) if rule.momentum else (0.0, 1.0)
         start.append((st.W[0, 0], st.W[1, 1], st.M[0, 0], st.M[1, 1], st.E[0, 0], st.E[1, 1],
-                      *betas, min(oracle.fn.m, oracle.fn.n),
+                      *betas, min(fn.m, fn.n),
                       rule.scaled or isinstance(st.schedule, AdaptiveNuclear)))
     start = np.array(start)
     beta, one_minus_beta, r, mult = start[:, 6:].T  # mult: the stepsize has a ||M||_nuc factor
-    G = (one_minus_beta[:, None, None] * np.array([o.rows for o in oracles])).reshape(9 * B, 2)
+    G = (one_minus_beta[:, None, None] * np.array([fn.rows for fn in fns])).reshape(9 * B, 2)
     row0 = 9 * np.arange(B) + 4  # member b's row of the zero sign class
 
     def evaluate(W):
@@ -669,8 +666,8 @@ def _run_lockstep(rule: Rule, oracles: list, states: list, T: int) -> list:
     kept = np.isfinite(E).all(1) if rule.feedback else np.isfinite(lams).all(0)
     # A member's records, contiguous; its last stepsize is a slot for the final NaN.
     (W1, W2), lam_col = Ws.T.copy(), np.vstack((lams, np.zeros(B))).T.copy()
-    return [_diagonal_trace(oracle, W1[b], W2[b], lam_col[b]) if kept[b] else None
-            for b, oracle in enumerate(oracles)]
+    return [_diagonal_trace(fn, W1[b], W2[b], lam_col[b]) if kept[b] else None
+            for b, fn in enumerate(fns)]
 
 
 def _lockstep(evaluate, lmo, W, M, E, beta, coef, scale=None, compress=None) -> tuple:

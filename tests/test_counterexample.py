@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -123,6 +125,8 @@ ORACLE_DIAGONALS = [
     (0.3, -0.9), (-2.0, -0.5), (1e-300, -1e-300),
 ]
 
+_TRACE_COLUMNS = ("t", "lam", "f", "w11", "w22", "grad_fro", "favg")
+
 
 class TestKinkyOracle:
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2)])
@@ -148,6 +152,39 @@ class TestKinkyOracle:
         G[:] = 99.0
         _, again = oracle.evaluate(W)
         np.testing.assert_array_equal(again, fn.subgradient(W))
+
+    def test_the_function_is_its_own_oracle(self):
+        fn = cex.KinkyFunction(c=0.3)
+        assert fn.oracle() is fn
+
+    def test_the_table_is_read_only(self):
+        fn = cex.KinkyFunction(c=0.3, m=3, n=2)
+        # A deep copy and a pickle round trip build their own tables, read-only too.
+        for g in (fn, copy.deepcopy(fn), pickle.loads(pickle.dumps(fn))):
+            assert g == fn
+            for A in (g._table, g._table_fro):
+                with pytest.raises(ValueError, match="read-only"):
+                    A[0] = 1.0
+
+    def test_runs_on_one_function_share_no_memory(self):
+        fn = cex.KinkyFunction(c=0.3)
+        st = optim.OptimizerState(W=np.diag([1.0, -0.5]), beta=0.5, schedule=optim.InvT())
+        for track_average in (True, False):
+            a, b = (optim.run("muon", fn, st, 30, track_average) for _ in range(2))
+            columns = [getattr(tr, col) for tr in (a, b) for col in _TRACE_COLUMNS]
+            for i, x in enumerate(columns + [fn._table, fn._table_fro]):
+                for y in columns[:i]:
+                    assert not np.shares_memory(x, y)
+
+    @pytest.mark.parametrize("method", cex.RUN_METHODS)
+    def test_run_on_the_function_equals_run_on_its_oracle(self, method):
+        def trace(oracle):
+            st = optim.OptimizerState(W=np.diag([1.3, -0.45]), beta=0.4,
+                                      schedule=optim.Constant(0.05))
+            tr = optim.run(method, oracle, st, 40)
+            return [getattr(tr, col).tobytes() for col in _TRACE_COLUMNS]
+
+        assert trace(cex.KinkyFunction(c=0.3)) == trace(cex.KinkyFunction(c=0.3).oracle())
 
 
 class TestComputeR:

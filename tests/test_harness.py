@@ -664,6 +664,15 @@ class TestPassRule:
             assert r.passed is (r.observed <= r.required), r.line()
             assert r.line().startswith("PASS " if r.passed else "FAIL ")
 
+    @pytest.mark.parametrize("suite, key", [(suite, "trials") for suite in sorted(
+        harness.TRIAL_ARGS)] + [("reduction", "steps")])
+    @pytest.mark.parametrize("bad", [True, 0, -1, 2.5, "3"])
+    def test_suites_refuse_a_bad_count(self, suite, key, bad):
+        # Unparsed, True ran one trial, -1 none, 2.5 raised a bare TypeError
+        # and steps=0 a ValueError from an empty reduction.
+        with pytest.raises(ValueError, match=f"^{key} must be a positive integer"):
+            harness.SUITES[suite](**{**self.SMALL[suite], key: bad})
+
     def test_ef_bound_final_f_is_strictly_below(self, monkeypatch):
         run_experiment = harness.run_experiment
         for final, passed in ((0.05, False), (math.nextafter(0.05, 0.0), True)):

@@ -427,7 +427,7 @@ class TestRules:
         step = optim.STEP_FUNCTIONS["regmuon"]
         monkeypatch.setitem(optim.STEP_FUNCTIONS, "regmuon",
                             lambda st, oracle: calls.append(1) or step(st, oracle))
-        # A KinkyOracle would take run's float loop, which calls no entry.
+        # A KinkyFunction would take run's float loop, which calls no entry.
         fn = cex.KinkyFunction(c=0.5)
         optim.run("regmuon", optim.FunctionOracle(fn.value, fn.subgradient), state(np.eye(2)), 3)
         assert len(calls) == 3
@@ -586,6 +586,18 @@ class TestRun:
         noisy = G + std * np.random.default_rng(4).standard_normal(G.shape)
         assert oracle.evaluate(W)[1].tobytes() == noisy.tobytes()
 
+    @pytest.mark.parametrize("seed", [True, 2.5, "3", -1])
+    def test_noisy_oracle_refuses_bad_seed(self, seed):
+        # True was taken as seed 1, and 2.5 and "3" raised numpy's TypeError.
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            optim.NoisyOracle(kinky_oracle(), 0.1, seed=seed)
+
+    def test_noisy_oracle_takes_a_numpy_integer_seed(self):
+        W = np.diag([1.0, -0.5])
+        a = optim.NoisyOracle(kinky_oracle(0.3), 0.1, seed=np.int64(4))
+        b = optim.NoisyOracle(kinky_oracle(0.3), 0.1, seed=4)
+        assert a.evaluate(W)[1].tobytes() == b.evaluate(W)[1].tobytes()
+
     def test_oracle_with_evaluate_only(self):
         class EvaluateOnly:
             def __init__(self, base):
@@ -633,7 +645,7 @@ def mixed_batch(seed, n=15, shape=(2, 2)):
     return fns, states
 
 
-# The rules run's float loop takes on a KinkyOracle: those that run on a KinkyFunction.
+# The rules run's float loop takes on a KinkyFunction: those that run on one.
 DIAGONAL_METHODS = cex.RUN_METHODS
 
 
@@ -1210,7 +1222,7 @@ class TestRunBatch:
     def test_malformed_input(self):
         fn = cex.KinkyFunction(c=0.3)
         with pytest.raises(ValueError, match="KinkyFunction"):
-            optim.run_batch("muon", [kinky_oracle()], [state(np.eye(2))], 3)
+            optim.run_batch("muon", [general_oracle(fn)], [state(np.eye(2))], 3)
         with pytest.raises(ValueError, match="2 functions but 1 states"):
             optim.run_batch("muon", [fn, fn], [state(np.eye(2))], 3)
         with pytest.raises(ValueError, match="T must be nonnegative"):
