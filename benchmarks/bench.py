@@ -32,8 +32,10 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
 - ``optim.run_batch`` on that function for ``BATCH_T`` steps at each batch
   size in ``BATCH_SIZES``, in microseconds per member-step: ``muon`` with a
   ``Table`` and ``regmuon`` with ``AdaptiveNuclear(0.05)``, as in ``verify
-  cex2``, and ``efmuon`` with ``InvSqrtT``, from dense 2x2 starts.  A set-up
-  the library refuses with ``ValueError`` is left out;
+  cex2``, and ``efmuon`` with ``InvSqrtT``, from dense 2x2 starts.  The batch
+  is ``run`` per member, so a ``regmuon`` member stops at a repeated state as
+  its ``run`` does, and a member-step costs about what a ``run`` step does at
+  any B.  A set-up the library refuses with ``ValueError`` is left out;
 - one ``evaluate`` of that function's oracle, in microseconds per call;
 - the inputs a ``cex-sweep`` item of ``perfbench`` builds before its run, in
   microseconds per call: ``OptimizerState(...)`` from a dense 2x2 start,

@@ -10,8 +10,8 @@ repeating the last period (``optim._run_diagonal``).  This script runs
 - ``optim.run`` on the function's own oracle (the float loop);
 - ``optim.run`` on a ``FunctionOracle`` of the same function, which the
   float loop does not take (the general loop, one ``step`` per step);
-- ``optim.run_batch`` of the one member (the lock-step engine, which has no
-  early exit);
+- ``optim.run_batch`` of the one member (``run`` per member, on the
+  function itself, so it must take the same exit);
 
 and compares every Trace column as bytes.  The set-ups cycle through the
 rules of ``cex.RUN_METHODS``, beta in {0, 0.2, 0.5, 0.9}, and the three

@@ -70,9 +70,9 @@ class KinkyFunction:
             raise ValueError("need m, n >= 2")
         # Each sign class's subgradient, row 3 * (s1 + 1) + (s2 + 1), by
         # ``subgradient``'s own expressions: ``rows``, its (G[0, 0], G[1, 1])
-        # as floats, for the float loops of ``optim.run`` and ``run_batch``;
-        # ``_table``, the nine as a (9, m, n) stack, and ``_table_fro``, their
-        # ``norms.fro`` (``linalg._fro_members``), both read-only.
+        # as floats, for ``optim.run``'s float loop; ``_table``, the nine as a
+        # (9, m, n) stack, and ``_table_fro``, their ``norms.fro``
+        # (``linalg._fro_members``), both read-only.
         signs = (-1.0, 0.0, 1.0)
         rows = tuple((self.c * s1 + s2, self.c * s1 - s2) for s1 in signs for s2 in signs)
         G = np.zeros((9, self.m, self.n))

@@ -473,9 +473,9 @@ def _reduction_lockstep(beta, schedules, a, U, b, w0, steps: int) -> tuple:
     # The momenta start at zero, so for beta = 0 beta * M is a zero and
     # beta * M + (1 - beta) * G is G, as optim.step reads it, up to the
     # sign of a zero entry, which np.sign reads as 0 either way.
-    vec, _, m, _ = optim._lockstep(evaluate, np.sign, w0, np.zeros_like(w0), None, beta, coef)
-    mat, _, M, _ = optim._lockstep(evaluate_diagonal, linalg.polar_exact_stack, W,
-                                   np.zeros_like(W), None, beta, coef)
+    vec, m = optim._lockstep(evaluate, np.sign, w0, np.zeros_like(w0), beta, coef)
+    mat, M = optim._lockstep(evaluate_diagonal, linalg.polar_exact_stack, W,
+                             np.zeros_like(W), beta, coef)
     return vec[1:], mat[1:], m, M
 
 
@@ -630,7 +630,7 @@ def suite_cex1(T: int = 5000) -> list:
 
 
 def suite_cex2(trials: int = 100, T: int = 2000) -> list:
-    trials = norms._positive_int(trials, "trials")
+    T, trials = norms._positive_int(T, "T"), norms._positive_int(trials, "trials")
     rng = np.random.default_rng(23)
     results = []
     tol = 1e-12  # on |p_t - p_0|, and on how far min f_t may fall below c |p_0|

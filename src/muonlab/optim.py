@@ -4,8 +4,9 @@ Every method is one steepest-descent rule through a norm's LMO, with or
 without momentum, a dual-norm scale or error feedback: ``RULES`` names them
 (specGD, Muon, regMuon, signGD, signMomentum, EF-Muon, MuonMax, EF-MuonMax)
 and ``step`` is the one body they run.  Also here: stepsize schedules, the
-runners ``run`` and ``run_batch`` (B runs on counterexample functions in
-lock-step), and the convergence-bound evaluator for error feedback.
+runner ``run`` (with a float loop for the counterexample function) and its
+per-member form ``run_batch``, the lock-step loop ``_lockstep`` on stacks of
+members, and the convergence-bound evaluator for error feedback.
 
 Steps are pure: they take a state and return (new_state, StepInfo).
 """
@@ -435,9 +436,8 @@ def _counterexample():
 
 
 def _runs_on_diagonal(rule: Rule, oracle, state: OptimizerState) -> bool:
-    """Whether the float loop may run ``rule`` from ``state``: the one
-    predicate for ``run``'s ``_run_diagonal`` and for the members that
-    ``run_batch`` steps on ``_lockstep`` (``run`` takes the others).
+    """Whether ``run``'s float loop, ``_run_diagonal``, may run ``rule`` from
+    ``state`` (the general loop takes the others).
 
     The oracle must be a KinkyFunction, of exactly that type; the rule's LMO
     the exact polar factor or the sign; the schedule of a type in
@@ -582,10 +582,10 @@ def _floats(xs: list) -> np.ndarray:
     return out
 
 
-def _diagonal_trace(fn, W1, W2, lam, means=None) -> Trace:
+def _diagonal_trace(fn, W1, W2, lam, means) -> Trace:
     """The Trace of a float loop's T steps, whose columns are its records:
     W1 and W2, the first two diagonal entries of W_0 .. W_T; ``lam``, the T
-    stepsizes and a slot for the final NaN; the means' entries, if given.
+    stepsizes and a slot for the final NaN; the means' entries, or None.
     f, favg and grad_fro are derived, numpy's warnings off as the floats' are."""
     with np.errstate(all="ignore"):
         S, D = W1 + W2, W1 - W2
@@ -598,16 +598,11 @@ def _diagonal_trace(fn, W1, W2, lam, means=None) -> Trace:
 
 
 def run_batch(method, fns, states, T: int) -> list:
-    """``[run(method, fn.oracle(), st, T, track_average=False) for fn, st in
-    zip(fns, states)]``, bit for bit, with the float loops run in lock-step.
-
-    The members ``_runs_on_diagonal`` accepts run ``_run_diagonal``'s
-    recurrence together on ``_lockstep``, the one lock-step engine (through
-    ``_run_lockstep``): a step costs a fixed number of numpy calls for the
-    whole batch.  Every other member, and every member where the float loop
-    gives up, is run by ``run``; so its Trace and its errors are ``run``'s,
-    and the first member whose run raises makes the batch raise.
-    """
+    """``[run(method, fn, st, T, track_average=False) for fn, st in zip(fns,
+    states)]``: one Trace per member, each ``run``'s, errors included (the
+    first member whose run raises makes the batch raise).  An unknown method,
+    a bad ``T``, a length mismatch or a function that is not a KinkyFunction
+    raises ValueError before any member runs."""
     T = _check_count(T, "T")
     if method not in RULES:
         raise ValueError(f"unknown method {method!r}")
@@ -616,86 +611,28 @@ def run_batch(method, fns, states, T: int) -> list:
         raise ValueError(f"{len(fns)} functions but {len(states)} states")
     if not all(isinstance(fn, _counterexample().KinkyFunction) for fn in fns):
         raise ValueError("run_batch takes KinkyFunction objects")
-    rule = RULES[method]
-    lockstep = [b for b, (fn, st) in enumerate(zip(fns, states))
-                if _runs_on_diagonal(rule, fn, st)]
-    ran = dict(zip(lockstep, _run_lockstep(rule, [fns[b] for b in lockstep],
-                                           [states[b] for b in lockstep], T) if lockstep else []))
-    return [ran[b] if ran.get(b) is not None else run(method, fn, st, T, track_average=False)
-            for b, (fn, st) in enumerate(zip(fns, states))]
+    return [run(method, fn, st, T, track_average=False) for fn, st in zip(fns, states)]
 
 
-def _run_lockstep(rule: Rule, fns: list, states: list, T: int) -> list:
-    """``_run_diagonal`` for B >= 1 members at once: ``_lockstep`` on the
-    (B, 2) stack of their first two diagonal entries, each numpy operation
-    elementwise the float loop's.  Returns each member's Trace, or None where
-    ``_run_diagonal`` gives up.
-
-    A member without momentum gets beta = 0 and 1 - beta = 1, as one at
-    beta = 0: beta * m + (1 - beta) * g is then g bit for bit (m is finite,
-    no subgradient entry is -0.0), (1 - beta) * g taken once per row.  A
-    stepsize without a ||M||_nuc factor is scaled by 1.0, which keeps its bits.
-    """
-    _signs, B = _counterexample()._signs, len(states)
-    coef, offline, start = np.empty((T, B)), {}, []  # coef: stepsizes before any ||M||_nuc
-    for b, (fn, st) in enumerate(zip(fns, states)):
-        key = (id(st.schedule), st.t)
-        if key not in offline:  # one array per schedule and start
-            offline[key] = offline_stepsizes(st.schedule, st.t, T)
-        coef[:, b] = offline[key]
-        betas = (float(st.beta), float(1.0 - st.beta)) if rule.momentum else (0.0, 1.0)
-        start.append((st.W[0, 0], st.W[1, 1], st.M[0, 0], st.M[1, 1], st.E[0, 0], st.E[1, 1],
-                      *betas, min(fn.m, fn.n),
-                      rule.scaled or isinstance(st.schedule, AdaptiveNuclear)))
-    start = np.array(start)
-    beta, one_minus_beta, r, mult = start[:, 6:].T  # mult: the stepsize has a ||M||_nuc factor
-    G = (one_minus_beta[:, None, None] * np.array([fn.rows for fn in fns])).reshape(9 * B, 2)
-    row0 = 9 * np.arange(B) + 4  # member b's row of the zero sign class
-
-    def evaluate(W):
-        return G.take(row0 + 3 * _signs(W[:, 0] + W[:, 1]) + _signs(W[:, 0] - W[:, 1]), 0)
-
-    def l1(A):  # |a1| + |a2| of each member: the nuclear norm of its diagonal
-        return np.add(*np.abs(A).T)
-
-    scale = None if not mult.any() else l1 if mult.all() else lambda M: np.where(mult, l1(M), 1.0)
-    compress = (lambda P: (l1(P) / r)[:, None] * np.sign(P)) if rule.feedback else None
-    Ws, lams, _, E = _lockstep(evaluate, np.sign, start[:, 0:2], start[:, 2:4], start[:, 4:6],
-                               beta, coef, scale, compress)
-    # _run_diagonal's one test: with feedback, a member keeps on iff its E ends finite.
-    kept = np.isfinite(E).all(1) if rule.feedback else np.isfinite(lams).all(0)
-    # A member's records, contiguous; its last stepsize is a slot for the final NaN.
-    (W1, W2), lam_col = Ws.T.copy(), np.vstack((lams, np.zeros(B))).T.copy()
-    return [_diagonal_trace(fn, W1[b], W2[b], lam_col[b]) if kept[b] else None
-            for b, fn in enumerate(fns)]
-
-
-def _lockstep(evaluate, lmo, W, M, E, beta, coef, scale=None, compress=None) -> tuple:
+def _lockstep(evaluate, lmo, W, M, beta, coef) -> tuple:
     """T steps of the momentum rule on B members in lock-step: (B, ...) stacks
-    W, M and E, a (B,) ``beta`` and (T, B) stepsizes ``coef``.
+    W and M, a (B,) ``beta`` and (T, B) stepsizes ``coef``.
 
-    Step i: M <- beta M + evaluate(W), ``evaluate`` returning (1 - beta) G;
-    lam = coef[i], times ``scale(M)`` if given; W <- W - lam lmo(M), or with
-    ``compress`` P = E + lam M, W <- W - C(P) and E <- P - C(P), numpy's
-    warnings off.  Returns W_0 .. W_T, a (T + 1, B, ...) array, the (T, B)
-    lams and the final M and E.
+    Step i: M <- beta M + evaluate(W), ``evaluate`` returning (1 - beta) G,
+    and W <- W - coef[i] lmo(M), numpy's warnings off.  Returns W_0 .. W_T,
+    a (T + 1, B, ...) array, and the final M.
     """
     T, B = coef.shape
     col = (B,) + (1,) * (W.ndim - 1)  # a per-member factor against the stack
     beta = np.broadcast_to(beta.reshape(col), W.shape).copy()  # not B short broadcast loops
-    Ws, lams = np.empty((T + 1, *W.shape)), np.empty((T, B))
+    Ws = np.empty((T + 1, *W.shape))
     Ws[0] = W
     with np.errstate(all="ignore"):
         for i in range(T):
             M = beta * M + evaluate(W)
-            lam = coef[i] if scale is None else coef[i] * scale(M)
-            if compress is None:
-                W = W - lam.reshape(col) * lmo(M)
-            else:
-                C = compress(P := E + lam.reshape(col) * M)
-                W, E = W - C, P - C
-            Ws[i + 1], lams[i] = W, lam
-    return Ws, lams, M, E
+            W = W - coef[i].reshape(col) * lmo(M)
+            Ws[i + 1] = W
+    return Ws, M
 
 
 # ---------------------------------------------------------------------------

@@ -665,11 +665,12 @@ class TestPassRule:
             assert r.line().startswith("PASS " if r.passed else "FAIL ")
 
     @pytest.mark.parametrize("suite, key", [(suite, "trials") for suite in sorted(
-        harness.TRIAL_ARGS)] + [("reduction", "steps")])
+        harness.TRIAL_ARGS)] + [("reduction", "steps"), ("cex2", "T")])
     @pytest.mark.parametrize("bad", [True, 0, -1, 2.5, "3"])
     def test_suites_refuse_a_bad_count(self, suite, key, bad):
-        # Unparsed, True ran one trial, -1 none, 2.5 raised a bare TypeError
-        # and steps=0 a ValueError from an empty reduction.
+        # Unparsed, True ran one trial, -1 none, 2.5 raised a bare TypeError,
+        # steps=0 a ValueError from an empty reduction, cex2's T=0 one from an
+        # empty Table and its T=-1 numpy's negative-dimension error.
         with pytest.raises(ValueError, match=f"^{key} must be a positive integer"):
             harness.SUITES[suite](**{**self.SMALL[suite], key: bad})
 

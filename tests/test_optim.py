@@ -944,7 +944,7 @@ class TestDiagonalRun:
 
 
 class TestDiagonalTrace:
-    """The Trace the float loop and the lock-step engine build from their records."""
+    """The Trace the float loop builds from its records, through run and run_batch."""
 
     SCHEDULES = (optim.Table((0.3, 0.2, 0.1)), optim.Constant(0.1), optim.InvT(),
                  optim.InvSqrtT(), optim.AdaptiveNuclear(0.05))
@@ -1242,6 +1242,29 @@ class TestRunBatch:
                 assert_same_trace(tr, optim.run(method, fn.oracle(), st, 0, track_average=False))
 
 
+class TestRunBatchRepeatExit:
+    """run_batch stops a member at a repeated state, as run does, and does
+    not step it to T."""
+
+    def test_repeating_members_stop_early(self):
+        # The shape of verify cex2's regmuon groups; from these starts each
+        # of the ten members repeats before T.
+        fn, T = cex.KinkyFunction(c=0.3), 2000
+        rng = np.random.default_rng(0)
+        starts = [rng.standard_normal((2, 2)) for _ in range(10)]
+
+        def states():
+            return [optim.OptimizerState(W=W0, beta=0.2, schedule=optim.AdaptiveNuclear(0.05))
+                    for W0 in starts]
+
+        with mock.patch.object(optim, "_repeat_period", wraps=optim._repeat_period) as exits:
+            traces = optim.run_batch("regmuon", [fn] * 10, states(), T)
+        # One call per repeated column: w11, w22 and the recorded stepsizes.
+        assert exits.call_count == 3 * 10
+        for st, tr in zip(states(), traces):
+            assert_same_trace(tr, optim.run("regmuon", fn, st, T, track_average=False))
+
+
 class TestLockstep:
     """The lock-step engine on dense stacks: with ``polar_exact_stack`` as
     the LMO, each member equals a ``step_muon`` loop bit for bit."""
@@ -1261,10 +1284,9 @@ class TestLockstep:
         schedules = [kinds[b % 3] for b in range(B)]
         coef = np.array([optim.offline_stepsizes(s, 0, self.T) for s in schedules]).T
         one_minus_beta = (1.0 - beta)[:, None, None]
-        Ws, lams, M, _ = optim._lockstep(lambda W: one_minus_beta * np.sign(W - A),
-                                         linalg.polar_exact_stack, W0, np.zeros_like(W0),
-                                         None, beta, coef)
-        assert Ws.shape == (self.T + 1, B, n, n) and lams.shape == (self.T, B)
+        Ws, M = optim._lockstep(lambda W: one_minus_beta * np.sign(W - A),
+                                linalg.polar_exact_stack, W0, np.zeros_like(W0), beta, coef)
+        assert Ws.shape == (self.T + 1, B, n, n)
         for b in range(B):
             oracle = optim.FunctionOracle(lambda W: float(np.abs(W - A[b]).sum()),
                                           lambda W: np.sign(W - A[b]))
@@ -1275,7 +1297,7 @@ class TestLockstep:
                 iterates.append(st.W)
                 steps.append(info.lam)
             assert Ws[:, b].tobytes() == np.array(iterates).tobytes()
-            assert lams[:, b].tobytes() == np.array(steps).tobytes()
+            assert coef[:, b].tobytes() == np.array(steps).tobytes()
             assert M[b].tobytes() == st.M.tobytes()
 
 
