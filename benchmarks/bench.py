@@ -29,14 +29,8 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
   in microseconds per step;
 - ``optim.offline_stepsizes`` of ``InvT``, ``InvSqrtT`` and a ``Table`` for
   ``OFFLINE_N`` steps, in microseconds per call;
-- ``optim.run_batch`` on that function for ``BATCH_T`` steps at each batch
-  size in ``BATCH_SIZES``, in microseconds per member-step: ``muon`` with a
-  ``Table`` and ``regmuon`` with ``AdaptiveNuclear(0.05)``, as in ``verify
-  cex2``, and ``efmuon`` with ``InvSqrtT``, from dense 2x2 starts.  The batch
-  is ``run`` per member, so a ``regmuon`` member stops at a repeated state as
-  its ``run`` does, and a member-step costs about what a ``run`` step does at
-  any B.  A set-up the library refuses with ``ValueError`` is left out;
-- one ``evaluate`` of that function's oracle, in microseconds per call;
+- one ``evaluate`` of the 2x2 counterexample function's oracle, in microseconds
+  per call;
 - the inputs a ``cex-sweep`` item of ``perfbench`` builds before its run, in
   microseconds per call: ``OptimizerState(...)`` from a dense 2x2 start,
   ``KinkyFunction(c)``, and ``KinkyFunction(c).oracle()``, the oracle an
@@ -123,9 +117,6 @@ SWEEP_RUNS = 200
 LONG_T = 100_000
 OFFLINE_N = 5000
 OFFLINE_CALLS = 200
-# Batch sizes and horizon of the run_batch timings.
-BATCH_SIZES = (1, 10, 100, 1000)
-BATCH_T = 1000
 # Constructions and grad_fro calls per timing, and the horizon of the
 # cex1_build timings.
 ORACLE_BUILDS = 1000
@@ -252,32 +243,6 @@ def _step_timings() -> dict:
     for schedule in (optim.InvT(), optim.Constant(0.2)):
         timings[f"cex1_build[{schedule!r},horizon={CEX1_HORIZON}]"] = _per_unit(_timed(
             lambda: cex.cex1_build(0.5, schedule, horizon=CEX1_HORIZON)), "us_per_call", 1)
-    return timings
-
-
-def _batch_timings() -> dict:
-    import numpy as np
-    from muonlab import counterexample as cex
-    from muonlab import optim
-
-    fn = cex.KinkyFunction(c=0.3)
-    table = optim.Table(tuple(np.random.default_rng(0).uniform(0.01, 0.3, BATCH_T)))
-    timings = {}
-    for label, method, schedule in (("muon+Table", "muon", table),
-                                    ("regmuon+AdaptiveNuclear", "regmuon",
-                                     optim.AdaptiveNuclear(0.05)),
-                                    ("efmuon+InvSqrtT", "efmuon", optim.InvSqrtT())):
-        for B in BATCH_SIZES:
-            rng = np.random.default_rng(B)
-            states = [optim.OptimizerState(W=rng.standard_normal((2, 2)), beta=0.2,
-                                           schedule=schedule) for _ in range(B)]
-            try:
-                optim.run_batch(method, [fn], states[:1], 1)
-            except ValueError:
-                continue  # this library's run_batch does not run the set-up
-            timings[f"run_batch[{label},B={B}]"] = _per_unit(_timed(
-                lambda: optim.run_batch(method, [fn] * B, states, BATCH_T)),
-                "us_per_member_step", B * BATCH_T)
     return timings
 
 
@@ -484,7 +449,7 @@ def measure() -> dict:
         timings[f"verify[{suite}]"] = _timed(verify)
     return {"source": _source(muonlab), "machine": _machine(),
             "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "timings": {**timings, **_step_timings(), **_batch_timings(), **_kernel_timings(),
+            "timings": {**timings, **_step_timings(), **_kernel_timings(),
                         **_polar_timings(), **_stack_timings(), **_rule_timings()}}
 
 

@@ -1,17 +1,15 @@
 """Compare run's float loop, where it stops at a repeated state, with the
-general loop and with run_batch, bit for bit, on many seeded runs.
+general loop, bit for bit, on many seeded runs.
 
 Without the running mean, ``optim.run`` on a counterexample function stops
 its float loop once the state (w1, w2, m1, m2, e1, e2) repeats bit for bit
 under a constant stepsize coefficient, and fills the rest of the Trace by
 repeating the last period (``optim._run_diagonal``).  This script runs
-``RUNS`` seeded set-ups through all three of:
+``RUNS`` seeded set-ups through both of:
 
 - ``optim.run`` on the function's own oracle (the float loop);
 - ``optim.run`` on a ``FunctionOracle`` of the same function, which the
   float loop does not take (the general loop, one ``step`` per step);
-- ``optim.run_batch`` of the one member (``run`` per member, on the
-  function itself, so it must take the same exit);
 
 and compares every Trace column as bytes.  The set-ups cycle through the
 rules of ``cex.RUN_METHODS``, beta in {0, 0.2, 0.5, 0.9}, and the three
@@ -116,8 +114,7 @@ def main() -> int:
         wide += state0().t + T > INT16_MAX
         general = _trace_bytes(optim.run(method, optim.FunctionOracle(fn.value, fn.subgradient),
                                          state0(), T, track_average=False))
-        batch = _trace_bytes(optim.run_batch(method, [fn], [state0()], T)[0])
-        if not fast == general == batch:
+        if fast != general:
             bad.append(label)
         st = state0()
         if type(st.schedule) is optim.AdaptiveNuclear and method in AS_REGMUON:
@@ -126,7 +123,7 @@ def main() -> int:
             if _trace_bytes(optim.run("regmuon", fn.oracle(), st, T,
                                       track_average=False)) != fast:
                 bad_twins.append(label)
-    print(f"{count} runs compared with the general loop and run_batch in "
+    print(f"{count} runs compared with the general loop in "
           f"{time.perf_counter() - start:.1f} s: {took} took the early exit, "
           f"{wide} started at a np.int16 t0 and counted past its maximum, "
           f"{len(bad)} mismatched; {twins} AdaptiveNuclear runs compared with regmuon "

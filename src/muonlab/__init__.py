@@ -35,7 +35,6 @@ from .optim import (
     efm_bound_column,
     efm_bound_schedule,
     run,
-    run_batch,
     step_efmuon,
     step_efmuonmax,
     step_muon,

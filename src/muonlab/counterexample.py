@@ -166,7 +166,7 @@ def compute_R(schedule, t: int) -> float:
         lams = optim.offline_stepsizes(schedule, t, n)
         optim._check_nonincreasing(lams)
         terms = lams - lam
-        if np.any(terms < -1e-15):
+        if np.any(terms < 0.0):
             raise ValueError("schedule values fall below the declared limit")
         signs = np.where(np.arange(head) % 2 == 0, 1.0, -1.0)
         head_sum = float(np.dot(signs, terms[:head]))

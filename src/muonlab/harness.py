@@ -644,7 +644,7 @@ def suite_cex2(trials: int = 100, T: int = 2000) -> list:
             dps, q_ok, passes = [0.0], True, 0
             starts = [rng.standard_normal((2, 2)) for _ in range(trials)]
             states = [optim.OptimizerState(W=W0, beta=beta, schedule=schedule) for W0 in starts]
-            traces = optim.run_batch(method, [fn] * trials, states, T)
+            traces = [optim.run(method, fn, st, T, track_average=False) for st in states]
             for W0, tr in zip(starts, traces):
                 p0 = W0[0, 0] + W0[1, 1]
                 p, q = tr.sum_diag, tr.diff_diag  # the invariants p_t and q_t

@@ -4,9 +4,9 @@ Every method is one steepest-descent rule through a norm's LMO, with or
 without momentum, a dual-norm scale or error feedback: ``RULES`` names them
 (specGD, Muon, regMuon, signGD, signMomentum, EF-Muon, MuonMax, EF-MuonMax)
 and ``step`` is the one body they run.  Also here: stepsize schedules, the
-runner ``run`` (with a float loop for the counterexample function) and its
-per-member form ``run_batch``, the lock-step loop ``_lockstep`` on stacks of
-members, and the convergence-bound evaluator for error feedback.
+runner ``run`` (with a float loop for the counterexample function), the
+lock-step loop ``_lockstep`` on stacks of members, and the convergence-bound
+evaluator for error feedback.
 
 Steps are pure: they take a state and return (new_state, StepInfo).
 """
@@ -597,23 +597,6 @@ def _diagonal_trace(fn, W1, W2, lam, means) -> Trace:
     return Trace(np.arange(len(W1), dtype=float), lam, f, W1, W2, grad_fro, favg)
 
 
-def run_batch(method, fns, states, T: int) -> list:
-    """``[run(method, fn, st, T, track_average=False) for fn, st in zip(fns,
-    states)]``: one Trace per member, each ``run``'s, errors included (the
-    first member whose run raises makes the batch raise).  An unknown method,
-    a bad ``T``, a length mismatch or a function that is not a KinkyFunction
-    raises ValueError before any member runs."""
-    T = _check_count(T, "T")
-    if method not in RULES:
-        raise ValueError(f"unknown method {method!r}")
-    fns, states = list(fns), list(states)
-    if len(fns) != len(states):
-        raise ValueError(f"{len(fns)} functions but {len(states)} states")
-    if not all(isinstance(fn, _counterexample().KinkyFunction) for fn in fns):
-        raise ValueError("run_batch takes KinkyFunction objects")
-    return [run(method, fn, st, T, track_average=False) for fn, st in zip(fns, states)]
-
-
 def _lockstep(evaluate, lmo, W, M, beta, coef) -> tuple:
     """T steps of the momentum rule on B members in lock-step: (B, ...) stacks
     W and M, a (B,) ``beta`` and (T, B) stepsizes ``coef``.
@@ -693,7 +676,7 @@ def efm_bound_column(T: int, delta: float, beta: float, sigma: float,
 
 
 def _check_nonincreasing(lams: np.ndarray):
-    if np.any(np.diff(lams) > 1e-15):
+    if np.any(np.diff(lams) > 0.0):
         raise ValueError("schedule must be nonincreasing")
 
 

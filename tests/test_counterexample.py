@@ -216,9 +216,11 @@ class TestComputeR:
             assert cex.compute_R_sequence(sch, np.int8(127)).tobytes() == \
                 cex.compute_R_sequence(sch, 127).tobytes()
 
-    def test_rejects_increasing_schedule(self):
-        with pytest.raises(ValueError):
-            cex.compute_R(optim.Table((0.1, 0.2)), 0)
+    @pytest.mark.parametrize("values", [(0.1, 0.2), (1e-20, 5e-16)])
+    def test_rejects_increasing_schedule(self, values):
+        # A rise of at most 1e-15 used to pass: (1e-20, 5e-16) gave R_0 = -2.5e-16.
+        with pytest.raises(ValueError, match="schedule must be nonincreasing"):
+            cex.compute_R(optim.Table(values), 0)
 
     def test_rejects_negative_t_and_T(self):
         with pytest.raises(ValueError, match="t must be nonnegative"):
@@ -237,10 +239,12 @@ class TestComputeR:
         with pytest.raises(ValueError, match="^t must be nonnegative: a nonnegative integer"):
             cex.compute_R(optim.InvT(), t)
 
-    def test_rejects_schedule_below_its_limit(self):
+    @pytest.mark.parametrize("limit", [0.2, math.nextafter(0.1, math.inf)])
+    def test_rejects_schedule_below_its_limit(self, limit):
+        # A schedule at most 1e-15 below its limit used to pass.
         class BelowLimit(optim.Constant):
             def limit(self):
-                return 2.0 * self.lam
+                return limit
 
         with pytest.raises(ValueError, match="fall below the declared limit"):
             cex.compute_R(BelowLimit(0.1), 0)

@@ -340,7 +340,8 @@ class TestWriteCsv:
         runs = [harness.run_experiment(cfg)[:2]]
         fn, W0, _ = cex.cex1_build(0.5, optim.InvT(), horizon=50)
         state = optim.OptimizerState(W=W0, beta=0.5, schedule=optim.InvT())
-        runs.append((optim.run_batch("muon", [fn], [state], 50)[0], np.full(51, np.nan)))
+        runs.append((optim.run("muon", fn.oracle(), state, 50, track_average=False),
+                     np.full(51, np.nan)))
         for i, (trace, bound) in enumerate(runs):
             out = tmp_path / f"run{i}.csv"
             harness.write_csv(str(out), trace, bound)
@@ -518,8 +519,7 @@ class TestGrouped:
 
 class TestReductionLockstep:
     """Each member of the lock-step reduction run equals the scalar
-    step_signmomentum and step_muon loops bit for bit, as TestRunBatch holds
-    run_batch to optim.run."""
+    step_signmomentum and step_muon loops bit for bit."""
 
     STEPS = 60
 
@@ -630,14 +630,16 @@ class TestSuitesFailOnNaN:
         self.assert_nan_fails(harness.suite_cex1(T=20)[::2])
 
     def test_cex2(self, monkeypatch):
-        run_batch = optim.run_batch
+        run, calls = optim.run, []
 
-        def with_nan(*args):
-            traces = run_batch(*args)
-            traces[-1].w11[-1] = np.nan
-            return traces
+        def with_nan(*args, **kwargs):
+            trace = run(*args, **kwargs)
+            calls.append(1)
+            if len(calls) % 3 == 0:  # the last of each group's three starts
+                trace.w11[-1] = np.nan
+            return trace
 
-        monkeypatch.setattr(optim, "run_batch", with_nan)
+        monkeypatch.setattr(optim, "run", with_nan)
         results = harness.suite_cex2(trials=3, T=10)
         self.assert_nan_fails(results[::3])  # the invariant p
         assert not any(r.passed for r in results)  # q and the floor, by count

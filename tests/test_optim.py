@@ -206,9 +206,9 @@ class TestOptimizerState:
             st = optim.OptimizerState(W=np.eye(2), t=t)
             assert type(st.t) is int and st.t == 3
         # The loops counted in the numpy type, which wraps at its maximum:
-        # from np.int8(126) under InvT the float loop, the general loop and
-        # run_batch gave wrong, unequal stepsizes, and from np.int16(32760)
-        # the general loop raised IndexError on the Table.
+        # from np.int8(126) under InvT the float loop and the general loop
+        # gave wrong, unequal stepsizes, and from np.int16(32760) the general
+        # loop raised IndexError on the Table.
         fn = cex.KinkyFunction(c=0.3)
 
         def traces(method, schedule, t0):
@@ -217,8 +217,7 @@ class TestOptimizerState:
                                             schedule=schedule, t=t0)
 
             return [trace_bytes(optim.run(method, oracle, state0(), 20, track_average=False))
-                    for oracle in (fn.oracle(), general_oracle(fn))] + \
-                [trace_bytes(optim.run_batch(method, [fn], [state0()], 20)[0])]
+                    for oracle in (fn.oracle(), general_oracle(fn))]
 
         for schedule, t in ((optim.InvT(), np.int8(126)),
                             (optim.Table((0.5, 0.25)), np.int16(32760))):
@@ -248,11 +247,10 @@ class TestOptimizerState:
                                         schedule=optim.Constant(0.05))
 
         for method in DIAGONAL_METHODS:
-            (batch,) = optim.run_batch(method, [fn], [state0()], 60)
             runs = ((fn.oracle(), state0()), (general_oracle(fn), state0()),
                     (fn.oracle(), state0(float(beta))))
-            assert {trace_bytes(optim.run(method, oracle, st, 60, track_average=False))
-                    for oracle, st in runs} == {trace_bytes(batch)}
+            assert len({trace_bytes(optim.run(method, oracle, st, 60, track_average=False))
+                        for oracle, st in runs}) == 1
 
 
 class TestBasicSteps:
@@ -309,7 +307,7 @@ class TestBasicSteps:
             b, _ = optim.step_muon(b, oracle)
         np.testing.assert_array_equal(a.W, b.W)
         # The stepsize has one ||M||_nuc factor, from the rule, the schedule
-        # or both, in the general loop, the float loop and run_batch alike.
+        # or both, in the general loop and the float loop alike.
         fn, starts = cex.KinkyFunction(c=0.3), (W0, np.diag([1.3, -0.45]), np.diag([0.7, 0.7]))
         traces = []
         for method, schedule in (("muon", optim.AdaptiveNuclear(0.05)),
@@ -319,7 +317,6 @@ class TestBasicSteps:
             for oracle in (fn.oracle(), general_oracle(fn)):
                 traces.append([trace_bytes(optim.run(method, oracle, st, 200, track_average=False))
                                for st in states])
-            traces.append(list(map(trace_bytes, optim.run_batch(method, [fn] * 3, states, 200))))
         assert all(t == traces[0] for t in traces)
 
     def test_sign_steps(self):
@@ -550,12 +547,10 @@ class TestRun:
 
     def test_rejects_a_state_without_a_schedule(self):
         # The OptimizerState default used to raise AttributeError from inside
-        # the loop; run_batch hands such a member to run.
+        # the loop.
         st = optim.OptimizerState(W=np.diag([1.0, 2.0]))
-        for call in (lambda: optim.run("muon", kinky_oracle(), st, 1),
-                     lambda: optim.run_batch("muon", [cex.KinkyFunction(c=0.5)], [st], 1)):
-            with pytest.raises(ValueError, match="^state0.schedule is None"):
-                call()
+        with pytest.raises(ValueError, match="^state0.schedule is None"):
+            optim.run("muon", kinky_oracle(), st, 1)
 
     def test_noisy_iterates_do_not_depend_on_track_average(self):
         def noisy_run(track_average):
@@ -598,6 +593,41 @@ class TestRun:
         b = optim.NoisyOracle(kinky_oracle(0.3), 0.1, seed=4)
         assert a.evaluate(W)[1].tobytes() == b.evaluate(W)[1].tobytes()
 
+    def test_noisy_oracle_on_a_product_point(self):
+        # f(W) = sum_l ||W^l - A^l||_1 + ||theta - a||_1 on two layers.
+        rng = np.random.default_rng(12)
+        spec = norms.ProductNormSpec(layer_dims=((2, 3), (3, 2)), s=2.0, k=3)
+        A = norms.ParamPoint([rng.standard_normal(d) for d in spec.layer_dims],
+                             rng.standard_normal(3))
+        base = optim.FunctionOracle(
+            lambda W: sum(float(np.abs(X).sum()) for X in (W - A).matrices + [(W - A).theta]),
+            lambda W: norms.ParamPoint([np.sign(X) for X in (W - A).matrices],
+                                       np.sign((W - A).theta)))
+        W0 = norms.ParamPoint([rng.standard_normal(d) for d in spec.layer_dims],
+                              rng.standard_normal(3))
+
+        def parts(P):
+            return [X.tobytes() for X in P.matrices + [P.theta]]
+
+        # Each draw is layer by layer, then theta, from default_rng(seed).
+        oracle, draws = optim.NoisyOracle(base, 0.3, seed=7), np.random.default_rng(7)
+        for W in (W0, A):
+            G = base.evaluate(W)[1]
+            noisy = norms.ParamPoint([M + 0.3 * draws.standard_normal(M.shape) for M in G.matrices],
+                                     G.theta + 0.3 * draws.standard_normal(G.theta.shape))
+            assert parts(oracle.evaluate(W)[1]) == parts(noisy)
+        assert parts(optim.NoisyOracle(base, 0.0).evaluate(W0)[1]) == parts(base.evaluate(W0)[1])
+
+        def traced(method, oracle):
+            st = optim.OptimizerState(W=W0, beta=0.5, schedule=optim.InvSqrtT(), spec=spec)
+            return trace_bytes(optim.run(method, oracle, st, 30))
+
+        for method in ("muonmax", "efmuonmax"):
+            noisy = traced(method, optim.NoisyOracle(base, 0.3, seed=7))
+            assert traced(method, optim.NoisyOracle(base, 0.3, seed=7)) == noisy
+            assert traced(method, optim.NoisyOracle(base, 0.0, seed=7)) == \
+                traced(method, base) != noisy
+
     def test_oracle_with_evaluate_only(self):
         class EvaluateOnly:
             def __init__(self, base):
@@ -615,36 +645,6 @@ class TestRun:
 TRACE_COLUMNS = ("t", "lam", "f", "w11", "w22", "grad_fro", "favg")
 
 
-def assert_same_trace(a, b):
-    """Equal in every column, bit for bit, NaN in the same places."""
-    for col in TRACE_COLUMNS:
-        x, y = getattr(a, col), getattr(b, col)
-        assert x.shape == y.shape, col
-        assert np.array_equal(x, y, equal_nan=True), col
-
-
-def mixed_batch(seed, n=15, shape=(2, 2)):
-    """Members with mixed c, beta (0 included) and schedules."""
-    rng = np.random.default_rng(seed)
-    # Diagonals of special starts: on the kink w1 = w2, and non-finite ones,
-    # which the scalar run carries along without an error.
-    special = {3: (0.7, 0.7), 4: (np.nan, 1.0), 9: (np.inf, np.inf), 10: (np.inf, -np.inf)}
-    schedules = [optim.Constant(0.1), optim.InvT(),
-                 optim.Table(tuple(rng.uniform(0.01, 0.3, 40))), optim.AdaptiveNuclear(0.05)]
-    fns, states = [], []
-    for b in range(n):
-        W0 = rng.standard_normal(shape)
-        if b in special:
-            W0 = np.zeros(shape)
-            W0[0, 0], W0[1, 1] = special[b]
-        # Member 6 has beta = 0, so its scalar run never reads this M.
-        M0 = np.full(shape, np.inf) if b == 6 else None
-        fns.append(cex.KinkyFunction(c=float(rng.uniform(0.05, 0.95)), m=shape[0], n=shape[1]))
-        states.append(optim.OptimizerState(
-            W=W0, beta=(0.0, 0.5, 0.9)[b % 3], schedule=schedules[b % 4], M=M0))
-    return fns, states
-
-
 # The rules run's float loop takes on a KinkyFunction: those that run on one.
 DIAGONAL_METHODS = cex.RUN_METHODS
 
@@ -656,6 +656,14 @@ def trace_bytes(tr):
 def general_oracle(fn):
     """fn's oracle as a FunctionOracle, which run's float loop does not take."""
     return optim.FunctionOracle(fn.value, fn.subgradient)
+
+
+def result_or_error(fn):
+    """fn()'s trace bytes, or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # compared with the other loop's
+        return type(exc), str(exc)
 
 
 @contextlib.contextmanager
@@ -708,7 +716,7 @@ def diagonal_runs(draw):
 # loop is silent; the values are the same.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestDiagonalRun:
-    """run's float loop on a KinkyOracle against its general loop."""
+    """run's float loop on a KinkyFunction against its general loop."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(diagonal_runs())
@@ -815,8 +823,8 @@ class TestDiagonalRun:
         assert outcome(fn.oracle()) == outcome(general_oracle(fn)) == \
             (ValueError, "matrix entries must be finite")
 
-    # Schedule numbers of other real types than float: both loops and
-    # run_batch compute with the float they are stored as.
+    # Schedule numbers of other real types than float: both loops compute
+    # with the float they are stored as.
     REAL_TYPED = {
         "Constant(np.float32)": optim.Constant(np.float32(0.1)),
         "Constant(np.float64)": optim.Constant(np.float64(0.1)),
@@ -837,10 +845,8 @@ class TestDiagonalRun:
 
         with counting_steps() as calls:
             fast = optim.run(method, fn.oracle(), state0(), 60, track_average=False)
-            (batch,) = optim.run_batch(method, [fn], [state0()], 60)
         assert not calls
         expected = trace_bytes(fast)
-        assert trace_bytes(batch) == expected
         assert trace_bytes(optim.run(method, general_oracle(fn), state0(), 60,
                                      track_average=False)) == expected
         assert trace_bytes(optim.run(method, fn.oracle(), state0(as_float), 60,
@@ -862,6 +868,8 @@ class TestDiagonalRun:
         "non-diagonal M": ("muon", (2, 2), dict(beta=0.5, M=np.array([[0.3, 0.1], [0.0, 0.2]])),
                            None),
         "non-finite M": ("signmomentum", (2, 2), dict(M=np.diag([np.inf, 1.0])), None),
+        "non-finite M, polar": ("muon", (2, 2), dict(beta=0.5, M=np.diag([np.inf, 1.0])),
+                                ValueError),
         "M past the first two": ("muon", (3, 3), dict(W=np.eye(3), beta=0.5,
                                                       M=np.diag([0.0, 0.0, 1.0])), None),
         "non-diagonal E": ("efmuon", (2, 2), dict(E=np.array([[0.0, 0.1], [0.0, 0.0]])), None),
@@ -944,7 +952,7 @@ class TestDiagonalRun:
 
 
 class TestDiagonalTrace:
-    """The Trace the float loop builds from its records, through run and run_batch."""
+    """The Trace the float loop builds from its records, through run."""
 
     SCHEDULES = (optim.Table((0.3, 0.2, 0.1)), optim.Constant(0.1), optim.InvT(),
                  optim.InvSqrtT(), optim.AdaptiveNuclear(0.05))
@@ -955,7 +963,6 @@ class TestDiagonalTrace:
         with counting_steps() as calls:
             yield optim.run(method, fn.oracle(), st, T)
             yield optim.run(method, fn.oracle(), st, T, track_average=False)
-            yield from optim.run_batch(method, [fn, fn], [st, st], T)
         assert not calls  # every Trace came from a float loop
 
     @pytest.mark.parametrize("method", DIAGONAL_METHODS)
@@ -1019,13 +1026,11 @@ class TestCycleExit:
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(steady_runs())
-    def test_equals_general_loop_and_batch_bit_for_bit(self, case):
+    def test_equals_general_loop_bit_for_bit(self, case):
         method, fn, state0, T = case
         fast = optim.run(method, fn.oracle(), state0(), T, track_average=False)
-        expected = trace_bytes(fast)
-        assert trace_bytes(optim.run(method, general_oracle(fn), state0(), T,
-                                     track_average=False)) == expected
-        assert trace_bytes(optim.run_batch(method, [fn], [state0()], T)[0]) == expected
+        assert trace_bytes(fast) == trace_bytes(optim.run(method, general_oracle(fn), state0(), T,
+                                                          track_average=False))
 
     def test_taken_by_a_cex_sweep_regmuon_run(self):
         fn = cex.KinkyFunction(c=0.3)
@@ -1091,178 +1096,133 @@ class TestCycleExit:
             optim.run(method, general_oracle(fn), state0(), 200, track_average=False))
 
 
-def result_or_error(fn):
-    """fn()'s trace bytes, or the type and message of what it raised."""
-    try:
-        return fn()
-    except Exception as exc:  # compared with the scalar runs'
-        return type(exc), str(exc)
+def assert_same_trace(a, b):
+    """Equal in every column, bit for bit, NaN in the same places."""
+    for col in TRACE_COLUMNS:
+        x, y = getattr(a, col), getattr(b, col)
+        assert x.shape == y.shape, col
+        assert np.array_equal(x, y, equal_nan=True), col
 
 
-def _changed(state0, change):
-    """A factory of state0()'s with ``change`` applied."""
-    def make():
-        st = state0()
-        if change == "overflowing Table":
-            st.schedule = optim.Table((1e308, 1e308))
-        elif change == "non-diagonal M":
-            st.M[0, 1] = 0.5
-        elif change == "non-finite M":
-            st.M[1, 1] = np.inf
-        return st
-    return make
+def mixed_starts(seed, n=15, shape=(2, 2)):
+    """Functions and starts with mixed c, beta (0 included) and schedules."""
+    rng = np.random.default_rng(seed)
+    # Diagonals of special starts: on the kink w1 = w2, and non-finite ones,
+    # which run carries along without an error.
+    special = {3: (0.7, 0.7), 4: (np.nan, 1.0), 9: (np.inf, np.inf), 10: (np.inf, -np.inf)}
+    schedules = [optim.Constant(0.1), optim.InvT(),
+                 optim.Table(tuple(rng.uniform(0.01, 0.3, 40))), optim.AdaptiveNuclear(0.05)]
+    fns, states = [], []
+    for b in range(n):
+        W0 = rng.standard_normal(shape)
+        if b in special:
+            W0 = np.zeros(shape)
+            W0[0, 0], W0[1, 1] = special[b]
+        # Start 6 has beta = 0, so its run never reads this M.
+        M0 = np.full(shape, np.inf) if b == 6 else None
+        fns.append(cex.KinkyFunction(c=float(rng.uniform(0.05, 0.95)), m=shape[0], n=shape[1]))
+        states.append(optim.OptimizerState(
+            W=W0, beta=(0.0, 0.5, 0.9)[b % 3], schedule=schedules[b % 4], M=M0))
+    return fns, states
 
 
-@hs.composite
-def batches(draw):
-    """(method, [(KinkyFunction, state factory)], T).
-
-    The members are diagonal_runs' functions and starts; their method, T
-    and track_average are not used.  Some get a Table whose
-    steps overflow, or an M the float loop refuses.
-    """
-    members = []
-    for _, fn, state0, _, _ in draw(hs.lists(diagonal_runs(), min_size=1, max_size=6)):
-        change = draw(hs.sampled_from((None, None, "overflowing Table", "non-diagonal M",
-                                       "non-finite M")))
-        members.append((fn, _changed(state0, change)))
-    return draw(hs.sampled_from(DIAGONAL_METHODS)), members, draw(hs.integers(0, 30))
-
-
-class TestRunBatch:
-    """run_batch against [run(..., track_average=False)] for each member."""
-
-    # Members that go through run's general loop make numpy warn on
-    # non-finite values; the lock-step engine is silent.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(batches())
-    def test_equals_scalar_runs_bit_for_bit(self, case):
-        method, members, T = case
-
-        def scalar_runs():
-            return [trace_bytes(optim.run(method, fn.oracle(), state0(), T, track_average=False))
-                    for fn, state0 in members]
-
-        def batch():
-            return [trace_bytes(tr) for tr in optim.run_batch(
-                method, [fn for fn, _ in members], [state0() for _, state0 in members], T)]
-
-        with counting_steps() as scalar_calls:
-            expected = result_or_error(scalar_runs)
-        with counting_steps() as batch_calls:
-            assert result_or_error(batch) == expected
-        # Members the float loop runs to the end make no step calls.
-        assert len(batch_calls) == len(scalar_calls)
+# The general loop makes numpy warn on non-finite values; the float loop is
+# silent.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestMixedStarts:
+    """run on a KinkyFunction against its general loop, start by start, over
+    a list of mixed starts, as verify cex2 runs its sweeps."""
 
     @pytest.mark.parametrize("method", DIAGONAL_METHODS)
     @pytest.mark.parametrize("shape", ((2, 2), (3, 4)))
-    def test_members_equal_scalar_runs(self, method, shape):
-        fns, states = mixed_batch(5, shape=shape)
-        T = 120
-        traces = optim.run_batch(method, fns, states, T)
-        assert len(traces) == len(states)
-        for fn, st, tr in zip(fns, states, traces):
-            assert_same_trace(tr, optim.run(method, fn.oracle(), st, T, track_average=False))
+    def test_each_start_equals_general_loop(self, method, shape):
+        fns, states = mixed_starts(5, shape=shape)
+        for fn, st in zip(fns, states):
+            assert_same_trace(optim.run(method, fn.oracle(), st, 120, track_average=False),
+                              optim.run(method, general_oracle(fn), st, 120, track_average=False))
 
     @pytest.mark.parametrize("method", DIAGONAL_METHODS)
-    def test_non_diagonal_member_runs_through_run(self, method):
-        fns, states = mixed_batch(6, n=4)
+    def test_only_a_non_diagonal_start_takes_general_loop(self, method):
+        fns, states = mixed_starts(6, n=4)
         states[2].M = np.array([[0.3, -1.2], [0.8, 0.1]])
         T = 60
-        expected = [optim.run(method, fn.oracle(), st, T, track_average=False)
-                    for fn, st in zip(fns, states)]
         with counting_steps() as calls:
-            traces = optim.run_batch(method, fns, states, T)
-        assert len(calls) == T  # the non-diagonal member's steps, and no others
-        for tr, ref in zip(traces, expected):
-            assert_same_trace(tr, ref)
+            traces = [optim.run(method, fn.oracle(), st, T, track_average=False)
+                      for fn, st in zip(fns, states)]
+        assert len(calls) == T  # the non-diagonal start's steps, and no others
+        for fn, st, tr in zip(fns, states, traces):
+            assert_same_trace(tr, optim.run(method, general_oracle(fn), st, T,
+                                            track_average=False))
 
     @pytest.mark.parametrize("method", ("muon", "regmuon"))
     @pytest.mark.parametrize("schedule", (optim.Constant(0.1), optim.AdaptiveNuclear(0.05)))
     @pytest.mark.parametrize("M0", (np.diag([np.inf, 1.0]),
                                     np.array([[1.0, np.nan], [0.0, 1.0]])))
-    def test_non_finite_member_raises_as_scalar_run(self, method, schedule, M0):
+    def test_non_finite_M_raises_as_general_loop(self, method, schedule, M0):
         fn = cex.KinkyFunction(c=0.3)
-        bad = optim.OptimizerState(W=np.eye(2), beta=0.5, schedule=schedule, M=M0)
-        with pytest.raises(Exception) as scalar:
-            optim.run(method, fn.oracle(), bad, 5)
-        good = optim.OptimizerState(W=np.eye(2), beta=0.5, schedule=schedule)
-        with pytest.raises(type(scalar.value)) as batch:
-            optim.run_batch(method, [fn, fn], [good, bad], 5)
-        assert type(batch.value) is type(scalar.value)
-        assert str(batch.value) == str(scalar.value)
+
+        def outcome(oracle):
+            st = optim.OptimizerState(W=np.eye(2), beta=0.5, schedule=schedule, M=M0.copy())
+            return result_or_error(lambda: trace_bytes(optim.run(method, oracle, st, 5)))
+
+        assert outcome(fn.oracle()) == outcome(general_oracle(fn))
+        assert outcome(fn.oracle())[0] is ValueError
 
     @pytest.mark.parametrize("method", ("muonmax", "efmuonmax", "efm", "nope"))
-    def test_unsupported_method(self, method):
-        # The product rules raise as run raises: these states have no
-        # ProductNormSpec.  Unknown names raise before any member runs.
-        fns, states = mixed_batch(7, n=2)
-        with pytest.raises(ValueError) as scalar:
+    def test_unsupported_method_raises_as_general_loop(self, method):
+        # The product rules refuse these states, which have no
+        # ProductNormSpec; an unknown name is refused before any step.
+        fns, states = mixed_starts(7, n=2)
+        with pytest.raises(ValueError) as general:
+            optim.run(method, general_oracle(fns[0]), states[0], 3)
+        with pytest.raises(ValueError) as fast:
             optim.run(method, fns[0].oracle(), states[0], 3)
-        with pytest.raises(ValueError) as batch:
-            optim.run_batch(method, fns, states, 3)
-        assert str(batch.value) == str(scalar.value)
+        assert str(fast.value) == str(general.value)
 
-    def test_any_polar_schedule_and_start_equal_scalar_runs(self):
+    def test_any_polar_schedule_and_start_equal_general_loop(self):
         # The Newton-Schulz polar, a schedule subclass, InvSqrtT and a start
-        # at t = 2, next to a plain member.
+        # at t = 2, next to a plain start.
         fn = cex.KinkyFunction(c=0.3)
-
-        def states():
-            return [state(np.diag([1.0, -0.5]), beta=0.5, **kw) for kw in (
-                {}, dict(polar=linalg.polar_newton_schulz), dict(schedule=HalvingConstant(0.1)),
-                dict(schedule=optim.InvSqrtT()), dict(t=2))]
-
+        states = [state(np.diag([1.0, -0.5]), beta=0.5, **kw) for kw in (
+            {}, dict(polar=linalg.polar_newton_schulz), dict(schedule=HalvingConstant(0.1)),
+            dict(schedule=optim.InvSqrtT()), dict(t=2))]
         for method in DIAGONAL_METHODS:
-            traces = optim.run_batch(method, [fn] * 5, states(), 20)
-            for st, tr in zip(states(), traces):
-                assert_same_trace(tr, optim.run(method, fn.oracle(), st, 20, track_average=False))
+            for st in states:
+                assert_same_trace(optim.run(method, fn.oracle(), st, 20, track_average=False),
+                                  optim.run(method, general_oracle(fn), st, 20,
+                                            track_average=False))
 
-    def test_malformed_input(self):
+    def test_start_of_another_shape_raises_as_general_loop(self):
+        # A 3 x 3 state on a 2 x 2 function.
         fn = cex.KinkyFunction(c=0.3)
-        with pytest.raises(ValueError, match="KinkyFunction"):
-            optim.run_batch("muon", [general_oracle(fn)], [state(np.eye(2))], 3)
-        with pytest.raises(ValueError, match="2 functions but 1 states"):
-            optim.run_batch("muon", [fn, fn], [state(np.eye(2))], 3)
-        with pytest.raises(ValueError, match="T must be nonnegative"):
-            optim.run_batch("muon", [fn], [state(np.eye(2))], -1)
-        assert optim.run_batch("muon", [], [], 3) == []
-        # A 3 x 3 state on a 2 x 2 function raises as its run raises.
-        with pytest.raises(ValueError) as scalar:
+        with pytest.raises(ValueError) as general:
+            optim.run("muon", general_oracle(fn), state(np.eye(3)), 3)
+        with pytest.raises(ValueError) as fast:
             optim.run("muon", fn.oracle(), state(np.eye(3)), 3)
-        with pytest.raises(ValueError) as batch:
-            optim.run_batch("muon", [fn], [state(np.eye(3))], 3)
-        assert str(batch.value) == str(scalar.value)
+        assert str(fast.value) == str(general.value)
 
     def test_zero_steps(self):
-        fns, states = mixed_batch(8, n=3)
+        fns, states = mixed_starts(8, n=3)
         for method in DIAGONAL_METHODS:
-            for fn, st, tr in zip(fns, states, optim.run_batch(method, fns, states, 0)):
-                assert_same_trace(tr, optim.run(method, fn.oracle(), st, 0, track_average=False))
+            for fn, st in zip(fns, states):
+                assert_same_trace(optim.run(method, fn.oracle(), st, 0, track_average=False),
+                                  optim.run(method, general_oracle(fn), st, 0,
+                                            track_average=False))
 
-
-class TestRunBatchRepeatExit:
-    """run_batch stops a member at a repeated state, as run does, and does
-    not step it to T."""
-
-    def test_repeating_members_stop_early(self):
+    def test_every_cex2_regmuon_start_stops_at_its_repeat(self):
         # The shape of verify cex2's regmuon groups; from these starts each
-        # of the ten members repeats before T.
+        # of the ten runs repeats before T, and is not stepped to T.
         fn, T = cex.KinkyFunction(c=0.3), 2000
         rng = np.random.default_rng(0)
-        starts = [rng.standard_normal((2, 2)) for _ in range(10)]
-
-        def states():
-            return [optim.OptimizerState(W=W0, beta=0.2, schedule=optim.AdaptiveNuclear(0.05))
-                    for W0 in starts]
-
+        states = [optim.OptimizerState(W=rng.standard_normal((2, 2)), beta=0.2,
+                                       schedule=optim.AdaptiveNuclear(0.05)) for _ in range(10)]
         with mock.patch.object(optim, "_repeat_period", wraps=optim._repeat_period) as exits:
-            traces = optim.run_batch("regmuon", [fn] * 10, states(), T)
+            traces = [optim.run("regmuon", fn, st, T, track_average=False) for st in states]
         # One call per repeated column: w11, w22 and the recorded stepsizes.
         assert exits.call_count == 3 * 10
-        for st, tr in zip(states(), traces):
-            assert_same_trace(tr, optim.run("regmuon", fn, st, T, track_average=False))
+        for st, tr in zip(states, traces):
+            assert_same_trace(tr, optim.run("regmuon", general_oracle(fn), st, T,
+                                            track_average=False))
 
 
 class TestLockstep:
@@ -1307,8 +1267,8 @@ class TestStepCounts:
     # Each call's result, as bytes where it is an array or a Trace.
     CALLS = {
         "run": lambda T: trace_bytes(optim.run("muon", kinky_oracle(), state(np.eye(2)), T)),
-        "run_batch": lambda T: [trace_bytes(tr) for tr in optim.run_batch(
-            "muon", [cex.KinkyFunction(c=0.5)], [state(np.eye(2))], T)],
+        "run, general loop": lambda T: trace_bytes(optim.run(
+            "muon", general_oracle(cex.KinkyFunction(c=0.5)), state(np.eye(2)), T)),
         "efm_bound": lambda T: optim.efm_bound(T, 0.5, 0.5, 1.0, 1.0),
         "efm_bound_column": lambda T: optim.efm_bound_column(T, 0.5, 0.5, 1.0, 1.0).tobytes(),
     }
@@ -1318,16 +1278,16 @@ class TestStepCounts:
                                    pytest.param(np.True_, id="np.True_"),
                                    pytest.param(np.array(2.0), id="0-d float array")])
     def test_rejects_T_that_is_not_a_nonnegative_integer(self, call, T):
-        # run took one step for True, run_batch raised TypeError, run with
-        # 2.0 failed inside numpy and efm_bound(2.5, ...) returned a number.
+        # run took one step for True, run with 2.0 failed inside numpy and
+        # efm_bound(2.5, ...) returned a number.
         with pytest.raises(ValueError, match="T must be nonnegative: a nonnegative integer"):
             self.CALLS[call](T)
 
     @pytest.mark.parametrize("call", CALLS)
     def test_numpy_integer_T_is_accepted(self, call):
-        # T is its Python int.  T + 1 wrapped in the numpy type: run and
-        # run_batch raised ValueError at np.int8(127) and IndexError at
-        # np.uint8(255), and efm_bound_column a broadcast ValueError.
+        # T is its Python int.  T + 1 wrapped in the numpy type: run raised
+        # ValueError at np.int8(127) and IndexError at np.uint8(255), and
+        # efm_bound_column a broadcast ValueError.
         for T in (np.int64(3), np.int8(127), np.uint8(255), np.array(3)):
             assert self.CALLS[call](T) == self.CALLS[call](int(T))
 
@@ -1412,9 +1372,10 @@ class TestBound:
         with pytest.raises(ValueError, match="finite and positive"):
             optim.efm_bound_schedule([1.0, bad], 0.5, 0.5, 1.0, 1.0)
 
-    @pytest.mark.parametrize("lams", [[0.01, 1.0, 5.0], [1.0, 0.5, 0.6]])
+    @pytest.mark.parametrize("lams", [[0.01, 1.0, 5.0], [1.0, 0.5, 0.6], [1e-20, 5e-16]])
     def test_schedule_form_rejects_increasing_stepsizes(self, lams):
         # [0.01, 1.0, 5.0] used to give 7.54; the bound assumes lam_t nonincreasing.
+        # [1e-20, 5e-16], a rise within the old 1e-15 slack, gave 5.0e14.
         with pytest.raises(ValueError, match="schedule must be nonincreasing"):
             optim.efm_bound_schedule(lams, 0.5, 0.5, 1.0, 1.0)
         # constant and decreasing schedules pass the same check
