@@ -58,9 +58,13 @@ class KinkyFunction:
 
     def __post_init__(self):
         # Stored as a Python float and ints, so f and its subgradient compute
-        # in float64 whatever real type c was given as (np.float32, say).
-        object.__setattr__(self, "c", optim._check_real(self.c, "c"))
+        # in float64 whatever real type c was given as (np.float32, say); a
+        # float or int of exactly that type is one already.
+        if type(self.c) is not float:
+            object.__setattr__(self, "c", optim._check_real(self.c, "c"))
         for name, value in (("m", self.m), ("n", self.n)):
+            if type(value) is int:
+                continue
             if (count := norms._integer(value)) is None:
                 raise ValueError(f"{name} must be an integer, not {norms._shown(value)}")
             object.__setattr__(self, name, count)
@@ -68,15 +72,16 @@ class KinkyFunction:
             raise ValueError("c must lie in (0, 1)")
         if self.m < 2 or self.n < 2:
             raise ValueError("need m, n >= 2")
-        # Each sign class's subgradient, row 3 * (s1 + 1) + (s2 + 1), by
-        # ``subgradient``'s own expressions: ``rows``, its (G[0, 0], G[1, 1])
-        # as floats, for ``optim.run``'s float loop; ``_table``, the nine as a
+        # Each sign class's subgradient, by ``subgradient``'s own expressions:
+        # ``rows``, its (G[0, 0], G[1, 1]) as floats in row 3 * (s1 + 1) +
+        # (s2 + 1), for ``optim.run``'s float loop; ``_table``, the nine as a
         # (9, m, n) stack, and ``_table_fro``, their ``norms.fro``
-        # (``linalg._fro_members``), both read-only.
+        # (``linalg._fro_members``), both read-only, in entry 3 * s1 + s2, a
+        # negative one counted from the end.
         signs = (-1.0, 0.0, 1.0)
         rows = tuple((self.c * s1 + s2, self.c * s1 - s2) for s1 in signs for s2 in signs)
         G = np.zeros((9, self.m, self.n))
-        G[:, 0, 0], G[:, 1, 1] = zip(*rows)
+        G[:, 0, 0], G[:, 1, 1] = zip(*rows[4:], *rows[:4])
         fro = linalg._fro_members(G)
         G.flags.writeable = fro.flags.writeable = False
         for name, value in (("rows", rows), ("_table", G), ("_table_fro", fro)):
@@ -112,18 +117,18 @@ class KinkyFunction:
         w2 = float(W[1, 1])
         s = w1 + w2
         d = w1 - w2
-        k = 3 * ((s > 0) - (s < 0)) + (d > 0) - (d < 0) + 4
+        k = 3 * ((s > 0) - (s < 0)) + (d > 0) - (d < 0)
         return self.sd_value(s, d), self._table[k].copy()
 
     def grad_fro(self, s: np.ndarray, d: np.ndarray) -> np.ndarray:
         """``norms.fro`` of the subgradient ``evaluate`` returns at each
         diagonal with w1 + w2 = s[i] and w1 - w2 = d[i]."""
-        return self._table_fro.take(3 * _signs(s) + _signs(d) + 4)
+        return self._table_fro.take(3 * _signs(s) + _signs(d))
 
 
 def _signs(x: np.ndarray) -> np.ndarray:
-    """``_sign(x)`` elementwise, as integers; NaN maps to 0."""
-    return np.subtract(x > 0, x < 0, dtype=np.intp)
+    """``_sign(x)`` elementwise, as int8; NaN maps to 0."""
+    return np.subtract(x > 0, x < 0, dtype=np.int8)
 
 
 def lipschitz_bound(c: float) -> float:

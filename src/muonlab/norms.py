@@ -253,6 +253,8 @@ def fro(a) -> float:
 
 
 def zeros_like(a):
+    if type(a) is np.ndarray and a.dtype is linalg._FLOAT64 and a.flags.c_contiguous:
+        return np.zeros(a.shape)  # the fallback's result, without its calls
     if isinstance(a, ParamPoint):
         return a.zeros_like()
     return np.zeros_like(np.asarray(a, float))

@@ -220,10 +220,12 @@ class OptimizerState:
     polar: object = linalg.polar_exact
 
     def __post_init__(self):
-        self.beta = _check_real(self.beta, "beta")
+        if type(self.beta) is not float:  # an exact float is parsed already
+            self.beta = _check_real(self.beta, "beta")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
-        self.t = _check_count(self.t, "t")
+        if type(self.t) is not int or self.t < 0:
+            self.t = _check_count(self.t, "t")
         self.M = norms.zeros_like(self.W) if self.M is None else self.M
         self.E = norms.zeros_like(self.W) if self.E is None else self.E
 
@@ -471,10 +473,12 @@ def _run_diagonal(rule: Rule, fn, state: OptimizerState, T: int,
     there, W keeps its other entries (no Trace column reads them), and on
     such a matrix the polar factor is the sign and the nuclear norm
     |d1| + |d2|.  Each float operation is the one ``step`` applies
-    elementwise (schedules hold Python floats).  The sign class is picked by
-    branches, a NaN falling in the class of a zero; lam sign(m) and the
-    compressor's scale sign(p) are taken as +-lam and +-scale or 0, the same
-    numbers while lam and the scale are finite.
+    elementwise (schedules hold Python floats).  The sign class of w1 + w2 is
+    picked by branches and that of w1 - w2 by comparing w1 with w2, a NaN
+    falling in the class of a zero; w - lam sign(m) and the compressor's
+    w - scale sign(p) are taken as w - lam, w + lam or w itself (and so with
+    the scale), the same numbers while lam and the scale are finite and w is
+    no signaling NaN, which the loop quiets first.
 
     A step records w1, w2, the running mean and a stepsize that depends on
     M, and the Trace is built from the records (``_diagonal_trace``), or is
@@ -506,18 +510,45 @@ def _run_diagonal(rule: Rule, fn, state: OptimizerState, T: int,
     beta, one_minus_beta = float(state.beta), float(1.0 - state.beta)
     rows = [(one_minus_beta * g1, one_minus_beta * g2) for g1, g2 in fn.rows] \
         if momentum else fn.rows
-    Rn, Rz, Rp = rows[0:3], rows[3:6], rows[6:9]  # by the sign of w1 + w2
+    # The nine rows as locals, named by the sign classes (minus, zero, plus)
+    # of w1 + w2 and w1 - w2.
+    ((mm1, mm2), (mz1, mz2), (mp1, mp2), (zm1, zm2), (zz1, zz2), (zp1, zp2),
+     (pm1, pm2), (pz1, pz2), (pp1, pp2)) = rows
     feedback, r = rule.feedback, min(fn.m, fn.n)
     w1, w2 = float(state.W[0, 0]), float(state.W[1, 1])
     m1, m2 = float(state.M[0, 0]), float(state.M[1, 1])
     e1, e2 = float(state.E[0, 0]), float(state.E[1, 1])
     a1, a2, j = w1, w2, 1.0  # the running mean of j iterates
     w11, w22, a11, a22, lam_col = [w1], [w2], [a1], [a2], []
+    w11_append, w22_append = w11.append, w22.append
+    # w - 0.0 is w but for a signaling NaN, which it quiets as the general
+    # loop's first W - lam X or W - C does; a step may leave w unchanged.
+    w1, w2 = w1 - 0.0, w2 - 0.0
     while True:
         for lam in coef:
-            s, d = w1 + w2, w1 - w2
-            R = Rp if s > 0 else Rn if s < 0 else Rz
-            g1, g2 = R[2] if d > 0 else R[0] if d < 0 else R[1]
+            # w1 - w2 is > 0, < 0 or neither exactly when w1 > w2, w1 < w2 or
+            # neither: doubles underflow gradually, and inf - inf is a NaN.
+            s = w1 + w2
+            if s > 0:
+                if w1 > w2:
+                    g1, g2 = pp1, pp2
+                elif w1 < w2:
+                    g1, g2 = pm1, pm2
+                else:
+                    g1, g2 = pz1, pz2
+            elif s < 0:
+                if w1 > w2:
+                    g1, g2 = mp1, mp2
+                elif w1 < w2:
+                    g1, g2 = mm1, mm2
+                else:
+                    g1, g2 = mz1, mz2
+            elif w1 > w2:
+                g1, g2 = zp1, zp2
+            elif w1 < w2:
+                g1, g2 = zm1, zm2
+            else:
+                g1, g2 = zz1, zz2
             if momentum:
                 m1, m2 = beta * m1 + g1, beta * m2 + g2
             else:
@@ -526,16 +557,31 @@ def _run_diagonal(rule: Rule, fn, state: OptimizerState, T: int,
                 lam = lam * (abs(m1) + abs(m2))
                 lam_col.append(lam)
             if feedback:
-                p1, p2 = e1 + lam * m1, e2 + lam * m2
-                scale = (abs(p1) + abs(p2)) / r
-                c1 = scale if p1 > 0 else -scale if p1 < 0 else 0.0
-                c2 = scale if p2 > 0 else -scale if p2 < 0 else 0.0
-                w1, w2, e1, e2 = w1 - c1, w2 - c2, p1 - c1, p2 - c2
+                e1, e2 = e1 + lam * m1, e2 + lam * m2  # P, until C is taken off
+                scale = (abs(e1) + abs(e2)) / r
+                if e1 > 0:
+                    w1 -= scale
+                    e1 -= scale
+                elif e1 < 0:
+                    w1 += scale
+                    e1 += scale
+                if e2 > 0:
+                    w2 -= scale
+                    e2 -= scale
+                elif e2 < 0:
+                    w2 += scale
+                    e2 += scale
             else:
-                w1 = w1 - lam if m1 > 0 else w1 + lam if m1 < 0 else w1
-                w2 = w2 - lam if m2 > 0 else w2 + lam if m2 < 0 else w2
-            w11.append(w1)
-            w22.append(w2)
+                if m1 > 0:
+                    w1 -= lam
+                elif m1 < 0:
+                    w1 += lam
+                if m2 > 0:
+                    w2 -= lam
+                elif m2 < 0:
+                    w2 += lam
+            w11_append(w1)
+            w22_append(w2)
             if track_average:
                 j += 1.0
                 k = 1.0 / j

@@ -1225,6 +1225,62 @@ class TestMixedStarts:
                                             track_average=False))
 
 
+# Diagonal entries on the boundaries of the sign classes of w1 + w2 and
+# w1 - w2: zeros of both signs, the least subnormals, values whose sum or
+# difference overflows, infinities and a NaN; and adjacent doubles, one ulp
+# apart, in both orders.
+_BOUNDARY_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 0.7, -0.7, 1e308, -1e308,
+                     math.inf, -math.inf, math.nan)
+_ADJACENT = [(x, math.nextafter(x, math.inf)) for x in (
+    -math.inf, -1e308, -0.7, -5e-324, -0.0, 0.0, 5e-324, 0.7, 1e308, np.finfo(float).max)]
+BOUNDARY_STARTS = ([(w1, w2) for w1 in _BOUNDARY_ENTRIES for w2 in _BOUNDARY_ENTRIES]
+                   + _ADJACENT + [(w2, w1) for w1, w2 in _ADJACENT])
+
+
+def signaling_nan(payload=1, negative=False):
+    """A float64 signaling NaN: exponent all ones, quiet bit clear."""
+    bits = (0xFFF0000000000000 if negative else 0x7FF0000000000000) | payload
+    return np.array([bits], np.uint64).view(np.float64)[0]
+
+
+# The general loop makes numpy warn on non-finite values; the float loop is
+# silent.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestSignClassBoundaries:
+    """run's float loop against its general loop from starts on every
+    boundary of the sign classes, where the float loop picks the class of
+    w1 - w2 by comparing w1 with w2."""
+
+    @staticmethod
+    def assert_float_loop_equals_general_loop(method, w1, w2, track_average):
+        fn = cex.KinkyFunction(c=0.3)
+
+        def state0():
+            return state(np.diag([w1, w2]), beta=0.5)
+
+        with counting_steps() as calls:
+            fast = optim.run(method, fn, state0(), 3, track_average)
+        assert not calls  # the float loop ran to the end
+        ref = optim.run(method, general_oracle(fn), state0(), 3, track_average)
+        assert trace_bytes(fast) == trace_bytes(ref), (w1, w2, track_average)
+
+    @pytest.mark.parametrize("track_average", (True, False))
+    @pytest.mark.parametrize("method", DIAGONAL_METHODS)
+    def test_every_boundary_start_equals_general_loop(self, method, track_average):
+        for w1, w2 in BOUNDARY_STARTS:
+            self.assert_float_loop_equals_general_loop(method, w1, w2, track_average)
+
+    @pytest.mark.parametrize("method", DIAGONAL_METHODS)
+    def test_signaling_nan_start_equals_general_loop(self, method):
+        # Row 0 keeps the signaling NaN, and a later row holds the quiet NaN
+        # the general loop's first step makes of it, even where the step
+        # leaves w unchanged.
+        snan, negative_snan = signaling_nan(), signaling_nan(5, negative=True)
+        for w1, w2 in ((snan, 1.0), (-0.0, negative_snan), (snan, negative_snan)):
+            for track_average in (True, False):
+                self.assert_float_loop_equals_general_loop(method, w1, w2, track_average)
+
+
 class TestLockstep:
     """The lock-step engine on dense stacks: with ``polar_exact_stack`` as
     the LMO, each member equals a ``step_muon`` loop bit for bit."""
