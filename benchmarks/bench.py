@@ -34,8 +34,8 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
 - the inputs a ``cex-sweep`` item of ``perfbench`` builds before its run, in
   microseconds per call: ``OptimizerState(...)`` from a dense 2x2 start,
   ``KinkyFunction(c)``, and ``KinkyFunction(c).oracle()``, the oracle an
-  item runs on, which includes the build of the function's nine-row
-  subgradient table whichever of the two calls makes it;
+  item runs on, each for one c built over and over, as a sweep builds its
+  functions, and ``KinkyFunction(c)`` for a new c at each call;
 - ``KinkyFunction.grad_fro``, the gradient-norm column of a float-loop run's
   post-pass, on the diagonals of a ``muon`` run with a ``Table`` for each T
   in ``GRAD_FRO_T``, in microseconds per call;
@@ -235,6 +235,11 @@ def _step_timings() -> dict:
             ("KinkyFunction(c).oracle()", lambda: cex.KinkyFunction(c=0.3).oracle())):
         timings[label] = _per_unit(_timed(_calls(build, [()] * ORACLE_BUILDS)),
                                    "us_per_call", ORACLE_BUILDS)
+    # A new c for every call of every repeat: no function is built twice.
+    fresh = iter(np.linspace(0.01, 0.99, ORACLE_BUILDS * REPEATS).tolist())
+    timings["KinkyFunction(c),new c"] = _per_unit(_timed(
+        _calls(lambda: cex.KinkyFunction(c=next(fresh)), [()] * ORACLE_BUILDS)),
+        "us_per_call", ORACLE_BUILDS)
     tr = optim.run("muon", oracle, state, max(GRAD_FRO_T), track_average=False)
     for T in GRAD_FRO_T:
         S, D = tr.sum_diag[:T + 1], tr.diff_diag[:T + 1]

@@ -6,6 +6,7 @@ them against simulation traces.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +38,21 @@ def _sign(x: float) -> float:
     return 1.0 if x > 0 else -1.0 if x < 0 else 0.0
 
 
+class _built_on_first_read:
+    """``functools.cached_property``, storing by ``object.__setattr__`` as a frozen
+    dataclass does: a ``__dict__`` write slows each later attribute read."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.build(instance)
+        object.__setattr__(instance, self.build.__name__, value)
+        return value
+
+
 @dataclass(frozen=True)
 class KinkyFunction:
     """f(W) = c |W11 + W22| + |W11 - W22| on m x n matrices, m, n >= 2.
@@ -47,9 +63,8 @@ class KinkyFunction:
     The function is its own subgradient oracle: ``evaluate(W)`` is
     ``(value(W), subgradient(W))`` bit for bit.  The subgradient depends on W
     only through the signs s1 of w1 + w2 and s2 of w1 - w2, so ``evaluate``
-    reads the leading diagonal once and copies one of nine subgradients,
-    built with the function and read-only; a NaN falls in the class of a
-    zero, as in ``_sign``.
+    reads the leading diagonal once and copies one of nine read-only
+    subgradients; a NaN falls in the class of a zero, as in ``_sign``.
     """
 
     c: float
@@ -72,23 +87,20 @@ class KinkyFunction:
             raise ValueError("c must lie in (0, 1)")
         if self.m < 2 or self.n < 2:
             raise ValueError("need m, n >= 2")
-        # Each sign class's subgradient, by ``subgradient``'s own expressions:
-        # ``rows``, its (G[0, 0], G[1, 1]) as floats in row 3 * (s1 + 1) +
-        # (s2 + 1), for ``optim.run``'s float loop; ``_table``, the nine as a
-        # (9, m, n) stack, and ``_table_fro``, their ``norms.fro``
-        # (``linalg._fro_members``), both read-only, in entry 3 * s1 + s2, a
-        # negative one counted from the end.
-        signs = (-1.0, 0.0, 1.0)
-        rows = tuple((self.c * s1 + s2, self.c * s1 - s2) for s1 in signs for s2 in signs)
-        G = np.zeros((9, self.m, self.n))
-        G[:, 0, 0], G[:, 1, 1] = zip(*rows[4:], *rows[:4])
-        fro = linalg._fro_members(G)
-        G.flags.writeable = fro.flags.writeable = False
-        for name, value in (("rows", rows), ("_table", G), ("_table_fro", fro)):
-            object.__setattr__(self, name, value)
+        # ``rows`` for ``optim.run``'s float loop, norms for ``grad_fro``.
+        rows, fro = _sign_classes(self.c, self.m, self.n)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_table_fro", fro)
+
+    @_built_on_first_read
+    def _table(self) -> np.ndarray:
+        """The nine subgradients as a read-only (9, m, n) stack (``_stack``)."""
+        G = _stack(self.rows, self.m, self.n)
+        G.flags.writeable = False
+        return G
 
     def __reduce__(self):
-        # A copy or an unpickled function builds its own read-only table.
+        # A copy or an unpickled function is built anew, with its own stack.
         return type(self), (self.c, self.m, self.n)
 
     def sd_value(self, s, d):
@@ -124,6 +136,25 @@ class KinkyFunction:
         """``norms.fro`` of the subgradient ``evaluate`` returns at each
         diagonal with w1 + w2 = s[i] and w1 - w2 = d[i]."""
         return self._table_fro.take(3 * _signs(s) + _signs(d))
+
+
+def _stack(rows: tuple, m: int, n: int) -> np.ndarray:
+    """The nine subgradients of ``rows`` as a (9, m, n) stack, class (s1, s2)
+    in entry 3 * s1 + s2, a negative one counted from the end."""
+    G = np.zeros((9, m, n))
+    G[:, 0, 0], G[:, 1, 1] = zip(*rows[4:], *rows[:4])
+    return G
+
+
+@functools.lru_cache(maxsize=128)  # a sweep builds a function per start, from few c
+def _sign_classes(c: float, m: int, n: int) -> tuple:
+    """``rows``, class (s1, s2)'s (G[0, 0], G[1, 1]) in row 3 s1 + s2 + 4, and the
+    read-only norms of a dropped ``_stack``: no cached array grows with m n."""
+    signs = (-1.0, 0.0, 1.0)
+    rows = tuple((c * s1 + s2, c * s1 - s2) for s1 in signs for s2 in signs)
+    fro = linalg._fro_members(_stack(rows, m, n))
+    fro.flags.writeable = False
+    return rows, fro
 
 
 def _signs(x: np.ndarray) -> np.ndarray:

@@ -128,7 +128,7 @@ class AdaptiveNuclear:
 def offline_stepsizes(schedule, t0: int, n: int) -> np.ndarray:
     """``[schedule.value(t) for t in range(t0, t0 + n)]`` as a new float64 array,
     bit for bit, for t0 + n <= 2**53: an exact Constant or AdaptiveNuclear is a fill, a
-    Table a clamped slice of its read-only ``_array``, InvT and InvSqrtT their
+    Table a copy of its read-only ``_array``'s slice, clamped, InvT and InvSqrtT their
     expressions on the float range t0 + 1 .. t0 + n (IEEE / and sqrt round as
     Python's do).  Other schedules are asked step by step."""
     t0, n = _check_count(t0, "t0"), _check_count(n, "n")
@@ -139,7 +139,12 @@ def offline_stepsizes(schedule, t0: int, n: int) -> np.ndarray:
         return np.full(n, schedule.value(t0))
     if kind is Table:
         head = schedule._array[t0:t0 + n]
-        return np.concatenate((head, np.full(n - len(head), schedule.values[-1])))
+        if len(head) == n:
+            return head.copy()
+        out = np.empty(n)
+        out[:len(head)] = head
+        out[len(head):] = schedule.values[-1]
+        return out
     if kind is InvT or kind is InvSqrtT:
         t1 = np.arange(t0 + 1, t0 + n + 1, dtype=float)
         return 1.0 / (t1 if kind is InvT else np.sqrt(t1))
@@ -617,7 +622,9 @@ _CHUNK, _STATE = 32, struct.Struct("6d")
 def _repeat_period(records: list, period: int, n: int) -> np.ndarray:
     """``records`` as a float64 array of n entries, its last ``period`` repeating."""
     head = _floats(records)
-    return np.concatenate((head, np.resize(head[len(head) - period:], n - len(head))))
+    start = len(head) - period
+    tail = np.tile(head[start:], -(-(n - start) // period))  # whole periods from start on
+    return np.concatenate((head[:start], tail[:n - start]))
 
 
 def _floats(xs: list) -> np.ndarray:

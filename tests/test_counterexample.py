@@ -159,12 +159,80 @@ class TestKinkyOracle:
 
     def test_the_table_is_read_only(self):
         fn = cex.KinkyFunction(c=0.3, m=3, n=2)
-        # A deep copy and a pickle round trip build their own tables, read-only too.
+        # A deep copy and a pickle round trip are built anew: read-only too.
         for g in (fn, copy.deepcopy(fn), pickle.loads(pickle.dumps(fn))):
             assert g == fn
             for A in (g._table, g._table_fro):
                 with pytest.raises(ValueError, match="read-only"):
                     A[0] = 1.0
+
+    def test_functions_of_equal_shape_and_c_share_rows_and_norms(self):
+        a, b = cex.KinkyFunction(c=0.3, m=3, n=4), cex.KinkyFunction(c=np.float32(0.3), m=3, n=4)
+        c = cex.KinkyFunction(c=float(np.float32(0.3)), m=np.int64(3), n=4)
+        assert b.rows is c.rows and b._table_fro is c._table_fro
+        assert a.rows is not b.rows and a._table_fro is not b._table_fro  # another c
+        assert cex.KinkyFunction(c=0.3, m=4, n=3).rows is not a.rows
+        for fro in (a._table_fro, b._table_fro):
+            with pytest.raises(ValueError, match="read-only"):
+                fro[4] = 1.0
+
+    @staticmethod
+    def sign_classes(fn, diagonals):
+        s, d = np.array([1.0, -2.0, 0.0, np.nan]), np.array([-0.5, 0.0, 3.0, 1.0])
+        return ([fn.rows, fn._table_fro.tobytes(), fn.grad_fro(s, d).tobytes()]
+                + [fn.evaluate(np.diag(w))[1].tobytes() for w in diagonals])
+
+    def test_a_function_built_after_the_cache_turned_over_is_the_same(self):
+        diagonals = [(w1, w2) for w1 in (-1.0, 0.0, 2.0) for w2 in (-1.0, 0.0, 2.0)]
+        first = cex.KinkyFunction(c=0.3)
+        want = self.sign_classes(first, diagonals)
+        size = cex._sign_classes.cache_info().maxsize
+        for c in np.linspace(0.01, 0.99, size + 5):  # more keys than the cache holds
+            cex.KinkyFunction(c=float(c))
+        again = cex.KinkyFunction(c=0.3)
+        assert again.rows is not first.rows  # built anew, not found
+        assert self.sign_classes(again, diagonals) == want
+
+    def test_the_cache_holds_no_array_of_the_function_s_size(self):
+        fn = cex.KinkyFunction(c=0.3, m=300, n=300)
+        assert "_table" not in vars(fn)  # the stack is built on first use
+
+        def arrays(x):
+            if isinstance(x, np.ndarray):
+                yield x
+                yield from arrays(x.base)
+            elif isinstance(x, tuple):
+                for y in x:
+                    yield from arrays(y)
+
+        cached = list(arrays(cex._sign_classes(0.3, 300, 300)))
+        assert cached and max(a.size for a in cached) <= 9
+        assert fn.evaluate(np.eye(300))[1].shape == (300, 300)
+        assert fn._table.shape == (9, 300, 300)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 5)])
+    def test_the_stack_is_built_on_first_use_by_the_subgradient_expressions(self, shape):
+        m, n = shape
+        fn = cex.KinkyFunction(c=0.35, m=m, n=n)
+        assert "_table" not in vars(fn)
+        want = np.zeros((9, m, n))
+        for s1 in (-1.0, 0.0, 1.0):
+            for s2 in (-1.0, 0.0, 1.0):
+                k = 3 * int(s1) + int(s2)
+                want[k, 0, 0], want[k, 1, 1] = fn.c * s1 + s2, fn.c * s1 - s2
+        table = fn._table
+        assert fn._table is table and not table.flags.writeable
+        assert table.dtype == np.float64 and table.tobytes() == want.tobytes()
+        assert fn._table_fro.tobytes() == np.array([np.linalg.norm(G) for G in want]).tobytes()
+        rng = np.random.default_rng(35)
+        for g in (copy.copy(fn), copy.deepcopy(fn), pickle.loads(pickle.dumps(fn))):
+            assert g == fn and g.rows is fn.rows and g._table_fro is fn._table_fro
+            for w1, w2 in ORACLE_DIAGONALS:
+                W = rng.standard_normal(shape)
+                W[0, 0], W[1, 1] = w1, w2
+                (v, G), (u, H) = fn.evaluate(W), g.evaluate(W)
+                assert _bits(v) == _bits(u) and G.tobytes() == H.tobytes()
+            assert g._table is not table and not g._table.flags.writeable
 
     def test_runs_on_one_function_share_no_memory(self):
         fn = cex.KinkyFunction(c=0.3)

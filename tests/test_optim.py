@@ -152,6 +152,18 @@ class TestOfflineStepsizes:
         assert table.values == self.TABLE
         assert optim.offline_stepsizes(table, 0, 4).tolist() == list(self.TABLE)
 
+    @pytest.mark.parametrize("t0, n", [(0, 3), (1, 2), (0, 4), (1, 3), (4, 0), (0, 6),
+                                       (2, 5), (4, 2), (9, 3)])
+    def test_a_table_range_is_a_new_writable_array(self, t0, n):
+        # t0 + n below, at and past the table's end.  The float loop writes
+        # the final lam of its Trace to NaN in place.
+        table = optim.Table(self.TABLE)
+        got = optim.offline_stepsizes(table, t0, n)
+        want = np.array([table.value(t) for t in range(t0, t0 + n)], float)
+        assert got.flags.writeable and got.flags.owndata
+        assert not np.shares_memory(got, table._array)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError, match="t0"):
             optim.offline_stepsizes(optim.Table((0.1, 0.2)), -1, 2)
@@ -982,6 +994,28 @@ class TestDiagonalTrace:
             for col in TRACE_COLUMNS:
                 getattr(tr, col)[:] = -1.0
         assert [trace_bytes(tr) for tr in self.traces(method, schedule)] == expected
+
+
+class TestRepeatPeriod:
+    @staticmethod
+    def resized(records, period, n):
+        head = np.array(records, float)
+        return np.concatenate((head, np.resize(head[len(head) - period:], n - len(head))))
+
+    def test_equals_a_resized_tail(self):
+        rng = np.random.default_rng(35)
+        for size in range(1, 12):
+            records = rng.standard_normal(size).tolist()
+            for period in range(1, size + 1):  # up to every record
+                for n in (size, size + 1, size + period, size + 2 * period + 1, 40):
+                    got = optim._repeat_period(records, period, n)
+                    assert got.dtype == np.float64 and got.shape == (n,)
+                    assert got.tobytes() == self.resized(records, period, n).tobytes()
+
+    def test_keeps_the_bits_of_each_record(self):
+        records = [1.0, -0.0, 0.0, math.nan, -math.inf, 5e-324]
+        got = optim._repeat_period(records, 4, 13)
+        assert got.tobytes() == self.resized(records, 4, 13).tobytes()
 
 
 @contextlib.contextmanager
