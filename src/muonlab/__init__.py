@@ -46,11 +46,9 @@ from .optim import (
 )
 from .counterexample import (
     Cex1Init,
-    Cex2Guard,
     KinkyFunction,
     cex1_build,
     cex1_predicted_sequence,
-    cex2_guard_check,
     compute_R,
     compute_R_sequence,
     lipschitz_bound,

@@ -1,7 +1,7 @@
 """The adversarial piecewise-linear function c|W11+W22| + |W11-W22|, its
-subgradient oracle, the two non-convergence constructions with their
-closed-form predicted iterates, and the invariant trackers used to verify
-them against simulation traces.
+subgradient oracle, and the first non-convergence construction with its
+closed-form predicted iterates; ``harness.suite_cex2`` checks the second
+construction's invariants on simulation traces.
 """
 
 from __future__ import annotations
@@ -38,21 +38,6 @@ def _sign(x: float) -> float:
     return 1.0 if x > 0 else -1.0 if x < 0 else 0.0
 
 
-class _built_on_first_read:
-    """``functools.cached_property``, storing by ``object.__setattr__`` as a frozen
-    dataclass does: a ``__dict__`` write slows each later attribute read."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = self.build(instance)
-        object.__setattr__(instance, self.build.__name__, value)
-        return value
-
-
 @dataclass(frozen=True)
 class KinkyFunction:
     """f(W) = c |W11 + W22| + |W11 - W22| on m x n matrices, m, n >= 2.
@@ -61,10 +46,9 @@ class KinkyFunction:
     inf f = 0.  Entries outside the leading 2x2 diagonal are ignored.
 
     The function is its own subgradient oracle: ``evaluate(W)`` is
-    ``(value(W), subgradient(W))`` bit for bit.  The subgradient depends on W
-    only through the signs s1 of w1 + w2 and s2 of w1 - w2, so ``evaluate``
-    reads the leading diagonal once and copies one of nine read-only
-    subgradients; a NaN falls in the class of a zero, as in ``_sign``.
+    ``(value(W), subgradient(W))``.  The subgradient depends on W only
+    through the signs s1 of w1 + w2 and s2 of w1 - w2, a NaN in the class of
+    a zero, as in ``_sign``; ``rows`` holds the nine classes' entries.
     """
 
     c: float
@@ -92,15 +76,8 @@ class KinkyFunction:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_table_fro", fro)
 
-    @_built_on_first_read
-    def _table(self) -> np.ndarray:
-        """The nine subgradients as a read-only (9, m, n) stack (``_stack``)."""
-        G = _stack(self.rows, self.m, self.n)
-        G.flags.writeable = False
-        return G
-
     def __reduce__(self):
-        # A copy or an unpickled function is built anew, with its own stack.
+        # A copy or an unpickled function is built anew from (c, m, n).
         return type(self), (self.c, self.m, self.n)
 
     def sd_value(self, s, d):
@@ -125,12 +102,7 @@ class KinkyFunction:
         return self
 
     def evaluate(self, W):
-        w1 = float(W[0, 0])
-        w2 = float(W[1, 1])
-        s = w1 + w2
-        d = w1 - w2
-        k = 3 * ((s > 0) - (s < 0)) + (d > 0) - (d < 0)
-        return self.sd_value(s, d), self._table[k].copy()
+        return self.value(W), self.subgradient(W)
 
     def grad_fro(self, s: np.ndarray, d: np.ndarray) -> np.ndarray:
         """``norms.fro`` of the subgradient ``evaluate`` returns at each
@@ -314,50 +286,3 @@ def cex1_predicted_sequence(init: Cex1Init, T: int) -> np.ndarray:
 def cex1_floor(init: Cex1Init, fn: KinkyFunction) -> float:
     """Proven suboptimality floor 2 c r."""
     return 2.0 * fn.c * init.r
-
-
-# ---------------------------------------------------------------------------
-# Construction 2: adaptive stepsizes, low momentum
-
-
-@dataclass(frozen=True)
-class Cex2Guard:
-    """Outcome of the almost-sure initialization check over a finite horizon."""
-
-    T: int
-    p0: float
-    q0: float
-    ok: bool
-    first_bad_t: int = -1
-
-
-def cex2_guard_check(W0, beta, schedule, T: int, method: str = "muon",
-                     c: float = None) -> Cex2Guard:
-    """Check that an initialization avoids the measure-zero failure set.
-
-    The bad set is characterized by p_0 = 0 or by q_t hitting 0 at some
-    step; enumerating it is infeasible, so the check simulates the run and
-    verifies q_t != 0 for all t <= T, which is the exact condition the
-    non-convergence argument consumes; a NaN q_t fails it too.  ``W0`` must
-    be a finite matrix (``linalg.as_matrix``).
-    """
-    beta = optim._check_real(beta, "beta")
-    if not 0.0 <= beta < 0.5:
-        raise ValueError("beta must lie in [0, 1/2)")
-    T = optim._check_count(T, "T")
-    if method not in RUN_METHODS:
-        raise ValueError(f"unknown method {method!r}; a run takes one of {', '.join(RUN_METHODS)}")
-    if c is None:
-        c = AUTO_C["cex2"](beta)
-    W0 = linalg.as_matrix(W0)
-    fn = KinkyFunction(c=c, m=W0.shape[0], n=W0.shape[1])
-    p0 = float(W0[0, 0] + W0[1, 1])
-    q0 = float(W0[0, 0] - W0[1, 1])
-    if p0 == 0.0:
-        return Cex2Guard(T=T, p0=p0, q0=q0, ok=False, first_bad_t=0)
-    state = optim.OptimizerState(W=W0.copy(), beta=beta, schedule=schedule)
-    tr = optim.run(method, fn.oracle(), state, T, track_average=False)
-    bad = np.flatnonzero(~(np.abs(tr.diff_diag) > 0.0))  # a NaN q is a hit too
-    if bad.size:
-        return Cex2Guard(T=T, p0=p0, q0=q0, ok=False, first_bad_t=int(bad[0]))
-    return Cex2Guard(T=T, p0=p0, q0=q0, ok=True)

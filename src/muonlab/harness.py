@@ -608,6 +608,7 @@ def suite_lmo(trials: int = 1000) -> list:
 
 
 def suite_cex1(T: int = 5000) -> list:
+    T = norms._positive_int(T, "T")
     results = []
     rng = np.random.default_rng(19)
     table = optim.Table(tuple(np.sort(rng.uniform(0.05, 0.4, 64))[::-1]))
@@ -665,6 +666,7 @@ def suite_cex2(trials: int = 100, T: int = 2000) -> list:
 
 
 def suite_ef_bound(T: int = 5000) -> list:
+    T = norms._positive_int(T, "T")
     trace, bound, _ = run_experiment({**PRESETS["efm-appendixE"](), "T": T})
     gap = float(np.max(trace.favg - bound))
     return [

@@ -157,14 +157,13 @@ class TestKinkyOracle:
         fn = cex.KinkyFunction(c=0.3)
         assert fn.oracle() is fn
 
-    def test_the_table_is_read_only(self):
+    def test_the_norms_are_read_only(self):
         fn = cex.KinkyFunction(c=0.3, m=3, n=2)
         # A deep copy and a pickle round trip are built anew: read-only too.
         for g in (fn, copy.deepcopy(fn), pickle.loads(pickle.dumps(fn))):
             assert g == fn
-            for A in (g._table, g._table_fro):
-                with pytest.raises(ValueError, match="read-only"):
-                    A[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                g._table_fro[0] = 1.0
 
     def test_functions_of_equal_shape_and_c_share_rows_and_norms(self):
         a, b = cex.KinkyFunction(c=0.3, m=3, n=4), cex.KinkyFunction(c=np.float32(0.3), m=3, n=4)
@@ -195,7 +194,6 @@ class TestKinkyOracle:
 
     def test_the_cache_holds_no_array_of_the_function_s_size(self):
         fn = cex.KinkyFunction(c=0.3, m=300, n=300)
-        assert "_table" not in vars(fn)  # the stack is built on first use
 
         def arrays(x):
             if isinstance(x, np.ndarray):
@@ -208,21 +206,17 @@ class TestKinkyOracle:
         cached = list(arrays(cex._sign_classes(0.3, 300, 300)))
         assert cached and max(a.size for a in cached) <= 9
         assert fn.evaluate(np.eye(300))[1].shape == (300, 300)
-        assert fn._table.shape == (9, 300, 300)
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 5)])
-    def test_the_stack_is_built_on_first_use_by_the_subgradient_expressions(self, shape):
+    def test_the_rows_and_norms_are_the_subgradient_expressions(self, shape):
         m, n = shape
         fn = cex.KinkyFunction(c=0.35, m=m, n=n)
-        assert "_table" not in vars(fn)
         want = np.zeros((9, m, n))
         for s1 in (-1.0, 0.0, 1.0):
             for s2 in (-1.0, 0.0, 1.0):
                 k = 3 * int(s1) + int(s2)
                 want[k, 0, 0], want[k, 1, 1] = fn.c * s1 + s2, fn.c * s1 - s2
-        table = fn._table
-        assert fn._table is table and not table.flags.writeable
-        assert table.dtype == np.float64 and table.tobytes() == want.tobytes()
+        assert cex._stack(fn.rows, m, n).tobytes() == want.tobytes()
         assert fn._table_fro.tobytes() == np.array([np.linalg.norm(G) for G in want]).tobytes()
         rng = np.random.default_rng(35)
         for g in (copy.copy(fn), copy.deepcopy(fn), pickle.loads(pickle.dumps(fn))):
@@ -232,7 +226,6 @@ class TestKinkyOracle:
                 W[0, 0], W[1, 1] = w1, w2
                 (v, G), (u, H) = fn.evaluate(W), g.evaluate(W)
                 assert _bits(v) == _bits(u) and G.tobytes() == H.tobytes()
-            assert g._table is not table and not g._table.flags.writeable
 
     def test_runs_on_one_function_share_no_memory(self):
         fn = cex.KinkyFunction(c=0.3)
@@ -240,7 +233,7 @@ class TestKinkyOracle:
         for track_average in (True, False):
             a, b = (optim.run("muon", fn, st, 30, track_average) for _ in range(2))
             columns = [getattr(tr, col) for tr in (a, b) for col in _TRACE_COLUMNS]
-            for i, x in enumerate(columns + [fn._table, fn._table_fro]):
+            for i, x in enumerate(columns + [fn._table_fro]):
                 for y in columns[:i]:
                     assert not np.shares_memory(x, y)
 
@@ -513,56 +506,29 @@ class TestCex2:
         assert np.max(np.abs(res)) <= 1e-12
         assert np.min(tr.f) >= c * abs(p0) - 1e-12
 
-    def test_guard_check(self):
-        rng = np.random.default_rng(24)
-        sch = optim.Table(tuple(rng.uniform(0.01, 0.3, 100)))
-        g = cex.cex2_guard_check(rng.standard_normal((2, 2)), 0.2, sch, 100)
-        assert g.ok
-        g = cex.cex2_guard_check(np.diag([1.0, 1.0]), 0.2, sch, 100)
-        assert not g.ok and g.first_bad_t == 0  # q0 = 0
-        g = cex.cex2_guard_check(np.diag([1.0, -1.0]), 0.2, sch, 100)
-        assert not g.ok  # p0 = 0
-        # A numpy integer T is its Python int; np.int8(127) + 1 wrapped in run.
-        g = cex.cex2_guard_check(np.diag([1.0, 0.5]), 0.2, sch, np.int8(127))
-        assert g == cex.cex2_guard_check(np.diag([1.0, 0.5]), 0.2, sch, 127)
-        assert type(g.T) is int
-        with pytest.raises(ValueError):
-            cex.cex2_guard_check(np.eye(2), 0.6, sch, 10)
-
-    @pytest.mark.parametrize("W0", [np.zeros((2, 2)), np.diag([1.0, 0.5])])
-    @pytest.mark.parametrize("kwargs, match", [
-        ({"T": -5}, "T must be nonnegative"), ({"T": 2.5}, "T must be nonnegative"),
-        ({"T": True}, "T must be nonnegative"), ({"method": "bogus"}, "unknown method"),
-        ({"method": "muonmax"}, "a run takes one of"),
-        ({"method": "efmuonmax"}, "a run takes one of")])
-    def test_guard_check_validates_t_and_method_before_p0(self, W0, kwargs, match):
-        # With p0 = 0 the check used to return Cex2Guard(T=-5, ok=False, ...)
-        # before it looked at T or the method.  The product-norm rules, which
-        # need a ProductNormSpec point, got through the method check: with
-        # p0 = 0 as a failed guard, and otherwise as optim.run's ValueError.
-        args = {"T": 10, "method": "muon", **kwargs}
-        with pytest.raises(ValueError, match=match):
-            cex.cex2_guard_check(W0, 0.2, optim.Constant(0.1), **args)
-
-    @pytest.mark.parametrize("W0, match", [(np.diag([np.nan, 1.0]), "must be finite"),
-                                           (np.array([1.0, 0.5]), "2-d")])
-    def test_guard_check_rejects_invalid_starts(self, W0, match):
-        # The NaN start used to pass (q is NaN at every step); the 1-d one
-        # raised a bare IndexError.
-        with pytest.raises(ValueError, match=match):
-            cex.cex2_guard_check(W0, 0.2, optim.Table((0.1,)), 10)
-
-    @pytest.mark.parametrize("beta", ["0.1", None, True])
-    def test_guard_check_rejects_non_real_beta(self, beta):
-        # "0.1" and None used to raise TypeError from the comparison.
-        with pytest.raises(ValueError, match="beta must be a real number"):
-            cex.cex2_guard_check(np.diag([1.0, 0.5]), beta, optim.Table((0.1,)), 10)
+    @pytest.mark.parametrize("method", cex.RUN_METHODS)
+    def test_a_start_with_q0_zero_stays_on_it_and_escapes_the_floor(self, method):
+        # The measure-zero set the construction excludes: with q_0 = 0 every
+        # subgradient has s2 = 0, so each step moves W11 and W22 alike.  q
+        # stays exactly 0, which suite_cex2's q check (|q| > 0) counts as a
+        # hit, and f falls below the floor c |p_0| the construction proves.
+        for beta in (0.0, 0.2, 0.4):
+            fn = cex.KinkyFunction(c=cex.AUTO_C["cex2"](beta))
+            for schedule in (optim.AdaptiveNuclear(0.05), optim.Table((0.1, 0.2, 0.05)),
+                             optim.InvT()):
+                W0 = np.array([[1.0, 0.3], [-0.2, 1.0]])
+                st = optim.OptimizerState(W=W0, beta=beta, schedule=schedule)
+                tr = optim.run(method, fn, st, 50, track_average=False)
+                assert not np.any(np.abs(tr.diff_diag) > 0.0)
+                assert np.min(tr.f) < fn.c * 2.0 - 1e-12
 
     # The general loop's numpy warns on the overflowing stepsize.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_guard_check_counts_a_nan_q_as_a_hit(self):
-        # The stepsize overflows: q is [0.5, -inf, nan, ...].  This run used
-        # to pass.
-        g = cex.cex2_guard_check(np.diag([1.0, 0.5]), 0.0, optim.AdaptiveNuclear(1e308), 6,
-                                 method="regmuon")
-        assert not g.ok and g.first_bad_t == 2
+    def test_an_overflowing_stepsize_makes_q_nan(self):
+        # q is [0.5, -inf, nan, ...]: suite_cex2's q check first fails at t = 2.
+        st = optim.OptimizerState(W=np.diag([1.0, 0.5]), beta=0.0,
+                                  schedule=optim.AdaptiveNuclear(1e308))
+        tr = optim.run("regmuon", cex.KinkyFunction(c=0.5), st, 6, track_average=False)
+        q = tr.diff_diag
+        assert q[0] == 0.5 and q[1] == -np.inf and np.isnan(q[2:]).all()
+        assert np.flatnonzero(~(np.abs(q) > 0.0))[0] == 2

@@ -629,20 +629,30 @@ class TestSuitesFailOnNaN:
         monkeypatch.setattr(cex, "cex1_predicted_sequence", with_nan)
         self.assert_nan_fails(harness.suite_cex1(T=20)[::2])
 
-    def test_cex2(self, monkeypatch):
+    @pytest.mark.parametrize("hit", ["nan", "zero"])
+    def test_cex2(self, hit, monkeypatch):
         run, calls = optim.run, []
 
-        def with_nan(*args, **kwargs):
-            trace = run(*args, **kwargs)
+        def with_hit(method, oracle, state, *args, **kwargs):
+            trace = run(method, oracle, state, *args, **kwargs)
             calls.append(1)
             if len(calls) % 3 == 0:  # the last of each group's three starts
-                trace.w11[-1] = np.nan
+                if hit == "nan":
+                    trace.w11[-1] = np.nan
+                else:  # q_T = 0 exactly, while p_T = p_0 stays exact
+                    trace.w11[-1] = trace.w22[-1] = (state.W[0, 0] + state.W[1, 1]) / 2
             return trace
 
-        monkeypatch.setattr(optim, "run", with_nan)
+        monkeypatch.setattr(optim, "run", with_hit)
         results = harness.suite_cex2(trials=3, T=10)
-        self.assert_nan_fails(results[::3])  # the invariant p
-        assert not any(r.passed for r in results)  # q and the floor, by count
+        if hit == "nan":
+            self.assert_nan_fails(results[::3])  # the invariant p
+            assert not any(r.passed for r in results)  # q and the floor, by count
+            return
+        p, q, floor = results[::3], results[1::3], results[2::3]
+        assert all(r.passed for r in p)
+        assert all(r.name.startswith("q never hits zero") and not r.passed for r in q)
+        assert all(" in 2/3 runs " in r.name and not r.passed for r in floor)
 
 
 class TestPassRule:
@@ -667,12 +677,14 @@ class TestPassRule:
             assert r.line().startswith("PASS " if r.passed else "FAIL ")
 
     @pytest.mark.parametrize("suite, key", [(suite, "trials") for suite in sorted(
-        harness.TRIAL_ARGS)] + [("reduction", "steps"), ("cex2", "T")])
+        harness.TRIAL_ARGS)] + [("reduction", "steps"), ("cex2", "T"), ("cex1", "T"),
+                                ("ef-bound", "T")])
     @pytest.mark.parametrize("bad", [True, 0, -1, 2.5, "3"])
     def test_suites_refuse_a_bad_count(self, suite, key, bad):
         # Unparsed, True ran one trial, -1 none, 2.5 raised a bare TypeError,
         # steps=0 a ValueError from an empty reduction, cex2's T=0 one from an
-        # empty Table and its T=-1 numpy's negative-dimension error.
+        # empty Table and its T=-1 numpy's negative-dimension error.  cex1 and
+        # ef-bound ran T=0 and raised three other messages for the rest.
         with pytest.raises(ValueError, match=f"^{key} must be a positive integer"):
             harness.SUITES[suite](**{**self.SMALL[suite], key: bad})
 
