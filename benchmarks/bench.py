@@ -72,7 +72,12 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
   ``STEP_T`` steps on the 2x2 counterexample function from a diagonal start
   (the product rules on a one-layer 2x2 ``ProductNormSpec`` point), and
   ``RULE_DENSE_STEPS`` steps on an l1 distance from a dense ``RULE_DENSE_N``
-  square start (the product rules on a two-layer point of that width).
+  square start (the product rules on a two-layer point of that width);
+- ``import muonlab`` and ``import muonlab.cli`` in a fresh interpreter, by
+  the child command of ``perfbench``'s set-up, over ``IMPORT_ROUNDS``
+  alternating rounds, in milliseconds per import.  Whether a child compiles
+  the sources or reads cached bytecode decides what these rows measure, so
+  ``sys.flags.dont_write_bytecode`` is recorded with the machine.
 
 Every per-unit figure is given from the median and, under ``*_min``, from the
 minimum; on a shared host the minimum is the steadier of the two.  A timing
@@ -145,6 +150,9 @@ STEP_METHODS = ("specgd", "muon", "regmuon", "signgd", "signmomentum", "efmuon",
                 "muonmax", "efmuonmax")
 RULE_DENSE_N = 64
 RULE_DENSE_STEPS = 20
+# Fresh interpreters per import timing, and the modules they import.
+IMPORT_ROUNDS = 21
+IMPORT_MODULES = ("muonlab", "muonlab.cli")
 
 
 def _timed(fn) -> dict:
@@ -402,6 +410,27 @@ def _rule_timings() -> dict:
     return timings
 
 
+def _child_import_ms(module: str, src: str) -> float:
+    """Milliseconds a fresh interpreter takes to import ``module`` from ``src``."""
+    code = ("import sys, time; sys.path.insert(0, sys.argv[1]); t = time.perf_counter(); "
+            f"import {module}; print(time.perf_counter() - t)")
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          check=True)
+    return float(done.stdout) * 1e3
+
+
+def _import_timings() -> dict:
+    import muonlab
+    src = os.path.dirname(os.path.dirname(os.path.abspath(muonlab.__file__)))
+    times = {module: [] for module in IMPORT_MODULES}
+    for _ in range(IMPORT_ROUNDS):
+        for module, ms in times.items():
+            ms.append(_child_import_ms(module, src))
+    return {f"import[{module}]": {"median_ms": statistics.median(ms), "min_ms": min(ms),
+                                  "max_ms": max(ms), "repeats": IMPORT_ROUNDS}
+            for module, ms in times.items()}
+
+
 def _source(package) -> dict:
     """The git commit the timed code came from, and whether it was edited."""
     root = os.path.dirname(os.path.abspath(package.__file__))
@@ -423,7 +452,8 @@ def _machine() -> dict:
             cpu = next((line.split(":", 1)[1].strip() for line in fh
                         if line.startswith("model name")), cpu)
     return {"cpu": cpu, "cpu_count": os.cpu_count(), "platform": platform.platform(),
-            "python": platform.python_version(), "numpy": np.__version__}
+            "python": platform.python_version(), "numpy": np.__version__,
+            "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}
 
 
 def measure() -> dict:
@@ -455,7 +485,8 @@ def measure() -> dict:
     return {"source": _source(muonlab), "machine": _machine(),
             "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "timings": {**timings, **_step_timings(), **_kernel_timings(),
-                        **_polar_timings(), **_stack_timings(), **_rule_timings()}}
+                        **_polar_timings(), **_stack_timings(), **_rule_timings(),
+                        **_import_timings()}}
 
 
 def main(argv=None) -> int:

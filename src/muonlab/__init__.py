@@ -2,6 +2,10 @@
 compression construction, error-feedback variants that restore convergence,
 and adversarial experiments showing why the plain methods fail on nonsmooth
 convex problems.
+
+Importing the package loads the library modules ``linalg``, ``norms``,
+``optim`` and ``counterexample``.  The experiment harness and the command
+line are imported by name, as ``muonlab.harness`` and ``muonlab.cli``.
 """
 
 from .linalg import NumericalError, polar_exact, polar_newton_schulz
@@ -52,14 +56,6 @@ from .counterexample import (
     compute_R,
     compute_R_sequence,
     lipschitz_bound,
-)
-from .harness import (
-    PRESETS,
-    SUITES,
-    CheckResult,
-    ConfigError,
-    run_experiment,
-    write_csv,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,12 +2,14 @@
 induced compression operators, including the layerwise product norm used by
 the MuonMax family.
 
-A norm spec is a small frozen dataclass; the public entry points
-``primal_norm``, ``dual_norm``, ``lmo_min``, ``compressor_constants`` and
-``compress`` dispatch on its type.  Vector specs (L1/L2/Linf/Lp) act on 1-d
-arrays, matrix specs (Operator/Nuclear) on 2-d arrays, and the product spec
-on :class:`ParamPoint`.  The ``*_stack`` forms evaluate a stack of such
-arguments at once; the per-call functions are their B = 1 case.
+A norm spec is a small immutable value compared by type and parameters: a
+frozen dataclass, or a ``_Parameterless`` class where it has none.  The
+public entry points ``primal_norm``, ``dual_norm``, ``lmo_min``,
+``compressor_constants`` and ``compress`` dispatch on its type.  Vector
+specs (L1/L2/Linf/Lp) act on 1-d arrays, matrix specs (Operator/Nuclear) on
+2-d arrays, and the product spec on :class:`ParamPoint`.  The ``*_stack``
+forms evaluate a stack of such arguments at once; the per-call functions are
+their B = 1 case.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -32,18 +34,38 @@ CONTRACTION_SLACK = 1e-8
 TIE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class L1:
+class _Parameterless:
+    """The value semantics ``@dataclass(frozen=True)`` gives a class without
+    fields, without generating its methods at import: ``C()`` takes no
+    arguments, the repr is ``"C()"``, an instance equals those of its own
+    class only and hashes as ``()``, and assignment and deletion raise
+    FrozenInstanceError.  An instance keeps an ordinary ``__dict__``."""
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}()"
+
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class L1(_Parameterless):
     pass
 
 
-@dataclass(frozen=True)
-class L2:
+class L2(_Parameterless):
     pass
 
 
-@dataclass(frozen=True)
-class Linf:
+class Linf(_Parameterless):
     pass
 
 
@@ -58,13 +80,11 @@ class Lp:
         object.__setattr__(self, "p", p)
 
 
-@dataclass(frozen=True)
-class OperatorNorm:
+class OperatorNorm(_Parameterless):
     pass
 
 
-@dataclass(frozen=True)
-class NuclearNorm:
+class NuclearNorm(_Parameterless):
     pass
 
 

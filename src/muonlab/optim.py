@@ -67,8 +67,7 @@ class Constant:
         return self.lam
 
 
-@dataclass(frozen=True)
-class InvT:
+class InvT(norms._Parameterless):
     """lambda_t = 1 / (t + 1)."""
 
     def value(self, t: int, momentum=None) -> float:
@@ -78,8 +77,7 @@ class InvT:
         return 0.0
 
 
-@dataclass(frozen=True)
-class InvSqrtT:
+class InvSqrtT(norms._Parameterless):
     """lambda_t = 1 / sqrt(t + 1)."""
 
     def value(self, t: int, momentum=None) -> float:
@@ -375,13 +373,17 @@ class Trace:
     grad_fro: np.ndarray
     favg: np.ndarray
 
+    # A finite start whose diagonal sum or difference overflows reads inf,
+    # as linalg's norms do, without a warning.
     @property
     def sum_diag(self) -> np.ndarray:
-        return self.w11 + self.w22
+        with np.errstate(over="ignore"):
+            return self.w11 + self.w22
 
     @property
     def diff_diag(self) -> np.ndarray:
-        return self.w11 - self.w22
+        with np.errstate(over="ignore"):
+            return self.w11 - self.w22
 
     def __len__(self) -> int:
         return len(self.t)
@@ -677,7 +679,8 @@ def _lockstep(evaluate, lmo, W, M, beta, coef) -> tuple:
 
 def _bound_factors(delta, beta, sigma, dist0) -> tuple:
     """(dist0^2, sigma^2 coeff), the T-free factors of ``efm_bound``, once the
-    four parameters, parsed by ``_check_real``, lie in the bound's domain."""
+    four parameters, parsed by ``_check_real``, lie in the bound's domain:
+    a sigma or dist0 whose square overflows a float is refused too."""
     delta, beta = _check_real(delta, "delta"), _check_real(beta, "beta")
     sigma, dist0 = _check_real(sigma, "sigma"), _check_real(dist0, "dist0")
     if not 0.0 < delta <= 1.0:
@@ -688,7 +691,16 @@ def _bound_factors(delta, beta, sigma, dist0) -> tuple:
         raise ValueError("sigma must be finite and nonnegative")
     if not 0.0 <= dist0 < math.inf:
         raise ValueError("dist0 must be finite and nonnegative")
-    return dist0**2, sigma**2 * (2.0 * math.sqrt(1.0 - delta) / delta + beta / (1.0 - beta) + 0.5)
+    coeff = 2.0 * math.sqrt(1.0 - delta) / delta + beta / (1.0 - beta) + 0.5
+    return _square(dist0, "dist0"), _square(sigma, "sigma") * coeff
+
+
+def _square(x: float, what: str) -> float:
+    """x**2 for a float x; a square past the floats raises ValueError."""
+    try:
+        return x**2
+    except OverflowError:
+        raise ValueError(f"{what} is too large: {what}^2 overflows a float") from None
 
 
 def _steps_plus_one(T) -> float:

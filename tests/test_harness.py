@@ -1,8 +1,12 @@
+import csv
 import dataclasses
 import inspect
 import json
 import math
+import subprocess
+import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -714,6 +718,44 @@ class TestCli:
                        "--sigma", "2", "--dist0", "1"])
         assert rc == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("field", ["sigma", "dist0"])
+    def test_bound_whose_square_overflows_exits_config_error(self, field, capsys):
+        # Both used to exit 1, the property-failure code, with an OverflowError traceback.
+        values = {"delta": "0.5", "beta": "0.5", "sigma": "1", "dist0": "1", field: "1e200"}
+        rc = cli.main(["bound", "--T", "10", *(a for k, v in values.items() for a in (f"--{k}", v))])
+        assert rc == cli.EXIT_CONFIG
+        assert f"error: {field} is too large" in capsys.readouterr().err
+
+    def test_run_whose_bound_dist0_overflows_exits_config_error(self, tmp_path, capsys):
+        # The dist0 that _resolve_bound computes from this start used to
+        # raise OverflowError out of cli.main.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"init": {"kind": "explicit",
+                                            "matrix": [[1e200, 0], [0, 1e200]]}}))
+        rc = cli.main(["run", "--preset", "efm-appendixE", "--config", str(cfg),
+                       "--out", str(tmp_path / "tr.csv")])
+        assert rc == cli.EXIT_CONFIG
+        assert "error: bound dist0 is too large" in capsys.readouterr().err
+        assert not (tmp_path / "tr.csv").exists()
+
+    @pytest.mark.parametrize("w22, column", [(1e308, "sum_diag"), (-1e308, "diff_diag")])
+    def test_run_from_a_start_whose_diagonal_sum_overflows_warns_nothing(self, w22, column,
+                                                                         tmp_path, capsys):
+        # Trace.sum_diag and diff_diag used to warn "overflow encountered in
+        # add" (or subtract), a traceback under python -W error.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 5, "init": {"kind": "explicit",
+                                                    "matrix": [[1e308, 0], [0, w22]]}}))
+        out = tmp_path / "tr.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["run", "--preset", "cex1-appendixE", "--config", str(cfg),
+                           "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 6 and rows[0][column] == "inf"
+
     def test_run_preset_writes_csv_and_sidecar(self, tmp_path, capsys):
         out = tmp_path / "tr.csv"
         cfg = {"T": 20}
@@ -1024,6 +1066,28 @@ class TestCli:
     def test_verify_unknown_suite(self):
         with pytest.raises(SystemExit):
             cli.main(["verify", "nonsense"])
+
+
+class TestImportBoundary:
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def loaded(self, module: str) -> set:
+        """The muonlab modules a fresh interpreter holds after ``import <module>``."""
+        code = (f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; "
+                "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'muonlab'))")
+        done = subprocess.run([sys.executable, "-c", code, str(self.SRC)], capture_output=True,
+                              text=True, timeout=120, check=True)
+        return set(done.stdout.split())
+
+    def test_the_package_loads_only_the_library(self):
+        # The package used to import harness, so every import paid for it.
+        library = {f"muonlab.{m}" for m in ("linalg", "norms", "optim", "counterexample")}
+        loaded = self.loaded("muonlab")
+        assert library <= loaded
+        assert not {"muonlab.harness", "muonlab.cli"} & loaded
+
+    def test_the_command_line_loads_the_harness(self):
+        assert {"muonlab.harness", "muonlab.cli"} <= self.loaded("muonlab.cli")
 
 
 class TestDeterminism:

@@ -1,12 +1,20 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from muonlab import linalg, norms
+from muonlab import linalg, norms, optim
 
 # An integer too large for a float, of either sign, with short test ids.
 HUGE = [pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400")]
+
+
+# The norm specs and schedules without parameters.
+PARAMETERLESS = [norms.L1, norms.L2, norms.Linf, norms.OperatorNorm, norms.NuclearNorm,
+                 optim.InvT, optim.InvSqrtT]
 
 
 def product_spec():
@@ -71,6 +79,29 @@ class TestParamPoint:
             norms.ProductNormSpec(layer_dims=((2, 2),), s=0.0, k=1)
         with pytest.raises(ValueError):
             norms.Lp(0.5)
+
+
+@pytest.mark.parametrize("cls", PARAMETERLESS, ids=lambda cls: cls.__name__)
+def test_parameterless_classes_are_frozen_values(cls):
+    # What @dataclass(frozen=True) gave each of them.
+    a, b = cls(), cls()
+    assert a == b and not a != b and hash(a) == hash(b) == hash(())
+    for other in PARAMETERLESS:
+        if other is not cls:
+            assert a != other() and not a == other()
+    assert norms.L2() != norms.Linf() and optim.InvT() != optim.InvSqrtT()
+    assert a != None and a != ()  # noqa: E711
+    assert repr(a) == f"{cls.__name__}()"
+    with pytest.raises(TypeError):
+        cls(0)
+    with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'x'$"):
+        a.x = 1
+    with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'x'$"):
+        del a.x
+    assert vars(a) == {}
+    for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+        assert type(twin) is cls and twin == a
+    assert {a: "spec"}[b] == "spec" and len({other() for other in PARAMETERLESS}) == 7
 
 
 class TestSpecValidation:

@@ -1451,6 +1451,19 @@ class TestBound:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             optim.efm_bound_schedule([1.0, 0.5], **kw)
 
+    @pytest.mark.parametrize("field", ["sigma", "dist0"])
+    def test_rejects_sigma_and_dist0_whose_square_overflows(self, field):
+        # 1e200**2 used to raise OverflowError from all three entries.
+        kw = dict(delta=0.5, beta=0.5, sigma=1.0, dist0=1.0)
+        for bound in (lambda: optim.efm_bound(10, **kw),
+                      lambda: optim.efm_bound_column(10, **kw),
+                      lambda: optim.efm_bound_schedule([1.0, 0.5], **kw)):
+            kw[field] = 1e200
+            with pytest.raises(ValueError, match=rf"^{field} is too large: {field}\^2 overflows"):
+                bound()
+            kw[field] = 1e150  # a square within the floats
+            assert np.all(np.isfinite(bound()))
+
     @pytest.mark.parametrize("lams", [[], [[1.0, 0.5]]])
     def test_schedule_form_rejects_empty_or_non_vector_stepsizes(self, lams):
         with pytest.raises(ValueError, match="lams must be a nonempty 1-d sequence"):
