@@ -57,20 +57,12 @@ class KinkyFunction:
 
     def __post_init__(self):
         # Stored as a Python float and ints, so f and its subgradient compute
-        # in float64 whatever real type c was given as (np.float32, say); a
-        # float or int of exactly that type is one already.
-        if type(self.c) is not float:
-            object.__setattr__(self, "c", optim._check_real(self.c, "c"))
-        for name, value in (("m", self.m), ("n", self.n)):
-            if type(value) is int:
-                continue
-            if (count := norms._integer(value)) is None:
-                raise ValueError(f"{name} must be an integer, not {norms._shown(value)}")
-            object.__setattr__(self, name, count)
-        if not 0.0 < self.c < 1.0:
-            raise ValueError("c must lie in (0, 1)")
-        if self.m < 2 or self.n < 2:
-            raise ValueError("need m, n >= 2")
+        # in float64 whatever real type c was given as (np.float32, say).
+        c, m, n = self.c, self.m, self.n
+        if not (type(c) is float and type(m) is type(n) is int and 0.0 < c < 1.0
+                and m >= 2 and n >= 2):  # exact types in the domain are parsed already
+            for name, value in zip("cmn", _check_domain(c, m, n)):
+                object.__setattr__(self, name, value)
         # ``rows`` for ``optim.run``'s float loop, norms for ``grad_fro``.
         rows, fro = _sign_classes(self.c, self.m, self.n)
         object.__setattr__(self, "rows", rows)
@@ -110,6 +102,20 @@ class KinkyFunction:
         return self._table_fro.take(3 * _signs(s) + _signs(d))
 
 
+def _check_domain(c, m=2, n=2) -> tuple:
+    """(c, m, n) as a Python float (``optim._check_real``) and ints, once c
+    lies in (0, 1) and m, n >= 2: the one check of the function's parameters."""
+    c, shape = optim._check_real(c, "c"), tuple(map(norms._integer, (m, n)))
+    for name, value, count in zip("mn", (m, n), shape):
+        if count is None:
+            raise ValueError(f"{name} must be an integer, not {norms._shown(value)}")
+    if not 0.0 < c < 1.0:
+        raise ValueError("c must lie in (0, 1)")
+    if min(shape) < 2:
+        raise ValueError("m and n must be at least 2")
+    return (c, *shape)
+
+
 def _stack(rows: tuple, m: int, n: int) -> np.ndarray:
     """The nine subgradients of ``rows`` as a (9, m, n) stack, class (s1, s2)
     in entry 3 * s1 + s2, a negative one counted from the end."""
@@ -136,9 +142,7 @@ def _signs(x: np.ndarray) -> np.ndarray:
 
 def lipschitz_bound(c: float) -> float:
     """Frobenius Lipschitz constant sqrt(2 (1 + c^2)) <= 2 of the function."""
-    c = optim._check_real(c, "c")
-    if not 0.0 < c < 1.0:
-        raise ValueError("c must lie in (0, 1)")
+    c = _check_domain(c)[0]
     return math.sqrt(2.0 * (1.0 + c * c))
 
 
@@ -240,13 +244,9 @@ def cex1_build(beta, schedule, r: float = 1.0, delta: float = 0.0,
     ``delta`` offsets within the open set of valid starts; it must satisfy
     |delta| < R_t for every t, so it must be 0 when the stepsizes vanish.
     """
-    beta, r = optim._check_real(beta, "beta"), optim._check_real(r, "r")
+    beta, r = optim._check_beta(beta), optim._check_real(r, "r")
     delta = optim._check_real(delta, "delta")
-    c = None if c is None else optim._check_real(c, "c")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
-    if c is None:
-        c = AUTO_C["cex1"](beta)
+    c, m, n = _check_domain(AUTO_C["cex1"](beta) if c is None else c, m, n)
     if not c < (1.0 - beta) / (1.0 + beta):
         raise ValueError("need c < (1-beta)/(1+beta)")
     if not 1.0 <= r < math.inf:

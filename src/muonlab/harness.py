@@ -132,22 +132,17 @@ def resolve_config(raw: dict) -> dict:
         if (value := norms._integer(cfg[key])) is None:
             raise ConfigError(f"{key} must be an integer")
         cfg[key] = value
-    if cfg["m"] < 2 or cfg["n"] < 2:
-        raise ConfigError("m and n must be at least 2")
     if not isinstance(cfg["track_average"], bool):
         raise ConfigError("track_average must be true or false")
-    beta = _real(cfg["beta"], "beta")
-    if not 0.0 <= beta < 1.0:
-        raise ConfigError("beta must lie in [0, 1)")
-    cfg["beta"] = beta
-    if cfg["c"] == "auto":
-        try:
-            cfg["c"] = cex.AUTO_C[cfg["style"]](beta)
-        except KeyError:
-            raise ConfigError(f"unknown style {cfg['style']!r}") from None
-    cfg["c"] = _real(cfg["c"], "c")
-    if not 0.0 < cfg["c"] < 1.0:
-        raise ConfigError("c must lie in (0, 1)")
+    try:  # the domains of beta, c and the shape are checked by their owners
+        cfg["beta"] = optim._check_beta(_real(cfg["beta"], "beta"))
+        if not isinstance(cfg["style"], str) or cfg["style"] not in cex.AUTO_C:
+            raise ConfigError(f"unknown style {norms._shown(cfg['style'])}")
+        if cfg["c"] == "auto":
+            cfg["c"] = cex.AUTO_C[cfg["style"]](cfg["beta"])
+        cfg["c"], cfg["m"], cfg["n"] = cex._check_domain(_real(cfg["c"], "c"), cfg["m"], cfg["n"])
+    except ValueError as exc:  # a ConfigError too, kept as it reads
+        raise ConfigError(str(exc)) from None
     for key in ("seed", "T"):
         if cfg[key] < 0:
             raise ConfigError(f"{key} must be nonnegative")

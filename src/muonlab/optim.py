@@ -46,6 +46,14 @@ def _stepsize(value, what: str = "stepsize") -> float:
     return value
 
 
+def _check_beta(value) -> float:
+    """The one check of the momentum beta: ``_check_real(value, "beta")`` in [0, 1)."""
+    beta = _check_real(value, "beta")
+    if not 0.0 <= beta < 1.0:
+        raise ValueError("beta must lie in [0, 1)")
+    return beta
+
+
 def _check_count(value, what: str) -> int:
     """``norms._integer(value)``; a bool, a non-integer or an int below 0 raises ValueError."""
     if (n := norms._integer(value)) is None or n < 0:
@@ -223,10 +231,8 @@ class OptimizerState:
     polar: object = linalg.polar_exact
 
     def __post_init__(self):
-        if type(self.beta) is not float:  # an exact float is parsed already
-            self.beta = _check_real(self.beta, "beta")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError("beta must lie in [0, 1)")
+        if type(self.beta) is not float or not 0.0 <= self.beta < 1.0:  # else parsed already
+            self.beta = _check_beta(self.beta)
         if type(self.t) is not int or self.t < 0:
             self.t = _check_count(self.t, "t")
         self.M = norms.zeros_like(self.W) if self.M is None else self.M
@@ -680,19 +686,23 @@ def _lockstep(evaluate, lmo, W, M, beta, coef) -> tuple:
 def _bound_factors(delta, beta, sigma, dist0) -> tuple:
     """(dist0^2, sigma^2 coeff), the T-free factors of ``efm_bound``, once the
     four parameters, parsed by ``_check_real``, lie in the bound's domain:
-    a sigma or dist0 whose square overflows a float is refused too."""
-    delta, beta = _check_real(delta, "delta"), _check_real(beta, "beta")
+    a factor that overflows a float is refused too."""
+    delta, beta = _check_real(delta, "delta"), _check_beta(beta)
     sigma, dist0 = _check_real(sigma, "sigma"), _check_real(dist0, "dist0")
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
     if not 0.0 <= sigma < math.inf:
         raise ValueError("sigma must be finite and nonnegative")
     if not 0.0 <= dist0 < math.inf:
         raise ValueError("dist0 must be finite and nonnegative")
     coeff = 2.0 * math.sqrt(1.0 - delta) / delta + beta / (1.0 - beta) + 0.5
-    return _square(dist0, "dist0"), _square(sigma, "sigma") * coeff
+    if coeff == math.inf:  # a subnormal delta; 0 * inf would be a NaN bound
+        raise ValueError("delta is too small: the bound's coefficient overflows a float")
+    dist0_sq, noise = _square(dist0, "dist0"), _square(sigma, "sigma") * coeff
+    if noise == math.inf:
+        raise ValueError("sigma is too large: sigma^2 times the bound's coefficient "
+                         "overflows a float")
+    return dist0_sq, noise
 
 
 def _square(x: float, what: str) -> float:
@@ -718,6 +728,14 @@ def _bound_at(root, log, dist0_sq: float, noise: float):
     return dist0_sq / (2.0 * root) + noise * (1.0 + log) / root
 
 
+def _finite_bound(bound):
+    """``bound``, a value or a column, once no entry overflowed a float: each
+    factor is finite, but their sum or product near the floats' top may not be."""
+    if not np.isfinite(bound).all():
+        raise ValueError("the bound overflows a float at these parameters")
+    return bound
+
+
 def efm_bound(T: int, delta: float, beta: float, sigma: float, dist0: float) -> float:
     """Averaged-iterate suboptimality bound for EF-M with lambda_t = 1/sqrt(t+1).
 
@@ -726,7 +744,7 @@ def efm_bound(T: int, delta: float, beta: float, sigma: float, dist0: float) -> 
     """
     t1 = _steps_plus_one(T)
     factors = _bound_factors(delta, beta, sigma, dist0)
-    return _bound_at(math.sqrt(t1), math.log(t1), *factors)
+    return _finite_bound(_bound_at(math.sqrt(t1), math.log(t1), *factors))
 
 
 def efm_bound_column(T: int, delta: float, beta: float, sigma: float,
@@ -737,7 +755,9 @@ def efm_bound_column(T: int, delta: float, beta: float, sigma: float,
     factors = _bound_factors(delta, beta, sigma, dist0)
     t1 = np.arange(1.0, stop)
     # math.log per row, as np.log may differ in the last bit.
-    return _bound_at(np.sqrt(t1), np.fromiter(map(math.log, t1.tolist()), float, len(t1)), *factors)
+    log = np.fromiter(map(math.log, t1.tolist()), float, len(t1))
+    with np.errstate(over="ignore"):
+        return _finite_bound(_bound_at(np.sqrt(t1), log, *factors))
 
 
 def _check_nonincreasing(lams: np.ndarray):
@@ -759,5 +779,9 @@ def efm_bound_schedule(lams, delta: float, beta: float, sigma: float, dist0: flo
     if not np.all((lams > 0) & (lams < math.inf)):
         raise ValueError("stepsizes must be finite and positive")
     _check_nonincreasing(lams)
-    tail = lams[-1] * lams.size
-    return float(dist0_sq / (2.0 * tail) + noise * float(np.sum(lams**2)) / tail)
+    with np.errstate(over="ignore"):
+        squares = float(np.sum(lams**2))
+        if squares == math.inf:
+            raise ValueError("stepsizes are too large: the sum of their squares overflows a float")
+        tail = lams[-1] * lams.size
+        return _finite_bound(float(dist0_sq / (2.0 * tail) + noise * squares / tail))

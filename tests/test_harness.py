@@ -83,6 +83,15 @@ class TestConfig:
         with pytest.raises(harness.ConfigError, match=match):
             harness.resolve_config({**self.BASE, **override})
 
+    @pytest.mark.parametrize("c", ["auto", 0.3])
+    @pytest.mark.parametrize("style", ["bogus", None, ["cex1"]])
+    def test_rejects_an_unknown_style_whatever_c_is(self, style, c):
+        # With a number c the style used to go unread, and "bogus" was
+        # recorded in the sidecar; a list style raised TypeError.
+        with pytest.raises(harness.ConfigError) as exc:
+            harness.resolve_config({**self.BASE, "style": style, "c": c})
+        assert str(exc.value) == f"unknown style {style!r}"
+
     def test_accepts_T_below_2_53(self):
         assert harness.resolve_config({**self.BASE, "T": 2**53 - 1})["T"] == 2**53 - 1
 
@@ -726,6 +735,25 @@ class TestCli:
         assert rc == cli.EXIT_CONFIG
         assert f"error: {field} is too large" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta, sigma", [("0.5", "1e154"), ("1e-300", "1e150")])
+    def test_bound_whose_noise_factor_overflows_exits_config_error(self, delta, sigma, capsys):
+        # Both used to print inf and exit 0.
+        rc = cli.main(["bound", "--T", "10", "--delta", delta, "--beta", "0.5",
+                       "--sigma", sigma, "--dist0", "1"])
+        assert rc == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: sigma is too large")
+
+    def test_run_whose_bound_sigma_overflows_exits_config_error(self, tmp_path, capsys):
+        # The efm-appendixE bound column used to be inf in every row.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bound": {"sigma": 1e154}}))
+        rc = cli.main(["run", "--preset", "efm-appendixE", "--config", str(cfg),
+                       "--out", str(tmp_path / "tr.csv")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: bound sigma is too large")
+        assert not (tmp_path / "tr.csv").exists()
+
     def test_run_whose_bound_dist0_overflows_exits_config_error(self, tmp_path, capsys):
         # The dist0 that _resolve_bound computes from this start used to
         # raise OverflowError out of cli.main.
@@ -1066,6 +1094,86 @@ class TestCli:
     def test_verify_unknown_suite(self):
         with pytest.raises(SystemExit):
             cli.main(["verify", "nonsense"])
+
+
+def _refusal(call) -> str:
+    """The message of the ValueError that ``call()`` raises."""
+    with pytest.raises(ValueError) as exc:
+        call()
+    return str(exc.value)
+
+
+def _run_refusal(tmp_path, capsys, override: dict) -> str:
+    """The message ``muonlab run`` prints for a config with ``override``."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TestConfig.BASE, **override}))
+    rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "tr.csv")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_CONFIG and err.startswith("error: ") and err.endswith("\n")
+    assert not (tmp_path / "tr.csv").exists()
+    return err[len("error: "):-1]
+
+
+# The owners' one message for each parameter, the values each refuses, and
+# every entry that takes the parameter: (the parameters it takes, a call).
+OWNER_MESSAGES = {"beta": "beta must lie in [0, 1)", "c": "c must lie in (0, 1)",
+                  "m": "m and n must be at least 2", "n": "m and n must be at least 2"}
+OUT_OF_DOMAIN = [*(("beta", v) for v in (-0.1, 1.0, math.nan, 10**400, -10**400)),
+                 *(("c", v) for v in (0.0, 1.0, -1.0, math.nan, 10**400)),
+                 *(("m", v) for v in (1, 0, -3)), ("n", 1)]
+DOMAIN_ENTRIES = {
+    "OptimizerState": ({"beta"}, lambda kw: optim.OptimizerState(W=np.eye(2), **kw)),
+    "cex1_build": ({"beta", "c", "m", "n"}, lambda kw: cex.cex1_build(
+        **{"beta": 0.5, "schedule": optim.Constant(0.2), **kw})),
+    "efm_bound": ({"beta"}, lambda kw: optim.efm_bound(10, 0.5, kw["beta"], 1.0, 1.0)),
+    "efm_bound_column": ({"beta"},
+                         lambda kw: optim.efm_bound_column(10, 0.5, kw["beta"], 1.0, 1.0)),
+    "efm_bound_schedule": ({"beta"}, lambda kw: optim.efm_bound_schedule(
+        [1.0, 0.5], 0.5, kw["beta"], 1.0, 1.0)),
+    "KinkyFunction": ({"c", "m", "n"}, lambda kw: cex.KinkyFunction(**{"c": 0.3, **kw})),
+    "lipschitz_bound": ({"c"}, lambda kw: cex.lipschitz_bound(kw["c"])),
+    "resolve_config": ({"beta", "c", "m", "n"},
+                       lambda kw: harness.resolve_config({**TestConfig.BASE, **kw})),
+    "muonlab run": ({"beta", "c", "m", "n"}, None),
+}
+
+
+def _value_id(value) -> str:
+    return {10**400: "10**400", -10**400: "-10**400"}.get(value, repr(value))
+
+
+class TestDomainOwners:
+    """beta's domain is checked by ``optim``, c's and the matrix shape's by
+    ``counterexample``; every entry that takes one calls that one check, so
+    each refuses the same values with the owner's one message."""
+
+    @pytest.mark.parametrize("entry, field, value", [
+        pytest.param(entry, field, value, id=f"{entry}-{field}={_value_id(value)}")
+        for entry, (fields, _) in DOMAIN_ENTRIES.items()
+        for field, value in OUT_OF_DOMAIN if field in fields])
+    def test_every_entry_raises_the_owner_s_message(self, entry, field, value, tmp_path,
+                                                    capsys):
+        # cex1_build and KinkyFunction said "need m, n >= 2", cex1_build
+        # refused a NaN or huge c as "need c < (1-beta)/(1+beta)".
+        call = DOMAIN_ENTRIES[entry][1]
+        if call is None:
+            message = _run_refusal(tmp_path, capsys, {field: value})
+        else:
+            message = _refusal(lambda: call({field: value}))
+        assert message == OWNER_MESSAGES[field]
+
+    @pytest.mark.parametrize("kw", [{"beta": 1.0}, {"c": -1.0}, {"c": math.nan}, {"m": 1},
+                                    {"n": 0}])
+    def test_cex1_build_checks_before_it_computes_R(self, kw, monkeypatch):
+        # c = -1.0 and m = 1 used to be refused only once R_0 .. R_horizon
+        # were computed: 0.20 s and 0.13 s at a horizon of 10**7.
+        def compute_R_sequence(schedule, T):
+            raise AssertionError("R computed before the domain check")
+
+        monkeypatch.setattr(cex, "compute_R_sequence", compute_R_sequence)
+        field, = kw
+        kw = {"beta": 0.5, "schedule": optim.InvT(), "horizon": 10**7, **kw}
+        assert _refusal(lambda: cex.cex1_build(**kw)) == OWNER_MESSAGES[field]
 
 
 class TestImportBoundary:

@@ -1464,6 +1464,51 @@ class TestBound:
             kw[field] = 1e150  # a square within the floats
             assert np.all(np.isfinite(bound()))
 
+    @pytest.mark.parametrize("delta, sigma", [(0.5, 1e154), (1e-300, 1e150)])
+    def test_rejects_a_noise_factor_that_overflows(self, delta, sigma):
+        # sigma^2 and the coefficient were each finite, but their product
+        # was inf, and so was every bound (efm_bound_schedule warned too).
+        kw = dict(delta=delta, beta=0.5, sigma=sigma, dist0=1.0)
+        for bound in (lambda: optim.efm_bound(10, **kw),
+                      lambda: optim.efm_bound_column(10, **kw),
+                      lambda: optim.efm_bound_schedule([1.0, 0.5], **kw)):
+            with pytest.raises(ValueError, match=r"^sigma is too large: sigma\^2 times"):
+                bound()
+
+    def test_rejects_a_delta_whose_coefficient_overflows(self):
+        # 2 sqrt(1 - delta) / delta is inf for a subnormal delta, and
+        # sigma = 0 made the bound NaN (0 * inf).
+        kw = dict(delta=5e-324, beta=0.5, sigma=0.0, dist0=1.0)
+        for bound in (lambda: optim.efm_bound(10, **kw),
+                      lambda: optim.efm_bound_column(10, **kw),
+                      lambda: optim.efm_bound_schedule([1.0, 0.5], **kw)):
+            with pytest.raises(ValueError, match=r"^delta is too small"):
+                bound()
+
+    @pytest.mark.parametrize("bound", [
+        pytest.param(lambda: optim.efm_bound(3, 0.5, 0.5, 6.2e153, 1.0), id="efm_bound"),
+        pytest.param(lambda: optim.efm_bound_column(5000, 0.5, 0.5, 6.2e153, 1.0), id="column"),
+        pytest.param(lambda: optim.efm_bound_schedule([1.0, 5e-324], 0.5, 0.5, 1.0, 1.0),
+                     id="schedule-tiny-last-step"),
+        pytest.param(lambda: optim.efm_bound_schedule([1e100] * 3, 0.5, 0.5, 1e150, 1.0),
+                     id="schedule-noise-times-squares"),
+    ])
+    def test_rejects_a_bound_that_overflows_without_warning(self, bound):
+        # Every factor is finite here, but the bound is not: these returned
+        # inf, the column and the schedule form with a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the bound overflows a float"):
+                bound()
+
+    def test_schedule_form_rejects_stepsizes_whose_squares_overflow(self):
+        # It used to return inf with "overflow encountered in square".
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sum of their squares overflows a float"):
+                optim.efm_bound_schedule([1e200, 1e200], 0.5, 0.5, 1.0, 1.0)
+        assert math.isfinite(optim.efm_bound_schedule([1e150, 1e150], 0.5, 0.5, 1.0, 1.0))
+
     @pytest.mark.parametrize("lams", [[], [[1.0, 0.5]]])
     def test_schedule_form_rejects_empty_or_non_vector_stepsizes(self, lams):
         with pytest.raises(ValueError, match="lams must be a nonempty 1-d sequence"):
