@@ -9,6 +9,10 @@ Times, each as the median, minimum and maximum of ``REPEATS`` runs:
   grid's 20 x 400 candidates do not depend on ``trials``, and at one trial the
   other sixteen checks take one sample each;
 - ``muonlab verify`` for every suite, output discarded;
+- the ``harness._spec_draws`` calls of ``verify lmo`` and ``verify
+  compressor`` alone (rows ``draws[lmo]`` and ``draws[compressor]``), at the
+  suite's seed and default trial count: the RNG calls whose order the golden
+  outputs pin, so a record shows how much of each suite they are;
 - ``optim.run`` on the 2x2 counterexample function for ``STEP_T`` steps, in
   microseconds per step, for each rule but the product ones: ``efmuon`` with
   ``InvSqrtT`` and the running average, and the others with a ``Table`` of
@@ -98,6 +102,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -153,6 +158,8 @@ RULE_DENSE_STEPS = 20
 # Fresh interpreters per import timing, and the modules they import.
 IMPORT_ROUNDS = 21
 IMPORT_MODULES = ("muonlab", "muonlab.cli")
+# The suites whose spec draws are timed alone, with the seed each draws from.
+DRAW_SEEDS = {"lmo": 17, "compressor": 13}
 
 
 def _timed(fn) -> dict:
@@ -458,6 +465,7 @@ def _machine() -> dict:
 
 def measure() -> dict:
     import muonlab
+    import numpy as np
     from muonlab import cli, harness
 
     timings = {}
@@ -482,6 +490,15 @@ def measure() -> dict:
             with contextlib.redirect_stdout(io.StringIO()):
                 cli.main(["verify", suite])
         timings[f"verify[{suite}]"] = _timed(verify)
+    specs = harness._basic_specs() + [harness._product_spec()]
+    for suite, seed in DRAW_SEEDS.items():
+        trials = inspect.signature(harness.SUITES[suite]).parameters["trials"].default
+
+        def draws(seed=seed, trials=trials):
+            rng = np.random.default_rng(seed)
+            for spec in specs:
+                harness._spec_draws(rng, spec, trials)
+        timings[f"draws[{suite}]"] = _timed(draws)
     return {"source": _source(muonlab), "machine": _machine(),
             "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "timings": {**timings, **_step_timings(), **_kernel_timings(),

@@ -194,9 +194,10 @@ def _build_init(cfg: dict, schedule):
 BOUND_KEYS = frozenset(("delta", "sigma", "dist0"))
 
 
-def _resolve_bound(cfg: dict, W0: np.ndarray) -> dict:
-    """The ``bound`` block with its defaults filled in, checked against the
-    domain of ``optim.efm_bound``."""
+def _resolve_bound(cfg: dict, W0: np.ndarray) -> tuple:
+    """The ``bound`` block with its defaults filled in, and the run's bound
+    column, ``optim.efm_bound_column``: the EF-M bound for lambda_t =
+    1/sqrt(t+1), so only an ``efmuon`` run on ``invsqrt`` takes the block."""
     spec = cfg["bound"]
     if not isinstance(spec, dict):
         raise ConfigError(f"bound must be an object, got {norms._shown(spec)}")
@@ -210,10 +211,17 @@ def _resolve_bound(cfg: dict, W0: np.ndarray) -> dict:
     }
     b.update((key, _real(value, f"bound {key}")) for key, value in spec.items())
     try:
-        optim._bound_factors(b["delta"], cfg["beta"], b["sigma"], b["dist0"])
-    except ValueError as exc:
-        raise ConfigError(f"bound {exc}") from None
-    return b
+        column = optim.efm_bound_column(cfg["T"], b["delta"], cfg["beta"], b["sigma"],
+                                        b["dist0"])
+    except ValueError as exc:  # "the bound overflows ..." reads "bound overflows ..."
+        raise ConfigError("bound " + str(exc).removeprefix("the bound ")) from None
+    # Checked after the values, so that a bad value is named whatever the run.
+    method, kind = cfg["method"], cfg["schedule"]["kind"]
+    if method != "efmuon" or kind != "invsqrt":
+        raise ConfigError(f"bound is the EF-M bound for lambda_t = 1/sqrt(t+1): it needs "
+                          f"method 'efmuon' and schedule 'invsqrt', not method {method!r} "
+                          f"and schedule {kind!r}")
+    return b, column
 
 
 def run_experiment(raw_config: dict):
@@ -223,15 +231,13 @@ def run_experiment(raw_config: dict):
     W0 = _build_init(cfg, schedule)
     fn = cex.KinkyFunction(c=cfg["c"], m=cfg["m"], n=cfg["n"])
     polar = linalg.polar_exact if cfg["polar"] == "exact" else linalg.polar_newton_schulz
-    if "bound" in cfg:
-        cfg["bound"] = _resolve_bound(cfg, W0)
+    bound = None
+    if "bound" in cfg:  # every bound refusal comes before the run
+        cfg["bound"], bound = _resolve_bound(cfg, W0)
     state = optim.OptimizerState(W=W0, beta=cfg["beta"], schedule=schedule, polar=polar)
     trace = optim.run(cfg["method"], fn.oracle(), state, cfg["T"],
                       track_average=cfg["track_average"])
-    if "bound" in cfg:
-        b = cfg["bound"]
-        bound = optim.efm_bound_column(cfg["T"], b["delta"], cfg["beta"], b["sigma"], b["dist0"])
-    else:
+    if bound is None:
         bound = np.full(len(trace), np.nan)
     return trace, bound, cfg
 
@@ -491,9 +497,10 @@ def suite_reduction(trials: int = 50, steps: int = 100) -> list:
 def _spec_draws(rng, spec, trials: int) -> list:
     """The suites' ``trials`` random arguments for ``spec``, grouped by shape.
 
-    Returns one stack per shape.  The draws come from ``rng`` in trial order:
-    a shape, then its entries; a product point's layers and theta come from
-    one ``standard_normal`` call, the same stream as one call per block.
+    Returns one stack per shape, in order of first appearance, its members in
+    draw order.  The draws come from ``rng`` in trial order: a shape (m before
+    n), then its entries; a product point's layers and theta come from one
+    ``standard_normal`` call, the same stream as one call per block.
     """
     if isinstance(spec, norms.ProductNormSpec):
         ends = np.cumsum([m * n for m, n in spec.layer_dims])
@@ -501,13 +508,12 @@ def _spec_draws(rng, spec, trials: int) -> list:
         mats = [Z[:, end - m * n:end].reshape(trials, m, n)
                 for end, (m, n) in zip(ends, spec.layer_dims)]
         return [(mats, Z[:, ends[-1]:])]
-    hi, dims = (21, 1) if isinstance(spec, norms._VECTOR_SPECS) else (8, 2)
-
-    def draw():
-        shape = tuple(int(rng.integers(2, hi)) for _ in range(dims))
-        return shape, rng.standard_normal(shape)
-
-    return [W for _, W in _grouped(draw() for _ in range(trials))]
+    integers, normal, groups = rng.integers, rng.standard_normal, {}
+    vector = isinstance(spec, norms._VECTOR_SPECS)
+    for _ in range(trials):
+        shape = (int(integers(2, 21)),) if vector else (int(integers(2, 8)), int(integers(2, 8)))
+        groups.setdefault(shape, []).append(normal(shape))
+    return list(map(np.array, groups.values()))
 
 
 def _max(values) -> float:
@@ -574,8 +580,8 @@ def suite_lmo(trials: int = 1000) -> list:
         pair, primal = [0.0], [0.0]
         for W in _spec_draws(rng, spec, trials):
             X = norms.lmo_min_stack(W, spec)
-            pair.extend(np.abs(norms.inner_stack(W, X) - norms.dual_norm_stack(W, spec)))
-            primal.extend(norms.primal_norm_stack(X, spec))
+            pair.append(np.max(np.abs(norms.inner_stack(W, X) - norms.dual_norm_stack(W, spec))))
+            primal.append(np.max(norms.primal_norm_stack(X, spec)))
         results.append(CheckResult(
             f"lmo pairing equals dual norm [{type(spec).__name__}]", _max(pair),
             norms.PAIRING_TOL))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from muonlab import cli, harness, linalg, optim
+from muonlab import cli, harness, linalg, norms, optim
 from muonlab import counterexample as cex
 
 # An integer too large for a float, of either sign, with short test ids.
@@ -530,6 +530,53 @@ class TestGrouped:
         assert harness._grouped([]) == []
 
 
+def _per_trial_spec_draws(rng, spec, trials):
+    """The reference for ``_spec_draws``: a per-trial draw of (shape, W),
+    stacked by ``_grouped``."""
+    if isinstance(spec, norms.ProductNormSpec):
+        ends = np.cumsum([m * n for m, n in spec.layer_dims])
+        Z = rng.standard_normal((trials, int(ends[-1]) + spec.k))
+        mats = [Z[:, end - m * n:end].reshape(trials, m, n)
+                for end, (m, n) in zip(ends, spec.layer_dims)]
+        return [(mats, Z[:, ends[-1]:])]
+    hi, dims = (21, 1) if isinstance(spec, norms._VECTOR_SPECS) else (8, 2)
+
+    def draw():
+        shape = tuple(int(rng.integers(2, hi)) for _ in range(dims))
+        return shape, rng.standard_normal(shape)
+
+    return [W for _, W in harness._grouped(draw() for _ in range(trials))]
+
+
+def _stacks(group):
+    """The arrays of one ``_spec_draws`` group: a stack, or a product point's
+    layer stacks and theta."""
+    if isinstance(group, np.ndarray):
+        return [group]
+    mats, theta = group
+    return [*mats, theta]
+
+
+class TestSpecDraws:
+    """``_spec_draws`` makes the suites' RNG calls in the reference's order:
+    the same groups in the same order, each member bit for bit in draw order,
+    and the generator left in the same state."""
+
+    @pytest.mark.parametrize("trials", [1, 7, 1000])
+    @pytest.mark.parametrize("spec", [*harness._basic_specs(), harness._product_spec()],
+                             ids=lambda spec: repr(spec))
+    def test_equals_the_per_trial_draw(self, spec, trials):
+        rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+        got = harness._spec_draws(rng, spec, trials)
+        expected = _per_trial_spec_draws(ref_rng, spec, trials)
+        assert len(got) == len(expected)
+        for group, ref in zip(got, expected):
+            for a, b in zip(_stacks(group), _stacks(ref), strict=True):
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestReductionLockstep:
     """Each member of the lock-step reduction run equals the scalar
     step_signmomentum and step_muon loops bit for bit."""
@@ -764,6 +811,40 @@ class TestCli:
                        "--out", str(tmp_path / "tr.csv")])
         assert rc == cli.EXIT_CONFIG
         assert "error: bound dist0 is too large" in capsys.readouterr().err
+        assert not (tmp_path / "tr.csv").exists()
+
+    def test_run_whose_bound_column_overflows_exits_before_the_run(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # sigma^2 times the coefficient is finite here, but the column
+        # overflows from row 1: it used to be refused only after all T steps.
+        def run(*args, **kwargs):
+            raise AssertionError("the run started before the bound was checked")
+
+        monkeypatch.setattr(optim, "run", run)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bound": {"sigma": 3e153}, "T": 20}))
+        rc = cli.main(["run", "--preset", "efm-appendixE", "--config", str(cfg),
+                       "--out", str(tmp_path / "tr.csv")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: bound overflows a float at these parameters\n"
+        assert not (tmp_path / "tr.csv").exists()
+
+    @pytest.mark.parametrize("override, method, kind", [
+        ({"method": "muon"}, "muon", "invsqrt"),
+        ({"schedule": {"kind": "constant", "lam": 0.9}}, "efmuon", "constant"),
+    ], ids=["method", "schedule"])
+    def test_run_whose_bound_does_not_fit_exits_config_error(self, override, method, kind,
+                                                            tmp_path, capsys):
+        # Both used to run and fill the column with the EF-M bound for
+        # lambda_t = 1/sqrt(t+1), which is not this run's bound.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 3, **override}))
+        rc = cli.main(["run", "--preset", "efm-appendixE", "--config", str(cfg),
+                       "--out", str(tmp_path / "tr.csv")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: bound is the EF-M bound for lambda_t = 1/sqrt(t+1): it needs method "
+            f"'efmuon' and schedule 'invsqrt', not method {method!r} and schedule {kind!r}\n")
         assert not (tmp_path / "tr.csv").exists()
 
     @pytest.mark.parametrize("w22, column", [(1e308, "sum_diag"), (-1e308, "diff_diag")])
