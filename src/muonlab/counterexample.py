@@ -78,16 +78,26 @@ class KinkyFunction:
         return self.c * abs(s) + abs(d)
 
     def value(self, W) -> float:
-        w1, w2 = float(W[0, 0]), float(W[1, 1])
+        try:
+            w1, w2 = float(W[0, 0]), float(W[1, 1])
+        except IndexError:  # no leading 2x2 diagonal
+            raise self._shape_error(W) from None
         return self.sd_value(w1 + w2, w1 - w2)
 
     def subgradient(self, W) -> np.ndarray:
         """c*s1*(E11+E22) + s2*(E11-E22), s1 = sign(w1+w2), s2 = sign(w1-w2), sign(0) = 0."""
+        if np.shape(W) != (self.m, self.n):  # G has the function's shape
+            raise self._shape_error(W)
         w1, w2 = float(W[0, 0]), float(W[1, 1])
         s1, s2 = _sign(w1 + w2), _sign(w1 - w2)
         G = np.zeros((self.m, self.n))
         G[0, 0], G[1, 1] = self.c * s1 + s2, self.c * s1 - s2
         return G
+
+    def _shape_error(self, W) -> ValueError:
+        """A W not m x n: in a run the start's, as no step changes W's shape."""
+        return ValueError(f"W has shape {np.shape(W)}, "
+                          f"but the function's shape is {(self.m, self.n)}")
 
     def oracle(self) -> KinkyFunction:
         """The function itself: it implements the oracle protocol."""

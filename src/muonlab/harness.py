@@ -197,7 +197,8 @@ BOUND_KEYS = frozenset(("delta", "sigma", "dist0"))
 def _resolve_bound(cfg: dict, W0: np.ndarray) -> tuple:
     """The ``bound`` block with its defaults filled in, and the run's bound
     column, ``optim.efm_bound_column``: the EF-M bound for lambda_t =
-    1/sqrt(t+1), so only an ``efmuon`` run on ``invsqrt`` takes the block."""
+    1/sqrt(t+1), so only an ``efmuon`` run on ``invsqrt`` takes the block.
+    A bad value is named whatever the run; the column, O(T), comes last."""
     spec = cfg["bound"]
     if not isinstance(spec, dict):
         raise ConfigError(f"bound must be an object, got {norms._shown(spec)}")
@@ -210,17 +211,20 @@ def _resolve_bound(cfg: dict, W0: np.ndarray) -> tuple:
         "dist0": math.hypot(W0[0, 0], W0[1, 1]),
     }
     b.update((key, _real(value, f"bound {key}")) for key, value in spec.items())
+    args = (b["delta"], cfg["beta"], b["sigma"], b["dist0"])
     try:
-        column = optim.efm_bound_column(cfg["T"], b["delta"], cfg["beta"], b["sigma"],
-                                        b["dist0"])
-    except ValueError as exc:  # "the bound overflows ..." reads "bound overflows ..."
-        raise ConfigError("bound " + str(exc).removeprefix("the bound ")) from None
-    # Checked after the values, so that a bad value is named whatever the run.
+        optim._bound_factors(*args)
+    except ValueError as exc:
+        raise ConfigError(f"bound {exc}") from None
     method, kind = cfg["method"], cfg["schedule"]["kind"]
     if method != "efmuon" or kind != "invsqrt":
         raise ConfigError(f"bound is the EF-M bound for lambda_t = 1/sqrt(t+1): it needs "
                           f"method 'efmuon' and schedule 'invsqrt', not method {method!r} "
                           f"and schedule {kind!r}")
+    try:
+        column = optim.efm_bound_column(cfg["T"], *args)
+    except ValueError as exc:  # "the bound overflows ..." reads "bound overflows ..."
+        raise ConfigError("bound " + str(exc).removeprefix("the bound ")) from None
     return b, column
 
 
@@ -689,3 +693,22 @@ SUITES = {
 }
 # The suites whose ``trials`` keyword sets a trial count; the others have none.
 TRIAL_ARGS = frozenset(k for k, f in SUITES.items() if "trials" in inspect.signature(f).parameters)
+
+# The abstract's claims, and the kernels both constructions run on: (id, claim,
+# the suites that bear on it, status), the status "check" (a pinned pass/fail),
+# "finding" (a number with no gate) or "not reproduced".  Each suite sits in one
+# row.  README's Claims section is this table.
+CLAIMS = (
+    ("C1", "Muon does not converge on the class of convex and Lipschitz functions, regardless "
+     "of the choice of learning rate schedule.", ("cex1", "cex2", "reduction"), "check"),
+    ("C2", "Error feedback restores convergence of Muon and all the non-Euclidean subgradient "
+     "methods with momentum. Only EF-Muon on the efm-appendixE preset is checked today.",
+     ("ef-bound", "compressor"), "check"),
+    ("C3", "Error feedback degrades the performance of Muon on CIFAR-10 and nanoGPT. It needs "
+     "datasets and GPUs the repo does not have.", (), "not reproduced"),
+    ("C4", "Muon's success must come from structure absent from the convex Lipschitz model, "
+     "most plausibly related to smoothness.", (), "not reproduced"),
+    ("K", "The polar factors and the LMOs that both constructions run on are right: "
+     "Newton-Schulz tracks the exact polar factor, and each LMO attains its dual norm "
+     "inside the unit ball with the least Frobenius norm.", ("polar", "lmo"), "check"),
+)

@@ -2,6 +2,10 @@
 
 All operations are pure functions on float64 numpy arrays and are safe to
 call concurrently.
+
+The polar factors and the operator and nuclear norms have one implementation
+each, on a (B, m, n) stack: a per-call entry is member 0 of a stack of one, bit
+for bit, since a stacked SVD, ``@`` or row ``np.vecdot`` is the 2-d one per member.
 """
 
 from __future__ import annotations
@@ -198,7 +202,8 @@ def polar_newton_schulz_stack(A) -> np.ndarray:
 
 
 def _fro_members(A: np.ndarray) -> np.ndarray:
-    """``_fro`` of each member of a stack: vecdot is ndarray.dot on each contiguous row."""
+    """``_fro`` of each member of a stack: vecdot is ndarray.dot on each
+    contiguous row (on a strided row the dot sums in another order)."""
     flat = np.ascontiguousarray(A).reshape(len(A), -1)
     return np.sqrt(np.vecdot(flat, flat))
 

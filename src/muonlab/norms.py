@@ -10,6 +10,11 @@ specs (L1/L2/Linf/Lp) act on 1-d arrays, matrix specs (Operator/Nuclear) on
 2-d arrays, and the product spec on :class:`ParamPoint`.  The ``*_stack``
 forms evaluate a stack of such arguments at once; the per-call functions are
 their B = 1 case.
+
+Member b of a stack's result is the per-call result on member b bit for bit,
+and a stack with a member the per-call function refuses raises its error.  The
+matrix specs take their dual norm from the LMO's own SVD: singular values from
+``compute_uv=False`` may differ in the last bits.
 """
 
 from __future__ import annotations

@@ -486,25 +486,30 @@ def _run_diagonal(rule: Rule, fn, state: OptimizerState, T: int,
     there, W keeps its other entries (no Trace column reads them), and on
     such a matrix the polar factor is the sign and the nuclear norm
     |d1| + |d2|.  Each float operation is the one ``step`` applies
-    elementwise (schedules hold Python floats).  The sign class of w1 + w2 is
-    picked by branches and that of w1 - w2 by comparing w1 with w2, a NaN
-    falling in the class of a zero; w - lam sign(m) and the compressor's
-    w - scale sign(p) are taken as w - lam, w + lam or w itself (and so with
-    the scale), the same numbers while lam and the scale are finite and w is
-    no signaling NaN, which the loop quiets first.
+    elementwise (schedules hold Python floats).  Under momentum the rows are
+    scaled by 1 - beta once per run, so beta m + ((1 - beta) g) is the step's
+    expression.  The sign class of w1 + w2 is picked by branches and that of
+    w1 - w2 by comparing w1 with w2, a NaN falling in the class of a zero;
+    w - lam sign(m) and the compressor's w - scale sign(p) are taken as
+    w - lam, w + lam or w itself (and so with the scale), the same numbers
+    while lam and the scale are finite and w is no signaling NaN, which the
+    loop quiets first.
 
     A step records w1, w2, the running mean and a stepsize that depends on
     M, and the Trace is built from the records (``_diagonal_trace``), or is
     None where a stepsize or compressor scale was not finite.  One test after
     the loop finds that: an offline stepsize is finite, a recorded one is
     tested, and with feedback E ends not finite iff a nuclear norm of P was
-    not.  ``run`` then runs its own loop, with the NaNs and errors of ``step``.
+    not (E stays finite while those are, and the first that is not leaves an
+    entry of E non-finite for good).  ``run`` then runs its own loop, with
+    the NaNs and errors of ``step``.
 
     Without the running mean, a coefficient constant from step ``steady`` < T
     on (Constant, AdaptiveNuclear, a Table's last value) makes each later
     step a function of (w1, w2, m1, m2, e1, e2), packed every _CHUNK steps.
-    Bytes equal to a state kept Brent-style mean the run repeats: the rest of
-    its records is the last period again, and a kept E non-finite iff the last.
+    Bytes equal to a state kept at doubling distances (Brent, BIT 20, 1980)
+    mean the run repeats: the rest of its records is the last period again,
+    and a kept E is non-finite iff the last is.
     """
     schedule, t0 = state.schedule, state.t
     kind = type(schedule)

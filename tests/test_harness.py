@@ -834,11 +834,16 @@ class TestCli:
         ({"schedule": {"kind": "constant", "lam": 0.9}}, "efmuon", "constant"),
     ], ids=["method", "schedule"])
     def test_run_whose_bound_does_not_fit_exits_config_error(self, override, method, kind,
-                                                            tmp_path, capsys):
+                                                            tmp_path, capsys, monkeypatch):
         # Both used to run and fill the column with the EF-M bound for
-        # lambda_t = 1/sqrt(t+1), which is not this run's bound.
+        # lambda_t = 1/sqrt(t+1), which is not this run's bound.  The fit is
+        # checked before the column, here two million rows, is built.
+        def efm_bound_column(*args, **kwargs):
+            raise AssertionError("the bound column was built before the fit was checked")
+
+        monkeypatch.setattr(optim, "efm_bound_column", efm_bound_column)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"T": 3, **override}))
+        cfg.write_text(json.dumps({"T": 2_000_000, **override}))
         rc = cli.main(["run", "--preset", "efm-appendixE", "--config", str(cfg),
                        "--out", str(tmp_path / "tr.csv")])
         assert rc == cli.EXIT_CONFIG

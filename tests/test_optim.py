@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -556,6 +557,22 @@ class TestRun:
         # A truthy string such as "no" used to track the mean.
         with pytest.raises(ValueError, match="^track_average must be a bool"):
             optim.run("muon", kinky_oracle(), state(np.eye(2)), 1, track_average=track_average)
+
+    @pytest.mark.parametrize("wrap", [lambda fn: fn, lambda fn: general_oracle(fn),
+                                      lambda fn: optim.NoisyOracle(fn, 0.1)],
+                             ids=["function", "FunctionOracle", "NoisyOracle"])
+    @pytest.mark.parametrize("start, shape", [((1, 1), (2, 2)), ((2, 1), (2, 2)),
+                                              ((3, 3), (2, 2)), ((2, 2), (3, 4))],
+                             ids=["1x1", "2x1", "3x3", "2x2 on 3x4"])
+    def test_refuses_a_start_of_another_shape(self, start, shape, wrap):
+        # Such a start used to fail mid-step: IndexError for (1, 1) and (2, 1),
+        # numpy's broadcast error for (3, 3) and for (2, 2) on a 3 x 4 function.
+        # The function's first call refuses it, so no step completes.
+        oracle = wrap(cex.KinkyFunction(0.3, m=shape[0], n=shape[1]))
+        message = f"W has shape {start}, but the function's shape is {shape}"
+        with counting_steps() as calls, pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            optim.run("muon", oracle, state(np.ones(start), schedule=optim.Constant(0.1)), 3)
+        assert len(calls) <= 1
 
     def test_rejects_a_state_without_a_schedule(self):
         # The OptimizerState default used to raise AttributeError from inside
